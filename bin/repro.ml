@@ -3,8 +3,7 @@
     {v
     repro table1|table2|table3|table4      # sequential structure tables
     repro fig2 [--panel P] [--machine M] [--quick] [--extended]
-    repro real [--panel P] [--threads N]   # wall-clock run on real domains
-    repro bench [--quick] [--dist D] [--out DIR]  # BENCH_<panel>.json artifacts
+    repro overload [--quick] [--out DIR]   # BENCH_overload_*.json artifacts
     repro rank [--quick] [--out DIR]       # BENCH_rankerror.json (relaxed PQs)
     repro chaos [--seed S] [--full]        # crash-stop + fault-injection sweep
     repro dpor [PROGRAM] [--schedule S]    # DPOR model checking / replay
@@ -112,7 +111,7 @@ let fig2_cmd =
   Cmd.v (Cmd.info "fig2" ~doc)
     Term.(const run_fig2 $ panel_arg $ machine_arg $ quick_flag $ extended_flag)
 
-(* ---------- real-domain runs ---------- *)
+(* ---------- wall-clock artifacts on real domains ---------- *)
 
 let positive_int =
   let parse s =
@@ -129,54 +128,7 @@ let threads_arg =
     & info [ "threads" ] ~docv:"N"
         ~doc:"Max domains (default: recommended domain count).")
 
-let run_real panel threads quick =
-  let ops = if quick then 1 lsl 12 else 1 lsl 16 in
-  let max_t =
-    match threads with
-    | Some n -> n
-    | None -> Domain.recommended_domain_count ()
-  in
-  let thread_counts =
-    List.filter (fun t -> t <= max_t) [ 1; 2; 4; 8; 16 ]
-    |> fun l -> if List.mem max_t l then l else l @ [ max_t ]
-  in
-  let panels =
-    match panel with
-    | Some p -> [ p ]
-    | None -> Harness.Workload.[ Insert; Extract; Mixed; Extract_many ]
-  in
-  List.iter
-    (fun panel ->
-      Format.fprintf ppf "@.[real domains] %s: throughput (1000 ops/sec)@."
-        (Harness.Workload.panel_name panel);
-      let series =
-        Harness.Real_exp.run_panel ~panel ~thread_counts ~ops_per_thread:ops
-          ~init_size:(Harness.Fig2.init_size_for Harness.Fig2.quick_scale panel)
-          Harness.Pq.On_real.paper_set
-      in
-      Format.fprintf ppf "%-18s" "threads";
-      List.iter (fun t -> Format.fprintf ppf "%10d" t) thread_counts;
-      Format.fprintf ppf "@.";
-      List.iter
-        (fun (s : Harness.Real_exp.series) ->
-          Format.fprintf ppf "%-18s" s.structure;
-          List.iter
-            (fun (c : Harness.Real_exp.cell) ->
-              Format.fprintf ppf "%10.0f" (c.summary.median /. 1000.))
-            s.cells;
-          Format.fprintf ppf "@.")
-        series)
-    panels;
-  Format.pp_print_flush ppf ()
-
-let real_cmd =
-  let doc = "Run the Fig. 2 workloads on real OCaml domains (wall clock)." in
-  Cmd.v (Cmd.info "real" ~doc)
-    Term.(const run_real $ panel_arg $ threads_arg $ quick_flag)
-
-(* ---------- wall-clock benchmark artifacts ---------- *)
-
-(* Thread sweep for the bench/overload pipelines: powers of two up to
+(* Thread sweep for the overload/rank pipelines: powers of two up to
    the domain budget, plus the budget itself when it is not a power of
    two — 1,2,4,…,max_t. On a wide machine that makes the 1→2-thread
    collapse curve visible at 4/8 threads; on a narrow one ([max_t] from
@@ -191,99 +143,6 @@ let sweep_thread_counts ~quick ~max_t =
       if t >= max_t then List.rev (max_t :: acc) else pows (2 * t) (t :: acc)
     in
     pows 1 []
-
-let bench_panel_tag (panel : Harness.Workload.panel) =
-  match panel with
-  | Insert -> "insert"
-  | Extract -> "extract"
-  | Mixed -> "mixed"
-  | Extract_many -> "extractmany"
-
-let dist_arg =
-  let parse s =
-    match Harness.Workload.dist_of_string s with
-    | Some d -> Ok d
-    | None -> Error (`Msg (Printf.sprintf "unknown distribution %S" s))
-  in
-  let print ppf d =
-    Format.pp_print_string ppf (Harness.Workload.dist_name d)
-  in
-  Arg.(
-    value
-    & opt (conv (parse, print)) Harness.Workload.Uniform
-    & info [ "dist" ] ~docv:"DIST"
-        ~doc:
-          "Insert-key distribution for the core panels: uniform (the \
-           paper's random keys) or zipf (hot keys near the mound roots).")
-
-let run_bench panel threads trials warmup quick dist out =
-  let seed = 7L in
-  let ops = if quick then 1 lsl 12 else 1 lsl 15 in
-  let trials =
-    match trials with Some n -> n | None -> if quick then 3 else 5
-  in
-  let warmup = Option.value warmup ~default:1 in
-  let max_t =
-    match threads with
-    | Some n -> n
-    | None -> max 2 (Domain.recommended_domain_count ())
-  in
-  let thread_counts = sweep_thread_counts ~quick ~max_t in
-  let panels =
-    match panel with
-    | Some p -> [ p ]
-    | None -> Harness.Workload.[ Insert; Extract; Mixed ]
-  in
-  List.iter
-    (fun panel ->
-      let init_size =
-        Harness.Fig2.init_size_for Harness.Fig2.quick_scale panel
-      in
-      let run tc maker =
-        Harness.Real_exp.run_series ~seed ~warmup ~trials ~dist ~panel
-          ~thread_counts:tc ~ops_per_thread:ops ~init_size maker
-      in
-      (* the sequential oracle is not thread-safe: 1-thread reference row *)
-      let series =
-        run [ 1 ] Harness.Pq.seq
-        :: List.map (run thread_counts)
-             [
-               Harness.Pq.On_real.mound_lf;
-               Harness.Pq.On_real.mound_lock;
-               Harness.Pq.On_real.multiqueue ~domains:max_t ();
-             ]
-      in
-      let tag =
-        bench_panel_tag panel
-        ^
-        match dist with
-        | Harness.Workload.Uniform -> ""
-        | Harness.Workload.Zipf -> "_zipf"
-      in
-      let doc =
-        Harness.Bench_json.of_panel ~panel:tag ~seed ~warmup
-          ~measured_trials:trials ~ops_per_thread:ops ~init_size series
-      in
-      (match Harness.Bench_json.validate doc with
-      | Ok () -> ()
-      | Error e -> failwith (Printf.sprintf "BENCH_%s.json invalid: %s" tag e));
-      let path = Filename.concat out (Printf.sprintf "BENCH_%s.json" tag) in
-      Harness.Bench_json.write_file path (Harness.Bench_json.to_string doc);
-      Format.fprintf ppf "@.[bench] %s -> %s@." tag path;
-      Format.fprintf ppf "%-18s %7s %14s %14s@." "structure" "threads"
-        "median ktps" "stddev ktps";
-      List.iter
-        (fun (s : Harness.Real_exp.series) ->
-          List.iter
-            (fun (c : Harness.Real_exp.cell) ->
-              Format.fprintf ppf "%-18s %7d %14.1f %14.1f@." s.structure
-                c.threads
-                (c.summary.median /. 1000.)
-                (c.summary.stddev /. 1000.))
-            s.cells)
-        series)
-    panels;
-  Format.pp_print_flush ppf ()
 
 let trials_arg =
   Arg.(
@@ -303,19 +162,7 @@ let out_arg =
   Arg.(
     value & opt dir "."
     & info [ "out" ] ~docv:"DIR"
-        ~doc:"Directory receiving the BENCH_<panel>.json artifacts.")
-
-let bench_cmd =
-  let doc =
-    "Record wall-clock benchmark artifacts (BENCH_<panel>.json) for the \
-     seq/LF/lock mounds and the relaxed MultiQueue front-end with a \
-     warmup + multi-trial protocol; --dist zipf skews the insert keys \
-     (artifacts get a _zipf suffix)."
-  in
-  Cmd.v (Cmd.info "bench" ~doc)
-    Term.(
-      const run_bench $ panel_arg $ threads_arg $ trials_arg $ warmup_arg
-      $ quick_flag $ dist_arg $ out_arg)
+        ~doc:"Directory receiving the BENCH_*.json artifacts.")
 
 (* ---------- overload / degradation artifacts ---------- *)
 
@@ -1185,7 +1032,7 @@ let () =
        (Cmd.group info
           [
             table_cmd 1; table_cmd 2; table_cmd 3; table_cmd 4; fig2_cmd;
-            real_cmd; bench_cmd; overload_cmd; rank_cmd; ablation_cmd;
+            overload_cmd; rank_cmd; ablation_cmd;
             lin_cmd;
             chaos_cmd; dpor_cmd;
             progress_cmd; shape_cmd; lint_cmd; mutate_cmd; all_cmd;

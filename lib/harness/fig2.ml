@@ -22,8 +22,9 @@ let paper_scale =
     threads_x86 = [ 1; 2; 4; 6; 8; 10; 12 ];
   }
 
-(** Reduced scale for quick runs (bench/main, tests). The thread sweeps
-    keep the inflection points (core count, hardware-thread count). *)
+(** Reduced scale for quick runs ([repro fig2 --quick], tests). The
+    thread sweeps keep the inflection points (core count, hardware-thread
+    count). *)
 let quick_scale =
   {
     ops_per_thread = 1 lsl 10;
@@ -46,10 +47,12 @@ let threads_for scale (profile : Sim.Profile.t) =
 (** Run one panel on one machine profile. *)
 let run ?(scale = quick_scale) ?(makers = Pq.On_sim.paper_set) ~profile
     ~panel () =
-  Sim_exp.run_panel ~profile ~panel
-    ~thread_counts:(threads_for scale profile)
-    ~ops_per_thread:scale.ops_per_thread
-    ~init_size:(init_size_for scale panel) makers
+  List.map
+    (Sim_exp.run_series ~profile ~panel
+       ~thread_counts:(threads_for scale profile)
+       ~ops_per_thread:scale.ops_per_thread
+       ~init_size:(init_size_for scale panel))
+    makers
 
 let print_panel ppf ~(profile : Sim.Profile.t) ~panel
     (series : Sim_exp.series list) =
@@ -72,15 +75,3 @@ let print_panel ppf ~(profile : Sim.Profile.t) ~panel
         s.points;
       Format.fprintf ppf "@.")
     series
-
-(** Run and print every panel of Fig. 2 for both machines. *)
-let run_all ?scale ?makers ppf () =
-  List.iter
-    (fun profile ->
-      List.iter
-        (fun panel ->
-          let series = run ?scale ?makers ~profile ~panel () in
-          print_panel ppf ~profile ~panel series)
-        [ Workload.Insert; Workload.Extract; Workload.Mixed;
-          Workload.Extract_many ])
-    [ Sim.Profile.niagara2; Sim.Profile.x86 ]

@@ -16,10 +16,7 @@ val paper_scale : scale
 
 val quick_scale : scale
 (** Reduced sizes keeping the inflection points (core and hardware-thread
-    counts); used by [bench/main.exe] and tests. *)
-
-val init_size_for : scale -> Workload.panel -> int
-(** Pre-population size a panel requires. *)
+    counts); used by [repro fig2 --quick] and tests. *)
 
 val threads_for : scale -> Sim.Profile.t -> int list
 
@@ -40,6 +37,3 @@ val print_panel :
   Sim_exp.series list ->
   unit
 (** Print a panel as a threads × structures table in kOps/s. *)
-
-val run_all : ?scale:scale -> ?makers:Pq.maker list -> Format.formatter -> unit -> unit
-(** Run and print all eight panels. *)

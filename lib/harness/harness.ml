@@ -8,8 +8,9 @@
     - {!Ablation}: THRESHOLD sweep, k-CSS vs DCSS insert, probabilistic
       extract-min quality, and per-operation synchronization-cost
       accounting;
-    - {!Sim_exp} / {!Real_exp}: the underlying drivers (simulator /
-      real domains);
+    - {!Sim_exp}: simulator throughput cells behind {!Fig2};
+    - {!Real_exp}: timed real-domain trials (barrier start, per-domain
+      stamps) behind [repro overload] and {!Rank_exp};
     - {!Pq}: uniform handles over every priority-queue implementation;
     - {!Workload}: panel and key-order definitions;
     - {!Barrier}: start-line synchronization for real-domain runs;

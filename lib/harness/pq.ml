@@ -270,31 +270,5 @@ module Of_runtime (R : Runtime.S) = struct
   let extended_set = paper_set @ [ coarse; stm_heap; skiplist_lock ]
 end
 
-(** The sequential mound oracle behind the uniform handle. NOT
-    thread-safe — the benchmark pipeline runs it only at one thread, as
-    the single-thread reference row. *)
-let seq =
-  {
-    make =
-      (fun ~capacity:_ ->
-        let module S = Mound.Seq_int in
-        let q = S.create () in
-        {
-          name = "Mound (Seq)";
-          insert = S.insert q;
-          insert_many = (fun b -> S.insert_many q (List.sort compare b));
-          extract_min = (fun () -> S.extract_min q);
-          extract_many = (fun () -> S.extract_many q);
-          extract_approx = (fun () -> S.extract_approx q);
-          try_insert = S.try_insert q;
-          insert_until = (fun ~deadline v -> S.insert_until q ~deadline v);
-          extract_min_until =
-            (fun ~deadline -> S.extract_min_until q ~deadline);
-          size = (fun () -> S.size q);
-          check = (fun () -> S.check q);
-          ops = (fun () -> None);
-        });
-  }
-
 module On_real = Of_runtime (Runtime.Real)
 module On_sim = Of_runtime (Sim.Runtime)

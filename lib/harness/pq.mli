@@ -73,11 +73,6 @@ module Of_runtime (_ : Runtime.S) : sig
       ablations. *)
 end
 
-val seq : maker
-(** The sequential mound oracle behind the uniform handle. NOT
-    thread-safe — benchmark pipelines must run it only at one thread
-    (single-thread reference row). *)
-
 (** On real OCaml domains. *)
 module On_real : module type of Of_runtime (Runtime.Real)
 

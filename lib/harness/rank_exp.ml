@@ -1,7 +1,3 @@
-(* lint: allow-file — this module is a real-hardware driver like
-   Real_exp: it spawns domains and reads wall-derived clocks by
-   design. *)
-
 (** Rank-error measurement for relaxed priority queues.
 
     Methodology per "Engineering MultiQueues": pre-populate a queue with
@@ -125,76 +121,39 @@ let replay ~init (log : point list) =
     max_error = !max_e;
   }
 
-(** One timed drain: populate with [threads * ops_per_thread] keys, let
-    every domain extract its share with timestamps, replay. Same
-    barrier / pre-barrier clock-origin protocol as {!Real_exp}. *)
+(** One timed drain ({!Real_exp.timed_trial}): populate with
+    [threads * ops_per_thread] keys, let every domain extract its share
+    with timestamps, replay. The trial counts successful extractions. *)
 let run_rank_trial ?(seed = 7L) ~threads ~ops_per_thread (maker : Pq.maker) =
   let n = threads * ops_per_thread in
   let q = maker.make ~capacity:n in
   let rng = Prng.create (Int64.add seed 17L) in
   let init = Array.init n (fun _ -> Prng.int rng Workload.key_range) in
   Array.iter q.Pq.insert init;
-  let barrier = Barrier.create (threads + 1) in
   let logs = Array.make threads [] in
   let empties = Array.make threads 0 in
-  let starts = Array.make threads 0. in
-  let stops = Array.make threads 0. in
-  let domains =
-    Array.init threads (fun tid ->
-        (* lint: allow — per-domain slot arrays: each domain writes only
-           its own [tid] index; [Domain.join] is the synchronization *)
-        Domain.spawn (fun () ->
-            Barrier.wait barrier;
-            starts.(tid) <- Unix.gettimeofday (); (* lint: allow — writes only its own slot *)
-            let log = ref [] and empty = ref 0 in
-            for _ = 1 to ops_per_thread do
-              match q.Pq.extract_min () with
-              | Some v ->
-                  let stamp = Runtime.Real.monotonic_ns () in
-                  (* lint: allow — [log] never leaves this domain's closure;
-                     only its final contents are published via [logs.(tid)] *)
-                  log := { stamp; value = v } :: !log
-              | None -> incr empty
-            done;
-            (* program order restored: the merge's stable sort then keeps
-               intra-thread order when coarse clocks produce stamp ties *)
-            logs.(tid) <- List.rev !log; (* lint: allow — writes only its own slot *)
-            empties.(tid) <- !empty; (* lint: allow — writes only its own slot *)
-            stops.(tid) <- Unix.gettimeofday () (* lint: allow — writes only its own slot *)))
+  let trial =
+    Real_exp.timed_trial ~threads (fun tid ->
+        let log = ref [] and empty = ref 0 in
+        for _ = 1 to ops_per_thread do
+          match q.Pq.extract_min () with
+          | Some v ->
+              let stamp = Runtime.Real.monotonic_ns () in
+              log := { stamp; value = v } :: !log
+          | None -> incr empty
+        done;
+        (* program order restored: the merge's stable sort then keeps
+           intra-thread order when coarse clocks produce stamp ties *)
+        logs.(tid) <- List.rev !log;
+        empties.(tid) <- !empty;
+        ops_per_thread - !empty)
   in
-  let t0 = Unix.gettimeofday () in
-  Barrier.wait barrier;
-  Array.iter Domain.join domains;
-  let last_stop = Array.fold_left max neg_infinity stops in
-  let seconds = last_stop -. t0 in
   let merged =
     Array.to_list logs |> List.concat
     |> List.sort (fun a b -> compare a.stamp b.stamp)
   in
   let stats = replay ~init merged in
-  let stats =
-    { stats with empty_returns = Array.fold_left ( + ) 0 empties }
-  in
-  let ops = stats.extractions in
-  let first_start = Array.fold_left min infinity starts in
-  let last_start = Array.fold_left max neg_infinity starts in
-  let trial : Real_exp.trial =
-    {
-      seconds;
-      ops;
-      throughput = (if seconds > 0. then float_of_int ops /. seconds else 0.);
-      skew_s = last_start -. first_start;
-      thread_points =
-        List.init threads (fun tid ->
-            {
-              Real_exp.tid;
-              start_s = starts.(tid) -. t0;
-              stop_s = stops.(tid) -. t0;
-              ops = List.length logs.(tid);
-            });
-    }
-  in
-  (trial, stats)
+  (trial, { stats with empty_returns = Array.fold_left ( + ) 0 empties })
 
 (** Warmup + measured trials for one (structure, thread count) cell.
     Rank stats are aggregated across the measured trials: extraction

@@ -1,14 +1,14 @@
 (* lint: allow-file — this module IS the real-hardware driver: it spawns
    domains and reads the wall clock by design. *)
 
-(** Wall-clock experiment driver on real OCaml domains.
+(** Wall-clock trials on real OCaml domains for the overload scenarios
+    (and, through {!timed_trial}, the rank-error drains of {!Rank_exp}).
 
-    Same workloads as {!Sim_exp}, measured in wall-clock time with a
-    barrier-synchronized start and a disciplined trial protocol: every
-    cell (structure × panel × thread count) runs [warmup] discarded
-    trials followed by [trials] measured ones, each against a freshly
-    built queue, and reports median / min / max / stddev throughput plus
-    per-thread timing so start-skew is visible in the output.
+    Trial protocol: every cell (structure × scenario × thread count)
+    runs [warmup] discarded trials followed by [trials] measured ones,
+    each against a freshly built queue, and reports median / min / max /
+    stddev throughput plus per-thread timing so start-skew is visible in
+    the output.
 
     Timing protocol: the main thread reads the clock {e before} joining
     the start barrier, so no worker operation can land outside the timed
@@ -16,10 +16,8 @@
     stamps (relative to that origin) after it clears the barrier. A
     trial's span is origin → last worker stop.
 
-    On the reproduction container (a single CPU core) the multi-thread
-    numbers demonstrate correctness under true preemptive concurrency;
-    the 1-thread panels are the meaningful performance signal and feed
-    the benchmark baselines in [BENCH_*.json] (see {!Bench_json}). *)
+    The core operations' wall-clock throughput is measured by the
+    [bench/perf] benchmark, not here. *)
 
 type thread_point = {
   tid : int;
@@ -54,27 +52,10 @@ type cell = {
 
 type series = { structure : string; cells : cell list }
 
-let populate ?(dist = Workload.Uniform) (q : Pq.t) n ~seed =
-  let rng = Prng.create (Int64.add seed 17L) in
-  let rand b = Prng.int rng b in
-  for _ = 1 to n do
-    q.insert (Workload.key ~dist ~rand)
-  done
-
-(** One timed run against a fresh queue. Returns the trial and the
-    queue's op counters (captured at quiescence). [dist] shapes both the
-    pre-population keys and the in-run insert keys. *)
-let run_trial ?(seed = 7L) ?(dist = Workload.Uniform) ~panel ~threads
-    ~ops_per_thread ~init_size (maker : Pq.maker) =
-  let q =
-    maker.make
-      ~capacity:
-        (Sim_exp.capacity_for ~panel ~threads ~ops_per_thread ~init_size)
-  in
-  (match (panel : Workload.panel) with
-  | Insert -> ()
-  | Extract -> populate ~dist q (threads * ops_per_thread) ~seed
-  | Mixed | Extract_many -> populate ~dist q init_size ~seed);
+(** One timed run of [body tid] on each of [threads] fresh domains. The
+    domains wait at a start barrier; [body] returns the operations its
+    domain completed. *)
+let timed_trial ~threads (body : int -> int) =
   let barrier = Barrier.create (threads + 1) in
   let counts = Array.make threads 0 in
   let starts = Array.make threads 0. in
@@ -85,13 +66,9 @@ let run_trial ?(seed = 7L) ?(dist = Workload.Uniform) ~panel ~threads
            its own [tid] index, and [Domain.join] below is the
            synchronization the escape lattice cannot see *)
         Domain.spawn (fun () ->
-            let rng = Prng.for_thread ~seed ~id:tid in
             Barrier.wait barrier;
             starts.(tid) <- Unix.gettimeofday (); (* lint: allow — writes only its own slot *)
-            counts.(tid) <-
-              Workload.run_thread ~dist ~panel ~q
-                ~rand:(fun b -> Prng.int rng b)
-                ~ops:ops_per_thread ();
+            counts.(tid) <- body tid; (* lint: allow — writes only its own slot *)
             stops.(tid) <- Unix.gettimeofday () (* lint: allow — writes only its own slot *)))
   in
   (* Clock origin is taken before the barrier opens: early worker
@@ -99,28 +76,24 @@ let run_trial ?(seed = 7L) ?(dist = Workload.Uniform) ~panel ~threads
   let t0 = Unix.gettimeofday () in
   Barrier.wait barrier;
   Array.iter Domain.join domains;
-  let last_stop = Array.fold_left max neg_infinity stops in
-  let seconds = last_stop -. t0 in
+  let seconds = Array.fold_left max neg_infinity stops -. t0 in
   let ops = Array.fold_left ( + ) 0 counts in
   let first_start = Array.fold_left min infinity starts in
   let last_start = Array.fold_left max neg_infinity starts in
-  let thread_points =
-    List.init threads (fun tid ->
-        {
-          tid;
-          start_s = starts.(tid) -. t0;
-          stop_s = stops.(tid) -. t0;
-          ops = counts.(tid);
-        })
-  in
-  ( {
-      seconds;
-      ops;
-      throughput = (if seconds > 0. then float_of_int ops /. seconds else 0.);
-      skew_s = last_start -. first_start;
-      thread_points;
-    },
-    q.ops () )
+  {
+    seconds;
+    ops;
+    throughput = (if seconds > 0. then float_of_int ops /. seconds else 0.);
+    skew_s = last_start -. first_start;
+    thread_points =
+      List.init threads (fun tid ->
+          {
+            tid;
+            start_s = starts.(tid) -. t0;
+            stop_s = stops.(tid) -. t0;
+            ops = counts.(tid);
+          });
+  }
 
 let summarize trials =
   let tps = List.map (fun t -> t.throughput) trials in
@@ -140,67 +113,7 @@ let summarize trials =
   in
   { median; tp_min; tp_max; stddev = sqrt var }
 
-(** [run_cell] — [warmup] discarded trials, then [trials] measured ones,
-    each on a fresh queue with a distinct derived seed.
-
-    Low-thread cells get an automatic boost: at 1–2 threads each trial
-    is over in a handful of milliseconds, so a single descheduling blip
-    lands squarely in the median — the committed baselines showed
-    1-thread stddev near 30% of the median. Doubling the measured
-    trials and adding one warmup there tightens the median at
-    negligible wall-clock cost, while the doc-level [ops_per_thread]
-    stays uniform across cells so throughputs remain comparable. *)
-let run_cell ?(seed = 7L) ?(warmup = 1) ?(trials = 3) ?dist ~panel ~threads
-    ~ops_per_thread ~init_size (maker : Pq.maker) =
-  let warmup, trials =
-    if threads <= 2 then (warmup + 1, 2 * trials) else (warmup, trials)
-  in
-  let trial_seed i = Int64.add seed (Int64.of_int (1000 * i)) in
-  for i = 1 to warmup do
-    ignore
-      (run_trial ~seed:(trial_seed (-i)) ?dist ~panel ~threads ~ops_per_thread
-         ~init_size maker)
-  done;
-  let counters = ref None in
-  let measured =
-    List.init trials (fun i ->
-        let t, ops =
-          run_trial ~seed:(trial_seed i) ?dist ~panel ~threads ~ops_per_thread
-            ~init_size maker
-        in
-        counters := ops;
-        t)
-  in
-  {
-    threads;
-    warmup;
-    trials = measured;
-    summary = summarize measured;
-    counters = !counters;
-  }
-
-let run_series ?seed ?warmup ?trials ?dist ~panel ~thread_counts
-    ~ops_per_thread ~init_size (maker : Pq.maker) =
-  let name = (maker.make ~capacity:16).name in
-  {
-    structure = name;
-    cells =
-      List.map
-        (fun threads ->
-          run_cell ?seed ?warmup ?trials ?dist ~panel ~threads ~ops_per_thread
-            ~init_size maker)
-        thread_counts;
-  }
-
-let run_panel ?seed ?warmup ?trials ?dist ~panel ~thread_counts
-    ~ops_per_thread ~init_size makers =
-  List.map
-    (fun m ->
-      run_series ?seed ?warmup ?trials ?dist ~panel ~thread_counts
-        ~ops_per_thread ~init_size m)
-    makers
-
-(* ----- overload scenarios (ISSUE 6) ----- *)
+(* ----- overload scenarios ----- *)
 
 (** Overload scenarios: each runs the structure behind the {!Mound.Bounded}
     admission front-end and measures throughput {e and} degradation
@@ -282,60 +195,27 @@ let run_overload_thread ~scenario ~(b : (Pq.t, int) B.t) ~rand ~ops () =
   done;
   !done_
 
-(** One timed overload trial: same barrier/clock protocol as {!run_trial},
-    with the queue behind a Bounded front-end at [capacity]. The counter
-    snapshot merges the front-end's shed/rejected/timeout counts with the
-    structure's own retry counters. *)
+(** One timed overload trial ({!timed_trial}), with the queue behind a
+    Bounded front-end at [capacity]. The counter snapshot merges the
+    front-end's shed/rejected/timeout counts with the structure's own
+    retry counters. *)
 let run_overload_trial ?(seed = 7L) ~scenario ~threads ~ops_per_thread
     ~capacity (maker : Pq.maker) =
   let q = maker.make ~capacity:(capacity + (threads * ops_per_thread)) in
   let b =
     B.make ~ops:pq_ops ~capacity ~policy:(scenario_policy scenario) q
   in
-  let barrier = Barrier.create (threads + 1) in
-  let counts = Array.make threads 0 in
-  let starts = Array.make threads 0. in
-  let stops = Array.make threads 0. in
-  let domains =
-    Array.init threads (fun tid ->
-        Domain.spawn (fun () ->
-            let rng = Prng.for_thread ~seed ~id:tid in
-            Barrier.wait barrier;
-            starts.(tid) <- Unix.gettimeofday ();
-            counts.(tid) <-
-              run_overload_thread ~scenario ~b
-                ~rand:(fun bound -> Prng.int rng bound)
-                ~ops:ops_per_thread ();
-            stops.(tid) <- Unix.gettimeofday ()))
-  in
-  let t0 = Unix.gettimeofday () in
-  Barrier.wait barrier;
-  Array.iter Domain.join domains;
-  let last_stop = Array.fold_left max neg_infinity stops in
-  let seconds = last_stop -. t0 in
-  let ops = Array.fold_left ( + ) 0 counts in
-  let first_start = Array.fold_left min infinity starts in
-  let last_start = Array.fold_left max neg_infinity starts in
-  let thread_points =
-    List.init threads (fun tid ->
-        {
-          tid;
-          start_s = starts.(tid) -. t0;
-          stop_s = stops.(tid) -. t0;
-          ops = counts.(tid);
-        })
+  let trial =
+    timed_trial ~threads (fun tid ->
+        let rng = Prng.for_thread ~seed ~id:tid in
+        run_overload_thread ~scenario ~b
+          ~rand:(fun bound -> Prng.int rng bound)
+          ~ops:ops_per_thread ())
   in
   let counters = Mound.Stats.Ops.create () in
   Chaos_exp.add_ops counters (B.counters b);
   (match q.Pq.ops () with Some o -> Chaos_exp.add_ops counters o | None -> ());
-  ( {
-      seconds;
-      ops;
-      throughput = (if seconds > 0. then float_of_int ops /. seconds else 0.);
-      skew_s = last_start -. first_start;
-      thread_points;
-    },
-    Some counters )
+  (trial, Some counters)
 
 let run_overload_cell ?(seed = 7L) ?(warmup = 1) ?(trials = 3) ~scenario
     ~threads ~ops_per_thread ~capacity (maker : Pq.maker) =

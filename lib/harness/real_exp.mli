@@ -1,13 +1,11 @@
-(** Wall-clock experiment driver on real OCaml domains: the same
-    workloads as {!Sim_exp}, measured with a barrier-synchronized start
-    and a multi-trial protocol (warmup trials discarded, [trials]
-    measured trials per cell, median / min / max / stddev reported).
-    The clock origin is read before the start barrier opens and each
-    domain records its own start/stop stamps, so per-thread skew is
-    visible in the results. On a single-core host the curves demonstrate
-    correctness under true preemption and provide single-thread
-    baselines; scalability shapes come from the simulator
-    (DESIGN.md §3). *)
+(** Wall-clock trials on real OCaml domains for the overload scenarios
+    and, through {!timed_trial}, the rank-error drains of {!Rank_exp}:
+    a barrier-synchronized start and a multi-trial protocol (warmup
+    trials discarded, [trials] measured trials per cell, median / min /
+    max / stddev reported). The clock origin is read before the start
+    barrier opens and each domain records its own start/stop stamps, so
+    per-thread skew is visible in the results. The core operations'
+    wall-clock throughput is measured by [bench/perf], not here. *)
 
 type thread_point = {
   tid : int;
@@ -46,59 +44,12 @@ val summarize : trial list -> summary
 (** Median / min / max / stddev of the trials' throughputs — exposed so
     sibling drivers ({!Rank_exp}) build schema-compatible cells. *)
 
-val run_trial :
-  ?seed:int64 ->
-  ?dist:Workload.dist ->
-  panel:Workload.panel ->
-  threads:int ->
-  ops_per_thread:int ->
-  init_size:int ->
-  Pq.maker ->
-  trial * Mound.Stats.Ops.t option
-(** One timed run against a fresh queue; the counters are captured at
-    quiescence after the run. [dist] (default [Uniform]) shapes both the
-    pre-population keys and the in-run insert keys. *)
-
-val run_cell :
-  ?seed:int64 ->
-  ?warmup:int ->
-  ?trials:int ->
-  ?dist:Workload.dist ->
-  panel:Workload.panel ->
-  threads:int ->
-  ops_per_thread:int ->
-  init_size:int ->
-  Pq.maker ->
-  cell
-(** [warmup] (default 1) discarded trials, then [trials] (default 3)
-    measured ones, each on a fresh queue with a distinct derived seed.
-    Cells at 1–2 threads run one extra warmup and twice the measured
-    trials: their short wall-clock spans make single-scheduler-blip
-    outliers dominate the median otherwise. *)
-
-val run_series :
-  ?seed:int64 ->
-  ?warmup:int ->
-  ?trials:int ->
-  ?dist:Workload.dist ->
-  panel:Workload.panel ->
-  thread_counts:int list ->
-  ops_per_thread:int ->
-  init_size:int ->
-  Pq.maker ->
-  series
-
-val run_panel :
-  ?seed:int64 ->
-  ?warmup:int ->
-  ?trials:int ->
-  ?dist:Workload.dist ->
-  panel:Workload.panel ->
-  thread_counts:int list ->
-  ops_per_thread:int ->
-  init_size:int ->
-  Pq.maker list ->
-  series list
+val timed_trial : threads:int -> (int -> int) -> trial
+(** [timed_trial ~threads body] runs [body tid] on each of [threads]
+    fresh domains released together from a start barrier; [body]
+    returns the operations its domain completed. The clock origin is
+    read before the barrier opens, and the trial spans origin → last
+    domain stop. *)
 
 (** {2 Overload scenarios}
 

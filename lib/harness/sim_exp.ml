@@ -45,7 +45,7 @@ let run_cell ?(profile = Sim.Profile.x86) ?(seed = 7L) ~panel ~threads
   let body tid =
     let ops =
       Workload.run_thread ~panel ~q ~rand:Sim.Sched.rand_int
-        ~ops:ops_per_thread ()
+        ~ops:ops_per_thread
     in
     (* lint: allow — sim threads are cooperative fibers on one domain;
        [counts] only collides by name with the real driver's array *)
@@ -74,12 +74,3 @@ let run_series ?profile ?seed ~panel ~thread_counts ~ops_per_thread ~init_size
             maker)
         thread_counts;
   }
-
-(** All structures of one panel — one sub-figure of Fig. 2. *)
-let run_panel ?profile ?seed ~panel ~thread_counts ~ops_per_thread ~init_size
-    makers =
-  List.map
-    (fun m ->
-      run_series ?profile ?seed ~panel ~thread_counts ~ops_per_thread
-        ~init_size m)
-    makers

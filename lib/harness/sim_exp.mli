@@ -19,10 +19,6 @@ val populate : Pq.t -> int -> seed:int64 -> unit
 (** Deterministically pre-populate with random keys (ambient phase, not
     costed). *)
 
-val capacity_for :
-  panel:Workload.panel -> threads:int -> ops_per_thread:int -> init_size:int -> int
-(** Array capacity needed so bounded structures never overflow. *)
-
 val run_cell :
   ?profile:Sim.Profile.t ->
   ?seed:int64 ->
@@ -44,14 +40,3 @@ val run_series :
   Pq.maker ->
   series
 (** Thread-count sweep for one structure. *)
-
-val run_panel :
-  ?profile:Sim.Profile.t ->
-  ?seed:int64 ->
-  panel:Workload.panel ->
-  thread_counts:int list ->
-  ops_per_thread:int ->
-  init_size:int ->
-  Pq.maker list ->
-  series list
-(** All structures of one panel — one sub-figure of Fig. 2. *)

@@ -75,40 +75,15 @@ let zipf_key z ~rand =
   done;
   (!lo * z.stride) + rand z.stride
 
-(** Key distribution for the core panels: [Uniform] is the paper's
-    "randomly selected values"; [Zipf] reuses the overload tier's skewed
-    generator so the insert-side panels can exercise hot-key pressure
-    near the mound roots. *)
-type dist = Uniform | Zipf
-
-let dist_name = function Uniform -> "uniform" | Zipf -> "zipf"
-
-let dist_of_string = function
-  | "uniform" -> Some Uniform
-  | "zipf" -> Some Zipf
-  | _ -> None
-
-(* One shared inverse-CDF table, built eagerly at module load: it is
-   read-only after construction (safe to share across domains), and
-   building it inside [run_thread] would put a fixed setup cost in the
-   timed window. *)
-let default_zipf = zipf ()
-
-(** [key ~dist ~rand] draws one insert key. *)
-let key ~dist ~rand =
-  match dist with
-  | Uniform -> rand key_range
-  | Zipf -> zipf_key default_zipf ~rand
-
 (** One thread's share of a panel. [rand] must be the executing thread's
     own generator; [ops] is the operation budget. Returns the number of
     {e elements} processed (for [Extract_many], calls can cover many
     elements; for the others it equals completed operations). *)
-let run_thread ?(dist = Uniform) ~(panel : panel) ~(q : Pq.t) ~rand ~ops () =
+let run_thread ~(panel : panel) ~(q : Pq.t) ~rand ~ops =
   match panel with
   | Insert ->
       for _ = 1 to ops do
-        q.insert (key ~dist ~rand)
+        q.insert (rand key_range)
       done;
       ops
   | Extract ->
@@ -121,7 +96,7 @@ let run_thread ?(dist = Uniform) ~(panel : panel) ~(q : Pq.t) ~rand ~ops () =
       let done_ = ref 0 in
       for _ = 1 to ops do
         if rand 2 = 0 then begin
-          q.insert (key ~dist ~rand);
+          q.insert (rand key_range);
           incr done_
         end
         else

@@ -39,30 +39,11 @@ val zipf_key : zipf -> rand:(int -> int) -> int
     pressure lands near the mound's root. [rand] is the caller's
     thread-local generator. *)
 
-(** Key distribution for the insert side of the core panels: [Uniform]
-    is the paper's "randomly selected values"; [Zipf] draws from the
-    shared skewed table so hot keys concentrate near the mound roots. *)
-type dist = Uniform | Zipf
-
-val dist_name : dist -> string
-
-val dist_of_string : string -> dist option
-
-val key : dist:dist -> rand:(int -> int) -> int
-(** Draw one insert key from [dist] with the caller's thread-local
-    generator. *)
-
 val run_thread :
-  ?dist:dist ->
-  panel:panel ->
-  q:Pq.t ->
-  rand:(int -> int) ->
-  ops:int ->
-  unit ->
-  int
+  panel:panel -> q:Pq.t -> rand:(int -> int) -> ops:int -> int
 (** One thread's share of a panel against queue [q]. [rand] must be the
-    executing thread's own generator; [dist] (default [Uniform]) shapes
-    the insert keys. Returns the number of {e elements} processed (equal
-    to completed operations except for [Extract_many], whose calls cover
-    many elements, and where [ops] is ignored — the thread drains until
-    empty). *)
+    executing thread's own generator; insert keys are uniform in
+    [\[0, key_range)]. Returns the number of {e elements} processed
+    (equal to completed operations except for [Extract_many], whose
+    calls cover many elements, and where [ops] is ignored — the thread
+    drains until empty). *)
