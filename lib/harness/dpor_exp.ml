@@ -128,6 +128,40 @@ let mcas_program : Check.program =
   in
   { Check.name = "mcas"; prepare }
 
+(* The two-leg shapes the lock-free mound runs: an insert-shaped [dcss]
+   (parent is the identity leg, child is written) racing a
+   moundify-shaped [dcas] that rewrites both, from the same initial
+   state. The parent slot is allocated first, as the tree allocates rows
+   top-down. Exactly one must win: the dcss leaves (0, 1), the dcas
+   leaves (2, 2); a torn write, a lost help or two winners shows up as
+   any other outcome. *)
+let mcas_dcss_dcas_program : Check.program =
+  let module M = Mcas.Make (Sim.Runtime.Atomic) in
+  let prepare () =
+    let parent = M.make 0 in
+    let child = M.make 0 in
+    let won = Array.make 2 false in
+    let bodies =
+      [|
+        (fun _ -> won.(0) <- M.dcss parent 0 child 0 1);
+        (fun _ -> won.(1) <- M.dcas parent 0 2 child 0 2);
+      |]
+    in
+    let verdict () =
+      let vp = M.get parent and vc = M.get child in
+      match (won.(0), won.(1), vp, vc) with
+      | true, false, 0, 1 | false, true, 2, 2 -> None
+      | false, false, _, _ ->
+          Some "dcss and dcas both failed from initial state"
+      | true, true, _, _ -> Some "dcss and dcas both claim success"
+      | _ ->
+          Some
+            (Printf.sprintf "torn or mismatched: parent=%d child=%d" vp vc)
+    in
+    { Check.bodies; verdict }
+  in
+  { Check.name = "mcas-dcss-dcas"; prepare }
+
 (* extract-many racing an insert: the root CAS (lock-free) or root lock
    (locking) conflicts with the insert's validation; the Ext_many history
    entry exercises the checker's whole-list linearization rule. *)
@@ -216,6 +250,7 @@ let catalog : (string * Check.program) list =
     ("stm-heap", standard ~name:"stm-heap" ~lin:true Pq.On_sim.stm_heap);
     ("skiplist", standard ~name:"skiplist" ~lin:false Pq.On_sim.skiplist);
     ("mcas", mcas_program);
+    ("mcas-dcss-dcas", mcas_dcss_dcas_program);
   ]
 
 let find name = List.assoc_opt name catalog

@@ -22,6 +22,14 @@
     each, one status decision) plus two write-back CASes — the "5 CAS per
     DCAS" the paper's §IV compares against fine-grained locking.
 
+    Allocation budget: an uncontended [dcas] or [dcss] allocates 28 words
+    — the two-leg array (11), the status cell (2), the CASN descriptor
+    (3), one RDCSS descriptor per leg (2 × 4) and one fresh [V] per
+    written-back leg (2 × 2). The descriptors {e are} the installed
+    location states (inline records of [R] and [C]), the legs are
+    ordered with one id comparison, and the phase loops are top-level
+    functions, so nothing else is allocated per call.
+
     Equality is {e physical} ([==]), as in [Stdlib.Atomic]: users are
     expected to store freshly allocated immutable records, which is also
     what rules out ABA without the paper's version counters. *)
@@ -31,37 +39,19 @@
 type status = Undecided | Succeeded | Failed
 
 module Make (A : Runtime.ATOMIC) = struct
+  (* The [R] and [C] blocks are the descriptors themselves: each is
+     allocated once, by the thread that starts the RDCSS or CASN, and
+     that same block is what gets installed into locations. Every helper
+     reads it from a location, so the CASes that remove a descriptor
+     compare against exactly the block they found. *)
   type 'a state =
     | V of 'a
-    | R of 'a rdcss_desc
-    | C of 'a casn_desc
-
-  (* Descriptors carry [as_state], the exact wrapper block that gets
-     installed into locations. CASes that install or remove a descriptor
-     must compare against that one block — a freshly allocated [R rd] or
-     [C d] would never be physically equal to what is in the location. *)
-  and 'a casn_desc = {
-    status : status A.t;
-    ops : ('a loc * 'a * 'a) array;
-    c_state : 'a state;
-  }
-
-  and 'a rdcss_desc = {
-    casn : 'a casn_desc;
-    loc : 'a loc;
-    exp : 'a;
-    r_state : 'a state;
-  }
+    | R of { casn : 'a state; loc : 'a loc; exp : 'a }
+        (** RDCSS descriptor: install [casn] (a [C]) over [V exp]. *)
+    | C of { status : status A.t; ops : ('a loc * 'a * 'a) array }
+        (** CASN descriptor; [ops] in increasing location id order. *)
 
   and 'a loc = { st : 'a state A.t; id : int }
-
-  let make_casn_desc status ops =
-    let rec d = { status; ops; c_state = C d } in
-    d
-
-  let make_rdcss_desc casn loc exp =
-    let rec rd = { casn; loc; exp; r_state = R rd } in
-    rd
 
   (* Allocation order for descriptor installation. Uses the host atomic
      directly (not [A]): location creation is setup, not part of any
@@ -72,91 +62,100 @@ module Make (A : Runtime.ATOMIC) = struct
     (* lint: allow — id allocation is setup, outside the simulated heap *)
     { st = A.make (V v); id = Stdlib.Atomic.fetch_and_add next_id 1 }
 
-  (* Resolve an RDCSS descriptor found in [rd.loc]: install the CASN
-     descriptor unless the operation already failed, in which case the
-     expected value is restored. Every thread that sees the descriptor
-     performs this same CAS, so exactly one takes effect.
+  (* Resolve the RDCSS descriptor [r] found in its location: install the
+     CASN descriptor unless the operation already failed, in which case
+     the expected value is restored. Every thread that sees the
+     descriptor performs this same CAS, so exactly one takes effect.
 
      The guard is [== Failed], not [== Undecided], deliberately: under
      weak-CAS semantics (the chaos runtime's spurious failures) an RDCSS
      descriptor can linger past a successful decision — the installer's
      completing CAS failed spuriously, nobody else resolved it, and the
      CASN decided [Succeeded] believing the location installed. Restoring
-     [exp] then would undo a committed operation; installing [c_state]
-     instead hands the location to the ordinary write-back/helping path.
-     Under strong CAS a descriptor never survives the decision, so the
-     two guards are equivalent there. *)
-  let rdcss_complete rd =
-    let installed =
-      if A.get rd.casn.status == Failed then V rd.exp else rd.casn.c_state
-    in
-    ignore (A.compare_and_set rd.loc.st rd.r_state installed)
+     [exp] then would undo a committed operation; installing the CASN
+     descriptor instead hands the location to the ordinary
+     write-back/helping path. Under strong CAS a descriptor never
+     survives the decision, so the two guards are equivalent there. *)
+  let rdcss_complete r =
+    match r with
+    | R { casn = C { status; _ } as casn; loc; exp } ->
+        let installed = if A.get status == Failed then V exp else casn in
+        ignore (A.compare_and_set loc.st r installed)
+    | V _ | R _ | C _ -> assert false
 
-  (* Attempt to replace [V rd.exp] in [rd.loc] by the CASN descriptor,
-     provided the status is still undecided. Returns the state that ruled
-     the attempt: [V v] with [v == rd.exp] means the descriptor was (or no
+  (* Attempt to replace [V exp] in [loc] by the CASN descriptor [d],
+     provided its status is still undecided. Returns the state that ruled
+     the attempt: [V v] with [v == exp] means the descriptor was (or no
      longer needed to be) installed; anything else is what the caller must
-     deal with. *)
-  let rec rdcss rd =
-    let cur = A.get rd.loc.st in
+     deal with. Each install CAS gets a freshly built RDCSS descriptor,
+     so no block is ever installed twice. *)
+  let rec rdcss d loc exp =
+    let cur = A.get loc.st in
     match cur with
-    | R other ->
-        rdcss_complete other;
-        rdcss rd
-    | V v when v == rd.exp ->
-        if A.compare_and_set rd.loc.st cur rd.r_state then begin
-          rdcss_complete rd;
+    | R _ ->
+        rdcss_complete cur;
+        rdcss d loc exp
+    | V v when v == exp ->
+        let r = R { casn = d; loc; exp } in
+        if A.compare_and_set loc.st cur r then begin
+          rdcss_complete r;
           cur
         end
-        else rdcss rd
+        else rdcss d loc exp
     | V _ | C _ -> cur
 
-  let rec casn_help (d : 'a casn_desc) : bool =
-    let nops = Array.length d.ops in
-    (* Phase 1: install the descriptor into every location, helping any
-       other CASN we trip over. Since all operations install in increasing
-       location id order, the one with the smallest conflicting location
-       wins and the system as a whole makes progress. *)
-    let rec install i =
-      if i >= nops then Succeeded
-      else
-        let loc, exp, _ = d.ops.(i) in
-        match rdcss (make_rdcss_desc d loc exp) with
-        | C d' when d' == d -> install (i + 1)
-        | C d' ->
-            ignore (casn_help d');
-            install i
-        | V v when v == exp -> install (i + 1)
-        | V _ -> Failed
-        | R _ -> assert false
-    in
-    let outcome =
-      if A.get d.status == Undecided then install 0 else A.get d.status
-    in
-    (* Decide. Loop rather than fire-and-forget: a spurious failure of
-       the decision CAS (weak-CAS semantics) would otherwise leave the
-       status [Undecided] while this helper proceeds to restore values —
-       and a later helper would then re-execute the whole operation. *)
-    while A.get d.status == Undecided do
-      ignore (A.compare_and_set d.status Undecided outcome)
-    done;
-    let success = A.get d.status == Succeeded in
-    (* Phase 2: write back. Failed helpers' CASes fail harmlessly. *)
-    Array.iter
-      (fun (loc, exp, n) ->
-        ignore
-          (A.compare_and_set loc.st d.c_state
-             (V (if success then n else exp))))
-      d.ops;
-    success
+  (* [casn_help d] drives the CASN descriptor [d] to its decision and
+     write-back, and returns whether it succeeded. *)
+  let rec casn_help d =
+    match d with
+    | C { status; ops } ->
+        let outcome =
+          if A.get status == Undecided then install d ops 0 else A.get status
+        in
+        (* Decide. Loop rather than fire-and-forget: a spurious failure of
+           the decision CAS (weak-CAS semantics) would otherwise leave the
+           status [Undecided] while this helper proceeds to restore values
+           — and a later helper would then re-execute the whole
+           operation. *)
+        while A.get status == Undecided do
+          ignore (A.compare_and_set status Undecided outcome)
+        done;
+        let success = A.get status == Succeeded in
+        (* Phase 2: write back. Failed helpers' CASes fail harmlessly. *)
+        for i = 0 to Array.length ops - 1 do
+          let loc, exp, n = ops.(i) in
+          ignore
+            (A.compare_and_set loc.st d (V (if success then n else exp)))
+        done;
+        success
+    | V _ | R _ -> assert false
+
+  (* Phase 1: install [d] into [ops.(i)] and every later leg, helping any
+     other CASN we trip over. Since all operations install in increasing
+     location id order, the one with the smallest conflicting location
+     wins and the system as a whole makes progress. *)
+  and install d ops i =
+    if i = Array.length ops then Succeeded
+    else
+      let loc, exp, _ = ops.(i) in
+      match rdcss d loc exp with
+      | C _ as d' when d' == d -> install d ops (i + 1)
+      | C _ as d' ->
+          ignore (casn_help d');
+          install d ops i
+      | V v when v == exp -> install d ops (i + 1)
+      | V _ -> Failed
+      | R _ -> assert false
+
+  let start ops = casn_help (C { status = A.make Undecided; ops })
 
   let rec get loc =
     match A.get loc.st with
     | V v -> v
-    | R rd ->
-        rdcss_complete rd;
+    | R _ as r ->
+        rdcss_complete r;
         get loc
-    | C d ->
+    | C _ as d ->
         ignore (casn_help d);
         get loc
 
@@ -170,11 +169,11 @@ module Make (A : Runtime.ATOMIC) = struct
     | V x when x == exp ->
         if A.compare_and_set loc.st cur (V v) then true else cas loc exp v
     | V _ -> false
-    | R rd ->
-        rdcss_complete rd;
+    | R _ ->
+        rdcss_complete cur;
         cas loc exp v
-    | C d ->
-        ignore (casn_help d);
+    | C _ ->
+        ignore (casn_help cur);
         cas loc exp v
 
   (** [casn ops] atomically: checks that every [(loc, exp, _)] holds [exp]
@@ -186,17 +185,26 @@ module Make (A : Runtime.ATOMIC) = struct
     | 1 ->
         let loc, exp, n = ops.(0) in
         cas loc exp n
-    | _ ->
+    | k ->
         let ops = Array.copy ops in
-        Array.sort (fun (a, _, _) (b, _, _) -> compare a.id b.id) ops;
-        casn_help (make_casn_desc (A.make Undecided) ops)
+        Array.sort (fun (a, _, _) (b, _, _) -> Int.compare a.id b.id) ops;
+        for i = 1 to k - 1 do
+          let a, _, _ = ops.(i - 1) and b, _, _ = ops.(i) in
+          if a.id = b.id then invalid_arg "Mcas.casn: aliased locations"
+        done;
+        start ops
 
-  (** Double compare-and-swap over two distinct locations. *)
-  let dcas l1 e1 n1 l2 e2 n2 = casn [| (l1, e1, n1); (l2, e2, n2) |]
+  (** Double compare-and-swap over two distinct locations. The one id
+      comparison that puts the legs in allocation order also rejects
+      aliased legs. *)
+  let dcas l1 e1 n1 l2 e2 n2 =
+    if l1.id < l2.id then start [| (l1, e1, n1); (l2, e2, n2) |]
+    else if l2.id < l1.id then start [| (l2, e2, n2); (l1, e1, n1) |]
+    else invalid_arg "Mcas.dcas: aliased locations"
 
   (** Double-compare single-swap: writes [l2 <- n2] only if [l1] holds
       [e1] and [l2] holds [e2]. Implemented with a DCAS whose first leg
       rewrites [e1] to itself, exactly as the paper's implementation
       chooses to (§VI-A). *)
-  let dcss l1 e1 l2 e2 n2 = casn [| (l1, e1, e1); (l2, e2, n2) |]
+  let dcss l1 e1 l2 e2 n2 = dcas l1 e1 e1 l2 e2 n2
 end

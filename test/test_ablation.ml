@@ -94,6 +94,12 @@ let primitive_costs_shape () =
   check_int "plain cas is one CAS" 1 (snd cas);
   (* the paper's point: a software DCAS costs several hardware CASes *)
   check "dcas >= 5 CAS" true (snd dcas >= 5);
+  (* the exact HFP access sequence: leg ordering and descriptor layout
+     must not add or drop a shared access *)
+  let reads_cas = Alcotest.(pair int int) in
+  Alcotest.check reads_cas "cas (reads, CAS)" (2, 1) cas;
+  Alcotest.check reads_cas "dcas (reads, CAS)" (10, 7) dcas;
+  Alcotest.check reads_cas "dcss (reads, CAS)" (10, 7) dcss;
   check "dcss = dcas footprint (implemented via dcas)" true (dcss = dcas)
 
 let sync_costs_shape () =

@@ -221,56 +221,115 @@ let chaos_expand_racing_allocations () =
 
 module M = Mcas.Make (Harness.Chaos_exp.CR.Atomic)
 
-(* Crash a thread inside [casn] at every one of its shared accesses in
-   turn. Survivors keep reading and identity-rewriting the same
-   locations: lock-freedom says they complete by helping the dead
-   thread's descriptor, and the operation stays all-or-nothing. *)
-let mcas_helping_under_stalls () =
+(* Crash a victim thread inside one multi-word operation at every one of
+   its shared accesses in turn, while survivor threads keep reading and
+   identity-rewriting the same locations: lock-freedom says they
+   complete by helping the dead thread's descriptor, and the operation
+   stays all-or-nothing. [setup ()] builds fresh locations and returns
+   the victim's operation, one identity rewrite per survivor (each reads
+   fresh values, then rewrites them to themselves), and a post-run
+   reader of the locations: [`New] if every one holds the victim's new
+   value, [`Old] if every one holds its old value, [`Torn] otherwise.
+   The victim changes the values at most once, so with helping each
+   survivor sees at most one of its eight rewrites fail; a survivor that
+   gave up on a descriptor instead of helping it fails more. *)
+let helping_sweep setup =
   Harness.Chaos_exp.CR.configure Chaos.quiet;
-  let x0 = ref 0 and x1 = ref 1 and y0 = ref 10 and y1 = ref 11 in
-  let z0 = ref 20 and z1 = ref 21 in
   let run crash watchdog =
-    let a = M.make x0 and b = M.make y0 and c = M.make z0 in
+    let victim, rewrites, outcome = setup () in
+    let failed = ref 0 in
+    let survivor rewrite _ =
+      for _ = 1 to 8 do
+        if not (rewrite ()) then incr failed
+      done
+    in
     let bodies =
-      [|
-        (fun _ -> ignore (M.casn [| (a, x0, x1); (b, y0, y1); (c, z0, z1) |]));
-        (fun _ ->
-          for _ = 1 to 8 do
-            let va = M.get a and vb = M.get b in
-            ignore (M.casn [| (a, va, va); (b, vb, vb) |])
-          done);
-        (fun _ ->
-          for _ = 1 to 8 do
-            let vb = M.get b and vc = M.get c in
-            ignore (M.casn [| (b, vb, vb); (c, vc, vc) |])
-          done);
-      |]
+      Array.of_list
+        ((fun _ -> ignore (victim ())) :: List.map survivor rewrites)
     in
     let crashes = if crash = 0 then [] else [ (0, crash) ] in
-    let r = Sim.Sched.run ~seed:21L ~crashes ?watchdog bodies in
-    (r, (a, b, c))
+    let r = Sim.Sched.run ~seed:21L ~crashes ~watchdog bodies in
+    check
+      (Printf.sprintf "crash@%d: survivors complete via helping" crash)
+      true (r.wedged = []);
+    check
+      (Printf.sprintf "crash@%d: rewrites fail only on the victim's write"
+         crash)
+      true
+      (!failed <= List.length rewrites);
+    (r, outcome)
   in
-  let baseline, _ = run 0 None in
-  let watchdog = Some ((4 * baseline.span) + 20_000) in
+  (* the crash-free run is bounded too, so a livelock fails, not hangs *)
+  let baseline, _ = run 0 20_000 in
+  let watchdog = (4 * baseline.span) + 20_000 in
   let applied = ref 0 and untouched = ref 0 in
   for k = 1 to baseline.accesses.(0) do
-    let r, (a, b, c) = run k watchdog in
-    check
-      (Printf.sprintf "crash@%d: survivors complete via helping" k)
-      true (r.wedged = []);
+    let r, outcome = run k watchdog in
     check (Printf.sprintf "crash@%d: victim dead" k) true (r.killed = [ 0 ]);
     (* ambient reads help any still-pending descriptor to a decision *)
-    let va = M.get a and vb = M.get b and vc = M.get c in
-    let all_new = va == x1 && vb == y1 && vc == z1 in
-    let all_old = va == x0 && vb == y0 && vc == z0 in
-    check (Printf.sprintf "crash@%d: casn is all-or-nothing" k) true
-      (all_new || all_old);
-    if all_new then incr applied else incr untouched
+    match outcome () with
+    | `New -> incr applied
+    | `Old -> incr untouched
+    | `Torn -> Alcotest.failf "crash@%d: operation is not all-or-nothing" k
   done;
   (* the sweep must witness both resolutions: early crashes leave the
-     casn unstarted, late ones leave survivors to finish it *)
-  check "some crash points leave the casn unapplied" true (!untouched > 0);
+     operation unstarted, late ones leave survivors to finish it *)
+  check "some crash points leave the operation unapplied" true
+    (!untouched > 0);
   check "some crash points see helpers complete it" true (!applied > 0)
+
+(* The victim runs a 3-word [casn]; survivors identity-rewrite the
+   overlapping pairs (a, b) and (b, c). *)
+let mcas_helping_under_stalls () =
+  let x0 = ref 0 and x1 = ref 1 and y0 = ref 10 and y1 = ref 11 in
+  let z0 = ref 20 and z1 = ref 21 in
+  helping_sweep (fun () ->
+      let a = M.make x0 and b = M.make y0 and c = M.make z0 in
+      let victim () = M.casn [| (a, x0, x1); (b, y0, y1); (c, z0, z1) |] in
+      let rewrites =
+        [
+          (fun () ->
+            let va = M.get a and vb = M.get b in
+            M.casn [| (a, va, va); (b, vb, vb) |]);
+          (fun () ->
+            let vb = M.get b and vc = M.get c in
+            M.casn [| (b, vb, vb); (c, vc, vc) |]);
+        ]
+      in
+      let outcome () =
+        let va = M.get a and vb = M.get b and vc = M.get c in
+        if va == x1 && vb == y1 && vc == z1 then `New
+        else if va == x0 && vb == y0 && vc == z0 then `Old
+        else `Torn
+      in
+      (victim, rewrites, outcome))
+
+(* The two-leg path the lock-free mound runs: the victim's [dcas] names
+   its legs in descending id order, so the leg-ordering branch runs;
+   survivors identity-rewrite both locations with a moundify-shaped
+   [dcas] and an insert-shaped [dcss]. *)
+let dcas_helping_under_stalls () =
+  let x0 = ref 0 and x1 = ref 1 and y0 = ref 10 and y1 = ref 11 in
+  helping_sweep (fun () ->
+      let a = M.make x0 and b = M.make y0 in
+      let victim () = M.dcas b y0 y1 a x0 x1 in
+      let rewrites =
+        [
+          (fun () ->
+            let va = M.get a and vb = M.get b in
+            M.dcas a va va b vb vb);
+          (fun () ->
+            let va = M.get a and vb = M.get b in
+            M.dcss a va b vb vb);
+        ]
+      in
+      let outcome () =
+        let va = M.get a and vb = M.get b in
+        if va == x1 && vb == y1 then `New
+        else if va == x0 && vb == y0 then `Old
+        else `Torn
+      in
+      (victim, rewrites, outcome))
 
 (* ---------------- the progress-guarantee sweeps ---------------- *)
 
@@ -342,6 +401,8 @@ let () =
         [
           Alcotest.test_case "helping under crash-stop stalls" `Quick
             mcas_helping_under_stalls;
+          Alcotest.test_case "dcas: helping under crash-stop stalls" `Quick
+            dcas_helping_under_stalls;
         ] );
       ( "sweep",
         [

@@ -95,6 +95,54 @@ let casn_unsorted_input () =
   check_int "b" 22 (get_v b);
   check_int "c" 33 (get_v c)
 
+(* Aliased legs break the distinct-locations contract: each entry point
+   rejects them rather than silently dropping one of the writes. *)
+let aliased_legs_rejected () =
+  let a0 = box 1 and b0 = box 2 and c0 = box 3 in
+  let a = M.make a0 and b = M.make b0 and c = M.make c0 in
+  let rejects name f =
+    match f () with
+    | (_ : bool) -> Alcotest.failf "%s accepted aliased legs" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "dcas" (fun () -> M.dcas a a0 (box 10) a a0 (box 20));
+  rejects "dcss" (fun () -> M.dcss a a0 a a0 (box 20));
+  rejects "casn" (fun () ->
+      M.casn [| (c, c0, box 30); (b, b0, box 20); (c, c0, box 70) |]);
+  check "a untouched" true (M.get a == a0);
+  check "b untouched" true (M.get b == b0);
+  check "c untouched" true (M.get c == c0)
+
+(* The lean descriptor path: an uncontended [dcas] or [dcss] on immediate
+   values allocates only its legs, status cell, descriptors and
+   written-back [V] blocks (28 words). The budget pins it, so a per-call
+   copy, sort or closure cannot creep back into the two-leg path
+   unnoticed. *)
+let two_leg_allocation_budget () =
+  let words_per_call f =
+    let n = 1000 in
+    let w0 = Gc.minor_words () in
+    for i = 1 to n do
+      f i
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let a = M.make 0 and b = M.make 0 in
+  let failed = ref 0 in
+  let dcas =
+    words_per_call (fun i ->
+        if not (M.dcas a (i - 1) i b (i - 1) i) then incr failed)
+  in
+  (* [a] now holds 1000: the control leg of every dcss *)
+  let dcss =
+    words_per_call (fun i ->
+        if not (M.dcss a 1000 b (999 + i) (1000 + i)) then incr failed)
+  in
+  Printf.printf "words per call: dcas %.1f, dcss %.1f\n" dcas dcss;
+  check_int "every uncontended call succeeds" 0 !failed;
+  check "dcas <= 40 words" true (dcas <= 40.);
+  check "dcss <= 40 words" true (dcss <= 40.)
+
 (* qcheck: a random sequence of cas/dcas against a two-cell model *)
 let prop_model =
   QCheck.Test.make ~name:"cas/dcas sequence matches a sequential model"
@@ -201,6 +249,10 @@ let () =
           Alcotest.test_case "casn degenerate sizes" `Quick
             casn_empty_and_singleton;
           Alcotest.test_case "casn unsorted input" `Quick casn_unsorted_input;
+          Alcotest.test_case "aliased legs rejected" `Quick
+            aliased_legs_rejected;
+          Alcotest.test_case "two-leg allocation budget" `Quick
+            two_leg_allocation_budget;
           QCheck_alcotest.to_alcotest prop_model;
         ] );
       ( "concurrent",
