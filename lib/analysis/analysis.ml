@@ -1,14 +1,15 @@
 (** AST-based static analyzer: entry points and engine composition.
 
     Drives both engines over a set of sources: the token lint
-    ({!Lint_rules}) and the Parsetree analyses ({!Lock_order},
-    {!Publication}, {!Helping}, and the {!Dataflow}-powered
+    ({!Lint_rules}) and the Parsetree analyses ({!Lock_order}'s
+    lock-leak, {!Publication}, {!Helping}, and the {!Dataflow}-powered
     {!Aba_risk}, {!Atomicity} and {!Layout}), merging their findings
-    through the
-    {e same} waiver machinery — a [lint: allow] comment with a reason
-    silences an AST finding on its covered lines exactly as it silences
-    a token finding, and waiver hygiene (reason required, stale waivers
-    rejected) is judged against the union of both engines' findings.
+    through the {e same} waiver machinery — a [lint: allow] comment with
+    a reason silences an AST finding on its covered lines exactly as it
+    silences a token finding, and waiver hygiene (reason required, stale
+    waivers rejected) is judged against the union of both engines'
+    findings. A token finding and an AST finding on the same line are
+    both reported: each names its own rule.
 
     Cross-module facts (the call graph, transitive effects) need the
     whole file set at once, so the primary entry is {!scan_files};
@@ -34,14 +35,13 @@ type finding = Lint_rules.finding = {
 let pp_finding = Lint_rules.pp_finding
 
 (* The single registry every consumer derives from: [repro lint --rule]
-   completion, [--list-rules] output, the README rule table (CI greps
-   each name against it), and the engine split below. Adding a rule
-   means adding a row here — nothing else can drift. *)
+   completion, [--list-rules] output, and the README rule table (CI
+   greps each name against it). Adding a rule means adding a row here —
+   nothing else can drift. *)
 type engine = Ast | Token
 
 let rule_table : (string * engine * string) list =
   [
-    ("lock-order", Ast, "lock acquired above an already-held ancestor: inversion deadlock");
     ("lock-leak", Ast, "path returns with an acquired lock never released");
     ("stale-publish", Ast, "CASes back a value read from the shared structure without re-validation");
     ("post-publish-mutation", Ast, "plain field write through a record already published to other threads");
@@ -50,34 +50,15 @@ let rule_table : (string * engine * string) list =
     ("aba-risk", Ast, "CAS expected value from an un-revalidated read of a recycled location");
     ("atomicity", Ast, "plain set stores a value computed from the same location's atomic read");
     ("layout", Ast, "adjacent hot fields share a cache line across CAS-performing functions");
-    ("escape", Ast, "mutable location leaves its owning domain: spawn-captured, published, or module-global");
-    ("static-race", Ast, "plain read/write of an escaped location outside any lock-held region");
     ("parse", Ast, "source does not parse; AST analyses skipped for the file");
     ("boundary", Token, "direct OS/clock/domain primitive where the Runtime functor is required");
     ("mutable-atomic", Token, "mutable record field in concurrent code that should be Atomic.t");
-    ("dirty-spin", Token, "loop re-reading a dirty flag without helping the marked node");
     ("cas-discard", Token, "CAS result discarded: failure path never observed");
     ("retry-no-backoff", Token, "retry loop without a backoff call");
-    ("deadline-blind", Token, "retry loop that never checks a deadline or until bound");
     ("alloc-in-retry", Token, "fresh allocation inside a CAS retry loop");
     ("format", Token, "tab/trailing-whitespace/final-newline hygiene");
     ("waiver", Token, "lint: allow marker malformed, reasonless, or stale");
   ]
-
-let rule_doc name =
-  List.find_map
-    (fun (n, _, d) -> if n = name then Some d else None)
-    rule_table
-
-let static_rules =
-  List.filter_map
-    (fun (n, e, _) -> if e = Ast then Some n else None)
-    rule_table
-
-let token_rules =
-  List.filter_map
-    (fun (n, e, _) -> if e = Token then Some n else None)
-    rule_table
 
 (* The AST findings for a set of implementation sources, keyed by file.
    Exempt paths contribute summaries but never findings. *)
@@ -98,11 +79,9 @@ let static_findings (files : (string * string) list) :
   in
   let fns = List.concat_map Summary.of_parsed parsed in
   let cg = Callgraph.build fns in
-  let esc = Escape.analyze parsed cg in
   let all =
     Lock_order.scan cg @ Publication.scan cg @ Helping.scan cg
     @ Aba_risk.scan cg @ Atomicity.scan cg @ Layout.scan parsed cg
-    @ Escape.scan esc @ Races.scan esc
     @ List.rev !parse_errors
   in
   (* nested functions are walked both standalone and inline in their
@@ -119,50 +98,14 @@ let static_findings (files : (string * string) list) :
     (Hashtbl.copy byfile);
   byfile
 
-(* One defect, one finding: when both engines flag the same file:line,
-   the token rule and its AST sibling describe the same problem from two
-   vantage points — keep the AST finding (it names the protocol) and
-   drop the token one. Pairings are explicit so unrelated co-located
-   findings still both surface. *)
-let sibling_rules =
-  [
-    ("retry-no-backoff", [ "static-retry"; "static-deadline" ]);
-    ("deadline-blind", [ "static-deadline"; "static-retry" ]);
-    ("dirty-spin", [ "static-retry"; "aba-risk" ]);
-    ("cas-discard", [ "atomicity"; "aba-risk"; "stale-publish" ]);
-    ("mutable-atomic", [ "escape"; "static-race" ]);
-  ]
-
-let dedupe_tokens ~(extra : finding list) (raw : Lint_rules.raw) :
-    Lint_rules.raw =
-  {
-    raw with
-    Lint_rules.raw_base =
-      List.filter
-        (fun (f : finding) ->
-          match List.assoc_opt f.rule sibling_rules with
-          | None -> true
-          | Some asts ->
-              not
-                (List.exists
-                   (fun (g : finding) ->
-                     g.file = f.file && g.line = f.line
-                     && List.mem g.rule asts)
-                   extra))
-        raw.Lint_rules.raw_base;
-  }
-
-let scan_files ?(merge_siblings = true) (files : (string * string) list) :
-    finding list =
+let scan_files (files : (string * string) list) : finding list =
   let statics = static_findings files in
   List.concat_map
     (fun (path, src) ->
-      let raw = Lint_rules.scan_raw ~path src in
       let extra =
         Hashtbl.find_opt statics path |> Option.value ~default:[]
       in
-      let raw = if merge_siblings then dedupe_tokens ~extra raw else raw in
-      Lint_rules.apply_waivers ~path raw ~extra)
+      Lint_rules.apply_waivers ~path (Lint_rules.scan_raw ~path src) ~extra)
     files
 
 let scan ~path src = scan_files [ (path, src) ]
@@ -190,20 +133,6 @@ let scan_tree root = scan_trees [ root ]
 
 (** Mutant × rule kill matrix of [mutants] over the pristine [context]
     file set — the composition {!Killmatrix} itself cannot perform from
-    below the library's main module. The matrix scans {e without}
-    sibling merging: the merge is presentation-level (one defect, one
-    finding for the human reader), while the matrix asks which rules
-    {e detect} a mutant — a token rule deduped into its AST sibling at
-    the same line still fired, and its kill is credited. Waivers apply
-    as in the merged scan. *)
+    below the library's main module. *)
 let killmatrix ~context mutants =
-  Killmatrix.run ~scan:(scan_files ~merge_siblings:false) ~context mutants
-
-(** AST engine only — the rule author's fast inner loop ([@analysis]
-    alias, [lint.exe --ast-only]). Findings are still waiver-filtered
-    (the full two-engine scan computes waiver coverage), then narrowed
-    to the AST rule set; waiver-hygiene findings are left to the full
-    scan, where staleness is judged against both engines' findings. *)
-let scan_trees_static roots : finding list =
-  scan_trees roots
-  |> List.filter (fun f -> List.mem f.rule static_rules)
+  Killmatrix.run ~scan:scan_files ~context mutants

@@ -48,10 +48,9 @@ let scan (cg : Callgraph.t) : Lint_rules.finding list =
                   (String.concat "." f.fpath);
             }
             :: !out;
-        (* Disjoint complement, the AST twin of [deadline-blind]: a
-           waiting loop (backs off, does not help) whose call graph
-           never consults a deadline keeps waiting behind a dead peer
-           forever. The substrate cut applies to [checks_deadline] as
+        (* Disjoint complement of static-retry: a waiting loop (backs
+           off, does not help) whose call graph never consults a
+           deadline keeps waiting behind a dead peer forever. The substrate cut applies to [checks_deadline] as
            to [helps]: the caller must bring its own bound. *)
         if
           Callgraph.self_reachable cg i

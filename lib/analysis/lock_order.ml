@@ -1,26 +1,12 @@
-(** Lock-order and lock-leak analysis (rules [lock-order], [lock-leak]).
+(** Lock-leak analysis (rule [lock-leak]).
 
-    The locking mound is deadlock-free because every path acquires node
-    locks in ancestor-before-descendant tree order (paper Listing 3:
-    moundify locks parents before children, insert locks [c/2] before
-    [c]). This analysis walks each function body in evaluation order
-    with an abstract lock state and flags:
-
-    - [lock-order]: an acquisition whose node index is {e provably} a
-      strict ancestor of a node already held — descendant-then-ancestor
-      is the deadlock-prone inversion;
-    - [lock-leak]: a non-raising path that reaches the end of the
-      function with a lock still held and no release in sight.
-
-    Node indices are tracked symbolically in the paper's 1-based
-    arithmetic: from a base expression, [e / 2] moves up one level and
-    [2 * e] / [2 * e + 1] move down to the left/right child, so a held
-    set like {[c/2]; then acquire [c]} proves parent-before-child while
-    {[c]; then acquire [c/2]} is a must-inversion for every [c >= 2].
-    Integer literals are paths from the root (node 1). The ancestor
-    check is a {e must} judgment — unknown bits introduced by division
-    never prove an inversion, so sibling acquisitions ([2n] then
-    [2n+1]) pass.
+    The locking mound takes node locks hand over hand (paper Listing 3)
+    and must hand back every one it takes. This analysis walks each
+    function body in evaluation order with an abstract lock state and
+    flags a non-raising path that reaches the end of the function with
+    a lock still held and no release in sight. Acquisition {e order}
+    (ancestor before descendant) is checked dynamically: the liveness
+    tier's lock-inversion programs deadlock under a fair schedule.
 
     Soundness caveats (documented over/under-approximation):
     - a call to any function that transitively releases a lock is
@@ -39,113 +25,9 @@
 
 open Parsetree
 
-type base = Root | Var of string | Opaque of int
-
-type sym = { sbase : base; ups : int; downs : int list }
-
-(* lint: allow — analyzer-internal gensym; the scan is single-threaded,
-   no domain ever shares this counter *)
-let opaque_ctr = ref 0
-
-let fresh_opaque () =
-  (* lint: allow — same single-threaded gensym as its declaration *)
-  incr opaque_ctr;
-  { sbase = Opaque !opaque_ctr; ups = 0; downs = [] }
-
-let int_literal e =
-  match (Summary.strip_casts e).pexp_desc with
-  | Pexp_constant (Pconst_integer (s, None)) -> int_of_string_opt s
-  | _ -> None
-
-(* Bits of [k] after the leading 1: the root-to-node path of index [k]. *)
-let path_of_index k =
-  let rec go k acc = if k <= 1 then acc else go (k / 2) ((k land 1) :: acc) in
-  go k []
-
-let rec norm env e =
-  let e = Summary.strip_casts e in
-  match int_literal e with
-  | Some k when k >= 1 -> { sbase = Root; ups = 0; downs = path_of_index k }
-  | _ -> (
-      match e.pexp_desc with
-      | Pexp_ident { txt = Lident v; _ } -> (
-          match List.assoc_opt v env with
-          | Some s -> s
-          | None -> { sbase = Var v; ups = 0; downs = [] })
-      | Pexp_apply ({ pexp_desc = Pexp_ident { txt = Lident op; _ }; _ }, args)
-        -> (
-          let nargs = Summary.nolabel_args args in
-          match (op, nargs) with
-          | "/", [ a; b ] when int_literal b = Some 2 -> (
-              let s = norm env a in
-              match List.rev s.downs with
-              | _ :: rest -> { s with downs = List.rev rest }
-              | [] -> { s with ups = s.ups + 1 })
-          | "*", [ a; b ] -> (
-              match (int_literal a, int_literal b) with
-              | Some 2, None ->
-                  let s = norm env b in
-                  { s with downs = s.downs @ [ 0 ] }
-              | None, Some 2 ->
-                  let s = norm env a in
-                  { s with downs = s.downs @ [ 0 ] }
-              | _ -> fresh_opaque ())
-          | "+", [ a; b ] -> (
-              let side one x =
-                if int_literal one = Some 1 then
-                  let s = norm env x in
-                  match List.rev s.downs with
-                  | 0 :: rest -> Some { s with downs = List.rev (1 :: rest) }
-                  | _ -> None
-                else None
-              in
-              match side b a with
-              | Some s -> Some s
-              | None -> side a b)
-              |> Option.value ~default:(fresh_opaque ())
-          | _ -> fresh_opaque ())
-      | _ -> fresh_opaque ())
-
-let rec proper_prefix a b =
-  match (a, b) with
-  | [], [] -> false
-  | [], _ :: _ -> true
-  | _ :: _, [] -> false
-  | x :: xs, y :: ys -> x = y && proper_prefix xs ys
-
-(* [a] is a strict ancestor of [b] for {e every} valuation of the shared
-   base. Raising above the base truncates unknown bits, so an ancestor
-   judgment through extra [ups] only holds when [a] adds no definite
-   bits of its own. Opaque bases never prove anything against others. *)
-let must_strict_ancestor a b =
-  let same =
-    match (a.sbase, b.sbase) with
-    | Root, Root -> true
-    | Var x, Var y -> x = y
-    | Opaque x, Opaque y -> x = y
-    | _ -> false
-  in
-  same
-  && (if a.ups > b.ups then a.downs = []
-      else if a.ups = b.ups then proper_prefix a.downs b.downs
-      else false)
-
-(* ---- the abstract walk ------------------------------------------------- *)
-
-type held = { hkey : string; hsym : sym; hline : int }
-
-type state = { env : (string * sym) list; locks : held list }
+type held = { hkey : string; hline : int }
 
 let max_states = 64
-
-(* A slot-fetch call binds the variable to the node index it names:
-   [T.get_at t ~level:lvl i] / [T.get t i] — the index is the last
-   unlabelled argument when there are at least two (Mcas.get takes one
-   argument and is not a slot fetch). *)
-let slot_fetch_index args =
-  let nargs = Summary.nolabel_args args in
-  if List.length nargs >= 2 then Some (List.nth nargs (List.length nargs - 1))
-  else None
 
 let arg_var e =
   match (Summary.strip_casts e).pexp_desc with
@@ -155,10 +37,6 @@ let arg_var e =
 exception Give_up
 
 let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Lint_rules.finding list =
-  let findings = ref [] in
-  let add line rule msg =
-    findings := { Lint_rules.file = f.ffile; line; rule; msg } :: !findings
-  in
   (* extra venv for functions let-bound inside this body *)
   let extra = ref [] in
   let resolve segs =
@@ -235,9 +113,9 @@ let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Lint_rules.finding list =
   detect false f.fbody;
   if !closure_acquire then []
   else begin
-    (* evaluation-order walk; [states] is the disjunction of abstract
-       lock states reaching the current point; raising paths vanish *)
-    let rec walk states e : state list =
+    (* evaluation-order walk; [states] is the disjunction of the held
+       lock sets reaching the current point; raising paths vanish *)
+    let rec walk states e : held list list =
       if List.length states > max_states then raise Give_up;
       let e = Summary.strip_casts e in
       match e.pexp_desc with
@@ -252,34 +130,7 @@ let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Lint_rules.finding list =
                        its own summary elsewhere *)
                     extra := (name, f.fpath @ [ name ]) :: !extra;
                     sts
-                | Some name ->
-                    let sts = walk sts vb.pvb_expr in
-                    List.map
-                      (fun st ->
-                        let sym =
-                          match
-                            (Summary.strip_casts vb.pvb_expr).pexp_desc
-                          with
-                          | Pexp_apply (head, args) -> (
-                              match Summary.flatten_ident head with
-                              | Some segs -> (
-                                  let last =
-                                    List.nth segs (List.length segs - 1)
-                                  in
-                                  match
-                                    (last, slot_fetch_index args)
-                                  with
-                                  | ("get_at" | "get"), Some idx ->
-                                      Some (norm st.env idx)
-                                  | _ -> None)
-                              | None -> None)
-                          | _ -> Some (norm st.env vb.pvb_expr)
-                        in
-                        match sym with
-                        | Some s -> { st with env = (name, s) :: st.env }
-                        | None -> st)
-                      sts
-                | None -> walk sts vb.pvb_expr)
+                | _ -> walk sts vb.pvb_expr)
               states vbs
           in
           walk states cont
@@ -322,48 +173,16 @@ let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Lint_rules.finding list =
                     let nargs = Summary.nolabel_args args in
                     if g.flock_param <> None && g.fdirect.acquires_lock
                     then
-                      let k = Option.get g.flock_param in
-                      let key, sym =
-                        match List.nth_opt nargs k with
-                        | Some a -> (
-                            match arg_var a with
-                            | Some v ->
-                                ( v,
-                                  List.assoc_opt v
-                                    (List.concat_map
-                                       (fun st -> st.env)
-                                       states)
-                                  |> Option.value
-                                       ~default:(fresh_opaque ()) )
-                            | None -> ("?", fresh_opaque ()))
-                        | None -> ("?", fresh_opaque ())
+                      let key =
+                        Option.bind
+                          (List.nth_opt nargs (Option.get g.flock_param))
+                          arg_var
+                        |> Option.value ~default:"?"
                       in
-                      let line = Frontend.line_of_loc e.pexp_loc in
-                      List.map
-                        (fun st ->
-                          let sym =
-                            match List.assoc_opt key st.env with
-                            | Some s -> s
-                            | None -> sym
-                          in
-                          List.iter
-                            (fun h ->
-                              if must_strict_ancestor sym h.hsym then
-                                add line "lock-order"
-                                  (Printf.sprintf
-                                     "acquires an ancestor node while \
-                                      holding its descendant (locked at \
-                                      line %d); hand-over-hand order is \
-                                      ancestor before descendant"
-                                     h.hline))
-                            st.locks;
-                          {
-                            st with
-                            locks =
-                              { hkey = key; hsym = sym; hline = line }
-                              :: st.locks;
-                          })
-                        states
+                      let h =
+                        { hkey = key; hline = Frontend.line_of_loc e.pexp_loc }
+                      in
+                      List.map (fun locks -> h :: locks) states
                     else if g.funlock_param <> None then
                       let k = Option.get g.funlock_param in
                       let key =
@@ -372,20 +191,13 @@ let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Lint_rules.finding list =
                         | None -> None
                       in
                       List.map
-                        (fun st ->
-                          {
-                            st with
-                            locks =
-                              List.filter
-                                (fun h -> Some h.hkey <> key)
-                                st.locks;
-                          })
+                        (List.filter (fun h -> Some h.hkey <> key))
                         states
                     else if (Callgraph.trans_effects cg j).releases_lock
                     then
                       (* hand-over-hand: the callee owns every held lock
                          now (moundify, or the recursive retry) *)
-                      List.map (fun st -> { st with locks = [] }) states
+                      List.map (fun _ -> []) states
                     else states))
       | Pexp_assert a -> (
           match (Summary.strip_casts a).pexp_desc with
@@ -407,26 +219,28 @@ let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Lint_rules.finding list =
       | Pexp_field (a, _) -> walk states a
       | _ -> states
     in
-    match walk [ { env = []; locks = [] } ] f.fbody with
+    match walk [ [] ] f.fbody with
     | exception Give_up -> []
     | final ->
         let leaked = Hashtbl.create 4 in
-        List.iter
-          (fun st ->
-            List.iter
-              (fun h ->
-                if not (Hashtbl.mem leaked h.hline) then begin
-                  Hashtbl.replace leaked h.hline ();
-                  add h.hline "lock-leak"
-                    (Printf.sprintf
-                       "lock on %s acquired here can reach the end of %s \
-                        still held; release it on every non-raising path"
-                       h.hkey
-                       (String.concat "." f.fpath))
-                end)
-              st.locks)
-          final;
-        List.rev !findings
+        List.concat final
+        |> List.filter_map (fun h ->
+               if Hashtbl.mem leaked h.hline then None
+               else begin
+                 Hashtbl.replace leaked h.hline ();
+                 Some
+                   {
+                     Lint_rules.file = f.ffile;
+                     line = h.hline;
+                     rule = "lock-leak";
+                     msg =
+                       Printf.sprintf
+                         "lock on %s acquired here can reach the end of %s \
+                          still held; release it on every non-raising path"
+                         h.hkey
+                         (String.concat "." f.fpath);
+                   }
+               end)
   end
 
 let scan (cg : Callgraph.t) : Lint_rules.finding list =

@@ -100,14 +100,13 @@ let catalog : op list =
       op_descr =
         "republish the shared read and mutate its field in place \
          (fresh-copy discipline deleted)";
-      op_rules =
-        [ "stale-publish"; "post-publish-mutation"; "escape"; "static-race" ];
+      op_rules = [ "stale-publish"; "post-publish-mutation" ];
       op_twin = None;
     };
     {
       op_name = "swap-lock-order";
       op_descr = "swap an adjacent pair of lock acquisitions";
-      op_rules = [ "lock-order" ];
+      op_rules = [ "lock-leak" ];
       op_twin = Some "lock-inversion-deadlock";
     };
     {
@@ -881,8 +880,12 @@ let sites_swap_lock_order p src =
           (* [match acquire parent with Some wp -> match acquire child]:
              the hand-over-hand pair of the deadline-aware paths. The
              swap inverts parent/child; the enabling edits let the
-             summary track the acquisition so lock-order proves the
-             inversion statically. *)
+             summary track the acquisitions, and lock-leak flags the
+             pair. The enabling edits alone already trip lock-leak
+             here (a failed acquire's [None] arm still counts as
+             holding the lock), so that kill is not specific to the
+             swap; the lock-inversion liveness twin is the guard that
+             is. *)
           List.iter
             (fun c ->
               match c.pc_rhs.pexp_desc with

@@ -13,7 +13,9 @@
     defensive change: predecessor locks are taken with try-lock and the
     whole acquisition is abandoned and retried on any failure, which
     makes deadlock impossible by construction even with duplicate keys
-    (where the book's ordering argument does not directly apply). *)
+    (where the book's ordering argument does not directly apply). The
+    book's [fullyLinked] flag is the new node's own lock: it is created
+    held and released once every level is linked. *)
 
 module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
   module B = Runtime.Backoff.Make (R)
@@ -128,11 +130,17 @@ module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
         end
       in
       if acquire 0 then begin
+        (* born locked, unlocked once linked at every level: the node is
+           visible to extract_min from its level-0 link on, and [remove]
+           claims it under its lock, so it can never be unlinked before
+           it is fully linked (an upper level linked after its unlink
+           would stay behind as a removed predecessor that fails every
+           later validation) *)
         let node =
           {
             c = Item key;
             height = h;
-            lock = R.Atomic.make false;
+            lock = R.Atomic.make true;
             removed = R.Atomic.make false;
             deleted = R.Atomic.make false;
             next = Array.init h (fun lvl -> R.Atomic.make succs.(lvl));
@@ -141,7 +149,8 @@ module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
         for lvl = 0 to h - 1 do
           R.Atomic.set preds.(lvl).next.(lvl) node
         done;
-        release ()
+        release ();
+        unlock_node node
       end
       else begin
         release ();

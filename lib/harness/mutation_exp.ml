@@ -77,9 +77,6 @@ let stale_top_program : Check.program =
    swap creates. The liveness checker must confirm a fair no-write
    cycle (deadlock). *)
 let lock_inversion_program : Liveness.program =
-  (* lint: allow — deliberately unbounded spin: this fixture must be
-     able to deadlock so the liveness twin can certify the
-     swap-lock-order mutant class *)
   let prepare () =
     Sim.Sched.seed_ambient 17L;
     let l0 = A.make false and l1 = A.make false in

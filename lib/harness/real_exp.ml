@@ -62,14 +62,11 @@ let timed_trial ~threads (body : int -> int) =
   let stops = Array.make threads 0. in
   let domains =
     Array.init threads (fun tid ->
-        (* lint: allow — per-domain slot arrays: each domain writes only
-           its own [tid] index, and [Domain.join] below is the
-           synchronization the escape lattice cannot see *)
         Domain.spawn (fun () ->
             Barrier.wait barrier;
-            starts.(tid) <- Unix.gettimeofday (); (* lint: allow — writes only its own slot *)
-            counts.(tid) <- body tid; (* lint: allow — writes only its own slot *)
-            stops.(tid) <- Unix.gettimeofday () (* lint: allow — writes only its own slot *)))
+            starts.(tid) <- Unix.gettimeofday ();
+            counts.(tid) <- body tid;
+            stops.(tid) <- Unix.gettimeofday ()))
   in
   (* Clock origin is taken before the barrier opens: early worker
      operations cannot land outside the timed window. *)

@@ -12,14 +12,12 @@
       through an [Atomic.t] cell — such records look atomic but their
       fields are plain racy memory;
     - violations of the helping discipline the lock-free mound depends
-      on (rules [dirty-spin], [cas-discard], [retry-no-backoff]): a
-      retry loop that re-tests a [dirty] bit without calling a
-      restoration/helping routine, a compare-and-set whose result is
-      silently discarded, and an unbounded retry loop around a CAS with
-      neither backoff nor helping. Recognition is by naming convention:
-      an identifier containing [help], [moundify] or [complete] marks a
-      helping call; one containing [backoff], [exponential] or
-      [cpu_relax] marks backoff;
+      on (rules [cas-discard], [retry-no-backoff]): a compare-and-set
+      whose result is silently discarded, and an unbounded retry loop
+      around a CAS with neither backoff nor helping. Recognition is by
+      naming convention: an identifier containing [help], [moundify] or
+      [complete] marks a helping call; one containing [backoff],
+      [exponential] or [cpu_relax] marks backoff;
     - allocation inside a CAS retry loop (rule [alloc-in-retry]): in a
       recursive chunk that performs a CAS, an [Array.make]/[Array.init],
       [Bytes.create]/[Bytes.make], [lazy] or [ref]-application token
@@ -437,11 +435,6 @@ let is_help tok =
 let is_backoff tok =
   has_sub tok "ackoff" || has_sub tok "exponential" || has_sub tok "cpu_relax"
 
-(* Deadline awareness by vocabulary: the [_until] operation family, the
-   [expired]/[deadline] helpers, or a [no_deadline] plumb-through. *)
-let is_deadline tok =
-  has_sub tok "deadline" || has_sub tok "until" || has_sub tok "expired"
-
 (* Top-level-ish definition chunks: a chunk starts at each [let] that
    begins a line at indentation <= 2 (file scope, or the body of one
    functor/module). [and] continuations stay in the same chunk, so a
@@ -483,39 +476,6 @@ let chunks clean idx =
     (tokens clean);
   flush ();
   List.rev !out
-
-(* Is the [.dirty] access at [off] (token [tok]) a branch test? Walk the
-   line backwards over the receiver expression: a test is introduced by
-   [if]/[while] (possibly through [not] and parentheses) or continues a
-   condition after [&&]/[||]. [dirty = cur.dirty] in a record copy walks
-   back to [=] and is not a test. *)
-let dirty_test clean off =
-  let i = ref (off - 1) in
-  let continue_ = ref true and verdict = ref false in
-  while !continue_ do
-    while !i >= 0 && (clean.[!i] = ' ' || clean.[!i] = '(') do
-      decr i
-    done;
-    if !i < 0 || clean.[!i] = '\n' then continue_ := false
-    else if clean.[!i] = '&' || clean.[!i] = '|' then begin
-      verdict := true;
-      continue_ := false
-    end
-    else if is_ident_char clean.[!i] then begin
-      let e = !i in
-      while !i >= 0 && is_ident_char clean.[!i] do
-        decr i
-      done;
-      let w = String.sub clean (!i + 1) (e - !i) in
-      if w = "if" || w = "while" then begin
-        verdict := true;
-        continue_ := false
-      end
-      else if w <> "not" then continue_ := false
-    end
-    else continue_ := false
-  done;
-  !verdict
 
 (* After a CAS in statement-looking position (a [;] precedes it), decide
    whether its value nevertheless flows somewhere: scan {e forward} past
@@ -626,47 +586,6 @@ let scan_helping ~path ~file s idx =
                  neither backoff nor helping";
             }
             :: !out;
-        (* Disjoint complement of retry-no-backoff: the loop does wait
-           between attempts, but nothing bounds how long it keeps
-           waiting — a dead peer wedges it forever. Helping loops are
-           exempt (bounded by global progress, the lock-free argument);
-           everything else must consult a deadline on the retry path. *)
-        if
-          ch.c_rec && has_cas_call && has is_backoff && (not helped)
-          && not (has is_deadline)
-        then
-          out :=
-            {
-              file;
-              line = ch.c_line;
-              rule = "deadline-blind";
-              msg =
-                "retry loop backs off but never consults a deadline; \
-                 unbounded waiting wedges behind a dead peer — thread \
-                 ~deadline through (the _until / expired family) or \
-                 record why waiting forever is safe";
-            }
-            :: !out;
-        if ch.c_rec && not helped then
-          List.iter
-            (fun (t, off) ->
-              if
-                last_seg t = "dirty"
-                && String.contains t '.'
-                && dirty_test s.clean off
-              then
-                out :=
-                  {
-                    file;
-                    line = line_of idx off;
-                    rule = "dirty-spin";
-                    msg =
-                      "retry loop re-tests a dirty bit without helping; \
-                       call the restoration routine (moundify) instead \
-                       of spinning";
-                  }
-                  :: !out)
-            ch.c_toks;
         if not helped then
           List.iter
             (fun (t, off) ->

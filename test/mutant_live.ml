@@ -7,8 +7,7 @@
      L24–L26 replaced by a bare retry. Once any extraction wins, the
      root is dirty forever and every later extraction spins: the
      liveness checker must confirm a non-progress cycle, and the lint
-     must flag both the dirty re-test ([dirty-spin]) and the bare retry
-     ([retry-no-backoff]).
+     must flag the bare retry ([retry-no-backoff]).
 
    - [No_backoff]: a lock-free CAS insert with the exponential backoff
      deleted. Still lock-free — certification stays green — but the

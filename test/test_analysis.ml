@@ -11,7 +11,7 @@ let scan path src = Analysis.scan ~path src
 let with_rule r fs = List.filter (fun f -> f.Analysis.rule = r) fs
 let check_count what n fs = Alcotest.(check int) what n (List.length fs)
 
-(* ---- lock-order -------------------------------------------------------- *)
+(* ---- lock-leak --------------------------------------------------------- *)
 
 (* The locking mound's primitives, distilled: an acquire loop that backs
    off (so helping-discipline stays quiet) and a plain release. *)
@@ -32,45 +32,6 @@ let lock_prims =
    let unlock slot =\n\
   \  let cur = R.Atomic.get slot in\n\
   \  R.Atomic.set slot { cur with locked = false }\n\n"
-
-let test_lock_order () =
-  let inverted =
-    lock_prims
-    ^ "let insert t c =\n\
-      \  let cslot = T.get_at t c in\n\
-      \  let pslot = T.get_at t (c / 2) in\n\
-      \  set_lock cslot;\n\
-      \  set_lock pslot;\n\
-      \  unlock pslot;\n\
-      \  unlock cslot\n"
-  in
-  let fs = with_rule "lock-order" (scan "lib/core/x.ml" inverted) in
-  check_count "child-before-parent flagged" 1 fs;
-  let ordered =
-    lock_prims
-    ^ "let insert t c =\n\
-      \  let pslot = T.get_at t (c / 2) in\n\
-      \  let cslot = T.get_at t c in\n\
-      \  set_lock pslot;\n\
-      \  set_lock cslot;\n\
-      \  unlock cslot;\n\
-      \  unlock pslot\n"
-  in
-  check_count "parent-before-child fine" 0
-    (with_rule "lock-order" (scan "lib/core/x.ml" ordered));
-  (* siblings 2n / 2n+1 are unordered: the moundify shape *)
-  let siblings =
-    lock_prims
-    ^ "let swap t n =\n\
-      \  let lslot = T.get_at t (2 * n) in\n\
-      \  let rslot = T.get_at t ((2 * n) + 1) in\n\
-      \  set_lock lslot;\n\
-      \  set_lock rslot;\n\
-      \  unlock rslot;\n\
-      \  unlock lslot\n"
-  in
-  check_count "siblings fine" 0
-    (with_rule "lock-order" (scan "lib/core/x.ml" siblings))
 
 let test_lock_leak () =
   let leaky =
@@ -104,6 +65,51 @@ let test_lock_leak () =
   in
   check_count "raising path fine" 0
     (with_rule "lock-leak" (scan "lib/core/x.ml" raising))
+
+(* The walk's two joins: branches are explored independently and
+   unioned, so a lock released on every arm is not a leak while one arm
+   that forgets is; and a call into a function that releases discharges
+   the held chain, the hand-over-hand descent of paper Listing 3. *)
+let test_lock_leak_joins () =
+  let fn body = lock_prims ^ "let probe t c =\n" ^ body in
+  let every_arm =
+    fn
+      "  let cslot = T.get_at t c in\n\
+      \  set_lock cslot;\n\
+      \  match read t c with\n\
+      \  | 0 -> unlock cslot\n\
+      \  | v -> unlock cslot; ignore v\n"
+  in
+  check_count "released on every arm fine" 0
+    (with_rule "lock-leak" (scan "lib/core/x.ml" every_arm));
+  let one_arm =
+    fn
+      "  let cslot = T.get_at t c in\n\
+      \  set_lock cslot;\n\
+      \  match read t c with\n\
+      \  | 0 -> unlock cslot\n\
+      \  | v -> ignore v\n"
+  in
+  check_count "an arm that forgets leaks" 1
+    (with_rule "lock-leak" (scan "lib/core/x.ml" one_arm));
+  let descent =
+    lock_prims
+    ^ "let rec down t c =\n\
+      \  let cslot = T.get_at t c in\n\
+      \  if c > 64 then unlock cslot\n\
+      \  else begin\n\
+      \    let kslot = T.get_at t (2 * c) in\n\
+      \    set_lock kslot;\n\
+      \    unlock cslot;\n\
+      \    down t (2 * c)\n\
+      \  end\n\n\
+       let probe t c =\n\
+      \  let cslot = T.get_at t c in\n\
+      \  set_lock cslot;\n\
+      \  down t c\n"
+  in
+  check_count "hand-over-hand descent fine" 0
+    (with_rule "lock-leak" (scan "lib/core/x.ml" descent))
 
 (* ---- publication safety ------------------------------------------------ *)
 
@@ -590,18 +596,6 @@ let scan_mutant () =
   if Sys.file_exists mutant_src then Some (Analysis.scan_file mutant_src)
   else None
 
-let test_mutant_lock_inverted_flagged () =
-  match scan_mutant () with
-  | None -> ()
-  | Some fs ->
-      let lo = with_rule "lock-order" fs in
-      check_count "one inversion" 1 lo;
-      Alcotest.(check bool) "names the ancestor/descendant order" true
-        (let f = List.hd lo in
-         f.Analysis.msg <> "" && f.Analysis.file = mutant_src);
-      (* the correctly ordered partner and the primitives stay clean *)
-      check_count "no leak" 0 (with_rule "lock-leak" fs)
-
 let test_mutant_post_publish_flagged () =
   match scan_mutant () with
   | None -> ()
@@ -671,141 +665,17 @@ let test_mutant_unpadded_top_row_flagged () =
         (let msg = (List.hd ly).Analysis.msg in
          contains msg "top_val" && contains msg "top_ver")
 
-let test_mutant_spawn_counter_flagged () =
-  match scan_mutant () with
-  | None -> ()
-  | Some fs ->
-      Alcotest.(check bool) "tally classified spawn-captured" true
-        (List.exists
-           (fun f ->
-             contains f.Analysis.msg "tally"
-             && contains f.Analysis.msg "spawn-captured")
-           (with_rule "escape" fs));
-      let sr =
-        List.filter
-          (fun f -> contains f.Analysis.msg "tally")
-          (with_rule "static-race" fs)
-      in
-      check_count "one race finding for the shared slot" 1 sr;
-      Alcotest.(check bool) "a plain write, not downgraded" true
-        (let m = (List.hd sr).Analysis.msg in
-         contains m "plain write" && not (contains m "single-writer"))
-
 let test_mutant_published_record_flagged () =
   match scan_mutant () with
   | None -> ()
   | Some fs ->
-      Alcotest.(check bool) "used classified published at its decl" true
+      (* the claim bumps [s.used] in place, [s] being the record it
+         read from the atomic cell *)
+      Alcotest.(check bool) "the in-place bump is a post-publish mutation"
+        true
         (List.exists
-           (fun f ->
-             contains f.Analysis.msg "used"
-             && contains f.Analysis.msg "published")
-           (with_rule "escape" fs));
-      Alcotest.(check bool) "the in-place bump is a race finding" true
-        (List.exists
-           (fun f -> contains f.Analysis.msg "used")
-           (with_rule "static-race" fs))
-
-let test_mutant_escape_twins_clean () =
-  match scan_mutant () with
-  | None -> ()
-  | Some fs ->
-      let mentions key f = contains f.Analysis.msg key in
-      (* [Locked_tally]: every access mutex-held — both rules silent *)
-      check_count "locked ledger: no findings" 0
-        (List.filter (mentions "ledger")
-           (with_rule "escape" fs @ with_rule "static-race" fs));
-      (* [Local_histogram]: never leaves its function — silent *)
-      check_count "local histogram: no findings" 0
-        (List.filter (mentions "histo")
-           (with_rule "escape" fs @ with_rule "static-race" fs))
-
-(* ---- escape & static-race ---------------------------------------------- *)
-
-let spawn_capture_src =
-  "let race n =\n\
-  \  let tally = Array.make 1 0 in\n\
-  \  let doms =\n\
-  \    Array.init n (fun _ ->\n\
-  \        Domain.spawn (fun () -> tally.(0) <- tally.(0) + 1))\n\
-  \  in\n\
-  \  Array.iter Domain.join doms;\n\
-  \  tally.(0)\n"
-
-let test_escape_spawn_capture () =
-  let fs = scan "lib/core/x.ml" spawn_capture_src in
-  let esc = with_rule "escape" fs in
-  check_count "captured array flagged once" 1 esc;
-  Alcotest.(check bool) "classified spawn-captured" true
-    (contains (List.hd esc).Analysis.msg "spawn-captured");
-  check_count "one race finding for the shared slot" 1
-    (with_rule "static-race" fs)
-
-let test_escape_module_global () =
-  let src = "let hits = ref 0\n\nlet bump () = incr hits\n" in
-  let fs = scan "lib/core/x.ml" src in
-  let esc = with_rule "escape" fs in
-  check_count "module-level ref flagged" 1 esc;
-  Alcotest.(check bool) "classified module-global" true
-    (contains (List.hd esc).Analysis.msg "module-global");
-  (* one plain-writing function: surfaced, but downgraded *)
-  let sr = with_rule "static-race" fs in
-  check_count "the bump is still a finding" 1 sr;
-  Alcotest.(check bool) "downgraded by the single-writer census" true
-    (contains (List.hd sr).Analysis.msg "single-writer")
-
-let test_escape_published () =
-  let src =
-    "type slab = { mutable used : int; cap : int }\n\n\
-     let create () = R.Atomic.make { used = 0; cap = 8 }\n\n\
-     let claim cell =\n\
-    \  let s = R.Atomic.get cell in\n\
-    \  s.used <- s.used + 1\n"
-  in
-  let fs = scan "lib/core/x.ml" src in
-  let esc = with_rule "escape" fs in
-  check_count "boxed mutable label flagged" 1 esc;
-  Alcotest.(check bool) "classified published, anchored at the decl" true
-    (let f = List.hd esc in
-     contains f.Analysis.msg "published" && f.Analysis.line = 1);
-  check_count "the in-place bump is a race finding" 1
-    (with_rule "static-race" fs)
-
-let test_escape_negatives () =
-  (* domain-local: the lattice bottom — never spawned, never published *)
-  let local =
-    "let tally n =\n\
-    \  let histo = Array.make 8 0 in\n\
-    \  for i = 0 to n - 1 do\n\
-    \    histo.(i mod 8) <- histo.(i mod 8) + 1\n\
-    \  done;\n\
-    \  Array.fold_left ( + ) 0 histo\n"
-  in
-  let fs = scan "lib/core/x.ml" local in
-  check_count "domain-local array: no escape" 0 (with_rule "escape" fs);
-  check_count "domain-local array: no race" 0 (with_rule "static-race" fs);
-  (* lock-held regions: every access between lock and unlock is
-     protected by construction, and with all accesses disciplined the
-     capture itself is not a finding either *)
-  let locked =
-    "let guarded n lock =\n\
-    \  let ledger = Array.make 1 0 in\n\
-    \  let doms =\n\
-    \    Array.init n (fun _ ->\n\
-    \        Domain.spawn (fun () ->\n\
-    \            Mutex.lock lock;\n\
-    \            ledger.(0) <- ledger.(0) + 1;\n\
-    \            Mutex.unlock lock))\n\
-    \  in\n\
-    \  Array.iter Domain.join doms;\n\
-    \  Mutex.lock lock;\n\
-    \  let v = ledger.(0) in\n\
-    \  Mutex.unlock lock;\n\
-    \  v\n"
-  in
-  let fs = scan "lib/core/x.ml" locked in
-  check_count "mutex-held accesses: no race" 0 (with_rule "static-race" fs);
-  check_count "evident discipline: no escape" 0 (with_rule "escape" fs)
+           (fun f -> contains f.Analysis.msg "field of s,")
+           (with_rule "post-publish-mutation" fs))
 
 (* ---- waivers over the new rules ---------------------------------------- *)
 
@@ -835,59 +705,28 @@ let test_waivers_cover_new_rules () =
   check_count "waiver with nothing under it is stale" 1
     (with_rule "waiver" (scan "lib/core/x.ml" stale))
 
-(* Waiver hygiene judged against the union of every engine, including
-   the escape rules: a reasoned waiver over an escape/static-race
-   finding silences it and is not stale; the same waiver with nothing
-   under it is stale; a reasonless one is flagged; and a comment that
-   merely mentions the marker in prose waives nothing. *)
-let test_waivers_cover_escape_rules () =
-  let waived =
-    "let race n =\n\
-    \  let tally = Array.make 1 0 in\n\
-    \  let doms =\n\
-    \    Array.init n (fun _ ->\n\
-    \        (* lint: allow — fixture: slots joined before any read *)\n\
-    \        Domain.spawn (fun () -> tally.(0) <- tally.(0) + 1))\n\
-    \  in\n\
-    \  Array.iter Domain.join doms;\n\
-    \  tally.(0)\n"
+(* Co-located findings of the two engines share one waiver: the
+   discarded CAS of a shared read is a token [cas-discard] and an AST
+   [stale-publish] on one line, and a single reasoned waiver above it
+   silences both and stays live. A reasonless one is a finding. *)
+let test_waiver_covers_colocated () =
+  let mark waiver =
+    "let mark q =\n\
+    \  let root = M.get q in\n"
+    ^ waiver
+    ^ "  ignore (M.cas q root root)\n"
   in
-  let fs = scan "lib/core/x.ml" waived in
-  check_count "escape silenced by the reasoned waiver" 0
-    (with_rule "escape" fs);
-  check_count "static-race silenced by the same waiver" 0
-    (with_rule "static-race" fs);
-  check_count "the waiver covers live findings: not stale" 0
-    (with_rule "waiver" fs);
-  (* the identical waiver with an Atomic underneath covers nothing *)
-  let stale =
-    "let race q =\n\
-    \  (* lint: allow — fixture: slots joined before any read *)\n\
-    \  ignore (R.Atomic.fetch_and_add q 1)\n"
-  in
-  check_count "same waiver without a finding is stale" 1
-    (with_rule "waiver" (scan "lib/core/x.ml" stale));
-  (* a reasonless waiver over the capture is itself a finding *)
-  let reasonless =
-    "let race n =\n\
-    \  let tally = Array.make 1 0 in\n\
-    \  let doms =\n\
-    \    Array.init n (fun _ ->\n\
-    \        (* lint: allow *)\n\
-    \        Domain.spawn (fun () -> tally.(0) <- tally.(0) + 1))\n\
-    \  in\n\
-    \  Array.iter Domain.join doms;\n\
-    \  tally.(0)\n"
-  in
-  check_count "reasonless waiver flagged" 1
-    (with_rule "waiver" (scan "lib/core/x.ml" reasonless));
-  (* marker position: prose mentioning the marker is not a waiver *)
-  let prose =
-    "(* discussed in the lint: allow audit of 2026-07 *)\n"
-    ^ spawn_capture_src
-  in
-  check_count "prose mention waives nothing" 1
-    (with_rule "escape" (scan "lib/core/x.ml" prose))
+  Alcotest.(check (list string)) "unwaived: one finding per engine"
+    [ "cas-discard"; "stale-publish" ]
+    (List.sort compare
+       (List.map (fun f -> f.Analysis.rule) (scan "lib/core/x.ml" (mark ""))));
+  check_count "one reasoned waiver silences both, not stale" 0
+    (scan "lib/core/x.ml"
+       (mark "  (* lint: allow — fixture: idempotent re-mark *)\n"));
+  Alcotest.(check (list string)) "reasonless waiver flagged" [ "waiver" ]
+    (List.map
+       (fun f -> f.Analysis.rule)
+       (scan "lib/core/x.ml" (mark "  (* lint: allow *)\n")))
 
 (* ---- dynamic cross-checks on the same mutant code ---------------------- *)
 
@@ -969,10 +808,9 @@ let test_mutant_lost_update_breaks_linearizability () =
         failure
   | None -> Alcotest.fail "mutant survived: lost update not caught"
 
-(* The static-race verdict on [Spawn_counter_race], cross-checked
-   dynamically: the same collapsed-slot bump, expressed on a tracked
-   sim cell, is an unordered write pair the DPOR race oracle must
-   report — the static finding is a real race, not a style nit. *)
+(* The spawn-counter defect — per-domain slots collapsed into one
+   shared cell bumped with a plain get-then-set — on a tracked sim
+   cell: an unordered write pair the DPOR race oracle must report. *)
 let test_mutant_spawn_counter_races_dynamically () =
   let p = Mutant_static.spawn_counter_program in
   let r = C.explore ~config:dpor_config p in
@@ -1004,10 +842,11 @@ let test_shipped_tree_clean () =
 let () =
   Alcotest.run "analysis"
     [
-      ( "lock-order",
+      ( "lock-leak",
         [
-          Alcotest.test_case "acquisition order" `Quick test_lock_order;
           Alcotest.test_case "release on every path" `Quick test_lock_leak;
+          Alcotest.test_case "branch and call joins" `Quick
+            test_lock_leak_joins;
         ] );
       ( "publication",
         [
@@ -1040,32 +879,19 @@ let () =
           Alcotest.test_case "local module aliases resolve" `Quick
             test_letmodule_alias_resolution;
         ] );
-      ( "escape",
-        [
-          Alcotest.test_case "spawn capture" `Quick
-            test_escape_spawn_capture;
-          Alcotest.test_case "module-global binding" `Quick
-            test_escape_module_global;
-          Alcotest.test_case "published record label" `Quick
-            test_escape_published;
-          Alcotest.test_case "negatives: local and locked" `Quick
-            test_escape_negatives;
-        ] );
       ( "waivers",
         [
           Alcotest.test_case "static findings and waivers" `Quick
             test_waivers_cover_static_findings;
           Alcotest.test_case "waivers over the dataflow rules" `Quick
             test_waivers_cover_new_rules;
-          Alcotest.test_case "waivers over the escape rules" `Quick
-            test_waivers_cover_escape_rules;
+          Alcotest.test_case "one waiver covers co-located findings" `Quick
+            test_waiver_covers_colocated;
           Alcotest.test_case "parse errors are findings" `Quick
             test_parse_error_reported;
         ] );
       ( "mutants",
         [
-          Alcotest.test_case "lock inversion flagged" `Quick
-            test_mutant_lock_inverted_flagged;
           Alcotest.test_case "post-publish mutation flagged" `Quick
             test_mutant_post_publish_flagged;
           Alcotest.test_case "dropped aliased helper flagged" `Quick
@@ -1076,12 +902,8 @@ let () =
             test_mutant_lost_update_flagged;
           Alcotest.test_case "unpadded top row flagged" `Quick
             test_mutant_unpadded_top_row_flagged;
-          Alcotest.test_case "spawn counter race flagged" `Quick
-            test_mutant_spawn_counter_flagged;
           Alcotest.test_case "published record write flagged" `Quick
             test_mutant_published_record_flagged;
-          Alcotest.test_case "escape negative twins clean" `Quick
-            test_mutant_escape_twins_clean;
           Alcotest.test_case "lock inversion deadlocks under liveness"
             `Quick test_mutant_lock_inverted_deadlocks;
           Alcotest.test_case "post-publish mutation breaks linearizability"

@@ -150,11 +150,7 @@ let test_retry_no_backoff () =
     \      push q b v\n\
     \    end\n"
   in
-  (* backoff silences retry-no-backoff; what remains is the disjoint
-     complement — the loop waits, but nothing bounds the wait *)
-  Alcotest.(check (list string)) "backoff leaves only deadline-blind"
-    [ "deadline-blind" ]
-    (rules (scan "lib/core/x.ml" with_backoff));
+  check_count "backoff silences" 0 (scan "lib/core/x.ml" with_backoff);
   let with_help =
     "let rec push q v =\n\
     \    let cur = R.Atomic.get q in\n\
@@ -169,86 +165,6 @@ let test_retry_no_backoff () =
     (scan "lib/core/x.ml" "let push q v =\n  if M.cas q [] [ v ] then 1 else 0\n");
   (* baselines reproduce published loops; helping rules do not apply *)
   check_count "baselines exempt" 0 (scan "lib/baselines/x.ml" bare)
-
-let test_deadline_blind () =
-  (* waiting without a bound: backoff satisfies retry-no-backoff but
-     the loop can wait forever behind a dead peer *)
-  let waiting =
-    "let rec push q b v =\n\
-    \    if M.cas q 0 v then ()\n\
-    \    else begin\n\
-    \      B.exponential b;\n\
-    \      push q b v\n\
-    \    end\n"
-  in
-  Alcotest.(check (list string)) "unbounded wait flagged"
-    [ "deadline-blind" ]
-    (rules (scan "lib/core/x.ml" waiting));
-  (* consulting a deadline bounds the wait *)
-  let bounded =
-    "let rec push q b v deadline =\n\
-    \    if expired ~deadline then Timeout\n\
-    \    else if M.cas q 0 v then Ok ()\n\
-    \    else begin\n\
-    \      B.exponential b;\n\
-    \      push q b v deadline\n\
-    \    end\n"
-  in
-  check_count "deadline silences" 0 (scan "lib/core/x.ml" bounded);
-  (* the _until operation family is the same vocabulary *)
-  let until =
-    "let rec push q b v d =\n\
-    \    if M.cas q 0 v then Ok () else (B.exponential b; push_until q b v d)\n"
-  in
-  check_count "_until call silences" 0 (scan "lib/core/x.ml" until);
-  (* disjoint from retry-no-backoff: a bare loop gets exactly one
-     finding, the one whose remedy (back off first) comes first *)
-  let bare =
-    "let rec push q v =\n\
-    \    if M.cas q 0 v then () else push q v\n"
-  in
-  Alcotest.(check (list string)) "bare loop is retry-no-backoff only"
-    [ "retry-no-backoff" ]
-    (rules (scan "lib/core/x.ml" bare));
-  (* helping loops are bounded by global progress: exempt *)
-  let helping =
-    "let rec pull q =\n\
-    \    if M.cas q 0 1 then () else (help_complete q; cpu_relax (); pull q)\n"
-  in
-  check_count "helping exempt" 0 (scan "lib/core/x.ml" helping);
-  (* baselines keep their published shapes *)
-  check_count "baselines exempt" 0 (scan "lib/baselines/x.ml" waiting);
-  (* a reasoned waiver covers it like any other finding *)
-  check_count "reasoned waiver silences" 0
-    (scan "lib/core/x.ml"
-       ("(* lint: allow — fixture: wait bounded by the test harness *)\n"
-      ^ waiting))
-
-let test_dirty_spin () =
-  let spin =
-    "let rec pull q =\n\
-    \    let n = M.get q in\n\
-    \    if n.dirty then pull q\n\
-    \    else (n, B.exponential ())\n"
-  in
-  Alcotest.(check (list string)) "dirty re-test flagged" [ "dirty-spin" ]
-    (rules (scan "lib/core/x.ml" spin));
-  let helps =
-    "let rec pull q =\n\
-    \    let n = M.get q in\n\
-    \    if n.dirty then (moundify q 1; pull q)\n\
-    \    else n\n"
-  in
-  check_count "helping silences" 0 (scan "lib/core/x.ml" helps);
-  (* [dirty = cur.dirty] in a record copy is not a test *)
-  let copy =
-    "let rec pull q =\n\
-    \    let cur = M.get q in\n\
-    \    ignore { list = cur.list; dirty = cur.dirty };\n\
-    \    pull q\n"
-  in
-  Alcotest.(check bool) "record copy not a dirty test" false
-    (List.mem "dirty-spin" (rules (scan "lib/core/x.ml" copy)))
 
 let test_cas_discard () =
   Alcotest.(check (list string)) "ignore'd cas" [ "cas-discard" ]
@@ -405,81 +321,50 @@ let test_format () =
     (List.map (fun f -> f.Lint_rules.line) fs);
   check_count "clean file" 0 (scan "lib/core/x.ml" "let x = 1\n")
 
-(* ---- engine dedupe ------------------------------------------------------ *)
+(* ---- engine merge ------------------------------------------------------- *)
 
-(* One defect, one finding: when the token engine and the AST engine
-   flag the same file:line for sibling rules (cas-discard vs the
-   protocol analyses), the merged scan keeps the AST finding — it names
-   the protocol — and drops the token one. Unrelated co-located
-   findings still both surface. *)
-let test_sibling_dedupe () =
+(* Both engines report through one waiver machinery, and co-located
+   findings are not merged: the discarded CAS of a shared read is a
+   token [cas-discard] and an AST [stale-publish] on the same line, and
+   the merged scan reports both. *)
+let test_colocated_findings () =
   let src =
     "let mark q =\n\
     \  let root = M.get q in\n\
     \  ignore (M.cas q root root)\n"
   in
-  (* the token engine alone does flag the discarded CAS... *)
-  check_count "token cas-discard fires alone" 1
-    (List.filter
-       (fun f -> f.Lint_rules.rule = "cas-discard")
-       (scan "lib/core/x.ml" src));
-  (* ...but the merged scan reports the one defect once, as the AST
-     sibling *)
   let merged = Analysis.scan ~path:"lib/core/x.ml" src in
-  check_count "one finding for the one defect" 1 merged;
-  Alcotest.(check string) "the AST sibling wins" "stale-publish"
-    (List.hd merged).Lint_rules.rule;
-  (* unrelated rules co-located on one line are not siblings: a
-     boundary breach and a lost update are two defects, two findings *)
-  let two_defects =
-    "let bump q =\n\
-    \  let n = Atomic.get q in\n\
-    \  Atomic.set q (n + 1)\n"
-  in
-  let merged = Analysis.scan ~path:"lib/core/x.ml" two_defects in
-  check_count "boundary kept" 2
-    (List.filter (fun f -> f.Lint_rules.rule = "boundary") merged);
-  check_count "atomicity kept" 1
-    (List.filter (fun f -> f.Lint_rules.rule = "atomicity") merged)
+  Alcotest.(check (list string)) "both co-located findings reported"
+    [ "cas-discard"; "stale-publish" ]
+    (List.sort compare (rules merged));
+  Alcotest.(check (list int)) "on the CAS line" [ 3; 3 ]
+    (List.map (fun f -> f.Lint_rules.line) merged)
 
-(* The escape pairing: the token heuristic flags the mutable field
-   behind an Atomic.t at its declaration line; the escape analysis
-   anchors the published label at the same line and names the lattice
-   level — one defect, the AST finding wins. *)
-let test_sibling_dedupe_escape () =
+(* A mutable field behind an [Atomic.t]: the token heuristic flags it at
+   its declaration, and the merged scan passes that finding through.
+   [mutable-atomic] is the only rule that kills the [mutabilize]
+   mutants, and the kill matrix reads the merged scan. *)
+let test_mutable_atomic_merged () =
   let src =
     "type slab = { mutable used : int; cap : int }\n\
      type t = { cell : slab Atomic.t }\n\n\
      let create () = Atomic.make { used = 0; cap = 8 }\n"
   in
-  check_count "token mutable-atomic fires alone" 1
-    (List.filter
-       (fun f -> f.Lint_rules.rule = "mutable-atomic")
-       (scan "lib/core/x.ml" src));
-  let merged = Analysis.scan ~path:"lib/core/x.ml" src in
-  check_count "token sibling dropped from the merged scan" 0
-    (List.filter (fun f -> f.Lint_rules.rule = "mutable-atomic") merged);
-  check_count "the escape finding stands in its place" 1
-    (List.filter (fun f -> f.Lint_rules.rule = "escape") merged)
+  let lines fs =
+    List.filter_map
+      (fun f ->
+        if f.Lint_rules.rule = "mutable-atomic" then Some f.Lint_rules.line
+        else None)
+      fs
+  in
+  Alcotest.(check (list int)) "token engine: at the declaration" [ 1 ]
+    (lines (scan "lib/core/x.ml" src));
+  Alcotest.(check (list int)) "merged scan: the same finding" [ 1 ]
+    (lines (Analysis.scan ~path:"lib/core/x.ml" src))
 
-(* Every sibling pairing must reference registered rules of the right
-   engine, and the registry itself must be duplicate-free — the table
-   is what [--list-rules], the README and CI all derive from. *)
+(* The registry must be duplicate-free — the table is what
+   [--list-rules], the README and CI all derive from. *)
 let test_rule_registry_consistent () =
-  List.iter
-    (fun (tok, asts) ->
-      Alcotest.(check bool)
-        (tok ^ " is a registered token rule")
-        true
-        (List.mem tok Analysis.token_rules);
-      List.iter
-        (fun a ->
-          Alcotest.(check bool)
-            (a ^ " is a registered AST rule")
-            true
-            (List.mem a Analysis.static_rules))
-        asts)
-    Analysis.sibling_rules;
   let names = List.map (fun (n, _, _) -> n) Analysis.rule_table in
   Alcotest.(check int) "registry names are unique" (List.length names)
     (List.length (List.sort_uniq compare names))
@@ -539,7 +424,7 @@ let test_lint_json_roundtrip () =
 let test_shipped_tree_clean () =
   (* Belt and braces: the runtest rule in bin/dune already enforces
      this, but running from the test binary keeps the guarantee even if
-     the alias wiring regresses. Both engines, like [bin/lint.exe]: a
+     the alias wiring regresses. Both engines, like [repro lint]: a
      token-only scan would misjudge as stale any waiver that covers an
      AST-level finding (stm's static-deadline waiver). Source may live
      elsewhere when built in a sandbox; skip silently if lib/ is not
@@ -551,6 +436,37 @@ let test_shipped_tree_clean () =
       fs;
     check_count "shipped lib/ clean" 0 fs
   end
+
+(* [repro lint] is the one lint driver: the [@lint] alias and CI's Lint
+   step fail only through its exit status. A tree with a finding exits
+   1, a clean one 0, and [--list-rules] prints one line per registered
+   rule. The executable is a declared dep of the tests stanza; cwd is
+   _build/default/test under `dune runtest`. *)
+let test_repro_lint_exit () =
+  let repro = "../bin/repro.exe" in
+  if not (Sys.file_exists repro) then Alcotest.failf "%s not built" repro;
+  let root = Filename.temp_dir "lint" "" in
+  let file = Filename.concat root "x.ml" in
+  let run ?(stdout = Filename.null) args =
+    Sys.command (Filename.quote_command repro ~stdout ~stderr:stdout args)
+  in
+  let write src = Out_channel.with_open_bin file (fun oc -> output_string oc src) in
+  write "let x = 1 \n";
+  Alcotest.(check int) "a finding exits 1" 1 (run [ "lint"; root ]);
+  write "let x = 1\n";
+  Alcotest.(check int) "a clean tree exits 0" 0 (run [ "lint"; root ]);
+  let listing = Filename.concat root "rules.txt" in
+  Alcotest.(check int) "--list-rules exits 0" 0
+    (run ~stdout:listing [ "lint"; "--list-rules" ]);
+  let listed = In_channel.with_open_bin listing In_channel.input_all in
+  Sys.remove listing;
+  Sys.remove file;
+  Sys.rmdir root;
+  Alcotest.(check (list string)) "one line per registered rule"
+    (List.map (fun (n, _, _) -> n) Analysis.rule_table)
+    (String.split_on_char '\n' listed
+    |> List.filter (( <> ) "")
+    |> List.map (fun l -> List.hd (String.split_on_char '\t' l)))
 
 let () =
   Alcotest.run "lint"
@@ -571,20 +487,18 @@ let () =
       ( "helping",
         [
           Alcotest.test_case "retry-no-backoff" `Quick test_retry_no_backoff;
-          Alcotest.test_case "deadline-blind" `Quick test_deadline_blind;
-          Alcotest.test_case "dirty-spin" `Quick test_dirty_spin;
           Alcotest.test_case "cas-discard" `Quick test_cas_discard;
           Alcotest.test_case "alloc-in-retry" `Quick test_alloc_in_retry;
         ] );
       ( "mutable-atomic",
         [ Alcotest.test_case "heuristic" `Quick test_mutable_atomic ] );
       ("format", [ Alcotest.test_case "rules" `Quick test_format ]);
-      ( "dedupe",
+      ( "engines",
         [
-          Alcotest.test_case "token/AST siblings deduped" `Quick
-            test_sibling_dedupe;
-          Alcotest.test_case "mutable-atomic vs escape" `Quick
-            test_sibling_dedupe_escape;
+          Alcotest.test_case "co-located findings both reported" `Quick
+            test_colocated_findings;
+          Alcotest.test_case "mutable-atomic in the merged scan" `Quick
+            test_mutable_atomic_merged;
           Alcotest.test_case "rule registry consistent" `Quick
             test_rule_registry_consistent;
         ] );
@@ -597,5 +511,7 @@ let () =
         [
           Alcotest.test_case "shipped tree clean" `Quick
             test_shipped_tree_clean;
+          Alcotest.test_case "repro lint exit status" `Quick
+            test_repro_lint_exit;
         ] );
     ]

@@ -104,8 +104,6 @@ let test_lint_flags_no_help_mutant () =
   if Sys.file_exists src then begin
     let fs = Lint_rules.scan_file src in
     let rules = List.map (fun f -> f.Lint_rules.rule) fs in
-    Alcotest.(check bool) "dirty-spin flagged" true
-      (List.mem "dirty-spin" rules);
     Alcotest.(check bool) "retry-no-backoff flagged" true
       (List.mem "retry-no-backoff" rules)
   end

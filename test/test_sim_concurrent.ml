@@ -148,6 +148,64 @@ let skiplist_lock_livelock_regression () =
   check "terminates" true (r.span > 0);
   check "still sorted" true (SL.check q)
 
+(* Regression: extract_min could claim a node as soon as its level-0 link
+   was visible and unlink it top-down before the inserter had linked its
+   upper levels. The late upper link left a removed node in the list, a
+   predecessor every later validation rejects, so the next insert or
+   unlink through it retried forever (the real-domain wedge of
+   test_concurrent's skiplist_lock case). A sticky policy — keep the
+   running thread 9 times in 10 — parks inserters mid-link often enough
+   to hit it within a few seeds; the watchdog turns a wedge into a
+   result. *)
+let skiplist_lock_link_before_unlink () =
+  let module SL = Baselines.Skiplist_lock_pq.Make (Sim.Runtime) (Mound.Int_ord) in
+  let module A = Sim.Runtime.Atomic in
+  let removed_still_linked (q : SL.t) =
+    let n = ref 0 in
+    for lvl = 0 to SL.max_height - 1 do
+      let rec walk (nd : SL.node) =
+        match nd.c with
+        | SL.Tail -> ()
+        | _ ->
+            if A.get nd.removed then incr n;
+            walk (A.get nd.next.(lvl))
+      in
+      walk (A.get q.head.next.(lvl))
+    done;
+    !n
+  in
+  for s = 1 to 40 do
+    let seed = Int64.of_int s in
+    Sim.Sched.seed_ambient seed;
+    let q = SL.create () in
+    for i = 1 to 4 do
+      SL.insert q (i * 1000)
+    done;
+    let rng = Prng.create seed in
+    let cur = ref 0 in
+    let policy runnable =
+      if Array.exists (fun (t, _) -> t = !cur) runnable && Prng.int rng 10 < 9
+      then !cur
+      else begin
+        cur := fst runnable.(Prng.int rng (Array.length runnable));
+        !cur
+      end
+    in
+    let body tid =
+      for i = 1 to 20 do
+        SL.insert q ((tid * 100_000) + i);
+        ignore (SL.extract_min q)
+      done
+    in
+    let r = Sim.Sched.run ~seed ~policy ~watchdog:2_000_000 [| body; body |] in
+    check_int (Printf.sprintf "no thread wedged (seed %d)" s) 0
+      (List.length r.wedged);
+    check_int
+      (Printf.sprintf "no removed node left linked (seed %d)" s)
+      0 (removed_still_linked q);
+    check (Printf.sprintf "still sorted (seed %d)" s) true (SL.check q)
+  done
+
 (* extract_many and extract_approx on the LF mound across schedules *)
 let lf_extensions_schedules () =
   let module M = Mound.Lf.Make (Sim.Runtime) (Mound.Int_ord) in
@@ -202,5 +260,7 @@ let () =
             lf_extensions_schedules;
           Alcotest.test_case "skiplist_lock livelock regression" `Quick
             skiplist_lock_livelock_regression;
+          Alcotest.test_case "skiplist_lock links before unlink" `Quick
+            skiplist_lock_link_before_unlink;
         ] );
     ]
