@@ -343,27 +343,37 @@ let on_sub_exprs (body : expression) (f : expression -> unit) =
   in
   it.expr it body
 
-(** Visit every module-level value binding as (name, bound expression) —
-    the per-function granularity the compound operators mutate at. *)
-let on_bindings (p : Frontend.parsed) (f : string -> expression -> unit) =
+(** Visit every module-level [let rec ... and ...] group as its list of
+    (name, bound expression) pairs; a non-recursive binding is a group
+    of one. *)
+let on_binding_groups (p : Frontend.parsed)
+    (f : (string * expression) list -> unit) =
   let it =
     {
       Ast_iterator.default_iterator with
       structure_item =
         (fun it si ->
           (match si.pstr_desc with
-          | Pstr_value (_, vbs) ->
-              List.iter
-                (fun vb ->
-                  match pat_var_name vb.pvb_pat with
-                  | Some name -> f name vb.pvb_expr
-                  | None -> ())
-                vbs
+          | Pstr_value (rf, vbs) ->
+              let named =
+                List.filter_map
+                  (fun vb ->
+                    Option.map (fun n -> (n, vb.pvb_expr))
+                      (pat_var_name vb.pvb_pat))
+                  vbs
+              in
+              if rf = Asttypes.Recursive then f named
+              else List.iter (fun b -> f [ b ]) named
           | _ -> ());
           Ast_iterator.default_iterator.structure_item it si);
     }
   in
   it.structure it p.p_ast
+
+(** Visit every module-level value binding as (name, bound expression) —
+    the per-function granularity the compound operators mutate at. *)
+let on_bindings p (f : string -> expression -> unit) =
+  on_binding_groups p (List.iter (fun (name, body) -> f name body))
 
 (* ------------------------------------------------------------------ *)
 (* Enabling edits: summarizable lock primitives                        *)
@@ -568,46 +578,53 @@ let sites_drop_deadline p _src =
    helping call it makes (a single dropped site leaves the loop's
    transitive [helps] intact through the others). Loops that also back
    off are skipped — static-retry cannot fire on them, the drop is
-   invisible. *)
+   invisible. A loop backs off when any function of its [let rec ...
+   and ...] group does: a spin whose [cpu_relax] sits in its partner
+   miss-path function reaches the backoff transitively, which is how
+   static-retry reads it. *)
 let sites_drop_help p src =
   let out = ref [] in
-  on_bindings p (fun name body ->
-      let b = fun_body body in
-      let bsrc = expr_src src b in
-      let backs_off =
-        seg_contains bsrc "cpu_relax" || seg_contains bsrc "backoff"
-      in
-      if not backs_off then begin
-        let self_rec = ref false in
-        let helps = ref [] in
-        let line = ref max_int in
-        on_sub_exprs b (fun e ->
-            match app_with_head_pred e (fun segs -> last_seg segs = name) with
-            | Some _ -> self_rec := true
-            | None -> (
+  let backs_off (_, body) =
+    let bsrc = expr_src src (fun_body body) in
+    seg_contains bsrc "cpu_relax" || seg_contains bsrc "backoff"
+  in
+  on_binding_groups p (fun group ->
+      if not (List.exists backs_off group) then
+        List.iter
+          (fun (name, body) ->
+            let b = fun_body body in
+            let self_rec = ref false in
+            let helps = ref [] in
+            let line = ref max_int in
+            on_sub_exprs b (fun e ->
                 match
-                  app_with_head_pred e (fun segs ->
-                      let s = last_seg segs in
-                      s <> name
-                      && (seg_contains s "moundify"
-                         || seg_contains s "help"
-                         || seg_contains s "complete"))
+                  app_with_head_pred e (fun segs -> last_seg segs = name)
                 with
-                | Some _ ->
-                    helps := replace e "()" :: !helps;
-                    line := min !line (line_of e)
-                | None -> ()));
-        if !self_rec && !helps <> [] then
-          out :=
-            {
-              s_line = !line;
-              s_note =
-                Printf.sprintf "all %d helping calls in %s deleted"
-                  (List.length !helps) name;
-              s_edits = !helps;
-            }
-            :: !out
-      end);
+                | Some _ -> self_rec := true
+                | None -> (
+                    match
+                      app_with_head_pred e (fun segs ->
+                          let s = last_seg segs in
+                          s <> name
+                          && (seg_contains s "moundify"
+                             || seg_contains s "help"
+                             || seg_contains s "complete"))
+                    with
+                    | Some _ ->
+                        helps := replace e "()" :: !helps;
+                        line := min !line (line_of e)
+                    | None -> ()));
+            if !self_rec && !helps <> [] then
+              out :=
+                {
+                  s_line = !line;
+                  s_note =
+                    Printf.sprintf "all %d helping calls in %s deleted"
+                      (List.length !helps) name;
+                  s_edits = !helps;
+                }
+                :: !out)
+          group);
   !out
 
 let stamp_fields = [ "seq"; "ver"; "stamp"; "epoch" ]
@@ -864,6 +881,25 @@ let sites_swap_lock_order p src =
       :: !out
   in
   let enab = enabling_lock_edits p src in
+  (* The hand-over-hand pair of the deadline-aware paths, where a failed
+     parent acquisition must give up before the child is tried: either
+     [match acquire parent with Some wp -> match acquire child] or
+     [let wp = acquire parent in if wp == gave_up then ... else let wc =
+     acquire child]. The swap inverts parent/child and carries the
+     enabling edits, which let the summary track the acquisitions. The
+     enabling edits alone already trip lock-leak in such a file, so that
+     kill is not specific to the swap: in the [match] shape the walk
+     counts a failed acquire's [None] arm as still holding the lock; in
+     the sentinel shape it reports the loop functions that hand the
+     witness their [spin] acquired back to the caller ([miss],
+     [set_lock_until]) as leaking it. The lock-inversion liveness twin
+     is the guard that is specific. *)
+  let swap_guarded s1 s2 =
+    swap
+      ~note:"hand-over-hand acquisitions inverted (witness inlined for the \
+             summary)"
+      ~extra:enab s1 s2
+  in
   on_exprs p (fun e ->
       match e.pexp_desc with
       | Pexp_sequence (e1, rest) when lock_call e1 ->
@@ -875,35 +911,27 @@ let sites_swap_lock_order p src =
           match body.pexp_desc with
           | Pexp_let (_, [ vb2 ], _) when lock_call vb2.pvb_expr ->
               swap vb1.pvb_expr vb2.pvb_expr
+          | Pexp_ifthenelse
+              (_, _, Some { pexp_desc = Pexp_let (_, [ vb2 ], _); _ })
+            when lock_call vb2.pvb_expr && enab <> [] ->
+              swap_guarded vb1.pvb_expr vb2.pvb_expr
           | _ -> ())
       | Pexp_match (s1, cases) when lock_call s1 && enab <> [] ->
-          (* [match acquire parent with Some wp -> match acquire child]:
-             the hand-over-hand pair of the deadline-aware paths. The
-             swap inverts parent/child; the enabling edits let the
-             summary track the acquisitions, and lock-leak flags the
-             pair. The enabling edits alone already trip lock-leak
-             here (a failed acquire's [None] arm still counts as
-             holding the lock), so that kill is not specific to the
-             swap; the lock-inversion liveness twin is the guard that
-             is. *)
           List.iter
             (fun c ->
               match c.pc_rhs.pexp_desc with
-              | Pexp_match (s2, _) when lock_call s2 ->
-                  swap
-                    ~note:
-                      "hand-over-hand acquisitions inverted (witness \
-                       inlined for the summary)"
-                    ~extra:enab s1 s2
+              | Pexp_match (s2, _) when lock_call s2 -> swap_guarded s1 s2
               | _ -> ())
             cases
       | _ -> ());
   !out
 
-(* Delete one release call on a path whose acquisition the summaries
-   can track (a direct [set_lock_until] caller, with the enabling edits
-   applied) — that path then reaches the end of the function still
-   holding the node and lock-leak fires. Files without the witness
+(* Delete one release call in a function that takes node locks through
+   [set_lock_until], with the enabling edits applied: the path then
+   reaches the end of the function still holding the node, the leak
+   lock-leak exists to flag. In the locking mound the enabling edits
+   alone already trip lock-leak (see [sites_swap_lock_order]), so that
+   kill is not specific to the drop. Files without the witness
    machinery have no sites: their release calls are invisible to the
    analysis in the first place, so the drop could never be observed. *)
 let sites_drop_unlock p src =

@@ -440,8 +440,8 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
                 col.out <- nested @ col.out;
                 (* fold the nested body into the host under the HOST's
                    parameters: a lock acquired by an inner spin loop on
-                   a slot the host received ([set_lock]'s shape) makes
-                   the host itself the acquirer *)
+                   a slot the host received (a spin written as a local
+                   closure) makes the host itself the acquirer *)
                 let col2 =
                   {
                     calls = [];

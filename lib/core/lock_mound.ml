@@ -52,9 +52,26 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
             before spinners may revoke it; 0 disables revocation *)
   }
 
-  let vcompare = Intf.Value.compare Ord.compare
-
   let node_value n = match n.list with [] -> None | x :: _ -> Some x
+
+  (* The hot paths compare list heads directly instead of boxing them
+     with [node_value]: an empty list is ⊤, as [None] is in
+     [Intf.Value]. *)
+  let head_compare a b =
+    match (a, b) with
+    | [], [] -> 0
+    | [], _ :: _ -> 1
+    | _ :: _, [] -> -1
+    | x :: _, y :: _ -> Ord.compare x y
+
+  let head_ge l v = match l with [] -> true | x :: _ -> Ord.compare x v >= 0
+  let head_le l v = match l with [] -> false | x :: _ -> Ord.compare x v <= 0
+
+  (* What an acquisition returns when it gives up (deadline expiry, or a
+     [try_lock] that loses), and the lease timer's "no holder observed
+     yet". It is never installed in a slot, so [w == gave_up] holds for
+     this record alone. *)
+  let gave_up = { list = []; locked = true; seq = -1 }
 
   let create ?threshold ?init_depth ?(lease = 0) () =
     let make_slot () = R.Atomic.make { list = []; locked = false; seq = 0 } in
@@ -97,61 +114,63 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
 
   (* Spin until the node is acquired, honouring [deadline] and — when a
      lease is set — revoking holders that exceed it. Returns the locked
-     record we installed (the witness), or [None] on deadline expiry.
+     record we installed (the witness), or [gave_up] on deadline expiry.
      [node]/[level] locate the slot in the tree so an expired-lease
      takeover can restore the mound property below it (paper F1–F4, plus
-     recovery). *)
-  let rec set_lock_until t slot ~node ~level ~deadline =
-    (* [seen]/[since]: the first observation of the current holder's
-       witness and our clock at that observation — the lease timer. A
-       different record restarts the timer (a new tenure began). *)
-    let rec spin tries seen since =
-      let n = R.Atomic.get slot in
-      if not n.locked then begin
-        let mine = { list = n.list; locked = true; seq = n.seq + 1 } in
-        if R.Atomic.compare_and_set slot n mine then Some mine
-        else miss tries seen since
-      end
-      else if t.lease > 0 then begin
-        let now = R.monotonic_ns () in
-        match seen with
-        | Some w when w == n ->
-            if now - since > t.lease then begin
-              (* Holder exceeded its lease: presume it dead and take the
-                 lock directly from its witness. The CAS is the whole
-                 revocation — from here on the old holder's witnessed
-                 writes all fail. *)
-              let mine = { list = n.list; locked = true; seq = n.seq + 1 } in
-              if R.Atomic.compare_and_set slot n mine then begin
-                t.ops.lock_recoveries <- t.ops.lock_recoveries + 1;
-                (* The holder may have died mid-protocol; restore the
-                   mound property below this node (which also releases
-                   it), then compete for the lock normally. *)
-                moundify t node ~level ~witness:mine;
-                spin tries None 0
-              end
-              else miss tries seen since
-            end
-            else miss tries seen since
-        | _ -> miss tries (Some n) now
-      end
-      else miss tries seen since
-    and miss tries seen since =
-      t.ops.lock_spins <- t.ops.lock_spins + 1;
-      if tries = near_miss_spins then
-        t.ops.livelock_near_misses <- t.ops.livelock_near_misses + 1;
-      if expired ~deadline then None
-      else begin
-        R.cpu_relax ();
-        spin (tries + 1) seen since
-      end
-    in
-    spin 0 None 0
+     recovery). [seen]/[since] are the lease timer: the first observation
+     of the current holder's witness and our clock at that observation.
+     A different record restarts the timer (a new tenure began). The
+     loop is two top-level functions with explicit parameters, so an
+     acquisition allocates nothing but the witness. *)
+  let rec spin t slot ~node ~level ~deadline tries seen since =
+    let n = R.Atomic.get slot in
+    if not n.locked then begin
+      let mine = { list = n.list; locked = true; seq = n.seq + 1 } in
+      if R.Atomic.compare_and_set slot n mine then mine
+      else miss t slot ~node ~level ~deadline tries seen since
+    end
+    else if t.lease > 0 then begin
+      let now = R.monotonic_ns () in
+      if seen == n then
+        if now - since > t.lease then begin
+          (* Holder exceeded its lease: presume it dead and take the
+             lock directly from its witness. The CAS is the whole
+             revocation — from here on the old holder's witnessed
+             writes all fail. *)
+          let mine = { list = n.list; locked = true; seq = n.seq + 1 } in
+          if R.Atomic.compare_and_set slot n mine then begin
+            t.ops.lock_recoveries <- t.ops.lock_recoveries + 1;
+            (* The holder may have died mid-protocol; restore the
+               mound property below this node (which also releases
+               it), then compete for the lock normally. *)
+            moundify t node ~level ~witness:mine;
+            spin t slot ~node ~level ~deadline tries gave_up 0
+          end
+          else miss t slot ~node ~level ~deadline tries seen since
+        end
+        else miss t slot ~node ~level ~deadline tries seen since
+      (* lint: allow — a new holder restarts the lease timer: [n] is only
+         ever compared with [==] against a later read, never stored *)
+      else miss t slot ~node ~level ~deadline tries n now
+    end
+    else miss t slot ~node ~level ~deadline tries seen since
 
+  and miss t slot ~node ~level ~deadline tries seen since =
+    t.ops.lock_spins <- t.ops.lock_spins + 1;
+    if tries = near_miss_spins then
+      t.ops.livelock_near_misses <- t.ops.livelock_near_misses + 1;
+    if expired ~deadline then gave_up
+    else begin
+      R.cpu_relax ();
+      spin t slot ~node ~level ~deadline (tries + 1) seen since
+    end
+
+  and set_lock_until t slot ~node ~level ~deadline =
+    spin t slot ~node ~level ~deadline 0 gave_up 0
+
+  (* No deadline: the spin never gives up, so the result is a witness. *)
   and set_lock t slot ~node ~level =
-    match set_lock_until t slot ~node ~level ~deadline:Intf.no_deadline with
-    | Some w -> w
-    | None -> assert false (* no deadline: the spin never gives up *)
+    set_lock_until t slot ~node ~level ~deadline:Intf.no_deadline
 
   (* Precondition: the caller holds the lock on [n] via [witness], and
      [level] is ⌊log₂ n⌋ — the traversal always knows it (the root is
@@ -171,10 +190,8 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       and rslot = T.get_at t.tree ~level:(level + 1) ((2 * n) + 1) in
       let wl = set_lock t lslot ~node:(2 * n) ~level:(level + 1) in
       let wr = set_lock t rslot ~node:((2 * n) + 1) ~level:(level + 1) in
-      let vn = match nlist with [] -> None | x :: _ -> Some x
-      and vl = node_value wl
-      and vr = node_value wr in
-      if vcompare vl vr <= 0 && vcompare vl vn < 0 then begin
+      if head_compare wl.list wr.list <= 0 && head_compare wl.list nlist < 0
+      then begin
         (* Swap lists with the left child, which keeps our old list and
            stays locked while we recurse into it — hand-over-hand. The
            child is re-stamped first so that if our own lock on [n] has
@@ -190,7 +207,9 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
           ignore (unlock t slot ~witness nlist)
         end
       end
-      else if vcompare vr vl < 0 && vcompare vr vn < 0 then begin
+      else if
+        head_compare wr.list wl.list < 0 && head_compare wr.list nlist < 0
+      then begin
         let wr' = { list = nlist; locked = true; seq = wr.seq + 1 } in
         if restamp t rslot ~witness:wr wr' then begin
           ignore (unlock t lslot ~witness:wl wl.list);
@@ -211,32 +230,33 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
 
   let rec extract_min_until t ~deadline =
     let slot = T.get_at t.tree ~level:0 1 in
-    match set_lock_until t slot ~node:1 ~level:0 ~deadline with
-    | None ->
-        bump_timeout t;
-        Intf.Timeout
-    | Some w -> (
-        match w.list with
-        | [] ->
-            ignore (unlock t slot ~witness:w []);
-            Intf.Ok None
-        | hd :: tl ->
-            (* Remove the head, keep the root locked, and let moundify
-               release it (F9–F12). *)
-            let w' = { list = tl; locked = true; seq = w.seq + 1 } in
-            if restamp t slot ~witness:w w' then begin
-              moundify t 1 ~level:0 ~witness:w';
-              Intf.Ok (Some hd)
+    let w = set_lock_until t slot ~node:1 ~level:0 ~deadline in
+    if w == gave_up then begin
+      bump_timeout t;
+      Intf.Timeout
+    end
+    else
+      match w.list with
+      | [] ->
+          ignore (unlock t slot ~witness:w []);
+          Intf.Ok None
+      | hd :: tl ->
+          (* Remove the head, keep the root locked, and let moundify
+             release it (F9–F12). *)
+          let w' = { list = tl; locked = true; seq = w.seq + 1 } in
+          if restamp t slot ~witness:w w' then begin
+            moundify t 1 ~level:0 ~witness:w';
+            Intf.Ok (Some hd)
+          end
+          else begin
+            (* revoked between acquisition and behead: nothing removed *)
+            t.ops.extract_retries <- t.ops.extract_retries + 1;
+            if expired ~deadline then begin
+              bump_timeout t;
+              Intf.Timeout
             end
-            else begin
-              (* revoked between acquisition and behead: nothing removed *)
-              t.ops.extract_retries <- t.ops.extract_retries + 1;
-              if expired ~deadline then begin
-                bump_timeout t;
-                Intf.Timeout
-              end
-              else extract_min_until t ~deadline
-            end)
+            else extract_min_until t ~deadline
+          end
 
   let extract_min t =
     match extract_min_until t ~deadline:Intf.no_deadline with
@@ -305,120 +325,111 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
     in
     let c, clvl = T.find_insert_point_lv t.tree ~ge in
     let cslot = T.get_at t.tree ~level:clvl c in
-    if c = 1 then
-      match set_lock_until t cslot ~node:1 ~level:0 ~deadline with
-      | None ->
-          bump_timeout t;
-          Intf.Timeout
-      | Some w ->
-          if Intf.Value.ge_elt Ord.compare (node_value w) v then
-            if unlock t cslot ~witness:w (v :: w.list) then Intf.Ok ()
-            else retry () (* revoked before publication: not inserted *)
-          else begin
-            ignore (unlock t cslot ~witness:w w.list);
-            retry ()
-          end
+    if c = 1 then begin
+      let w = set_lock_until t cslot ~node:1 ~level:0 ~deadline in
+      if w == gave_up then begin
+        bump_timeout t;
+        Intf.Timeout
+      end
+      else if head_ge w.list v then
+        if unlock t cslot ~witness:w (v :: w.list) then Intf.Ok ()
+        else retry () (* revoked before publication: not inserted *)
+      else begin
+        ignore (unlock t cslot ~witness:w w.list);
+        retry ()
+      end
+    end
     else begin
       (* Parent before child, matching moundify's order (F45–F46). *)
       let pslot = T.get_at t.tree ~level:(clvl - 1) (c / 2) in
-      match set_lock_until t pslot ~node:(c / 2) ~level:(clvl - 1) ~deadline with
-      | None ->
+      let wp = set_lock_until t pslot ~node:(c / 2) ~level:(clvl - 1) ~deadline in
+      if wp == gave_up then begin
+        bump_timeout t;
+        Intf.Timeout
+      end
+      else
+        let wc = set_lock_until t cslot ~node:c ~level:clvl ~deadline in
+        if wc == gave_up then begin
+          ignore (unlock t pslot ~witness:wp wp.list);
           bump_timeout t;
           Intf.Timeout
-      | Some wp -> (
-          match set_lock_until t cslot ~node:c ~level:clvl ~deadline with
-          | None ->
-              ignore (unlock t pslot ~witness:wp wp.list);
-              bump_timeout t;
-              Intf.Timeout
-          | Some wc ->
-              if
-                Intf.Value.ge_elt Ord.compare (node_value wc) v
-                && Intf.Value.le_elt Ord.compare (node_value wp) v
-              then begin
-                let published = unlock t cslot ~witness:wc (v :: wc.list) in
-                ignore (unlock t pslot ~witness:wp wp.list);
-                if published then Intf.Ok () else retry ()
-              end
-              else begin
-                ignore (unlock t pslot ~witness:wp wp.list);
-                ignore (unlock t cslot ~witness:wc wc.list);
-                retry ()
-              end)
+        end
+        else if head_ge wc.list v && head_le wp.list v then begin
+          let published = unlock t cslot ~witness:wc (v :: wc.list) in
+          ignore (unlock t pslot ~witness:wp wp.list);
+          if published then Intf.Ok () else retry ()
+        end
+        else begin
+          ignore (unlock t pslot ~witness:wp wp.list);
+          ignore (unlock t cslot ~witness:wc wc.list);
+          retry ()
+        end
     end
 
   let insert t v =
-    let ge i =
-      Intf.Value.ge_elt Ord.compare (node_value (R.Atomic.get (T.get t.tree i))) v
-    in
+    let ge i = head_ge (R.Atomic.get (T.get t.tree i)).list v in
     match insert_attempt t v ~ge ~deadline:Intf.no_deadline with
     | Intf.Ok () -> ()
     | Timeout | Rejected -> assert false (* no deadline, no admission *)
 
   let insert_until t ~deadline v =
-    let ge i =
-      Intf.Value.ge_elt Ord.compare (node_value (R.Atomic.get (T.get t.tree i))) v
-    in
+    let ge i = head_ge (R.Atomic.get (T.get t.tree i)).list v in
     insert_attempt t v ~ge ~deadline
 
-  (* Single acquisition attempt: no spinning, no lease accounting. *)
+  (* Single acquisition attempt: no spinning, no lease accounting.
+     Returns the witness, or [gave_up] when the node is held or the CAS
+     loses. *)
   let try_lock t slot =
     let n = R.Atomic.get slot in
     if n.locked then begin
       t.ops.lock_spins <- t.ops.lock_spins + 1;
-      None
+      gave_up
     end
     else
       let mine = { list = n.list; locked = true; seq = n.seq + 1 } in
-      if R.Atomic.compare_and_set slot n mine then Some mine
+      if R.Atomic.compare_and_set slot n mine then mine
       else begin
         t.ops.lock_spins <- t.ops.lock_spins + 1;
-        None
+        gave_up
       end
 
   (** One bounded pass with try-locks: probe once, acquire without
       spinning, publish or report [false]. Never blocks behind a held
       lock — the admission path the bounded front-end uses. *)
   let try_insert t v =
-    let ge i =
-      Intf.Value.ge_elt Ord.compare (node_value (R.Atomic.get (T.get t.tree i))) v
-    in
+    let ge i = head_ge (R.Atomic.get (T.get t.tree i)).list v in
     let c, clvl = T.find_insert_point_lv t.tree ~ge in
     let cslot = T.get_at t.tree ~level:clvl c in
     let ok =
-      if c = 1 then
-        match try_lock t cslot with
-        | None -> false
-        | Some w ->
-            if Intf.Value.ge_elt Ord.compare (node_value w) v then
-              unlock t cslot ~witness:w (v :: w.list)
-            else begin
-              ignore (unlock t cslot ~witness:w w.list);
-              false
-            end
+      if c = 1 then begin
+        let w = try_lock t cslot in
+        if w == gave_up then false
+        else if head_ge w.list v then unlock t cslot ~witness:w (v :: w.list)
+        else begin
+          ignore (unlock t cslot ~witness:w w.list);
+          false
+        end
+      end
       else
         let pslot = T.get_at t.tree ~level:(clvl - 1) (c / 2) in
-        match try_lock t pslot with
-        | None -> false
-        | Some wp -> (
-            match try_lock t cslot with
-            | None ->
-                ignore (unlock t pslot ~witness:wp wp.list);
-                false
-            | Some wc ->
-                if
-                  Intf.Value.ge_elt Ord.compare (node_value wc) v
-                  && Intf.Value.le_elt Ord.compare (node_value wp) v
-                then begin
-                  let published = unlock t cslot ~witness:wc (v :: wc.list) in
-                  ignore (unlock t pslot ~witness:wp wp.list);
-                  published
-                end
-                else begin
-                  ignore (unlock t pslot ~witness:wp wp.list);
-                  ignore (unlock t cslot ~witness:wc wc.list);
-                  false
-                end)
+        let wp = try_lock t pslot in
+        if wp == gave_up then false
+        else
+          let wc = try_lock t cslot in
+          if wc == gave_up then begin
+            ignore (unlock t pslot ~witness:wp wp.list);
+            false
+          end
+          else if head_ge wc.list v && head_le wp.list v then begin
+            let published = unlock t cslot ~witness:wc (v :: wc.list) in
+            ignore (unlock t pslot ~witness:wp wp.list);
+            published
+          end
+          else begin
+            ignore (unlock t pslot ~witness:wp wp.list);
+            ignore (unlock t cslot ~witness:wc wc.list);
+            false
+          end
     in
     if not ok then t.ops.rejected <- t.ops.rejected + 1;
     ok
@@ -450,11 +461,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
             go rest_after_hd batch_tries
           end
           else begin
-            let ge i =
-              Intf.Value.ge_elt Ord.compare
-                (node_value (R.Atomic.get (T.get t.tree i)))
-                hd
-            in
+            let ge i = head_ge (R.Atomic.get (T.get t.tree i)).list hd in
             let c, clvl = T.find_insert_point_lv t.tree ~ge in
             let cslot = T.get_at t.tree ~level:clvl c in
             if c = 1 then begin
@@ -477,8 +484,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
               let wc = set_lock t cslot ~node:c ~level:clvl in
               let limit = node_value wc in
               if
-                Intf.Value.ge_elt Ord.compare limit hd
-                && Intf.Value.le_elt Ord.compare (node_value wp) hd
+                Intf.Value.ge_elt Ord.compare limit hd && head_le wp.list hd
               then begin
                 let prefix, rest = split_prefix limit [] batch in
                 let published = unlock t cslot ~witness:wc (prefix @ wc.list) in

@@ -96,6 +96,34 @@ let mirrors_lf_results () =
   check "identical drains" true
     (drain (fun () -> L.extract_min lf) [] = drain (fun () -> K.extract_min lk) [])
 
+(* Minor words per operation on one domain: a seeded fill of 2^12 keys,
+   then the drain to empty. What is left is the protocol's own records
+   (one witness per acquisition, one per restamp and unlock), so a
+   per-acquisition closure, an option per probed node or a boxed list
+   head cannot creep back into the hot paths unnoticed. *)
+let allocation_budget () =
+  let n = 1 lsl 12 in
+  let rng = Prng.create 7L in
+  let keys = Array.init n (fun _ -> Prng.int rng 1_000_000) in
+  let q = K.create () in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    K.insert q keys.(i)
+  done;
+  let w1 = Gc.minor_words () in
+  let extracted = ref 0 in
+  while K.extract_min q <> None do
+    incr extracted
+  done;
+  let w2 = Gc.minor_words () in
+  let per_insert = (w1 -. w0) /. float_of_int n
+  and per_extract = (w2 -. w1) /. float_of_int n in
+  Printf.printf "words per op: insert %.1f, extract_min %.1f\n" per_insert
+    per_extract;
+  check_int "drained every key" n !extracted;
+  check "insert <= 70 words" true (per_insert <= 70.);
+  check "extract_min <= 210 words" true (per_extract <= 210.)
+
 let () =
   Alcotest.run "mound_lock"
     [
@@ -115,5 +143,6 @@ let () =
             insert_many_roundtrip;
           Alcotest.test_case "mirrors lock-free results" `Quick
             mirrors_lf_results;
+          Alcotest.test_case "allocation budget" `Quick allocation_budget;
         ] );
     ]

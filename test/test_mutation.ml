@@ -251,6 +251,78 @@ let test_baseline_rederives_seeded () =
           rule)
     seeded_classes
 
+(* ---- operator shapes ---------------------------------------------------- *)
+
+(* A locking fixture in the shapes an allocation-lean lock takes: the
+   acquisition loop is a [let rec spin ... and miss ...] pair whose
+   backoff sits in [miss], and a give-up is a sentinel witness checked
+   with [==] before the child is locked. [spin] helps but its group backs
+   off, so [drop-help] has no site (static-retry could never see the
+   drop); the parent/child pair behind the give-up check is one
+   [swap-lock-order] site. *)
+let giveup_fixture =
+  {|
+type node = { list : int list; locked : bool; seq : int }
+
+let gave_up = { list = []; locked = true; seq = -1 }
+
+let restamp slot ~witness fresh = Atomic.compare_and_set slot witness fresh
+
+let unlock slot ~witness list =
+  restamp slot ~witness { list; locked = false; seq = witness.seq + 1 }
+
+let rec spin t slot ~deadline =
+  let n = Atomic.get slot in
+  if not n.locked then begin
+    let mine = { list = n.list; locked = true; seq = n.seq + 1 } in
+    if Atomic.compare_and_set slot n mine then mine
+    else miss t slot ~deadline
+  end
+  else if t.revoke then begin
+    moundify t slot;
+    spin t slot ~deadline
+  end
+  else miss t slot ~deadline
+
+and miss t slot ~deadline =
+  if expired ~deadline then gave_up
+  else begin
+    cpu_relax ();
+    spin t slot ~deadline
+  end
+
+and set_lock_until t slot ~deadline = spin t slot ~deadline
+
+let insert t pslot cslot v ~deadline =
+  let wp = set_lock_until t pslot ~deadline in
+  if wp == gave_up then false
+  else
+    let wc = set_lock_until t cslot ~deadline in
+    if wc == gave_up then begin
+      ignore (unlock pslot ~witness:wp wp.list);
+      false
+    end
+    else begin
+      ignore (unlock pslot ~witness:wp wp.list);
+      unlock cslot ~witness:wc (v :: wc.list)
+    end
+|}
+
+let test_giveup_shapes () =
+  let ms =
+    Analysis.Mutate.mutants
+      ~ops:[ "drop-help"; "swap-lock-order" ]
+      [ ("lib/core/giveup.ml", giveup_fixture) ]
+  in
+  let count op =
+    List.length
+      (List.filter (fun (m : Analysis.Mutate.mutant) -> m.m_op = op) ms)
+  in
+  Alcotest.(check int) "no drop-help site on a backing-off group" 0
+    (count "drop-help");
+  Alcotest.(check int) "one swap-lock-order site through the give-up check"
+    1 (count "swap-lock-order")
+
 (* ---- the live regression guard ----------------------------------------- *)
 
 let context_roots root =
@@ -359,6 +431,11 @@ let () =
             test_baseline_rederives_seeded;
           Alcotest.test_case "operators target registered rules" `Quick
             test_operator_rules_registered;
+        ] );
+      ( "operators",
+        [
+          Alcotest.test_case "give-up shapes: no drop-help, one swap" `Quick
+            test_giveup_shapes;
         ] );
       ( "guard",
         [
