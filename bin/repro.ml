@@ -8,7 +8,7 @@
     repro chaos [--seed S] [--full]        # crash-stop + fault-injection sweep
     repro dpor [PROGRAM] [--schedule S]    # DPOR model checking / replay
     repro progress [PROGRAM] [--quick]     # liveness certification / replay
-    repro lint [--rule R] [--json] [DIR..] # token + AST lint engines
+    repro lint [--rule R] [--json] [DIR..] # Parsetree lint, 16 rules
     repro all [--quick]                    # everything, in paper order
     v} *)
 
@@ -705,7 +705,7 @@ let run_progress program quick seed prefix pump =
           | prefix, pump ->
               let seed = Int64.of_int seed in
               let reproduced =
-                Liveness.run_cycle ~config ~seed e.program ~prefix ~pump
+                Liveness.run_cycle ~seed e.program ~prefix ~pump
               in
               Format.fprintf ppf "%s: cycle %s@." e.name
                 (if reproduced then "REPRODUCED (non-progress confirmed)"
@@ -756,17 +756,14 @@ let progress_cmd =
         (const run_progress $ program_arg $ quick_flag $ seed_arg
        $ prefix_arg $ pump_arg))
 
-(* ---------- lint: token rules + AST analyses ---------- *)
+(* ---------- lint: every rule on the Parsetree ---------- *)
 
-(* One rule per line, tab-separated name/engine/description, straight
-   from the registry — what CI and the README table are checked against
-   so neither can drift from the registered rule set. *)
+(* One rule per line, tab-separated name/description, straight from the
+   registry — what CI and the README table are checked against so
+   neither can drift from the registered rule set. *)
 let run_list_rules () =
   List.iter
-    (fun (name, engine, descr) ->
-      Printf.printf "%s\t%s\t%s\n" name
-        (match engine with Analysis.Ast -> "ast" | Analysis.Token -> "token")
-        descr)
+    (fun (name, descr) -> Printf.printf "%s\t%s\n" name descr)
     Analysis.rule_table
 
 let run_lint list_rules rule json roots =
@@ -799,7 +796,7 @@ let run_lint list_rules rule json roots =
    registry listing, never a silent no-match filter. *)
 let rule_conv =
   let parse s =
-    if List.exists (fun (n, _, _) -> n = s) Analysis.rule_table then Ok s
+    if List.mem_assoc s Analysis.rule_table then Ok s
     else
       Error
         (`Msg
@@ -832,7 +829,7 @@ let lint_cmd =
       & info [ "list-rules" ]
           ~doc:
             "Print the registered rule table (one rule per line: \
-             name, engine, description, tab-separated) and exit.")
+             name and description, tab-separated) and exit.")
   in
   let roots_arg =
     Arg.(
@@ -840,9 +837,10 @@ let lint_cmd =
       & info [] ~docv:"DIR" ~doc:"Trees to scan (default: lib).")
   in
   let doc =
-    "Run both lint engines (token rules and the AST analyses: \
-     lock-leak, publication safety, helping discipline, and the \
-     dataflow rules aba-risk / atomicity / layout) over source trees."
+    "Run the lint over source trees: every rule on each file's \
+     Parsetree (runtime boundary, mutable-atomic, the helping \
+     discipline, lock-leak, publication safety, and the dataflow rules \
+     aba-risk / atomicity / layout), through one waiver machinery."
   in
   Cmd.v (Cmd.info "lint" ~doc)
     Term.(const run_lint $ list_rules_arg $ rule_arg $ json_arg $ roots_arg)
@@ -865,7 +863,7 @@ let run_list_ops () =
 let mutation_context_roots = [ "lib/core"; "lib/mcas"; "lib/runtime" ]
 
 let read_context () =
-  List.concat_map Lint_rules.files_under mutation_context_roots
+  List.concat_map Analysis.files_under mutation_context_roots
   |> List.sort compare
   |> List.map (fun p -> (p, Analysis.read_file p))
 

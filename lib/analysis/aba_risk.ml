@@ -55,7 +55,7 @@ let cas_triples = function
   | "dcas" -> [ (0, 1, 2); (3, 4, 5) ]
   | _ -> []
 
-let scan_fn writers (f : Summary.fn) : Lint_rules.finding list =
+let scan_fn writers (f : Summary.fn) : Frontend.finding list =
   let findings = ref [] in
   let self = String.concat "." f.fpath in
   let recycled_elsewhere key =
@@ -82,7 +82,7 @@ let scan_fn writers (f : Summary.fn) : Lint_rules.finding list =
                    && recycled_elsewhere key ->
                 findings :=
                   {
-                    Lint_rules.file = f.ffile;
+                    Frontend.file = f.ffile;
                     line;
                     rule;
                     msg =
@@ -102,12 +102,12 @@ let scan_fn writers (f : Summary.fn) : Lint_rules.finding list =
   Dataflow.run { Dataflow.no_hooks with h_cas } f.fbody;
   List.rev !findings
 
-let scan (cg : Callgraph.t) : Lint_rules.finding list =
+let scan (cg : Callgraph.t) : Frontend.finding list =
   let writers = writers_table cg in
   Array.to_list (Callgraph.fns cg)
   |> List.concat_map (fun (f : Summary.fn) ->
          if
-           Lint_rules.helping_exempt_path f.ffile
+           Frontend.helping_exempt_path f.ffile
            || Callgraph.is_substrate_file cg f.ffile
          then []
          else scan_fn writers f)

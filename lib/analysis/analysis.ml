@@ -1,23 +1,24 @@
-(** AST-based static analyzer: entry points and engine composition.
+(** The lint: entry points and rule composition.
 
-    Drives both engines over a set of sources: the token lint
-    ({!Lint_rules}) and the Parsetree analyses ({!Lock_order}'s
+    Parses each source once ({!Frontend}: [.ml] and [.mli] alike) and
+    runs every rule on that tree: the per-file rules of {!File_rules}
+    (runtime boundary, mutable-atomic, the helping-discipline rules,
+    format) and the cross-module Parsetree analyses ({!Lock_order}'s
     lock-leak, {!Publication}, {!Helping}, and the {!Dataflow}-powered
-    {!Aba_risk}, {!Atomicity} and {!Layout}), merging their findings
+    {!Aba_risk}, {!Atomicity} and {!Layout}). All findings of a file go
     through the {e same} waiver machinery — a [lint: allow] comment with
-    a reason silences an AST finding on its covered lines exactly as it
-    silences a token finding, and waiver hygiene (reason required, stale
-    waivers rejected) is judged against the union of both engines'
-    findings. A token finding and an AST finding on the same line are
-    both reported: each names its own rule.
+    a reason silences any finding on its covered lines, and waiver
+    hygiene (reason required, stale waivers rejected) is judged against
+    all of them. Co-located findings are all reported: each names its
+    own rule. A file that does not parse reports [parse] and [format]
+    only.
 
     Cross-module facts (the call graph, transitive effects) need the
     whole file set at once, so the primary entry is {!scan_files};
-    {!scan_tree} feeds it every [.ml] under a root. Interface files get
-    the token engine only. Files in exempt paths ([runtime], [sim],
-    [baselines]) are still parsed and summarized — their definitions
-    ({!Backoff.Make.exponential}) must be linkable — but produce no
-    AST findings of their own. *)
+    {!scan_trees} feeds it every [.ml]/[.mli] under some roots. Files in
+    exempt paths ([runtime], [sim], [baselines]) are still parsed and
+    summarized — their definitions ({!Backoff.Make.exponential}) must be
+    linkable — but produce no cross-module findings of their own. *)
 
 module Summary = Summary
 module Callgraph = Callgraph
@@ -25,88 +26,70 @@ module Frontend = Frontend
 module Mutate = Mutate
 module Killmatrix = Killmatrix
 
-type finding = Lint_rules.finding = {
+type finding = Frontend.finding = {
   file : string;
   line : int;
   rule : string;
   msg : string;
 }
 
-let pp_finding = Lint_rules.pp_finding
+let pp_finding = Frontend.pp_finding
 
 (* The single registry every consumer derives from: [repro lint --rule]
    completion, [--list-rules] output, and the README rule table (CI
    greps each name against it). Adding a rule means adding a row here —
    nothing else can drift. *)
-type engine = Ast | Token
-
-let rule_table : (string * engine * string) list =
+let rule_table : (string * string) list =
   [
-    ("lock-leak", Ast, "path returns with an acquired lock never released");
-    ("stale-publish", Ast, "CASes back a value read from the shared structure without re-validation");
-    ("post-publish-mutation", Ast, "plain field write through a record already published to other threads");
-    ("static-retry", Ast, "call-graph CAS retry cycle reaching neither helping nor backoff");
-    ("static-deadline", Ast, "unbounded retry cycle that never consults a deadline");
-    ("aba-risk", Ast, "CAS expected value from an un-revalidated read of a recycled location");
-    ("atomicity", Ast, "plain set stores a value computed from the same location's atomic read");
-    ("layout", Ast, "adjacent hot fields share a cache line across CAS-performing functions");
-    ("parse", Ast, "source does not parse; AST analyses skipped for the file");
-    ("boundary", Token, "direct OS/clock/domain primitive where the Runtime functor is required");
-    ("mutable-atomic", Token, "mutable record field in concurrent code that should be Atomic.t");
-    ("cas-discard", Token, "CAS result discarded: failure path never observed");
-    ("retry-no-backoff", Token, "retry loop without a backoff call");
-    ("alloc-in-retry", Token, "fresh allocation inside a CAS retry loop");
-    ("format", Token, "tab/trailing-whitespace/final-newline hygiene");
-    ("waiver", Token, "lint: allow marker malformed, reasonless, or stale");
+    ("lock-leak", "path returns with an acquired lock never released");
+    ("stale-publish", "CASes back a value read from the shared structure without re-validation");
+    ("post-publish-mutation", "plain field write through a record already published to other threads");
+    ("static-retry", "call-graph CAS retry cycle reaching neither helping nor backoff");
+    ("static-deadline", "unbounded retry cycle that never consults a deadline");
+    ("aba-risk", "CAS expected value from an un-revalidated read of a recycled location");
+    ("atomicity", "plain set stores a value computed from the same location's atomic read");
+    ("layout", "adjacent hot fields share a cache line across CAS-performing functions");
+    ("parse", "source does not parse; AST analyses skipped for the file");
+    ("boundary", "direct OS/clock/domain primitive where the Runtime functor is required");
+    ("mutable-atomic", "mutable record field in concurrent code that should be Atomic.t");
+    ("cas-discard", "CAS result discarded: failure path never observed");
+    ("retry-no-backoff", "retry loop without a backoff call");
+    ("alloc-in-retry", "fresh allocation inside a CAS retry loop");
+    ("format", "tab/trailing-whitespace/final-newline hygiene");
+    ("waiver", "lint: allow marker malformed, reasonless, or stale");
   ]
 
-(* The AST findings for a set of implementation sources, keyed by file.
+(* The cross-module findings of a parsed file set, keyed by file.
    Exempt paths contribute summaries but never findings. *)
-let static_findings (files : (string * string) list) :
+let cross_module (parsed : Frontend.parsed list) :
     (string, finding list) Hashtbl.t =
-  let parse_errors = ref [] in
-  let parsed =
-    List.filter_map
-      (fun (path, src) ->
-        if Filename.check_suffix path ".mli" then None
-        else
-          match Frontend.parse ~path src with
-          | Ok p -> Some p
-          | Error f ->
-              parse_errors := f :: !parse_errors;
-              None)
-      files
-  in
-  let fns = List.concat_map Summary.of_parsed parsed in
-  let cg = Callgraph.build fns in
+  let cg = Callgraph.build (List.concat_map Summary.of_parsed parsed) in
   let all =
     Lock_order.scan cg @ Publication.scan cg @ Helping.scan cg
     @ Aba_risk.scan cg @ Atomicity.scan cg @ Layout.scan parsed cg
-    @ List.rev !parse_errors
   in
+  let byfile = Hashtbl.create 16 in
   (* nested functions are walked both standalone and inline in their
      host; identical findings collapse *)
-  let all = List.sort_uniq compare all in
-  let byfile = Hashtbl.create 16 in
   List.iter
     (fun f ->
       Hashtbl.replace byfile f.file
         (f :: (Hashtbl.find_opt byfile f.file |> Option.value ~default:[])))
-    all;
-  Hashtbl.iter
-    (fun k v -> Hashtbl.replace byfile k (List.rev v))
-    (Hashtbl.copy byfile);
+    (List.rev (List.sort_uniq compare all));
   byfile
 
 let scan_files (files : (string * string) list) : finding list =
-  let statics = static_findings files in
-  List.concat_map
-    (fun (path, src) ->
-      let extra =
-        Hashtbl.find_opt statics path |> Option.value ~default:[]
-      in
-      Lint_rules.apply_waivers ~path (Lint_rules.scan_raw ~path src) ~extra)
-    files
+  let parsed = List.map (fun (path, src) -> Frontend.parse ~path src) files in
+  let statics = cross_module (List.filter_map Result.to_option parsed) in
+  List.concat
+    (List.map2
+       (fun (path, src) -> function
+         | Ok p ->
+             File_rules.scan p
+               ~extra:
+                 (Hashtbl.find_opt statics path |> Option.value ~default:[])
+         | Error parse -> parse :: File_rules.format ~path src)
+       files parsed)
 
 let scan ~path src = scan_files [ (path, src) ]
 
@@ -119,11 +102,25 @@ let read_file path =
 
 let scan_file path = scan_files [ (path, read_file path) ]
 
-(** Both engines over every [.ml]/[.mli] under the roots, linked as one
+(** Every [.ml]/[.mli] under [dir], in directory order. *)
+let rec files_under dir =
+  match Sys.readdir dir with
+  | entries ->
+      Array.to_list entries
+      |> List.concat_map (fun e ->
+             let p = Filename.concat dir e in
+             if Sys.is_directory p then files_under p
+             else if
+               Filename.check_suffix p ".ml" || Filename.check_suffix p ".mli"
+             then [ p ]
+             else [])
+  | exception Sys_error _ -> []
+
+(** The lint over every [.ml]/[.mli] under the roots, linked as one
     program: cross-module effect propagation spans all roots. *)
 let scan_trees roots : finding list =
   let files =
-    List.concat_map Lint_rules.files_under roots
+    List.concat_map files_under roots
     |> List.sort compare
     |> List.map (fun p -> (p, read_file p))
   in

@@ -32,10 +32,10 @@
 
 let rule = "atomicity"
 
-let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Lint_rules.finding list =
+let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Frontend.finding list =
   let findings = ref [] in
   let add line msg =
-    findings := { Lint_rules.file = f.ffile; line; rule; msg } :: !findings
+    findings := { Frontend.file = f.ffile; line; rule; msg } :: !findings
   in
   let resolve segs =
     Callgraph.resolve ~from_file:f.ffile cg
@@ -86,11 +86,11 @@ let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Lint_rules.finding list =
   Dataflow.run { Dataflow.no_hooks with h_set; h_call } f.fbody;
   List.rev !findings
 
-let scan (cg : Callgraph.t) : Lint_rules.finding list =
+let scan (cg : Callgraph.t) : Frontend.finding list =
   Array.to_list (Callgraph.fns cg)
   |> List.concat_map (fun (f : Summary.fn) ->
          if
-           Lint_rules.helping_exempt_path f.ffile
+           Frontend.helping_exempt_path f.ffile
            || Callgraph.is_substrate_file cg f.ffile
          then []
          else scan_fn cg f)

@@ -302,7 +302,7 @@ let run (hooks : hooks) (body : expression) : unit =
         | Pexp_ident { txt = Longident.Lident v; _ } -> (
             match
               ( Hashtbl.find_opt ctx.facts v,
-                List.rev (try Longident.flatten txt with _ -> []) )
+                List.rev (Frontend.flatten txt) )
             with
             | Some (Shared_read sr), f :: _ when revalidation_name f ->
                 sr.revalidated <- true

@@ -1,9 +1,9 @@
 (** Helping-discipline v2 (rules [static-retry], [static-deadline]).
 
-    The token lint's retry rules recognize helping by substring — an
-    identifier containing [help], [moundify] or [complete] — which an
-    alias ([let restore = moundify]) or a rename defeats in both
-    directions. This pass replaces the heuristic with call-graph facts:
+    The per-file [retry-no-backoff] rule ({!File_rules}) recognizes
+    helping by substring — a name containing [help], [moundify] or
+    [complete] — which an alias ([let restore = moundify]) or a rename
+    defeats in both directions. This pass uses call-graph facts instead:
     a function that is part of a call-graph cycle (an unbounded retry
     loop, whether self-recursive, mutually recursive, or spinning
     through a nested loop) and whose transitive effects include a CAS
@@ -19,15 +19,15 @@
     paper's discipline ([insert] backs off, [extract] helps via
     [moundify]).
 
-    Paths exempt from the token helping rules ([runtime], [sim],
+    Paths exempt from the per-file helping rules ([runtime], [sim],
     [baselines]) are exempt here for the same reasons. *)
 
-let scan (cg : Callgraph.t) : Lint_rules.finding list =
+let scan (cg : Callgraph.t) : Frontend.finding list =
   let fns = Callgraph.fns cg in
   let out = ref [] in
   Array.iteri
     (fun i (f : Summary.fn) ->
-      if not (Lint_rules.helping_exempt_path f.ffile) then begin
+      if not (Frontend.helping_exempt_path f.ffile) then begin
         let eff = Callgraph.trans_effects cg i in
         if
           Callgraph.self_reachable cg i
@@ -37,7 +37,7 @@ let scan (cg : Callgraph.t) : Lint_rules.finding list =
         then
           out :=
             {
-              Lint_rules.file = f.ffile;
+              Frontend.file = f.ffile;
               line = f.fline;
               rule = "static-retry";
               msg =
@@ -60,7 +60,7 @@ let scan (cg : Callgraph.t) : Lint_rules.finding list =
         then
           out :=
             {
-              Lint_rules.file = f.ffile;
+              Frontend.file = f.ffile;
               line = f.fline;
               rule = "static-deadline";
               msg =

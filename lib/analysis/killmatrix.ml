@@ -1,7 +1,7 @@
 (** Mutant × rule kill matrix over the static rule union.
 
     For each {!Mutate.mutant}, the mutated source is substituted into
-    the pristine file set and the whole set re-scanned — both engines,
+    the pristine file set and the whole set re-scanned — every rule,
     cross-module effects, the real waiver machinery. The scanner itself
     is injected ([Analysis.scan_files] in practice: this module sits
     below the library's main module, so the composition happens there —
@@ -18,7 +18,7 @@
     business ([Harness.Mutation_exp]) — this module stays below the
     harness in the dependency order and only reports the mapping. *)
 
-type scanner = (string * string) list -> Lint_rules.finding list
+type scanner = (string * string) list -> Frontend.finding list
 
 type row = {
   r_mutant : Mutate.mutant;
@@ -33,7 +33,7 @@ type t = {
 
 let hygiene_rules = [ "parse"; "format"; "waiver" ]
 
-exception Dirty_context of Lint_rules.finding list
+exception Dirty_context of Frontend.finding list
 (** The pristine file set does not scan clean — kill attribution would
     be meaningless. Carries the pre-existing findings. *)
 
@@ -45,7 +45,7 @@ let kill_set ~(scan : scanner) ~(context : (string * string) list)
       context
   in
   scan files
-  |> List.filter_map (fun (f : Lint_rules.finding) ->
+  |> List.filter_map (fun (f : Frontend.finding) ->
          if List.mem f.rule hygiene_rules then None else Some f.rule)
   |> List.sort_uniq compare
 
@@ -55,7 +55,7 @@ let run ~(scan : scanner) ~(context : (string * string) list)
     (ms : Mutate.mutant list) : t =
   (match
      scan context
-     |> List.filter (fun (f : Lint_rules.finding) ->
+     |> List.filter (fun (f : Frontend.finding) ->
             not (List.mem f.rule hygiene_rules))
    with
   | [] -> ()

@@ -38,7 +38,7 @@ let rule = "layout"
 let hot_type (t : core_type) =
   match t.ptyp_desc with
   | Ptyp_constr ({ txt; _ }, _) -> (
-      match List.rev (try Longident.flatten txt with _ -> []) with
+      match List.rev (Frontend.flatten txt) with
       | "t" :: "Atomic" :: _ -> true
       | _ -> false)
   | _ -> false
@@ -62,7 +62,7 @@ let touch_tables (cg : Callgraph.t) =
     (fun i (f : Summary.fn) ->
       let self = String.concat "." f.fpath in
       let note lid =
-        match List.rev (try Longident.flatten lid with _ -> []) with
+        match List.rev (Frontend.flatten lid) with
         | name :: _ ->
             let cur =
               Hashtbl.find_opt touched name |> Option.value ~default:[]
@@ -119,7 +119,7 @@ and decls_of_structure items =
     items
 
 let scan (parsed : Frontend.parsed list) (cg : Callgraph.t) :
-    Lint_rules.finding list =
+    Frontend.finding list =
   let touched, has_rmw = touch_tables cg in
   (* paths of functions that are contention sources *)
   let hot_paths : (string, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -136,7 +136,7 @@ let scan (parsed : Frontend.parsed list) (cg : Callgraph.t) :
   List.concat_map
     (fun (p : Frontend.parsed) ->
       if
-        Lint_rules.helping_exempt_path p.p_path
+        Frontend.helping_exempt_path p.p_path
         || Callgraph.is_substrate_file cg p.p_path
       then []
       else
@@ -161,7 +161,7 @@ let scan (parsed : Frontend.parsed list) (cg : Callgraph.t) :
                    if List.length writers >= 2 then
                      Some
                        {
-                         Lint_rules.file = p.p_path;
+                         Frontend.file = p.p_path;
                          line = Frontend.line_of_loc a.pld_loc;
                          rule;
                          msg =

@@ -36,7 +36,7 @@ let arg_var e =
 
 exception Give_up
 
-let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Lint_rules.finding list =
+let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Frontend.finding list =
   (* extra venv for functions let-bound inside this body *)
   let extra = ref [] in
   let resolve segs =
@@ -230,7 +230,7 @@ let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Lint_rules.finding list =
                  Hashtbl.replace leaked h.hline ();
                  Some
                    {
-                     Lint_rules.file = f.ffile;
+                     Frontend.file = f.ffile;
                      line = h.hline;
                      rule = "lock-leak";
                      msg =
@@ -243,10 +243,10 @@ let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Lint_rules.finding list =
                end)
   end
 
-let scan (cg : Callgraph.t) : Lint_rules.finding list =
+let scan (cg : Callgraph.t) : Frontend.finding list =
   Array.to_list (Callgraph.fns cg)
   |> List.concat_map (fun (f : Summary.fn) ->
-         if Lint_rules.helping_exempt_path f.ffile then []
+         if Frontend.helping_exempt_path f.ffile then []
          else if
            (* the locking primitives themselves are the mechanism *)
            f.fdirect.acquires_lock || f.fdirect.releases_lock

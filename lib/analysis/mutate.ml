@@ -14,7 +14,7 @@
 
     A mutant is {e valid} when the rewritten source still parses
     ({!Frontend.parse}); validity is checked at generation time, so
-    every mutant handed to {!Killmatrix} is analyzable by both engines.
+    every mutant handed to {!Killmatrix} is analyzable by every rule.
     Parsing is also the only compilation gate: a handful of operators
     (in-place publication on an immutable field, the [Stdlib.Atomic]
     demotion) produce sources the type checker would reject, which is
@@ -250,7 +250,7 @@ let span_with_separator src (a, b) =
 
 let segs_of_head e =
   match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> ( try Some (Longident.flatten txt) with _ -> None)
+  | Pexp_ident { txt; _ } -> Some (Frontend.flatten txt)
   | _ -> None
 
 let last_seg segs = List.nth segs (List.length segs - 1)
@@ -275,11 +275,9 @@ let cas_app e =
       | _ -> None)
   | _ -> None
 
-let seg_contains seg needle =
-  let ls = String.lowercase_ascii seg in
-  let ln = String.length needle and n = String.length ls in
-  let rec go i = i + ln <= n && (String.sub ls i ln = needle || go (i + 1)) in
-  go 0
+(* Shapes are keyed on names regardless of case: [Backoff.Make] and
+   [backoff] both carry "backoff". *)
+let seg_contains seg = Summary.contains_sub (String.lowercase_ascii seg)
 
 let app_with_head_pred e pred =
   match e.pexp_desc with
@@ -393,7 +391,7 @@ let on_bindings p (f : string -> expression -> unit) =
 let record_field_is fields fname lit =
   List.exists
     (fun ((lid : Longident.t Location.loc), fe) ->
-      last_seg (Longident.flatten lid.txt) = fname
+      last_seg (Frontend.flatten lid.txt) = fname
       &&
       match fe.pexp_desc with
       | Pexp_construct ({ txt = Lident c; _ }, None) -> c = lit
@@ -454,7 +452,7 @@ let unlock_release_edits ?(flip = false) p src =
                               List.find_map
                                 (fun ((lid : Longident.t Location.loc), fe) ->
                                   if
-                                    last_seg (Longident.flatten lid.txt)
+                                    last_seg (Frontend.flatten lid.txt)
                                     = "locked"
                                   then Some fe
                                   else None)
@@ -642,7 +640,7 @@ let protocol_field f =
 let rec protocol_read_cond e =
   match e.pexp_desc with
   | Pexp_field (_, { txt; _ }) -> (
-      match List.rev (try Longident.flatten txt with _ -> []) with
+      match List.rev (Frontend.flatten txt) with
       | f :: _ -> protocol_field f
       | [] -> false)
   | Pexp_apply
@@ -684,7 +682,7 @@ let sites_drop_stamp p _src =
                   (fun ((lid : Longident.t Location.loc), fe) ->
                     if
                       List.mem
-                        (last_seg (Longident.flatten lid.txt))
+                        (last_seg (Frontend.flatten lid.txt))
                         stamp_fields
                     then
                       match fe.pexp_desc with
@@ -743,7 +741,7 @@ let sites_drop_completion p src =
                           List.iter
                             (fun ((lid : Longident.t Location.loc), fe) ->
                               let lname =
-                                last_seg (Longident.flatten lid.txt)
+                                last_seg (Frontend.flatten lid.txt)
                               in
                               if lname = "dirty" || lname = "locked" then
                                 match fe.pexp_desc with
@@ -831,7 +829,7 @@ let sites_inplace_publish p src =
       | Some (prefix, l, x, f) -> (
           match (x.pexp_desc, f.pexp_desc) with
           | Pexp_ident _, Pexp_record (((lid : Longident.t Location.loc), _) :: _, _) ->
-              let fld = last_seg (Longident.flatten lid.txt) in
+              let fld = last_seg (Frontend.flatten lid.txt) in
               let xs = expr_src src x in
               let body =
                 Printf.sprintf
@@ -988,7 +986,7 @@ let sites_drop_pad p src =
                         List.iter
                           (fun ((lid : Longident.t Location.loc), fe) ->
                             if
-                              last_seg (Longident.flatten lid.txt)
+                              last_seg (Frontend.flatten lid.txt)
                               = l.pld_name.txt
                             then
                               let a, _ = span_of_loc lid.loc in
@@ -1120,51 +1118,16 @@ let sites_alloc_in_retry (p : Frontend.parsed) src =
   ignore src;
   !out
 
-(* Identifier-with-dots tokens of [s], mirroring the token engine's
-   published-through-an-Atomic test: a record is a target only when its
-   name appears immediately before a path ending in [Atomic.t] (or an
-   aliased [A.t]) — that is the record the mutable-atomic rule guards.
-   A [mutable] on a record held in a plain array is legal OCaml the
-   rule rightly ignores. *)
-let ident_tokens s =
-  let is_ident c =
-    (c >= 'a' && c <= 'z')
-    || (c >= 'A' && c <= 'Z')
-    || (c >= '0' && c <= '9')
-    || c = '_' || c = '\''
-  in
-  let n = String.length s in
-  let out = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    if is_ident s.[!i] then begin
-      let start = !i in
-      while !i < n && (is_ident s.[!i] || s.[!i] = '.') do incr i done;
-      out := String.sub s start (!i - start) :: !out
-    end
-    else incr i
-  done;
-  List.rev !out
-
-let published_through_atomic src name =
-  let ends_with ~suffix s =
-    let ls = String.length s and lx = String.length suffix in
-    ls >= lx && String.sub s (ls - lx) lx = suffix
-  in
-  let rec go = function
-    | t1 :: (t2 :: _ as rest) ->
-        (t1 = name && (ends_with ~suffix:"Atomic.t" t2 || t2 = "A.t"))
-        || go rest
-    | _ -> false
-  in
-  go (ident_tokens src)
-
-let sites_mutabilize p src =
+(* A record is a target only when the file publishes it through an
+   [Atomic.t] — the record the mutable-atomic rule guards. A [mutable] on
+   a record held in a plain array is legal OCaml the rule rightly
+   ignores. *)
+let sites_mutabilize p _src =
+  let published = File_rules.atomic_published p in
   let out = ref [] in
   on_type_decls p (fun d ->
       match d.ptype_kind with
-      | Ptype_record labels when published_through_atomic src d.ptype_name.txt
-        ->
+      | Ptype_record labels when List.mem d.ptype_name.txt published ->
           List.iter
             (fun (l : label_declaration) ->
               if l.pld_mutable = Asttypes.Immutable then
@@ -1184,46 +1147,19 @@ let sites_mutabilize p src =
       | _ -> ());
   !out
 
-(* Waivers are comments, invisible to the Parsetree: a text scan finds
-   each "lint: allow" marker and deletes the whole comment, nesting
-   respected. Whatever the waiver was holding back must then
-   resurface — the certification that waivers never mask a dead rule. *)
-let sites_drop_waiver (p : Frontend.parsed) src =
-  ignore p;
-  let out = ref [] in
-  let n = String.length src in
-  let line_at off =
-    let l = ref 1 in
-    for i = 0 to off - 1 do
-      if src.[i] = '\n' then incr l
-    done;
-    !l
-  in
-  let rec comment_end i depth =
-    if i + 1 >= n then n
-    else if src.[i] = '(' && src.[i + 1] = '*' then comment_end (i + 2) (depth + 1)
-    else if src.[i] = '*' && src.[i + 1] = ')' then
-      if depth = 1 then i + 2 else comment_end (i + 2) (depth - 1)
-    else comment_end (i + 1) depth
-  in
-  let marker = "(* lint: allow" in
-  let ml = String.length marker in
-  let i = ref 0 in
-  while !i + ml <= n do
-    if String.sub src !i ml = marker then begin
-      let stop = comment_end !i 0 in
-      out :=
-        {
-          s_line = line_at !i;
-          s_note = "waiver deleted; the waived finding must resurface";
-          s_edits = [ { e_start = !i; e_stop = stop; e_text = "" } ];
-        }
-        :: !out;
-      i := stop
-    end
-    else incr i
-  done;
-  !out
+(* Delete each waiver comment, nesting included. Whatever the waiver was
+   holding back must then resurface — the certification that waivers
+   never mask a dead rule. *)
+let sites_drop_waiver (p : Frontend.parsed) _src =
+  List.map
+    (fun (w : File_rules.waiver) ->
+      let a, b = span_of_loc w.w_loc in
+      {
+        s_line = Frontend.line_of_loc w.w_loc;
+        s_note = "waiver deleted; the waived finding must resurface";
+        s_edits = [ { e_start = a; e_stop = b; e_text = "" } ];
+      })
+    (File_rules.waivers p)
 
 let sites_drop_size_update p src =
   let out = ref [] in
@@ -1258,7 +1194,7 @@ let sites_drop_top_refresh p _src =
       | Some (_, (Asttypes.Nolabel, l) :: _) -> (
           match l.pexp_desc with
           | Pexp_field (_, { txt; _ })
-            when seg_contains (last_seg (Longident.flatten txt)) "top" ->
+            when seg_contains (last_seg (Frontend.flatten txt)) "top" ->
               out :=
                 {
                   s_line = line_of e;

@@ -34,10 +34,10 @@ open Parsetree
 
 type binding = Fresh | Shared_read | Unknown
 
-let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Lint_rules.finding list =
+let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Frontend.finding list =
   let findings = ref [] in
   let add line rule msg =
-    findings := { Lint_rules.file = f.ffile; line; rule; msg } :: !findings
+    findings := { Frontend.file = f.ffile; line; rule; msg } :: !findings
   in
   let extra = ref [] in
   let resolve segs =
@@ -178,8 +178,8 @@ let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Lint_rules.finding list =
   walk f.fbody;
   List.rev !findings
 
-let scan (cg : Callgraph.t) : Lint_rules.finding list =
+let scan (cg : Callgraph.t) : Frontend.finding list =
   Array.to_list (Callgraph.fns cg)
   |> List.concat_map (fun (f : Summary.fn) ->
-         if Lint_rules.helping_exempt_path f.ffile then []
+         if Frontend.helping_exempt_path f.ffile then []
          else scan_fn cg f)

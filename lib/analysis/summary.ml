@@ -21,15 +21,13 @@
       [true] — with the parameter index of the lock's location when the
       site locks one of the function's own parameters ([lock_param]);
     - {e releases-lock}: a dotted [set] storing a record literal carrying
-      [locked = false], or storing literal [false];
-    - {e allocates}: [Array.make]/[Array.init], [Bytes.create]/
-      [Bytes.make], applied [ref], or [lazy].
+      [locked = false], or storing literal [false].
 
     Calls are resolved through lexical scope — [let]-bound inner
     functions, value aliases ([let restore = moundify]) and module
     aliases ([module T = Tree.Make (R)]) — into full module-path
     segments, so the call graph sees through the renamings that defeat
-    a token-level scanner. Sites inside a nested function are attributed
+    recognition by name. Sites inside a nested function are attributed
     to the nested function {e and} folded into its host, so a wrapper
     whose loop lives in an inner [let rec] still summarizes truthfully.
 
@@ -47,7 +45,6 @@ type effects = {
   checks_deadline : bool;
   acquires_lock : bool;
   releases_lock : bool;
-  allocates : bool;
   writes_nonatomically : bool;
       (* a dotted [set] that is not a lock release: a plain store into
          an atomic location, the sink of a lost update *)
@@ -61,7 +58,6 @@ let no_effects =
     checks_deadline = false;
     acquires_lock = false;
     releases_lock = false;
-    allocates = false;
     writes_nonatomically = false;
   }
 
@@ -73,7 +69,6 @@ let union_effects a b =
     checks_deadline = a.checks_deadline || b.checks_deadline;
     acquires_lock = a.acquires_lock || b.acquires_lock;
     releases_lock = a.releases_lock || b.releases_lock;
-    allocates = a.allocates || b.allocates;
     writes_nonatomically = a.writes_nonatomically || b.writes_nonatomically;
   }
 
@@ -109,14 +104,16 @@ and scope = {
 
 let cas_family = [ "cas"; "casn"; "dcas"; "dcss"; "compare_and_set" ]
 
-(* Deadline awareness by vocabulary: a name (identifier segment or
-   labelled argument) carrying the [_until] / [deadline] / [expired]
-   vocabulary. *)
+(* Does [sub] occur in [s]? The one substring test behind every
+   recognition-by-name heuristic of the lint and the mutation engine. *)
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
+(* Deadline awareness by vocabulary: a name (identifier segment or
+   labelled argument) carrying the [_until] / [deadline] / [expired]
+   vocabulary. *)
 let deadline_name s =
   let s = String.lowercase_ascii s in
   contains_sub s "deadline" || contains_sub s "until"
@@ -148,7 +145,7 @@ let rec strip_casts e =
 
 let flatten_ident e =
   match (strip_casts e).pexp_desc with
-  | Pexp_ident { txt; _ } -> ( try Some (Longident.flatten txt) with _ -> None)
+  | Pexp_ident { txt; _ } -> Some (Frontend.flatten txt)
   | _ -> None
 
 (* The variable at the root of [v], [v.f], [v.f.g] — how lock locations
@@ -166,7 +163,7 @@ let rec loc_write_key e =
   match (strip_casts e).pexp_desc with
   | Pexp_ident { txt = Lident v; _ } -> Some v
   | Pexp_field (_, { txt; _ }) -> (
-      match List.rev (try Longident.flatten txt with _ -> []) with
+      match List.rev (Frontend.flatten txt) with
       | f :: _ -> Some f
       | [] -> None)
   | Pexp_apply (_, (Asttypes.Nolabel, a) :: _) -> loc_write_key a
@@ -188,13 +185,6 @@ let record_sets_field field b e =
           (match lid.txt with Longident.Lident f -> f = field | _ -> false)
           && is_bool_lit b v)
         fields
-  | _ -> false
-
-let is_fresh_value e =
-  match (strip_casts e).pexp_desc with
-  | Pexp_record _ -> true
-  | Pexp_construct (_, _) -> true
-  | Pexp_tuple _ -> true
   | _ -> false
 
 let pat_var p =
@@ -252,7 +242,7 @@ let resolve_call scope segs =
 
 let rec module_head (m : module_expr) =
   match m.pmod_desc with
-  | Pmod_ident { txt; _ } -> ( try Some (Longident.flatten txt) with _ -> None)
+  | Pmod_ident { txt; _ } -> Some (Frontend.flatten txt)
   | Pmod_apply (f, _) -> module_head f
   | Pmod_constraint (m, _) -> module_head m
   | _ -> None
@@ -404,13 +394,6 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
           end
           else if last = "cpu_relax" then
             col.eff <- { col.eff with backs_off = true }
-          else if
-            (match segs with
-            | [ "Array"; ("make" | "init") ] -> true
-            | [ "Bytes"; ("create" | "make") ] -> true
-            | _ -> false)
-            || (segs = [ "ref" ] && nargs <> [])
-          then col.eff <- { col.eff with allocates = true }
           else if segs = [ "ignore" ] then
             (* re-walk the argument as discarded; the generic arg walk
                above already visited it undiscarded, which only matters
@@ -526,14 +509,11 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
       self false a;
       self false b;
       self true body
-  | Pexp_lazy e ->
-      col.eff <- { col.eff with allocates = true };
-      self false e
   | Pexp_setfield (r, _, v) ->
       self false r;
       self false v
   | Pexp_field (e, _) | Pexp_newtype (_, e) | Pexp_constraint (e, _)
-  | Pexp_coerce (e, _, _) | Pexp_open (_, e) | Pexp_assert e ->
+  | Pexp_coerce (e, _, _) | Pexp_open (_, e) | Pexp_assert e | Pexp_lazy e ->
       self false e
   | Pexp_record (fields, base) ->
       List.iter (fun (_, v) -> self false v) fields;

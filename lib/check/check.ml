@@ -16,7 +16,7 @@
       explored;
     - the {e synchronization} pass treats only CAS-class operations and
       reads-from edges as synchronizing — plain [set] publishes but does
-      not absorb — and reports unordered conflicting plain accesses as
+      not absorb — and reports unordered plain writes to one cell as
       data races.
 
     Spinning threads are handled Nidhugg-style: a thread about to re-read
@@ -35,53 +35,40 @@ type config = {
                             have been launched. *)
   max_steps : int;  (** per-execution bound on scheduling decisions;
                         executions cut by it count as [diverged]. *)
-  spin_threshold : int;
-      (** consecutive same-cell stutter reads before a thread is parked
-          as spinning; [0] disables parking (unbounded loops then hit
-          [max_steps]). *)
-  stall_threshold : int;
-      (** consecutive reads (across {e any} cells) without a write by
-          the thread itself, while nothing it has read meanwhile
-          changed, before the thread is parked as stalled. Catches
-          multi-cell wait loops the single-cell heuristic misses — an
-          STM abort-retry cycle re-reading clock/lock/version until a
-          holder unlocks. Larger than [spin_threshold] because long
-          read-only phases (candidate probing) are normal. *)
-  spin_cap : int;
-      (** stutter reads before a thread parked with no runnable peers is
-          declared deadlocked. Between the parking thresholds and
-          [spin_cap] such a thread is let through with escalated
-          thresholds: randomized probing (a mound insert re-probing one
-          leaf) can stutter a few reads and then progress, where a
-          genuine spin loop stutters to the cap. *)
-  read_races : bool;
-      (** also report unordered plain-read / plain-write pairs. Off by
-          default: get-spin against a releasing [set] — the TTAS idiom —
-          is exactly that shape and benign under the simulator's SC
-          memory. Write-write races are always reported (but see
-          [race_oracle]). *)
   race_oracle : bool;
       (** run the vector-clock race scan at all. On by default; turn it
           off for a program whose defect under test {e is} an unordered
           write pair (the lost-update mutants), so the semantic oracles
           — invariant and linearizability — get to pronounce on the
           damage instead of the race masking them on every trace. *)
-  profile : Sim.Profile.t;
-  seed : int64;
 }
 
 let default_config =
-  {
-    max_schedules = 50_000;
-    max_steps = 5_000;
-    spin_threshold = 3;
-    stall_threshold = 16;
-    spin_cap = 64;
-    read_races = false;
-    race_oracle = true;
-    profile = Sim.Profile.uniform;
-    seed = 42L;
-  }
+  { max_schedules = 50_000; max_steps = 5_000; race_oracle = true }
+
+(* Consecutive same-cell stutter reads before a thread is parked as
+   spinning. *)
+let spin_threshold = 3
+
+(* Consecutive reads (across {e any} cells) without a write by the
+   thread itself, while nothing it has read meanwhile changed, before
+   the thread is parked as stalled. Catches multi-cell wait loops the
+   single-cell heuristic misses — an STM abort-retry cycle re-reading
+   clock/lock/version until a holder unlocks. Larger than
+   [spin_threshold] because long read-only phases (candidate probing)
+   are normal. *)
+let stall_threshold = 16
+
+(* Stutter reads before a thread parked with no runnable peers is
+   declared deadlocked. Between the parking thresholds and [spin_cap]
+   such a thread is let through with escalated thresholds: randomized
+   probing (a mound insert re-probing one leaf) can stutter a few reads
+   and then progress, where a genuine spin loop stutters to the cap. *)
+let spin_cap = 64
+
+(* Every execution runs under the uniform cost profile from one seed. *)
+let profile = Sim.Profile.uniform
+let seed = 42L
 
 (** One concrete, freshly-built run of the program under test: thread
     bodies for {!Sim.Sched.run}, plus a verdict evaluated after the
@@ -287,14 +274,13 @@ let stalled ex t =
 
 (* Is runnable thread [t], with pending [p], parked as a spinner? *)
 let parked ex t (p : Sim.Sched.pending option) =
-  ex.cfg.spin_threshold > 0
-  && match p with
-     | Some { kind = Read; cell } ->
-         (ex.last_cell.(t) = cell
-          && ex.streak.(t) >= ex.thr.(t)
-          && write_count ex cell = ex.snap.(t))
-         || stalled ex t
-     | _ -> false
+  match p with
+  | Some { kind = Read; cell } ->
+      (ex.last_cell.(t) = cell
+      && ex.streak.(t) >= ex.thr.(t)
+      && write_count ex cell = ex.snap.(t))
+      || stalled ex t
+  | _ -> false
 
 (* The scheduling policy for one exploration execution. Replays the
    forced prefix, then extends by the lowest enabled non-sleeping tid,
@@ -332,10 +318,10 @@ let make_policy ex : Sim.Sched.policy =
         if !best < 0 || ex.ro_streak.(t) < ex.ro_streak.(!best) then
           best := t)
       runnable;
-    if ex.ro_streak.(!best) >= ex.cfg.spin_cap then
+    if ex.ro_streak.(!best) >= spin_cap then
       raise (Abort (Abort_deadlock (mask_to_list !all)));
-    ex.thr.(!best) <- ex.streak.(!best) + ex.cfg.spin_threshold;
-    ex.stall_thr.(!best) <- ex.ro_streak.(!best) + ex.cfg.stall_threshold;
+    ex.thr.(!best) <- ex.streak.(!best) + spin_threshold;
+    ex.stall_thr.(!best) <- ex.ro_streak.(!best) + stall_threshold;
     enabled := bit !best
   end;
   if ex.depth >= ex.cfg.max_steps then raise (Abort Abort_steps);
@@ -408,24 +394,24 @@ let make_on_commit ex ~tid ~cell ~kind ~wrote =
         ex.last_cell.(tid) <- cell;
         ex.streak.(tid) <- 1;
         ex.snap.(tid) <- write_count ex cell;
-        ex.thr.(tid) <- ex.cfg.spin_threshold
+        ex.thr.(tid) <- spin_threshold
       end
   | Write | Cas ->
       ex.last_cell.(tid) <- -1;
       ex.streak.(tid) <- 0;
-      ex.thr.(tid) <- ex.cfg.spin_threshold);
+      ex.thr.(tid) <- spin_threshold);
   if readlike then begin
     Hashtbl.replace ex.fp.(tid) cell (write_count ex cell);
     if fresh_info then begin
       ex.ro_streak.(tid) <- 1;
-      ex.stall_thr.(tid) <- ex.cfg.stall_threshold
+      ex.stall_thr.(tid) <- stall_threshold
     end
     else ex.ro_streak.(tid) <- ex.ro_streak.(tid) + 1
   end
   else begin
     Hashtbl.reset ex.fp.(tid);
     ex.ro_streak.(tid) <- 0;
-    ex.stall_thr.(tid) <- ex.cfg.stall_threshold
+    ex.stall_thr.(tid) <- stall_threshold
   end
 
 (* ---- trace analyses --------------------------------------------------- *)
@@ -572,14 +558,13 @@ let analyze_backtracks ex nthreads =
    CAS-class operations acquire and (when they write) release; a read
    acquires through its reads-from edge; a plain [set] releases but does
    not absorb. A plain write unordered with the previous plain write is a
-   write-write race; with [read_races], unabsorbed earlier plain reads
-   race against it too. *)
-let find_race ~read_races events nthreads =
+   write-write race. Read-write pairs are not reported: get-spin against
+   a releasing [set] — the TTAS idiom — is exactly that shape and benign
+   under the simulator's SC memory. *)
+let find_race events nthreads =
   let s = Array.init nthreads (fun _ -> Vc.make nthreads) in
   let published = Hashtbl.create 64 in (* cell -> release clock *)
   let last_plain_w = Hashtbl.create 64 in (* cell -> event * clock *)
-  let last_plain_r = Hashtbl.create 64 in
-  (* cell -> (event * clock) option array, per thread *)
   let found = ref None in
   (try
      List.iter
@@ -603,17 +588,7 @@ let find_race ~read_races events nthreads =
            Vc.join c s.(p)
          in
          match e.kind with
-         | Read ->
-             absorb ();
-             let slot =
-               match Hashtbl.find_opt last_plain_r e.cell with
-               | Some a -> a
-               | None ->
-                   let a = Array.make nthreads None in
-                   Hashtbl.replace last_plain_r e.cell a;
-                   a
-             in
-             slot.(p) <- Some (e, Vc.copy s.(p))
+         | Read -> absorb ()
          | Cas ->
              absorb ();
              if e.wrote then release ()
@@ -623,19 +598,6 @@ let find_race ~read_races events nthreads =
                  found := Some { cell = e.cell; first = w; second = e };
                  raise Exit
              | _ -> ());
-             if read_races then
-               (match Hashtbl.find_opt last_plain_r e.cell with
-               | Some slots ->
-                   Array.iteri
-                     (fun q slot ->
-                       match slot with
-                       | Some (r, c) when q <> p && not (Vc.leq c s.(p)) ->
-                           found :=
-                             Some { cell = e.cell; first = r; second = e };
-                           raise Exit
-                       | _ -> ())
-                     slots
-               | None -> ());
              release ();
              Hashtbl.replace last_plain_w e.cell (e, Vc.copy s.(p)))
        events
@@ -718,21 +680,20 @@ let explore ?(config = default_config) (program : program) =
              last_cell = Array.make (Array.length inst.bodies) (-1);
              streak = Array.make (Array.length inst.bodies) 0;
              snap = Array.make (Array.length inst.bodies) 0;
-             thr = Array.make (Array.length inst.bodies) config.spin_threshold;
+             thr = Array.make (Array.length inst.bodies) spin_threshold;
              fp =
                Array.init (Array.length inst.bodies) (fun _ ->
                    Hashtbl.create 16);
              ro_streak = Array.make (Array.length inst.bodies) 0;
-             stall_thr =
-               Array.make (Array.length inst.bodies) config.stall_threshold;
+             stall_thr = Array.make (Array.length inst.bodies) stall_threshold;
              writes = Hashtbl.create 64;
              cfg = config;
            }
          in
          let outcome =
            match
-             Sim.Sched.run ~profile:config.profile ~seed:config.seed
-               ~policy:(make_policy ex) ~on_commit:(make_on_commit ex)
+             Sim.Sched.run ~profile ~seed ~policy:(make_policy ex)
+               ~on_commit:(make_on_commit ex)
                inst.bodies
            with
            | (_ : Sim.Sched.result) -> Ok ()
@@ -751,8 +712,7 @@ let explore ?(config = default_config) (program : program) =
          in
          (if config.race_oracle then
             match
-              find_race ~read_races:config.read_races (trace_events ex)
-                (Array.length inst.bodies)
+              find_race (trace_events ex) (Array.length inst.bodies)
             with
             | Some r -> fail (Race r)
             | None -> ());
@@ -819,15 +779,12 @@ let run_schedule ?(config = default_config) ?(watchdog = 10_000_000)
       :: !events
   in
   let res =
-    Sim.Sched.run ~profile:config.profile ~seed:config.seed ~policy
-      ~on_commit ~watchdog inst.bodies
+    Sim.Sched.run ~profile ~seed ~policy ~on_commit ~watchdog inst.bodies
   in
   let events = List.rev !events in
   let failure =
     match
-      if config.race_oracle then
-        find_race ~read_races:config.read_races events
-          (Array.length inst.bodies)
+      if config.race_oracle then find_race events (Array.length inst.bodies)
       else None
     with
     | Some r -> Some (Race r)

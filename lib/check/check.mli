@@ -12,37 +12,22 @@
 type config = {
   max_schedules : int;  (** execution budget; exceeded → [complete=false] *)
   max_steps : int;  (** per-execution decision bound *)
-  spin_threshold : int;
-      (** stutter reads before a spinning thread is parked; 0 = off *)
-  stall_threshold : int;
-      (** consecutive reads without an own write, with an unchanged read
-          footprint, before a thread is parked as stalled — catches
-          multi-cell wait loops (STM abort-retry) the single-cell
-          heuristic misses *)
-  spin_cap : int;
-      (** stutter reads before a thread parked with no runnable peers
-          is declared deadlocked; below it the least-stuck thread is
-          escalated and let through (randomized probing stutters a few
-          reads then progresses; a genuine spin loop hits the cap) *)
-  read_races : bool;
-      (** also flag unordered plain-read/plain-write pairs (the TTAS
-          get-spin idiom trips this, hence off by default); unordered
-          plain write/write pairs are always flagged while the race
-          oracle runs *)
   race_oracle : bool;
       (** run the vector-clock race scan at all (default [true]). Turn
           it off for a program whose defect under test {e is} an
           unordered write pair — e.g. a seeded lost-update mutant —
           so the semantic oracles (invariant, linearizability) report
           the damage instead of the race pre-empting them on every
-          trace *)
-  profile : Sim.Profile.t;
-  seed : int64;
+          trace. Unordered plain write/write pairs are flagged while it
+          runs; plain read/write pairs never are (the TTAS get-spin
+          idiom is that shape) *)
 }
 
 val default_config : config
-(** 50k schedules, 5k steps, spin threshold 3, stall threshold 16, no
-    read races, race oracle on, uniform profile, seed 42. *)
+(** 50k schedules, 5k steps, race oracle on. Every execution runs the
+    uniform profile from seed 42, parks a thread after 3 same-cell
+    stutter reads (16 reads with an unchanged footprint), and declares
+    deadlock once a parked thread with no runnable peer reaches 64. *)
 
 (** A fresh run of the program under test. [verdict] is evaluated after
     the execution completes, outside the simulation; [None] = pass. *)

@@ -37,35 +37,28 @@
 
 type config = {
   max_steps : int;
-  confirm : int;
-  max_pump : int;
   quanta : int list;
   stagger : int;
   suspend_points : int;
-  seeds : int64 list;
-  profile : Sim.Profile.t;
 }
 
 let default_config =
-  {
-    max_steps = 20_000;
-    confirm = 3;
-    max_pump = 512;
-    quanta = [ 2; 7 ];
-    stagger = 6;
-    suspend_points = 24;
-    seeds = [ 42L ];
-    profile = Sim.Profile.uniform;
-  }
+  { max_steps = 20_000; quanta = [ 2; 7 ]; stagger = 6; suspend_points = 24 }
+
+(* Pump repetitions a candidate cycle must survive (the state fingerprint
+   repeating at every period boundary) before it is reported; failed
+   confirmations count as near misses. *)
+let confirm = 3
+
+(* Longest candidate cycle period considered. *)
+let max_pump = 512
+
+(* Every run uses the uniform cost profile; sweeps run from one seed. *)
+let profile = Sim.Profile.uniform
+let sweep_seed = 42L
 
 let quick_config =
-  {
-    default_config with
-    max_steps = 10_000;
-    quanta = [ 2 ];
-    stagger = 4;
-    suspend_points = 8;
-  }
+  { max_steps = 10_000; quanta = [ 2 ]; stagger = 4; suspend_points = 8 }
 
 type instance = {
   bodies : (int -> unit) array;
@@ -191,7 +184,7 @@ let buf_push b v =
 
 let buf_slice b lo hi = Array.to_list (Array.sub b.a lo (hi - lo))
 
-let run_one ~(cfg : config) ~(program : program) ~strategy ~seed =
+let run_one ~(cfg : config) ~(program : program) ~strategy =
   Sim.Mem.track_begin ();
   Fun.protect ~finally:Sim.Mem.track_end @@ fun () ->
   let inst = program.prepare () in
@@ -307,7 +300,7 @@ let run_one ~(cfg : config) ~(program : program) ~strategy ~seed =
           fail_confirm fp;
           normal_pick runnable
         end
-        else if boundary && !c_pos >= !c_period * cfg.confirm then begin
+        else if boundary && !c_pos >= !c_period * confirm then begin
           let lo = !c_start and hi = !c_start + !c_period in
           let pump_writes = ref false in
           for i = lo to hi - 1 do
@@ -318,7 +311,7 @@ let run_one ~(cfg : config) ~(program : program) ~strategy ~seed =
                (Cycle_found
                   {
                     strategy;
-                    seed;
+                    seed = sweep_seed;
                     prefix = buf_slice dec 0 lo;
                     pump = buf_slice dec lo hi;
                     pump_writes = !pump_writes;
@@ -329,7 +322,7 @@ let run_one ~(cfg : config) ~(program : program) ~strategy ~seed =
       end
       else
         match Hashtbl.find_opt table fp with
-        | Some i when d - i <= cfg.max_pump && d > i ->
+        | Some i when d - i <= max_pump && d > i ->
             (* A fair strategy schedules every runnable thread infinitely
                often, so a window omitting one (e.g. a read spin inside a
                single quantum) cannot be its infinite behaviour — not a
@@ -374,7 +367,7 @@ let run_one ~(cfg : config) ~(program : program) ~strategy ~seed =
   in
   let outcome =
     match
-      Sim.Sched.run ~profile:cfg.profile ~seed ~policy ~on_commit inst.bodies
+      Sim.Sched.run ~profile ~seed:sweep_seed ~policy ~on_commit inst.bodies
     with
     | (_ : Sim.Sched.result) -> Completed
     | exception Stop o -> o
@@ -414,9 +407,9 @@ let certify ?(config = default_config) (program : program) =
   let inconclusive = ref 0 and fair_inconclusive = ref 0 in
   let near = ref 0 and span = ref 0 in
   let fair_cycle = ref None and starvation_cycle = ref None in
-  let exec ~fair strategy seed =
+  let exec ~fair strategy =
     incr runs;
-    let r = run_one ~cfg:config ~program ~strategy ~seed in
+    let r = run_one ~cfg:config ~program ~strategy in
     near := !near + r.near;
     if r.span > !span then span := r.span;
     (match r.outcome with
@@ -434,24 +427,18 @@ let certify ?(config = default_config) (program : program) =
   in
   (* Baseline fair run; its per-thread decision counts size the
      suspension-cut coordinate space for each victim. *)
-  let seed0 = match config.seeds with s :: _ -> s | [] -> 42L in
-  let baseline = exec ~fair:true (Round_robin { quantum = 1 }) seed0 in
+  let baseline = exec ~fair:true (Round_robin { quantum = 1 }) in
   List.iter
-    (fun seed ->
-      List.iter
-        (fun s -> if !fair_cycle = None then ignore (exec ~fair:true s seed))
-        (List.map (fun q -> Round_robin { quantum = q }) config.quanta
-        @ List.map
-            (fun h -> Staggered { head = h })
-            (staggered_heads config n));
-      for v = 0 to n - 1 do
-        List.iter
-          (fun c ->
-            if !starvation_cycle = None then
-              ignore (exec ~fair:false (Suspend { victim = v; cut = c }) seed))
-          (suspend_cuts config baseline.dec_per_tid.(v))
-      done)
-    config.seeds;
+    (fun s -> if !fair_cycle = None then ignore (exec ~fair:true s))
+    (List.map (fun q -> Round_robin { quantum = q }) config.quanta
+    @ List.map (fun h -> Staggered { head = h }) (staggered_heads config n));
+  for v = 0 to n - 1 do
+    List.iter
+      (fun c ->
+        if !starvation_cycle = None then
+          ignore (exec ~fair:false (Suspend { victim = v; cut = c })))
+      (suspend_cuts config baseline.dec_per_tid.(v))
+  done;
   {
     program = program.name;
     runs = !runs;
@@ -471,8 +458,7 @@ let certify ?(config = default_config) (program : program) =
 
 exception Replay_stop of bool
 
-let run_cycle ?(config = default_config) ?(seed = 42L) (program : program)
-    ~prefix ~pump =
+let run_cycle ?(seed = sweep_seed) (program : program) ~prefix ~pump =
   if pump = [] then invalid_arg "Liveness.run_cycle: empty pump";
   Sim.Mem.track_begin ();
   Fun.protect ~finally:Sim.Mem.track_end @@ fun () ->
@@ -494,15 +480,15 @@ let run_cycle ?(config = default_config) ?(seed = 42L) (program : program)
           let fp = fingerprint runnable (inst.ops_done ()) in
           if !expect < 0 then expect := fp
           else if fp <> !expect then raise (Replay_stop false)
-          else if !pos >= plen * config.confirm then raise (Replay_stop true)
+          else if !pos >= plen * confirm then raise (Replay_stop true)
         end;
         incr pos;
         let t = parr.(i) in
         if ok t then t else raise (Replay_stop false)
   in
-  match Sim.Sched.run ~profile:config.profile ~seed ~policy inst.bodies with
+  match Sim.Sched.run ~profile ~seed ~policy inst.bodies with
   | (_ : Sim.Sched.result) -> false (* ran to completion: progress, no cycle *)
   | exception Replay_stop r -> r
 
-let check_cycle ?config (program : program) (c : cycle) =
-  run_cycle ?config ~seed:c.seed program ~prefix:c.prefix ~pump:c.pump
+let check_cycle (program : program) (c : cycle) =
+  run_cycle ~seed:c.seed program ~prefix:c.prefix ~pump:c.pump

@@ -15,11 +15,6 @@
 
 type config = {
   max_steps : int;  (** per-run decision bound; exceeded → inconclusive *)
-  confirm : int;
-      (** pump repetitions a candidate cycle must survive (with the state
-          fingerprint repeating at every period boundary) before it is
-          reported; failed confirmations count as near misses *)
-  max_pump : int;  (** longest candidate cycle period considered *)
   quanta : int list;  (** round-robin quantum sweep (fair adversaries) *)
   stagger : int;
       (** staggered-start sweep width: every ordered thread pair [(a,b)]
@@ -29,9 +24,11 @@ type config = {
   suspend_points : int;
       (** suspension cut points sampled per victim across its baseline
           access range (unfair adversaries; refute lock-freedom) *)
-  seeds : int64 list;
-  profile : Sim.Profile.t;
 }
+(** Every run uses the uniform profile from seed 42; a candidate cycle
+    must survive 3 pump repetitions, with the state fingerprint
+    repeating at every period boundary, and pumps are at most 512
+    decisions long. *)
 
 val default_config : config
 val quick_config : config
@@ -97,11 +94,12 @@ val certify : ?config:config -> program -> report
     cycle) and aggregate the verdicts. *)
 
 val run_cycle :
-  ?config:config -> ?seed:int64 -> program ->
+  ?seed:int64 -> program ->
   prefix:Sim.Sched.Schedule.t -> pump:Sim.Sched.Schedule.t -> bool
-(** Replay a reported cycle: follow [prefix], then repeat [pump]
-    [config.confirm] times, checking that the state fingerprint repeats
-    at every period boundary. [true] iff the cycle reproduces. *)
+(** Replay a reported cycle: follow [prefix], then repeat [pump] as
+    many times as {!certify} demands, checking that the state
+    fingerprint repeats at every period boundary. [true] iff the cycle
+    reproduces. *)
 
-val check_cycle : ?config:config -> program -> cycle -> bool
+val check_cycle : program -> cycle -> bool
 (** {!run_cycle} with the cycle's own seed, prefix and pump. *)

@@ -322,6 +322,45 @@ let num_exn = function Num f -> f | _ -> raise (Malformed "expected number")
 let str_exn = function Str s -> s | _ -> raise (Malformed "expected string")
 let arr_exn = function Arr l -> l | _ -> raise (Malformed "expected array")
 
+let member_exn k o =
+  match member k o with
+  | Some v -> v
+  | None -> raise (Malformed (Printf.sprintf "missing %S" k))
+
+(** An integral number; [what] names the field in the error. *)
+let int_exn what j =
+  let f = num_exn j in
+  if Float.of_int (int_of_float f) <> f then
+    raise (Malformed ("non-integral " ^ what));
+  int_of_float f
+
+let str_list_exn what = function
+  | Arr xs -> List.map str_exn xs
+  | _ -> raise (Malformed (what ^ " must be an array of strings"))
+
+(** A non-empty array of strings under key [k], as a check. *)
+let expect_strings k j =
+  if str_list_exn k (member_exn k j) = [] then
+    Error (k ^ " must be a non-empty array of strings")
+  else Ok ()
+
+(** The document carries schema tag [want]. *)
+let expect_schema want j =
+  match member "schema" j with
+  | Some (Str s) when s = want -> Ok ()
+  | Some (Str s) -> Error (Printf.sprintf "schema %S, want %S" s want)
+  | _ -> Error "missing schema tag"
+
+(** The redundant tally under key [k] equals [n], the number of [what]
+    the document actually holds. *)
+let expect_count k n ~what j =
+  match member k j with
+  | Some (Num c) when int_of_float c = n -> Ok ()
+  | Some (Num c) ->
+      Error
+        (Printf.sprintf "%s %d does not match %d %s" k (int_of_float c) n what)
+  | _ -> Error ("missing " ^ k)
+
 (** Schema check. Returns [Error reason] on the first violation:
     wrong/missing schema tag, missing configuration keys, empty series,
     cells with fewer measured trials than declared (or fewer than 3),

@@ -24,7 +24,7 @@ open Bench_json
 
 let schema_version = "mound-lint/1"
 
-let doc ~roots ~rule (findings : Lint_rules.finding list) : json =
+let doc ~roots ~rule (findings : Analysis.finding list) : json =
   Obj
     [
       ("schema", Str schema_version);
@@ -34,7 +34,7 @@ let doc ~roots ~rule (findings : Lint_rules.finding list) : json =
       ( "findings",
         Arr
           (List.map
-             (fun (f : Lint_rules.finding) ->
+             (fun (f : Analysis.finding) ->
                Obj
                  [
                    ("file", Str f.file);
@@ -47,24 +47,16 @@ let doc ~roots ~rule (findings : Lint_rules.finding list) : json =
 
 (** Decode the findings array; raises {!Bench_json.Malformed} on shape
     errors (missing member, wrong type, non-integral line). *)
-let findings_of (j : json) : Lint_rules.finding list =
-  let get k o =
-    match member k o with
-    | Some v -> v
-    | None -> raise (Malformed (Printf.sprintf "missing %S" k))
-  in
+let findings_of (j : json) : Analysis.finding list =
   match member "findings" j with
   | Some (Arr fs) ->
       List.map
         (fun f ->
-          let line = num_exn (get "line" f) in
-          if Float.of_int (int_of_float line) <> line then
-            raise (Malformed "non-integral line");
           {
-            Lint_rules.file = str_exn (get "file" f);
-            line = int_of_float line;
-            rule = str_exn (get "rule" f);
-            msg = str_exn (get "msg" f);
+            Analysis.file = str_exn (member_exn "file" f);
+            line = int_exn "line" (member_exn "line" f);
+            rule = str_exn (member_exn "rule" f);
+            msg = str_exn (member_exn "msg" f);
           })
         fs
   | Some _ -> raise (Malformed "findings must be an array")
@@ -73,19 +65,8 @@ let findings_of (j : json) : Lint_rules.finding list =
 let validate (j : json) : (unit, string) result =
   let ( let* ) = Result.bind in
   try
-    let* () =
-      match member "schema" j with
-      | Some (Str s) when s = schema_version -> Ok ()
-      | Some (Str s) -> Error (Printf.sprintf "schema %S, want %S" s schema_version)
-      | _ -> Error "missing schema tag"
-    in
-    let* () =
-      match member "roots" j with
-      | Some (Arr (_ :: _ as rs))
-        when List.for_all (function Str _ -> true | _ -> false) rs ->
-          Ok ()
-      | _ -> Error "roots must be a non-empty array of strings"
-    in
+    let* () = expect_schema schema_version j in
+    let* () = expect_strings "roots" j in
     let* () =
       match member "rule" j with
       | Some Null | Some (Str _) -> Ok ()
@@ -93,15 +74,9 @@ let validate (j : json) : (unit, string) result =
     in
     let fs = findings_of j in
     let* () =
-      if List.exists (fun (f : Lint_rules.finding) -> f.line < 1) fs then
+      if List.exists (fun (f : Analysis.finding) -> f.line < 1) fs then
         Error "line must be >= 1"
       else Ok ()
     in
-    match member "count" j with
-    | Some (Num c) when int_of_float c = List.length fs -> Ok ()
-    | Some (Num c) ->
-        Error
-          (Printf.sprintf "count %d does not match %d findings"
-             (int_of_float c) (List.length fs))
-    | _ -> Error "missing count"
+    expect_count "count" (List.length fs) ~what:"findings" j
   with Malformed m -> Error m

@@ -119,22 +119,6 @@ let doc (k : Analysis.Killmatrix.t)
 (* Decoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let get k o =
-  match member k o with
-  | Some v -> v
-  | None -> raise (Malformed (Printf.sprintf "missing %S" k))
-
-let int_exn what j =
-  let f = num_exn j in
-  if Float.of_int (int_of_float f) <> f then
-    raise (Malformed ("non-integral " ^ what));
-  int_of_float f
-
-let str_list_exn what j =
-  match j with
-  | Arr xs -> List.map str_exn xs
-  | _ -> raise (Malformed (what ^ " must be an array of strings"))
-
 (** Decode the mutants array; raises {!Bench_json.Malformed} on shape
     errors. *)
 let rows_of (j : json) : mrow list =
@@ -143,19 +127,20 @@ let rows_of (j : json) : mrow list =
       List.map
         (fun m ->
           {
-            mr_id = str_exn (get "id" m);
-            mr_op = str_exn (get "op" m);
-            mr_file = str_exn (get "file" m);
-            mr_line = int_exn "line" (get "line" m);
-            mr_note = str_exn (get "note" m);
-            mr_status = str_exn (get "status" m);
-            mr_killed_by = str_list_exn "killed_by" (get "killed_by" m);
+            mr_id = str_exn (member_exn "id" m);
+            mr_op = str_exn (member_exn "op" m);
+            mr_file = str_exn (member_exn "file" m);
+            mr_line = int_exn "line" (member_exn "line" m);
+            mr_note = str_exn (member_exn "note" m);
+            mr_status = str_exn (member_exn "status" m);
+            mr_killed_by =
+              str_list_exn "killed_by" (member_exn "killed_by" m);
             mr_twin =
-              (match get "twin" m with
+              (match member_exn "twin" m with
               | Null -> None
               | Str t -> Some t
               | _ -> raise (Malformed "twin must be null or a string"));
-            mr_detail = str_exn (get "detail" m);
+            mr_detail = str_exn (member_exn "detail" m);
           })
         ms
   | Some _ -> raise (Malformed "mutants must be an array")
@@ -165,7 +150,9 @@ let rule_kills_of (j : json) : (string * int) list =
   match member "rule_kills" j with
   | Some (Arr ks) ->
       List.map
-        (fun k -> (str_exn (get "rule" k), int_exn "kills" (get "kills" k)))
+        (fun k ->
+          ( str_exn (member_exn "rule" k),
+            int_exn "kills" (member_exn "kills" k) ))
         ks
   | Some _ -> raise (Malformed "rule_kills must be an array")
   | None -> raise (Malformed "missing \"rule_kills\"")
@@ -173,25 +160,9 @@ let rule_kills_of (j : json) : (string * int) list =
 let validate (j : json) : (unit, string) result =
   let ( let* ) = Result.bind in
   try
-    let* () =
-      match member "schema" j with
-      | Some (Str s) when s = schema_version -> Ok ()
-      | Some (Str s) ->
-          Error (Printf.sprintf "schema %S, want %S" s schema_version)
-      | _ -> Error "missing schema tag"
-    in
-    let* () =
-      match member "files" j with
-      | Some (Arr (_ :: _ as fs))
-        when List.for_all (function Str _ -> true | _ -> false) fs ->
-          Ok ()
-      | _ -> Error "files must be a non-empty array of strings"
-    in
-    let rules =
-      match member "rules" j with
-      | Some r -> str_list_exn "rules" r
-      | None -> raise (Malformed "missing \"rules\"")
-    in
+    let* () = expect_schema schema_version j in
+    let* () = expect_strings "files" j in
+    let rules = str_list_exn "rules" (member_exn "rules" j) in
     let rows = rows_of j in
     let* () =
       if List.exists (fun r -> r.mr_line < 1) rows then
@@ -217,27 +188,11 @@ let validate (j : json) : (unit, string) result =
                r.mr_id r.mr_status)
       | None -> Ok ()
     in
-    let* () =
-      match member "count" j with
-      | Some (Num c) when int_of_float c = List.length rows -> Ok ()
-      | Some (Num c) ->
-          Error
-            (Printf.sprintf "count %d does not match %d mutants"
-               (int_of_float c) (List.length rows))
-      | _ -> Error "missing count"
-    in
+    let* () = expect_count "count" (List.length rows) ~what:"mutants" j in
     let killed_rows =
       List.length (List.filter (fun r -> r.mr_status = "killed") rows)
     in
-    let* () =
-      match member "killed" j with
-      | Some (Num c) when int_of_float c = killed_rows -> Ok ()
-      | Some (Num c) ->
-          Error
-            (Printf.sprintf "killed %d does not match %d killed mutants"
-               (int_of_float c) killed_rows)
-      | _ -> Error "missing killed"
-    in
+    let* () = expect_count "killed" killed_rows ~what:"killed mutants" j in
     let* () =
       match member "kill_rate" j with
       | Some (Num r) ->

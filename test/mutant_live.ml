@@ -21,7 +21,7 @@
      one lock and spins reading the other: the checker must confirm a
      fair cycle with no writes in the pump — a deadlock.
 
-   This file is scanned by [test_progress] with {!Lint_rules.scan_file}
+   This file is scanned by [test_progress] with {!Analysis.scan_file}
    as the lint's acceptance fixture; it must stay outside [lib/] so the
    shipped-tree lint stays clean. *)
 

@@ -1,5 +1,5 @@
 (* Deliberately broken sources seeded for the static-analysis tier.
-   Each module plants one defect that the {!Analysis} engines, a
+   Each module plants one defect that the {!Analysis} lint, a
    dynamic tier, or both must catch; where a dynamic tier covers the
    defect class, a runnable program lets the static verdict be
    cross-checked against the DPOR / liveness verdict on the very same
@@ -22,8 +22,8 @@
 
    - [Aliased_helper_dropped]: an extraction retry loop that binds the
      helper under another name ([let restore = moundify]) and never
-     calls it. The token lint's substring heuristic sees "moundify" in
-     the chunk and stays silent; helping-discipline v2 works on the
+     calls it. The name-based retry-no-backoff rule sees "moundify" in
+     the item and stays silent; helping-discipline v2 works on the
      call graph and must flag the loop. [Aliased_helper_kept] is the
      negative twin — same alias, actually invoked — that must stay
      clean. The dynamic analog (helping deleted means the victim's
@@ -171,8 +171,8 @@ module Aliased_helper_dropped = struct
     let cur = M.get slot in
     ignore (M.cas slot cur { list = cur.list; dirty = false; seq = cur.seq + 1 })
 
-  (* THE MUTATION: the helper is aliased — the token lint sees the
-     substring "moundify" in the loop's chunk and stays silent — but
+  (* THE MUTATION: the helper is aliased — the name-based rule sees the
+     substring "moundify" in the loop's item and stays silent — but
      [restore] is never called, so the retry loop neither helps nor
      backs off. *)
   let rec extract_spin t slot =

@@ -1,11 +1,11 @@
-(** Unit tests for the {!Analysis} AST engines: per-rule fixtures
-    (positive and negative), waiver interaction, the seeded
+(** Unit tests for the cross-module {!Analysis} rules: per-rule
+    fixtures (positive and negative), waiver interaction, the seeded
     {!Mutant_static} defects, and dynamic cross-checks of the same
     mutant code under the liveness and DPOR tiers.
 
-    The shipped tree being clean under both engines is enforced by the
-    [@lint] alias in [bin/dune]; here we pin engine behavior on
-    fixtures the way [test_lint] does for the token rules. *)
+    The shipped tree being clean under every rule is enforced by the
+    [@lint] alias in [bin/dune]; here we pin the analyses' behavior on
+    fixtures the way [test_lint] does for the per-file rules. *)
 
 let scan path src = Analysis.scan ~path src
 let with_rule r fs = List.filter (fun f -> f.Analysis.rule = r) fs
@@ -158,7 +158,7 @@ let test_post_publish_mutation () =
 (* The relaxed front-end's two protocol disciplines, distilled the way
    [lock_prims] distills the locking mound's. The shipped multiqueue.ml
    itself is covered by the clean-tree assertion below (its disciplines
-   hold, so both engines stay silent over it); these fixtures pin that
+   hold, so the lint stays silent over it); these fixtures pin that
    the rules would actually fire if either discipline broke.
 
    Sticky locking uses a bare [bool R.Atomic.t] word — the CAS(false,
@@ -243,7 +243,7 @@ let test_static_retry () =
   check_count "backoff silences" 0
     (with_rule "static-retry" (scan "lib/core/x.ml" with_backoff));
   (* helping recognized through an alias, not a name: the helper is
-     bound as [restore] and called; the token heuristic never sees a
+     bound as [restore] and called; the name-based rule never sees a
      helper-shaped identifier in the loop *)
   let aliased_called =
     "let finish q =\n\
@@ -301,8 +301,8 @@ let test_static_deadline () =
   in
   check_count "direct deadline silences" 0
     (with_rule "static-deadline" (scan "lib/core/x.ml" bounded));
-  (* ... and one consulted through a callee the token engine cannot
-     see: the loop's own chunk names no deadline, the call graph does *)
+  (* ... and one consulted through a callee no name in the loop gives
+     away: the loop's own item names no deadline, the call graph does *)
   let via_callee =
     "let out_of_time deadline =\n\
     \  R.monotonic_ns () > deadline\n\n\
@@ -620,13 +620,10 @@ let test_mutant_aliased_helper_flagged () =
            && (String.sub msg i (String.length sub) = sub || has (i + 1))
          in
          has 0);
-      (* the token engine's substring heuristic misses it: that gap is
+      (* the name-based retry-no-backoff rule misses it: that gap is
          the rule's reason to exist *)
-      let token = Lint_rules.scan_file mutant_src in
-      check_count "token lint blind to the alias" 0
-        (List.filter
-           (fun f -> f.Lint_rules.rule = "retry-no-backoff")
-           token)
+      check_count "name-based rule blind to the alias" 0
+        (with_rule "retry-no-backoff" fs)
 
 let contains = Analysis.Summary.contains_sub
 
@@ -705,8 +702,8 @@ let test_waivers_cover_new_rules () =
   check_count "waiver with nothing under it is stale" 1
     (with_rule "waiver" (scan "lib/core/x.ml" stale))
 
-(* Co-located findings of the two engines share one waiver: the
-   discarded CAS of a shared read is a token [cas-discard] and an AST
+(* Co-located findings of two rules share one waiver: the discarded CAS
+   of a shared read is a per-file [cas-discard] and a cross-module
    [stale-publish] on one line, and a single reasoned waiver above it
    silences both and stays live. A reasonless one is a finding. *)
 let test_waiver_covers_colocated () =
@@ -716,7 +713,7 @@ let test_waiver_covers_colocated () =
     ^ waiver
     ^ "  ignore (M.cas q root root)\n"
   in
-  Alcotest.(check (list string)) "unwaived: one finding per engine"
+  Alcotest.(check (list string)) "unwaived: one finding per rule"
     [ "cas-discard"; "stale-publish" ]
     (List.sort compare
        (List.map (fun f -> f.Analysis.rule) (scan "lib/core/x.ml" (mark ""))));
@@ -744,7 +741,7 @@ let test_mutant_lock_inverted_deadlocks () =
       Alcotest.(check bool) "pure spin (no writes in pump)" false
         c.Liveness.pump_writes;
       Alcotest.(check bool) "replayable schedule" true
-        (Liveness.check_cycle ~config:liveness_config p c)
+        (Liveness.check_cycle p c)
 
 module C = Check
 
@@ -836,7 +833,7 @@ let test_shipped_tree_clean () =
   if Sys.file_exists "lib" && Sys.is_directory "lib" then begin
     let fs = Analysis.scan_tree "lib" in
     List.iter (fun f -> Format.printf "%a@." Analysis.pp_finding f) fs;
-    check_count "shipped lib/ clean under both engines" 0 fs
+    check_count "shipped lib/ clean under every rule" 0 fs
   end
 
 let () =

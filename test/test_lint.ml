@@ -1,17 +1,35 @@
-(** Unit tests for the {!Lint_rules} engine.
+(** Unit tests for the per-file lint rules ([lib/analysis/file_rules.ml]):
+    runtime boundary, mutable-atomic, the helping discipline, format and
+    waivers.
 
     The shipped tree being clean is enforced by the [dune runtest] rule
-    in [bin/dune]; here we pin the engine's behavior on fixtures — in
+    in [bin/dune]; here we pin the rules' behavior on fixtures — in
     particular that a direct [Stdlib.Atomic] use in [lib/core] fails,
     and that comments, strings, waivers, and the functor-constraint
-    idiom do not. *)
+    idiom do not. [scan] keeps the findings of the seven rules judged
+    here; the cross-module analyses have their own fixtures in
+    [test_analysis]. *)
 
-let scan path src = Lint_rules.scan ~path src
+let file_rules =
+  [
+    "boundary";
+    "mutable-atomic";
+    "cas-discard";
+    "retry-no-backoff";
+    "alloc-in-retry";
+    "format";
+    "waiver";
+  ]
 
-let rules fs = List.map (fun f -> f.Lint_rules.rule) fs
+let scan path src =
+  List.filter
+    (fun f -> List.mem f.Analysis.rule file_rules)
+    (Analysis.scan ~path src)
+
+let rules fs = List.map (fun f -> f.Analysis.rule) fs
 
 let boundary fs =
-  List.filter (fun f -> f.Lint_rules.rule = "boundary") fs
+  List.filter (fun f -> f.Analysis.rule = "boundary") fs
 
 let check_count what n fs = Alcotest.(check int) what n (List.length fs)
 
@@ -22,8 +40,8 @@ let test_core_stdlib_atomic () =
   let fs = scan "lib/core/bad.ml" "let x = Stdlib.Atomic.make 0\n" in
   check_count "one finding" 1 fs;
   let f = List.hd fs in
-  Alcotest.(check string) "rule" "boundary" f.Lint_rules.rule;
-  Alcotest.(check int) "line" 1 f.Lint_rules.line
+  Alcotest.(check string) "rule" "boundary" f.Analysis.rule;
+  Alcotest.(check int) "line" 1 f.Analysis.line
 
 let test_forbidden_idents () =
   let flagged src = boundary (scan "lib/core/x.ml" src) <> [] in
@@ -133,8 +151,8 @@ let test_waiver_hygiene () =
 (* ---- helping-discipline rules ------------------------------------------ *)
 
 let test_retry_no_backoff () =
-  (* bodies indented 4: chunks split at indentation <= 2, the margin of
-     a module body, exactly like the shipped sources *)
+  (* judged per module-level [let] item; bodies indented 4 like the
+     shipped sources' functor bodies *)
   let bare =
     "let rec push q v =\n\
     \    let cur = R.Atomic.get q in\n\
@@ -160,7 +178,7 @@ let test_retry_no_backoff () =
     \    end\n"
   in
   check_count "helping silences" 0 (scan "lib/core/x.ml" with_help);
-  (* non-recursive chunks are not retry loops *)
+  (* non-recursive items are not retry loops *)
   check_count "straight-line cas fine" 0
     (scan "lib/core/x.ml" "let push q v =\n  if M.cas q [] [ v ] then 1 else 0\n");
   (* baselines reproduce published loops; helping rules do not apply *)
@@ -171,13 +189,15 @@ let test_cas_discard () =
     (rules (scan "lib/core/x.ml" "let reset q =\n  ignore (M.cas q 0 1)\n"));
   Alcotest.(check (list string)) "statement-position cas" [ "cas-discard" ]
     (rules
-       (scan "lib/core/x.ml" "let f q r =\n  r := 1;\n  M.cas q 0 1\n"));
+       (scan "lib/core/x.ml" "let f q r =\n  M.cas q 0 1;\n  r := 1\n"));
+  (* a CAS ending the function's body is its return value *)
+  check_count "returned sequence tail fine" 0
+    (scan "lib/core/x.ml" "let f q r =\n  r := 1;\n  M.cas q 0 1\n");
   check_count "branched-on cas fine" 0
     (scan "lib/core/x.ml" "let f q = if M.cas q 0 1 then 1 else 0\n");
   (* a CAS ending a sequence whose value is let-bound (or otherwise
-     consumed) on a following line is not discarded: only the [;] on
-     the preceding line is in sight when walking backwards, so the
-     verdict must come from scanning forward to the binder *)
+     consumed) is not discarded: a sequence's tail is dropped only when
+     the whole sequence is *)
   check_count "let-bound sequence tail fine" 0
     (scan "lib/core/x.ml"
        "let f q r =\n\
@@ -222,7 +242,7 @@ let test_cas_discard () =
     (scan "lib/core/x.ml" "type t = { gets : int; cas : int }\n")
 
 let test_alloc_in_retry () =
-  let alloc fs = List.filter (fun f -> f.Lint_rules.rule = "alloc-in-retry") fs in
+  let alloc fs = List.filter (fun f -> f.Analysis.rule = "alloc-in-retry") fs in
   (* an array built on every failed attempt *)
   let hot =
     "let rec push q v =\n\
@@ -253,7 +273,7 @@ let test_alloc_in_retry () =
     \    else push q v\n"
   in
   check_count "record literal fine" 0 (alloc (scan "lib/core/x.ml" record));
-  (* a recursive chunk without a CAS is not a retry loop *)
+  (* a recursive item without a CAS is not a retry loop *)
   let no_cas =
     "let rec build n acc =\n\
     \    if n = 0 then acc else build (n - 1) (ref n :: acc)\n"
@@ -281,7 +301,14 @@ let test_functor_constraint_idiom () =
   check_count "with type 'a Atomic.t" 0
     (boundary
        (scan "lib/core/x.mli"
-          "include Runtime.S with type 'a Atomic.t = 'a R.Atomic.t\n"))
+          "include Runtime.S with type 'a Atomic.t = 'a R.Atomic.t\n"));
+  (* interfaces are parsed too: a bare Atomic in a signature is a use *)
+  check_count "val of bare Atomic.t" 1
+    (boundary (scan "lib/core/y.mli" "val c : int Atomic.t\n"));
+  Alcotest.(check (list string)) "unparsable interface" [ "parse" ]
+    (List.map
+       (fun f -> f.Analysis.rule)
+       (Analysis.scan ~path:"lib/core/z.mli" "val c : int Atomic.t =\n"))
 
 (* ---- mutable-record-behind-Atomic rule --------------------------------- *)
 
@@ -293,20 +320,20 @@ let test_mutable_atomic () =
   in
   (* the bare Atomic. is also flagged; look for the mutable finding *)
   Alcotest.(check bool) "flagged" true
-    (List.exists (fun f -> f.Lint_rules.rule = "mutable-atomic") fs);
+    (List.exists (fun f -> f.Analysis.rule = "mutable-atomic") fs);
   let fs2 =
     scan "lib/core/x.ml"
       "type node = { mutable next : int }\nlet use (n : node) = n.next\n"
   in
   Alcotest.(check bool) "unpublished record fine" false
-    (List.exists (fun f -> f.Lint_rules.rule = "mutable-atomic") fs2);
+    (List.exists (fun f -> f.Analysis.rule = "mutable-atomic") fs2);
   let fs3 =
     scan "lib/core/x.ml"
       "type slot = { list : int list; dirty : bool }\n\
        type t = { root : slot A.t }\n"
   in
   Alcotest.(check bool) "immutable record fine" false
-    (List.exists (fun f -> f.Lint_rules.rule = "mutable-atomic") fs3)
+    (List.exists (fun f -> f.Analysis.rule = "mutable-atomic") fs3)
 
 (* ---- format rules ------------------------------------------------------ *)
 
@@ -318,15 +345,15 @@ let test_format () =
     (rules fs);
   Alcotest.(check (list int))
     "lines" [ 1; 2; 3 ]
-    (List.map (fun f -> f.Lint_rules.line) fs);
+    (List.map (fun f -> f.Analysis.line) fs);
   check_count "clean file" 0 (scan "lib/core/x.ml" "let x = 1\n")
 
-(* ---- engine merge ------------------------------------------------------- *)
+(* ---- per-file and cross-module rules together ---------------------------- *)
 
-(* Both engines report through one waiver machinery, and co-located
+(* Every rule reports through one waiver machinery, and co-located
    findings are not merged: the discarded CAS of a shared read is a
-   token [cas-discard] and an AST [stale-publish] on the same line, and
-   the merged scan reports both. *)
+   per-file [cas-discard] and a cross-module [stale-publish] on the same
+   line, and the full scan reports both. *)
 let test_colocated_findings () =
   let src =
     "let mark q =\n\
@@ -338,12 +365,12 @@ let test_colocated_findings () =
     [ "cas-discard"; "stale-publish" ]
     (List.sort compare (rules merged));
   Alcotest.(check (list int)) "on the CAS line" [ 3; 3 ]
-    (List.map (fun f -> f.Lint_rules.line) merged)
+    (List.map (fun f -> f.Analysis.line) merged)
 
-(* A mutable field behind an [Atomic.t]: the token heuristic flags it at
-   its declaration, and the merged scan passes that finding through.
+(* A mutable field behind an [Atomic.t]: the rule flags it at its
+   declaration, and the full scan passes that finding through.
    [mutable-atomic] is the only rule that kills the [mutabilize]
-   mutants, and the kill matrix reads the merged scan. *)
+   mutants, and the kill matrix reads the full scan. *)
 let test_mutable_atomic_merged () =
   let src =
     "type slab = { mutable used : int; cap : int }\n\
@@ -353,19 +380,19 @@ let test_mutable_atomic_merged () =
   let lines fs =
     List.filter_map
       (fun f ->
-        if f.Lint_rules.rule = "mutable-atomic" then Some f.Lint_rules.line
+        if f.Analysis.rule = "mutable-atomic" then Some f.Analysis.line
         else None)
       fs
   in
-  Alcotest.(check (list int)) "token engine: at the declaration" [ 1 ]
+  Alcotest.(check (list int)) "per-file rules: at the declaration" [ 1 ]
     (lines (scan "lib/core/x.ml" src));
-  Alcotest.(check (list int)) "merged scan: the same finding" [ 1 ]
+  Alcotest.(check (list int)) "full scan: the same finding" [ 1 ]
     (lines (Analysis.scan ~path:"lib/core/x.ml" src))
 
 (* The registry must be duplicate-free — the table is what
    [--list-rules], the README and CI all derive from. *)
 let test_rule_registry_consistent () =
-  let names = List.map (fun (n, _, _) -> n) Analysis.rule_table in
+  let names = List.map fst Analysis.rule_table in
   Alcotest.(check int) "registry names are unique" (List.length names)
     (List.length (List.sort_uniq compare names))
 
@@ -424,15 +451,16 @@ let test_lint_json_roundtrip () =
 let test_shipped_tree_clean () =
   (* Belt and braces: the runtest rule in bin/dune already enforces
      this, but running from the test binary keeps the guarantee even if
-     the alias wiring regresses. Both engines, like [repro lint]: a
-     token-only scan would misjudge as stale any waiver that covers an
-     AST-level finding (stm's static-deadline waiver). Source may live
+     the alias wiring regresses. Every rule, like [repro lint]: a scan
+     without the cross-module analyses would misjudge as stale any
+     waiver that covers one of their findings (stm's static-deadline
+     waiver). Source may live
      elsewhere when built in a sandbox; skip silently if lib/ is not
      present. *)
   if Sys.file_exists "lib" && Sys.is_directory "lib" then begin
     let fs = Analysis.scan_tree "lib" in
     List.iter
-      (fun f -> Format.printf "%a@." Lint_rules.pp_finding f)
+      (fun f -> Format.printf "%a@." Analysis.pp_finding f)
       fs;
     check_count "shipped lib/ clean" 0 fs
   end
@@ -463,7 +491,7 @@ let test_repro_lint_exit () =
   Sys.remove file;
   Sys.rmdir root;
   Alcotest.(check (list string)) "one line per registered rule"
-    (List.map (fun (n, _, _) -> n) Analysis.rule_table)
+    (List.map fst Analysis.rule_table)
     (String.split_on_char '\n' listed
     |> List.filter (( <> ) "")
     |> List.map (fun l -> List.hd (String.split_on_char '\t' l)))

@@ -54,7 +54,7 @@ let fake_scan files =
   if List.exists (fun (_, s) -> s = "KILLED-MUTANT") files then
     [
       {
-        Lint_rules.file = "lib/core/f.ml";
+        Analysis.file = "lib/core/f.ml";
         line = 3;
         rule = "atomicity";
         msg = "lost update";
@@ -207,7 +207,7 @@ let test_baseline_valid () =
      kill, so a rule that kills nothing cannot be added back *)
   let kills = Harness.Mutation_json.rule_kills_of doc in
   List.iter
-    (fun (rule, _, _) ->
+    (fun (rule, _) ->
       if not (List.mem rule Analysis.Killmatrix.hygiene_rules) then
         match List.assoc_opt rule kills with
         | Some n when n >= 1 -> ()
@@ -220,7 +220,7 @@ let test_baseline_valid () =
    naming a retired rule would widen it with a name no scan can report;
    a hygiene rule would credit kills to a malformed mutant. *)
 let test_operator_rules_registered () =
-  let registered = List.map (fun (n, _, _) -> n) Analysis.rule_table in
+  let registered = List.map fst Analysis.rule_table in
   List.iter
     (fun (o : Analysis.Mutate.op) ->
       List.iter
@@ -330,7 +330,7 @@ let context_roots root =
 
 let live_matrix root =
   let context =
-    List.concat_map Lint_rules.files_under (context_roots root)
+    List.concat_map Analysis.files_under (context_roots root)
     |> List.sort compare
     |> List.map (fun p -> (p, Analysis.read_file p))
   in

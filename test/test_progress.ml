@@ -53,7 +53,7 @@ let test_lock_mound_starves () =
       | Liveness.Suspend _ -> ()
       | s -> Alcotest.failf "starvation under %a" Liveness.pp_strategy s);
       Alcotest.(check bool) "cycle replays" true
-        (Liveness.check_cycle ~config (entry "lock-mound") c)
+        (Liveness.check_cycle (entry "lock-mound") c)
 
 let test_multiqueue_failover_lock_free () =
   (* Lock-based, yet this program certifies lock-free: the threads'
@@ -77,7 +77,7 @@ let test_no_help_mutant_cycles () =
     | None, None -> Alcotest.fail "expected a non-progress cycle"
   in
   Alcotest.(check bool) "replayable schedule" true
-    (Liveness.check_cycle ~config Mutant_live.no_help_program c)
+    (Liveness.check_cycle Mutant_live.no_help_program c)
 
 let test_no_backoff_mutant_still_lock_free () =
   let r = certify Mutant_live.no_backoff_program in
@@ -93,7 +93,7 @@ let test_lock_inverted_mutant_deadlocks () =
       Alcotest.(check bool) "pure spin (no writes in pump)" false
         c.Liveness.pump_writes;
       Alcotest.(check bool) "replayable schedule" true
-        (Liveness.check_cycle ~config Mutant_live.lock_inverted_program c)
+        (Liveness.check_cycle Mutant_live.lock_inverted_program c)
 
 (* ---- the helping lint against the mutant source ------------------------ *)
 
@@ -102,10 +102,23 @@ let test_lint_flags_no_help_mutant () =
      a future build layout stops copying it into the sandbox. *)
   let src = "mutant_live.ml" in
   if Sys.file_exists src then begin
-    let fs = Lint_rules.scan_file src in
-    let rules = List.map (fun f -> f.Lint_rules.rule) fs in
-    Alcotest.(check bool) "retry-no-backoff flagged" true
-      (List.mem "retry-no-backoff" rules)
+    let flagged =
+      Analysis.scan_file src
+      |> List.filter_map (fun f ->
+             if f.Analysis.rule = "retry-no-backoff" then Some f.Analysis.line
+             else None)
+    in
+    Alcotest.(check bool) "retry-no-backoff flagged" true (flagged <> []);
+    (* on [No_help.extract_min] itself: the bare retry the file header
+       says the rule must flag *)
+    let extract_min =
+      In_channel.with_open_bin src In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.mapi (fun i l -> (String.trim l, i + 1))
+      |> List.assoc "let rec extract_min t ="
+    in
+    Alcotest.(check bool) "on No_help.extract_min" true
+      (List.mem extract_min flagged)
   end
 
 let () =
