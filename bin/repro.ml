@@ -421,15 +421,8 @@ let shape_cmd =
 
 let run_lin histories =
   let structures =
-    [
-      ("Mound (LF)", Harness.Pq.On_sim.mound_lf);
-      ("Mound (Lock)", Harness.Pq.On_sim.mound_lock);
-      ("Coarse Heap", Harness.Pq.On_sim.coarse);
-      ("STM Heap", Harness.Pq.On_sim.stm_heap);
-      ("Hunt Heap (Lock)", Harness.Pq.On_sim.hunt);
-      ("Skip List (QC)", Harness.Pq.On_sim.skiplist);
-      ("Skip List (Lock)", Harness.Pq.On_sim.skiplist_lock);
-    ]
+    Harness.Pq.On_sim.
+      [ mound_lf; mound_lock; coarse; stm_heap; hunt; skiplist; skiplist_lock ]
   in
   Format.fprintf ppf
     "Linearizability: %d histories each (4 threads x 7 mixed ops, \
@@ -437,11 +430,11 @@ let run_lin histories =
     histories;
   Format.fprintf ppf "%-18s %s@." "structure" "linearizable histories";
   List.iter
-    (fun (name, maker) ->
+    (fun (maker : Harness.Pq.maker) ->
       let ok = ref 0 in
       for i = 1 to histories do
         let seed = Int64.of_int (9000 + (31 * i)) in
-        let q = maker.Harness.Pq.make ~capacity:4096 in
+        let q = maker.make ~capacity:4096 in
         let rng = Prng.create seed in
         let scripts =
           List.init 4 (fun t ->
@@ -458,7 +451,7 @@ let run_lin histories =
         let history = List.concat_map (fun (_, c) -> c ()) pairs in
         if Harness.Lin.check history then incr ok
       done;
-      Format.fprintf ppf "%-18s %d/%d@." name !ok histories)
+      Format.fprintf ppf "%-18s %d/%d@." maker.name !ok histories)
     structures;
   Format.pp_print_flush ppf ()
 

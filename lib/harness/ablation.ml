@@ -177,18 +177,21 @@ type cost_row = {
   cas_per_op : float;
 }
 
-(* Measure one structure's per-op shared-memory profile: populate outside
-   the simulation (free), then run a single simulated thread doing [ops]
-   operations and read the scheduler's access counters. *)
-let measure_costs ~name ~make_insert_extract ~prepopulate ~ops =
-  let insert, extract = make_insert_extract () in
+(* Measure one structure's per-op shared-memory profile: populate with
+   [n] keys outside the simulation (free), then run a single simulated
+   thread doing [ops] operations and read the scheduler's access
+   counters. *)
+let measure_costs ~n ~ops (maker : Pq.maker) =
+  let q = maker.make ~capacity:(4 * n) in
   Sim.Sched.seed_ambient 41L;
   let rng = Prng.create 43L in
-  prepopulate (fun () -> insert (Prng.int rng Workload.key_range));
+  for _ = 1 to n do
+    q.insert (Prng.int rng Workload.key_range)
+  done;
   let run op_name f =
     let r = Sim.Sched.run ~seed:44L [| (fun _ -> for _ = 1 to ops do f () done) |] in
     {
-      structure = name;
+      structure = maker.name;
       operation = op_name;
       reads_per_op = float_of_int r.reads /. float_of_int ops;
       writes_per_op = float_of_int r.writes /. float_of_int ops;
@@ -196,24 +199,13 @@ let measure_costs ~name ~make_insert_extract ~prepopulate ~ops =
     }
   in
   let insert_row =
-    run "insert" (fun () -> insert (Prng.int rng Workload.key_range))
+    run "insert" (fun () -> q.insert (Prng.int rng Workload.key_range))
   in
-  let extract_row = run "extractmin" (fun () -> ignore (extract ())) in
+  let extract_row = run "extractmin" (fun () -> ignore (q.extract_min ())) in
   [ insert_row; extract_row ]
 
 let sync_costs ?(n = 1 lsl 12) ?(ops = 512) () =
-  let prepop insert =
-    for _ = 1 to n do
-      insert ()
-    done
-  in
-  List.concat_map
-    (fun (maker : Pq.maker) ->
-      let q = maker.make ~capacity:(4 * n) in
-      measure_costs ~name:q.name
-        ~make_insert_extract:(fun () -> (q.insert, q.extract_min))
-        ~prepopulate:prepop ~ops)
-    Pq.On_sim.extended_set
+  List.concat_map (measure_costs ~n ~ops) Pq.On_sim.extended_set
 
 let print_costs ppf rows =
   Format.fprintf ppf

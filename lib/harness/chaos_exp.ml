@@ -183,14 +183,9 @@ let add_ops (into : Mound.Stats.Ops.t) (o : Mound.Stats.Ops.t) =
   into.lock_recoveries <- into.lock_recoveries + o.lock_recoveries
 
 (* Generic sweep over a structure: [make] returns a fresh handle plus
-   its ops-counter, leak-test and fullness closures. *)
+   its leak-test and fullness closures. *)
 let sweep_generic ~structure ~plan ~stride ~seed
-    ~(make :
-       unit ->
-       Pq.t
-       * (unit -> Mound.Stats.Ops.t)
-       * (unit -> bool)
-       * (unit -> Mound.Stats.t)) () =
+    ~(make : unit -> Pq.t * (unit -> bool) * (unit -> Mound.Stats.t)) () =
   let faults =
     {
       Chaos.gets = 0;
@@ -205,10 +200,10 @@ let sweep_generic ~structure ~plan ~stride ~seed
   let last_stats = ref None in
   let do_run ~crash ~watchdog =
     CR.configure plan;
-    let pq, get_ops, leak_check, get_stats = make () in
+    let pq, leak_check, get_stats = make () in
     let r = run_once ~pq ~seed ~crash ~watchdog ~leak_check ~snapshot:get_stats () in
     add_counters faults r.faults;
-    add_ops ops (get_ops ());
+    Option.iter (add_ops ops) (pq.ops ());
     last_stats := Some r.stats;
     r
   in
@@ -260,21 +255,8 @@ let sweep_generic ~structure ~plan ~stride ~seed
 
 let make_lf () =
   let q = Lf.create () in
-  let pq : Pq.t =
-    {
-      name = "Mound (LF)";
-      insert = Lf.insert q;
-      insert_many = (fun b -> Lf.insert_many q (List.sort compare b));
-      extract_min = (fun () -> Lf.extract_min q);
-      extract_many = (fun () -> Lf.extract_many q);
-      extract_approx = (fun () -> Lf.extract_approx q);
-      try_insert = Lf.try_insert q;
-      insert_until = (fun ~deadline v -> Lf.insert_until q ~deadline v);
-      extract_min_until = (fun ~deadline -> Lf.extract_min_until q ~deadline);
-      size = (fun () -> Lf.size q);
-      check = (fun () -> Lf.check q);
-      ops = (fun () -> Some (Lf.ops q));
-    }
+  let pq =
+    { (Pq.of_mound (module Lf) q) with ops = (fun () -> Some (Lf.ops q)) }
   in
   let stats () =
     Mound.Stats.compute
@@ -283,25 +265,12 @@ let make_lf () =
   in
   (* The LF mound cannot be poisoned: any reader completes a dead
      thread's published descriptor, so it is always drainable. *)
-  (pq, (fun () -> Lf.ops q), (fun () -> false), stats)
+  (pq, (fun () -> false), stats)
 
 let make_lock () =
   let q = Lock.create () in
-  let pq : Pq.t =
-    {
-      name = "Mound (Lock)";
-      insert = Lock.insert q;
-      insert_many = (fun b -> Lock.insert_many q (List.sort compare b));
-      extract_min = (fun () -> Lock.extract_min q);
-      extract_many = (fun () -> Lock.extract_many q);
-      extract_approx = (fun () -> Lock.extract_approx q);
-      try_insert = Lock.try_insert q;
-      insert_until = (fun ~deadline v -> Lock.insert_until q ~deadline v);
-      extract_min_until = (fun ~deadline -> Lock.extract_min_until q ~deadline);
-      size = (fun () -> Lock.size q);
-      check = (fun () -> Lock.check q);
-      ops = (fun () -> Some (Lock.ops q));
-    }
+  let pq =
+    { (Pq.of_mound (module Lock) q) with ops = (fun () -> Some (Lock.ops q)) }
   in
   let stats () =
     Mound.Stats.compute
@@ -311,14 +280,15 @@ let make_lock () =
   (* A crashed lock holder leaves a locked node behind, and only a lock
      holder can leave the mound property violated — [Lock.check] detects
      both, so its failure is the poisoned-structure signal. *)
-  (pq, (fun () -> Lock.ops q), (fun () -> not (Lock.check q)), stats)
+  (pq, (fun () -> not (Lock.check q)), stats)
 
 let sweep_lf ?(plan = Chaos.default ~seed:7L) ?(stride = 1) ~seed () =
-  sweep_generic ~structure:"Mound (LF)" ~plan ~stride ~seed ~make:make_lf ()
+  sweep_generic ~structure:Pq.On_sim.mound_lf.name ~plan ~stride ~seed
+    ~make:make_lf ()
 
 let sweep_lock ?(plan = Chaos.default ~seed:7L) ?(stride = 1) ~seed () =
-  sweep_generic ~structure:"Mound (Lock)" ~plan ~stride ~seed ~make:make_lock
-    ()
+  sweep_generic ~structure:Pq.On_sim.mound_lock.name ~plan ~stride ~seed
+    ~make:make_lock ()
 
 (* ---------------- verdicts and reporting ---------------- *)
 

@@ -87,15 +87,20 @@ let pq_program ~name ~(make : unit -> Pq.t) ?(prepopulate = [])
   in
   { Check.name; prepare }
 
-(* The standard shape: one queue prepopulated with a middle key, one
-   thread racing insert-then-extract against a second thread's insert.
-   Small enough to explore exhaustively on every structure, adversarial
-   enough to exercise insert/extract and extract/extract conflicts. *)
-let standard ~name ~lin (maker : Pq.maker) =
+(* A program over one maker's structure, prepopulated with the middle
+   key 2; the history must linearize when the maker claims the exact
+   spec. *)
+let maker_program ~name (maker : Pq.maker) scripts =
   pq_program ~name
-    ~make:(fun () -> maker.Pq.make ~capacity:64)
-    ~prepopulate:[ 2 ] ~lin
-    [ [ `Insert 1; `Extract ]; [ `Insert 3 ] ]
+    ~make:(fun () -> maker.make ~capacity:64)
+    ~prepopulate:[ 2 ] ~lin:maker.linearizable scripts
+
+(* The standard shape: one thread racing insert-then-extract against a
+   second thread's insert. Small enough to explore exhaustively on every
+   structure, adversarial enough to exercise insert/extract and
+   extract/extract conflicts. *)
+let standard ~name maker =
+  maker_program ~name maker [ [ `Insert 1; `Extract ]; [ `Insert 3 ] ]
 
 (* CASN helping: two threads issue overlapping double-word CASNs from
    the same initial state, with legs in opposite orders. Exactly one
@@ -165,11 +170,8 @@ let mcas_dcss_dcas_program : Check.program =
 (* extract-many racing an insert: the root CAS (lock-free) or root lock
    (locking) conflicts with the insert's validation; the Ext_many history
    entry exercises the checker's whole-list linearization rule. *)
-let many ~name ~lin (maker : Pq.maker) =
-  pq_program ~name
-    ~make:(fun () -> maker.Pq.make ~capacity:64)
-    ~prepopulate:[ 2 ] ~lin
-    [ [ `Insert 1; `Extract_many ]; [ `Insert 3 ] ]
+let many ~name maker =
+  maker_program ~name maker [ [ `Insert 1; `Extract_many ]; [ `Insert 3 ] ]
 
 (* Batched insert racing a plain insert, followed by the inserting
    thread's own extract. [insert_many] splices one node prefix per
@@ -178,10 +180,8 @@ let many ~name ~lin (maker : Pq.maker) =
    program-ordered after the batch completes, which makes the atomic
    [Lin.Ins_many] spec sound while still exploring every interleaving of
    the splices with the racing insert's validation. *)
-let batch ~name ~lin (maker : Pq.maker) =
-  pq_program ~name
-    ~make:(fun () -> maker.Pq.make ~capacity:64)
-    ~prepopulate:[ 2 ] ~lin
+let batch ~name maker =
+  maker_program ~name maker
     [ [ `Insert_many [ 1; 4 ]; `Extract ]; [ `Insert 3 ] ]
 
 (* Batch/extract-many round trip with an extract racing the batch. The
@@ -189,17 +189,15 @@ let batch ~name ~lin (maker : Pq.maker) =
    batch lands in a single splice (one CAS / one lock pair) — genuinely
    atomic, so the racing extract cannot observe a partial batch and the
    atomic spec is exact. *)
-let batch_roundtrip ~name ~lin (maker : Pq.maker) =
-  pq_program ~name
-    ~make:(fun () -> maker.Pq.make ~capacity:64)
-    ~prepopulate:[ 2 ] ~lin
+let batch_roundtrip ~name maker =
+  maker_program ~name maker
     [ [ `Insert_many [ 1; 1 ]; `Extract_many ]; [ `Extract ] ]
 
 (* extract-approx probes a random shallow node, so its return value is
    only quiescently meaningful — conservation oracle only (lin:false). *)
 let approx ~name (maker : Pq.maker) =
   pq_program ~name
-    ~make:(fun () -> maker.Pq.make ~capacity:64)
+    ~make:(fun () -> maker.make ~capacity:64)
     ~prepopulate:[ 2 ] ~lin:false
     [ [ `Insert 1; `Extract_approx ]; [ `Insert 3 ] ]
 
@@ -214,7 +212,7 @@ let approx ~name (maker : Pq.maker) =
    choice is one ambient draw per thread, keeping re-executions pinned
    by [seed_ambient] just like the mounds' randomized insert probes. *)
 let mq_make () =
-  (Pq.On_sim.multiqueue ~queues:2 ~stickiness:8 ~domains:2 ()).Pq.make
+  (Pq.On_sim.multiqueue ~queues:2 ~stickiness:8 ~domains:2 ()).make
     ~capacity:64
 
 (* The standard shape on the relaxed front-end. *)
@@ -234,21 +232,19 @@ let mq_race =
 
 let catalog : (string * Check.program) list =
   [
-    ("lf-mound", standard ~name:"lf-mound" ~lin:true Pq.On_sim.mound_lf);
-    ("lock-mound", standard ~name:"lock-mound" ~lin:true Pq.On_sim.mound_lock);
-    ("lf-mound-many", many ~name:"lf-mound-many" ~lin:true Pq.On_sim.mound_lf);
-    ( "lock-mound-many",
-      many ~name:"lock-mound-many" ~lin:true Pq.On_sim.mound_lock );
-    ("lf-mound-batch", batch ~name:"lf-mound-batch" ~lin:true Pq.On_sim.mound_lf);
-    ( "lock-mound-batch",
-      batch ~name:"lock-mound-batch" ~lin:true Pq.On_sim.mound_lock );
+    ("lf-mound", standard ~name:"lf-mound" Pq.On_sim.mound_lf);
+    ("lock-mound", standard ~name:"lock-mound" Pq.On_sim.mound_lock);
+    ("lf-mound-many", many ~name:"lf-mound-many" Pq.On_sim.mound_lf);
+    ("lock-mound-many", many ~name:"lock-mound-many" Pq.On_sim.mound_lock);
+    ("lf-mound-batch", batch ~name:"lf-mound-batch" Pq.On_sim.mound_lf);
+    ("lock-mound-batch", batch ~name:"lock-mound-batch" Pq.On_sim.mound_lock);
     ( "lf-mound-batch-rt",
-      batch_roundtrip ~name:"lf-mound-batch-rt" ~lin:true Pq.On_sim.mound_lf );
+      batch_roundtrip ~name:"lf-mound-batch-rt" Pq.On_sim.mound_lf );
     ("lf-mound-approx", approx ~name:"lf-mound-approx" Pq.On_sim.mound_lf);
     ("multiqueue", mq_standard);
     ("multiqueue-race", mq_race);
-    ("stm-heap", standard ~name:"stm-heap" ~lin:true Pq.On_sim.stm_heap);
-    ("skiplist", standard ~name:"skiplist" ~lin:false Pq.On_sim.skiplist);
+    ("stm-heap", standard ~name:"stm-heap" Pq.On_sim.stm_heap);
+    ("skiplist", standard ~name:"skiplist" Pq.On_sim.skiplist);
     ("mcas", mcas_program);
     ("mcas-dcss-dcas", mcas_dcss_dcas_program);
   ]

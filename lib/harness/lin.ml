@@ -147,14 +147,17 @@ let check ?(init = []) ?(rank = 1) events =
   in
   explore 0 (List.sort compare init)
 
+(** Largest rank {!min_rank} tries. *)
+let min_rank_limit = 8
+
 (** Smallest [rank] for which {!check} accepts the history, searched up
-    to [limit] — the relaxation a run {e actually} exhibited, recorded
-    rather than hoped for. [None] means even [rank = limit] does not
+    to {!min_rank_limit} — the relaxation a run {e actually} exhibited,
+    recorded rather than hoped for. [None] means even the limit does not
     linearize: an element was lost, duplicated, invented, or emptiness
     was misreported, which no rank relaxation excuses. *)
-let min_rank ?init ?(limit = 8) events =
+let min_rank ?init events =
   let rec go k =
-    if k > limit then None
+    if k > min_rank_limit then None
     else if check ?init ~rank:k events then Some k
     else go (k + 1)
   in

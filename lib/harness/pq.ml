@@ -1,51 +1,60 @@
-(** First-class priority-queue handles, so the experiment drivers can
-    treat every structure uniformly.
-
-    [Of_runtime] instantiates the whole menagerie over one runtime; the
-    two instances used everywhere are {!On_real} (OCaml domains) and
-    {!On_sim} (the virtual-time simulator). Keys are [int], as in the
-    paper's microbenchmarks. *)
+(** First-class priority-queue handles; see [pq.mli]. *)
 
 type t = {
-  name : string;
   insert : int -> unit;
   insert_many : int list -> unit;
-      (** batched insert; the handle sorts the batch, structures without
-          a native batched path degrade to element-wise [insert] *)
   extract_min : unit -> int option;
   extract_many : unit -> int list;
-      (** structures without a native extract-many degrade to a singleton
-          [extract_min] *)
-  extract_approx : unit -> int option;
-      (** probabilistic extract-min (mounds only); structures without a
-          native variant degrade to the exact [extract_min] *)
+  extract_approx : ?max_level:int -> unit -> int option;
+  peek_min : unit -> int option;
   try_insert : int -> bool;
-      (** one bounded insertion pass (mounds); structures without a
-          native variant degrade to [insert] and always succeed *)
   insert_until : deadline:int -> int -> unit Mound.Intf.outcome;
-      (** deadline-checking insert (mounds); others degrade to the
-          unbounded [insert] and always report [Ok] *)
   extract_min_until : deadline:int -> int option Mound.Intf.outcome;
-      (** deadline-checking extract (mounds); others degrade to
-          [extract_min] *)
   size : unit -> int;
-  check : unit -> bool;  (** quiescent invariant check *)
+  check : unit -> bool;
   ops : unit -> Mound.Stats.Ops.t option;
-      (** dynamic progress counters, for the structures that keep them *)
 }
 
-type maker = { make : capacity:int -> t }
+let of_mound (type q)
+    (module M : Mound.Intf.MOUND with type elt = int and type t = q) (q : q) =
+  {
+    insert = M.insert q;
+    insert_many = (fun b -> M.insert_many q (List.sort compare b));
+    extract_min = (fun () -> M.extract_min q);
+    extract_many = (fun () -> M.extract_many q);
+    extract_approx = (fun ?max_level () -> M.extract_approx ?max_level q);
+    peek_min = (fun () -> M.peek_min q);
+    try_insert = M.try_insert q;
+    insert_until = (fun ~deadline v -> M.insert_until q ~deadline v);
+    extract_min_until = (fun ~deadline -> M.extract_min_until q ~deadline);
+    size = (fun () -> M.size q);
+    check = (fun () -> M.check q);
+    ops = (fun () -> None);
+  }
 
-(* Degraded deadline/try trio for structures without native support: the
-   unbounded operations under the new names, always succeeding. *)
-let degraded_until ~insert ~extract_min =
-  ( (fun v ->
-      insert v;
-      true),
-    (fun ~deadline:_ v ->
-      insert v;
-      Mound.Intf.Ok ()),
-    fun ~deadline:_ -> Mound.Intf.Ok (extract_min ()) )
+let of_basic ~insert ~extract_min ~peek_min ~size ~check =
+  {
+    insert;
+    insert_many = List.iter insert;
+    extract_min;
+    extract_many = (fun () -> Option.to_list (extract_min ()));
+    extract_approx = (fun ?max_level:_ () -> extract_min ());
+    peek_min;
+    try_insert =
+      (fun v ->
+        insert v;
+        true);
+    insert_until =
+      (fun ~deadline:_ v ->
+        insert v;
+        Mound.Intf.Ok ());
+    extract_min_until = (fun ~deadline:_ -> Mound.Intf.Ok (extract_min ()));
+    size;
+    check;
+    ops = (fun () -> None);
+  }
+
+type maker = { name : string; linearizable : bool; make : capacity:int -> t }
 
 module Of_runtime (R : Runtime.S) = struct
   module Lf = Mound.Lf.Make (R) (Mound.Int_ord)
@@ -54,219 +63,123 @@ module Of_runtime (R : Runtime.S) = struct
   module Hunt = Baselines.Hunt_heap.Make (R) (Mound.Int_ord)
   module Sl = Baselines.Skiplist_pq.Make (R) (Mound.Int_ord)
   module Coarse = Baselines.Coarse_heap.Make (R) (Mound.Int_ord)
+  module Sl_lock = Baselines.Skiplist_lock_pq.Make (R) (Mound.Int_ord)
+  module Stm_h = Baselines.Stm_heap.Make (R)
 
   let mound_lock =
     {
+      name = "Mound (Lock)";
+      linearizable = true;
       make =
         (fun ~capacity:_ ->
           let q = Lock.create () in
           {
-            name = "Mound (Lock)";
-            insert = Lock.insert q;
-            insert_many =
-              (fun b -> Lock.insert_many q (List.sort compare b));
-            extract_min = (fun () -> Lock.extract_min q);
-            extract_many = (fun () -> Lock.extract_many q);
-            extract_approx = (fun () -> Lock.extract_approx q);
-            try_insert = Lock.try_insert q;
-            insert_until = (fun ~deadline v -> Lock.insert_until q ~deadline v);
-            extract_min_until =
-              (fun ~deadline -> Lock.extract_min_until q ~deadline);
-            size = (fun () -> Lock.size q);
-            check = (fun () -> Lock.check q);
+            (of_mound (module Lock) q) with
             ops = (fun () -> Some (Lock.ops q));
           });
     }
 
   let mound_lf =
     {
+      name = "Mound (LF)";
+      linearizable = true;
       make =
         (fun ~capacity:_ ->
           let q = Lf.create () in
-          {
-            name = "Mound (LF)";
-            insert = Lf.insert q;
-            insert_many =
-              (fun b -> Lf.insert_many q (List.sort compare b));
-            extract_min = (fun () -> Lf.extract_min q);
-            extract_many = (fun () -> Lf.extract_many q);
-            extract_approx = (fun () -> Lf.extract_approx q);
-            try_insert = Lf.try_insert q;
-            insert_until = (fun ~deadline v -> Lf.insert_until q ~deadline v);
-            extract_min_until =
-              (fun ~deadline -> Lf.extract_min_until q ~deadline);
-            size = (fun () -> Lf.size q);
-            check = (fun () -> Lf.check q);
-            ops = (fun () -> Some (Lf.ops q));
-          });
+          { (of_mound (module Lf) q) with ops = (fun () -> Some (Lf.ops q)) });
     }
 
-  (** Relaxed MultiQueue over [c·domains] try-locked sequential mounds
-      (two-choice delete-min, sticky queue selection). [domains] must be
-      the peak thread count the handle will see — the queue count is
-      fixed at creation. The name stays ["MultiQueue"] across
-      configurations so bench baselines compare across sweeps. *)
+  (* Relaxed by design (Williams & Sanders): [extract_min] returns a
+     sampled queue's minimum, not the global one. *)
   let multiqueue ?c ?stickiness ?queues ~domains () =
     {
+      name = "MultiQueue";
+      linearizable = false;
       make =
         (fun ~capacity:_ ->
           let q = Mq.create ?c ?stickiness ?queues ~domains () in
-          {
-            name = "MultiQueue";
-            insert = Mq.insert q;
-            insert_many = (fun b -> Mq.insert_many q (List.sort compare b));
-            extract_min = (fun () -> Mq.extract_min q);
-            extract_many = (fun () -> Mq.extract_many q);
-            extract_approx = (fun () -> Mq.extract_approx q);
-            try_insert = Mq.try_insert q;
-            insert_until = (fun ~deadline v -> Mq.insert_until q ~deadline v);
-            extract_min_until =
-              (fun ~deadline -> Mq.extract_min_until q ~deadline);
-            size = (fun () -> Mq.size q);
-            check = (fun () -> Mq.check q);
-            ops = (fun () -> Some (Mq.ops q));
-          });
+          { (of_mound (module Mq) q) with ops = (fun () -> Some (Mq.ops q)) });
     }
 
+  (* Hunt's delete-min takes the "bottom" element out of the tree before
+     locking the root; while that value sits in the deleter's hand,
+     larger values can be extracted, and when it re-enters at the root a
+     later extract may return it — so per-thread extraction sequences
+     are not monotone. This is inherent to the algorithm, not an
+     implementation artifact. *)
   let hunt =
     {
+      name = "Hunt Heap (Lock)";
+      linearizable = false;
       make =
         (fun ~capacity ->
           let q = Hunt.create ~capacity () in
-          let extract_min () = Hunt.extract_min q in
-          let try_insert, insert_until, extract_min_until =
-            degraded_until ~insert:(Hunt.insert q) ~extract_min
-          in
-          {
-            name = "Hunt Heap (Lock)";
-            insert = Hunt.insert q;
-            insert_many = List.iter (Hunt.insert q);
-            extract_min;
-            extract_many =
-              (fun () -> match extract_min () with None -> [] | Some v -> [ v ]);
-            extract_approx = extract_min;
-            try_insert;
-            insert_until;
-            extract_min_until;
-            ops = (fun () -> None);
-            size = (fun () -> Hunt.size q);
-            check = (fun () -> Hunt.check q);
-          });
+          of_basic ~insert:(Hunt.insert q)
+            ~extract_min:(fun () -> Hunt.extract_min q)
+            ~peek_min:(fun () -> Hunt.peek_min q)
+            ~size:(fun () -> Hunt.size q)
+            ~check:(fun () -> Hunt.check q));
     }
 
+  (* The skip lists are quiescently consistent: extraction is
+     multiset-correct, not linearizable. *)
   let skiplist =
     {
+      name = "Skip List (QC)";
+      linearizable = false;
       make =
         (fun ~capacity:_ ->
           let q = Sl.create () in
-          let extract_min () = Sl.extract_min q in
-          let try_insert, insert_until, extract_min_until =
-            degraded_until ~insert:(Sl.insert q) ~extract_min
-          in
-          {
-            name = "Skip List (QC)";
-            insert = Sl.insert q;
-            insert_many = List.iter (Sl.insert q);
-            extract_min;
-            extract_many =
-              (fun () -> match extract_min () with None -> [] | Some v -> [ v ]);
-            extract_approx = extract_min;
-            try_insert;
-            insert_until;
-            extract_min_until;
-            ops = (fun () -> None);
-            size = (fun () -> Sl.size q);
-            check = (fun () -> Sl.check q);
-          });
+          of_basic ~insert:(Sl.insert q)
+            ~extract_min:(fun () -> Sl.extract_min q)
+            ~peek_min:(fun () -> Sl.peek_min q)
+            ~size:(fun () -> Sl.size q)
+            ~check:(fun () -> Sl.check q));
     }
-
-  module Sl_lock = Baselines.Skiplist_lock_pq.Make (R) (Mound.Int_ord)
 
   let skiplist_lock =
     {
+      name = "Skip List (Lock)";
+      linearizable = false;
       make =
         (fun ~capacity:_ ->
           let q = Sl_lock.create () in
-          let extract_min () = Sl_lock.extract_min q in
-          let try_insert, insert_until, extract_min_until =
-            degraded_until ~insert:(Sl_lock.insert q) ~extract_min
-          in
-          {
-            name = "Skip List (Lock)";
-            insert = Sl_lock.insert q;
-            insert_many = List.iter (Sl_lock.insert q);
-            extract_min;
-            extract_many =
-              (fun () -> match extract_min () with None -> [] | Some v -> [ v ]);
-            extract_approx = extract_min;
-            try_insert;
-            insert_until;
-            extract_min_until;
-            ops = (fun () -> None);
-            size = (fun () -> Sl_lock.size q);
-            check = (fun () -> Sl_lock.check q);
-          });
+          of_basic ~insert:(Sl_lock.insert q)
+            ~extract_min:(fun () -> Sl_lock.extract_min q)
+            ~peek_min:(fun () -> Sl_lock.peek_min q)
+            ~size:(fun () -> Sl_lock.size q)
+            ~check:(fun () -> Sl_lock.check q));
     }
-
-  module Stm_h = Baselines.Stm_heap.Make (R)
 
   let stm_heap =
     {
+      name = "STM Heap";
+      linearizable = true;
       make =
         (fun ~capacity ->
           let q = Stm_h.create ~capacity () in
-          let extract_min () = Stm_h.extract_min q in
-          let try_insert, insert_until, extract_min_until =
-            degraded_until ~insert:(Stm_h.insert q) ~extract_min
-          in
-          {
-            name = "STM Heap";
-            insert = Stm_h.insert q;
-            insert_many = List.iter (Stm_h.insert q);
-            extract_min;
-            extract_many =
-              (fun () -> match extract_min () with None -> [] | Some v -> [ v ]);
-            extract_approx = extract_min;
-            try_insert;
-            insert_until;
-            extract_min_until;
-            ops = (fun () -> None);
-            size = (fun () -> Stm_h.size q);
-            check = (fun () -> Stm_h.check q);
-          });
+          of_basic ~insert:(Stm_h.insert q)
+            ~extract_min:(fun () -> Stm_h.extract_min q)
+            ~peek_min:(fun () -> Stm_h.peek_min q)
+            ~size:(fun () -> Stm_h.size q)
+            ~check:(fun () -> Stm_h.check q));
     }
 
   let coarse =
     {
+      name = "Coarse Heap";
+      linearizable = true;
       make =
         (fun ~capacity ->
           let q = Coarse.create ~capacity () in
-          let extract_min () = Coarse.extract_min q in
-          let try_insert, insert_until, extract_min_until =
-            degraded_until ~insert:(Coarse.insert q) ~extract_min
-          in
-          {
-            name = "Coarse Heap";
-            insert = Coarse.insert q;
-            insert_many = List.iter (Coarse.insert q);
-            extract_min;
-            extract_many =
-              (fun () -> match extract_min () with None -> [] | Some v -> [ v ]);
-            extract_approx = extract_min;
-            try_insert;
-            insert_until;
-            extract_min_until;
-            ops = (fun () -> None);
-            size = (fun () -> Coarse.size q);
-            check = (fun () -> Coarse.check q);
-          });
+          of_basic ~insert:(Coarse.insert q)
+            ~extract_min:(fun () -> Coarse.extract_min q)
+            ~peek_min:(fun () -> Coarse.peek_min q)
+            ~size:(fun () -> Coarse.size q)
+            ~check:(fun () -> Coarse.check q));
     }
 
-  (** The four structures of the paper's Fig. 2, in its legend order. *)
   let paper_set = [ mound_lock; mound_lf; hunt; skiplist ]
-
-  (** Paper set plus the coarse-lock, STM-heap and lock-based-skiplist
-      ablations. *)
   let extended_set = paper_set @ [ coarse; stm_heap; skiplist_lock ]
 end
 

@@ -1,49 +1,60 @@
 (** First-class priority-queue handles, so the experiment drivers can
     treat every structure uniformly. Keys are [int], as in the paper's
-    microbenchmarks. *)
+    microbenchmarks.
+
+    Every handle comes from one of two constructors: {!of_mound} for a
+    structure with the whole {!Mound.Intf.MOUND} surface, {!of_basic} for
+    one with only the core operations, where the mound extensions
+    degrade as documented there. A {!maker} states its structure's
+    display name and linearizability once, so drivers and checkers read
+    them without building a queue. *)
 
 type t = {
-  name : string;  (** display name, matching the paper's Fig. 2 legend *)
   insert : int -> unit;
-  insert_many : int list -> unit;
-      (** batched insert; the handle sorts the batch, structures without
-          a native batched path degrade to element-wise [insert] *)
+  insert_many : int list -> unit;  (** batched insert of any batch *)
   extract_min : unit -> int option;
   extract_many : unit -> int list;
-      (** structures without a native extract-many degrade to a singleton
-          [extract_min] *)
-  extract_approx : unit -> int option;
-      (** probabilistic extract-min (mounds only); structures without a
-          native variant degrade to the exact [extract_min] *)
-  try_insert : int -> bool;
-      (** one bounded insertion pass (mounds); structures without a
-          native variant degrade to [insert] and always succeed *)
+  extract_approx : ?max_level:int -> unit -> int option;
+      (** probabilistic extract-min from a random node within the first
+          [max_level+1] levels (default 2) *)
+  peek_min : unit -> int option;
+  try_insert : int -> bool;  (** one bounded insertion pass *)
   insert_until : deadline:int -> int -> unit Mound.Intf.outcome;
-      (** deadline-checking insert (mounds); others degrade to the
-          unbounded [insert] and always report [Ok] *)
   extract_min_until : deadline:int -> int option Mound.Intf.outcome;
-      (** deadline-checking extract (mounds); others degrade to
-          [extract_min] *)
   size : unit -> int;  (** quiescent element count *)
   check : unit -> bool;  (** quiescent invariant check *)
   ops : unit -> Mound.Stats.Ops.t option;
       (** dynamic progress counters, for the structures that keep them *)
 }
 
-type maker = { make : capacity:int -> t }
-(** Deferred constructor; [capacity] bounds the fixed-size array
-    structures (Hunt heap, STM heap, coarse heap) and is ignored by the
-    unbounded ones. *)
+val of_mound :
+  (module Mound.Intf.MOUND with type elt = int and type t = 'q) -> 'q -> t
+(** The handle over a mound-interface structure: every operation is the
+    structure's own, and [insert_many] sorts the batch the interface
+    requires sorted. [ops] is [None]; a structure that keeps counters
+    attaches them, [{ (of_mound (module M) q) with ops = ... }]. *)
 
-val degraded_until :
+val of_basic :
   insert:(int -> unit) ->
   extract_min:(unit -> int option) ->
-  (int -> bool)
-  * (deadline:int -> int -> unit Mound.Intf.outcome)
-  * (deadline:int -> int option Mound.Intf.outcome)
-(** [(try_insert, insert_until, extract_min_until)] for a structure
-    without native deadline support: the unbounded operations under the
-    new names, always succeeding. *)
+  peek_min:(unit -> int option) ->
+  size:(unit -> int) ->
+  check:(unit -> bool) ->
+  t
+(** The handle over a structure with only the core operations. The
+    mound extensions degrade: [insert_many] inserts element-wise,
+    [extract_many] is a singleton [extract_min], [extract_approx] is the
+    exact [extract_min], [try_insert] and the [_until] pair run the
+    unbounded operation and always succeed, and [ops] is [None]. *)
+
+type maker = {
+  name : string;  (** display name, matching the paper's Fig. 2 legend *)
+  linearizable : bool;
+      (** extraction meets the exact linearizable priority-queue spec *)
+  make : capacity:int -> t;
+      (** [capacity] bounds the fixed-size array structures (Hunt heap,
+          STM heap, coarse heap) and is ignored by the unbounded ones *)
+}
 
 (** Every structure instantiated over one runtime. *)
 module Of_runtime (_ : Runtime.S) : sig
@@ -56,8 +67,8 @@ module Of_runtime (_ : Runtime.S) : sig
       [queues]) try-locked sequential mounds with two-choice delete-min
       and sticky queue selection. [domains] should be the peak thread
       count the handle will see — the queue count is fixed at creation.
-      The handle name stays ["MultiQueue"] across configurations so
-      bench baselines compare across sweeps. *)
+      The name stays ["MultiQueue"] across configurations so bench
+      baselines compare across sweeps. *)
 
   val hunt : maker
   val skiplist : maker

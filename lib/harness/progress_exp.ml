@@ -69,7 +69,7 @@ let pq_entry ~name ~(make : unit -> Pq.t) ?(prepopulate = [])
    either help past it (lock-free mound, CASN) or spin on it (locks). *)
 let standard ~name (maker : Pq.maker) =
   pq_entry ~name
-    ~make:(fun () -> maker.Pq.make ~capacity:64)
+    ~make:(fun () -> maker.make ~capacity:64)
     ~prepopulate:[ 2; 5 ]
     [ [ `Insert 1; `Extract ]; [ `Insert 3; `Extract ] ]
 

@@ -202,14 +202,13 @@ let run_rank_cell ?(seed = 7L) ?(warmup = 1) ?(trials = 3) ~threads
 
 let run_rank_series ?seed ?warmup ?trials ~thread_counts ~ops_per_thread
     (maker : Pq.maker) =
-  let name = (maker.make ~capacity:16).name in
   let cells =
     List.map
       (fun threads ->
         run_rank_cell ?seed ?warmup ?trials ~threads ~ops_per_thread maker)
       thread_counts
   in
-  ({ structure = name; cells = List.map fst cells }, List.map snd cells)
+  ({ structure = maker.name; cells = List.map fst cells }, List.map snd cells)
 
 (** Emit the rank sweep as a mound-bench/1 document: the standard
     series/cells timing skeleton (so the generic tooling parses and

@@ -145,8 +145,6 @@ let scenario_policy : overload_scenario -> Mound.Bounded.Make(Runtime.Real).poli
 
 module B = Mound.Bounded.Make (Runtime.Real)
 
-(* Any [Pq.t] handle as a Bounded substrate. The handle's extract_approx
-   has the default probe depth; good enough for harness shedding. *)
 let pq_ops : (Pq.t, int) B.ops =
   {
     insert = (fun q v -> q.Pq.insert v);
@@ -154,7 +152,7 @@ let pq_ops : (Pq.t, int) B.ops =
     insert_until = (fun q ~deadline v -> q.Pq.insert_until ~deadline v);
     extract_min = (fun q -> q.Pq.extract_min ());
     extract_min_until = (fun q ~deadline -> q.Pq.extract_min_until ~deadline);
-    extract_approx = (fun ~max_level:_ q -> q.Pq.extract_approx ());
+    extract_approx = (fun ~max_level q -> q.Pq.extract_approx ~max_level ());
   }
 
 let burst_len = 64
@@ -242,9 +240,8 @@ let run_overload_cell ?(seed = 7L) ?(warmup = 1) ?(trials = 3) ~scenario
 
 let run_overload_series ?seed ?warmup ?trials ~scenario ~thread_counts
     ~ops_per_thread ~capacity (maker : Pq.maker) =
-  let name = (maker.make ~capacity:16).name in
   {
-    structure = name;
+    structure = maker.name;
     cells =
       List.map
         (fun threads ->

@@ -68,6 +68,11 @@ val scenario_name : overload_scenario -> string
 
 val scenario_of_string : string -> overload_scenario option
 
+val pq_ops : (Pq.t, int) Mound.Bounded.Make(Runtime.Real).ops
+(** Any handle as a {!Mound.Bounded} substrate. [extract_approx]
+    forwards the probe depth the front-end asks for, so Shed evicts
+    from deep in the mound, away from the minimum. *)
+
 val run_overload_trial :
   ?seed:int64 ->
   scenario:overload_scenario ->

@@ -62,9 +62,8 @@ let run_cell ?(profile = Sim.Profile.x86) ?(seed = 7L) ~panel ~threads
 (** Sweep thread counts for one structure. *)
 let run_series ?profile ?seed ~panel ~thread_counts ~ops_per_thread ~init_size
     (maker : Pq.maker) =
-  let name = (maker.make ~capacity:16).name in
   {
-    structure = name;
+    structure = maker.name;
     points =
       List.map
         (fun threads ->

@@ -51,7 +51,9 @@ let table2 ?(n = 1 lsl 20) ?(seed = 5L) () =
 
 (* -- Table III: incomplete levels after 2^20 mixed ops, varying sizes -- *)
 
-let table3 ?(ops = 1 lsl 20) ?(seed = 5L) ?(init_bits = [ 8; 16; 20 ]) () =
+let table3_init_bits = [ 8; 16; 20 ]
+
+let table3 ?(ops = 1 lsl 20) ?(seed = 5L) () =
   List.map
     (fun init_bits ->
       let n = 1 lsl init_bits in
@@ -67,7 +69,7 @@ let table3 ?(ops = 1 lsl 20) ?(seed = 5L) ?(init_bits = [ 8; 16; 20 ]) () =
         else ignore (S.extract_min q)
       done;
       { label = Printf.sprintf "2^%d" init_bits; stats = mound_stats q })
-    init_bits
+    table3_init_bits
 
 (* - Table IV: per-level avg list size / value after random insertions - *)
 

@@ -16,10 +16,10 @@ val table2 : ?n:int -> ?seed:int64 -> unit -> row list
 (** Table II: incomplete levels after n/4 and 3n/4 extract-mins from a
     mound initialized with [n] elements, per insertion order. *)
 
-val table3 : ?ops:int -> ?seed:int64 -> ?init_bits:int list -> unit -> row list
+val table3 : ?ops:int -> ?seed:int64 -> unit -> row list
 (** Table III: incomplete levels after [ops] mixed random operations on
     mounds initialized with 2^b random elements for each [b] in
-    [init_bits] (default [8; 16; 20]). *)
+    [[8; 16; 20]]. *)
 
 val table4 : ?n:int -> ?seed:int64 -> unit -> Mound.Stats.t
 (** Table IV: per-level average list size and average value after [n]

@@ -45,21 +45,26 @@ let keys ~order ~n ~seed =
 (** Zipfian key distribution for the overload scenarios: real queues see
     skewed keys (a few hot priorities, a long cold tail), which
     concentrates mound traffic on few nodes. Sampled by inverse CDF over
-    a precomputed cumulative weight table of [ranks] ranks with exponent
-    [skew] (≈1 is the classic web-trace value). *)
+    a precomputed cumulative weight table of [zipf_ranks] ranks with
+    exponent [zipf_skew] (≈1 is the classic web-trace value). *)
 type zipf = { cum : float array; stride : int }
 
-let zipf ?(ranks = 1024) ?(skew = 0.99) () =
-  let w = Array.init ranks (fun i -> 1. /. (float_of_int (i + 1) ** skew)) in
+let zipf_ranks = 1024
+let zipf_skew = 0.99
+
+let zipf () =
+  let w =
+    Array.init zipf_ranks (fun i -> 1. /. (float_of_int (i + 1) ** zipf_skew))
+  in
   let total = Array.fold_left ( +. ) 0. w in
-  let cum = Array.make ranks 0. in
+  let cum = Array.make zipf_ranks 0. in
   let acc = ref 0. in
   Array.iteri
     (fun i x ->
       acc := !acc +. x;
       cum.(i) <- !acc /. total)
     w;
-  { cum; stride = key_range / ranks }
+  { cum; stride = key_range / zipf_ranks }
 
 (** [zipf_key z ~rand] draws a key: rank 0 (the hottest) maps to the
     smallest keys, so skew pressure lands near the mound's root. [rand]

@@ -30,9 +30,9 @@ val keys : order:order -> n:int -> seed:int64 -> int array
 type zipf
 (** Precomputed Zipfian inverse-CDF table for the overload scenarios. *)
 
-val zipf : ?ranks:int -> ?skew:float -> unit -> zipf
-(** [zipf ()] builds a table of [ranks] ranks (default 1024) with
-    exponent [skew] (default 0.99, the classic web-trace value). *)
+val zipf : unit -> zipf
+(** [zipf ()] builds a table of 1024 ranks with exponent 0.99, the
+    classic web-trace value. *)
 
 val zipf_key : zipf -> rand:(int -> int) -> int
 (** Draw a key: rank 0 (the hottest) maps to the smallest keys, so skew

@@ -1,5 +1,6 @@
-(* Shared test helpers: a sequential priority-queue model and qcheck
-   generators, linked into every test executable. *)
+(* Shared test helpers, linked into every test executable: a sequential
+   priority-queue model, qcheck generators of operation scripts, and a
+   checker that drives any [Harness.Pq.t] handle against the model. *)
 
 (** Sorted-multiset model of an int priority queue. *)
 module Pq_model = struct
@@ -54,26 +55,14 @@ let ops_arbitrary =
     ~print:(fun l -> String.concat "; " (List.map op_print l))
     QCheck.Gen.(list_size (int_bound 400) op_gen)
 
-(** Interface the model-equivalence checker drives. *)
-type sut = {
-  sut_insert : int -> unit;
-  sut_extract_min : unit -> int option;
-  sut_peek_min : unit -> int option;
-  sut_extract_many : unit -> int list;
-  sut_extract_approx : unit -> int option;
-  sut_check : unit -> bool;
-  sut_size : unit -> int;
-}
-
-(** Run a script against system-under-test and model simultaneously.
-    [exact_min] distinguishes structures with exact extract-min semantics
-    from approximate operations: extract-min results are compared to the
-    model's minimum; extract_many must be a sorted prefix-multiset of the
-    model; extract_approx must remove {e some} member. Returns false on
-    the first divergence. *)
-let agrees_with_model ?(trials = 1) (make_sut : unit -> sut) script =
+(** Run a script against a fresh handle from [make] and the model
+    simultaneously: extract-min results are compared to the model's
+    minimum; extract_many must be sorted and headed by the model's
+    minimum; extract_approx must remove {e some} member. Returns false
+    on the first divergence. *)
+let agrees_with_model ?(trials = 1) (make : unit -> Harness.Pq.t) script =
   let run () =
-    let sut = make_sut () in
+    let sut = make () in
     let model = Pq_model.create () in
     let ok = ref true in
     (* remove one occurrence of [v] from the model, flagging a divergence
@@ -90,21 +79,21 @@ let agrees_with_model ?(trials = 1) (make_sut : unit -> sut) script =
     let step op =
       match op with
       | Insert v ->
-          sut.sut_insert v;
+          sut.insert v;
           Pq_model.insert model v
       | Extract ->
-          let got = sut.sut_extract_min () in
+          let got = sut.extract_min () in
           let want = Pq_model.extract_min model in
           if got <> want then ok := false
       | Peek ->
-          let got = sut.sut_peek_min () in
+          let got = sut.peek_min () in
           if got <> Pq_model.peek_min model then ok := false
       | Extract_many ->
           (* The batch is the root's sorted list: its head is the global
              minimum, but later elements need not be successive minima
              (the paper calls this out in §V). Check sortedness, that the
              head is the minimum, and multiset membership. *)
-          let got = sut.sut_extract_many () in
+          let got = sut.extract_many () in
           if got <> List.sort compare got then ok := false;
           (match (got, Pq_model.peek_min model) with
           | v :: _, Some m -> if v <> m then ok := false
@@ -114,16 +103,16 @@ let agrees_with_model ?(trials = 1) (make_sut : unit -> sut) script =
           List.iter remove_one got
       | Extract_approx -> (
           (* approximate: must return some member (any sub-mound minimum) *)
-          match sut.sut_extract_approx () with
+          match sut.extract_approx () with
           | None -> if Pq_model.peek_min model <> None then ok := false
           | Some v -> remove_one v)
     in
     List.iter step script;
-    if not (sut.sut_check ()) then ok := false;
-    if sut.sut_size () <> Pq_model.size model then ok := false;
+    if not (sut.check ()) then ok := false;
+    if sut.size () <> Pq_model.size model then ok := false;
     (* drain both; remaining contents must agree *)
     let rec drain acc =
-      match sut.sut_extract_min () with
+      match sut.extract_min () with
       | None -> List.rev acc
       | Some v -> drain (v :: acc)
     in
@@ -132,9 +121,6 @@ let agrees_with_model ?(trials = 1) (make_sut : unit -> sut) script =
   in
   let rec go n = n = 0 || (run () && go (n - 1)) in
   go trials
-
-(** Extract_many semantics check: each batch is sorted and is a prefix of
-    the model (i.e. a run of successive minima). *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)

@@ -144,6 +144,7 @@ module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
   let fold_nodes t f acc =
     T.fold t.tree (fun acc i slot -> f acc i (M.get slot).list) acc
 
+  let peek_min t = node_value (read t 1)
   let size t = fold_nodes t (fun acc _ l -> acc + List.length l) 0
 
   let rec list_sorted = function
@@ -167,25 +168,10 @@ end
 module On_sim = Make (Sim.Runtime) (Mound.Int_ord)
 
 (** A [Harness.Pq.t] over the mutant, for {!Harness.Dpor_exp.pq_program}. *)
-let make_pq () : Harness.Pq.t =
+let make_pq () =
   let q = On_sim.create () in
-  let try_insert, insert_until, extract_min_until =
-    Harness.Pq.degraded_until ~insert:(On_sim.insert q)
-      ~extract_min:(fun () -> On_sim.extract_min q)
-  in
-  {
-    name = "Mutant Mound (LF, dirty check dropped)";
-    insert = On_sim.insert q;
-    insert_many = (fun b -> List.iter (On_sim.insert q) b);
-    extract_min = (fun () -> On_sim.extract_min q);
-    extract_many =
-      (fun () ->
-        match On_sim.extract_min q with None -> [] | Some v -> [ v ]);
-    extract_approx = (fun () -> On_sim.extract_min q);
-    try_insert;
-    insert_until;
-    extract_min_until;
-    size = (fun () -> On_sim.size q);
-    check = (fun () -> On_sim.check q);
-    ops = (fun () -> None);
-  }
+  Harness.Pq.of_basic ~insert:(On_sim.insert q)
+    ~extract_min:(fun () -> On_sim.extract_min q)
+    ~peek_min:(fun () -> On_sim.peek_min q)
+    ~size:(fun () -> On_sim.size q)
+    ~check:(fun () -> On_sim.check q)

@@ -151,6 +151,7 @@ module Post_publish_mutation = struct
           extract_min t
         end
 
+  let peek_min t = List.nth_opt (M.get t.root).list 0
   let size t = List.length (M.get t.root).list
 
   let check t =
@@ -308,6 +309,7 @@ module Lost_update = struct
         R.Atomic.set t.cell tl;
         Some hd
 
+  let peek_min t = List.nth_opt (R.Atomic.get t.cell) 0
   let size t = List.length (R.Atomic.get t.cell)
 
   let check t =
@@ -426,55 +428,27 @@ let lock_inverted_static_program : Liveness.program =
 
 (** A [Harness.Pq.t] over the publication mutant, for
     {!Harness.Dpor_exp.pq_program}'s two-extract probe. *)
-let post_publish_pq () : Harness.Pq.t =
-  let q = Post_publish_mutation.create () in
+let post_publish_pq () =
   let module P = Post_publish_mutation in
-  let try_insert, insert_until, extract_min_until =
-    Harness.Pq.degraded_until ~insert:(P.insert q)
-      ~extract_min:(fun () -> P.extract_min q)
-  in
-  {
-    name = "Mutant root list (post-publish mutation)";
-    insert = P.insert q;
-    insert_many = (fun b -> List.iter (P.insert q) b);
-    extract_min = (fun () -> P.extract_min q);
-    extract_many =
-      (fun () -> match P.extract_min q with None -> [] | Some v -> [ v ]);
-    extract_approx = (fun () -> P.extract_min q);
-    try_insert;
-    insert_until;
-    extract_min_until;
-    size = (fun () -> P.size q);
-    check = (fun () -> P.check q);
-    ops = (fun () -> None);
-  }
+  let q = P.create () in
+  Harness.Pq.of_basic ~insert:(P.insert q)
+    ~extract_min:(fun () -> P.extract_min q)
+    ~peek_min:(fun () -> P.peek_min q)
+    ~size:(fun () -> P.size q)
+    ~check:(fun () -> P.check q)
 
 (** A [Harness.Pq.t] over the lost-update mutant, for
     {!Harness.Dpor_exp.pq_program}'s two-extract probe: both
     extractions read the same head before either plain set lands, and
     the minimum is delivered twice. *)
-let lost_update_pq () : Harness.Pq.t =
-  let q = Lost_update.create () in
+let lost_update_pq () =
   let module P = Lost_update in
-  let try_insert, insert_until, extract_min_until =
-    Harness.Pq.degraded_until ~insert:(P.insert q)
-      ~extract_min:(fun () -> P.extract_min q)
-  in
-  {
-    name = "Mutant sorted list (lost update)";
-    insert = P.insert q;
-    insert_many = (fun b -> List.iter (P.insert q) b);
-    extract_min = (fun () -> P.extract_min q);
-    extract_many =
-      (fun () -> match P.extract_min q with None -> [] | Some v -> [ v ]);
-    extract_approx = (fun () -> P.extract_min q);
-    try_insert;
-    insert_until;
-    extract_min_until;
-    size = (fun () -> P.size q);
-    check = (fun () -> P.check q);
-    ops = (fun () -> None);
-  }
+  let q = P.create () in
+  Harness.Pq.of_basic ~insert:(P.insert q)
+    ~extract_min:(fun () -> P.extract_min q)
+    ~peek_min:(fun () -> P.peek_min q)
+    ~size:(fun () -> P.size q)
+    ~check:(fun () -> P.check q)
 
 (** The spawn-counter defect on a tracked sim cell, for the DPOR
     race oracle: two threads bump the same slot with a plain

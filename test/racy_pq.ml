@@ -20,25 +20,11 @@ let rec insert_sorted v = function
   | [] -> [ v ]
   | x :: rest as l -> if v <= x then v :: l else x :: insert_sorted v rest
 
-let pq_of ~name ~insert ~extract_min cell : Harness.Pq.t =
-  let try_insert, insert_until, extract_min_until =
-    Harness.Pq.degraded_until ~insert ~extract_min
-  in
-  {
-    name;
-    insert;
-    insert_many = (fun b -> List.iter insert b);
-    extract_min;
-    extract_many =
-      (fun () -> match extract_min () with None -> [] | Some v -> [ v ]);
-    extract_approx = extract_min;
-    try_insert;
-    insert_until;
-    extract_min_until;
-    size = (fun () -> List.length (A.get cell));
-    check = (fun () -> true);
-    ops = (fun () -> None);
-  }
+let pq_of ~insert ~extract_min cell =
+  Harness.Pq.of_basic ~insert ~extract_min
+    ~peek_min:(fun () -> List.nth_opt (A.get cell) 0)
+    ~size:(fun () -> List.length (A.get cell))
+    ~check:(fun () -> true)
 
 let make_racy () : Harness.Pq.t =
   let cell = A.make [] in
@@ -50,7 +36,7 @@ let make_racy () : Harness.Pq.t =
         A.set cell rest;
         Some v
   in
-  pq_of ~name:"Racy Toy PQ (get-then-set)" ~insert ~extract_min cell
+  pq_of ~insert ~extract_min cell
 
 let make_cas () : Harness.Pq.t =
   let cell = A.make [] in
@@ -64,4 +50,4 @@ let make_cas () : Harness.Pq.t =
     | v :: rest as cur ->
         if A.compare_and_set cell cur rest then Some v else extract_min ()
   in
-  pq_of ~name:"Toy PQ (CAS loop)" ~insert ~extract_min cell
+  pq_of ~insert ~extract_min cell

@@ -4,78 +4,17 @@
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let no_many sut_extract_min () =
-  match sut_extract_min () with None -> [] | Some v -> [ v ]
-
 let sut_of_seq_heap () =
   let module H = Baselines.Seq_heap_int in
   let q = H.create () in
-  let extract_min () = H.extract_min q in
-  {
-    Model.sut_insert = H.insert q;
-    sut_extract_min = extract_min;
-    sut_peek_min = (fun () -> H.peek_min q);
-    sut_extract_many = no_many extract_min;
-    sut_extract_approx = extract_min;
-    sut_check = (fun () -> H.check q);
-    sut_size = (fun () -> H.size q);
-  }
+  Harness.Pq.of_basic ~insert:(H.insert q)
+    ~extract_min:(fun () -> H.extract_min q)
+    ~peek_min:(fun () -> H.peek_min q)
+    ~size:(fun () -> H.size q)
+    ~check:(fun () -> H.check q)
 
-let sut_of_coarse () =
-  let module H = Baselines.Coarse_heap_int in
-  let q = H.create ~capacity:4096 () in
-  let extract_min () = H.extract_min q in
-  {
-    Model.sut_insert = H.insert q;
-    sut_extract_min = extract_min;
-    sut_peek_min = (fun () -> H.peek_min q);
-    sut_extract_many = no_many extract_min;
-    sut_extract_approx = extract_min;
-    sut_check = (fun () -> H.check q);
-    sut_size = (fun () -> H.size q);
-  }
-
-let sut_of_hunt () =
-  let module H = Baselines.Hunt_heap_int in
-  let q = H.create ~capacity:4096 () in
-  let extract_min () = H.extract_min q in
-  {
-    Model.sut_insert = H.insert q;
-    sut_extract_min = extract_min;
-    sut_peek_min = (fun () -> H.peek_min q);
-    sut_extract_many = no_many extract_min;
-    sut_extract_approx = extract_min;
-    sut_check = (fun () -> H.check q);
-    sut_size = (fun () -> H.size q);
-  }
-
-let sut_of_skiplist_lock () =
-  let module H = Baselines.Skiplist_lock_pq_int in
-  let q = H.create () in
-  let extract_min () = H.extract_min q in
-  {
-    Model.sut_insert = H.insert q;
-    sut_extract_min = extract_min;
-    sut_peek_min = (fun () -> H.peek_min q);
-    sut_extract_many = no_many extract_min;
-    sut_extract_approx = extract_min;
-    sut_check = (fun () -> H.check q);
-    sut_size = (fun () -> H.size q);
-  }
-
-let sut_of_skiplist () =
-  let module H = Baselines.Skiplist_pq_int in
-  let q = H.create () in
-  let extract_min () = H.extract_min q in
-  {
-    Model.sut_insert = H.insert q;
-    sut_extract_min = extract_min;
-    sut_peek_min = (fun () -> H.peek_min q);
-    sut_extract_many = no_many extract_min;
-    sut_extract_approx = extract_min;
-    sut_check = (fun () -> H.check q);
-    sut_size = (fun () -> H.size q);
-  }
+(* The other baselines through the handles the experiment drivers use. *)
+let sut_of (maker : Harness.Pq.maker) () = maker.make ~capacity:4096
 
 let model_test name make_sut =
   QCheck_alcotest.to_alcotest
@@ -246,10 +185,10 @@ let () =
       ( "model equivalence",
         [
           model_test "seq_heap" sut_of_seq_heap;
-          model_test "coarse_heap" sut_of_coarse;
-          model_test "hunt_heap" sut_of_hunt;
-          model_test "skiplist" sut_of_skiplist;
-          model_test "skiplist_lock" sut_of_skiplist_lock;
+          model_test "coarse_heap" (sut_of Harness.Pq.On_real.coarse);
+          model_test "hunt_heap" (sut_of Harness.Pq.On_real.hunt);
+          model_test "skiplist" (sut_of Harness.Pq.On_real.skiplist);
+          model_test "skiplist_lock" (sut_of Harness.Pq.On_real.skiplist_lock);
         ] );
       ( "heapsort",
         [

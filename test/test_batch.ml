@@ -8,60 +8,20 @@
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* One uniform view per variant so the same properties run across all
-   three implementations. *)
-type sut = {
-  name : string;
-  insert : int -> unit;
-  insert_many : int list -> unit;
-  extract_min : unit -> int option;
-  extract_many : unit -> int list;
-  size : unit -> int;
-  invariant : unit -> bool;
-}
-
-let seq_sut () =
+(* One handle per variant so the same properties run across all three
+   implementations. Every batch below is sorted, as [insert_many]
+   requires, so the handle's own sort leaves it unchanged. *)
+let suts =
   let module S = Mound.Seq_int in
-  let q = S.create ~seed:5L () in
-  {
-    name = "seq";
-    insert = S.insert q;
-    insert_many = S.insert_many q;
-    extract_min = (fun () -> S.extract_min q);
-    extract_many = (fun () -> S.extract_many q);
-    size = (fun () -> S.size q);
-    invariant = (fun () -> S.check q);
-  }
-
-let lf_sut () =
   let module L = Mound.Lf_int in
-  let q = L.create () in
-  {
-    name = "lf";
-    insert = L.insert q;
-    insert_many = L.insert_many q;
-    extract_min = (fun () -> L.extract_min q);
-    extract_many = (fun () -> L.extract_many q);
-    size = (fun () -> L.size q);
-    invariant = (fun () -> L.check q);
-  }
+  let module K = Mound.Lock_int in
+  [
+    ("seq", fun () -> Harness.Pq.of_mound (module S) (S.create ~seed:5L ()));
+    ("lf", fun () -> Harness.Pq.of_mound (module L) (L.create ()));
+    ("lock", fun () -> Harness.Pq.of_mound (module K) (K.create ()));
+  ]
 
-let lock_sut () =
-  let module L = Mound.Lock_int in
-  let q = L.create () in
-  {
-    name = "lock";
-    insert = L.insert q;
-    insert_many = L.insert_many q;
-    extract_min = (fun () -> L.extract_min q);
-    extract_many = (fun () -> L.extract_many q);
-    size = (fun () -> L.size q);
-    invariant = (fun () -> L.check q);
-  }
-
-let suts = [ seq_sut; lf_sut; lock_sut ]
-
-let drain sut =
+let drain (sut : Harness.Pq.t) =
   let rec go acc =
     match sut.extract_min () with None -> List.rev acc | Some v -> go (v :: acc)
   in
@@ -71,7 +31,7 @@ let drain sut =
    of each variant: draining both must give the same sorted sequence. *)
 let batched_equals_elementwise () =
   List.iter
-    (fun mk ->
+    (fun (name, (mk : unit -> Harness.Pq.t)) ->
       let batched = mk () and one_at_a_time = mk () in
       let rng = Prng.create 91L in
       for round = 1 to 40 do
@@ -84,32 +44,32 @@ let batched_equals_elementwise () =
         if round mod 3 = 0 then begin
           let a = batched.extract_min () and b = one_at_a_time.extract_min () in
           if a <> b then
-            Alcotest.failf "%s: extract diverged (round %d)" batched.name round
+            Alcotest.failf "%s: extract diverged (round %d)" name round
         end
       done;
-      check (batched.name ^ ": invariant (batched)") true (batched.invariant ());
+      check (name ^ ": invariant (batched)") true (batched.check ());
       check
-        (batched.name ^ ": invariant (element-wise)")
+        (name ^ ": invariant (element-wise)")
         true
-        (one_at_a_time.invariant ());
+        (one_at_a_time.check ());
       if drain batched <> drain one_at_a_time then
-        Alcotest.failf "%s: drains diverged" batched.name)
+        Alcotest.failf "%s: drains diverged" name)
     suts
 
 (* Empty and singleton batches are legal and behave like the obvious
    element-wise program. *)
 let degenerate_batches () =
   List.iter
-    (fun mk ->
+    (fun (name, (mk : unit -> Harness.Pq.t)) ->
       let sut = mk () in
       sut.insert_many [];
-      check_int (sut.name ^ ": empty batch") 0 (sut.size ());
+      check_int (name ^ ": empty batch") 0 (sut.size ());
       sut.insert_many [ 7 ];
-      check_int (sut.name ^ ": singleton batch") 1 (sut.size ());
+      check_int (name ^ ": singleton batch") 1 (sut.size ());
       sut.insert_many [ 3; 3; 9 ];
-      check (sut.name ^ ": invariant") true (sut.invariant ());
+      check (name ^ ": invariant") true (sut.check ());
       check
-        (sut.name ^ ": duplicates preserved")
+        (name ^ ": duplicates preserved")
         true
         (drain sut = [ 3; 3; 7; 9 ]))
     suts
@@ -119,20 +79,20 @@ let degenerate_batches () =
    invariant, and leave the queue draining in sorted order. *)
 let extract_insert_roundtrip () =
   List.iter
-    (fun mk ->
+    (fun (name, (mk : unit -> Harness.Pq.t)) ->
       let sut = mk () in
       let rng = Prng.create 17L in
       let input = List.init 3_000 (fun _ -> Prng.int rng 100_000) in
       sut.insert_many (List.sort compare input);
       for _ = 1 to 80 do
         let b = sut.extract_many () in
-        check (sut.name ^ ": batch sorted") true (b = List.sort compare b);
+        check (name ^ ": batch sorted") true (b = List.sort compare b);
         sut.insert_many b
       done;
-      check (sut.name ^ ": invariant") true (sut.invariant ());
-      check_int (sut.name ^ ": size conserved") 3_000 (sut.size ());
+      check (name ^ ": invariant") true (sut.check ());
+      check_int (name ^ ": size conserved") 3_000 (sut.size ());
       check
-        (sut.name ^ ": drains to sorted input")
+        (name ^ ": drains to sorted input")
         true
         (drain sut = List.sort compare input))
     suts
@@ -146,7 +106,7 @@ let variants_agree () =
         let n = 1 + Prng.int rng 50 in
         List.sort compare (List.init n (fun _ -> Prng.int rng 5_000)))
   in
-  let run mk =
+  let run (_, (mk : unit -> Harness.Pq.t)) =
     let sut = mk () in
     List.iter sut.insert_many batches;
     drain sut

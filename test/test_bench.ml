@@ -89,8 +89,8 @@ let roundtrip_preserves () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: reparsed document invalid: %s" tag e);
       List.iter
-        (fun m ->
-          let name = (m.Harness.Pq.make ~capacity:16).name in
+        (fun (m : Harness.Pq.maker) ->
+          let name = m.name in
           let med j = Harness.Bench_json.median_of j ~structure:name ~threads:1 in
           match (med doc, med reparsed) with
           | Some a, Some b ->
@@ -158,8 +158,8 @@ let overload_not_regressed () =
       let medians () =
         let doc = overload_doc ~warmup:cmp_warmup ~trials:cmp_trials scenario in
         List.concat_map
-          (fun m ->
-            let name = (m.Harness.Pq.make ~capacity:16).name in
+          (fun (m : Harness.Pq.maker) ->
+            let name = m.name in
             let common =
               Harness.Bench_json.thread_counts_of doc ~structure:name
               |> List.filter (fun t ->

@@ -1,44 +1,18 @@
-(* Concurrency tests on real OCaml domains: multiset conservation,
-   per-thread extraction monotonicity (for the linearizable structures),
-   and invariant checks at quiescent points. *)
+(* Concurrency tests on real OCaml domains over every structure of the
+   extended set: multiset conservation, per-thread extraction
+   monotonicity (for the makers that claim linearizability), and
+   invariant checks at quiescent points. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let domains = 4
 
-type subject = {
-  name : string;
-  linearizable_extract : bool;
-  make : capacity:int -> Harness.Pq.t;
-}
-
-let subjects =
-  let open Harness.Pq.On_real in
-  [
-    { name = "mound_lf"; linearizable_extract = true; make = mound_lf.make };
-    { name = "mound_lock"; linearizable_extract = true; make = mound_lock.make };
-    (* Hunt's delete-min takes the "bottom" element out of the tree
-       before locking the root; while that value sits in the deleter's
-       hand, larger values can be extracted, and when it re-enters at the
-       root a later extract may return it — so per-thread extraction
-       sequences are NOT monotone. This is inherent to the algorithm, not
-       an implementation artifact. *)
-    { name = "hunt"; linearizable_extract = false; make = hunt.make };
-    (* the skiplist PQ is quiescently consistent: extraction values need
-       not be per-thread monotone, only multiset-correct *)
-    { name = "skiplist"; linearizable_extract = false; make = skiplist.make };
-    { name = "skiplist_lock"; linearizable_extract = false;
-      make = skiplist_lock.make };
-    { name = "coarse"; linearizable_extract = true; make = coarse.make };
-    { name = "stm_heap"; linearizable_extract = true; make = stm_heap.make };
-  ]
-
 (* every value inserted (tagged by domain and sequence) is extracted at
    most once, and inserted+leftover = extracted exactly *)
-let conservation subject () =
+let conservation (maker : Harness.Pq.maker) () =
   let per = 3_000 in
-  let q = subject.make ~capacity:(domains * per * 2) in
+  let q = maker.make ~capacity:(domains * per * 2) in
   let extracted = Array.make domains [] in
   let doms =
     Array.init domains (fun d ->
@@ -53,7 +27,7 @@ let conservation subject () =
             done))
   in
   Harness.Watchdog.join_all ~label:"conservation" doms;
-  check (subject.name ^ " invariant") true (q.check ());
+  check (maker.name ^ " invariant") true (q.check ());
   let got = Array.fold_left (fun acc l -> List.rev_append l acc) [] extracted in
   let rec drain acc =
     match q.extract_min () with None -> acc | Some v -> drain (v :: acc)
@@ -65,13 +39,13 @@ let conservation subject () =
          (fun d -> List.init per (fun i -> (((d * per) + i) * 2) + 1))
          (List.init domains Fun.id))
   in
-  check (subject.name ^ " multiset conservation") true (everything = expected)
+  check (maker.name ^ " multiset conservation") true (everything = expected)
 
 (* after a quiesced insert phase, concurrent extract-only drains must see
    per-thread non-decreasing sequences when extraction is linearizable *)
-let monotone_drain subject () =
+let monotone_drain (maker : Harness.Pq.maker) () =
   let n = 8_000 in
-  let q = subject.make ~capacity:(2 * n) in
+  let q = maker.make ~capacity:(2 * n) in
   let rng = Prng.create 14L in
   let inserted = Array.init n (fun _ -> Prng.int rng 1_000_000) in
   Array.iter q.insert inserted;
@@ -90,10 +64,10 @@ let monotone_drain subject () =
   let all =
     Array.fold_left (fun acc l -> List.rev_append l acc) [] per_thread
   in
-  check_int (subject.name ^ " drained everything") n (List.length all);
-  check (subject.name ^ " multiset") true
+  check_int (maker.name ^ " drained everything") n (List.length all);
+  check (maker.name ^ " multiset") true
     (List.sort compare all = List.sort compare (Array.to_list inserted));
-  if subject.linearizable_extract then
+  if maker.linearizable then
     Array.iteri
       (fun d l ->
         (* l is newest-first: must be non-increasing *)
@@ -102,7 +76,7 @@ let monotone_drain subject () =
           | a :: (b :: _ as rest) -> a >= b && nonincreasing rest
         in
         check
-          (Printf.sprintf "%s thread %d monotone" subject.name d)
+          (Printf.sprintf "%s thread %d monotone" maker.name d)
           true (nonincreasing l))
       per_thread
 
@@ -129,18 +103,18 @@ let concurrent_extract_many () =
       let all_batches = Array.to_list batches |> List.concat in
       List.iter
         (fun b ->
-          check (q.name ^ " batch sorted") true (b = List.sort compare b))
+          check (maker.name ^ " batch sorted") true (b = List.sort compare b))
         all_batches;
       let union = List.concat all_batches in
-      check (q.name ^ " union complete") true
+      check (maker.name ^ " union complete") true
         (List.sort compare union = List.sort compare (Array.to_list inserted));
-      check (q.name ^ " empty after") true (q.extract_min () = None))
+      check (maker.name ^ " empty after") true (q.extract_min () = None))
     [ Harness.Pq.On_real.mound_lf; Harness.Pq.On_real.mound_lock ]
 
 (* insert-only contention then a full sequential validation drain *)
-let parallel_insert_then_drain subject () =
+let parallel_insert_then_drain (maker : Harness.Pq.maker) () =
   let per = 5_000 in
-  let q = subject.make ~capacity:(2 * domains * per) in
+  let q = maker.make ~capacity:(2 * domains * per) in
   let doms =
     Array.init domains (fun d ->
         Domain.spawn (fun () ->
@@ -150,16 +124,16 @@ let parallel_insert_then_drain subject () =
             done))
   in
   Harness.Watchdog.join_all ~label:"parallel_insert_then_drain" doms;
-  check (subject.name ^ " invariant") true (q.check ());
-  check_int (subject.name ^ " size") (domains * per) (q.size ());
+  check (maker.name ^ " invariant") true (q.check ());
+  check_int (maker.name ^ " size") (domains * per) (q.size ());
   let rec drain prev count =
     match q.extract_min () with
     | None -> count
     | Some v ->
-        check (subject.name ^ " global order") true (v >= prev);
+        check (maker.name ^ " global order") true (v >= prev);
         drain v (count + 1)
   in
-  check_int (subject.name ^ " drains all") (domains * per) (drain min_int 0)
+  check_int (maker.name ^ " drains all") (domains * per) (drain min_int 0)
 
 let mound_approx_under_concurrency () =
   let module M = Mound.Lf_int in
@@ -188,18 +162,18 @@ let mound_approx_under_concurrency () =
   check "members only" true (List.for_all (fun v -> IS.mem v inserted_set) all)
 
 let () =
-  let per_subject mk name_suffix =
+  let per_maker mk name_suffix =
     List.map
-      (fun s ->
-        Alcotest.test_case (s.name ^ name_suffix) `Quick (mk s))
-      subjects
+      (fun (m : Harness.Pq.maker) ->
+        Alcotest.test_case (m.name ^ name_suffix) `Quick (mk m))
+      Harness.Pq.On_real.extended_set
   in
   Alcotest.run "concurrent (real domains)"
     [
-      ("conservation", per_subject conservation " mixed conservation");
-      ("monotone drain", per_subject monotone_drain " drain");
+      ("conservation", per_maker conservation " mixed conservation");
+      ("monotone drain", per_maker monotone_drain " drain");
       ( "parallel insert",
-        per_subject parallel_insert_then_drain " insert+drain" );
+        per_maker parallel_insert_then_drain " insert+drain" );
       ( "extensions",
         [
           Alcotest.test_case "concurrent extract_many" `Quick

@@ -30,22 +30,7 @@ let panel_names_roundtrip () =
 let run_thread_counts_ops () =
   let module S = Mound.Seq_int in
   let q = S.create ~seed:9L () in
-  let pq =
-    {
-      Harness.Pq.name = "seq";
-      insert = S.insert q;
-      insert_many = (fun b -> S.insert_many q (List.sort compare b));
-      extract_min = (fun () -> S.extract_min q);
-      extract_many = (fun () -> S.extract_many q);
-      extract_approx = (fun () -> S.extract_min q);
-      try_insert = S.try_insert q;
-      insert_until = (fun ~deadline v -> S.insert_until q ~deadline v);
-      extract_min_until = (fun ~deadline -> S.extract_min_until q ~deadline);
-      size = (fun () -> S.size q);
-      check = (fun () -> S.check q);
-      ops = (fun () -> None);
-    }
-  in
+  let pq = Harness.Pq.of_mound (module S) q in
   let rng = Prng.create 1L in
   let rand b = Prng.int rng b in
   let n = Harness.Workload.run_thread ~panel:Insert ~q:pq ~rand ~ops:50 in
@@ -57,6 +42,56 @@ let run_thread_counts_ops () =
   let n = Harness.Workload.run_thread ~panel:Extract_many ~q:pq ~rand ~ops:0 in
   check_int "extract_many drains the rest" 20 n;
   check "empty" true (S.is_empty q)
+
+(* --- the handle contract --- *)
+
+(* Over every simulator maker, the MultiQueue included: names are
+   distinct (drivers and [Bench_json.median_of] key series on them), an
+   unsorted batch is accepted, the [of_basic] degradations hold, and the
+   mound handles carry counters and honour the probe depth. *)
+let handle_contract () =
+  let open Harness.Pq.On_sim in
+  let mq = multiqueue ~domains:2 () in
+  let mounds = [ mound_lf; mound_lock; mq ] in
+  let makers = mq :: extended_set in
+  let names = List.map (fun (m : Harness.Pq.maker) -> m.name) makers in
+  check_int "distinct names" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  let drain (q : Harness.Pq.t) =
+    let rec go acc =
+      match q.extract_min () with None -> List.rev acc | Some v -> go (v :: acc)
+    in
+    go []
+  in
+  List.iter
+    (fun (m : Harness.Pq.maker) ->
+      let q = m.make ~capacity:64 in
+      q.insert_many [ 5; 1; 4; 2; 3 ];
+      check (m.name ^ " invariant") true (q.check ());
+      check (m.name ^ " drains sorted") true (drain q = [ 1; 2; 3; 4; 5 ]);
+      if List.memq m mounds then
+        check (m.name ^ " counters") true (Option.is_some (q.ops ()))
+      else begin
+        List.iter q.insert [ 2; 1; 3 ];
+        check (m.name ^ " extract_many singleton") true
+          (q.extract_many () = [ 1 ]);
+        check (m.name ^ " try_insert") true (q.try_insert 4);
+        check (m.name ^ " insert_until ignores deadline") true
+          (q.insert_until ~deadline:0 5 = Mound.Intf.Ok ());
+        check (m.name ^ " extract_min_until ignores deadline") true
+          (q.extract_min_until ~deadline:0 = Mound.Intf.Ok (Some 2));
+        check (m.name ^ " no counters") true (Option.is_none (q.ops ()))
+      end)
+    makers;
+  List.iter
+    (fun (m : Harness.Pq.maker) ->
+      let q = m.make ~capacity:64 in
+      List.iter q.insert (List.init 64 Fun.id);
+      for want = 0 to 15 do
+        check (m.name ^ " depth-0 probe is exact") true
+          (q.extract_approx ~max_level:0 () = Some want)
+      done)
+    [ mound_lf; mound_lock ]
 
 (* --- barrier --- *)
 
@@ -280,6 +315,11 @@ let () =
           Alcotest.test_case "panel names" `Quick panel_names_roundtrip;
           Alcotest.test_case "run_thread op counts" `Quick
             run_thread_counts_ops;
+        ] );
+      ( "handle",
+        [
+          Alcotest.test_case "contract over every maker" `Quick
+            handle_contract;
         ] );
       ("barrier", [ Alcotest.test_case "releases all" `Quick barrier_releases_all ]);
       ( "sim driver",

@@ -6,17 +6,7 @@ module L = Mound.Lf_int
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let make_sut () =
-  let q = L.create () in
-  {
-    Model.sut_insert = L.insert q;
-    sut_extract_min = (fun () -> L.extract_min q);
-    sut_peek_min = (fun () -> L.peek_min q);
-    sut_extract_many = (fun () -> L.extract_many q);
-    sut_extract_approx = (fun () -> L.extract_approx q);
-    sut_check = (fun () -> L.check q);
-    sut_size = (fun () -> L.size q);
-  }
+let make_sut () = Harness.Pq.of_mound (module L) (L.create ())
 
 let prop_model =
   QCheck.Test.make ~name:"matches sorted-multiset model" ~count:120

@@ -6,17 +6,7 @@ module K = Mound.Lock_int
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let make_sut () =
-  let q = K.create () in
-  {
-    Model.sut_insert = K.insert q;
-    sut_extract_min = (fun () -> K.extract_min q);
-    sut_peek_min = (fun () -> K.peek_min q);
-    sut_extract_many = (fun () -> K.extract_many q);
-    sut_extract_approx = (fun () -> K.extract_approx q);
-    sut_check = (fun () -> K.check q);
-    sut_size = (fun () -> K.size q);
-  }
+let make_sut () = Harness.Pq.of_mound (module K) (K.create ())
 
 let prop_model =
   QCheck.Test.make ~name:"matches sorted-multiset model" ~count:120

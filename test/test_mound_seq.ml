@@ -5,17 +5,7 @@ module S = Mound.Seq_int
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let make_sut () =
-  let q = S.create ~seed:21L () in
-  {
-    Model.sut_insert = S.insert q;
-    sut_extract_min = (fun () -> S.extract_min q);
-    sut_peek_min = (fun () -> S.peek_min q);
-    sut_extract_many = (fun () -> S.extract_many q);
-    sut_extract_approx = (fun () -> S.extract_approx q);
-    sut_check = (fun () -> S.check q);
-    sut_size = (fun () -> S.size q);
-  }
+let make_sut () = Harness.Pq.of_mound (module S) (S.create ~seed:21L ())
 
 let prop_model =
   QCheck.Test.make ~name:"matches sorted-multiset model" ~count:150

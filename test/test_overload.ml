@@ -452,6 +452,19 @@ let real_kill_deadline_escape () =
   check "some kill wedged the root; the deadline escaped it" true
     (!escaped >= 1)
 
+(* Shed evicts through [extract_approx ~max_level:6]; the harness handle
+   must forward the depth it is asked for. At depth 0 the probe can only
+   land on the root, so every call returns the exact minimum — the
+   default depth 2 would probe seven nodes of this increasing-key mound. *)
+let pq_ops_forward_probe_depth () =
+  let q = Harness.Pq.On_real.mound_lf.make ~capacity:1024 in
+  List.iter q.insert (List.init 1024 Fun.id);
+  for want = 0 to 31 do
+    Alcotest.(check (option int))
+      "depth-0 probe is the minimum" (Some want)
+      (Harness.Real_exp.pq_ops.extract_approx ~max_level:0 q)
+  done
+
 (* ---------------- suite ---------------- *)
 
 let () =
@@ -465,6 +478,8 @@ let () =
             bounded_block_deadline;
           Alcotest.test_case "2 domains, watermark holds" `Quick
             bounded_concurrent_smoke;
+          Alcotest.test_case "harness handle keeps the shed depth" `Quick
+            pq_ops_forward_probe_depth;
         ] );
       ( "deadline",
         [

@@ -8,34 +8,14 @@ let check_int = Alcotest.(check int)
 
 let seeds = List.init 12 (fun i -> Int64.of_int (1000 + (7 * i)))
 
-type subject = {
-  name : string;
-  linearizable_extract : bool;
-  maker : Harness.Pq.maker;
-}
-
-let subjects =
-  let open Harness.Pq.On_sim in
-  [
-    { name = "mound_lf"; linearizable_extract = true; maker = mound_lf };
-    { name = "mound_lock"; linearizable_extract = true; maker = mound_lock };
-    (* not monotone: Hunt's in-limbo bottom value, see test_concurrent *)
-    { name = "hunt"; linearizable_extract = false; maker = hunt };
-    { name = "skiplist"; linearizable_extract = false; maker = skiplist };
-    { name = "skiplist_lock"; linearizable_extract = false;
-      maker = skiplist_lock };
-    { name = "coarse"; linearizable_extract = true; maker = coarse };
-    { name = "stm_heap"; linearizable_extract = true; maker = stm_heap };
-  ]
-
 let threads = 6
 let per = 120
 
 (* mixed insert/extract under many schedules *)
-let mixed_schedules subject () =
+let mixed_schedules (maker : Harness.Pq.maker) () =
   List.iter
     (fun seed ->
-      let q = subject.maker.make ~capacity:(threads * per * 2) in
+      let q = maker.make ~capacity:(threads * per * 2) in
       let extracted = Array.make threads [] in
       let body tid =
         for i = 0 to per - 1 do
@@ -48,24 +28,24 @@ let mixed_schedules subject () =
       in
       ignore (Sim.Sched.run ~seed (Array.make threads body));
       check
-        (Printf.sprintf "%s invariant (seed %Ld)" subject.name seed)
+        (Printf.sprintf "%s invariant (seed %Ld)" maker.name seed)
         true (q.check ());
       let got =
         Array.fold_left (fun a l -> List.rev_append l a) [] extracted
       in
       check_int
-        (Printf.sprintf "%s conservation (seed %Ld)" subject.name seed)
+        (Printf.sprintf "%s conservation (seed %Ld)" maker.name seed)
         (threads * per)
         (List.length got + q.size ()))
     seeds
 
 (* drain-only phase: per-thread monotone sequences for the linearizable
    structures, under every seed *)
-let drain_schedules subject () =
+let drain_schedules (maker : Harness.Pq.maker) () =
   List.iter
     (fun seed ->
       let n = 600 in
-      let q = subject.maker.make ~capacity:(2 * n) in
+      let q = maker.make ~capacity:(2 * n) in
       Sim.Sched.seed_ambient seed;
       let rng = Prng.create seed in
       let inserted = Array.init n (fun _ -> Prng.int rng 10_000) in
@@ -84,10 +64,10 @@ let drain_schedules subject () =
       ignore (Sim.Sched.run ~seed (Array.make threads body));
       let all = Array.fold_left (fun a l -> List.rev_append l a) [] got in
       check
-        (Printf.sprintf "%s multiset (seed %Ld)" subject.name seed)
+        (Printf.sprintf "%s multiset (seed %Ld)" maker.name seed)
         true
         (List.sort compare all = List.sort compare (Array.to_list inserted));
-      if subject.linearizable_extract then
+      if maker.linearizable then
         Array.iter
           (fun l ->
             let rec noninc = function
@@ -95,7 +75,7 @@ let drain_schedules subject () =
               | a :: (b :: _ as r) -> a >= b && noninc r
             in
             check
-              (Printf.sprintf "%s monotone (seed %Ld)" subject.name seed)
+              (Printf.sprintf "%s monotone (seed %Ld)" maker.name seed)
               true (noninc l))
           got)
     seeds
@@ -104,8 +84,8 @@ let drain_schedules subject () =
    (oversubscribed) niagara2 profile: 32 threads on 8 cores with stalls *)
 let oversubscribed_mounds () =
   List.iter
-    (fun (subject : subject) ->
-      let q = subject.maker.make ~capacity:100_000 in
+    (fun (maker : Harness.Pq.maker) ->
+      let q = maker.make ~capacity:100_000 in
       let t = 32 and ops = 40 in
       let extracted = Atomic.make 0 in
       let body tid =
@@ -119,12 +99,12 @@ let oversubscribed_mounds () =
       in
       let profile = { Sim.Profile.niagara2 with hw_threads = 16 } in
       ignore (Sim.Sched.run ~profile ~seed:321L (Array.make t body));
-      check (subject.name ^ " invariant oversubscribed") true (q.check ());
+      check (maker.name ^ " invariant oversubscribed") true (q.check ());
       check_int
-        (subject.name ^ " conservation oversubscribed")
+        (maker.name ^ " conservation oversubscribed")
         (t * ops)
         (Atomic.get extracted + q.size ()))
-    (List.filter (fun s -> s.name = "mound_lf" || s.name = "mound_lock") subjects)
+    Harness.Pq.On_sim.[ mound_lf; mound_lock ]
 
 (* Regression: the lock-based skiplist once livelocked under this exact
    deterministic schedule (constant-pause try-lock retries re-aligning
@@ -245,13 +225,16 @@ let lf_extensions_schedules () =
     seeds
 
 let () =
-  let per_subject mk suffix =
-    List.map (fun s -> Alcotest.test_case (s.name ^ suffix) `Quick (mk s)) subjects
+  let per_maker mk suffix =
+    List.map
+      (fun (m : Harness.Pq.maker) ->
+        Alcotest.test_case (m.name ^ suffix) `Quick (mk m))
+      Harness.Pq.On_sim.extended_set
   in
   Alcotest.run "sim schedules"
     [
-      ("mixed", per_subject mixed_schedules " mixed x12 seeds");
-      ("drain", per_subject drain_schedules " drain x12 seeds");
+      ("mixed", per_maker mixed_schedules " mixed x12 seeds");
+      ("drain", per_maker drain_schedules " drain x12 seeds");
       ( "adversarial",
         [
           Alcotest.test_case "oversubscribed mounds" `Quick

@@ -103,19 +103,7 @@ let sim_deterministic_transfers () =
 
 module H = Baselines.Stm_heap_int
 
-let heap_sut () =
-  let q = H.create ~capacity:4096 () in
-  let extract_min () = H.extract_min q in
-  {
-    Model.sut_insert = H.insert q;
-    sut_extract_min = extract_min;
-    sut_peek_min = (fun () -> H.peek_min q);
-    sut_extract_many =
-      (fun () -> match extract_min () with None -> [] | Some v -> [ v ]);
-    sut_extract_approx = extract_min;
-    sut_check = (fun () -> H.check q);
-    sut_size = (fun () -> H.size q);
-  }
+let heap_sut () = Harness.Pq.On_real.stm_heap.make ~capacity:4096
 
 let prop_heap_model =
   QCheck.Test.make ~name:"stm heap matches sorted-multiset model" ~count:80
