@@ -45,7 +45,6 @@ let rule_table : (string * string) list =
     ("stale-publish", "CASes back a value read from the shared structure without re-validation");
     ("post-publish-mutation", "plain field write through a record already published to other threads");
     ("static-retry", "call-graph CAS retry cycle reaching neither helping nor backoff");
-    ("static-deadline", "unbounded retry cycle that never consults a deadline");
     ("aba-risk", "CAS expected value from an un-revalidated read of a recycled location");
     ("atomicity", "plain set stores a value computed from the same location's atomic read");
     ("layout", "adjacent hot fields share a cache line across CAS-performing functions");

@@ -1,4 +1,4 @@
-(** Helping-discipline v2 (rules [static-retry], [static-deadline]).
+(** Helping-discipline v2 (rule [static-retry]).
 
     The per-file [retry-no-backoff] rule ({!File_rules}) recognizes
     helping by substring — a name containing [help], [moundify] or
@@ -45,30 +45,6 @@ let scan (cg : Callgraph.t) : Frontend.finding list =
                   "retry loop %s performs a CAS but its call graph \
                    reaches neither a helping routine nor a backoff; \
                    help the obstructing operation or back off"
-                  (String.concat "." f.fpath);
-            }
-            :: !out;
-        (* Disjoint complement of static-retry: a waiting loop (backs
-           off, does not help) whose call graph never consults a
-           deadline keeps waiting behind a dead peer forever. The substrate cut applies to [checks_deadline] as
-           to [helps]: the caller must bring its own bound. *)
-        if
-          Callgraph.self_reachable cg i
-          && eff.performs_cas && eff.backs_off
-          && (not eff.helps)
-          && not eff.checks_deadline
-        then
-          out :=
-            {
-              Frontend.file = f.ffile;
-              line = f.fline;
-              rule = "static-deadline";
-              msg =
-                Printf.sprintf
-                  "retry loop %s backs off but its call graph never \
-                   consults a deadline; bound the wait (the _until / \
-                   expired family) or record why waiting forever is \
-                   safe"
                   (String.concat "." f.fpath);
             }
             :: !out

@@ -64,14 +64,14 @@ let catalog : op list =
     {
       op_name = "drop-deadline";
       op_descr = "replace a deadline-expiry check with false (spin forever)";
-      op_rules = [ "static-deadline" ];
+      op_rules = [];
       op_twin = None;
     };
     {
       op_name = "drop-help";
       op_descr =
         "delete every helping call (moundify/complete) from a retry loop";
-      op_rules = [ "static-retry"; "static-deadline" ];
+      op_rules = [ "static-retry" ];
       op_twin = None;
     };
     {
@@ -857,7 +857,7 @@ let lock_call e =
   match
     app_with_head_pred e (fun segs ->
         let s = last_seg segs in
-        seg_contains s "set_lock" || s = "try_lock" || s = "acquire")
+        seg_contains s "set_lock" || s = "acquire")
   with
   | Some _ -> true
   | None -> false

@@ -42,7 +42,6 @@ type effects = {
   performs_cas : bool;
   helps : bool;
   backs_off : bool;
-  checks_deadline : bool;
   acquires_lock : bool;
   releases_lock : bool;
   writes_nonatomically : bool;
@@ -55,7 +54,6 @@ let no_effects =
     performs_cas = false;
     helps = false;
     backs_off = false;
-    checks_deadline = false;
     acquires_lock = false;
     releases_lock = false;
     writes_nonatomically = false;
@@ -66,7 +64,6 @@ let union_effects a b =
     performs_cas = a.performs_cas || b.performs_cas;
     helps = a.helps || b.helps;
     backs_off = a.backs_off || b.backs_off;
-    checks_deadline = a.checks_deadline || b.checks_deadline;
     acquires_lock = a.acquires_lock || b.acquires_lock;
     releases_lock = a.releases_lock || b.releases_lock;
     writes_nonatomically = a.writes_nonatomically || b.writes_nonatomically;
@@ -110,14 +107,6 @@ let contains_sub s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
-
-(* Deadline awareness by vocabulary: a name (identifier segment or
-   labelled argument) carrying the [_until] / [deadline] / [expired]
-   vocabulary. *)
-let deadline_name s =
-  let s = String.lowercase_ascii s in
-  contains_sub s "deadline" || contains_sub s "until"
-  || contains_sub s "expired"
 
 (* 0-based positions (among [Nolabel] arguments) of the freshly-published
    value for each CAS-family operation, and of the location being
@@ -281,14 +270,6 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
   match expr.pexp_desc with
   | Pexp_apply (head, args) -> (
       List.iter
-        (fun (lbl, _) ->
-          match lbl with
-          | Asttypes.Labelled s | Asttypes.Optional s ->
-              if deadline_name s then
-                col.eff <- { col.eff with checks_deadline = true }
-          | Asttypes.Nolabel -> ())
-        args;
-      List.iter
         (fun (_, a) ->
           match a.pexp_desc with
           | Pexp_fun _ | Pexp_function _ ->
@@ -306,8 +287,6 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
           let resolved = resolve_call scope segs in
           let line = Frontend.line_of_loc expr.pexp_loc in
           col.calls <- { callee = resolved; call_line = line } :: col.calls;
-          if List.exists deadline_name segs then
-            col.eff <- { col.eff with checks_deadline = true };
           let nargs = nolabel_args args in
           let arg i = List.nth_opt nargs i in
           if dotted && List.mem last cas_family then begin
@@ -531,11 +510,6 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
         | _ -> scope
       in
       walk ~file ~scope:scope' ~params ~fnpath col disc e
-  | Pexp_ident _ -> (
-      match flatten_ident expr with
-      | Some segs when List.exists deadline_name segs ->
-          col.eff <- { col.eff with checks_deadline = true }
-      | _ -> ())
   | _ -> ()
 
 (* Summarize one function binding; returns the function followed by its

@@ -72,7 +72,7 @@ module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
     | Tail -> false
     | Item x -> Ord.compare x key <= 0
 
-  let try_lock n = R.Atomic.compare_and_set n.lock false true
+  let lock_once n = R.Atomic.compare_and_set n.lock false true
 
   let unlock_node n = R.Atomic.set n.lock false
 
@@ -118,7 +118,7 @@ module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
           let got =
             List.memq pred !locked
             ||
-            (let ok = try_lock pred in
+            (let ok = lock_once pred in
              if ok then locked := pred :: !locked;
              ok)
           in
@@ -168,7 +168,7 @@ module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
       let rec walk p =
         let nxt = R.Atomic.get p.next.(lvl) in
         if nxt == node then begin
-          if try_lock p then begin
+          if lock_once p then begin
             let ok =
               (not (R.Atomic.get p.removed))
               && R.Atomic.get p.next.(lvl) == node
@@ -197,7 +197,7 @@ module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
      tells optimistic inserters to re-validate. *)
   let remove t node key =
     let rec claim () =
-      if try_lock node then begin
+      if lock_once node then begin
         let mine = not (R.Atomic.get node.removed) in
         if mine then R.Atomic.set node.removed true;
         unlock_node node;

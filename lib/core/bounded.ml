@@ -34,8 +34,6 @@ module Make (R : Runtime.S) = struct
       mounds are functors themselves; a record dodges a functor-of-
       functors tangle and lets baselines participate too). *)
   type ('q, 'elt) ops = {
-    insert : 'q -> 'elt -> unit;
-    try_insert : 'q -> 'elt -> bool;
     insert_until : 'q -> deadline:int -> 'elt -> unit Intf.outcome;
     extract_min : 'q -> 'elt option;
     extract_min_until : 'q -> deadline:int -> 'elt option Intf.outcome;
@@ -151,20 +149,6 @@ module Make (R : Runtime.S) = struct
           end
 
   let insert t v = insert_until t ~deadline:Intf.no_deadline v
-
-  (** Admission-only fast path: one reservation attempt, one bounded
-      publication attempt, never blocks and never sheds. *)
-  let try_insert t v =
-    if not (admit t) then begin
-      t.counters.rejected <- t.counters.rejected + 1;
-      false
-    end
-    else if t.ops.try_insert t.q v then true
-    else begin
-      release t;
-      t.counters.rejected <- t.counters.rejected + 1;
-      false
-    end
 
   let extract_min_until t ~deadline =
     match t.ops.extract_min_until t.q ~deadline with

@@ -15,9 +15,9 @@ end
 (** Result of a deadline- or admission-aware operation. [Timeout] means
     the operation observed its deadline expire before it could complete
     and gave up without taking effect; [Rejected] means an admission
-    policy (capacity watermark, try-lock miss) refused it outright.
-    Either way the queue is unchanged as far as the caller's element is
-    concerned. *)
+    policy (the bounded front-end's capacity watermark) refused it
+    outright. Either way the queue is unchanged as far as the caller's
+    element is concerned. *)
 type 'a outcome = Ok of 'a | Timeout | Rejected
 
 (** Deadlines are absolute [Runtime.S.monotonic_ns] stamps; this sentinel
@@ -66,23 +66,20 @@ module type MOUND = sig
       but not necessarily the next minima. Empty list on an empty mound. *)
 
   val insert_many : t -> elt list -> unit
-  (** [insert_many t batch] inserts a {e sorted} batch, splicing it into
-      a single node in one atomic step when the randomized probing finds
-      a node that accommodates the whole batch, and falling back to
-      element-wise insertion otherwise. The dual of {!extract_many};
-      behaviour is unspecified if [batch] is not sorted. *)
-
-  val try_insert : t -> elt -> bool
-  (** [try_insert t v] attempts one bounded insertion pass and returns
-      whether it took effect: no unbounded retrying, no blocking on locks.
-      The overload front-end ([Bounded]) uses it to keep admission cheap
-      when the structure is contended. *)
+  (** [insert_many t batch] inserts a {e sorted} batch front to back:
+      each step publishes the current head spliced with the longest
+      prefix of the batch that fits the same node, in one atomic step,
+      and a head that keeps losing races falls back to {!insert}. The
+      dual of {!extract_many}; behaviour is unspecified if [batch] is not
+      sorted. *)
 
   val insert_until : t -> deadline:int -> elt -> unit outcome
   (** [insert_until t ~deadline v] inserts [v], giving up with [Timeout]
       once [Runtime.S.monotonic_ns] passes the absolute [deadline].
       [deadline = no_deadline] never times out. A [Timeout] guarantees [v]
-      was not published. *)
+      was not published. The first attempt always runs, so a deadline
+      that has already passed gives a one-pass insert that never waits
+      out a contended lock or retries a lost race. *)
 
   val extract_min_until : t -> deadline:int -> (elt option) outcome
   (** Deadline-checking {!extract_min}: [Ok None] is an observed empty
@@ -120,19 +117,52 @@ module Value = struct
     | None, Some _ -> 1
     | Some _, None -> -1
     | Some x, Some y -> cmp x y
+end
 
-  let le cmp a b = compare cmp a b <= 0
-  let lt cmp a b = compare cmp a b < 0
+(** Sorted node lists, ordered like {!Value}: an empty list is ⊤. *)
+module Sorted = struct
+  (** [value l]: the node value [val(l)], the head of [l] or [None] (⊤). *)
+  let value = function [] -> None | x :: _ -> Some x
 
-  (** [ge_elt cmp node v]: does the node value dominate element [v]
-      (i.e. [val(node) >= v], so [v] may be pushed onto the node)? *)
-  let ge_elt cmp node v =
-    match node with None -> true | Some x -> cmp x v >= 0
+  (** [head_ge cmp l v]: [val(l) >= v], so [v] may be pushed onto [l]. *)
+  let head_ge cmp l v = match l with [] -> true | x :: _ -> cmp x v >= 0
 
-  (** [le_elt cmp node v]: [val(node) <= v], the parent-side insertion
-      condition. An empty node (+∞) never satisfies it. *)
-  let le_elt cmp node v =
-    match node with None -> false | Some x -> cmp x v <= 0
+  (** [head_le cmp l v]: [val(l) <= v], the parent-side insertion
+      condition. An empty list (⊤) never satisfies it. *)
+  let head_le cmp l v = match l with [] -> false | x :: _ -> cmp x v <= 0
+
+  (** [splice cmp batch l]: the longest prefix of the sorted [batch]
+      whose elements fit onto [l] (each [<= val(l)]), followed by [l]. *)
+  let rec splice cmp batch l =
+    match batch with
+    | x :: rest when head_ge cmp l x -> x :: splice cmp rest l
+    | _ -> l
+
+  (** [remainder cmp batch l]: what [splice cmp batch l] leaves out. *)
+  let rec remainder cmp batch l =
+    match batch with
+    | x :: rest when head_ge cmp l x -> remainder cmp rest l
+    | rest -> rest
+
+  let rec sorted cmp = function
+    | [] | [ _ ] -> true
+    | a :: (b :: _ as rest) -> cmp a b <= 0 && sorted cmp rest
+
+  (** The quiescent mound invariant over a [fold_nodes]-style [fold]:
+      every node's list is sorted and, below the root, dominated by its
+      parent's list. [parent p] is the list of node [p], or [None] when
+      the variant excuses [p]'s children (a dirty lock-free node). *)
+  let well_formed cmp ~fold ~parent =
+    fold
+      (fun ok i l ->
+        ok && sorted cmp l
+        && (i = 1
+           ||
+           match (parent (i / 2), l) with
+           | None, _ | Some _, [] -> true
+           | Some [], _ :: _ -> false
+           | Some (x :: _), y :: _ -> cmp x y <= 0))
+      true
 end
 
 (** Default number of random leaves probed before the tree grows a level;

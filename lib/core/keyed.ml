@@ -59,11 +59,6 @@ module Make (P : Intf.ORDERED) (K : Hashtbl.HashedType) = struct
             Some (k, p)
         | _ -> pop_min t (* stale entry superseded by a decrease_key *))
 
-  (** [try_insert]: {!insert}'s result already distinguishes "changed"
-      from "refused" (a worse priority), so the try variant is the same
-      operation under the front-end's expected name. *)
-  let try_insert = insert
-
   (** Deadline-checking {!pop_min} for churn-heavy workloads: lazy
       deletion makes a single pop O(S log N) in the number of stale
       entries [S], so under decrease-key storms even the sequential map

@@ -35,7 +35,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
 
   let vcompare = Intf.Value.compare Ord.compare
 
-  let node_value n = match n.list with [] -> None | x :: _ -> Some x
+  let node_value n = Intf.Sorted.value n.list
 
   let create ?threshold ?init_depth () =
     let make_slot () = M.make { list = []; dirty = false; seq = 0 } in
@@ -148,6 +148,13 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
 
   let bump_timeout t = t.ops.deadline_timeouts <- t.ops.deadline_timeouts + 1
 
+  (* What [put] and [take] return when they lose a race, and the
+     extraction loop when its deadline passes. Never installed in a
+     slot, so [r == missed] / [r == gave_up] hold for these records
+     alone. *)
+  let missed = { list = []; dirty = false; seq = -1 }
+  let gave_up = { list = []; dirty = false; seq = -2 }
+
   (* ----- insert ----- *)
 
   (* After this many failed candidate selections, stop re-rolling random
@@ -170,99 +177,79 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       fallback_point_lv t ~ge
     end
 
-  (* [ge] is built once per [insert] call and threaded through the retry
-     loop — the candidate-validation predicate does not change across
-     attempts, so there is no reason to allocate a fresh closure on
-     every retry. *)
-  let rec insert_attempt t v ~ge ~deadline round =
+  (** One publication attempt (L4–L15) of the sorted run [hd :: rest]:
+      find a candidate for [hd] by randomized probing, or on the
+      leftmost chain when [fallback]; re-validate it and its parent
+      (probing was unsynchronized, L7); then publish [hd] spliced with
+      the longest prefix of [rest] that fits the candidate, by a plain
+      CAS at the root (L9–L10) or a DCSS that requires the parent
+      unchanged (L12–L14). Returns the record it replaced, whose list
+      bounds the spliced prefix, or [missed]. [ge] tests a node against
+      [hd]; callers build it once and reuse it across attempts. *)
+  let put t ~ge ~fallback hd rest =
     let c, clvl =
-      if round < max_insert_rounds then T.find_insert_point_lv t.tree ~ge
-      else begin
-        if round = max_insert_rounds then begin
-          t.ops.root_fallbacks <- t.ops.root_fallbacks + 1;
-          (* a full round budget burned without landing the insert *)
-          t.ops.livelock_near_misses <- t.ops.livelock_near_misses + 1
-        end;
-        fallback_point_lv t ~ge
-      end
+      if fallback then fallback_point_lv t ~ge
+      else T.find_insert_point_lv t.tree ~ge
     in
     let cslot = T.get_at t.tree ~level:clvl c in
     let cur = M.get cslot in
-    (* Double-check the candidate (L7): probing was unsynchronized. *)
-    if Intf.Value.ge_elt Ord.compare (node_value cur) v then begin
-      let fresh = { list = v :: cur.list; dirty = cur.dirty; seq = cur.seq + 1 } in
-      if c = 1 then begin
-        (* Root insert linearizes with a plain CAS (L9–L10). *)
-        if cas_reusing cslot cur fresh then Intf.Ok ()
-        else insert_retry t v ~ge ~deadline round
-      end
-      else begin
-        let pslot = T.get_at t.tree ~level:(clvl - 1) (c / 2) in
-        let parent = M.get pslot in
-        if Intf.Value.le_elt Ord.compare (node_value parent) v then begin
-          (* DCSS: write the child only if the parent is unchanged
-             (L12–L14). *)
-          if dcss_reusing pslot parent cslot cur fresh then Intf.Ok ()
-          else insert_retry t v ~ge ~deadline round
-        end
-        else insert_retry t v ~ge ~deadline round
-      end
-    end
-    else insert_retry t v ~ge ~deadline round
-
-  (* A first failure retries immediately (benign race, exactly the
-     paper's loop); sustained failure backs off exponentially so
-     contending inserters spread out instead of re-colliding. A deadline
-     is checked here, between attempts, so a [Timeout] can only be
-     returned with the element unpublished. *)
-  and insert_retry t v ~ge ~deadline round =
-    t.ops.insert_retries <- t.ops.insert_retries + 1;
-    if expired ~deadline then begin
-      bump_timeout t;
-      Intf.Timeout
-    end
-    else begin
-      if round > 0 then begin
-        t.ops.insert_backoffs <- t.ops.insert_backoffs + 1;
-        B.exponential ~cap_bits:6 (round - 1)
-      end;
-      insert_attempt t v ~ge ~deadline (round + 1)
-    end
-
-  let insert t v =
-    let ge i = Intf.Value.ge_elt Ord.compare (node_value (read t i)) v in
-    match insert_attempt t v ~ge ~deadline:Intf.no_deadline 0 with
-    | Intf.Ok () -> ()
-    | Timeout | Rejected -> assert false (* no deadline, no admission *)
-
-  let insert_until t ~deadline v =
-    let ge i = Intf.Value.ge_elt Ord.compare (node_value (read t i)) v in
-    insert_attempt t v ~ge ~deadline 0
-
-  (** One bounded publication pass: probe, validate, and attempt the
-      linearizing CAS/DCSS once (re-issuing only while the location is
-      observably unchanged, i.e. on spurious weak-CAS failure). Any real
-      interference reports [false] instead of retrying. *)
-  let try_insert t v =
-    let ge i = Intf.Value.ge_elt Ord.compare (node_value (read t i)) v in
-    let c, clvl = T.find_insert_point_lv t.tree ~ge in
-    let cslot = T.get_at t.tree ~level:clvl c in
-    let cur = M.get cslot in
-    let ok =
-      Intf.Value.ge_elt Ord.compare (node_value cur) v
-      &&
+    if not (Intf.Sorted.head_ge Ord.compare cur.list hd) then missed
+    else
       let fresh =
-        { list = v :: cur.list; dirty = cur.dirty; seq = cur.seq + 1 }
+        {
+          list = hd :: Intf.Sorted.splice Ord.compare rest cur.list;
+          dirty = cur.dirty;
+          seq = cur.seq + 1;
+        }
       in
-      if c = 1 then cas_reusing cslot cur fresh
+      if c = 1 then if cas_reusing cslot cur fresh then cur else missed
       else
         let pslot = T.get_at t.tree ~level:(clvl - 1) (c / 2) in
         let parent = M.get pslot in
-        Intf.Value.le_elt Ord.compare (node_value parent) v
-        && dcss_reusing pslot parent cslot cur fresh
-    in
-    if not ok then t.ops.rejected <- t.ops.rejected + 1;
-    ok
+        if
+          Intf.Sorted.head_le Ord.compare parent.list hd
+          && dcss_reusing pslot parent cslot cur fresh
+        then cur
+        else missed
+
+  (* [ge t v i]: does node [i] dominate [v]? The probe predicate. *)
+  let ge t v i = Intf.Sorted.head_ge Ord.compare (read t i).list v
+
+  (* A first failure retries immediately (benign race, exactly the
+     paper's loop); sustained failure backs off exponentially so
+     contending inserters spread out instead of re-colliding, and after
+     [max_insert_rounds] the candidate comes from the root fallback. A
+     deadline is checked between attempts, so a [Timeout] can only be
+     returned with the element unpublished. *)
+  let rec insert_round t v ~ge ~deadline round =
+    if round = max_insert_rounds then begin
+      t.ops.root_fallbacks <- t.ops.root_fallbacks + 1;
+      (* a full round budget burned without landing the insert *)
+      t.ops.livelock_near_misses <- t.ops.livelock_near_misses + 1
+    end;
+    if put t ~ge ~fallback:(round >= max_insert_rounds) v [] != missed then
+      Intf.Ok ()
+    else begin
+      t.ops.insert_retries <- t.ops.insert_retries + 1;
+      if expired ~deadline then begin
+        bump_timeout t;
+        Intf.Timeout
+      end
+      else begin
+        if round > 0 then begin
+          t.ops.insert_backoffs <- t.ops.insert_backoffs + 1;
+          B.exponential ~cap_bits:6 (round - 1)
+        end;
+        insert_round t v ~ge ~deadline (round + 1)
+      end
+    end
+
+  let insert_until t ~deadline v = insert_round t v ~ge:(ge t v) ~deadline 0
+
+  let insert t v =
+    match insert_until t ~deadline:Intf.no_deadline v with
+    | Intf.Ok () -> ()
+    | Timeout | Rejected -> assert false (* no deadline, no admission *)
 
   (** Alternative insert for the ablation study: the paper's §III-D opens
       with "the simplest technique for making insert lock-free is to use a
@@ -276,8 +263,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
   (* lint: allow — deliberately naive ablation baseline: the paper's
      strawman k-CSS insert retries without backoff by construction *)
   let rec insert_kcss t v =
-    let ge i = Intf.Value.ge_elt Ord.compare (node_value (read t i)) v in
-    let c = T.find_insert_point t.tree ~ge in
+    let c = T.find_insert_point t.tree ~ge:(ge t v) in
     (* Snapshot the whole ancestor chain root..c. *)
     let rec chain i acc = if i = 0 then acc else chain (i / 2) (i :: acc) in
     let path = chain c [] in
@@ -285,8 +271,8 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
     let valid =
       List.for_all
         (fun (i, node) ->
-          if i = c then Intf.Value.ge_elt Ord.compare (node_value node) v
-          else Intf.Value.le_elt Ord.compare (node_value node) v)
+          if i = c then Intf.Sorted.head_ge Ord.compare node.list v
+          else Intf.Sorted.head_le Ord.compare node.list v)
         snap
     in
     if not valid then insert_kcss t v
@@ -304,165 +290,114 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       in
       if not (M.casn ops) then insert_kcss t v
 
-  (* Longest prefix of the sorted [batch] whose elements fit under
-     [limit] (the candidate node's value; [None] is ⊤, keeping the whole
-     batch), paired with the remainder. Shared shape with the other two
-     variants. *)
-  let rec split_prefix limit acc = function
-    | x :: rest when Intf.Value.ge_elt Ord.compare limit x ->
-        split_prefix limit (x :: acc) rest
-    | rest -> (List.rev acc, rest)
-
   (* Attempts per run before conceding the head to element-wise
      [insert] (which carries the backoff) and resuming batching. *)
   let batch_tries = 4
 
   (** Insert a {e sorted} batch — the dual of [extract_many], for
-      returning unconsumed work to the pool. The batch is walked front
-      to back: each round finds the insert point for the current head
-      once, then splices the longest prefix that fits that node
-      ([val(parent c) <= hd] and every spliced element [<= val(c)]) in a
-      single CAS/DCSS — probing and binary search are amortized over the
-      whole run instead of paid per element. Under contention the head
-      falls back to the element-wise [insert] and batching resumes with
-      the remainder. *)
+      returning unconsumed work to the pool. Each step is one [put] of
+      the current head and the longest prefix that fits its node, so
+      probing and binary search are paid per node, not per element.
+      Under contention the head falls back to the element-wise [insert]
+      and batching resumes with the remainder. *)
   let insert_many t batch =
     let rec go batch tries =
       match batch with
       | [] -> ()
-      | hd :: rest_after_hd ->
+      | hd :: rest ->
           if tries = 0 then begin
             insert t hd;
-            go rest_after_hd batch_tries
+            go rest batch_tries
           end
-          else begin
-            let ge i =
-              Intf.Value.ge_elt Ord.compare (node_value (read t i)) hd
-            in
-            let c, clvl = T.find_insert_point_lv t.tree ~ge in
-            let cslot = T.get_at t.tree ~level:clvl c in
-            let cur = M.get cslot in
-            let limit = node_value cur in
-            (* Double-check the candidate: probing was unsynchronized. *)
-            if Intf.Value.ge_elt Ord.compare limit hd then begin
-              let prefix, rest = split_prefix limit [] batch in
-              let fresh =
-                {
-                  list = prefix @ cur.list;
-                  dirty = cur.dirty;
-                  seq = cur.seq + 1;
-                }
-              in
-              if c = 1 then begin
-                if cas_reusing cslot cur fresh then go rest batch_tries
-                else go batch (tries - 1)
-              end
-              else begin
-                let pslot = T.get_at t.tree ~level:(clvl - 1) (c / 2) in
-                let parent = M.get pslot in
-                if Intf.Value.le_elt Ord.compare (node_value parent) hd
-                then begin
-                  if dcss_reusing pslot parent cslot cur fresh then
-                    go rest batch_tries
-                  else go batch (tries - 1)
-                end
-                else go batch (tries - 1)
-              end
-            end
-            else go batch (tries - 1)
-          end
+          else
+            let cur = put t ~ge:(ge t hd) ~fallback:false hd rest in
+            if cur == missed then go batch (tries - 1)
+            else
+              go (Intf.Sorted.remainder Ord.compare rest cur.list) batch_tries
     in
     go batch batch_tries
 
   (* ----- extraction ----- *)
+
+  (** One extraction attempt at node [n] (level [level]) through [slot]:
+      help a dirty node restore the property (L24–L26) and return it as
+      read; return an empty node as read (L27); otherwise CAS its list
+      beheaded, or emptied when [all] ([extract_many], §V), with the
+      dirty bit set, run [moundify] (L28–L32), and return the node as
+      read — its head is the element taken — or [missed] if the CAS
+      lost. *)
+  let take t slot n ~level ~all =
+    let node = M.get slot in
+    if node.dirty then begin
+      moundify t n ~level;
+      node
+    end
+    else
+      match node.list with
+      | [] -> node
+      | _ :: tl ->
+          if
+            cas_reusing slot node
+              {
+                list = (if all then [] else tl);
+                dirty = true;
+                seq = node.seq + 1;
+              }
+          then begin
+            moundify t n ~level;
+            node
+          end
+          else missed
 
   (* Consecutive non-progress iterations of one extraction before the
      attempt is counted as a livelock near miss: sustained spinning that
      eventually resolved, the dynamic shadow of the liveness checker. *)
   let near_miss_spins = 8
 
-  let bump_near_miss t spin =
+  (* The root extraction loop behind [extract_min], its deadline variant
+     and [extract_many]: take from the root until an attempt neither
+     helps nor loses, and return the root as read, or [gave_up]. *)
+  let rec take_root t ~all ~deadline spin =
     if spin = near_miss_spins then
-      t.ops.livelock_near_misses <- t.ops.livelock_near_misses + 1
-
-  let rec extract_min_spin t ~deadline spin =
-    bump_near_miss t spin;
+      t.ops.livelock_near_misses <- t.ops.livelock_near_misses + 1;
     if spin > 0 && expired ~deadline then begin
       (* checked only on retry iterations: the first attempt always
          runs, so a generous deadline never turns into a spurious
          [Timeout], and nothing has been removed when we give up *)
       bump_timeout t;
-      Intf.Timeout
+      gave_up
     end
     else
-      let slot = T.get_at t.tree ~level:0 1 in
-      let root = M.get slot in
-      if root.dirty then begin
-        (* An extraction is mid-flight; help restore the property
-           (L24–L26). *)
-        t.ops.helps <- t.ops.helps + 1;
-        moundify t 1 ~level:0;
-        extract_min_spin t ~deadline (spin + 1)
+      let node = take t (T.get_at t.tree ~level:0 1) 1 ~level:0 ~all in
+      if node == missed then begin
+        t.ops.extract_retries <- t.ops.extract_retries + 1;
+        take_root t ~all ~deadline (spin + 1)
       end
-      else
-        match root.list with
-        | [] -> Intf.Ok None (* L27: linearizes at the root READ *)
-        | hd :: tl ->
-            if
-              cas_reusing slot root
-                { list = tl; dirty = true; seq = root.seq + 1 }
-            then begin
-              moundify t 1 ~level:0;
-              Intf.Ok (Some hd)
-            end
-            else begin
-              t.ops.extract_retries <- t.ops.extract_retries + 1;
-              extract_min_spin t ~deadline (spin + 1)
-            end
+      else if node.dirty then begin
+        t.ops.helps <- t.ops.helps + 1;
+        take_root t ~all ~deadline (spin + 1)
+      end
+      else node
 
   let extract_min t =
-    match extract_min_spin t ~deadline:Intf.no_deadline 0 with
-    | Intf.Ok r -> r
-    | Timeout | Rejected -> assert false (* no deadline, no admission *)
+    node_value (take_root t ~all:false ~deadline:Intf.no_deadline 0)
 
-  let extract_min_until t ~deadline = extract_min_spin t ~deadline 0
+  let extract_min_until t ~deadline =
+    let node = take_root t ~all:false ~deadline 0 in
+    if node == gave_up then Intf.Timeout else Intf.Ok (node_value node)
 
   (** Take the root's whole sorted list in one linearizable step (§V):
       the same protocol as [extract_min], with the list emptied rather
       than beheaded. *)
-  let rec extract_many_spin t spin =
-    bump_near_miss t spin;
-    let slot = T.get_at t.tree ~level:0 1 in
-    let root = M.get slot in
-    if root.dirty then begin
-      t.ops.helps <- t.ops.helps + 1;
-      moundify t 1 ~level:0;
-      extract_many_spin t (spin + 1)
-    end
-    else
-      match root.list with
-      | [] -> []
-      | taken ->
-          if
-            cas_reusing slot root
-              { list = []; dirty = true; seq = root.seq + 1 }
-          then begin
-            moundify t 1 ~level:0;
-            taken
-          end
-          else begin
-            t.ops.extract_retries <- t.ops.extract_retries + 1;
-            extract_many_spin t (spin + 1)
-          end
-
-  let extract_many t = extract_many_spin t 0
+  let extract_many t =
+    (take_root t ~all:true ~deadline:Intf.no_deadline 0).list
 
   (** Probabilistic extract-min (§V): any non-dirty node is the root of a
       sub-mound, so extracting from a random node within the first
       [max_level+1] levels returns an element that is a minimum of that
       sub-mound — probably close to the global minimum, at much lower
       contention. Falls back to the exact operation when the probed node
-      is empty or stays contended. *)
+      is empty or stays contended for four attempts. *)
   let extract_approx ?(max_level = 2) t =
     let d = T.depth t.tree in
     let lvl = min max_level (d - 1) in
@@ -470,28 +405,14 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
     let n = 1 + R.rand_int span in
     if n = 1 then extract_min t
     else
-      let nlvl = T.level_of n in
-      let slot = T.get_at t.tree ~level:nlvl n in
+      let level = T.level_of n in
+      let slot = T.get_at t.tree ~level n in
       let rec attempt tries =
         if tries = 0 then extract_min t
         else
-          let node = M.get slot in
-          if node.dirty then begin
-            moundify t n ~level:nlvl;
-            attempt (tries - 1)
-          end
-          else
-            match node.list with
-            | [] -> extract_min t
-            | hd :: tl ->
-                if
-                  M.cas slot node
-                    { list = tl; dirty = true; seq = node.seq + 1 }
-                then begin
-                  moundify t n ~level:nlvl;
-                  Some hd
-                end
-                else attempt (tries - 1)
+          let node = take t slot n ~level ~all:false in
+          if node == missed || node.dirty then attempt (tries - 1)
+          else match node.list with [] -> extract_min t | x :: _ -> Some x
       in
       attempt 4
 
@@ -513,22 +434,10 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
 
   let size t = fold_nodes t (fun acc _ l -> acc + List.length l) 0
 
-  let rec list_sorted = function
-    | [] | [ _ ] -> true
-    | a :: (b :: _ as rest) -> Ord.compare a b <= 0 && list_sorted rest
-
   (** Quiescent check of per-list sortedness and the (dirty-aware) mound
       property of §II: a non-dirty parent dominates its children. *)
   let check t =
-    fold_nodes t
-      (fun ok i l ->
-        ok && list_sorted l
-        &&
-        if i = 1 then true
-        else
-          let parent = read t (i / 2) in
-          parent.dirty
-          || Intf.Value.le Ord.compare (node_value parent)
-               (match l with [] -> None | x :: _ -> Some x))
-      true
+    Intf.Sorted.well_formed Ord.compare ~fold:(fold_nodes t) ~parent:(fun p ->
+        let parent = read t p in
+        if parent.dirty then None else Some parent.list)
 end

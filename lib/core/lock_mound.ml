@@ -52,7 +52,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
             before spinners may revoke it; 0 disables revocation *)
   }
 
-  let node_value n = match n.list with [] -> None | x :: _ -> Some x
+  let node_value n = Intf.Sorted.value n.list
 
   (* The hot paths compare list heads directly instead of boxing them
      with [node_value]: an empty list is ⊤, as [None] is in
@@ -64,14 +64,14 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
     | _ :: _, [] -> -1
     | x :: _, y :: _ -> Ord.compare x y
 
-  let head_ge l v = match l with [] -> true | x :: _ -> Ord.compare x v >= 0
-  let head_le l v = match l with [] -> false | x :: _ -> Ord.compare x v <= 0
-
-  (* What an acquisition returns when it gives up (deadline expiry, or a
-     [try_lock] that loses), and the lease timer's "no holder observed
-     yet". It is never installed in a slot, so [w == gave_up] holds for
-     this record alone. *)
+  (* What an acquisition returns when its deadline expires (and so what
+     [take] and [put] return then), and the lease timer's "no holder
+     observed yet"; and what [put] returns when its candidate fails
+     validation or its lock is revoked. Neither is ever installed in a
+     slot, so [w == gave_up] / [w == missed] hold for these records
+     alone. *)
   let gave_up = { list = []; locked = true; seq = -1 }
+  let missed = { list = []; locked = true; seq = -2 }
 
   let create ?threshold ?init_depth ?(lease = 0) () =
     let make_slot () = R.Atomic.make { list = []; locked = false; seq = 0 } in
@@ -228,276 +228,180 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       end
     end
 
-  let rec extract_min_until t ~deadline =
-    let slot = T.get_at t.tree ~level:0 1 in
-    let w = set_lock_until t slot ~node:1 ~level:0 ~deadline in
+  (** [take t n ~level ~all ~deadline] locks node [n] (level [level]),
+      removes its list's head, or the whole list when [all]
+      ([extract_many], §V), keeps the node locked and lets [moundify]
+      release it (F9–F12); an empty node is just unlocked. Returns the
+      witness, whose list is the node's list as it was (its head is the
+      element taken), or [gave_up] once [deadline] passes. A revocation
+      between acquisition and behead removed nothing, so the take
+      retries. *)
+  let rec take t n ~level ~all ~deadline =
+    let slot = T.get_at t.tree ~level n in
+    let w = set_lock_until t slot ~node:n ~level ~deadline in
     if w == gave_up then begin
       bump_timeout t;
-      Intf.Timeout
+      gave_up
     end
     else
       match w.list with
       | [] ->
           ignore (unlock t slot ~witness:w []);
-          Intf.Ok None
-      | hd :: tl ->
-          (* Remove the head, keep the root locked, and let moundify
-             release it (F9–F12). *)
-          let w' = { list = tl; locked = true; seq = w.seq + 1 } in
+          w
+      | _ :: tl ->
+          let w' =
+            { list = (if all then [] else tl); locked = true; seq = w.seq + 1 }
+          in
           if restamp t slot ~witness:w w' then begin
-            moundify t 1 ~level:0 ~witness:w';
-            Intf.Ok (Some hd)
+            moundify t n ~level ~witness:w';
+            w
           end
           else begin
-            (* revoked between acquisition and behead: nothing removed *)
             t.ops.extract_retries <- t.ops.extract_retries + 1;
             if expired ~deadline then begin
               bump_timeout t;
-              Intf.Timeout
+              gave_up
             end
-            else extract_min_until t ~deadline
+            else take t n ~level ~all ~deadline
           end
 
+  let extract_min_until t ~deadline =
+    let w = take t 1 ~level:0 ~all:false ~deadline in
+    if w == gave_up then Intf.Timeout else Intf.Ok (node_value w)
+
   let extract_min t =
-    match extract_min_until t ~deadline:Intf.no_deadline with
-    | Intf.Ok r -> r
-    | Timeout | Rejected -> assert false (* no deadline, no admission *)
+    node_value (take t 1 ~level:0 ~all:false ~deadline:Intf.no_deadline)
 
   (** Take the root's entire list (§V): identical protocol with the list
       emptied instead of beheaded. *)
-  let rec extract_many t =
-    let slot = T.get_at t.tree ~level:0 1 in
-    let w = set_lock t slot ~node:1 ~level:0 in
-    match w.list with
-    | [] ->
-        ignore (unlock t slot ~witness:w []);
-        []
-    | taken ->
-        let w' = { list = []; locked = true; seq = w.seq + 1 } in
-        if restamp t slot ~witness:w w' then begin
-          moundify t 1 ~level:0 ~witness:w';
-          taken
-        end
-        else begin
-          t.ops.extract_retries <- t.ops.extract_retries + 1;
-          extract_many t
-        end
+  let extract_many t =
+    (take t 1 ~level:0 ~all:true ~deadline:Intf.no_deadline).list
 
   (** Probabilistic extract-min (§V): lock a random node within the first
       [max_level+1] levels and extract its head, which is the minimum of
       the sub-mound rooted there. Falls back to the exact operation on an
       empty probe. *)
-  let rec extract_approx ?(max_level = 2) t =
+  let extract_approx ?(max_level = 2) t =
     let d = T.depth t.tree in
     let lvl = min max_level (d - 1) in
     let span = (1 lsl (lvl + 1)) - 1 in
     let n = 1 + R.rand_int span in
-    let nlvl = T.level_of n in
-    let slot = T.get_at t.tree ~level:nlvl n in
-    let w = set_lock t slot ~node:n ~level:nlvl in
-    match w.list with
-    | [] ->
-        ignore (unlock t slot ~witness:w []);
-        extract_min t
-    | hd :: tl ->
-        let w' = { list = tl; locked = true; seq = w.seq + 1 } in
-        if restamp t slot ~witness:w w' then begin
-          moundify t n ~level:nlvl ~witness:w';
-          Some hd
-        end
-        else begin
-          t.ops.extract_retries <- t.ops.extract_retries + 1;
-          extract_approx ~max_level t
-        end
+    match
+      (take t n ~level:(T.level_of n) ~all:false ~deadline:Intf.no_deadline)
+        .list
+    with
+    | [] -> extract_min t
+    | x :: _ -> Some x
 
-  (* [ge] is built once per [insert] call and reused across retries —
-     the validation predicate does not change, so no fresh closure per
-     attempt. The deadline bounds both the lock waits and the
-     revalidation retries; [Timeout] guarantees [v] was not published. *)
-  let rec insert_attempt t v ~ge ~deadline =
-    let retry () =
-      t.ops.insert_retries <- t.ops.insert_retries + 1;
-      if expired ~deadline then begin
-        bump_timeout t;
-        Intf.Timeout
-      end
-      else insert_attempt t v ~ge ~deadline
-    in
+  (** One publication attempt of the sorted run [hd :: rest]: find a
+      candidate for [hd], lock its parent before it (moundify's order,
+      F45–F46), re-validate both, and publish [hd] spliced with the
+      longest prefix of [rest] that fits the candidate as the unlocking
+      write. Returns the candidate's witness, whose list bounds the
+      spliced prefix; [missed] when validation fails or a revocation
+      beat the publication (nothing published); [gave_up] once a lock
+      wait outlives [deadline]. [ge] tests a node against [hd]; callers
+      build it once and reuse it across attempts. *)
+  let put t ~ge ~deadline hd rest =
     let c, clvl = T.find_insert_point_lv t.tree ~ge in
     let cslot = T.get_at t.tree ~level:clvl c in
     if c = 1 then begin
       let w = set_lock_until t cslot ~node:1 ~level:0 ~deadline in
       if w == gave_up then begin
         bump_timeout t;
-        Intf.Timeout
+        gave_up
       end
-      else if head_ge w.list v then
-        if unlock t cslot ~witness:w (v :: w.list) then Intf.Ok ()
-        else retry () (* revoked before publication: not inserted *)
+      else if Intf.Sorted.head_ge Ord.compare w.list hd then
+        if
+          unlock t cslot ~witness:w
+            (hd :: Intf.Sorted.splice Ord.compare rest w.list)
+        then w
+        else missed
       else begin
         ignore (unlock t cslot ~witness:w w.list);
-        retry ()
+        missed
       end
     end
     else begin
-      (* Parent before child, matching moundify's order (F45–F46). *)
       let pslot = T.get_at t.tree ~level:(clvl - 1) (c / 2) in
       let wp = set_lock_until t pslot ~node:(c / 2) ~level:(clvl - 1) ~deadline in
       if wp == gave_up then begin
         bump_timeout t;
-        Intf.Timeout
+        gave_up
       end
       else
         let wc = set_lock_until t cslot ~node:c ~level:clvl ~deadline in
         if wc == gave_up then begin
           ignore (unlock t pslot ~witness:wp wp.list);
           bump_timeout t;
-          Intf.Timeout
+          gave_up
         end
-        else if head_ge wc.list v && head_le wp.list v then begin
-          let published = unlock t cslot ~witness:wc (v :: wc.list) in
+        else if
+          Intf.Sorted.head_ge Ord.compare wc.list hd
+          && Intf.Sorted.head_le Ord.compare wp.list hd
+        then begin
+          let published =
+            unlock t cslot ~witness:wc
+              (hd :: Intf.Sorted.splice Ord.compare rest wc.list)
+          in
           ignore (unlock t pslot ~witness:wp wp.list);
-          if published then Intf.Ok () else retry ()
+          if published then wc else missed
         end
         else begin
           ignore (unlock t pslot ~witness:wp wp.list);
           ignore (unlock t cslot ~witness:wc wc.list);
-          retry ()
+          missed
         end
     end
 
+  (* [ge t v i]: does node [i] dominate [v]? The probe predicate. *)
+  let ge t v i =
+    Intf.Sorted.head_ge Ord.compare (R.Atomic.get (T.get t.tree i)).list v
+
+  (* A failed attempt re-probes at once. The deadline bounds both the
+     lock waits and the revalidation retries; [Timeout] guarantees [v]
+     was not published. *)
+  let rec insert_round t v ~ge ~deadline =
+    let w = put t ~ge ~deadline v [] in
+    if w == gave_up then Intf.Timeout
+    else if w != missed then Intf.Ok ()
+    else begin
+      t.ops.insert_retries <- t.ops.insert_retries + 1;
+      if expired ~deadline then begin
+        bump_timeout t;
+        Intf.Timeout
+      end
+      else insert_round t v ~ge ~deadline
+    end
+
+  let insert_until t ~deadline v = insert_round t v ~ge:(ge t v) ~deadline
+
   let insert t v =
-    let ge i = head_ge (R.Atomic.get (T.get t.tree i)).list v in
-    match insert_attempt t v ~ge ~deadline:Intf.no_deadline with
+    match insert_until t ~deadline:Intf.no_deadline v with
     | Intf.Ok () -> ()
     | Timeout | Rejected -> assert false (* no deadline, no admission *)
 
-  let insert_until t ~deadline v =
-    let ge i = head_ge (R.Atomic.get (T.get t.tree i)).list v in
-    insert_attempt t v ~ge ~deadline
-
-  (* Single acquisition attempt: no spinning, no lease accounting.
-     Returns the witness, or [gave_up] when the node is held or the CAS
-     loses. *)
-  let try_lock t slot =
-    let n = R.Atomic.get slot in
-    if n.locked then begin
-      t.ops.lock_spins <- t.ops.lock_spins + 1;
-      gave_up
-    end
-    else
-      let mine = { list = n.list; locked = true; seq = n.seq + 1 } in
-      if R.Atomic.compare_and_set slot n mine then mine
-      else begin
-        t.ops.lock_spins <- t.ops.lock_spins + 1;
-        gave_up
-      end
-
-  (** One bounded pass with try-locks: probe once, acquire without
-      spinning, publish or report [false]. Never blocks behind a held
-      lock — the admission path the bounded front-end uses. *)
-  let try_insert t v =
-    let ge i = head_ge (R.Atomic.get (T.get t.tree i)).list v in
-    let c, clvl = T.find_insert_point_lv t.tree ~ge in
-    let cslot = T.get_at t.tree ~level:clvl c in
-    let ok =
-      if c = 1 then begin
-        let w = try_lock t cslot in
-        if w == gave_up then false
-        else if head_ge w.list v then unlock t cslot ~witness:w (v :: w.list)
-        else begin
-          ignore (unlock t cslot ~witness:w w.list);
-          false
-        end
-      end
-      else
-        let pslot = T.get_at t.tree ~level:(clvl - 1) (c / 2) in
-        let wp = try_lock t pslot in
-        if wp == gave_up then false
-        else
-          let wc = try_lock t cslot in
-          if wc == gave_up then begin
-            ignore (unlock t pslot ~witness:wp wp.list);
-            false
-          end
-          else if head_ge wc.list v && head_le wp.list v then begin
-            let published = unlock t cslot ~witness:wc (v :: wc.list) in
-            ignore (unlock t pslot ~witness:wp wp.list);
-            published
-          end
-          else begin
-            ignore (unlock t pslot ~witness:wp wp.list);
-            ignore (unlock t cslot ~witness:wc wc.list);
-            false
-          end
-    in
-    if not ok then t.ops.rejected <- t.ops.rejected + 1;
-    ok
-
-  (* Longest prefix of the sorted batch fitting under [limit] ([None] is
-     ⊤), paired with the remainder — same shape as the other variants. *)
-  let rec split_prefix limit acc = function
-    | x :: rest when Intf.Value.ge_elt Ord.compare limit x ->
-        split_prefix limit (x :: acc) rest
-    | rest -> (List.rev acc, rest)
-
   let batch_tries = 4
 
-  (** Insert a {e sorted} batch — the dual of [extract_many]. The batch
-      is walked front to back: each round finds the insert point for the
-      current head once, then splices the longest prefix that fits that
-      node ([val(parent c) <= hd] and every spliced element [<= val(c)])
-      under one lock pair — probing and binary search are amortized over
-      the whole run instead of paid per element. Under contention the
-      head falls back to the element-wise [insert] and batching resumes
-      with the remainder. *)
+  (** Insert a {e sorted} batch — the dual of [extract_many]. Each step
+      is one [put] of the current head and the longest prefix that fits
+      its node, under one lock pair, so probing and binary search are
+      paid per node, not per element. Under contention the head falls
+      back to the element-wise [insert] and batching resumes with the
+      remainder. *)
   let insert_many t batch =
     let rec go batch tries =
       match batch with
       | [] -> ()
-      | hd :: rest_after_hd ->
+      | hd :: rest ->
           if tries = 0 then begin
             insert t hd;
-            go rest_after_hd batch_tries
+            go rest batch_tries
           end
-          else begin
-            let ge i = head_ge (R.Atomic.get (T.get t.tree i)).list hd in
-            let c, clvl = T.find_insert_point_lv t.tree ~ge in
-            let cslot = T.get_at t.tree ~level:clvl c in
-            if c = 1 then begin
-              let w = set_lock t cslot ~node:1 ~level:0 in
-              let limit = node_value w in
-              if Intf.Value.ge_elt Ord.compare limit hd then begin
-                let prefix, rest = split_prefix limit [] batch in
-                if unlock t cslot ~witness:w (prefix @ w.list) then
-                  go rest batch_tries
-                else go batch (tries - 1)
-              end
-              else begin
-                ignore (unlock t cslot ~witness:w w.list);
-                go batch (tries - 1)
-              end
-            end
-            else begin
-              let pslot = T.get_at t.tree ~level:(clvl - 1) (c / 2) in
-              let wp = set_lock t pslot ~node:(c / 2) ~level:(clvl - 1) in
-              let wc = set_lock t cslot ~node:c ~level:clvl in
-              let limit = node_value wc in
-              if
-                Intf.Value.ge_elt Ord.compare limit hd && head_le wp.list hd
-              then begin
-                let prefix, rest = split_prefix limit [] batch in
-                let published = unlock t cslot ~witness:wc (prefix @ wc.list) in
-                ignore (unlock t pslot ~witness:wp wp.list);
-                if published then go rest batch_tries else go batch (tries - 1)
-              end
-              else begin
-                ignore (unlock t pslot ~witness:wp wp.list);
-                ignore (unlock t cslot ~witness:wc wc.list);
-                go batch (tries - 1)
-              end
-            end
-          end
+          else
+            let w = put t ~ge:(ge t hd) ~deadline:Intf.no_deadline hd rest in
+            if w == missed then go batch (tries - 1)
+            else go (Intf.Sorted.remainder Ord.compare rest w.list) batch_tries
     in
     go batch batch_tries
 
@@ -516,22 +420,12 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
 
   let size t = fold_nodes t (fun acc _ l -> acc + List.length l) 0
 
-  let rec list_sorted = function
-    | [] | [ _ ] -> true
-    | a :: (b :: _ as rest) -> Ord.compare a b <= 0 && list_sorted rest
-
   (** Quiescent check: sorted lists and the mound property at every
-      parent/child pair (no node should be locked at a quiescent point). *)
+      parent/child pair, and no node locked. *)
   let check t =
-    fold_nodes t
-      (fun ok i l ->
-        ok && list_sorted l
-        && (not (R.Atomic.get (T.get t.tree i)).locked)
-        &&
-        if i = 1 then true
-        else
-          Intf.Value.le Ord.compare
-            (node_value (R.Atomic.get (T.get t.tree (i / 2))))
-            (match l with [] -> None | x :: _ -> Some x))
-      true
+    Intf.Sorted.well_formed Ord.compare ~fold:(fold_nodes t) ~parent:(fun p ->
+        Some (R.Atomic.get (T.get t.tree p)).list)
+    && T.fold t.tree
+         (fun ok _ slot -> ok && not (R.Atomic.get slot).locked)
+         true
 end

@@ -189,7 +189,11 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       end
     end
 
-  let insert_until t ~deadline v =
+  (* Publish the sorted run [hd :: rest] into one queue: acquire the
+     sticky queue (failing over by rotation), splice the run into its
+     mound in one critical section, so [Seq_mound]'s prefix splicing
+     amortizes probing over the run, and count it. *)
+  let put t ~deadline hd rest =
     let slot = slot_for t in
     let start = sticky_ins t slot in
     match acquire t start 0 ~deadline with
@@ -203,93 +207,74 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
           t.ops.insert_retries <- t.ops.insert_retries + 1
         end;
         let cell = t.cells.(i) in
-        Q.insert cell.q v;
-        ignore (R.Atomic.fetch_and_add t.size 1);
+        Q.put cell.q hd rest;
+        ignore (R.Atomic.fetch_and_add t.size (1 + List.length rest));
         unlock cell;
         Intf.Ok ()
+
+  let insert_until t ~deadline v = put t ~deadline v []
 
   let insert t v =
     match insert_until t ~deadline:Intf.no_deadline v with
     | Intf.Ok () -> ()
     | Timeout | Rejected -> assert false (* no deadline: acquire never gives up *)
 
-  let try_insert t v =
-    let slot = slot_for t in
-    let start = sticky_ins t slot in
-    let nq = Array.length t.cells in
-    let won i =
-      let cell = t.cells.(i) in
-      Q.insert cell.q v;
-      ignore (R.Atomic.fetch_and_add t.size 1);
-      unlock cell;
-      slot.ins_q <- i;
-      true
-    in
-    if R.Atomic.compare_and_set t.cells.(start).lock false true then won start
-    else begin
-      t.ops.lock_spins <- t.ops.lock_spins + 1;
-      let alt = (start + 1) mod nq in
-      if alt <> start && R.Atomic.compare_and_set t.cells.(alt).lock false true
-      then won alt
-      else begin
-        if alt <> start then t.ops.lock_spins <- t.ops.lock_spins + 1;
-        t.ops.rejected <- t.ops.rejected + 1;
-        false
-      end
-    end
-
   (** Insert a {e sorted} batch into the sticky queue in one critical
-      section, so [Seq_mound.insert_many]'s prefix splicing amortizes
-      probing over the whole batch. *)
-  let insert_many t batch =
-    match batch with
+      section. *)
+  let insert_many t = function
     | [] -> ()
-    | _ -> (
-        let slot = slot_for t in
-        let start = sticky_ins t slot in
-        match acquire t start 0 ~deadline:Intf.no_deadline with
-        | None -> assert false (* no deadline: acquire never gives up *)
-        | Some i ->
-            slot.ins_q <- i;
-            let cell = t.cells.(i) in
-            Q.insert_many cell.q batch;
-            ignore (R.Atomic.fetch_and_add t.size (List.length batch));
-            unlock cell)
+    | hd :: rest -> (
+        match put t ~deadline:Intf.no_deadline hd rest with
+        | Intf.Ok () -> ()
+        | Timeout | Rejected -> assert false (* no deadline *))
 
   (* --- extract ------------------------------------------------------ *)
 
-  type attempt = Got of elt | Nothing
+  (* What one locked take removes from a queue's mound: the root's head,
+     the root's whole list ([extract_many]), or the head of a shallow
+     node the mound probes ([extract_approx]). *)
+  type pick = Head | Whole | Probe of int
 
-  (* One try-lock extraction attempt on queue [i]. [Nothing] covers both
-     a busy lock and an empty queue: either way the caller moves on, and
-     global emptiness is decided by the counter, not by this probe. The
-     unlocked-and-top-[None] shortcut can race an in-flight publish and
-     report [Nothing] for a just-filled queue; the counter-guarded
-     rescan in [scan] re-examines it. *)
-  let pop_at t i =
+  (* Take from queue [i] under its try-lock and count what left; returns
+     the list taken from (its head is the element taken), or [] when
+     the lock is busy or the queue empty. *)
+  let take_at t i pick =
     let cell = t.cells.(i) in
-    if R.Atomic.get cell.top = None && not (R.Atomic.get cell.lock) then
-      Nothing
-    else if not (R.Atomic.compare_and_set cell.lock false true) then begin
+    if not (R.Atomic.compare_and_set cell.lock false true) then begin
       t.ops.lock_spins <- t.ops.lock_spins + 1;
-      Nothing
+      []
     end
     else begin
-      let r = Q.extract_min cell.q in
-      (match r with
-      | Some _ -> ignore (R.Atomic.fetch_and_add t.size (-1))
-      | None -> ());
+      let l =
+        match pick with
+        | Head -> Q.take cell.q 1 ~level:0 ~all:false
+        | Whole -> Q.take cell.q 1 ~level:0 ~all:true
+        | Probe max_level -> Q.take_approx cell.q ~max_level
+      in
+      (match (l, pick) with
+      | [], _ -> ()
+      | _, Whole -> ignore (R.Atomic.fetch_and_add t.size (-List.length l))
+      | _, (Head | Probe _) -> ignore (R.Atomic.fetch_and_add t.size (-1)));
       unlock cell;
-      match r with Some v -> Got v | None -> Nothing
+      l
     end
 
+  (* [take_at], skipping a queue whose lock is free and whose cached top
+     is empty. The shortcut can race an in-flight publish and miss a
+     just-filled queue; the counter-guarded rescan in [scan] re-examines
+     it. *)
+  let sample t i pick =
+    let cell = t.cells.(i) in
+    if R.Atomic.get cell.top = None && not (R.Atomic.get cell.lock) then []
+    else take_at t i pick
+
   (* Deterministic rotation over every queue, restarted while the size
-     counter says elements remain. Terminates with [Ok None] only on a
+     counter says elements remain. Terminates with [Ok []] only on a
      zero counter read — the sound emptiness point — and with [Timeout]
      once the deadline passes. No randomness is drawn here. *)
-  let rec scan t i left rounds ~deadline =
+  let rec scan t i left rounds pick ~deadline =
     if left = 0 then begin
-      if R.Atomic.get t.size = 0 then Intf.Ok None
+      if R.Atomic.get t.size = 0 then Intf.Ok []
       else if expired ~deadline then begin
         t.ops.deadline_timeouts <- t.ops.deadline_timeouts + 1;
         Intf.Timeout
@@ -299,38 +284,44 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
         if rounds = near_miss_spins then
           t.ops.livelock_near_misses <- t.ops.livelock_near_misses + 1;
         R.cpu_relax ();
-        scan t i (Array.length t.cells) (rounds + 1) ~deadline
+        scan t i (Array.length t.cells) (rounds + 1) pick ~deadline
       end
     end
     else
-      match pop_at t i with
-      | Got v -> Intf.Ok (Some v)
-      | Nothing ->
-          scan t ((i + 1) mod Array.length t.cells) (left - 1) rounds ~deadline
+      match sample t i pick with
+      | [] ->
+          scan t ((i + 1) mod Array.length t.cells) (left - 1) rounds pick
+            ~deadline
+      | l -> Intf.Ok l
 
-  let extract_min_until t ~deadline =
+  (* Two-choice take (Williams & Sanders): [pick] from the sampled queue
+     with the smaller cached top ([None] is +∞), then the other; when
+     both are empty or busy, re-roll on the next op and decide emptiness
+     by the full counter-guarded rotation. *)
+  let two_choice t pick ~deadline =
     let slot = slot_for t in
     let a, b = sticky_del t slot in
     let ta = R.Atomic.get t.cells.(a).top
     and tb = R.Atomic.get t.cells.(b).top in
-    (* two-choice: pop from the sampled queue with the smaller cached
-       top ([None] is +∞), falling back to the other *)
     let first, second = if vcompare ta tb <= 0 then (a, b) else (b, a) in
-    match pop_at t first with
-    | Got v -> Intf.Ok (Some v)
-    | Nothing -> (
-        match if second <> first then pop_at t second else Nothing with
-        | Got v -> Intf.Ok (Some v)
-        | Nothing ->
-            (* both samples empty or busy: re-roll on the next op, and
-               decide emptiness via the full counter-guarded rotation *)
+    match sample t first pick with
+    | [] -> (
+        match if second <> first then sample t second pick else [] with
+        | [] ->
             slot.del_left <- 0;
             let nq = Array.length t.cells in
-            scan t ((first + 1) mod nq) nq 0 ~deadline)
+            scan t ((first + 1) mod nq) nq 0 pick ~deadline
+        | l -> Intf.Ok l)
+    | l -> Intf.Ok l
+
+  let extract_min_until t ~deadline =
+    match two_choice t Head ~deadline with
+    | Intf.Ok l -> Intf.Ok (Intf.Sorted.value l)
+    | (Timeout | Rejected) as r -> r
 
   let extract_min t =
-    match extract_min_until t ~deadline:Intf.no_deadline with
-    | Intf.Ok r -> r
+    match two_choice t Head ~deadline:Intf.no_deadline with
+    | Intf.Ok l -> Intf.Sorted.value l
     | Timeout | Rejected -> assert false (* no deadline: scan never gives up *)
 
   (* Take one queue's whole root list: the relaxed analogue of the
@@ -338,83 +329,24 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
      necessarily the global one). Same two-choice + counter-guarded
      rotation as [extract_min], so an empty result means an observed
      empty structure. *)
-  let take_at t i =
-    let cell = t.cells.(i) in
-    if R.Atomic.get cell.top = None && not (R.Atomic.get cell.lock) then []
-    else if not (R.Atomic.compare_and_set cell.lock false true) then begin
-      t.ops.lock_spins <- t.ops.lock_spins + 1;
-      []
-    end
-    else begin
-      let r = Q.extract_many cell.q in
-      (match r with
-      | [] -> ()
-      | l -> ignore (R.Atomic.fetch_and_add t.size (-(List.length l))));
-      unlock cell;
-      r
-    end
-
-  (* lint: allow — [extract_many] has no deadline variant in the MOUND
-     signature (matching the other mound variants); the wait resolves as
-     soon as any lock holder releases, and a zero counter read exits. *)
-  let rec take_scan t i left =
-    if left = 0 then begin
-      if R.Atomic.get t.size = 0 then []
-      else begin
-        t.ops.extract_retries <- t.ops.extract_retries + 1;
-        R.cpu_relax ();
-        take_scan t i (Array.length t.cells)
-      end
-    end
-    else
-      match take_at t i with
-      | [] -> take_scan t ((i + 1) mod Array.length t.cells) (left - 1)
-      | taken -> taken
-
   let extract_many t =
-    let slot = slot_for t in
-    let a, b = sticky_del t slot in
-    let ta = R.Atomic.get t.cells.(a).top
-    and tb = R.Atomic.get t.cells.(b).top in
-    let first, second = if vcompare ta tb <= 0 then (a, b) else (b, a) in
-    match take_at t first with
-    | [] -> (
-        match if second <> first then take_at t second else [] with
-        | [] ->
-            slot.del_left <- 0;
-            let nq = Array.length t.cells in
-            take_scan t ((first + 1) mod nq) nq
-        | taken -> taken)
-    | taken -> taken
+    match two_choice t Whole ~deadline:Intf.no_deadline with
+    | Intf.Ok l -> l
+    | Timeout | Rejected -> assert false (* no deadline: scan never gives up *)
 
   (* Doubly approximate: sample one sticky queue, then let the inner
      mound's probabilistic extract pick a near-minimum within it. Busy
      or empty samples fall back to the exact (still rank-relaxed)
      [extract_min]. *)
-  let extract_approx ?max_level t =
-    let slot = slot_for t in
-    let a, b = sticky_del t slot in
-    let approx_at i =
-      let cell = t.cells.(i) in
-      if not (R.Atomic.compare_and_set cell.lock false true) then begin
-        t.ops.lock_spins <- t.ops.lock_spins + 1;
-        None
-      end
-      else begin
-        let r = Q.extract_approx ?max_level cell.q in
-        (match r with
-        | Some _ -> ignore (R.Atomic.fetch_and_add t.size (-1))
-        | None -> ());
-        unlock cell;
-        r
-      end
-    in
-    match approx_at a with
-    | Some v -> Some v
-    | None -> (
-        match if b <> a then approx_at b else None with
-        | Some v -> Some v
-        | None -> extract_min t)
+  let extract_approx ?(max_level = 2) t =
+    let a, b = sticky_del t (slot_for t) in
+    let pick = Probe max_level in
+    match take_at t a pick with
+    | x :: _ -> Some x
+    | [] -> (
+        match if b <> a then take_at t b pick else [] with
+        | x :: _ -> Some x
+        | [] -> extract_min t)
 
   (* --- observers ---------------------------------------------------- *)
 

@@ -19,7 +19,7 @@ module Make (Ord : Intf.ORDERED) = struct
 
   let vcompare = Intf.Value.compare Ord.compare
 
-  let node_value n = match n.list with [] -> None | x :: _ -> Some x
+  let node_value n = Intf.Sorted.value n.list
 
   let create ?threshold ?init_depth ?(seed = 1L) () =
     let rng = Prng.create seed in
@@ -31,13 +31,27 @@ module Make (Ord : Intf.ORDERED) = struct
 
   let depth t = T.depth t.tree
 
-  let value_at t i = node_value (T.get t.tree i)
-
-  let insert t v =
-    let ge i = Intf.Value.ge_elt Ord.compare (value_at t i) v in
+  (* Publish the sorted run [hd :: rest]: find the insert point for [hd]
+     and write [hd] there, spliced with the longest prefix of [rest] that
+     fits the same node, then go on with the remainder. Probing and
+     binary search are paid once per node, not per element. No
+     validation is needed sequentially: [find_insert_point] guarantees
+     [val(parent) < hd <= val(c)]. *)
+  let rec put t hd rest =
+    let ge i = Intf.Sorted.head_ge Ord.compare (T.get t.tree i).list hd in
     let c, clvl = T.find_insert_point_lv t.tree ~ge in
     let node = T.get_at t.tree ~level:clvl c in
-    node.list <- v :: node.list
+    let l = node.list in
+    node.list <- hd :: Intf.Sorted.splice Ord.compare rest l;
+    match Intf.Sorted.remainder Ord.compare rest l with
+    | [] -> ()
+    | hd :: rest -> put t hd rest
+
+  let insert t v = put t v []
+
+  (** Insert a {e sorted} batch: the dual of [extract_many], useful for
+      returning unconsumed work to the pool. *)
+  let insert_many t = function [] -> () | hd :: rest -> put t hd rest
 
   (* Restore the mound property below node [n] by swapping lists with the
      smaller child until the node dominates both children — the
@@ -66,81 +80,47 @@ module Make (Ord : Intf.ORDERED) = struct
       end
     end
 
+  (** [take t n ~level ~all] removes the head of node [n]'s list, or the
+      whole list when [all] ([extract_many]), restores the mound property
+      below [n], and returns the list as it was: its head is the element
+      taken. [level] is ⌊log₂ n⌋. *)
+  let take t n ~level ~all =
+    let node = T.get_at t.tree ~level n in
+    let l = node.list in
+    (match l with
+    | [] -> ()
+    | _ :: tl ->
+        node.list <- (if all then [] else tl);
+        moundify t n ~level);
+    l
+
   let extract_min t =
-    let root = T.get_at t.tree ~level:0 1 in
-    match root.list with
-    | [] -> None
-    | hd :: tl ->
-        root.list <- tl;
-        moundify t 1 ~level:0;
-        Some hd
-
-  (* Longest prefix of the sorted batch fitting under [limit] ([None] is
-     ⊤), paired with the remainder — same shape as the concurrent
-     variants. *)
-  let rec split_prefix limit acc = function
-    | x :: rest when Intf.Value.ge_elt Ord.compare limit x ->
-        split_prefix limit (x :: acc) rest
-    | rest -> (List.rev acc, rest)
-
-  (** Insert a {e sorted} batch: the dual of [extract_many], useful for
-      returning unconsumed work to the pool. The batch is walked front
-      to back; each round finds the insert point for the current head
-      once and splices the longest prefix that fits that node in one
-      write, amortizing probing and binary search over runs of keys that
-      share an insertion point. No validation or fallback is needed
-      sequentially: [find_insert_point] guarantees [val(parent) < hd],
-      and the prefix is bounded by [val(c)] by construction. *)
-  let insert_many t batch =
-    let rec go = function
-      | [] -> ()
-      | hd :: _ as batch ->
-          let ge i = Intf.Value.ge_elt Ord.compare (value_at t i) hd in
-          let c, clvl = T.find_insert_point_lv t.tree ~ge in
-          let node = T.get_at t.tree ~level:clvl c in
-          let prefix, rest = split_prefix (node_value node) [] batch in
-          node.list <- prefix @ node.list;
-          go rest
-    in
-    go batch
+    Intf.Sorted.value (take t 1 ~level:0 ~all:false)
 
   (** Take the root's entire sorted list in one operation (§V of the
       paper). *)
-  let extract_many t =
-    let root = T.get_at t.tree ~level:0 1 in
-    match root.list with
-    | [] -> []
-    | taken ->
-        root.list <- [];
-        moundify t 1 ~level:0;
-        taken
+  let extract_many t = take t 1 ~level:0 ~all:true
 
-  (** Extract from a random non-empty node within the first [max_level+1]
-      levels: the result is the minimum of the sub-mound rooted there, so
-      it is probably close to the global minimum (§V). Falls back to an
-      exact [extract_min] when the probe finds only empty nodes. *)
-  let extract_approx ?(max_level = 2) t =
+  (** The list a probabilistic extract-min takes the head of: a random
+      node within the first [max_level+1] levels, whose head is the
+      minimum of the sub-mound rooted there and so probably close to the
+      global minimum (§V), or the root's when that node is empty. *)
+  let take_approx t ~max_level =
     let d = T.depth t.tree in
     let lvl = min max_level (d - 1) in
     let span = (1 lsl (lvl + 1)) - 1 in
     let n = 1 + Prng.int t.rng span in
-    let nlvl = T.level_of n in
-    let node = T.get_at t.tree ~level:nlvl n in
-    match node.list with
-    | [] -> extract_min t
-    | hd :: tl ->
-        node.list <- tl;
-        moundify t n ~level:nlvl;
-        Some hd
+    match take t n ~level:(T.level_of n) ~all:false with
+    | [] -> take t 1 ~level:0 ~all:false
+    | l -> l
 
-  (* Sequential operations never retry, so the deadline/try variants are
-     the plain operations with the successful outcome: they exist so the
+  let extract_approx ?(max_level = 2) t =
+    Intf.Sorted.value (take_approx t ~max_level)
+
+  (* Sequential operations never retry, so the deadline variants are the
+     plain operations with the successful outcome: they exist so the
      oracle satisfies the same MOUND signature the concurrent variants
      are checked against. *)
-  let try_insert t v =
-    insert t v;
-    true
-
   let insert_until t ~deadline:_ v =
     insert t v;
     Intf.Ok ()
@@ -155,23 +135,9 @@ module Make (Ord : Intf.ORDERED) = struct
 
   let size t = fold_nodes t (fun acc _ l -> acc + List.length l) 0
 
-  (* --- invariant checking (tests) --- *)
-
-  let rec list_sorted = function
-    | [] | [ _ ] -> true
-    | a :: (b :: _ as rest) -> Ord.compare a b <= 0 && list_sorted rest
-
   (** The mound property plus per-node list sortedness, checked over the
       whole tree. *)
   let check t =
-    fold_nodes t
-      (fun ok i l ->
-        ok && list_sorted l
-        &&
-        if i = 1 then true
-        else
-          Intf.Value.le Ord.compare
-            (value_at t (i / 2))
-            (match l with [] -> None | x :: _ -> Some x))
-      true
+    Intf.Sorted.well_formed Ord.compare ~fold:(fold_nodes t) ~parent:(fun p ->
+        Some (T.get t.tree p).list)
 end

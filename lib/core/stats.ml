@@ -38,7 +38,8 @@ module Ops = struct
     mutable deadline_timeouts : int;
         (** [_until] operations that observed their deadline expire *)
     mutable rejected : int;
-        (** operations refused by an admission policy or try-lock miss *)
+        (** operations refused by the bounded front-end's admission
+            policy *)
     mutable shed : int;
         (** elements evicted by the bounded front-end's shedding policy *)
     mutable lock_recoveries : int;

@@ -7,7 +7,6 @@ type t = {
   extract_many : unit -> int list;
   extract_approx : ?max_level:int -> unit -> int option;
   peek_min : unit -> int option;
-  try_insert : int -> bool;
   insert_until : deadline:int -> int -> unit Mound.Intf.outcome;
   extract_min_until : deadline:int -> int option Mound.Intf.outcome;
   size : unit -> int;
@@ -24,7 +23,6 @@ let of_mound (type q)
     extract_many = (fun () -> M.extract_many q);
     extract_approx = (fun ?max_level () -> M.extract_approx ?max_level q);
     peek_min = (fun () -> M.peek_min q);
-    try_insert = M.try_insert q;
     insert_until = (fun ~deadline v -> M.insert_until q ~deadline v);
     extract_min_until = (fun ~deadline -> M.extract_min_until q ~deadline);
     size = (fun () -> M.size q);
@@ -40,10 +38,6 @@ let of_basic ~insert ~extract_min ~peek_min ~size ~check =
     extract_many = (fun () -> Option.to_list (extract_min ()));
     extract_approx = (fun ?max_level:_ () -> extract_min ());
     peek_min;
-    try_insert =
-      (fun v ->
-        insert v;
-        true);
     insert_until =
       (fun ~deadline:_ v ->
         insert v;

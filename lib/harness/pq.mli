@@ -18,7 +18,6 @@ type t = {
       (** probabilistic extract-min from a random node within the first
           [max_level+1] levels (default 2) *)
   peek_min : unit -> int option;
-  try_insert : int -> bool;  (** one bounded insertion pass *)
   insert_until : deadline:int -> int -> unit Mound.Intf.outcome;
   extract_min_until : deadline:int -> int option Mound.Intf.outcome;
   size : unit -> int;  (** quiescent element count *)
@@ -44,8 +43,8 @@ val of_basic :
 (** The handle over a structure with only the core operations. The
     mound extensions degrade: [insert_many] inserts element-wise,
     [extract_many] is a singleton [extract_min], [extract_approx] is the
-    exact [extract_min], [try_insert] and the [_until] pair run the
-    unbounded operation and always succeed, and [ops] is [None]. *)
+    exact [extract_min], the [_until] pair run the unbounded operation
+    and always succeed, and [ops] is [None]. *)
 
 type maker = {
   name : string;  (** display name, matching the paper's Fig. 2 legend *)

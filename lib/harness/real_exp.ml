@@ -147,8 +147,6 @@ module B = Mound.Bounded.Make (Runtime.Real)
 
 let pq_ops : (Pq.t, int) B.ops =
   {
-    insert = (fun q v -> q.Pq.insert v);
-    try_insert = (fun q v -> q.Pq.try_insert v);
     insert_until = (fun q ~deadline v -> q.Pq.insert_until ~deadline v);
     extract_min = (fun q -> q.Pq.extract_min ());
     extract_min_until = (fun q ~deadline -> q.Pq.extract_min_until ~deadline);

@@ -129,10 +129,6 @@ module Make (R : Runtime.S) = struct
       with randomized exponential backoff. [f] must be pure apart from
       {!read}/{!write} on tvars (it may run multiple times). *)
   let atomically f =
-    (* lint: allow — TL2's published shape: unbounded optimistic retry
-       with randomized backoff. Deadline-bounded admission belongs to
-       the caller (the Bounded front-end), not inside the commit
-       protocol. *)
     let rec attempt round =
       let tx = { rv = R.Atomic.get clock; reads = []; writes = [] } in
       match

@@ -95,16 +95,14 @@ module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
   let max_insert_rounds = 8
 
   let rec insert_attempt t v round =
-    let ge i =
-      Mound.Intf.Value.ge_elt Ord.compare (node_value (read t i)) v
-    in
+    let ge i = Mound.Intf.Sorted.head_ge Ord.compare (read t i).list v in
     let c =
       if round < max_insert_rounds then T.find_insert_point t.tree ~ge
       else fallback_point t ~ge
     in
     let cslot = T.get t.tree c in
     let cur = M.get cslot in
-    if Mound.Intf.Value.ge_elt Ord.compare (node_value cur) v then begin
+    if Mound.Intf.Sorted.head_ge Ord.compare cur.list v then begin
       let fresh =
         { list = v :: cur.list; dirty = cur.dirty; seq = cur.seq + 1 }
       in
@@ -114,7 +112,7 @@ module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
       else begin
         let pslot = T.get t.tree (c / 2) in
         let parent = M.get pslot in
-        if Mound.Intf.Value.le_elt Ord.compare (node_value parent) v then begin
+        if Mound.Intf.Sorted.head_le Ord.compare parent.list v then begin
           if not (M.dcss pslot parent cslot cur fresh) then
             insert_attempt t v (round + 1)
         end
@@ -147,22 +145,11 @@ module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
   let peek_min t = node_value (read t 1)
   let size t = fold_nodes t (fun acc _ l -> acc + List.length l) 0
 
-  let rec list_sorted = function
-    | [] | [ _ ] -> true
-    | a :: (b :: _ as rest) -> Ord.compare a b <= 0 && list_sorted rest
-
   let check t =
-    fold_nodes t
-      (fun ok i l ->
-        ok && list_sorted l
-        &&
-        if i = 1 then true
-        else
-          let parent = read t (i / 2) in
-          parent.dirty
-          || Mound.Intf.Value.le Ord.compare (node_value parent)
-               (match l with [] -> None | x :: _ -> Some x))
-      true
+    Mound.Intf.Sorted.well_formed Ord.compare ~fold:(fold_nodes t)
+      ~parent:(fun p ->
+        let parent = read t p in
+        if parent.dirty then None else Some parent.list)
 end
 
 module On_sim = Make (Sim.Runtime) (Mound.Int_ord)

@@ -121,7 +121,25 @@ let sync_costs_shape () =
   check "lf insert ~one dcss" true
     (lf_ins.cas_per_op >= 5. && lf_ins.cas_per_op <= 12.);
   (* the Hunt heap's O(log n) trickle-up locks on the path *)
-  check "hunt insert locks a path" true (hunt_ins.cas_per_op > 3.)
+  check "hunt insert locks a path" true (hunt_ins.cas_per_op > 3.);
+  (* The mounds' exact protocol footprint: total reads, writes and CAS
+     over the 128 operations. A refactor of the mound operations that
+     claims the same protocol must leave these unchanged. *)
+  let totals (r : Harness.Ablation.cost_row) =
+    let total x = int_of_float (x *. 128.) in
+    (total r.reads_per_op, total r.writes_per_op, total r.cas_per_op)
+  in
+  List.iter
+    (fun (s, o, expected) ->
+      Alcotest.(check (triple int int int))
+        (Printf.sprintf "%s %s (reads, writes, CAS)" s o)
+        expected (totals (find s o)))
+    [
+      ("Mound (Lock)", "insert", (1696, 255, 255));
+      ("Mound (Lock)", "extractmin", (4192, 2096, 1440));
+      ("Mound (LF)", "insert", (2713, 0, 890));
+      ("Mound (LF)", "extractmin", (9328, 0, 3952));
+    ]
 
 let () =
   Alcotest.run "ablation"

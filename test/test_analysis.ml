@@ -273,69 +273,6 @@ let test_static_retry () =
   check_count "baselines exempt" 0
     (with_rule "static-retry" (scan "lib/baselines/x.ml" bare))
 
-let test_static_deadline () =
-  (* the disjoint complement of static-retry: the loop backs off, so
-     static-retry is silent, but nothing in its call graph bounds the
-     wait *)
-  let waiting =
-    "let rec push q v =\n\
-    \  if M.cas q 0 v then ()\n\
-    \  else begin\n\
-    \    R.cpu_relax ();\n\
-    \    push q v\n\
-    \  end\n"
-  in
-  check_count "unbounded wait flagged" 1
-    (with_rule "static-deadline" (scan "lib/core/x.ml" waiting));
-  check_count "static-retry stays silent on it" 0
-    (with_rule "static-retry" (scan "lib/core/x.ml" waiting));
-  (* a deadline consulted directly silences it *)
-  let bounded =
-    "let rec push q v deadline =\n\
-    \  if R.monotonic_ns () > deadline then false\n\
-    \  else if M.cas q 0 v then true\n\
-    \  else begin\n\
-    \    R.cpu_relax ();\n\
-    \    push q v deadline\n\
-    \  end\n"
-  in
-  check_count "direct deadline silences" 0
-    (with_rule "static-deadline" (scan "lib/core/x.ml" bounded));
-  (* ... and one consulted through a callee no name in the loop gives
-     away: the loop's own item names no deadline, the call graph does *)
-  let via_callee =
-    "let out_of_time deadline =\n\
-    \  R.monotonic_ns () > deadline\n\n\
-     let give_up d =\n\
-    \  out_of_time d\n\n\
-     let rec push q v d =\n\
-    \  if give_up d then false\n\
-    \  else if M.cas q 0 v then true\n\
-    \  else begin\n\
-    \    R.cpu_relax ();\n\
-    \    push q v d\n\
-    \  end\n"
-  in
-  check_count "deadline through the call graph silences" 0
-    (with_rule "static-deadline" (scan "lib/core/x.ml" via_callee));
-  (* helping loops are exempt, as for static-retry *)
-  let helping =
-    "let finish q =\n\
-    \  ignore (M.cas q cur { list = cur.list; dirty = false })\n\n\
-     let rec pull q =\n\
-    \  if M.cas q 0 1 then ()\n\
-    \  else begin\n\
-    \    R.cpu_relax ();\n\
-    \    finish q;\n\
-    \    pull q\n\
-    \  end\n"
-  in
-  check_count "helping exempt" 0
-    (with_rule "static-deadline" (scan "lib/core/x.ml" helping));
-  (* exempt trees *)
-  check_count "baselines exempt" 0
-    (with_rule "static-deadline" (scan "lib/baselines/x.ml" waiting))
-
 (* ---- aba-risk ---------------------------------------------------------- *)
 
 let test_aba_risk () =
@@ -861,7 +798,6 @@ let () =
       ( "helping-v2",
         [
           Alcotest.test_case "static-retry" `Quick test_static_retry;
-          Alcotest.test_case "static-deadline" `Quick test_static_deadline;
         ] );
       ( "dataflow",
         [

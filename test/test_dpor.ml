@@ -179,10 +179,29 @@ let toy_spinlock () =
 
 (* ---------------- the structure catalog ---------------- *)
 
+(* The protocol footprint of the mound and MultiQueue programs: (schedules,
+   complete runs, sleep prunes, backtrack points, steps, max trace). Each
+   explores exhaustively within the quick budget, so DPOR_FULL gives the
+   same tuple. A change to the mound operations that claims the same
+   protocol must leave every tuple unchanged. *)
+let footprint =
+  [
+    ("lf-mound", (8, 8, 7, 14, 488, 61));
+    ("lock-mound", (32, 32, 31, 62, 1536, 48));
+    ("lf-mound-many", (8, 8, 7, 14, 216, 29));
+    ("lock-mound-many", (32, 32, 31, 62, 864, 31));
+    ("lf-mound-batch", (2503, 2491, 1999, 4489, 291101, 125));
+    ("lock-mound-batch", (453, 453, 436, 888, 38819, 89));
+    ("lf-mound-batch-rt", (8, 8, 3, 10, 189, 25));
+    ("lf-mound-approx", (8, 8, 7, 14, 496, 62));
+    ("multiqueue", (35, 35, 15, 49, 1050, 83));
+    ("multiqueue-race", (72, 68, 31, 98, 2581, 82));
+  ]
+
 let catalog_case name () =
   match Harness.Dpor_exp.find name with
   | None -> Alcotest.failf "unknown catalog program %s" name
-  | Some prog ->
+  | Some prog -> (
       let r = explore ~config:(budget 200_000) prog in
       (match r.C.counterexample with
       | None -> ()
@@ -190,7 +209,20 @@ let catalog_case name () =
           Alcotest.failf "%s: %a (schedule %s)" name C.pp_failure failure
             (Sim.Sched.Schedule.to_string schedule));
       check "explored to exhaustion" true r.C.complete;
-      check "several inequivalent schedules" true (r.C.complete_runs > 1)
+      check "several inequivalent schedules" true (r.C.complete_runs > 1);
+      match List.assoc_opt name footprint with
+      | None -> ()
+      | Some (schedules, complete, prunes, backtracks, steps, max_trace) ->
+          List.iter
+            (fun (what, expected, got) -> check_int what expected got)
+            [
+              ("schedules", schedules, r.C.schedules);
+              ("complete runs", complete, r.C.complete_runs);
+              ("sleep prunes", prunes, r.C.sleep_prunes);
+              ("backtrack points", backtracks, r.C.backtracks);
+              ("steps", steps, r.C.steps);
+              ("max trace", max_trace, r.C.max_trace);
+            ])
 
 (* ---------------- seeded-mutation catches ---------------- *)
 

@@ -75,7 +75,6 @@ let handle_contract () =
         List.iter q.insert [ 2; 1; 3 ];
         check (m.name ^ " extract_many singleton") true
           (q.extract_many () = [ 1 ]);
-        check (m.name ^ " try_insert") true (q.try_insert 4);
         check (m.name ^ " insert_until ignores deadline") true
           (q.insert_until ~deadline:0 5 = Mound.Intf.Ok ());
         check (m.name ^ " extract_min_until ignores deadline") true

@@ -201,13 +201,12 @@ let pop_min_until_storm () =
     (K.pop_min_until m ~deadline:Mound.Intf.no_deadline
     = Mound.Intf.Ok (Some ("d", 7)))
 
-(* [try_insert] is [insert] under the front-end's expected name: the
-   changed bool already distinguishes admitted from refused *)
-let try_insert_changed () =
+(* [insert]'s changed bool distinguishes admitted from refused *)
+let insert_changed () =
   let m = K.create () in
-  check "new key admitted" true (K.try_insert m "x" 5);
-  check "worsening refused" false (K.try_insert m "x" 9);
-  check "improvement admitted" true (K.try_insert m "x" 2);
+  check "new key admitted" true (K.insert m "x" 5);
+  check "worsening refused" false (K.insert m "x" 9);
+  check "improvement admitted" true (K.insert m "x" 2);
   check "pops at improved priority" true (K.pop_min m = Some ("x", 2))
 
 (* The Bounded front-end over a Keyed-backed queue: the ops record is
@@ -218,11 +217,9 @@ let bounded_over_keyed () =
   let module B = Mound.Bounded.Make (Runtime.Real) in
   let keyed_ops : (K.t, string * int) B.ops =
     {
-      insert = (fun m (k, p) -> ignore (K.insert m k p));
-      try_insert = (fun m (k, p) -> K.try_insert m k p);
       insert_until =
         (fun m ~deadline:_ (k, p) ->
-          if K.try_insert m k p then Mound.Intf.Ok ()
+          if K.insert m k p then Mound.Intf.Ok ()
           else Mound.Intf.Rejected);
       extract_min = K.pop_min;
       extract_min_until = (fun m ~deadline -> K.pop_min_until m ~deadline);
@@ -275,8 +272,7 @@ let () =
         [
           Alcotest.test_case "pop_min_until under stale storm" `Quick
             pop_min_until_storm;
-          Alcotest.test_case "try_insert changed bool" `Quick
-            try_insert_changed;
+          Alcotest.test_case "insert changed bool" `Quick insert_changed;
           Alcotest.test_case "bounded over keyed" `Quick bounded_over_keyed;
         ] );
     ]

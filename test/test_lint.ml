@@ -453,10 +453,9 @@ let test_shipped_tree_clean () =
      this, but running from the test binary keeps the guarantee even if
      the alias wiring regresses. Every rule, like [repro lint]: a scan
      without the cross-module analyses would misjudge as stale any
-     waiver that covers one of their findings (stm's static-deadline
-     waiver). Source may live
-     elsewhere when built in a sandbox; skip silently if lib/ is not
-     present. *)
+     waiver that covers one of their findings (stats.ml's layout
+     waiver). Source may live elsewhere when built in a sandbox; skip
+     silently if lib/ is not present. *)
   if Sys.file_exists "lib" && Sys.is_directory "lib" then begin
     let fs = Analysis.scan_tree "lib" in
     List.iter

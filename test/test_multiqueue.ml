@@ -68,7 +68,6 @@ let test_batch_and_admission () =
   let q = M.create ~queues:2 ~domains:1 () in
   M.insert_many q [ 1; 2; 3; 4; 5 ];
   check Alcotest.int "batch size" 5 (M.size q);
-  check Alcotest.bool "try_insert admits" true (M.try_insert q 0);
   let batch = M.extract_many q in
   check Alcotest.bool "extract_many returns a sorted, nonempty batch" true
     (batch <> [] && List.sort compare batch = batch);

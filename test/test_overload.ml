@@ -24,8 +24,6 @@ module B = Mound.Bounded.Make (Runtime.Real)
 
 let lf_ops : (Mound.Lf_int.t, int) B.ops =
   {
-    insert = Mound.Lf_int.insert;
-    try_insert = Mound.Lf_int.try_insert;
     insert_until = (fun q ~deadline v -> Mound.Lf_int.insert_until q ~deadline v);
     extract_min = Mound.Lf_int.extract_min;
     extract_min_until =
@@ -307,6 +305,62 @@ let sim_deadline_instead_of_wedge () =
     (sim_crash_points ());
   check "some crash point forced a deadline timeout" true (!timeouts >= 1)
 
+(* The non-blocking insert: at a deadline that has already passed,
+   [insert_until] still makes its one attempt, but it never waits out a
+   lock. An extractor crashes at each of its shared accesses; while it
+   dies holding the root — the insertion point of key 5 in the one-level
+   mound, its insertion point's parent in the two-level one — the
+   insert must time out unpublished, counted, before the watchdog
+   fires. *)
+let sim_passed_deadline_insert () =
+  let fresh prepop =
+    Sim.Sched.seed_ambient 17L;
+    let q = SL.create () in
+    List.iter (SL.insert q) prepop;
+    q
+  in
+  let victim q = [| (fun _ -> ignore (SL.extract_min q)) |] in
+  let holds_root q =
+    (Sim.Runtime.Atomic.get (SL.T.get q.SL.tree 1)).SL.locked
+  in
+  let published q =
+    SL.fold_nodes q (fun acc _ l -> acc || List.mem 5 l) false
+  in
+  List.iter
+    (fun (shape, prepop) ->
+      let max_k =
+        (Sim.Sched.run ~seed:17L (victim (fresh prepop))).accesses.(0)
+      in
+      let held = ref 0 in
+      for k = 1 to max_k do
+        let q = fresh prepop in
+        ignore (Sim.Sched.run ~seed:17L ~crashes:[ (0, k) ] (victim q));
+        let root_held = holds_root q in
+        if root_held then incr held;
+        let outcome = ref None in
+        let r =
+          Sim.Sched.run ~seed:17L ~watchdog:2_000_000
+            [|
+              (fun _ ->
+                let past = Sim.Runtime.monotonic_ns () - 1 in
+                outcome := Some (SL.insert_until q ~deadline:past 5));
+            |]
+        in
+        let at = Printf.sprintf "%s, crash@%d" shape k in
+        check (at ^ ": returns before the watchdog") true (r.wedged = []);
+        match !outcome with
+        | Some Mound.Intf.Timeout ->
+            check_int (at ^ ": timeout counted") 1 (SL.ops q).deadline_timeouts;
+            check (at ^ ": key unpublished") false (published q)
+        | Some (Mound.Intf.Ok ()) ->
+            check (at ^ ": a held root forces a timeout") false root_held;
+            check (at ^ ": key published") true (published q)
+        | Some Mound.Intf.Rejected | None ->
+            Alcotest.failf "%s: no admission control, no wedge" at
+      done;
+      check (shape ^ ": some crash point holds the root") true (!held > 0))
+    [ ("one level", [ 20; 10 ]); ("two levels", [ 1; 10; 20 ]) ]
+
 (* ---------------- wedge recovery, real domains (smoke) ------------- *)
 
 let wait_until ?(timeout_s = 5.0) pred =
@@ -487,6 +541,8 @@ let () =
             deadline_first_attempt;
           Alcotest.test_case "latency bound under contention" `Quick
             lf_deadline_bound_under_contention;
+          Alcotest.test_case "passed deadline under a dead holder" `Quick
+            sim_passed_deadline_insert;
         ] );
       ( "sim-recovery",
         [
