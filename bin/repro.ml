@@ -5,10 +5,14 @@
     repro fig2 [--panel P] [--machine M] [--quick] [--extended]
     repro overload [--quick] [--out DIR]   # BENCH_overload_*.json artifacts
     repro rank [--quick] [--out DIR]       # BENCH_rankerror.json (relaxed PQs)
+    repro ablation WHICH [--quick]         # threshold, kcss, approx, costs
+    repro lin [--histories N]              # linearizability checks
     repro chaos [--seed S] [--full]        # crash-stop + fault-injection sweep
     repro dpor [PROGRAM] [--schedule S]    # DPOR model checking / replay
     repro progress [PROGRAM] [--quick]     # liveness certification / replay
-    repro lint [--rule R] [--json] [DIR..] # Parsetree lint, 16 rules
+    repro shape [-n N] [--order O]         # mound level occupancy
+    repro lint [--rule R] [--json] [DIR..] # Parsetree lint (--list-rules)
+    repro mutate [--op OP] [-o PATH]       # mutant x rule kill matrix
     repro all [--quick]                    # everything, in paper order
     v} *)
 

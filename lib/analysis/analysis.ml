@@ -2,9 +2,9 @@
 
     Parses each source once ({!Frontend}: [.ml] and [.mli] alike) and
     runs every rule on that tree: the per-file rules of {!File_rules}
-    (runtime boundary, mutable-atomic, the helping-discipline rules,
-    format) and the cross-module Parsetree analyses ({!Lock_order}'s
-    lock-leak, {!Publication}, {!Helping}, and the {!Dataflow}-powered
+    (runtime boundary, mutable-atomic, format) and the cross-module
+    Parsetree analyses ({!Lock_order}'s lock-leak, {!Publication},
+    {!Helping}'s retry-loop rules, and the {!Dataflow}-powered
     {!Aba_risk}, {!Atomicity} and {!Layout}). All findings of a file go
     through the {e same} waiver machinery — a [lint: allow] comment with
     a reason silences any finding on its covered lines, and waiver
@@ -51,8 +51,6 @@ let rule_table : (string * string) list =
     ("parse", "source does not parse; AST analyses skipped for the file");
     ("boundary", "direct OS/clock/domain primitive where the Runtime functor is required");
     ("mutable-atomic", "mutable record field in concurrent code that should be Atomic.t");
-    ("cas-discard", "CAS result discarded: failure path never observed");
-    ("retry-no-backoff", "retry loop without a backoff call");
     ("alloc-in-retry", "fresh allocation inside a CAS retry loop");
     ("format", "tab/trailing-whitespace/final-newline hygiene");
     ("waiver", "lint: allow marker malformed, reasonless, or stale");

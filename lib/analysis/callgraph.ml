@@ -11,17 +11,17 @@
     which for every rule here means a possible false positive (waivable)
     and never a silent pass.
 
-    Transitive effects are a fixpoint over the resolved edges, with one
-    deliberate cut: an edge {e crossing files into a CAS substrate} — a
-    file defining any of [cas]/[dcas]/[dcss]/[casn]/[compare_and_set] —
-    contributes only the substrate's [performs_cas] fact, never its
-    [helps] or [backs_off]. {!Mcas} helps internally on every operation
-    (that is what makes it lock-free), but a client loop retrying a
-    failed [M.cas] is spinning on {e real contention}, which the
-    substrate's internal helping does nothing to relieve; without the
-    cut every client of [Mcas] would count as helping and the
-    helping-discipline rule could flag nothing. Within a substrate file
-    its own loops keep their helping facts. *)
+    Transitive effects are a fixpoint over the resolved edges, with two
+    deliberate cuts where an edge crosses files. Into a {e CAS
+    substrate} — a file defining any of [cas]/[dcas]/[dcss]/[casn]/
+    [compare_and_set] — it carries only the CAS facts, never [helps] or
+    [backs_off]: {!Mcas} helps internally on every operation (that is
+    what makes it lock-free), but a client loop retrying a failed
+    [M.cas] is spinning on {e real contention}, which that helping does
+    nothing to relieve. Anywhere else it drops [blind_cas]: a blind CAS
+    ([Tree.expand]'s growth, [Mcas]'s completions) is a one-shot
+    completion that helps the loops of its own file, but its result is
+    discarded, so no loop elsewhere retries on it or is relieved by it. *)
 
 type t = {
   fns : Summary.fn array;
@@ -87,10 +87,30 @@ let trans_effects t i = t.trans.(i)
 
 let self_reachable t i = t.reaches_self.(i)
 
+(** The lint's one definition of a CAS retry loop: a function on a
+    call-graph cycle (self-recursive, mutually recursive, or spinning
+    through a nested [let rec]) that performs a CAS it can retry on — an
+    observed one, or a blind one of its own file. *)
+let retry_loop t i =
+  let e = t.trans.(i) in
+  t.reaches_self.(i) && (e.observes_cas || e.blind_cas)
+
 (* Does following this edge cross files into a CAS substrate? *)
 let cut_edge t ~from_file j =
   let g = t.fns.(j) in
   g.ffile <> from_file && Hashtbl.mem t.substrate_files g.ffile
+
+(* What callee [j]'s effects contribute to a caller in [from_file]. *)
+let contribution t ~from_file j =
+  let e = t.trans.(j) in
+  if cut_edge t ~from_file j then
+    {
+      Summary.no_effects with
+      performs_cas = e.performs_cas;
+      observes_cas = e.observes_cas;
+    }
+  else if t.fns.(j).ffile <> from_file then { e with blind_cas = false }
+  else e
 
 let build (all : Summary.fn list) : t =
   let fns = Array.of_list all in
@@ -128,7 +148,7 @@ let build (all : Summary.fn list) : t =
           f.fcalls
         |> List.sort_uniq compare)
     fns;
-  (* effect fixpoint with the substrate cut *)
+  (* effect fixpoint with the file-boundary cuts *)
   let changed = ref true in
   while !changed do
     changed := false;
@@ -138,15 +158,8 @@ let build (all : Summary.fn list) : t =
         let next =
           List.fold_left
             (fun acc j ->
-              let contrib =
-                if cut_edge t0 ~from_file:f.ffile j then
-                  {
-                    Summary.no_effects with
-                    performs_cas = t0.trans.(j).performs_cas;
-                  }
-                else t0.trans.(j)
-              in
-              Summary.union_effects acc contrib)
+              Summary.union_effects acc
+                (contribution t0 ~from_file:f.ffile j))
             cur t0.edges.(i)
         in
         if next <> cur then begin

@@ -16,25 +16,6 @@
       the argument of an [….Atomic.t] (or aliased [A.t]) type in the
       same file — such records look atomic but their fields are plain
       racy memory. Reported at the first mutable field;
-    - the helping discipline the lock-free mound depends on, judged per
-      module-level [let] item. Help and backoff are recognized by name
-      over every identifier, label, field, constructor, type and module
-      path in the item: a name containing [help], [moundify] or
-      [complete] marks helping; one containing [ackoff], [exponential]
-      or [cpu_relax] marks backoff. An item that is recursive, or holds
-      a [let rec], and performs a CAS with neither is an unbounded retry
-      loop ([retry-no-backoff]). In an item without helping, a CAS whose
-      result is discarded — an [ignore] argument, a [let _ =] binding,
-      the left side of a sequence, a [while]/[for] body — is
-      [cas-discard]. In a recursive CAS-performing item, an
-      [Array.make]/[Array.init], [Bytes.create]/[Bytes.make], [lazy] or
-      applied [ref] after the item's first [rec] allocates on every
-      retry ([alloc-in-retry]); the hot-path discipline is to hoist the
-      fresh value out of the loop. Record literals are deliberately not
-      flagged: a CAS argument must be a fresh record. [lib/baselines]
-      reproduces published third-party algorithms (Hunt heap,
-      Lotan–Shavit and lock-free skiplists) whose loops are faithful to
-      the originals, so these three rules exempt it;
     - [format]: tab characters, trailing whitespace, missing final
       newline.
 
@@ -178,146 +159,6 @@ let mutable_atomic (p : Frontend.parsed) : finding list =
   iter_file { super with type_declaration } p;
   List.rev !out
 
-(* ---- helping discipline, per module-level [let] item ------------------- *)
-
-let is_help s =
-  List.exists (Summary.contains_sub s) [ "help"; "moundify"; "complete" ]
-
-let is_backoff s =
-  List.exists (Summary.contains_sub s) [ "ackoff"; "exponential"; "cpu_relax" ]
-
-(* A CAS-family call: a dotted path ([M.cas], [R.Atomic.compare_and_set]).
-   A bare [cas] is a local name, and a [counters.cas] field performs
-   nothing. *)
-let is_cas_path segs =
-  List.length segs >= 2
-  && List.mem (List.nth segs (List.length segs - 1)) Summary.cas_family
-
-let offset (loc : Location.t) = loc.loc_start.pos_cnum
-
-(* One module-level [let] item's findings. *)
-let judge_item p (si : structure_item) : finding list =
-  let names = ref [] and cas = ref false in
-  let rec_at = ref max_int (* offset of the item's first [rec] *) in
-  let allocs = ref [] and discarded = ref [] in
-  let name s = names := s :: !names in
-  let label = function
-    | Asttypes.Labelled s | Asttypes.Optional s -> name s
-    | Asttypes.Nolabel -> ()
-  in
-  let recursive flag (loc : Location.t) =
-    if flag = Asttypes.Recursive then rec_at := min !rec_at (offset loc)
-  in
-  let alloc (loc : Location.t) what =
-    allocs := (offset loc, Frontend.line_of_loc loc, what) :: !allocs
-  in
-  (* A value the program drops: the CAS it is, or the tail of the
-     sequence it is, has its result discarded. *)
-  let rec dropped e =
-    match (Summary.strip_casts e).pexp_desc with
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, _)
-      when is_cas_path (Frontend.flatten txt) ->
-        discarded := Frontend.line_of_loc loc :: !discarded
-    | Pexp_sequence (_, e2) -> dropped e2
-    | _ -> ()
-  in
-  let underscore vb =
-    match vb.pvb_pat.ppat_desc with Ppat_any -> dropped vb.pvb_expr | _ -> ()
-  in
-  let paths =
-    path_iterator (fun lid -> List.iter name (Frontend.flatten lid.txt))
-  in
-  let expr it e =
-    (match e.pexp_desc with
-    | Pexp_ident { txt; loc } -> (
-        let segs = Frontend.flatten txt in
-        if is_cas_path segs then cas := true;
-        match List.rev segs with
-        | ("make" | "init") :: "Array" :: _
-        | ("create" | "make") :: "Bytes" :: _ ->
-            alloc loc (String.concat "." segs)
-        | _ -> ())
-    | Pexp_fun (l, _, _, _) -> label l
-    | Pexp_apply (head, args) -> (
-        List.iter (fun (l, _) -> label l) args;
-        match (head.pexp_desc, args) with
-        | Pexp_ident { txt = Lident "ignore"; _ }, [ (_, a) ] -> dropped a
-        | Pexp_ident { txt = Lident "ref"; loc }, _ :: _ -> alloc loc "ref"
-        | _ -> ())
-    | Pexp_let (flag, vbs, _) ->
-        recursive flag e.pexp_loc;
-        List.iter underscore vbs
-    | Pexp_sequence (e1, _) -> dropped e1
-    | Pexp_while (_, body) | Pexp_for (_, _, _, _, body) -> dropped body
-    | Pexp_lazy _ -> alloc e.pexp_loc "lazy"
-    | Pexp_letmodule ({ txt = Some n; _ }, _, _) -> name n
-    | _ -> ());
-    paths.expr it e
-  in
-  let pat it q =
-    (match q.ppat_desc with
-    | Ppat_var n | Ppat_alias (_, n) -> name n.txt
-    | _ -> ());
-    paths.pat it q
-  in
-  let typ it t =
-    (match t.ptyp_desc with Ptyp_arrow (l, _, _) -> label l | _ -> ());
-    paths.typ it t
-  in
-  let structure_item it s =
-    (match s.pstr_desc with
-    | Pstr_value (flag, vbs) ->
-        recursive flag s.pstr_loc;
-        List.iter underscore vbs
-    | _ -> ());
-    paths.structure_item it s
-  in
-  let it = { paths with expr; pat; typ; structure_item } in
-  it.structure_item it si;
-  let helped = List.exists is_help !names in
-  let loops = !rec_at < max_int && !cas in
-  (if loops && (not helped) && not (List.exists is_backoff !names) then
-     [
-       finding p
-         (Frontend.line_of_loc si.pstr_loc)
-         "retry-no-backoff"
-         "unbounded retry loop around a compare-and-set with neither \
-          backoff nor helping";
-     ]
-   else [])
-  @ (if helped then []
-     else
-       List.rev_map
-         (fun line ->
-           finding p line "cas-discard"
-             "compare-and-set result silently discarded; branch on it \
-              (retry or help) or record why it is irrelevant")
-         !discarded)
-  @ List.filter_map
-      (fun (off, line, what) ->
-        if loops && off > !rec_at then
-          Some
-            (finding p line "alloc-in-retry"
-               (Printf.sprintf
-                  "%s allocates on every CAS retry; hoist the fresh value \
-                   out of the loop and reuse it across attempts"
-                  what))
-        else None)
-      (List.rev !allocs)
-
-let helping (p : Frontend.parsed) : finding list =
-  let out = ref [] in
-  (* every module-level [let] item, nested modules and functor bodies
-     included *)
-  let structure_item it si =
-    match si.pstr_desc with
-    | Pstr_value _ -> out := judge_item p si :: !out
-    | _ -> super.structure_item it si
-  in
-  if not (Frontend.helping_exempt_path p.p_path) then
-    iter_file { super with structure_item } p;
-  List.concat (List.rev !out)
-
 (* ---- format ------------------------------------------------------------- *)
 
 let format ~path src : finding list =
@@ -404,7 +245,6 @@ let scan (p : Frontend.parsed) ~(extra : finding list) : finding list =
   let boundary_all = boundary p @ mutable_atomic p in
   let base =
     (if file_ws = [] then boundary_all else [])
-    @ helping p
     @ format ~path:p.p_path p.p_src
     @ extra
   in

@@ -1,53 +1,77 @@
-(** Helping-discipline v2 (rule [static-retry]).
+(** The retry-loop discipline on the call graph: rules [static-retry]
+    and [alloc-in-retry], both over {!Callgraph.retry_loop}, the lint's
+    one definition of a CAS retry loop.
 
-    The per-file [retry-no-backoff] rule ({!File_rules}) recognizes
-    helping by substring — a name containing [help], [moundify] or
-    [complete] — which an alias ([let restore = moundify]) or a rename
-    defeats in both directions. This pass uses call-graph facts instead:
-    a function that is part of a call-graph cycle (an unbounded retry
-    loop, whether self-recursive, mutually recursive, or spinning
-    through a nested loop) and whose transitive effects include a CAS
-    must also transitively reach a {e helping site} (a completing CAS,
-    by shape — see {!Summary}) or a {e backoff} ([cpu_relax]). A loop
-    reaching neither spins on contention it does nothing to relieve —
-    Sundell & Tsigas's livelock-prone shape.
+    - [static-retry]: a retry loop must also transitively reach a
+      {e helping site} (a completing CAS by shape, or a blind CAS of its
+      own file — see {!Summary}) or a {e backoff} ([cpu_relax]). A loop
+      reaching neither spins on contention it does nothing to relieve —
+      Sundell & Tsigas's livelock-prone shape. Call-graph facts see
+      through aliases ([let restore = moundify]) and renames, and the
+      file-boundary cuts of {!Callgraph} keep {!Mcas}'s internal helping
+      and [Tree.expand]'s blind growth CASes from crediting a client
+      loop: the client brings its own helping or backoff — the paper's
+      discipline ([insert] backs off, [extract] helps via [moundify]).
+    - [alloc-in-retry]: an [Array.make]/[Array.init],
+      [Bytes.create]/[Bytes.make], [lazy] or applied [ref] in the body
+      of a retry loop allocates on every retry; hoist the fresh value
+      out of the loop. Record literals are deliberately not flagged: a
+      CAS argument must be a fresh record.
 
-    The substrate cut in {!Callgraph} is what gives the rule teeth:
-    {!Mcas} helps internally on every operation, so without the cut any
-    client loop around [M.cas] would inherit a vacuous [helps]. With
-    it, the client must bring its own helping or backoff — exactly the
-    paper's discipline ([insert] backs off, [extract] helps via
-    [moundify]).
+    [lib/baselines], which reproduces published third-party loops
+    faithfully, and the runtime layer are exempt. *)
 
-    Paths exempt from the per-file helping rules ([runtime], [sim],
-    [baselines]) are exempt here for the same reasons. *)
+open Parsetree
+
+(* The allocation sites of a function body: (line, what). *)
+let allocations body =
+  let out = ref [] in
+  let expr it e =
+    (match e.pexp_desc with
+    | Pexp_ident { txt; loc } -> (
+        let segs = Frontend.flatten txt in
+        match List.rev segs with
+        | ("make" | "init") :: "Array" :: _
+        | ("create" | "make") :: "Bytes" :: _ ->
+            out := (Frontend.line_of_loc loc, String.concat "." segs) :: !out
+        | _ -> ())
+    | Pexp_apply ({ pexp_desc = Pexp_ident { txt = Lident "ref"; loc }; _ }, _)
+      ->
+        out := (Frontend.line_of_loc loc, "ref") :: !out
+    | Pexp_lazy _ -> out := (Frontend.line_of_loc e.pexp_loc, "lazy") :: !out
+    | _ -> ());
+    Ast_iterator.default_iterator.expr it e
+  in
+  let it = { Ast_iterator.default_iterator with expr } in
+  it.expr it body;
+  List.rev !out
 
 let scan (cg : Callgraph.t) : Frontend.finding list =
-  let fns = Callgraph.fns cg in
   let out = ref [] in
   Array.iteri
     (fun i (f : Summary.fn) ->
-      if not (Frontend.helping_exempt_path f.ffile) then begin
-        let eff = Callgraph.trans_effects cg i in
-        if
-          Callgraph.self_reachable cg i
-          && eff.performs_cas
-          && (not eff.helps)
-          && not eff.backs_off
-        then
-          out :=
-            {
-              Frontend.file = f.ffile;
-              line = f.fline;
-              rule = "static-retry";
-              msg =
-                Printf.sprintf
-                  "retry loop %s performs a CAS but its call graph \
-                   reaches neither a helping routine nor a backoff; \
-                   help the obstructing operation or back off"
-                  (String.concat "." f.fpath);
-            }
-            :: !out
+      let finding line rule msg =
+        out := { Frontend.file = f.ffile; line; rule; msg } :: !out
+      in
+      let eff = Callgraph.trans_effects cg i in
+      if
+        (not (Frontend.helping_exempt_path f.ffile))
+        && Callgraph.retry_loop cg i
+      then begin
+        if not (eff.helps || eff.blind_cas || eff.backs_off) then
+          finding f.fline "static-retry"
+            (Printf.sprintf
+               "retry loop %s performs a CAS but its call graph reaches \
+                neither a helping routine nor a backoff; help the \
+                obstructing operation or back off"
+               (String.concat "." f.fpath));
+        List.iter
+          (fun (line, what) ->
+            finding line "alloc-in-retry"
+              (what
+             ^ " allocates on every CAS retry; hoist the fresh value out of \
+                the loop and reuse it across attempts"))
+          (allocations f.fbody)
       end)
-    fns;
+    (Callgraph.fns cg);
   List.rev !out

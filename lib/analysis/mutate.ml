@@ -58,7 +58,7 @@ let catalog : op list =
     {
       op_name = "drop-backoff";
       op_descr = "delete a cpu_relax/exponential backoff call site";
-      op_rules = [ "static-retry"; "retry-no-backoff" ];
+      op_rules = [ "static-retry" ];
       op_twin = None;
     };
     {
@@ -125,12 +125,6 @@ let catalog : op list =
       op_name = "demote-atomic-get";
       op_descr = "bypass the Runtime functor with a direct Stdlib.Atomic.get";
       op_rules = [ "boundary" ];
-      op_twin = None;
-    };
-    {
-      op_name = "discard-cas";
-      op_descr = "ignore a CAS result, deleting its failure path";
-      op_rules = [ "cas-discard" ];
       op_twin = None;
     };
     {
@@ -1038,28 +1032,6 @@ let sites_demote_atomic_get p _src =
       | _ -> ());
   !out
 
-let sites_discard_cas p src =
-  let out = ref [] in
-  on_exprs p (fun e ->
-      match e.pexp_desc with
-      | Pexp_ifthenelse (cond, _, None) -> (
-          match cond.pexp_desc with
-          | Pexp_apply
-              ( { pexp_desc = Pexp_ident { txt = Lident "not"; _ }; _ },
-                [ (Asttypes.Nolabel, arg) ] )
-            when cas_app arg <> None ->
-              out :=
-                {
-                  s_line = line_of e;
-                  s_note = "CAS failure path deleted, result ignored";
-                  s_edits =
-                    [ replace e (Printf.sprintf "ignore (%s)" (expr_src src arg)) ];
-                }
-                :: !out
-          | _ -> ())
-      | _ -> ());
-  !out
-
 (* The innermost body of a [fun]-chain: where an inserted binding lands
    inside the function proper, after its parameters. *)
 let sites_alloc_in_retry (p : Frontend.parsed) src =
@@ -1221,7 +1193,6 @@ let collectors =
     ("drop-unlock", sites_drop_unlock);
     ("drop-pad", sites_drop_pad);
     ("demote-atomic-get", sites_demote_atomic_get);
-    ("discard-cas", sites_discard_cas);
     ("alloc-in-retry", sites_alloc_in_retry);
     ("mutabilize", sites_mutabilize);
     ("drop-waiver", sites_drop_waiver);

@@ -6,14 +6,15 @@
     sites} its body contains:
 
     - {e performs-CAS}: a dotted call whose final component is one of the
-      CAS family ([cas], [dcas], [dcss], [casn], [compare_and_set]);
-    - {e helps}: a completing CAS — either its fresh value is a record
-      literal carrying [dirty = false] (the moundify idiom, recognized by
-      shape rather than by the callee's name), or the CAS result is
-      statically discarded ([ignore (...)], [let _ =], sequence
-      position), the one-shot completion idiom of {!Mcas.rdcss_complete}
-      and {!Tree.expand}: any thread may fire it, exactly one takes
-      effect, nobody retries on its account;
+      CAS family ([cas], [dcas], [dcss], [casn], [compare_and_set]).
+      The site is {e blind} when its result is statically discarded
+      ([ignore (...)], [let _ =], sequence position, a loop body) — the
+      one-shot completion idiom of {!Mcas.rdcss_complete} and
+      {!Tree.expand}: any thread may fire it, exactly one takes effect,
+      nobody retries on its account — and {e observed} otherwise;
+    - {e helps}: a completing CAS whose fresh value is a record literal
+      carrying [dirty = false] (the moundify idiom, recognized by shape
+      rather than by the callee's name);
     - {e backs-off}: a call to [cpu_relax] (every backoff primitive in
       the tree bottoms out there);
     - {e acquires-lock}: a CAS whose fresh value is a record literal
@@ -40,6 +41,8 @@ open Parsetree
 
 type effects = {
   performs_cas : bool;
+  observes_cas : bool;  (* a CAS whose result is used *)
+  blind_cas : bool;  (* a CAS whose result is discarded *)
   helps : bool;
   backs_off : bool;
   acquires_lock : bool;
@@ -52,6 +55,8 @@ type effects = {
 let no_effects =
   {
     performs_cas = false;
+    observes_cas = false;
+    blind_cas = false;
     helps = false;
     backs_off = false;
     acquires_lock = false;
@@ -62,6 +67,8 @@ let no_effects =
 let union_effects a b =
   {
     performs_cas = a.performs_cas || b.performs_cas;
+    observes_cas = a.observes_cas || b.observes_cas;
+    blind_cas = a.blind_cas || b.blind_cas;
     helps = a.helps || b.helps;
     backs_off = a.backs_off || b.backs_off;
     acquires_lock = a.acquires_lock || b.acquires_lock;
@@ -269,6 +276,7 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
   let self = walk ~file ~scope ~params ~fnpath col in
   match expr.pexp_desc with
   | Pexp_apply (head, args) -> (
+      let ignored = flatten_ident head = Some [ "ignore" ] in
       List.iter
         (fun (_, a) ->
           match a.pexp_desc with
@@ -277,7 +285,7 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
                  belong to this function *)
               let _, inner = fn_shape a in
               self false inner
-          | _ -> self false a)
+          | _ -> self ignored a)
         args;
       match flatten_ident head with
       | None -> self false head
@@ -290,7 +298,13 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
           let nargs = nolabel_args args in
           let arg i = List.nth_opt nargs i in
           if dotted && List.mem last cas_family then begin
-            col.eff <- { col.eff with performs_cas = true };
+            col.eff <-
+              {
+                col.eff with
+                performs_cas = true;
+                observes_cas = col.eff.observes_cas || not disc;
+                blind_cas = col.eff.blind_cas || disc;
+              };
             List.iter
               (fun e ->
                 match loc_write_key e with
@@ -299,11 +313,9 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
                 | _ -> ())
               (List.filter_map arg (write_positions last));
             let fresh_args = List.filter_map arg (fresh_positions last) in
-            (* completing CAS: publishes a clean record, or fires blind *)
-            if
-              disc
-              || List.exists (record_sets_field "dirty" false) fresh_args
-            then col.eff <- { col.eff with helps = true };
+            (* completing CAS: publishes a clean record *)
+            if List.exists (record_sets_field "dirty" false) fresh_args then
+              col.eff <- { col.eff with helps = true };
             (* acquire shape: locks a record, or a bare boolean lock *)
             let bool_lock =
               last = "compare_and_set"
@@ -372,13 +384,7 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
             | None -> ()
           end
           else if last = "cpu_relax" then
-            col.eff <- { col.eff with backs_off = true }
-          else if segs = [ "ignore" ] then
-            (* re-walk the argument as discarded; the generic arg walk
-               above already visited it undiscarded, which only matters
-               for the helps bit, set here *)
-            List.iter (fun (_, a) -> self true a) args
-          else if List.mem last raising_heads && not dotted then ())
+            col.eff <- { col.eff with backs_off = true })
   | Pexp_let (_, vbs, cont) ->
       List.iter
         (fun vb ->

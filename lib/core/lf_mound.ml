@@ -167,7 +167,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
      candidate when [v] dominates the whole chain). If even the leftmost
      leaf does not dominate [v], the tree grows a level; a fresh leaf is
      empty (⊤), so this loop always produces a candidate without further
-     randomization. *)
+     randomization. *) (* lint: allow — tree growth, at most max_levels passes *)
   let rec fallback_point_lv t ~ge =
     let d = T.depth t.tree in
     let leaf = 1 lsl (d - 1) in

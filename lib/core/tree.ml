@@ -138,8 +138,6 @@ module Make (R : Runtime.S) = struct
      [depth] past an unpublished row would make [get] fail. The depth
      CAS needs no such loop: callers re-read [depth] and call [expand]
      again if it has not moved. *)
-  (* lint: allow — the inner publish loop retries only on spurious
-     weak-CAS failure and exits as soon as any thread's row is visible *)
   let expand t d =
     if d >= max_levels then failwith "Mound.Tree.expand: tree is full";
     (match R.Atomic.get t.rows.(d) with
@@ -151,12 +149,10 @@ module Make (R : Runtime.S) = struct
           match R.Atomic.get t.rows.(d) with
           | Some _ -> ()
           | None ->
-              (* lint: allow — idempotent publish; the loop re-reads the row *)
               ignore (R.Atomic.compare_and_set t.rows.(d) None row);
               publish ()
         in
         publish ());
-    (* lint: allow — depth advance is optional; callers re-read and retry *)
     ignore (R.Atomic.compare_and_set t.depth d (d + 1))
 
   (* Probe up to [k] random leaves of a [first_leaf]-based leaf row for

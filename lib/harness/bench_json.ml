@@ -198,6 +198,13 @@ let parse (s : string) : json =
       v)
     else fail (Printf.sprintf "expected %s" lit)
   in
+  (* The four hex digits of a [\u] escape at [at]. *)
+  let hex4 at =
+    let hex c = String.contains "0123456789abcdefABCDEF" c in
+    if at + 4 > n || not (String.for_all hex (String.sub s at 4)) then
+      fail "bad \\u escape";
+    int_of_string ("0x" ^ String.sub s at 4)
+  in
   let parse_string () =
     expect '"';
     let b = Buffer.create 16 in
@@ -218,13 +225,25 @@ let parse (s : string) : json =
                | 't' -> Buffer.add_char b '\t'
                | 'r' -> Buffer.add_char b '\r'
                | 'u' ->
-                   if !pos + 4 >= n then fail "bad \\u escape";
-                   let code =
-                     int_of_string ("0x" ^ String.sub s (!pos + 1) 4)
+                   let hi = hex4 (!pos + 1) in
+                   pos := !pos + 4;
+                   (* a high surrogate pairs with a following low one *)
+                   let lo =
+                     if hi land 0xFC00 = 0xD800 && !pos + 2 < n
+                        && s.[!pos + 1] = '\\' && s.[!pos + 2] = 'u'
+                     then hex4 (!pos + 3)
+                     else 0
                    in
-                   (* artifacts we emit only escape control chars *)
-                   Buffer.add_char b (Char.chr (code land 0xff));
-                   pos := !pos + 4
+                   let code =
+                     if lo land 0xFC00 <> 0xDC00 then hi
+                     else begin
+                       pos := !pos + 6;
+                       0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)
+                     end
+                   in
+                   if not (Uchar.is_valid code) then
+                     fail "lone surrogate in \\u escape";
+                   Buffer.add_utf_8_uchar b (Uchar.of_int code)
                | _ -> fail "bad escape");
             incr pos;
             go ()

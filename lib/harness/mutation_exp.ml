@@ -90,7 +90,6 @@ let lock_inversion_program : Liveness.program =
       spin ()
     in
     let unlock l = A.set l false in
-    (* lint: allow — one-time setup allocation, outside the spin loop *)
     let ops_done = Array.make 2 0 in
     let bodies =
       [|

@@ -7,11 +7,11 @@
      L24–L26 replaced by a bare retry. Once any extraction wins, the
      root is dirty forever and every later extraction spins: the
      liveness checker must confirm a non-progress cycle, and the lint
-     must flag the bare retry ([retry-no-backoff]).
+     must flag the bare retry ([static-retry]).
 
    - [No_backoff]: a lock-free CAS insert with the exponential backoff
      deleted. Still lock-free — certification stays green — but the
-     [retry-no-backoff] lint must flag it: the point of that rule is
+     [static-retry] lint must flag it: the point of that rule is
      exactly that progress and contention behavior are separate claims.
 
    - [Lock_inverted]: the locking mound's hand-over-hand acquisition

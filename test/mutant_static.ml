@@ -22,9 +22,9 @@
 
    - [Aliased_helper_dropped]: an extraction retry loop that binds the
      helper under another name ([let restore = moundify]) and never
-     calls it. The name-based retry-no-backoff rule sees "moundify" in
-     the item and stays silent; helping-discipline v2 works on the
-     call graph and must flag the loop. [Aliased_helper_kept] is the
+     calls it. A rule recognizing help by name would see "moundify" in
+     the item and stay silent; [static-retry] works on the call graph
+     and must flag the loop. [Aliased_helper_kept] is the
      negative twin — same alias, actually invoked — that must stay
      clean. The dynamic analog (helping deleted means the victim's
      obstruction is never cleared) is [Mutant_live.No_help].
@@ -172,9 +172,9 @@ module Aliased_helper_dropped = struct
     let cur = M.get slot in
     ignore (M.cas slot cur { list = cur.list; dirty = false; seq = cur.seq + 1 })
 
-  (* THE MUTATION: the helper is aliased — the name-based rule sees the
-     substring "moundify" in the loop's item and stays silent — but
-     [restore] is never called, so the retry loop neither helps nor
+  (* THE MUTATION: the helper is aliased — a rule matching names would
+     see the substring "moundify" in the loop's item and stay silent —
+     but [restore] is never called, so the retry loop neither helps nor
      backs off. *)
   let rec extract_spin t slot =
     let restore = moundify in

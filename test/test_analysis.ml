@@ -220,7 +220,7 @@ let test_multiqueue_top_cache () =
   check_count "publishing a recomputed head fine" 0
     (with_rule "stale-publish" (scan "lib/core/x.ml" recompute))
 
-(* ---- helping discipline v2 --------------------------------------------- *)
+(* ---- retry-loop discipline --------------------------------------------- *)
 
 let test_static_retry () =
   let bare =
@@ -242,9 +242,9 @@ let test_static_retry () =
   in
   check_count "backoff silences" 0
     (with_rule "static-retry" (scan "lib/core/x.ml" with_backoff));
-  (* helping recognized through an alias, not a name: the helper is
-     bound as [restore] and called; the name-based rule never sees a
-     helper-shaped identifier in the loop *)
+  (* helping recognized by shape through an alias: the helper is bound
+     as [restore] and called, and no helper-shaped name appears in the
+     loop *)
   let aliased_called =
     "let finish q =\n\
     \  let cur = M.get q in\n\
@@ -272,6 +272,38 @@ let test_static_retry () =
   (* exempt trees keep their published loop shapes *)
   check_count "baselines exempt" 0
     (with_rule "static-retry" (scan "lib/baselines/x.ml" bare))
+
+(* A blind CAS helps the loops of its own file only. [Grow.find] is
+   [Tree.find_insert_point]'s shape: it retries around [expand]'s
+   result-discarded one-shot CAS, which completes the growth itself. An
+   insert loop in another file that probes through [find] and retries
+   its own CAS without backoff gets no help from that CAS. *)
+let test_blind_cas_helps_own_file () =
+  let grow =
+    "let expand t d = ignore (R.Atomic.compare_and_set t.depth d (d + 1))\n\n\
+     let rec find t ~ge =\n\
+    \  let d = R.Atomic.get t.depth in\n\
+    \  if ge d then d\n\
+    \  else begin\n\
+    \    expand t d;\n\
+    \    find t ~ge\n\
+    \  end\n"
+  in
+  let ins =
+    "let rec insert t q v =\n\
+    \  let c = Grow.find t ~ge:(fun d -> d > v) in\n\
+    \  let cur = M.get q in\n\
+    \  if M.cas q cur { list = v :: cur.list; at = c } then ()\n\
+    \  else insert t q v\n"
+  in
+  let fs =
+    with_rule "static-retry"
+      (Analysis.scan_files
+         [ ("lib/core/grow.ml", grow); ("lib/core/ins.ml", ins) ])
+  in
+  Alcotest.(check (list (pair string int)))
+    "only the insert loop flagged" [ ("lib/core/ins.ml", 1) ]
+    (List.map (fun f -> (f.Analysis.file, f.Analysis.line)) fs)
 
 (* ---- aba-risk ---------------------------------------------------------- *)
 
@@ -556,11 +588,7 @@ let test_mutant_aliased_helper_flagged () =
            i + String.length sub <= String.length msg
            && (String.sub msg i (String.length sub) = sub || has (i + 1))
          in
-         has 0);
-      (* the name-based retry-no-backoff rule misses it: that gap is
-         the rule's reason to exist *)
-      check_count "name-based rule blind to the alias" 0
-        (with_rule "retry-no-backoff" fs)
+         has 0)
 
 let contains = Analysis.Summary.contains_sub
 
@@ -639,19 +667,20 @@ let test_waivers_cover_new_rules () =
   check_count "waiver with nothing under it is stale" 1
     (with_rule "waiver" (scan "lib/core/x.ml" stale))
 
-(* Co-located findings of two rules share one waiver: the discarded CAS
-   of a shared read is a per-file [cas-discard] and a cross-module
-   [stale-publish] on one line, and a single reasoned waiver above it
-   silences both and stays live. A reasonless one is a finding. *)
+(* Co-located findings of two rules share one waiver: republishing a
+   shared read and bumping a [Stdlib.Atomic] counter on one line are a
+   cross-module [stale-publish] and a per-file [boundary], and a single
+   reasoned waiver above them silences both and stays live. A
+   reasonless one is a finding. *)
 let test_waiver_covers_colocated () =
   let mark waiver =
-    "let mark q =\n\
+    "let mark q hits =\n\
     \  let root = M.get q in\n"
     ^ waiver
-    ^ "  ignore (M.cas q root root)\n"
+    ^ "  if M.cas q root root then Stdlib.Atomic.incr hits\n"
   in
   Alcotest.(check (list string)) "unwaived: one finding per rule"
-    [ "cas-discard"; "stale-publish" ]
+    [ "boundary"; "stale-publish" ]
     (List.sort compare
        (List.map (fun f -> f.Analysis.rule) (scan "lib/core/x.ml" (mark ""))));
   check_count "one reasoned waiver silences both, not stale" 0
@@ -798,6 +827,8 @@ let () =
       ( "helping-v2",
         [
           Alcotest.test_case "static-retry" `Quick test_static_retry;
+          Alcotest.test_case "blind CAS helps its own file only" `Quick
+            test_blind_cas_helps_own_file;
         ] );
       ( "dataflow",
         [

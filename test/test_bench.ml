@@ -111,6 +111,18 @@ let malformed_rejected () =
   (match Harness.Bench_json.parse "{} trailing" with
   | exception Harness.Bench_json.Malformed _ -> ()
   | _ -> Alcotest.fail "trailing garbage parsed");
+  (* a \u escape is four hex digits naming a scalar value, kept as UTF-8 *)
+  (match Harness.Bench_json.parse {|"\uZZZZ"|} with
+  | exception Harness.Bench_json.Malformed _ -> ()
+  | _ -> Alcotest.fail "non-hex \\u escape parsed");
+  (match Harness.Bench_json.parse {|"\ud800"|} with
+  | exception Harness.Bench_json.Malformed _ -> ()
+  | _ -> Alcotest.fail "lone surrogate parsed");
+  check "\\u00e9 decodes to UTF-8" true
+    (Harness.Bench_json.parse {|"\u00e9"|} = Harness.Bench_json.Str "é");
+  check "surrogate pair decodes to one code point" true
+    (Harness.Bench_json.parse {|"\ud83d\ude00"|}
+    = Harness.Bench_json.Str "\u{1F600}");
   check "empty object rejected" true
     (Result.is_error (Harness.Bench_json.validate (Harness.Bench_json.Obj [])));
   let with_key k v =

@@ -1,25 +1,18 @@
 (** Unit tests for the per-file lint rules ([lib/analysis/file_rules.ml]):
-    runtime boundary, mutable-atomic, the helping discipline, format and
-    waivers.
+    runtime boundary, mutable-atomic, format and waivers; and for
+    [alloc-in-retry], the allocation half of the call graph's retry-loop
+    discipline ([lib/analysis/helping.ml]).
 
     The shipped tree being clean is enforced by the [dune runtest] rule
     in [bin/dune]; here we pin the rules' behavior on fixtures — in
     particular that a direct [Stdlib.Atomic] use in [lib/core] fails,
     and that comments, strings, waivers, and the functor-constraint
-    idiom do not. [scan] keeps the findings of the seven rules judged
-    here; the cross-module analyses have their own fixtures in
+    idiom do not. [scan] keeps the findings of the five rules judged
+    here; the other cross-module analyses have their own fixtures in
     [test_analysis]. *)
 
 let file_rules =
-  [
-    "boundary";
-    "mutable-atomic";
-    "cas-discard";
-    "retry-no-backoff";
-    "alloc-in-retry";
-    "format";
-    "waiver";
-  ]
+  [ "boundary"; "mutable-atomic"; "alloc-in-retry"; "format"; "waiver" ]
 
 let scan path src =
   List.filter
@@ -148,98 +141,7 @@ let test_waiver_hygiene () =
   Alcotest.(check (list string)) "mid-comment marker inert" [ "boundary" ]
     (rules fs)
 
-(* ---- helping-discipline rules ------------------------------------------ *)
-
-let test_retry_no_backoff () =
-  (* judged per module-level [let] item; bodies indented 4 like the
-     shipped sources' functor bodies *)
-  let bare =
-    "let rec push q v =\n\
-    \    let cur = R.Atomic.get q in\n\
-    \    if not (M.cas q cur (v :: cur)) then push q v\n"
-  in
-  Alcotest.(check (list string)) "bare retry flagged" [ "retry-no-backoff" ]
-    (rules (scan "lib/core/x.ml" bare));
-  let with_backoff =
-    "let rec push q b v =\n\
-    \    let cur = R.Atomic.get q in\n\
-    \    if not (M.cas q cur (v :: cur)) then begin\n\
-    \      B.exponential b;\n\
-    \      push q b v\n\
-    \    end\n"
-  in
-  check_count "backoff silences" 0 (scan "lib/core/x.ml" with_backoff);
-  let with_help =
-    "let rec push q v =\n\
-    \    let cur = R.Atomic.get q in\n\
-    \    if not (M.cas q cur (v :: cur)) then begin\n\
-    \      help_complete q;\n\
-    \      push q v\n\
-    \    end\n"
-  in
-  check_count "helping silences" 0 (scan "lib/core/x.ml" with_help);
-  (* non-recursive items are not retry loops *)
-  check_count "straight-line cas fine" 0
-    (scan "lib/core/x.ml" "let push q v =\n  if M.cas q [] [ v ] then 1 else 0\n");
-  (* baselines reproduce published loops; helping rules do not apply *)
-  check_count "baselines exempt" 0 (scan "lib/baselines/x.ml" bare)
-
-let test_cas_discard () =
-  Alcotest.(check (list string)) "ignore'd cas" [ "cas-discard" ]
-    (rules (scan "lib/core/x.ml" "let reset q =\n  ignore (M.cas q 0 1)\n"));
-  Alcotest.(check (list string)) "statement-position cas" [ "cas-discard" ]
-    (rules
-       (scan "lib/core/x.ml" "let f q r =\n  M.cas q 0 1;\n  r := 1\n"));
-  (* a CAS ending the function's body is its return value *)
-  check_count "returned sequence tail fine" 0
-    (scan "lib/core/x.ml" "let f q r =\n  r := 1;\n  M.cas q 0 1\n");
-  check_count "branched-on cas fine" 0
-    (scan "lib/core/x.ml" "let f q = if M.cas q 0 1 then 1 else 0\n");
-  (* a CAS ending a sequence whose value is let-bound (or otherwise
-     consumed) is not discarded: a sequence's tail is dropped only when
-     the whole sequence is *)
-  check_count "let-bound sequence tail fine" 0
-    (scan "lib/core/x.ml"
-       "let f q r =\n\
-       \  let ok =\n\
-       \    r := 1;\n\
-       \    M.cas q 0 1\n\
-       \  in\n\
-       \  ok\n");
-  check_count "parenthesized condition tail fine" 0
-    (scan "lib/core/x.ml"
-       "let f q r =\n\
-       \  if (r := 1;\n\
-       \      M.cas q 0 1) then 1 else 0\n");
-  (* but a mid-sequence CAS is still discarded even when a binder
-     follows later *)
-  Alcotest.(check (list string)) "mid-sequence cas still flagged"
-    [ "cas-discard" ]
-    (rules
-       (scan "lib/core/x.ml"
-          "let f q r =\n\
-          \  let ok =\n\
-          \    r := 1;\n\
-          \    M.cas q 0 1;\n\
-          \    r := 2\n\
-          \  in\n\
-          \  ok\n"));
-  Alcotest.(check (list string)) "while-body tail still flagged"
-    [ "cas-discard" ]
-    (rules
-       (scan "lib/core/x.ml"
-          "let f q r =\n\
-          \  while !r do\n\
-          \    r := false;\n\
-          \    M.cas q 0 1\n\
-          \  done\n"));
-  (* record labels and counter fields named [cas] are not calls *)
-  check_count "field assignment fine" 0
-    (scan "lib/core/x.ml" "let reset c =\n  c.cas <- 0\n");
-  check_count "record label fine" 0
-    (scan "lib/core/x.ml" "let snap c = { gets = c.gets; cas = c.cas }\n");
-  check_count "type field fine" 0
-    (scan "lib/core/x.ml" "type t = { gets : int; cas : int }\n")
+(* ---- allocation in a retry loop ----------------------------------------- *)
 
 let test_alloc_in_retry () =
   let alloc fs = List.filter (fun f -> f.Analysis.rule = "alloc-in-retry") fs in
@@ -294,8 +196,27 @@ let test_alloc_in_retry () =
     \    if M.cas q [] fresh then () else push q v\n"
   in
   check_count "waiver silences" 0 (alloc (scan "lib/core/x.ml" waived));
-  (* baselines are exempt, as for the other helping-discipline rules *)
+  (* baselines are exempt, as they are from static-retry *)
   check_count "baselines exempt" 0 (alloc (scan "lib/baselines/x.ml" hot))
+
+(* Setup after a spin: the host is no retry loop (only its nested
+   [spin] is on a call-graph cycle), so an allocation after the spin,
+   outside it, allocates once. *)
+let test_alloc_after_nested_spin () =
+  let src =
+    "let prepare l =\n\
+    \  let rec spin () =\n\
+    \    if not (R.Atomic.compare_and_set l false true) then begin\n\
+    \      R.cpu_relax ();\n\
+    \      spin ()\n\
+    \    end\n\
+    \  in\n\
+    \  spin ();\n\
+    \  let ops_done = Array.make 2 0 in\n\
+    \  ops_done\n"
+  in
+  check_count "setup allocation after the spin fine" 0
+    (scan "lib/core/x.ml" src)
 
 let test_functor_constraint_idiom () =
   check_count "with type 'a Atomic.t" 0
@@ -351,18 +272,19 @@ let test_format () =
 (* ---- per-file and cross-module rules together ---------------------------- *)
 
 (* Every rule reports through one waiver machinery, and co-located
-   findings are not merged: the discarded CAS of a shared read is a
-   per-file [cas-discard] and a cross-module [stale-publish] on the same
-   line, and the full scan reports both. *)
+   findings are not merged: republishing a shared read and bumping a
+   [Stdlib.Atomic] counter on one line are a cross-module
+   [stale-publish] and a per-file [boundary], and the full scan reports
+   both. *)
 let test_colocated_findings () =
   let src =
-    "let mark q =\n\
+    "let mark q hits =\n\
     \  let root = M.get q in\n\
-    \  ignore (M.cas q root root)\n"
+    \  if M.cas q root root then Stdlib.Atomic.incr hits\n"
   in
   let merged = Analysis.scan ~path:"lib/core/x.ml" src in
   Alcotest.(check (list string)) "both co-located findings reported"
-    [ "cas-discard"; "stale-publish" ]
+    [ "boundary"; "stale-publish" ]
     (List.sort compare (rules merged));
   Alcotest.(check (list int)) "on the CAS line" [ 3; 3 ]
     (List.map (fun f -> f.Analysis.line) merged)
@@ -513,9 +435,9 @@ let () =
         ] );
       ( "helping",
         [
-          Alcotest.test_case "retry-no-backoff" `Quick test_retry_no_backoff;
-          Alcotest.test_case "cas-discard" `Quick test_cas_discard;
           Alcotest.test_case "alloc-in-retry" `Quick test_alloc_in_retry;
+          Alcotest.test_case "setup alloc after a nested spin" `Quick
+            test_alloc_after_nested_spin;
         ] );
       ( "mutable-atomic",
         [ Alcotest.test_case "heuristic" `Quick test_mutable_atomic ] );

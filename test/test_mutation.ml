@@ -18,9 +18,9 @@
      operator and killed by a surviving rule.
 
    - the live regression guard: regenerate the matrix from the current
-     sources and compare against the baseline — the kill rate must not
-     drop and no rule with baseline kills may fall silent. The static
-     matrix is deterministic, so these are exact comparisons, not
+     sources and compare against the baseline — the same kill triples
+     and the same mutant and kill counts per (operator, file) pair. The
+     static matrix is deterministic, so these are exact comparisons, not
      tolerances. Dynamic-twin escalation is the slow part; it runs only
      under MUTATION_FULL=1 (the @mutation alias declares the env var,
      so flipping it re-runs the tier).
@@ -343,41 +343,47 @@ let live_matrix root =
   in
   Analysis.killmatrix ~context (Analysis.Mutate.mutants targets)
 
+(* EXPERIMENTS.md's matrix rule, exactly: the live matrix has the
+   committed (operator, file, rule) kill triples, and per (operator,
+   file) pair the committed numbers of mutants and of killed mutants.
+   Neither carries a line number, so a refactor that only moves lines
+   passes; one that adds, drops or trades a kill must re-record the
+   baseline, which also pins the kill rate. *)
 let test_kill_rate_guard () =
   match lib_root () with
   | None -> () (* sandbox without sources; the @mutation alias has them *)
   | Some root ->
-      let doc = load_baseline () in
-      let base_rows = Harness.Mutation_json.rows_of doc in
-      let base_rate =
-        match Harness.Bench_json.member "kill_rate" doc with
-        | Some (Harness.Bench_json.Num r) -> r
-        | _ -> Alcotest.fail "baseline missing kill_rate"
+      let committed =
+        List.map
+          (fun (r : Harness.Mutation_json.mrow) ->
+            (r.mr_op, Filename.basename r.mr_file, r.mr_killed_by))
+          (Harness.Mutation_json.rows_of (load_baseline ()))
       in
-      let m = live_matrix root in
-      let live_rows = List.length m.Analysis.Killmatrix.k_rows in
-      Alcotest.(check bool)
-        "live matrix has at least 30 mutants" true (live_rows >= 30);
-      let live_rate = Analysis.Killmatrix.kill_rate m in
-      if live_rate +. 1e-9 < base_rate then
-        Alcotest.failf
-          "kill rate regressed: %.3f live vs %.3f committed (re-record the \
-           baseline only for an intentional rule or operator change)"
-          live_rate base_rate;
-      (* no rule with committed kills may fall silent *)
-      let live_kills = Analysis.Killmatrix.rule_kills m in
-      List.iter
-        (fun (rule, n) ->
-          if n > 0 then
-            match List.assoc_opt rule live_kills with
-            | Some ln when ln >= 1 -> ()
-            | _ ->
-                Alcotest.failf
-                  "rule %s killed %d in the committed baseline but is now \
-                   silent"
-                  rule n)
-        (Harness.Mutation_json.rule_kills_of doc);
-      ignore base_rows
+      let live =
+        List.map
+          (fun (r : Analysis.Killmatrix.row) ->
+            let m = r.r_mutant in
+            (m.m_op, Filename.basename m.m_file, r.r_killed_by))
+          (live_matrix root).k_rows
+      in
+      let triples rows =
+        List.concat_map
+          (fun (op, file, rules) -> List.map (fun r -> (op, file, r)) rules)
+          rows
+        |> List.sort_uniq compare
+      in
+      (* one (operator, file, killed?) entry per mutant: equal sorted
+         lists mean equal mutant and kill counts per pair *)
+      let counts rows =
+        List.sort compare
+          (List.map (fun (op, file, rules) -> (op, file, rules <> [])) rows)
+      in
+      Alcotest.(check (list (triple string string string)))
+        "(operator, file, rule) kill triples as committed" (triples committed)
+        (triples live);
+      Alcotest.(check (list (triple string string bool)))
+        "mutants and kills per (operator, file) as committed"
+        (counts committed) (counts live)
 
 (* Survivor escalation against the dynamic twins: slow (DPOR + liveness
    runs), so MUTATION_FULL=1 only. Every operator with a mapped twin

@@ -105,10 +105,10 @@ let test_lint_flags_no_help_mutant () =
     let flagged =
       Analysis.scan_file src
       |> List.filter_map (fun f ->
-             if f.Analysis.rule = "retry-no-backoff" then Some f.Analysis.line
+             if f.Analysis.rule = "static-retry" then Some f.Analysis.line
              else None)
     in
-    Alcotest.(check bool) "retry-no-backoff flagged" true (flagged <> []);
+    Alcotest.(check bool) "static-retry flagged" true (flagged <> []);
     (* on [No_help.extract_min] itself: the bare retry the file header
        says the rule must flag *)
     let extract_min =
