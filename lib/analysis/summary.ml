@@ -522,6 +522,17 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
    nested functions. *)
 and collect_fn ~file ~scope ~fnpath ~line e : fn list =
   let params, body = fn_shape e in
+  (* a parameter shadows every same-named function: a call through it
+     ([ge leaf] with [~ge] passed in) resolves to nothing, the empty
+     path, instead of to a module-level [ge] *)
+  let scope =
+    {
+      scope with
+      venv =
+        List.filter_map (fun p -> if p = "_" then None else Some (p, [])) params
+        @ scope.venv;
+    }
+  in
   let col =
     {
       calls = [];

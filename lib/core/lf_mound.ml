@@ -33,9 +33,9 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
 
   type t = { tree : mnode M.loc T.t; ops : Stats.Ops.t }
 
-  let vcompare = Intf.Value.compare Ord.compare
-
   let node_value n = Intf.Sorted.value n.list
+
+  let head_compare a b = Intf.Sorted.head_compare Ord.compare a b
 
   let create ?threshold ?init_depth () =
     let make_slot () = M.make { list = []; dirty = false; seq = 0 } in
@@ -84,10 +84,8 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
         moundify t n ~level
       end
       else begin
-        let vn = node_value node
-        and vl = node_value left
-        and vr = node_value right in
-        if vcompare vl vr <= 0 && vcompare vl vn < 0 then begin
+        let ln = node.list and ll = left.list and lr = right.list in
+        if head_compare ll lr <= 0 && head_compare ll ln < 0 then begin
           (* Swap lists with the left child (L48–L51). The child becomes
              dirty and is cleaned recursively. *)
           if
@@ -98,7 +96,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
           then moundify t (2 * n) ~level:(level + 1)
           else moundify t n ~level
         end
-        else if vcompare vr vl < 0 && vcompare vr vn < 0 then begin
+        else if head_compare lr ll < 0 && head_compare lr ln < 0 then begin
           if
             M.dcas slot node
               { list = right.list; dirty = false; seq = node.seq + 1 }
@@ -167,7 +165,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
      candidate when [v] dominates the whole chain). If even the leftmost
      leaf does not dominate [v], the tree grows a level; a fresh leaf is
      empty (⊤), so this loop always produces a candidate without further
-     randomization. *) (* lint: allow — tree growth, at most max_levels passes *)
+     randomization. *)
   let rec fallback_point_lv t ~ge =
     let d = T.depth t.tree in
     let leaf = 1 lsl (d - 1) in

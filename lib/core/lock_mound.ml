@@ -54,15 +54,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
 
   let node_value n = Intf.Sorted.value n.list
 
-  (* The hot paths compare list heads directly instead of boxing them
-     with [node_value]: an empty list is ⊤, as [None] is in
-     [Intf.Value]. *)
-  let head_compare a b =
-    match (a, b) with
-    | [], [] -> 0
-    | [], _ :: _ -> 1
-    | _ :: _, [] -> -1
-    | x :: _, y :: _ -> Ord.compare x y
+  let head_compare a b = Intf.Sorted.head_compare Ord.compare a b
 
   (* What an acquisition returns when its deadline expires (and so what
      [take] and [put] return then), and the lease timer's "no holder

@@ -2,30 +2,29 @@
 
     The reference implementation: same tree of sorted lists, same
     randomized leaf probing and binary-search insertion, same
-    sift-down-by-list-swap extraction as the concurrent variants, but with
-    plain mutable nodes and no dirty bits (the mound property is restored
-    before each operation returns). It serves three roles: the oracle in
-    tests, the engine for the paper's sequential structure experiments
-    (Tables I–IV), and the single-thread baseline in benches. *)
+    sift-down-by-list-swap extraction as the concurrent variants, but
+    with no node records and no dirty bits: each node's sorted list is
+    stored directly in its level's {!Tree} row and replaced in place,
+    and the mound property is restored before each operation returns.
+    It serves three roles: the oracle in tests, the engine for the
+    paper's sequential structure experiments (Tables I–IV), and the
+    single-thread baseline in benches. *)
 
 module Make (Ord : Intf.ORDERED) = struct
   module T = Tree.Make (Runtime.Real)
 
   type elt = Ord.t
 
-  type node = { mutable list : elt list }
+  (* Node [i] of level [l] is element [i - 2^l] of row [l]: its list. *)
+  type t = { tree : elt list T.t; rng : Prng.t }
 
-  type t = { tree : node T.t; rng : Prng.t }
-
-  let vcompare = Intf.Value.compare Ord.compare
-
-  let node_value n = Intf.Sorted.value n.list
+  let head_compare a b = Intf.Sorted.head_compare Ord.compare a b
 
   let create ?threshold ?init_depth ?(seed = 1L) () =
     let rng = Prng.create seed in
     let tree =
       T.create ?threshold ?init_depth ~rand:(fun bound -> Prng.int rng bound)
-        (fun () -> { list = [] })
+        (fun () -> [])
     in
     { tree; rng }
 
@@ -38,11 +37,11 @@ module Make (Ord : Intf.ORDERED) = struct
      validation is needed sequentially: [find_insert_point] guarantees
      [val(parent) < hd <= val(c)]. *)
   let rec put t hd rest =
-    let ge i = Intf.Sorted.head_ge Ord.compare (T.get t.tree i).list hd in
+    let ge i = Intf.Sorted.head_ge Ord.compare (T.get t.tree i) hd in
     let c, clvl = T.find_insert_point_lv t.tree ~ge in
-    let node = T.get_at t.tree ~level:clvl c in
-    let l = node.list in
-    node.list <- hd :: Intf.Sorted.splice Ord.compare rest l;
+    let row = T.row t.tree ~level:clvl and j = c - (1 lsl clvl) in
+    let l = row.(j) in
+    row.(j) <- hd :: Intf.Sorted.splice Ord.compare rest l;
     match Intf.Sorted.remainder Ord.compare rest l with
     | [] -> ()
     | hd :: rest -> put t hd rest
@@ -55,27 +54,24 @@ module Make (Ord : Intf.ORDERED) = struct
 
   (* Restore the mound property below node [n] by swapping lists with the
      smaller child until the node dominates both children — the
-     sequential skeleton of the paper's moundify. [level] is ⌊log₂ n⌋,
-     threaded down so child slots are fetched without recomputing it. *)
+     sequential skeleton of the paper's moundify. [level] is ⌊log₂ n⌋:
+     [n] is element [j = n - 2^level] of its row and its children are
+     elements [2j] and [2j+1] of the next, so each level fetches the two
+     rows once. *)
   let rec moundify t n ~level =
-    let d = T.depth t.tree in
-    if not (T.is_leaf n ~depth:d) then begin
-      let node = T.get_at t.tree ~level n in
-      let left = T.get_at t.tree ~level:(level + 1) (2 * n) in
-      let right = T.get_at t.tree ~level:(level + 1) ((2 * n) + 1) in
-      let vn = node_value node
-      and vl = node_value left
-      and vr = node_value right in
-      if vcompare vl vr <= 0 && vcompare vl vn < 0 then begin
-        let tmp = node.list in
-        node.list <- left.list;
-        left.list <- tmp;
+    if not (T.is_leaf n ~depth:(T.depth t.tree)) then begin
+      let row = T.row t.tree ~level
+      and kids = T.row t.tree ~level:(level + 1) in
+      let j = n - (1 lsl level) in
+      let ln = row.(j) and ll = kids.(2 * j) and lr = kids.((2 * j) + 1) in
+      if head_compare ll lr <= 0 && head_compare ll ln < 0 then begin
+        row.(j) <- ll;
+        kids.(2 * j) <- ln;
         moundify t (2 * n) ~level:(level + 1)
       end
-      else if vcompare vr vl < 0 && vcompare vr vn < 0 then begin
-        let tmp = node.list in
-        node.list <- right.list;
-        right.list <- tmp;
+      else if head_compare lr ll < 0 && head_compare lr ln < 0 then begin
+        row.(j) <- lr;
+        kids.((2 * j) + 1) <- ln;
         moundify t ((2 * n) + 1) ~level:(level + 1)
       end
     end
@@ -85,12 +81,12 @@ module Make (Ord : Intf.ORDERED) = struct
       below [n], and returns the list as it was: its head is the element
       taken. [level] is ⌊log₂ n⌋. *)
   let take t n ~level ~all =
-    let node = T.get_at t.tree ~level n in
-    let l = node.list in
+    let row = T.row t.tree ~level and j = n - (1 lsl level) in
+    let l = row.(j) in
     (match l with
     | [] -> ()
     | _ :: tl ->
-        node.list <- (if all then [] else tl);
+        row.(j) <- (if all then [] else tl);
         moundify t n ~level);
     l
 
@@ -127,11 +123,11 @@ module Make (Ord : Intf.ORDERED) = struct
 
   let extract_min_until t ~deadline:_ = Intf.Ok (extract_min t)
 
-  let peek_min t = node_value (T.get_at t.tree ~level:0 1)
+  let peek_min t = Intf.Sorted.value (T.get_at t.tree ~level:0 1)
 
   let is_empty t = peek_min t = None
 
-  let fold_nodes t f acc = T.fold t.tree (fun acc i n -> f acc i n.list) acc
+  let fold_nodes t f acc = T.fold t.tree f acc
 
   let size t = fold_nodes t (fun acc _ l -> acc + List.length l) 0
 
@@ -139,5 +135,5 @@ module Make (Ord : Intf.ORDERED) = struct
       whole tree. *)
   let check t =
     Intf.Sorted.well_formed Ord.compare ~fold:(fold_nodes t) ~parent:(fun p ->
-        Some (T.get t.tree p).list)
+        Some (T.get t.tree p))
 end

@@ -56,10 +56,12 @@ module Make (R : Runtime.S) = struct
      levels are the hottest words in the structure. Their rows are
      pre-published by [create] (7 slots — negligible memory) with live
      pad blocks interleaved between consecutive slot allocations, so
-     sibling atomics do not start out on the same cache line. Best
-     effort under a moving collector, but the pads are reachable from
-     the tree record, which keeps the spacing from collapsing at the
-     first minor collection. *)
+     sibling atomics do not start out on the same cache line. The pads
+     separate the slots' own allocations; a row whose slots allocate
+     nothing (the sequential mound's row of lists, [[]] at creation)
+     has nothing for them to separate. Best effort under a moving
+     collector, but the pads are reachable from the tree record, which
+     keeps the spacing from collapsing at the first minor collection. *)
   let hot_levels = 3
 
   (* 64-byte line on 64-bit, minus the block header word *)
@@ -118,14 +120,22 @@ module Make (R : Runtime.S) = struct
       allocation per level is ever published. *)
   let row_allocations t = R.Atomic.get t.row_allocs
 
+  (** [row t ~level] is the published row of level [level]: node [i] of
+      that level is its element [i - 2^level]. A caller that visits
+      several nodes of one level, or mutates slots in place (the
+      sequential mound stores its lists directly in the rows), fetches
+      the row once. The row must have been published, which holds for
+      any level below a read of [depth]. Inlined, so [get_at] stays one
+      call. *)
+  let[@inline] row t ~level =
+    match R.Atomic.get t.rows.(level) with
+    | Some row -> row
+    | None -> invalid_arg "Mound.Tree.get: unallocated level"
+
   (** [get_at t ~level i] is the slot of node [i] (1-based) when
       [level_of i] is already known from the traversal, skipping the
-      recomputation. The row must have been published, which holds for
-      any index derived from a read of [depth]. *)
-  let get_at t ~level i =
-    match R.Atomic.get t.rows.(level) with
-    | Some row -> row.(i - (1 lsl level))
-    | None -> invalid_arg "Mound.Tree.get: unallocated level"
+      recomputation. Same precondition as {!row}. *)
+  let get_at t ~level i = (row t ~level).(i - (1 lsl level))
 
   let get t i = get_at t ~level:(level_of i) i
 

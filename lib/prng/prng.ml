@@ -18,7 +18,7 @@ let int_in t ~lo ~hi =
   if hi < lo then invalid_arg "Prng.int_in: empty range";
   lo + Xoshiro256.next_int t (hi - lo + 1)
 
-let bool t = Int64.logand (Xoshiro256.next t) 1L = 1L
+let bool = Xoshiro256.bool
 
 let int64 = Xoshiro256.next
 

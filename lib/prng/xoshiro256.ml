@@ -1,14 +1,23 @@
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+(* The four state words s0..s3 live unboxed at byte offsets 0, 8, 16
+   and 24 of one 32-byte buffer: a record of [mutable int64] fields
+   would box a fresh int64 on every write, several per draw. *)
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let make s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set t 0 s0;
+  set t 8 s1;
+  set t 16 s2;
+  set t 24 s3;
+  t
 
 let of_state s0 s1 s2 s3 =
   if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then
     invalid_arg "Xoshiro256.of_state: all-zero state";
-  { s0; s1; s2; s3 }
+  make s0 s1 s2 s3
 
 let create seed =
   let sm = Splitmix64.create seed in
@@ -18,9 +27,9 @@ let create seed =
   let s1 = Splitmix64.next sm in
   let s2 = Splitmix64.next sm in
   let s3 = Splitmix64.next sm in
-  { s0; s1; s2; s3 }
+  make s0 s1 s2 s3
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
 (* A cheap mixing of the four state words into one int; used by the
    liveness checker to include "how much randomness has this thread
@@ -32,56 +41,62 @@ let fingerprint t =
     let acc = Int64.mul acc 0xFF51AFD7ED558CCDL in
     Int64.logxor acc (Int64.shift_right_logical acc 33)
   in
-  let h = mix (mix (mix (mix 0x9E3779B97F4A7C15L t.s0) t.s1) t.s2) t.s3 in
+  let h =
+    mix (mix (mix (mix 0x9E3779B97F4A7C15L (get t 0)) (get t 8)) (get t 16))
+      (get t 24)
+  in
   Int64.to_int h land max_int
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let next t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tt = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tt;
-  t.s3 <- rotl t.s3 45;
+(* Inlined into every draw below, so the output stays unboxed unless
+   the caller asks for the [int64] itself. *)
+let[@inline] next t =
+  let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let tt = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  set t 0 s0;
+  set t 8 s1;
+  set t 16 (Int64.logxor s2 tt);
+  set t 24 (rotl s3 45);
   result
 
 let bits30 t = Int64.to_int (Int64.shift_right_logical (next t) 34)
 
-(* Unbiased bounded draw: reject draws from the incomplete final bucket of
-   the 2^61 range (61 bits so the range itself fits OCaml's 63-bit int).
-   The rejection probability is < bound/2^61, so the loop runs once in
-   practice. *)
+let bool t = Int64.logand (next t) 1L = 1L
+
+(* Unbiased bounded draw: take the top 61 bits of a draw (61 so the
+   range itself fits OCaml's 63-bit int), reject draws from the
+   incomplete final bucket of that range, and reduce the rest by
+   [mod]. The rejection probability is < bound/2^61, so the loop runs
+   once in practice. A top-level function: an inner [draw] closure
+   would be allocated on every call. *)
+let rec draw t bound limit =
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 3) in
+  if v < limit then v mod bound else draw t bound limit
+
 let next_int t bound =
   if bound <= 0 then invalid_arg "Xoshiro256.next_int: bound must be positive";
   let range = 1 lsl 61 in
-  let limit = range - (range mod bound) in
-  let rec draw () =
-    let v = Int64.to_int (Int64.shift_right_logical (next t) 3) in
-    if v < limit then v mod bound else draw ()
-  in
-  draw ()
+  draw t bound (range - (range mod bound))
 
 let jump_table = [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL; 0xA9582618E03FC9AAL; 0x39ABDC4529B1661CL |]
 
 let jump t =
-  let s0 = ref 0L and s1 = ref 0L and s2 = ref 0L and s3 = ref 0L in
+  let acc = Bytes.make 32 '\000' in
   Array.iter
     (fun word ->
       for b = 0 to 63 do
-        if Int64.logand word (Int64.shift_left 1L b) <> 0L then begin
-          s0 := Int64.logxor !s0 t.s0;
-          s1 := Int64.logxor !s1 t.s1;
-          s2 := Int64.logxor !s2 t.s2;
-          s3 := Int64.logxor !s3 t.s3
-        end;
+        if Int64.logand word (Int64.shift_left 1L b) <> 0L then
+          for i = 0 to 3 do
+            set acc (8 * i) (Int64.logxor (get acc (8 * i)) (get t (8 * i)))
+          done;
         ignore (next t)
       done)
     jump_table;
-  t.s0 <- !s0;
-  t.s1 <- !s1;
-  t.s2 <- !s2;
-  t.s3 <- !s3
+  Bytes.blit acc 0 t 0 32

@@ -7,7 +7,8 @@
     here: the simulator replays identical schedules from identical seeds. *)
 
 type t
-(** Mutable generator state (four 64-bit words, never all zero). *)
+(** Mutable generator state: four 64-bit words, never all zero, stored
+    unboxed so that a draw allocates nothing. *)
 
 val create : int64 -> t
 (** [create seed] expands [seed] into a full 256-bit state via
@@ -30,12 +31,18 @@ val next : t -> int64
 (** Next 64-bit output. *)
 
 val next_int : t -> int -> int
-(** [next_int t bound] is uniform in [\[0, bound)] (Lemire-style rejection,
-    no modulo bias). [bound] must be positive. *)
+(** [next_int t bound] is uniform in [\[0, bound)]: the top 61 bits of a
+    draw, redrawn while they fall in the incomplete final bucket of the
+    2^61 range (a threshold rejection), then reduced by [mod], so there
+    is no modulo bias. [bound] must be positive. *)
 
 val bits30 : t -> int
 (** 30 uniform bits as a non-negative [int]; cheaper than {!next_int} when a
     raw bit source is enough. *)
+
+val bool : t -> bool
+(** The low bit of the next output. Like {!next_int} and {!bits30}, it
+    allocates nothing; only {!next} boxes its result. *)
 
 val jump : t -> unit
 (** Advance [t] by 2^128 steps; used to derive widely separated streams

@@ -305,6 +305,30 @@ let test_blind_cas_helps_own_file () =
     "only the insert loop flagged" [ ("lib/core/ins.ml", 1) ]
     (List.map (fun f -> (f.Analysis.file, f.Analysis.line)) fs)
 
+(* A call through a parameter resolves to nothing, not to the
+   module-level function of the same name. [fallback] is
+   [Lf_mound.fallback_point_lv]'s shape: its loop calls the [~ge] it was
+   given, and the file's own [ge] performs an observed CAS, which the
+   loop must not inherit. A real CAS loop beside it is still flagged. *)
+let test_param_shadows_function () =
+  let src =
+    "let ge q v =\n\
+    \  let cur = M.get q in\n\
+    \  M.cas q cur { list = v :: cur.list; seq = cur.seq + 1 }\n\n\
+     let rec fallback t ~ge =\n\
+    \  if ge t.depth then t.depth\n\
+    \  else begin\n\
+    \    t.depth <- t.depth + 1;\n\
+    \    fallback t ~ge\n\
+    \  end\n\n\
+     let rec push q v = if ge q v then () else push q v\n"
+  in
+  Alcotest.(check (list int))
+    "only the loop through the module-level ge" [ 12 ]
+    (List.map
+       (fun f -> f.Analysis.line)
+       (with_rule "static-retry" (scan "lib/core/x.ml" src)))
+
 (* ---- aba-risk ---------------------------------------------------------- *)
 
 let test_aba_risk () =
@@ -829,6 +853,8 @@ let () =
           Alcotest.test_case "static-retry" `Quick test_static_retry;
           Alcotest.test_case "blind CAS helps its own file only" `Quick
             test_blind_cas_helps_own_file;
+          Alcotest.test_case "a parameter shadows a same-named function"
+            `Quick test_param_shadows_function;
         ] );
       ( "dataflow",
         [

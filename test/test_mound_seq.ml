@@ -152,6 +152,35 @@ let threshold_and_depth_args () =
   done;
   check "works with threshold 1" true (S.check q)
 
+(* Minor words per operation: a seeded fill of 2^12 keys, then the
+   drain to empty. An extract allocates only the [Some] it returns (the
+   lists live in the tree rows, the head comparisons box nothing, the
+   Prng draws are unboxed); an insert, its list cell, the [ge] closure,
+   the candidate pair and its share of the rows the tree grows (13.2
+   words measured). *)
+let allocation_budget () =
+  let n = 1 lsl 12 in
+  let rng = Prng.create 7L in
+  let keys = Array.init n (fun _ -> Prng.int rng 1_000_000) in
+  let q = S.create () in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    S.insert q keys.(i)
+  done;
+  let w1 = Gc.minor_words () in
+  let extracted = ref 0 in
+  while S.extract_min q <> None do
+    incr extracted
+  done;
+  let w2 = Gc.minor_words () in
+  let per_insert = (w1 -. w0) /. float_of_int n
+  and per_extract = (w2 -. w1) /. float_of_int n in
+  Printf.printf "words per op: insert %.1f, extract_min %.1f\n" per_insert
+    per_extract;
+  check_int "drained every key" n !extracted;
+  check "insert <= 14 words" true (per_insert <= 14.);
+  check "extract_min <= 2 words" true (per_extract <= 2.)
+
 let () =
   Alcotest.run "mound_seq"
     [
@@ -187,5 +216,6 @@ let () =
             mixed_churn_keeps_invariant;
           Alcotest.test_case "threshold/init_depth args" `Quick
             threshold_and_depth_args;
+          Alcotest.test_case "allocation budget" `Quick allocation_budget;
         ] );
     ]

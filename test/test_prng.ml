@@ -136,6 +136,81 @@ let bits30_range () =
     check "bits30 range" true (v >= 0 && v < 1 lsl 30)
   done
 
+(* The stream pinned bit for bit: polynomial folds of the first 10^4
+   draws per bound (bound 1 still advances the state), of [bits30] and
+   of [bool], then the state's fingerprint, for a [create] and a
+   [for_thread] stream; and the state after one [jump]. Recorded from
+   the boxed-record generator, so a change of state layout must
+   reproduce them exactly. *)
+let fold_draws draw =
+  let acc = ref 0 in
+  for _ = 1 to 10_000 do
+    acc := (!acc * 31) + draw ()
+  done;
+  !acc
+
+let golden_stream name t ~ints ~bits30 ~bools ~fingerprint =
+  List.iter2
+    (fun bound want ->
+      check_int
+        (Printf.sprintf "%s: int %d" name bound)
+        want
+        (fold_draws (fun () -> Prng.int t bound)))
+    [ 1; 7; 1 lsl 20; 1 lsl 60 ]
+    ints;
+  check_int (name ^ ": bits30") bits30
+    (fold_draws (fun () -> Prng.Xoshiro256.bits30 t));
+  check_int (name ^ ": bool") bools
+    (fold_draws (fun () -> Bool.to_int (Prng.bool t)));
+  check_int (name ^ ": fingerprint") fingerprint (Prng.fingerprint t)
+
+let golden_streams () =
+  golden_stream "create 42" (Prng.create 42L)
+    ~ints:[ 0; -4078747932243931889; 1982826576933021034; 3752151106804579587 ]
+    ~bits30:(-1014266561141818549) ~bools:(-519379448213633448)
+    ~fingerprint:537843508370778541;
+  golden_stream "for_thread 7 3"
+    (Prng.for_thread ~seed:7L ~id:3)
+    ~ints:
+      [ 0; -4311952896134730705; 29497936406328912; -3418872592699725139 ]
+    ~bits30:4286362673613667047 ~bools:(-2277857279157868280)
+    ~fingerprint:1880586362113445168
+
+let golden_jump () =
+  let t = Prng.Xoshiro256.of_state 1L 2L 3L 4L in
+  Prng.Xoshiro256.jump t;
+  check_int "fingerprint" 2486196360376529746 (Prng.fingerprint t);
+  List.iter
+    (fun want -> Alcotest.(check int64) "output" want (Prng.Xoshiro256.next t))
+    [
+      0xBBD2F312298443D8L; 0x62E57DB2D5706577L; 0x34D1890374A6D72BL;
+      0xA0425028CA8B66A0L;
+    ]
+
+(* Every call site that draws an [int] or a [bool] (leaf probes, keys,
+   operation choices) runs allocation-free: the state is never boxed. *)
+let draws_allocate_nothing () =
+  let t = Prng.create 1L in
+  let acc = ref 0 in
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 100_000 do
+      acc := !acc + f ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  Alcotest.(check (float 0.)) "int" 0. (words (fun () -> Prng.int t 1000));
+  Alcotest.(check (float 0.))
+    "int_in" 0.
+    (words (fun () -> Prng.int_in t ~lo:(-5) ~hi:5));
+  Alcotest.(check (float 0.))
+    "bits30" 0.
+    (words (fun () -> Prng.Xoshiro256.bits30 t));
+  Alcotest.(check (float 0.))
+    "bool" 0.
+    (words (fun () -> Bool.to_int (Prng.bool t)));
+  check "draws consumed" true (!acc <> 0)
+
 let () =
   Alcotest.run "prng"
     [
@@ -166,6 +241,10 @@ let () =
           Alcotest.test_case "thread streams differ" `Quick
             thread_streams_differ;
           Alcotest.test_case "jump disjoint" `Quick jump_disjoint;
+          Alcotest.test_case "golden streams" `Quick golden_streams;
+          Alcotest.test_case "golden jump" `Quick golden_jump;
+          Alcotest.test_case "a draw allocates nothing" `Quick
+            draws_allocate_nothing;
           Alcotest.test_case "shuffle permutation" `Quick
             shuffle_is_permutation;
         ] );
