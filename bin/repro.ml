@@ -207,9 +207,9 @@ let run_overload scenario threads trials warmup quick out =
       in
       let tag = "overload_" ^ Harness.Real_exp.scenario_name scenario in
       let doc =
-        Harness.Bench_json.of_panel ~panel:tag ~seed ~warmup
+        Harness.Bench_json.(panel_codec.enc (of_panel ~panel:tag ~seed ~warmup
           ~measured_trials:trials ~ops_per_thread:ops ~init_size:capacity
-          series
+          series))
       in
       (match Harness.Bench_json.validate doc with
       | Ok () -> ()
@@ -286,19 +286,27 @@ let run_rank threads trials warmup quick out =
   let thread_counts = sweep_thread_counts ~quick ~max_t in
   (* The exact LF mound doubles as calibration: its measured mean rank
      error bounds the noise added by the timestamp approximation. *)
-  let results =
-    List.map
-      (fun maker ->
-        Harness.Rank_exp.run_rank_series ~seed ~warmup ~trials ~thread_counts
-          ~ops_per_thread:ops maker)
-      [
-        Harness.Pq.On_real.mound_lf;
-        Harness.Pq.On_real.multiqueue ~domains:max_t ();
-      ]
+  let series, rows =
+    List.split
+      (List.map
+         (fun maker ->
+           Harness.Rank_exp.run_rank_series ~seed ~warmup ~trials
+             ~thread_counts ~ops_per_thread:ops maker)
+         [
+           Harness.Pq.On_real.mound_lf;
+           Harness.Pq.On_real.multiqueue ~domains:max_t ();
+         ])
   in
+  let rows = List.concat rows in
   let doc =
-    Harness.Rank_exp.to_bench_json ~seed ~warmup ~trials ~ops_per_thread:ops
-      results
+    Harness.Bench_json.(
+      panel_codec.enc
+        {
+          (of_panel ~panel:"rankerror" ~seed ~warmup ~measured_trials:trials
+             ~ops_per_thread:ops ~init_size:0 series)
+          with
+          rank = Some rows;
+        })
   in
   (match Harness.Bench_json.validate doc with
   | Ok () -> ()
@@ -309,14 +317,11 @@ let run_rank threads trials warmup quick out =
   Format.fprintf ppf "%-18s %7s %12s %12s %10s %10s %10s@." "structure"
     "threads" "mean rank" "max rank" "extracted" "empty" "unmatched";
   List.iter
-    (fun ((s : Harness.Rank_exp.series), _) ->
-      List.iter
-        (fun (c : Harness.Rank_exp.cell) ->
-          Format.fprintf ppf "%-18s %7d %12.3f %12d %10d %10d %10d@."
-            s.structure c.threads c.stats.mean_error c.stats.max_error
-            c.stats.extractions c.stats.empty_returns c.stats.unmatched)
-        s.cells)
-    results;
+    (fun ({ structure; threads; stats = s } : Harness.Rank_exp.row) ->
+      Format.fprintf ppf "%-18s %7d %12.3f %12d %10d %10d %10d@." structure
+        threads s.mean_error s.max_error s.extractions s.empty_returns
+        s.unmatched)
+    rows;
   Format.pp_print_flush ppf ()
 
 let rank_cmd =
@@ -773,12 +778,11 @@ let run_lint list_rules rule json roots =
     | Some r -> List.filter (fun f -> f.Analysis.rule = r) findings
   in
   if json then begin
-    let doc = Harness.Lint_json.doc ~roots ~rule findings in
+    let doc = Harness.Lint_json.(codec.enc (doc ~roots ~rule findings)) in
     (match Harness.Lint_json.validate doc with
     | Ok () -> ()
     | Error e -> failwith (Printf.sprintf "mound-lint document invalid: %s" e));
-    print_string (Harness.Bench_json.to_string doc);
-    print_newline ()
+    print_string (Harness.Bench_json.to_string doc)
   end
   else begin
     List.iter
@@ -897,8 +901,11 @@ let run_mutate list_ops op file json out =
       Format.pp_print_flush ppf ();
       failwith "pristine tree not clean; fix the findings above first"
   in
-  let escalations = Harness.Mutation_exp.escalate matrix in
-  let doc = Harness.Mutation_json.doc matrix escalations in
+  let rows = Harness.Mutation_exp.escalate matrix in
+  let d =
+    Harness.Mutation_json.doc ~files:matrix.k_files ~rules:matrix.k_rules rows
+  in
+  let doc = Harness.Mutation_json.codec.enc d in
   (match Harness.Mutation_json.validate doc with
   | Ok () -> ()
   | Error e -> failwith (Printf.sprintf "mound-mutation document invalid: %s" e));
@@ -907,34 +914,26 @@ let run_mutate list_ops op file json out =
       Harness.Bench_json.write_file path (Harness.Bench_json.to_string doc);
       Format.fprintf ppf "[mutate] matrix -> %s@." path
   | None -> ());
-  if json then begin
-    print_string (Harness.Bench_json.to_string doc);
-    print_newline ()
-  end
+  if json then print_string (Harness.Bench_json.to_string doc)
   else begin
     Format.fprintf ppf "%-40s %-12s %s@." "mutant" "status" "killed by";
     List.iter
-      (fun (e : Harness.Mutation_exp.escalation) ->
-        Format.fprintf ppf "%-40s %-12s %s@." e.e_id e.e_status e.e_detail)
-      escalations;
-    let killed = List.length (Analysis.Killmatrix.killed matrix) in
-    let total = List.length matrix.k_rows in
-    Format.fprintf ppf "@.kill rate: %d/%d (%.1f%%)@." killed total
-      (if total = 0 then 0. else 100. *. float_of_int killed /. float_of_int total);
+      (fun (r : Harness.Mutation_exp.row) ->
+        Format.fprintf ppf "%-40s %-12s %s@." r.id r.status r.detail)
+      rows;
+    Format.fprintf ppf "@.kill rate: %d/%d (%.1f%%)@." d.killed d.count
+      (100. *. d.kill_rate);
     Format.fprintf ppf "rule kills:@.";
     List.iter
       (fun (rule, n) -> Format.fprintf ppf "  %-22s %d@." rule n)
-      (Analysis.Killmatrix.rule_kills matrix);
+      d.rule_kills;
     let gaps =
-      List.filter (fun (e : Harness.Mutation_exp.escalation) ->
-          e.e_status = "gap")
-        escalations
+      List.filter (fun (r : Harness.Mutation_exp.row) -> r.status = "gap") rows
     in
     if gaps <> [] then begin
       Format.fprintf ppf "@.%d soundness gap(s):@." (List.length gaps);
       List.iter
-        (fun (e : Harness.Mutation_exp.escalation) ->
-          Format.fprintf ppf "  %s@." e.e_id)
+        (fun (r : Harness.Mutation_exp.row) -> Format.fprintf ppf "  %s@." r.id)
         gaps
     end;
     Format.pp_print_flush ppf ()

@@ -69,43 +69,6 @@ let run ~(scan : scanner) ~(context : (string * string) list)
         ms;
   }
 
-let killed (t : t) = List.filter (fun r -> r.r_killed_by <> []) t.k_rows
-let survivors (t : t) = List.filter (fun r -> r.r_killed_by = []) t.k_rows
-
-let kill_rate (t : t) =
-  if t.k_rows = [] then 0.
-  else
-    float_of_int (List.length (killed t))
-    /. float_of_int (List.length t.k_rows)
-
-(** Kills per rule over the whole matrix, every universe rule present
-    (possibly at zero) so a silent rule is visible, extra rules the
-    mutants tripped appended after. *)
-let rule_kills (t : t) : (string * int) list =
-  let tally = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun rule ->
-          Hashtbl.replace tally rule
-            (1 + Option.value (Hashtbl.find_opt tally rule) ~default:0))
-        r.r_killed_by)
-    t.k_rows;
-  let in_universe =
-    List.map
-      (fun rule ->
-        (rule, Option.value (Hashtbl.find_opt tally rule) ~default:0))
-      t.k_rules
-  in
-  let extra =
-    Hashtbl.fold
-      (fun rule n acc ->
-        if List.mem rule t.k_rules then acc else (rule, n) :: acc)
-      tally []
-    |> List.sort compare
-  in
-  in_universe @ extra
-
 (** The dynamic twin the catalog maps this operator to, if any. *)
 let twin_of_op op =
   match Mutate.find_op op with Some o -> o.Mutate.op_twin | None -> None

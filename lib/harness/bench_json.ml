@@ -1,10 +1,15 @@
-(** Machine-readable benchmark artifacts ([BENCH_<panel>.json]).
+(** Machine-readable artifacts: the JSON kit every artifact schema
+    shares, and the benchmark schema ([BENCH_<panel>.json]).
 
-    One self-contained module: a tiny JSON value type, an emitter that
-    serializes a {!Real_exp} panel run, a minimal recursive-descent
-    parser (enough for artifacts this module itself wrote), and a schema
-    validator. No third-party JSON dependency — the artifact format is
-    small and fully under our control.
+    One self-contained module: a tiny JSON value type, a printer, a
+    minimal recursive-descent parser (enough for artifacts this
+    repository writes) and {!Codec}, a two-way codec in which one
+    description of a record yields both its encoder and its decoder.
+    Each schema is one such description — mound-bench/1 here,
+    mound-lint/1 in {!Lint_json}, mound-mutation/1 in {!Mutation_json}
+    — and its validator decodes, then checks what the types cannot
+    say. No third-party JSON dependency: the formats are small and
+    fully under our control.
 
     Schema ["mound-bench/1"]: the top-level object carries the panel
     name, run configuration (seed / warmup / measured trials /
@@ -13,7 +18,8 @@
     (median / min / max / stddev throughput), the raw measured [trials]
     (per-trial seconds, ops, throughput, start skew and per-thread
     timing points), and the structure's dynamic op [counters] when it
-    keeps them. *)
+    keeps them. A rank-error sweep adds a [rank] section: one
+    {!Rank_exp.row} per (structure, threads) cell. *)
 
 type json =
   | Null
@@ -22,8 +28,6 @@ type json =
   | Str of string
   | Arr of json list
   | Obj of (string * json) list
-
-let schema_version = "mound-bench/1"
 
 (* ------------------------------------------------------------------ *)
 (* Emission                                                            *)
@@ -91,82 +95,6 @@ let to_string (j : json) =
   go 0 j;
   Buffer.add_char b '\n';
   Buffer.contents b
-
-let of_counters (o : Mound.Stats.Ops.t) =
-  Obj
-    [
-      ("insert_retries", Num (float_of_int o.insert_retries));
-      ("insert_backoffs", Num (float_of_int o.insert_backoffs));
-      ("root_fallbacks", Num (float_of_int o.root_fallbacks));
-      ("extract_retries", Num (float_of_int o.extract_retries));
-      ("helps", Num (float_of_int o.helps));
-      ("lock_spins", Num (float_of_int o.lock_spins));
-      ("livelock_near_misses", Num (float_of_int o.livelock_near_misses));
-      ("deadline_timeouts", Num (float_of_int o.deadline_timeouts));
-      ("rejected", Num (float_of_int o.rejected));
-      ("shed", Num (float_of_int o.shed));
-      ("lock_recoveries", Num (float_of_int o.lock_recoveries));
-    ]
-
-let of_trial (t : Real_exp.trial) =
-  Obj
-    [
-      ("seconds", Num t.seconds);
-      ("ops", Num (float_of_int t.ops));
-      ("throughput", Num t.throughput);
-      ("skew_s", Num t.skew_s);
-      ( "threads",
-        Arr
-          (List.map
-             (fun (p : Real_exp.thread_point) ->
-               Obj
-                 [
-                   ("tid", Num (float_of_int p.tid));
-                   ("start_s", Num p.start_s);
-                   ("stop_s", Num p.stop_s);
-                   ("ops", Num (float_of_int p.ops));
-                 ])
-             t.thread_points) );
-    ]
-
-let of_cell (c : Real_exp.cell) =
-  Obj
-    [
-      ("threads", Num (float_of_int c.threads));
-      ( "summary",
-        Obj
-          [
-            ("median", Num c.summary.median);
-            ("min", Num c.summary.tp_min);
-            ("max", Num c.summary.tp_max);
-            ("stddev", Num c.summary.stddev);
-          ] );
-      ("trials", Arr (List.map of_trial c.trials));
-      ( "counters",
-        match c.counters with None -> Null | Some o -> of_counters o );
-    ]
-
-let of_series (s : Real_exp.series) =
-  Obj
-    [
-      ("structure", Str s.structure);
-      ("cells", Arr (List.map of_cell s.cells));
-    ]
-
-(** Serialize one panel run into a schema-["mound-bench/1"] document. *)
-let of_panel ~panel ~seed ~warmup ~measured_trials ~ops_per_thread ~init_size
-    (series : Real_exp.series list) =
-  Obj
-    [
-      ("schema", Str schema_version);
-      ("panel", Str panel);
-      ("seed", Num (Int64.to_float seed));
-      ("warmup", Num (float_of_int warmup));
-      ("measured_trials", Num (float_of_int measured_trials));
-      ("ops_per_thread", Num (float_of_int ops_per_thread));
-      ("init_size", Num (float_of_int init_size));
-      ("series", Arr (List.map of_series series));
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
@@ -329,174 +257,9 @@ let parse (s : string) : json =
   if !pos <> n then fail "trailing garbage";
   v
 
-(* ------------------------------------------------------------------ *)
-(* Access + validation                                                 *)
-(* ------------------------------------------------------------------ *)
-
 let member k = function
   | Obj kvs -> List.assoc_opt k kvs
   | _ -> None
-
-let num_exn = function Num f -> f | _ -> raise (Malformed "expected number")
-let str_exn = function Str s -> s | _ -> raise (Malformed "expected string")
-let arr_exn = function Arr l -> l | _ -> raise (Malformed "expected array")
-
-let member_exn k o =
-  match member k o with
-  | Some v -> v
-  | None -> raise (Malformed (Printf.sprintf "missing %S" k))
-
-(** An integral number; [what] names the field in the error. *)
-let int_exn what j =
-  let f = num_exn j in
-  if Float.of_int (int_of_float f) <> f then
-    raise (Malformed ("non-integral " ^ what));
-  int_of_float f
-
-let str_list_exn what = function
-  | Arr xs -> List.map str_exn xs
-  | _ -> raise (Malformed (what ^ " must be an array of strings"))
-
-(** A non-empty array of strings under key [k], as a check. *)
-let expect_strings k j =
-  if str_list_exn k (member_exn k j) = [] then
-    Error (k ^ " must be a non-empty array of strings")
-  else Ok ()
-
-(** The document carries schema tag [want]. *)
-let expect_schema want j =
-  match member "schema" j with
-  | Some (Str s) when s = want -> Ok ()
-  | Some (Str s) -> Error (Printf.sprintf "schema %S, want %S" s want)
-  | _ -> Error "missing schema tag"
-
-(** The redundant tally under key [k] equals [n], the number of [what]
-    the document actually holds. *)
-let expect_count k n ~what j =
-  match member k j with
-  | Some (Num c) when int_of_float c = n -> Ok ()
-  | Some (Num c) ->
-      Error
-        (Printf.sprintf "%s %d does not match %d %s" k (int_of_float c) n what)
-  | _ -> Error ("missing " ^ k)
-
-(** Schema check. Returns [Error reason] on the first violation:
-    wrong/missing schema tag, missing configuration keys, empty series,
-    cells with fewer measured trials than declared (or fewer than 3),
-    or summaries violating [min <= median <= max]. *)
-let validate (j : json) : (unit, string) result =
-  let ( let* ) = Result.bind in
-  let req obj k =
-    match member k obj with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing key %S" k)
-  in
-  let num obj k =
-    let* v = req obj k in
-    match v with
-    | Num f -> Ok f
-    | _ -> Error (Printf.sprintf "key %S is not a number" k)
-  in
-  try
-    let* schema = req j "schema" in
-    if schema <> Str schema_version then
-      Error (Printf.sprintf "schema tag is not %S" schema_version)
-    else
-      let* _panel = req j "panel" in
-      let* _seed = num j "seed" in
-      let* _warmup = num j "warmup" in
-      let* measured = num j "measured_trials" in
-      let* _opt = num j "ops_per_thread" in
-      let* _init = num j "init_size" in
-      let* series = req j "series" in
-      let series = arr_exn series in
-      if series = [] then Error "empty series"
-      else
-        List.fold_left
-          (fun acc s ->
-            let* () = acc in
-            let* _name = req s "structure" in
-            let* cells = req s "cells" in
-            let cells = arr_exn cells in
-            if cells = [] then Error "series with no cells"
-            else
-              List.fold_left
-                (fun acc c ->
-                  let* () = acc in
-                  let* _threads = num c "threads" in
-                  let* summary = req c "summary" in
-                  let* median = num summary "median" in
-                  let* mn = num summary "min" in
-                  let* mx = num summary "max" in
-                  let* _sd = num summary "stddev" in
-                  let* trials = req c "trials" in
-                  let trials = arr_exn trials in
-                  if List.length trials < int_of_float measured then
-                    Error "cell has fewer trials than measured_trials"
-                  else if List.length trials < 3 then
-                    Error "cell has fewer than 3 measured trials"
-                  else if not (mn <= median && median <= mx) then
-                    Error "summary violates min <= median <= max"
-                  else
-                    List.fold_left
-                      (fun acc t ->
-                        let* () = acc in
-                        let* seconds = num t "seconds" in
-                        let* _ops = num t "ops" in
-                        let* tp = num t "throughput" in
-                        if seconds <= 0. then Error "non-positive trial time"
-                        else if tp < 0. then Error "negative throughput"
-                        else Ok ())
-                      (Ok ()) trials)
-                (Ok ()) cells)
-          (Ok ()) series
-  with Malformed m -> Error m
-
-(** [median_of j ~structure ~threads] — the summary median throughput of
-    one cell, if present. *)
-let median_of (j : json) ~structure ~threads =
-  match member "series" j with
-  | Some (Arr series) ->
-      List.find_map
-        (fun s ->
-          if member "structure" s = Some (Str structure) then
-            match member "cells" s with
-            | Some (Arr cells) ->
-                List.find_map
-                  (fun c ->
-                    if member "threads" c = Some (Num (float_of_int threads))
-                    then Option.map num_exn (member "median" (
-                        match member "summary" c with Some o -> o | None -> Null))
-                    else None)
-                  cells
-            | _ -> None
-          else None)
-        series
-  | _ -> None
-
-(** [thread_counts_of j ~structure] — the thread counts of the
-    structure's cells, in document order. Regression guards key on the
-    counts present in {e both} documents under comparison, so a sweep
-    recorded on a wider machine (4/8-thread panels) still compares
-    cleanly against one recorded on a narrow one. *)
-let thread_counts_of (j : json) ~structure =
-  match member "series" j with
-  | Some (Arr series) ->
-      List.concat_map
-        (fun s ->
-          if member "structure" s = Some (Str structure) then
-            match member "cells" s with
-            | Some (Arr cells) ->
-                List.filter_map
-                  (fun c ->
-                    match member "threads" c with
-                    | Some (Num t) -> Some (int_of_float t)
-                    | _ -> None)
-                  cells
-            | _ -> []
-          else [])
-        series
-  | _ -> []
 
 let read_file path =
   let ic = open_in_bin path in
@@ -511,3 +274,349 @@ let write_file path contents =
     (fun () -> output_string oc contents)
 
 let load path = parse (read_file path)
+
+(* ------------------------------------------------------------------ *)
+(* Two-way codec                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(** A value described once: its encoder and decoder both come from the
+    description, so each key of a schema is written in one place. A
+    decoder raises {!Malformed} naming the path of the field at fault. *)
+module Codec = struct
+  type 'a t = { enc : 'a -> json; dec : json -> 'a; omit_null : bool }
+
+  let fail fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
+  let leaf enc dec = { enc; dec; omit_null = false }
+
+  let int =
+    leaf
+      (fun n -> Num (float_of_int n))
+      (function
+        | Num f when Float.of_int (int_of_float f) = f -> int_of_float f
+        | _ -> fail "expected an integer")
+
+  let float =
+    leaf (fun f -> Num f) (function Num f -> f | _ -> fail "expected a number")
+
+  let string =
+    leaf (fun s -> Str s) (function Str s -> s | _ -> fail "expected a string")
+
+  let list c =
+    leaf
+      (fun xs -> Arr (List.map c.enc xs))
+      (function Arr xs -> List.map c.dec xs | _ -> fail "expected an array")
+
+  (** [None] is [null]. *)
+  let nullable c =
+    leaf
+      (function None -> Null | Some x -> c.enc x)
+      (function Null -> None | j -> Some (c.dec j))
+
+  (** As an object member, [None] leaves the member out. *)
+  let optional c = { (nullable c) with omit_null = true }
+
+  (** A member: its key, its codec and how to read it off the record. *)
+  type ('r, 'a) field = string * 'a t * ('r -> 'a)
+
+  (** A record's members in key order; ['k] is the type of the function
+      that builds the record from their values. *)
+  type ('r, 'k) fields =
+    | [] : ('r, 'r) fields
+    | ( :: ) : ('r, 'a) field * ('r, 'k) fields -> ('r, 'a -> 'k) fields
+
+  let rec members : type r k. (r, k) fields -> r -> (string * json) list =
+   fun fs r ->
+    match fs with
+    | [] -> []
+    | (key, c, get) :: fs ->
+        let j = c.enc (get r) in
+        if c.omit_null && j = Null then members fs r
+        else (key, j) :: members fs r
+
+  let rec build : type r k. (r, k) fields -> k -> (string * json) list -> r =
+   fun fs make kvs ->
+    match fs with
+    | [] -> make
+    | (key, c, _) :: fs ->
+        let v =
+          match List.assoc_opt key kvs with
+          | None when c.omit_null -> c.dec Null
+          | None -> fail "missing %S" key
+          | Some j -> ( try c.dec j with Malformed m -> fail "%s: %s" key m)
+        in
+        build fs (make v) kvs
+
+  (** [obj make fields]: a record as an object with [fields] as its
+      members; decoding hands their values to [make], in order. *)
+  let obj make fields =
+    leaf
+      (fun r -> Obj (members fields r))
+      (function
+        | Obj kvs -> build fields make kvs | _ -> fail "expected an object")
+
+  let decode c j = try Ok (c.dec j) with Malformed m -> Error m
+end
+
+(** The first violated check: each pair is a condition a document must
+    meet and the error reported when it does not. *)
+let require checks =
+  match List.find_opt (fun (ok, _) -> not ok) checks with
+  | Some (_, e) -> Error e
+  | None -> Ok ()
+
+(* ------------------------------------------------------------------ *)
+(* Schema mound-bench/1                                                *)
+(* ------------------------------------------------------------------ *)
+
+let schema_version = "mound-bench/1"
+
+type panel = {
+  schema : string;
+  panel : string;
+  seed : int;
+  warmup : int;
+  measured_trials : int;
+  ops_per_thread : int;
+  init_size : int;
+  series : Real_exp.series list;
+  rank : Rank_exp.row list option;  (** a rank-error sweep only *)
+}
+
+let panel_codec =
+  let counters =
+    Codec.(
+      obj
+        (fun insert_retries insert_backoffs root_fallbacks extract_retries helps
+             lock_spins livelock_near_misses deadline_timeouts rejected shed
+             lock_recoveries ->
+          {
+            Mound.Stats.Ops.insert_retries;
+            insert_backoffs;
+            root_fallbacks;
+            extract_retries;
+            helps;
+            lock_spins;
+            livelock_near_misses;
+            deadline_timeouts;
+            rejected;
+            shed;
+            lock_recoveries;
+          })
+        [
+          ("insert_retries", int, fun (o : Mound.Stats.Ops.t) ->
+            o.insert_retries);
+          ("insert_backoffs", int, fun o -> o.insert_backoffs);
+          ("root_fallbacks", int, fun o -> o.root_fallbacks);
+          ("extract_retries", int, fun o -> o.extract_retries);
+          ("helps", int, fun o -> o.helps);
+          ("lock_spins", int, fun o -> o.lock_spins);
+          ("livelock_near_misses", int, fun o -> o.livelock_near_misses);
+          ("deadline_timeouts", int, fun o -> o.deadline_timeouts);
+          ("rejected", int, fun o -> o.rejected);
+          ("shed", int, fun o -> o.shed);
+          ("lock_recoveries", int, fun o -> o.lock_recoveries);
+        ])
+  in
+  let thread_point =
+    Codec.(
+      obj
+        (fun tid start_s stop_s ops -> { Real_exp.tid; start_s; stop_s; ops })
+        [
+          ("tid", int, fun (p : Real_exp.thread_point) -> p.tid);
+          ("start_s", float, fun p -> p.start_s);
+          ("stop_s", float, fun p -> p.stop_s);
+          ("ops", int, fun p -> p.ops);
+        ])
+  in
+  let trial =
+    Codec.(
+      obj
+        (fun seconds ops throughput skew_s thread_points ->
+          { Real_exp.seconds; ops; throughput; skew_s; thread_points })
+        [
+          ("seconds", float, fun (t : Real_exp.trial) -> t.seconds);
+          ("ops", int, fun t -> t.ops);
+          ("throughput", float, fun t -> t.throughput);
+          ("skew_s", float, fun t -> t.skew_s);
+          ("threads", list thread_point, fun t -> t.thread_points);
+        ])
+  in
+  let summary =
+    Codec.(
+      obj
+        (fun median tp_min tp_max stddev ->
+          { Real_exp.median; tp_min; tp_max; stddev })
+        [
+          ("median", float, fun (s : Real_exp.summary) -> s.median);
+          ("min", float, fun s -> s.tp_min);
+          ("max", float, fun s -> s.tp_max);
+          ("stddev", float, fun s -> s.stddev);
+        ])
+  in
+  let cell =
+    Codec.(
+      obj
+        (fun threads summary trials counters ->
+          { Real_exp.threads; summary; trials; counters })
+        [
+          ("threads", int, fun (c : Real_exp.cell) -> c.threads);
+          ("summary", summary, fun c -> c.summary);
+          ("trials", list trial, fun c -> c.trials);
+          ("counters", nullable counters, fun c -> c.counters);
+        ])
+  in
+  let series =
+    Codec.(
+      obj
+        (fun structure cells -> { Real_exp.structure; cells })
+        [
+          ("structure", string, fun (s : Real_exp.series) -> s.structure);
+          ("cells", list cell, fun s -> s.cells);
+        ])
+  in
+  let rank_row =
+    Codec.(
+      obj
+        (fun structure threads extractions empty_returns unmatched mean_error
+             max_error ->
+          {
+            Rank_exp.structure;
+            threads;
+            stats =
+              { extractions; empty_returns; unmatched; mean_error; max_error };
+          })
+        [
+          ("structure", string, fun (r : Rank_exp.row) -> r.structure);
+          ("threads", int, fun r -> r.threads);
+          ("extractions", int, fun r -> r.stats.extractions);
+          ("empty_returns", int, fun r -> r.stats.empty_returns);
+          ("unmatched", int, fun r -> r.stats.unmatched);
+          ("mean_rank_error", float, fun r -> r.stats.mean_error);
+          ("max_rank_error", int, fun r -> r.stats.max_error);
+        ])
+  in
+  Codec.(
+    obj
+      (fun schema panel seed warmup measured_trials ops_per_thread init_size
+           series rank ->
+        {
+          schema;
+          panel;
+          seed;
+          warmup;
+          measured_trials;
+          ops_per_thread;
+          init_size;
+          series;
+          rank;
+        })
+      [
+        ("schema", string, fun (d : panel) -> d.schema);
+        ("panel", string, fun d -> d.panel);
+        ("seed", int, fun d -> d.seed);
+        ("warmup", int, fun d -> d.warmup);
+        ("measured_trials", int, fun d -> d.measured_trials);
+        ("ops_per_thread", int, fun d -> d.ops_per_thread);
+        ("init_size", int, fun d -> d.init_size);
+        ("series", list series, fun d -> d.series);
+        ("rank", optional (list rank_row), fun d -> d.rank);
+      ])
+
+(** The schema-["mound-bench/1"] document of one panel run. *)
+let of_panel ~panel ~seed ~warmup ~measured_trials ~ops_per_thread ~init_size
+    series =
+  {
+    schema = schema_version;
+    panel;
+    seed = Int64.to_int seed;
+    warmup;
+    measured_trials;
+    ops_per_thread;
+    init_size;
+    series;
+    rank = None;
+  }
+
+(** Decode, then check: the schema tag, a non-empty series of non-empty
+    cells, at least 3 and at least [measured_trials] trials per cell,
+    [min <= median <= max], positive trial times and non-negative
+    throughputs; and in a rank section, non-negative counts,
+    [mean_rank_error <= max_rank_error] and one row per (structure,
+    threads) cell. *)
+let validate (j : json) : (unit, string) result =
+  let ( let* ) = Result.bind in
+  let* d = Codec.decode panel_codec j in
+  let cells =
+    List.concat_map
+      (fun (s : Real_exp.series) ->
+        List.map (fun (c : Real_exp.cell) -> (s.structure, c)) s.cells)
+      d.series
+  in
+  let all_cells p = List.for_all (fun (_, c) -> p c) cells in
+  let all_trials p =
+    all_cells (fun (c : Real_exp.cell) -> List.for_all p c.trials)
+  in
+  let* () =
+    require
+      [
+        ( d.schema = schema_version,
+          Printf.sprintf "schema tag is not %S" schema_version );
+        (d.series <> [], "empty series");
+        ( List.for_all (fun (s : Real_exp.series) -> s.cells <> []) d.series,
+          "series with no cells" );
+        ( all_cells (fun c -> List.length c.trials >= d.measured_trials),
+          "cell has fewer trials than measured_trials" );
+        ( all_cells (fun c -> List.length c.trials >= 3),
+          "cell has fewer than 3 measured trials" );
+        ( all_cells (fun { summary = s; _ } ->
+              s.tp_min <= s.median && s.median <= s.tp_max),
+          "summary violates min <= median <= max" );
+        ( all_trials (fun (t : Real_exp.trial) -> t.seconds > 0.),
+          "non-positive trial time" );
+        (all_trials (fun t -> t.throughput >= 0.), "negative throughput");
+      ]
+  in
+  match d.rank with
+  | None -> Ok ()
+  | Some rows ->
+      let all_stats p =
+        List.for_all (fun (r : Rank_exp.row) -> p r.stats) rows
+      in
+      let row_keys =
+        List.map (fun (r : Rank_exp.row) -> (r.structure, r.threads)) rows
+      and cell_keys =
+        List.map (fun (s, (c : Real_exp.cell)) -> (s, c.threads)) cells
+      in
+      require
+        [
+          ( all_stats (fun s ->
+                List.for_all (fun n -> n >= 0)
+                  [ s.extractions; s.empty_returns; s.unmatched; s.max_error ]),
+            "negative rank count" );
+          ( all_stats (fun s -> s.mean_error <= float_of_int s.max_error),
+            "mean_rank_error above max_rank_error" );
+          ( List.sort compare row_keys = List.sort compare cell_keys,
+            "rank rows do not match the cells one to one" );
+        ]
+
+let cells_of (d : panel) ~structure =
+  List.concat_map
+    (fun (s : Real_exp.series) ->
+      if s.structure = structure then s.cells else [])
+    d.series
+
+(** [median_of d ~structure ~threads] — the summary median throughput of
+    one cell, if present. *)
+let median_of d ~structure ~threads =
+  List.find_map
+    (fun (c : Real_exp.cell) ->
+      if c.threads = threads then Some c.summary.median else None)
+    (cells_of d ~structure)
+
+(** [thread_counts_of d ~structure] — the thread counts of the
+    structure's cells, in document order. Regression guards key on the
+    counts present in {e both} documents under comparison, so a sweep
+    recorded on a wider machine (4/8-thread panels) still compares
+    cleanly against one recorded on a narrow one. *)
+let thread_counts_of d ~structure =
+  List.map (fun (c : Real_exp.cell) -> c.threads) (cells_of d ~structure)

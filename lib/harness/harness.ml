@@ -11,6 +11,10 @@
     - {!Sim_exp}: simulator throughput cells behind {!Fig2};
     - {!Real_exp}: timed real-domain trials (barrier start, per-domain
       stamps) behind [repro overload] and {!Rank_exp};
+    - {!Bench_json}: the JSON kit and its two-way {!Bench_json.Codec},
+      in which each artifact schema is one description that yields its
+      printer, decoder and validator; mound-bench/1 (the overload and
+      rank-error panels) is described there;
     - {!Pq}: uniform handles over every priority-queue implementation;
     - {!Workload}: panel and key-order definitions;
     - {!Barrier}: start-line synchronization for real-domain runs;
@@ -28,12 +32,13 @@
       test tier;
     - {!Watchdog}: wall-clock join watchdog turning a wedged real-domain
       test into a loud fast failure instead of a CI hang;
-    - {!Lint_json}: the mound-lint/1 emitter/validator behind
+    - {!Lint_json}: the mound-lint/1 description behind
       [repro lint --json];
     - {!Mutation_exp}: dynamic escalation twins for kill-matrix
-      survivors — behind [repro mutate] and the mutation test tier;
-    - {!Mutation_json}: the mound-mutation/1 emitter/validator behind
-      [repro mutate --json]. *)
+      survivors, triaging each mutant into one matrix row — behind
+      [repro mutate] and the mutation test tier;
+    - {!Mutation_json}: the mound-mutation/1 description of those rows
+      and their tallies, behind [repro mutate --json]. *)
 
 module Barrier = Barrier
 module Pq = Pq

@@ -1,10 +1,10 @@
 (** Machine-readable lint reports — schema [mound-lint/1].
 
-    One JSON document per [repro lint --json] run, built on
-    {!Bench_json}'s emitter/parser (same no-dependency JSON kit as the
-    bench artifacts, same self-validation discipline: the emitter
-    validates what it is about to print, and the tests parse the
-    emitted string back through {!Bench_json.parse} and re-validate).
+    One JSON document per [repro lint --json] run, described once with
+    {!Bench_json.Codec} (same no-dependency JSON kit as the bench
+    artifacts, same self-validation discipline: the emitter validates
+    what it is about to print, and the tests parse the emitted string
+    back through {!Bench_json.parse} and re-validate).
 
     Shape:
 
@@ -24,59 +24,60 @@ open Bench_json
 
 let schema_version = "mound-lint/1"
 
-let doc ~roots ~rule (findings : Analysis.finding list) : json =
-  Obj
-    [
-      ("schema", Str schema_version);
-      ("roots", Arr (List.map (fun r -> Str r) roots));
-      ("rule", match rule with None -> Null | Some r -> Str r);
-      ("count", Num (float_of_int (List.length findings)));
-      ( "findings",
-        Arr
-          (List.map
-             (fun (f : Analysis.finding) ->
-               Obj
-                 [
-                   ("file", Str f.file);
-                   ("line", Num (float_of_int f.line));
-                   ("rule", Str f.rule);
-                   ("msg", Str f.msg);
-                 ])
-             findings) );
-    ]
+type doc = {
+  schema : string;
+  roots : string list;
+  rule : string option;  (** the [--rule] filter, if any *)
+  count : int;
+  findings : Analysis.finding list;
+}
 
-(** Decode the findings array; raises {!Bench_json.Malformed} on shape
-    errors (missing member, wrong type, non-integral line). *)
-let findings_of (j : json) : Analysis.finding list =
-  match member "findings" j with
-  | Some (Arr fs) ->
-      List.map
-        (fun f ->
-          {
-            Analysis.file = str_exn (member_exn "file" f);
-            line = int_exn "line" (member_exn "line" f);
-            rule = str_exn (member_exn "rule" f);
-            msg = str_exn (member_exn "msg" f);
-          })
-        fs
-  | Some _ -> raise (Malformed "findings must be an array")
-  | None -> raise (Malformed "missing \"findings\"")
+let codec =
+  let finding =
+    Codec.(
+      obj
+        (fun file line rule msg -> { Analysis.file; line; rule; msg })
+        [
+          ("file", string, fun (f : Analysis.finding) -> f.file);
+          ("line", int, fun f -> f.line);
+          ("rule", string, fun f -> f.rule);
+          ("msg", string, fun f -> f.msg);
+        ])
+  in
+  Codec.(
+    obj
+      (fun schema roots rule count findings ->
+        { schema; roots; rule; count; findings })
+      [
+        ("schema", string, fun (d : doc) -> d.schema);
+        ("roots", list string, fun d -> d.roots);
+        ("rule", nullable string, fun d -> d.rule);
+        ("count", int, fun d -> d.count);
+        ("findings", list finding, fun d -> d.findings);
+      ])
 
+let doc ~roots ~rule findings =
+  let count = List.length findings in
+  { schema = schema_version; roots; rule; count; findings }
+
+(** Decode, then check: the schema tag, non-empty roots, lines from 1,
+    [count] against the findings, and each finding's rule registered
+    and equal to the document's [rule] filter when it names one. *)
 let validate (j : json) : (unit, string) result =
   let ( let* ) = Result.bind in
-  try
-    let* () = expect_schema schema_version j in
-    let* () = expect_strings "roots" j in
-    let* () =
-      match member "rule" j with
-      | Some Null | Some (Str _) -> Ok ()
-      | _ -> Error "rule must be null or a string"
-    in
-    let fs = findings_of j in
-    let* () =
-      if List.exists (fun (f : Analysis.finding) -> f.line < 1) fs then
-        Error "line must be >= 1"
-      else Ok ()
-    in
-    expect_count "count" (List.length fs) ~what:"findings" j
-  with Malformed m -> Error m
+  let* d = Codec.decode codec j in
+  let n = List.length d.findings in
+  let all p = List.for_all p d.findings in
+  require
+    [
+      ( d.schema = schema_version,
+        Printf.sprintf "schema %S, want %S" d.schema schema_version );
+      (d.roots <> [], "roots must be a non-empty array of strings");
+      (all (fun f -> f.line >= 1), "line must be >= 1");
+      ( d.count = n,
+        Printf.sprintf "count %d does not match %d findings" d.count n );
+      ( all (fun f -> List.mem_assoc f.rule Analysis.rule_table),
+        "finding of an unregistered rule" );
+      ( all (fun f -> Option.fold ~none:true ~some:(( = ) f.rule) d.rule),
+        "finding outside the rule filter" );
+    ]

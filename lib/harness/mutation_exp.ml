@@ -147,15 +147,22 @@ let run_twin name : verdict option =
         }
   | _ -> None
 
-type escalation = {
-  e_id : string;  (** mutant id *)
-  e_status : string;  (** killed | escalated | benign | gap *)
-  e_twin : string option;
-  e_detail : string;
+(** One row of the escalated kill matrix: the mutant, the defect rules
+    that killed it, and its triage. *)
+type row = {
+  id : string;
+  op : string;
+  file : string;
+  line : int;
+  note : string;
+  status : string;  (** killed | escalated | benign | gap *)
+  killed_by : string list;
+  twin : string option;  (** the operator's dynamic twin, if it maps one *)
+  detail : string;  (** the killing rules, or the twin's verdict *)
 }
 
 (** Triage every matrix row, running each distinct twin once. *)
-let escalate (k : Analysis.Killmatrix.t) : escalation list =
+let escalate (k : Analysis.Killmatrix.t) : row list =
   let memo = Hashtbl.create 4 in
   let twin_verdict name =
     match Hashtbl.find_opt memo name with
@@ -167,43 +174,28 @@ let escalate (k : Analysis.Killmatrix.t) : escalation list =
   in
   List.map
     (fun (r : Analysis.Killmatrix.row) ->
-      let id = r.r_mutant.Analysis.Mutate.m_id in
-      match Analysis.Killmatrix.triage r with
-      | `Killed rules ->
-          {
-            e_id = id;
-            e_status = "killed";
-            e_twin = None;
-            e_detail = String.concat "," rules;
-          }
-      | `Escalate twin -> (
-          match twin_verdict twin with
-          | Some v when v.defect ->
-              {
-                e_id = id;
-                e_status = "escalated";
-                e_twin = Some twin;
-                e_detail = v.detail;
-              }
-          | Some v ->
-              {
-                e_id = id;
-                e_status = "benign";
-                e_twin = Some twin;
-                e_detail = v.detail;
-              }
-          | None ->
-              {
-                e_id = id;
-                e_status = "gap";
-                e_twin = Some twin;
-                e_detail = "twin not implemented";
-              })
-      | `Gap ->
-          {
-            e_id = id;
-            e_status = "gap";
-            e_twin = None;
-            e_detail = "no static kill and no mapped dynamic twin";
-          })
+      let status, twin, detail =
+        match Analysis.Killmatrix.triage r with
+        | `Killed rules -> ("killed", None, String.concat "," rules)
+        | `Escalate twin -> (
+            match twin_verdict twin with
+            | Some v ->
+                ( (if v.defect then "escalated" else "benign"),
+                  Some twin,
+                  v.detail )
+            | None -> ("gap", Some twin, "twin not implemented"))
+        | `Gap -> ("gap", None, "no static kill and no mapped dynamic twin")
+      in
+      let m = r.r_mutant in
+      {
+        id = m.m_id;
+        op = m.m_op;
+        file = m.m_file;
+        line = m.m_line;
+        note = m.m_note;
+        status;
+        killed_by = r.r_killed_by;
+        twin;
+        detail;
+      })
     k.k_rows

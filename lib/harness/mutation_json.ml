@@ -1,6 +1,6 @@
 (** Machine-readable kill-matrix artifacts — schema [mound-mutation/1].
 
-    Built on {!Bench_json}'s emitter/parser like {!Lint_json}, with the
+    Described once with {!Bench_json.Codec} like {!Lint_json}, with the
     same self-validation discipline: the emitter validates what it is
     about to print, and the tests parse the emitted string back and
     re-validate.
@@ -16,8 +16,8 @@
       "count": N, "killed": K, "kill_rate": K/N,
       "rule_kills": [ {"rule": ..., "kills": n} ],
       "mutants": [ {"id": ..., "op": ..., "file": ..., "line": ...,
-                    "note": ..., "status": "killed" | "survived" |
-                    "escalated" | "benign" | "gap",
+                    "note": ..., "status": "killed" | "escalated" |
+                    "benign" | "gap",
                     "killed_by": [...], "twin": null | ...,
                     "detail": ...} ] }
     v}
@@ -31,194 +31,166 @@ open Bench_json
 
 let schema_version = "mound-mutation/1"
 
-let statuses = [ "killed"; "survived"; "escalated"; "benign"; "gap" ]
+let statuses = [ "killed"; "escalated"; "benign"; "gap" ]
 
-(** One mutant row, decoded. *)
-type mrow = {
-  mr_id : string;
-  mr_op : string;
-  mr_file : string;
-  mr_line : int;
-  mr_note : string;
-  mr_status : string;
-  mr_killed_by : string list;
-  mr_twin : string option;
-  mr_detail : string;
+type doc = {
+  schema : string;
+  files : string list;
+  rules : string list;
+  operators : Analysis.Mutate.op list;
+  count : int;
+  killed : int;
+  kill_rate : float;
+  rule_kills : (string * int) list;
+  mutants : Mutation_exp.row list;
 }
 
-let doc (k : Analysis.Killmatrix.t)
-    (escalations : Mutation_exp.escalation list) : json =
-  let status_of (r : Analysis.Killmatrix.row) =
-    let id = r.r_mutant.Analysis.Mutate.m_id in
-    match
-      List.find_opt (fun e -> e.Mutation_exp.e_id = id) escalations
-    with
-    | Some e -> (e.Mutation_exp.e_status, e.e_twin, e.e_detail)
-    | None ->
-        if r.r_killed_by <> [] then
-          ("killed", None, String.concat "," r.r_killed_by)
-        else
-          ( "survived",
-            Analysis.Killmatrix.twin_of_op r.r_mutant.Analysis.Mutate.m_op,
-            "escalation not run" )
+let codec =
+  let operator =
+    Codec.(
+      obj
+        (fun op_name op_descr op_rules op_twin ->
+          { Analysis.Mutate.op_name; op_descr; op_rules; op_twin })
+        [
+          ("name", string, fun (o : Analysis.Mutate.op) -> o.op_name);
+          ("descr", string, fun o -> o.op_descr);
+          ("rules", list string, fun o -> o.op_rules);
+          ("twin", nullable string, fun o -> o.op_twin);
+        ])
   in
-  let killed = List.length (Analysis.Killmatrix.killed k) in
-  let total = List.length k.k_rows in
-  Obj
-    [
-      ("schema", Str schema_version);
-      ("files", Arr (List.map (fun f -> Str f) k.k_files));
-      ("rules", Arr (List.map (fun r -> Str r) k.k_rules));
-      ( "operators",
-        Arr
-          (List.map
-             (fun (o : Analysis.Mutate.op) ->
-               Obj
-                 [
-                   ("name", Str o.op_name);
-                   ("descr", Str o.op_descr);
-                   ("rules", Arr (List.map (fun r -> Str r) o.op_rules));
-                   ( "twin",
-                     match o.op_twin with None -> Null | Some t -> Str t );
-                 ])
-             Analysis.Mutate.catalog) );
-      ("count", Num (float_of_int total));
-      ("killed", Num (float_of_int killed));
-      ( "kill_rate",
-        Num (if total = 0 then 0. else float_of_int killed /. float_of_int total)
-      );
-      ( "rule_kills",
-        Arr
-          (List.map
-             (fun (rule, n) ->
-               Obj [ ("rule", Str rule); ("kills", Num (float_of_int n)) ])
-             (Analysis.Killmatrix.rule_kills k)) );
-      ( "mutants",
-        Arr
-          (List.map
-             (fun (r : Analysis.Killmatrix.row) ->
-               let status, twin, detail = status_of r in
-               let m = r.r_mutant in
-               Obj
-                 [
-                   ("id", Str m.Analysis.Mutate.m_id);
-                   ("op", Str m.m_op);
-                   ("file", Str m.m_file);
-                   ("line", Num (float_of_int m.m_line));
-                   ("note", Str m.m_note);
-                   ("status", Str status);
-                   ( "killed_by",
-                     Arr (List.map (fun x -> Str x) r.r_killed_by) );
-                   ("twin", match twin with None -> Null | Some t -> Str t);
-                   ("detail", Str detail);
-                 ])
-             k.k_rows) );
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Decoding                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(** Decode the mutants array; raises {!Bench_json.Malformed} on shape
-    errors. *)
-let rows_of (j : json) : mrow list =
-  match member "mutants" j with
-  | Some (Arr ms) ->
-      List.map
-        (fun m ->
+  let rule_kill =
+    Codec.(
+      obj
+        (fun rule kills -> (rule, kills))
+        [ ("rule", string, fst); ("kills", int, snd) ])
+  in
+  let row =
+    Codec.(
+      obj
+        (fun id op file line note status killed_by twin detail ->
           {
-            mr_id = str_exn (member_exn "id" m);
-            mr_op = str_exn (member_exn "op" m);
-            mr_file = str_exn (member_exn "file" m);
-            mr_line = int_exn "line" (member_exn "line" m);
-            mr_note = str_exn (member_exn "note" m);
-            mr_status = str_exn (member_exn "status" m);
-            mr_killed_by =
-              str_list_exn "killed_by" (member_exn "killed_by" m);
-            mr_twin =
-              (match member_exn "twin" m with
-              | Null -> None
-              | Str t -> Some t
-              | _ -> raise (Malformed "twin must be null or a string"));
-            mr_detail = str_exn (member_exn "detail" m);
+            Mutation_exp.id;
+            op;
+            file;
+            line;
+            note;
+            status;
+            killed_by;
+            twin;
+            detail;
           })
-        ms
-  | Some _ -> raise (Malformed "mutants must be an array")
-  | None -> raise (Malformed "missing \"mutants\"")
+        [
+          ("id", string, fun (r : Mutation_exp.row) -> r.id);
+          ("op", string, fun r -> r.op);
+          ("file", string, fun r -> r.file);
+          ("line", int, fun r -> r.line);
+          ("note", string, fun r -> r.note);
+          ("status", string, fun r -> r.status);
+          ("killed_by", list string, fun r -> r.killed_by);
+          ("twin", nullable string, fun r -> r.twin);
+          ("detail", string, fun r -> r.detail);
+        ])
+  in
+  Codec.(
+    obj
+      (fun schema files rules operators count killed kill_rate rule_kills
+           mutants ->
+        {
+          schema;
+          files;
+          rules;
+          operators;
+          count;
+          killed;
+          kill_rate;
+          rule_kills;
+          mutants;
+        })
+      [
+        ("schema", string, fun (d : doc) -> d.schema);
+        ("files", list string, fun d -> d.files);
+        ("rules", list string, fun d -> d.rules);
+        ("operators", list operator, fun d -> d.operators);
+        ("count", int, fun d -> d.count);
+        ("killed", int, fun d -> d.killed);
+        ("kill_rate", float, fun d -> d.kill_rate);
+        ("rule_kills", list rule_kill, fun d -> d.rule_kills);
+        ("mutants", list row, fun d -> d.mutants);
+      ])
 
-let rule_kills_of (j : json) : (string * int) list =
-  match member "rule_kills" j with
-  | Some (Arr ks) ->
-      List.map
-        (fun k ->
-          ( str_exn (member_exn "rule" k),
-            int_exn "kills" (member_exn "kills" k) ))
-        ks
-  | Some _ -> raise (Malformed "rule_kills must be an array")
-  | None -> raise (Malformed "missing \"rule_kills\"")
+(** The document of an escalated matrix over [files], judged against the
+    rule universe [rules]. The tallies are computed here, from the rows,
+    and nowhere else: [rule_kills] lists every universe rule (at zero
+    too, so a silent rule shows), then any other rule a mutant tripped. *)
+let doc ~files ~rules (rows : Mutation_exp.row list) =
+  let count = List.length rows in
+  let killed =
+    List.length
+      (List.filter (fun (r : Mutation_exp.row) -> r.killed_by <> []) rows)
+  in
+  let kills rule =
+    List.length
+      (List.filter (fun (r : Mutation_exp.row) -> List.mem rule r.killed_by)
+         rows)
+  in
+  let extra =
+    List.concat_map (fun (r : Mutation_exp.row) -> r.killed_by) rows
+    |> List.filter (fun rule -> not (List.mem rule rules))
+    |> List.sort_uniq compare
+  in
+  {
+    schema = schema_version;
+    files;
+    rules;
+    operators = Analysis.Mutate.catalog;
+    count;
+    killed;
+    kill_rate =
+      (if count = 0 then 0. else float_of_int killed /. float_of_int count);
+    rule_kills = List.map (fun rule -> (rule, kills rule)) (rules @ extra);
+    mutants = rows;
+  }
 
+(** Decode, then check: the schema tag, non-empty files, per mutant a
+    line from 1, a known status and the [killed] status exactly when
+    [killed_by] is non-empty, and every tally equal to {!doc}'s over the
+    rows. *)
 let validate (j : json) : (unit, string) result =
   let ( let* ) = Result.bind in
-  try
-    let* () = expect_schema schema_version j in
-    let* () = expect_strings "files" j in
-    let rules = str_list_exn "rules" (member_exn "rules" j) in
-    let rows = rows_of j in
-    let* () =
-      if List.exists (fun r -> r.mr_line < 1) rows then
-        Error "line must be >= 1"
-      else Ok ()
-    in
-    let* () =
-      match
-        List.find_opt (fun r -> not (List.mem r.mr_status statuses)) rows
-      with
-      | Some r -> Error (Printf.sprintf "unknown status %S" r.mr_status)
-      | None -> Ok ()
-    in
-    let* () =
-      match
-        List.find_opt
-          (fun r -> r.mr_status = "killed" <> (r.mr_killed_by <> []))
-          rows
-      with
-      | Some r ->
-          Error
-            (Printf.sprintf "mutant %s: status %S inconsistent with killed_by"
-               r.mr_id r.mr_status)
-      | None -> Ok ()
-    in
-    let* () = expect_count "count" (List.length rows) ~what:"mutants" j in
-    let killed_rows =
-      List.length (List.filter (fun r -> r.mr_status = "killed") rows)
-    in
-    let* () = expect_count "killed" killed_rows ~what:"killed mutants" j in
-    let* () =
-      match member "kill_rate" j with
-      | Some (Num r) ->
-          let want =
-            if rows = [] then 0.
-            else float_of_int killed_rows /. float_of_int (List.length rows)
-          in
-          if Float.abs (r -. want) < 1e-9 then Ok ()
-          else Error (Printf.sprintf "kill_rate %g does not match %g" r want)
-      | _ -> Error "missing kill_rate"
-    in
-    let kills = rule_kills_of j in
-    let* () =
-      match List.find_opt (fun ru -> not (List.mem_assoc ru kills)) rules with
-      | Some ru -> Error (Printf.sprintf "rule %S missing from rule_kills" ru)
-      | None -> Ok ()
-    in
-    let recount rule =
-      List.length (List.filter (fun r -> List.mem rule r.mr_killed_by) rows)
-    in
+  let* d = Codec.decode codec j in
+  let row_error (r : Mutation_exp.row) =
+    if r.line < 1 then Some "line must be >= 1"
+    else if not (List.mem r.status statuses) then
+      Some (Printf.sprintf "unknown status %S" r.status)
+    else if r.status = "killed" <> (r.killed_by <> []) then
+      Some (Printf.sprintf "status %S inconsistent with killed_by" r.status)
+    else None
+  in
+  let* () =
     match
-      List.find_opt (fun (rule, n) -> recount rule <> n) kills
+      List.find_map
+        (fun (r : Mutation_exp.row) ->
+          Option.map (Printf.sprintf "mutant %s: %s" r.id) (row_error r))
+        d.mutants
     with
-    | Some (rule, n) ->
-        Error
-          (Printf.sprintf "rule_kills[%s] = %d but mutants record %d kills"
-             rule n (recount rule))
+    | Some e -> Error e
     | None -> Ok ()
-  with Malformed m -> Error m
+  in
+  let want = doc ~files:d.files ~rules:d.rules d.mutants in
+  require
+    [
+      ( d.schema = schema_version,
+        Printf.sprintf "schema %S, want %S" d.schema schema_version );
+      (d.files <> [], "files must be a non-empty array of strings");
+      ( d.count = want.count,
+        Printf.sprintf "count %d does not match %d mutants" d.count want.count
+      );
+      ( d.killed = want.killed,
+        Printf.sprintf "killed %d does not match %d killed mutants" d.killed
+          want.killed );
+      ( Float.abs (d.kill_rate -. want.kill_rate) < 1e-9,
+        Printf.sprintf "kill_rate %g does not match %g" d.kill_rate
+          want.kill_rate );
+      ( d.rule_kills = want.rule_kills,
+        "rule_kills do not match the mutants' kills" );
+    ]

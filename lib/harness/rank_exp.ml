@@ -34,13 +34,9 @@ type rank_stats = {
   max_error : int;
 }
 
-type cell = {
-  threads : int;
-  trial : Real_exp.trial;  (** wall-clock timing of the drain *)
-  stats : rank_stats;
-}
-
-type series = { structure : string; cells : cell list }
+(** One (structure, thread count) cell's rank errors: a row of the
+    mound-bench/1 [rank] section. *)
+type row = { structure : string; threads : int; stats : rank_stats }
 
 (* --- Fenwick tree over the compressed key universe ----------------- *)
 
@@ -155,9 +151,9 @@ let run_rank_trial ?(seed = 7L) ~threads ~ops_per_thread (maker : Pq.maker) =
   let stats = replay ~init merged in
   (trial, { stats with empty_returns = Array.fold_left ( + ) 0 empties })
 
-(** Warmup + measured trials for one (structure, thread count) cell.
-    Rank stats are aggregated across the measured trials: extraction
-    counts and error sums add, the max is the max. *)
+(** Warmup + measured trials for one (structure, thread count) cell: the
+    cell's timing, and its rank stats aggregated across the measured
+    trials (extraction counts and error sums add, the max is the max). *)
 let run_rank_cell ?(seed = 7L) ?(warmup = 1) ?(trials = 3) ~threads
     ~ops_per_thread (maker : Pq.maker) =
   let trial_seed i = Int64.add seed (Int64.of_int (1000 * i)) in
@@ -168,7 +164,6 @@ let run_rank_cell ?(seed = 7L) ?(warmup = 1) ?(trials = 3) ~threads
     List.init trials (fun i ->
         run_rank_trial ~seed:(trial_seed i) ~threads ~ops_per_thread maker)
   in
-  let trial = fst (List.nth measured (trials - 1)) in
   let agg =
     List.fold_left
       (fun acc (_, s) ->
@@ -189,7 +184,7 @@ let run_rank_cell ?(seed = 7L) ?(warmup = 1) ?(trials = 3) ~threads
       }
       measured
   in
-  let agg =
+  let stats =
     {
       agg with
       mean_error =
@@ -197,9 +192,16 @@ let run_rank_cell ?(seed = 7L) ?(warmup = 1) ?(trials = 3) ~threads
          else agg.mean_error /. float_of_int agg.extractions);
     }
   in
-  ( { threads; trial; stats = agg },
-    List.map fst measured )
+  let timings = List.map fst measured in
+  ( {
+      Real_exp.threads;
+      trials = timings;
+      summary = Real_exp.summarize timings;
+      counters = None;
+    },
+    { structure = maker.name; threads; stats } )
 
+(** One structure's sweep: its timing series and its rank rows. *)
 let run_rank_series ?seed ?warmup ?trials ~thread_counts ~ops_per_thread
     (maker : Pq.maker) =
   let cells =
@@ -208,60 +210,5 @@ let run_rank_series ?seed ?warmup ?trials ~thread_counts ~ops_per_thread
         run_rank_cell ?seed ?warmup ?trials ~threads ~ops_per_thread maker)
       thread_counts
   in
-  ({ structure = maker.name; cells = List.map fst cells }, List.map snd cells)
-
-(** Emit the rank sweep as a mound-bench/1 document: the standard
-    series/cells timing skeleton (so the generic tooling parses and
-    validates it) with a ["rank"] key carrying the per-cell rank-error
-    stats — extra keys are legal under the schema's validator. *)
-let to_bench_json ?(seed = 7L) ?(warmup = 1) ?(trials = 3) ~ops_per_thread
-    results =
-  let series_json =
-    List.map
-      (fun ((s : series), per_cell_trials) ->
-        {
-          Real_exp.structure = s.structure;
-          cells =
-            List.map2
-              (fun (c : cell) measured ->
-                {
-                  Real_exp.threads = c.threads;
-                  warmup;
-                  trials = measured;
-                  summary = Real_exp.summarize measured;
-                  counters = None;
-                })
-              s.cells per_cell_trials;
-        })
-      results
-  in
-  let doc =
-    Bench_json.of_panel ~panel:"rankerror" ~seed ~warmup
-      ~measured_trials:trials ~ops_per_thread ~init_size:0 series_json
-  in
-  let rank_json =
-    Bench_json.Arr
-      (List.concat_map
-         (fun ((s : series), _) ->
-           List.map
-             (fun (c : cell) ->
-               Bench_json.Obj
-                 [
-                   ("structure", Bench_json.Str s.structure);
-                   ("threads", Bench_json.Num (float_of_int c.threads));
-                   ( "extractions",
-                     Bench_json.Num (float_of_int c.stats.extractions) );
-                   ( "empty_returns",
-                     Bench_json.Num (float_of_int c.stats.empty_returns) );
-                   ( "unmatched",
-                     Bench_json.Num (float_of_int c.stats.unmatched) );
-                   ("mean_rank_error", Bench_json.Num c.stats.mean_error);
-                   ( "max_rank_error",
-                     Bench_json.Num (float_of_int c.stats.max_error) );
-                 ])
-             s.cells)
-         results)
-  in
-  match doc with
-  | Bench_json.Obj kvs -> Bench_json.Obj (kvs @ [ ("rank", rank_json) ])
-  | other -> other
+  ( { Real_exp.structure = maker.name; cells = List.map fst cells },
+    List.map snd cells )

@@ -43,7 +43,6 @@ type summary = {
 
 type cell = {
   threads : int;
-  warmup : int;
   trials : trial list;  (** measured trials only, in run order *)
   summary : summary;
   counters : Mound.Stats.Ops.t option;
@@ -230,7 +229,6 @@ let run_overload_cell ?(seed = 7L) ?(warmup = 1) ?(trials = 3) ~scenario
   in
   {
     threads;
-    warmup;
     trials = measured;
     summary = summarize measured;
     counters = !counters;

@@ -31,7 +31,6 @@ type summary = {
 
 type cell = {
   threads : int;
-  warmup : int;
   trials : trial list;  (** measured trials only, in run order *)
   summary : summary;
   counters : Mound.Stats.Ops.t option;

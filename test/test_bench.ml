@@ -1,11 +1,13 @@
 (* Smoke coverage for the wall-clock artifact pipeline: a tiny in-test
    overload run must produce a schema-valid [Bench_json] document that
    survives a serialize/parse round trip, malformed documents must be
-   rejected, and a fresh measurement must not fall below half the
-   committed overload baseline medians in bench/baseline/, compared at
-   matching thread counts only (the baseline sweep may be wider or
-   narrower than this machine's; the 0.5x factor absorbs shared-CI noise
-   and the committed artifacts themselves show the true before/after).
+   rejected, every committed artifact must decode with its schema and
+   re-encode to its own bytes, and a fresh measurement must not fall
+   below half the committed overload baseline medians in
+   bench/baseline/, compared at matching thread counts only (the
+   baseline sweep may be wider or narrower than this machine's; the
+   0.5x factor absorbs shared-CI noise and the committed artifacts
+   themselves show the true before/after).
 
    The default run keeps the measured work tiny so `dune runtest` stays
    fast; set BENCH_FULL=1 for the full ops count and the zipf
@@ -16,6 +18,12 @@ let check = Alcotest.(check bool)
 let full = Sys.getenv_opt "BENCH_FULL" = Some "1"
 
 let seed = 7L
+
+(* cwd is _build/default/test under `dune runtest` but the project root
+   under `dune exec test/test_bench.exe` *)
+let locate rel =
+  if Sys.file_exists (Filename.concat ".." rel) then Filename.concat ".." rel
+  else rel
 
 (* ops must match the baseline artifacts (recorded at 2^12): the timed
    window includes a fixed per-trial startup cost, so throughputs are
@@ -59,10 +67,12 @@ let overload_doc ~warmup ~trials scenario =
          ~capacity:overload_capacity)
       overload_structures
   in
-  Harness.Bench_json.of_panel
-    ~panel:("overload_" ^ Harness.Real_exp.scenario_name scenario)
-    ~seed ~warmup ~measured_trials:trials ~ops_per_thread:ops
-    ~init_size:overload_capacity series
+  Harness.Bench_json.(
+    panel_codec.enc
+      (of_panel
+         ~panel:("overload_" ^ Harness.Real_exp.scenario_name scenario)
+         ~seed ~warmup ~measured_trials:trials ~ops_per_thread:ops
+         ~init_size:overload_capacity series))
 
 let smoke_docs =
   lazy
@@ -91,7 +101,10 @@ let roundtrip_preserves () =
       List.iter
         (fun (m : Harness.Pq.maker) ->
           let name = m.name in
-          let med j = Harness.Bench_json.median_of j ~structure:name ~threads:1 in
+          let med j =
+            Harness.Bench_json.(
+              median_of (panel_codec.dec j) ~structure:name ~threads:1)
+          in
           match (med doc, med reparsed) with
           | Some a, Some b ->
               (* floats survive the %.9g print/parse round trip within a
@@ -125,13 +138,14 @@ let malformed_rejected () =
     = Harness.Bench_json.Str "\u{1F600}");
   check "empty object rejected" true
     (Result.is_error (Harness.Bench_json.validate (Harness.Bench_json.Obj [])));
-  let with_key k v =
-    match Lazy.force smoke_docs with
-    | (_, Harness.Bench_json.Obj kvs) :: _ ->
+  let with_key_in doc k v =
+    match doc with
+    | Harness.Bench_json.Obj kvs ->
         Harness.Bench_json.Obj
           (List.map (fun ((k', _) as kv) -> if k' = k then (k, v) else kv) kvs)
     | _ -> assert false
   in
+  let with_key = with_key_in (snd (List.hd (Lazy.force smoke_docs))) in
   check "wrong schema tag rejected" true
     (Result.is_error
        (Harness.Bench_json.validate
@@ -140,7 +154,73 @@ let malformed_rejected () =
   check "missing trials rejected" true
     (Result.is_error
        (Harness.Bench_json.validate
-          (with_key "measured_trials" (Harness.Bench_json.Num 99.))))
+          (with_key "measured_trials" (Harness.Bench_json.Num 99.))));
+  (* typed decoding: a truncating validator accepted both *)
+  let bursty =
+    Harness.Bench_json.load
+      (locate "bench/baseline/BENCH_overload_bursty.json")
+  in
+  check "non-integral measured_trials rejected" true
+    (Result.is_error
+       (Harness.Bench_json.validate
+          (with_key_in bursty "measured_trials" (Harness.Bench_json.Num 5.5))));
+  check "non-string panel rejected" true
+    (Result.is_error
+       (Harness.Bench_json.validate
+          (with_key_in bursty "panel" (Harness.Bench_json.Num 3.))));
+  (* the rank section: one row per cell, non-negative counts, mean <= max *)
+  let rank_doc =
+    Harness.Bench_json.(panel_codec.dec (load (locate "BENCH_rankerror.json")))
+  in
+  let with_rank f =
+    Harness.Bench_json.panel_codec.enc
+      { rank_doc with rank = Option.map f rank_doc.rank }
+  in
+  let with_stats f =
+    with_rank
+      (List.map (fun (r : Harness.Rank_exp.row) ->
+           { r with stats = f r.stats }))
+  in
+  List.iter
+    (fun (what, doc) ->
+      check (what ^ " rejected") true
+        (Result.is_error (Harness.Bench_json.validate doc)))
+    [
+      ("missing rank row", with_rank List.tl);
+      ("duplicate rank row", with_rank (fun rs -> List.hd rs :: rs));
+      ("negative rank count", with_stats (fun s -> { s with unmatched = -1 }));
+      ( "mean rank error above max",
+        with_stats (fun s ->
+            { s with mean_error = float_of_int s.max_error +. 1. }) );
+    ]
+
+(* Every committed artifact validates, decodes with its schema and
+   re-encodes to its own bytes: the descriptions cover each key, in
+   order, and nothing is lost on the way through. *)
+let committed_round_trip () =
+  let round_trip (type a) rel validate (codec : a Harness.Bench_json.Codec.t)
+      =
+    let path = locate rel in
+    let bytes = Harness.Bench_json.read_file path in
+    let j = Harness.Bench_json.parse bytes in
+    (match validate j with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s invalid: %s" path e);
+    check (rel ^ " re-encodes to its own bytes") true
+      (Harness.Bench_json.to_string (codec.enc (codec.dec j)) = bytes)
+  in
+  List.iter
+    (fun rel ->
+      round_trip rel Harness.Bench_json.validate
+        Harness.Bench_json.panel_codec)
+    [
+      "bench/baseline/BENCH_overload_bursty.json";
+      "bench/baseline/BENCH_overload_overcap.json";
+      "bench/baseline/BENCH_overload_zipf.json";
+      "BENCH_rankerror.json";
+    ];
+  round_trip "bench/baseline/MUTATION_matrix.json"
+    Harness.Mutation_json.validate Harness.Mutation_json.codec
 
 (* Fresh medians vs. the committed baseline. Half the baseline is a
    deliberate underbid: an actual hot-path regression (e.g.
@@ -151,24 +231,23 @@ let overload_not_regressed () =
   List.iter
     (fun scenario ->
       let stag = Harness.Real_exp.scenario_name scenario in
-      (* cwd is _build/default/test under `dune runtest` but the project
-         root under `dune exec test/test_bench.exe` *)
       let path =
-        let rel = Printf.sprintf "bench/baseline/BENCH_overload_%s.json" stag in
-        if Sys.file_exists (Filename.concat ".." rel) then
-          Filename.concat ".." rel
-        else rel
+        locate (Printf.sprintf "bench/baseline/BENCH_overload_%s.json" stag)
       in
       let baseline = Harness.Bench_json.load path in
       (match Harness.Bench_json.validate baseline with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: baseline invalid: %s" path e);
+      let baseline = Harness.Bench_json.panel_codec.dec baseline in
       (* keyed to matching thread counts only: the baseline may carry a
          wider sweep (4/8-thread panels from a wide machine) than this
          run measures, and vice versa — compare exactly the counts
          present in both documents *)
       let medians () =
-        let doc = overload_doc ~warmup:cmp_warmup ~trials:cmp_trials scenario in
+        let doc =
+          Harness.Bench_json.panel_codec.dec
+            (overload_doc ~warmup:cmp_warmup ~trials:cmp_trials scenario)
+        in
         List.concat_map
           (fun (m : Harness.Pq.maker) ->
             let name = m.name in
@@ -228,6 +307,8 @@ let () =
         ] );
       ( "baseline",
         [
+          Alcotest.test_case "committed artifacts round-trip" `Quick
+            committed_round_trip;
           Alcotest.test_case "overload panels not regressed" `Quick
             overload_not_regressed;
         ] );

@@ -332,7 +332,10 @@ let test_lint_json_roundtrip () =
       \  R.Atomic.set q (n + 1)\n"
   in
   check_count "fixture yields a finding" 1 findings;
-  let doc = Harness.Lint_json.doc ~roots:[ "lib" ] ~rule:None findings in
+  let emit ~rule findings =
+    Harness.Lint_json.(codec.enc (doc ~roots:[ "lib" ] ~rule findings))
+  in
+  let doc = emit ~rule:None findings in
   (match Harness.Lint_json.validate doc with
   | Ok () -> ()
   | Error e -> Alcotest.failf "emitted document invalid: %s" e);
@@ -341,15 +344,22 @@ let test_lint_json_roundtrip () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "reparsed document invalid: %s" e);
   Alcotest.(check bool) "findings survive the round trip" true
-    (Harness.Lint_json.findings_of reparsed = findings);
+    ((Harness.Lint_json.codec.dec reparsed).findings = findings);
   (* narrowed runs record the rule *)
-  let narrowed =
-    Harness.Lint_json.doc ~roots:[ "lib" ] ~rule:(Some "atomicity") findings
-  in
-  (match Harness.Lint_json.validate narrowed with
+  (match
+     Harness.Lint_json.validate (emit ~rule:(Some "atomicity") findings)
+   with
   | Ok () -> ()
   | Error e -> Alcotest.failf "narrowed document invalid: %s" e);
-  (* malformed documents are rejected: count drift, missing schema *)
+  Alcotest.(check bool) "finding of an unregistered rule rejected" true
+    (Result.is_error
+       (Harness.Lint_json.validate
+          (emit ~rule:None
+             (List.map
+                (fun (f : Analysis.finding) -> { f with rule = "no-such-rule" })
+                findings))));
+  (* malformed documents are rejected: count drift, a non-integral
+     count, missing schema, a finding outside the rule filter *)
   let tamper k v =
     match doc with
     | Harness.Bench_json.Obj kvs ->
@@ -365,8 +375,16 @@ let test_lint_json_roundtrip () =
     (Result.is_error
        (Harness.Lint_json.validate
           (tamper "count" (Some (Harness.Bench_json.Num 99.)))));
+  Alcotest.(check bool) "non-integral count rejected" true
+    (Result.is_error
+       (Harness.Lint_json.validate
+          (tamper "count" (Some (Harness.Bench_json.Num 1.5)))));
   Alcotest.(check bool) "missing schema rejected" true
-    (Result.is_error (Harness.Lint_json.validate (tamper "schema" None)))
+    (Result.is_error (Harness.Lint_json.validate (tamper "schema" None)));
+  Alcotest.(check bool) "finding outside the rule filter rejected" true
+    (Result.is_error
+       (Harness.Lint_json.validate
+          (tamper "rule" (Some (Harness.Bench_json.Str "boundary")))))
 
 (* ---- the shipped tree -------------------------------------------------- *)
 

@@ -43,6 +43,14 @@ let lib_root () =
 
 let full = Sys.getenv_opt "MUTATION_FULL" <> None
 
+let load_baseline () =
+  let path = baseline_path () in
+  let doc = Harness.Bench_json.load path in
+  (match Harness.Mutation_json.validate doc with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: baseline invalid: %s" path e);
+  doc
+
 (* ---- mound-mutation/1 artifact hygiene --------------------------------- *)
 
 (* A tiny synthetic matrix: one killed mutant, one survivor with a
@@ -80,7 +88,16 @@ let fake_matrix () =
         ~src:"SURVIVING-MUTANT";
     ]
 
-let fake_doc () = Harness.Mutation_json.doc (fake_matrix ()) []
+(* The escalated fake matrix: its survivor runs the lock-inversion
+   twin, a two-thread program the liveness checker settles at once. *)
+let fake_doc () =
+  let k = fake_matrix () in
+  Harness.Mutation_json.(
+    codec.enc
+      (doc ~files:k.k_files ~rules:k.k_rules
+         (Harness.Mutation_exp.escalate k)))
+
+let mutants_of doc = (Harness.Mutation_json.codec.dec doc).mutants
 
 let test_round_trip () =
   let doc = fake_doc () in
@@ -91,30 +108,22 @@ let test_round_trip () =
   (match Harness.Mutation_json.validate doc' with
   | Ok () -> ()
   | Error e -> Alcotest.failf "round-tripped doc invalid: %s" e);
-  let rows = Harness.Mutation_json.rows_of doc' in
+  let rows = mutants_of doc' in
   Alcotest.(check int) "rows survive the trip" 2 (List.length rows);
-  let killed =
-    List.find
-      (fun r -> r.Harness.Mutation_json.mr_id = "demote-rmw:f.ml:3")
-      rows
+  let find id =
+    List.find (fun (r : Harness.Mutation_exp.row) -> r.id = id) rows
   in
-  Alcotest.(check string) "kill recorded" "killed"
-    killed.Harness.Mutation_json.mr_status;
+  let killed = find "demote-rmw:f.ml:3" in
+  Alcotest.(check string) "kill recorded" "killed" killed.status;
   Alcotest.(check (list string))
-    "killing rule recorded" [ "atomicity" ]
-    killed.Harness.Mutation_json.mr_killed_by;
-  let survivor =
-    List.find
-      (fun r -> r.Harness.Mutation_json.mr_id = "swap-lock-order:f.ml:3")
-      rows
-  in
-  (* escalation not run: the survivor carries its mapped twin *)
-  Alcotest.(check string) "survivor status" "survived"
-    survivor.Harness.Mutation_json.mr_status;
+    "killing rule recorded" [ "atomicity" ] killed.killed_by;
+  let survivor = find "swap-lock-order:f.ml:3" in
+  (* the survivor carries its mapped twin and the twin's verdict *)
+  Alcotest.(check string) "survivor status" "escalated" survivor.status;
   Alcotest.(check (option string))
     "mapped twin carried"
     (Some "lock-inversion-deadlock")
-    survivor.Harness.Mutation_json.mr_twin
+    survivor.twin
 
 let test_malformed () =
   (match Harness.Bench_json.parse "{ not json" with
@@ -126,12 +135,12 @@ let test_malformed () =
 
 (* Every redundant field is cross-checked: tamper with each in turn and
    validate must reject. *)
-let tamper name f =
-  let doc = fake_doc () in
-  let doc' = f doc in
-  match Harness.Mutation_json.validate doc' with
+let tamper_doc doc name f =
+  match Harness.Mutation_json.validate (f doc) with
   | Error _ -> ()
   | Ok () -> Alcotest.failf "tampered %s validated" name
+
+let tamper name f = tamper_doc (fake_doc ()) name f
 
 let rec set_field k v = function
   | Harness.Bench_json.Obj kvs ->
@@ -147,25 +156,33 @@ let test_tamper () =
   tamper "kill_rate" (set_field "kill_rate" (Harness.Bench_json.Num 1.));
   tamper "rule_kills" (set_field "rule_kills" (Harness.Bench_json.Arr []));
   tamper "schema" (set_field "schema" (Harness.Bench_json.Str "mound-lint/1"));
-  (* flip the killed row's status without touching killed_by *)
-  tamper "status" (fun doc ->
-      match doc with
-      | Harness.Bench_json.Obj _ -> (
-          match Harness.Bench_json.member "mutants" doc with
-          | Some (Harness.Bench_json.Arr ms) ->
-              set_field "mutants"
-                (Harness.Bench_json.Arr
-                   (List.map
-                      (fun m ->
-                        match Harness.Bench_json.member "id" m with
-                        | Some (Harness.Bench_json.Str "demote-rmw:f.ml:3") ->
-                            set_field "status"
-                              (Harness.Bench_json.Str "survived") m
-                        | _ -> m)
-                      ms))
-                doc
-          | _ -> doc)
-      | j -> j)
+  (* flip the killed row's status without touching killed_by: to a
+     status no triage produces, and to a known one *)
+  let flip_status status doc =
+    match doc with
+    | Harness.Bench_json.Obj _ -> (
+        match Harness.Bench_json.member "mutants" doc with
+        | Some (Harness.Bench_json.Arr ms) ->
+            set_field "mutants"
+              (Harness.Bench_json.Arr
+                 (List.map
+                    (fun m ->
+                      match Harness.Bench_json.member "id" m with
+                      | Some (Harness.Bench_json.Str "demote-rmw:f.ml:3") ->
+                          set_field "status" (Harness.Bench_json.Str status) m
+                      | _ -> m)
+                    ms))
+              doc
+        | _ -> doc)
+    | j -> j
+  in
+  tamper "status" (flip_status "survived");
+  tamper "status gap" (flip_status "gap");
+  (* typed decoding: a truncating validator accepted both *)
+  tamper_doc (load_baseline ()) "count 102.5"
+    (set_field "count" (Harness.Bench_json.Num 102.5));
+  tamper_doc (load_baseline ()) "killed 76.9"
+    (set_field "killed" (Harness.Bench_json.Num 76.9))
 
 (* ---- the committed baseline -------------------------------------------- *)
 
@@ -189,23 +206,14 @@ let seeded_classes =
     ("Published_record_write", "mutabilize", "mutable-atomic");
   ]
 
-let load_baseline () =
-  let path = baseline_path () in
-  let doc = Harness.Bench_json.load path in
-  (match Harness.Mutation_json.validate doc with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "%s: baseline invalid: %s" path e);
-  doc
-
 let test_baseline_valid () =
-  let doc = load_baseline () in
-  let rows = Harness.Mutation_json.rows_of doc in
+  let doc = Harness.Mutation_json.codec.dec (load_baseline ()) in
   Alcotest.(check bool)
     "at least 30 mutants" true
-    (List.length rows >= 30);
+    (List.length doc.mutants >= 30);
   (* no rule silent: every registered defect rule scores at least one
      kill, so a rule that kills nothing cannot be added back *)
-  let kills = Harness.Mutation_json.rule_kills_of doc in
+  let kills = doc.rule_kills in
   List.iter
     (fun (rule, _) ->
       if not (List.mem rule Analysis.Killmatrix.hygiene_rules) then
@@ -234,15 +242,13 @@ let test_operator_rules_registered () =
     Analysis.Mutate.catalog
 
 let test_baseline_rederives_seeded () =
-  let rows = Harness.Mutation_json.rows_of (load_baseline ()) in
+  let rows = mutants_of (load_baseline ()) in
   List.iter
     (fun (cls, op, rule) ->
       let hit =
         List.exists
-          (fun r ->
-            r.Harness.Mutation_json.mr_op = op
-            && r.mr_status = "killed"
-            && List.mem rule r.mr_killed_by)
+          (fun (r : Harness.Mutation_exp.row) ->
+            r.op = op && r.status = "killed" && List.mem rule r.killed_by)
           rows
       in
       if not hit then
@@ -355,9 +361,9 @@ let test_kill_rate_guard () =
   | Some root ->
       let committed =
         List.map
-          (fun (r : Harness.Mutation_json.mrow) ->
-            (r.mr_op, Filename.basename r.mr_file, r.mr_killed_by))
-          (Harness.Mutation_json.rows_of (load_baseline ()))
+          (fun (r : Harness.Mutation_exp.row) ->
+            (r.op, Filename.basename r.file, r.killed_by))
+          (mutants_of (load_baseline ()))
       in
       let live =
         List.map
@@ -398,26 +404,25 @@ let test_escalation_full () =
         let m = live_matrix root in
         let es = Harness.Mutation_exp.escalate m in
         List.iter
-          (fun (e : Harness.Mutation_exp.escalation) ->
-            if e.e_status = "gap" && e.e_twin <> None then
+          (fun (e : Harness.Mutation_exp.row) ->
+            if e.status = "gap" && e.twin <> None then
               Alcotest.failf "mutant %s: mapped twin %s came back as a gap"
-                e.e_id
-                (Option.value e.e_twin ~default:"?"))
+                e.id
+                (Option.value e.twin ~default:"?"))
           es;
         (* the lock-inversion twin must actually deadlock: the class the
            swap operator plants is real and dynamically caught *)
         let swaps =
           List.filter
-            (fun (e : Harness.Mutation_exp.escalation) ->
-              e.e_twin = Some "lock-inversion-deadlock")
+            (fun (e : Harness.Mutation_exp.row) ->
+              e.twin = Some "lock-inversion-deadlock")
             es
         in
         if swaps <> [] then
           Alcotest.(check bool)
             "some lock-order swap escalates to a confirmed deadlock" true
             (List.exists
-               (fun (e : Harness.Mutation_exp.escalation) ->
-                 e.e_status = "escalated")
+               (fun (e : Harness.Mutation_exp.row) -> e.status = "escalated")
                swaps)
 
 let () =
