@@ -166,13 +166,14 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
      leaf does not dominate [v], the tree grows a level; a fresh leaf is
      empty (⊤), so this loop always produces a candidate without further
      randomization. *)
-  let rec fallback_point_lv t ~ge =
+  let rec fallback_point t ~ge =
     let d = T.depth t.tree in
     let leaf = 1 lsl (d - 1) in
-    if ge leaf then T.binary_search_lv ~ge leaf d
+    if ge (T.get_at t.tree ~level:(d - 1) leaf) then
+      T.binary_search t.tree ~ge leaf d
     else begin
       T.expand t.tree d;
-      fallback_point_lv t ~ge
+      fallback_point t ~ge
     end
 
   (** One publication attempt (L4–L15) of the sorted run [hd :: rest]:
@@ -185,10 +186,10 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       bounds the spliced prefix, or [missed]. [ge] tests a node against
       [hd]; callers build it once and reuse it across attempts. *)
   let put t ~ge ~fallback hd rest =
-    let c, clvl =
-      if fallback then fallback_point_lv t ~ge
-      else T.find_insert_point_lv t.tree ~ge
+    let c =
+      if fallback then fallback_point t ~ge else T.find_insert_point t.tree ~ge
     in
+    let clvl = T.level_of c in
     let cslot = T.get_at t.tree ~level:clvl c in
     let cur = M.get cslot in
     if not (Intf.Sorted.head_ge Ord.compare cur.list hd) then missed
@@ -210,8 +211,11 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
         then cur
         else missed
 
-  (* [ge t v i]: does node [i] dominate [v]? The probe predicate. *)
-  let ge t v i = Intf.Sorted.head_ge Ord.compare (read t i).list v
+  (* [ge v slot]: does the node in [slot] dominate [v]? The probe
+     predicate, over [Ord.compare] directly: [Intf.Sorted.head_ge] would
+     be a call into another module on every probe. *)
+  let ge v slot =
+    match (M.get slot).list with [] -> true | x :: _ -> Ord.compare x v >= 0
 
   (* A first failure retries immediately (benign race, exactly the
      paper's loop); sustained failure backs off exponentially so
@@ -242,7 +246,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       end
     end
 
-  let insert_until t ~deadline v = insert_round t v ~ge:(ge t v) ~deadline 0
+  let insert_until t ~deadline v = insert_round t v ~ge:(ge v) ~deadline 0
 
   let insert t v =
     match insert_until t ~deadline:Intf.no_deadline v with
@@ -261,7 +265,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
   (* lint: allow — deliberately naive ablation baseline: the paper's
      strawman k-CSS insert retries without backoff by construction *)
   let rec insert_kcss t v =
-    let c = T.find_insert_point t.tree ~ge:(ge t v) in
+    let c = T.find_insert_point t.tree ~ge:(ge v) in
     (* Snapshot the whole ancestor chain root..c. *)
     let rec chain i acc = if i = 0 then acc else chain (i / 2) (i :: acc) in
     let path = chain c [] in
@@ -308,7 +312,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
             go rest batch_tries
           end
           else
-            let cur = put t ~ge:(ge t hd) ~fallback:false hd rest in
+            let cur = put t ~ge:(ge hd) ~fallback:false hd rest in
             if cur == missed then go batch (tries - 1)
             else
               go (Intf.Sorted.remainder Ord.compare rest cur.list) batch_tries

@@ -295,7 +295,8 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       wait outlives [deadline]. [ge] tests a node against [hd]; callers
       build it once and reuse it across attempts. *)
   let put t ~ge ~deadline hd rest =
-    let c, clvl = T.find_insert_point_lv t.tree ~ge in
+    let c = T.find_insert_point t.tree ~ge in
+    let clvl = T.level_of c in
     let cslot = T.get_at t.tree ~level:clvl c in
     if c = 1 then begin
       let w = set_lock_until t cslot ~node:1 ~level:0 ~deadline in
@@ -346,9 +347,13 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
         end
     end
 
-  (* [ge t v i]: does node [i] dominate [v]? The probe predicate. *)
-  let ge t v i =
-    Intf.Sorted.head_ge Ord.compare (R.Atomic.get (T.get t.tree i)).list v
+  (* [ge v slot]: does the node in [slot] dominate [v]? The probe
+     predicate, over [Ord.compare] directly: [Intf.Sorted.head_ge] would
+     be a call into another module on every probe. *)
+  let ge v slot =
+    match (R.Atomic.get slot).list with
+    | [] -> true
+    | x :: _ -> Ord.compare x v >= 0
 
   (* A failed attempt re-probes at once. The deadline bounds both the
      lock waits and the revalidation retries; [Timeout] guarantees [v]
@@ -366,7 +371,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       else insert_round t v ~ge ~deadline
     end
 
-  let insert_until t ~deadline v = insert_round t v ~ge:(ge t v) ~deadline
+  let insert_until t ~deadline v = insert_round t v ~ge:(ge v) ~deadline
 
   let insert t v =
     match insert_until t ~deadline:Intf.no_deadline v with
@@ -391,7 +396,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
             go rest batch_tries
           end
           else
-            let w = put t ~ge:(ge t hd) ~deadline:Intf.no_deadline hd rest in
+            let w = put t ~ge:(ge hd) ~deadline:Intf.no_deadline hd rest in
             if w == missed then go batch (tries - 1)
             else go (Intf.Sorted.remainder Ord.compare rest w.list) batch_tries
     in

@@ -2,10 +2,13 @@
 
     The reference implementation: same tree of sorted lists, same
     randomized leaf probing and binary-search insertion, same
-    sift-down-by-list-swap extraction as the concurrent variants, but
-    with no node records and no dirty bits: each node's sorted list is
-    stored directly in its level's {!Tree} row and replaced in place,
-    and the mound property is restored before each operation returns.
+    extraction as the concurrent variants, but with no node records and
+    no dirty bits: each node's sorted list is stored directly in its
+    level's {!Tree} row and replaced in place, and the mound property is
+    restored before each operation returns. Extraction sifts the
+    beheaded list down with a hole, making the comparisons of the
+    paper's swap-per-level moundify in its order, so every list ends in
+    the node the swaps would have put it in.
     It serves three roles: the oracle in tests, the engine for the
     paper's sequential structure experiments (Tables I–IV), and the
     single-thread baseline in benches. *)
@@ -18,7 +21,16 @@ module Make (Ord : Intf.ORDERED) = struct
   (* Node [i] of level [l] is element [i - 2^l] of row [l]: its list. *)
   type t = { tree : elt list T.t; rng : Prng.t }
 
-  let head_compare a b = Intf.Sorted.head_compare Ord.compare a b
+  (* The sift's head comparison, and [put]'s probe predicate, are
+     written here over [Ord.compare] rather than called in [Intf.Sorted]:
+     under the dev profile's [-opaque] a call into another module is
+     never inlined or direct. *)
+  let head_compare a b =
+    match (a, b) with
+    | [], [] -> 0
+    | [], _ :: _ -> 1
+    | _ :: _, [] -> -1
+    | x :: _, y :: _ -> Ord.compare x y
 
   let create ?threshold ?init_depth ?(seed = 1L) () =
     let rng = Prng.create seed in
@@ -37,9 +49,10 @@ module Make (Ord : Intf.ORDERED) = struct
      validation is needed sequentially: [find_insert_point] guarantees
      [val(parent) < hd <= val(c)]. *)
   let rec put t hd rest =
-    let ge i = Intf.Sorted.head_ge Ord.compare (T.get t.tree i) hd in
-    let c, clvl = T.find_insert_point_lv t.tree ~ge in
-    let row = T.row t.tree ~level:clvl and j = c - (1 lsl clvl) in
+    let ge l = match l with [] -> true | x :: _ -> Ord.compare x hd >= 0 in
+    let c = T.find_insert_point t.tree ~ge in
+    let level = T.level_of c in
+    let row = T.row t.tree ~level and j = c - (1 lsl level) in
     let l = row.(j) in
     row.(j) <- hd :: Intf.Sorted.splice Ord.compare rest l;
     match Intf.Sorted.remainder Ord.compare rest l with
@@ -52,29 +65,28 @@ module Make (Ord : Intf.ORDERED) = struct
       returning unconsumed work to the pool. *)
   let insert_many t = function [] -> () | hd :: rest -> put t hd rest
 
-  (* Restore the mound property below node [n] by swapping lists with the
-     smaller child until the node dominates both children — the
-     sequential skeleton of the paper's moundify. [level] is ⌊log₂ n⌋:
-     [n] is element [j = n - 2^level] of its row and its children are
-     elements [2j] and [2j+1] of the next, so each level fetches the two
-     rows once. *)
-  let rec moundify t n ~level =
-    if not (T.is_leaf n ~depth:(T.depth t.tree)) then begin
-      let row = T.row t.tree ~level
-      and kids = T.row t.tree ~level:(level + 1) in
-      let j = n - (1 lsl level) in
-      let ln = row.(j) and ll = kids.(2 * j) and lr = kids.((2 * j) + 1) in
-      if head_compare ll lr <= 0 && head_compare ll ln < 0 then begin
+  (* The sequential skeleton of the paper's moundify, sifting with a
+     hole: element [j] of [row] (level [level], in a tree of depth [d])
+     is empty and [l] is the list sinking from it. Each level fetches the
+     children's row once (elements [2j] and [2j+1] of the next row) and
+     moves the smaller child's list up into the hole with one write;
+     [l] is written once, where it dominates both children. The
+     comparisons are the swap-per-level moundify's, in its order, so
+     every list ends in the same node. *)
+  let rec sift t ~d row j ~level l =
+    if level = d - 1 then row.(j) <- l
+    else
+      let kids = T.row t.tree ~level:(level + 1) in
+      let ll = kids.(2 * j) and lr = kids.((2 * j) + 1) in
+      if head_compare ll lr <= 0 && head_compare ll l < 0 then begin
         row.(j) <- ll;
-        kids.(2 * j) <- ln;
-        moundify t (2 * n) ~level:(level + 1)
+        sift t ~d kids (2 * j) ~level:(level + 1) l
       end
-      else if head_compare lr ll < 0 && head_compare lr ln < 0 then begin
+      else if head_compare lr ll < 0 && head_compare lr l < 0 then begin
         row.(j) <- lr;
-        kids.((2 * j) + 1) <- ln;
-        moundify t ((2 * n) + 1) ~level:(level + 1)
+        sift t ~d kids ((2 * j) + 1) ~level:(level + 1) l
       end
-    end
+      else row.(j) <- l
 
   (** [take t n ~level ~all] removes the head of node [n]'s list, or the
       whole list when [all] ([extract_many]), restores the mound property
@@ -86,8 +98,7 @@ module Make (Ord : Intf.ORDERED) = struct
     (match l with
     | [] -> ()
     | _ :: tl ->
-        row.(j) <- (if all then [] else tl);
-        moundify t n ~level);
+        sift t ~d:(T.depth t.tree) row j ~level (if all then [] else tl));
     l
 
   let extract_min t =

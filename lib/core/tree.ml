@@ -11,10 +11,10 @@
     it reachable.
 
     The leaf-probing / binary-search logic of [findInsertPoint] (paper
-    Listing 2, L16–L21) lives here too, parameterized by how a node's
-    value is read, because it is identical across the lock-free, locking
-    and sequential variants — it performs only reads plus the
-    depth-expansion CAS. *)
+    Listing 2, L16–L21) lives here too, parameterized by a predicate on
+    the slot the search reads, because it is identical across the
+    lock-free, locking and sequential variants — it performs only reads
+    plus the depth-expansion CAS. *)
 
 (** ⌊log₂ i⌋ in constant time by binary decomposition of the shift
     distance (6 branches on 63-bit ints, vs. one branch per bit for the
@@ -165,48 +165,55 @@ module Make (R : Runtime.S) = struct
         publish ());
     ignore (R.Atomic.compare_and_set t.depth d (d + 1))
 
-  (* Probe up to [k] random leaves of a [first_leaf]-based leaf row for
-     one satisfying [ge]; returns 0 when none does. Explicit-parameter
+  (* Probe up to [k] random leaves of the leaf row [level] (its first
+     node is [first_leaf]) for one whose slot satisfies [ge]; returns 0
+     when none does. Each probe reads the row, then hands [ge] the
+     leaf's slot, the one read [get_at] would make. Explicit-parameter
      recursion — unlike an inner closure, no environment is allocated
      per call on the insert hot path. *)
-  let rec probe_leaves ~ge rand first_leaf k =
+  let rec probe_leaves t ~ge ~level first_leaf k =
     if k = 0 then 0
     else
-      let leaf = first_leaf + rand first_leaf in
-      if ge leaf then leaf else probe_leaves ~ge rand first_leaf (k - 1)
+      let off = t.rand first_leaf in
+      if ge (row t ~level).(off) then first_leaf + off
+      else probe_leaves t ~ge ~level first_leaf (k - 1)
 
   (* Binary search along the ancestor chain of [leaf] (depth [d] levels)
-     for the shallowest node whose value dominates [v] — O(log log N)
-     probes since the chain has length ⌊log₂ N⌋. Precondition: [ge] holds
-     at the leaf itself. Under concurrency the chain may momentarily not
-     be sorted; the caller re-validates before writing. The final [lo]
-     is the level of the returned node, so callers get it for free. *)
-  let binary_search_lv ~ge leaf d =
+     for the shallowest node whose slot satisfies [ge] — O(log log N)
+     probes since the chain has length ⌊log₂ N⌋. Each probe knows its
+     level [mid], so it reads that row and hands [ge] the ancestor's
+     slot. Precondition: [ge] holds at the leaf itself. Under
+     concurrency the chain may momentarily not be sorted; the caller
+     re-validates before writing. *)
+  let binary_search t ~ge leaf d =
     let lo = ref 0 and hi = ref (d - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if ge (leaf lsr (d - 1 - mid)) then hi := mid else lo := mid + 1
+      let node = leaf lsr (d - 1 - mid) in
+      if ge (row t ~level:mid).(node - (1 lsl mid)) then hi := mid
+      else lo := mid + 1
     done;
-    (leaf lsr (d - 1 - !lo), !lo)
+    leaf lsr (d - 1 - !lo)
 
-  let binary_search ~ge leaf d = fst (binary_search_lv ~ge leaf d)
-
-  (** [find_insert_point_lv t ~ge] probes up to [t.threshold] random
-      leaves for one whose value dominates the element being inserted
-      ([ge i] must be [val(node i) >= v]), then binary-searches its
-      ancestor chain for the candidate insertion point, returned with
-      its level. If every probe fails, the tree is one level too shallow
-      for this element and is expanded. *)
-  let rec find_insert_point_lv t ~ge =
+  (** [find_insert_point t ~ge] probes up to [t.threshold] random leaves
+      for one whose value dominates the element being inserted ([ge s]
+      must be [val(s) >= v] for the slot [s] it is handed), then
+      binary-searches its ancestor chain for the candidate insertion
+      point, a node index ({!level_of} gives its level). If every probe
+      fails, the tree is one level too shallow for this element and is
+      expanded. *)
+  let rec find_insert_point t ~ge =
     let d = R.Atomic.get t.depth in
     let first_leaf = 1 lsl (d - 1) in
-    match probe_leaves ~ge t.rand first_leaf t.threshold with
+    match probe_leaves t ~ge ~level:(d - 1) first_leaf t.threshold with
     | 0 ->
         expand t d;
-        find_insert_point_lv t ~ge
-    | leaf -> binary_search_lv ~ge leaf d
+        find_insert_point t ~ge
+    | leaf -> binary_search t ~ge leaf d
 
-  let find_insert_point t ~ge = fst (find_insert_point_lv t ~ge)
+  (* An alias that exists only for bench/perf/layers.ml, whose tree
+     benchmark still calls the search by this name. *)
+  let find_insert_point_lv = find_insert_point
 
   (** [is_leaf t i ~depth:d] — is [i] on the deepest level of a tree of
       depth [d]? *)

@@ -138,8 +138,9 @@ let run_rank_trial ?(seed = 7L) ~threads ~ops_per_thread (maker : Pq.maker) =
               log := { stamp; value = v } :: !log
           | None -> incr empty
         done;
-        (* program order restored: the merge's stable sort then keeps
-           intra-thread order when coarse clocks produce stamp ties *)
+        (* program order restored: a thread's nanosecond stamps only
+           grow, and the merge's stable sort orders equal stamps of two
+           threads by thread id *)
         logs.(tid) <- List.rev !log;
         empties.(tid) <- !empty;
         ops_per_thread - !empty)

@@ -49,8 +49,9 @@ module type S = sig
 
   val monotonic_ns : unit -> int
   (** Monotonic timestamp for deadlines and lease expiry. On real domains
-      this is wall-derived nanoseconds (comparable within a process, never
-      going backwards in practice); under the simulator it is the calling
+      this is [CLOCK_MONOTONIC] in nanoseconds: it never goes backwards,
+      a wall-clock step does not move it, and back-to-back reads differ
+      by well under a microsecond. Under the simulator it is the calling
       thread's virtual time, so deadline behaviour is deterministic and
       replayable. Only differences are meaningful; the origin is
       unspecified. *)

@@ -29,8 +29,14 @@ let rng_key =
 
 let rand_int bound = Prng.int (Domain.DLS.get rng_key) bound
 
-(* [Unix.gettimeofday] is the finest-grained clock available without new
-   dependencies; converted to an integer nanosecond stamp so deadline
-   arithmetic stays allocation-free. Not strictly monotonic across NTP
-   steps, but deadline checks only compare against lease-scale spans. *)
-let monotonic_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+(* CLOCK_MONOTONIC through the C stub that bechamel's monotonic_clock
+   library links ([clock_gettime], a vDSO read on Linux), declared with
+   an unboxed result and [noalloc] so a read allocates nothing. A clock
+   step (NTP, a manual date change) cannot move lease or deadline
+   arithmetic, and stamps resolve nanoseconds, not the microseconds of
+   [Unix.gettimeofday]. *)
+external clock_monotonic : unit -> (int64[@unboxed])
+  = "clock_linux_get_time_bytecode" "clock_linux_get_time_native"
+[@@noalloc]
+
+let monotonic_ns () = Int64.to_int (clock_monotonic ())

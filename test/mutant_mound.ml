@@ -86,7 +86,8 @@ module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
   let rec fallback_point t ~ge =
     let d = T.depth t.tree in
     let leaf = 1 lsl (d - 1) in
-    if ge leaf then T.binary_search ~ge leaf d
+    if ge (T.get_at t.tree ~level:(d - 1) leaf) then
+      T.binary_search t.tree ~ge leaf d
     else begin
       T.expand t.tree d;
       fallback_point t ~ge
@@ -95,7 +96,7 @@ module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
   let max_insert_rounds = 8
 
   let rec insert_attempt t v round =
-    let ge i = Mound.Intf.Sorted.head_ge Ord.compare (read t i).list v in
+    let ge slot = Mound.Intf.Sorted.head_ge Ord.compare (M.get slot).list v in
     let c =
       if round < max_insert_rounds then T.find_insert_point t.tree ~ge
       else fallback_point t ~ge

@@ -307,7 +307,7 @@ let test_blind_cas_helps_own_file () =
 
 (* A call through a parameter resolves to nothing, not to the
    module-level function of the same name. [fallback] is
-   [Lf_mound.fallback_point_lv]'s shape: its loop calls the [~ge] it was
+   [Lf_mound.fallback_point]'s shape: its loop calls the [~ge] it was
    given, and the file's own [ge] performs an observed CAS, which the
    loop must not inherit. A real CAS loop beside it is still flagged. *)
 let test_param_shadows_function () =

@@ -57,6 +57,31 @@ let cpu_relax_returns () =
   done;
   check "returns" true true
 
+(* [monotonic_ns] is a monotonic clock with sub-microsecond steps: over
+   10^5 back-to-back reads it never goes backwards, and the median of the
+   nonzero steps between consecutive reads is under 1 µs. A wall clock
+   read through [Unix.gettimeofday] fails the second check, since its
+   smallest step is a whole microsecond. *)
+let monotonic_clock () =
+  let n = 100_000 in
+  let stamps = Array.make n 0 in
+  for i = 0 to n - 1 do
+    stamps.(i) <- R.monotonic_ns ()
+  done;
+  let steps = ref [] in
+  for i = 1 to n - 1 do
+    let gap = stamps.(i) - stamps.(i - 1) in
+    if gap < 0 then
+      Alcotest.failf "read %d went back %d ns" i (-gap);
+    if gap > 0 then steps := gap :: !steps
+  done;
+  let steps = Array.of_list !steps in
+  Array.sort compare steps;
+  check "the clock advanced" true (Array.length steps > 0);
+  let median = steps.(Array.length steps / 2) in
+  if median >= 1_000 then
+    Alcotest.failf "median step %d ns, not under 1 us" median
+
 let () =
   Alcotest.run "runtime"
     [
@@ -69,5 +94,6 @@ let () =
             rand_distinct_across_domains;
           Alcotest.test_case "self ids" `Quick self_stable_and_distinct;
           Alcotest.test_case "cpu_relax" `Quick cpu_relax_returns;
+          Alcotest.test_case "monotonic clock" `Quick monotonic_clock;
         ] );
     ]

@@ -8,6 +8,16 @@ let check_int = Alcotest.(check int)
 let make_tree ?threshold ?init_depth ?rand () =
   T.create ?threshold ?init_depth ?rand (fun () -> ref (-1))
 
+(* A tree whose node [i] holds [base + i]: [create] makes the slots of
+   its rows in index order, and [expand] each later row, so a counter
+   numbers them. The probe hands [ge] the slot, so over [base = 0] a
+   predicate on slots reads as one on node indices. *)
+let indexed_tree ?(base = 0) ?init_depth ?rand () =
+  let next = ref base in
+  T.create ?init_depth ?rand (fun () ->
+      incr next;
+      !next)
+
 (* Pin the constant-time level_of against the naive shift-loop reference
    it replaced, over every index of a 16-level tree plus the extremes. *)
 let level_of_pinned () =
@@ -85,31 +95,33 @@ let expansion () =
   ignore (T.get t 7)
 
 let binary_search_on_path () =
-  (* ge over node indices along the ancestor chain of leaf 12 at depth 4:
+  (* ge over the slots along the ancestor chain of leaf 12 at depth 4:
      path is 1, 3, 6, 12 (levels 0..3). *)
+  let t = indexed_tree ~init_depth:4 () in
   let ge_set set i = List.mem i set in
   (* ge holds from level 2 down: expect node 6 *)
   check_int "finds shallowest ge" 6
-    (T.binary_search ~ge:(ge_set [ 6; 12 ]) 12 4);
+    (T.binary_search t ~ge:(ge_set [ 6; 12 ]) 12 4);
   (* ge holds everywhere: expect root *)
   check_int "root when all ge" 1
-    (T.binary_search ~ge:(ge_set [ 1; 3; 6; 12 ]) 12 4);
+    (T.binary_search t ~ge:(ge_set [ 1; 3; 6; 12 ]) 12 4);
   (* ge holds only at the leaf *)
-  check_int "leaf when only leaf ge" 12 (T.binary_search ~ge:(ge_set [ 12 ]) 12 4);
+  check_int "leaf when only leaf ge" 12
+    (T.binary_search t ~ge:(ge_set [ 12 ]) 12 4);
   (* depth 1: the root is the leaf *)
-  check_int "depth-1 chain" 1 (T.binary_search ~ge:(fun _ -> true) 1 1)
+  check_int "depth-1 chain" 1 (T.binary_search t ~ge:(fun _ -> true) 1 1)
 
 let find_insert_point_expands () =
   (* With ge false everywhere, every probe fails and the tree grows each
      round until ge accepts (here: accept at depth 3). *)
-  let t = make_tree () in
+  let t = indexed_tree () in
   let ge i = T.level_of i >= 2 in
   let c = T.find_insert_point t ~ge in
   check "returned a level >= 2 node" true (T.level_of c >= 2);
   check "tree grew to depth 3" true (T.depth t >= 3)
 
 let find_insert_point_probes_leaves () =
-  let t = make_tree ~init_depth:4 () in
+  let t = indexed_tree ~init_depth:4 () in
   (* accept any leaf; result must lie on a leaf-to-root chain, i.e. be a
      valid node of the tree *)
   for _ = 1 to 100 do
@@ -123,10 +135,59 @@ let find_insert_point_probes_leaves () =
     check "leaf returned" true (T.is_leaf c ~depth:d)
   done
 
+(* [ge] is handed slots, never node indices, and only the slots of the
+   nodes the search visits: probed leaves, then ancestors of the leaf it
+   accepted, the chain that holds the returned node. Node [i] holds
+   [1000 + i], so a slot read at the wrong offset of its row, or from
+   the wrong row, records a value off that chain. Leaves whose index is
+   a multiple of 3 are rejected, so some probes fail; above the leaves
+   [ge] holds from level [top] down, so the search returns the accepted
+   leaf's ancestor at level [top] (the leaf itself when [top] is the
+   leaf level). *)
+let probe_hands_visited_slots () =
+  let d = 6 and base = 1000 in
+  let rng = Prng.create 5L in
+  let t = indexed_tree ~base ~init_depth:d ~rand:(Prng.int rng) () in
+  let search top =
+    let seen = ref [] in
+    let ge v =
+      let i = v - base in
+      let ok =
+        T.level_of i >= top && (T.level_of i < d - 1 || i mod 3 <> 0)
+      in
+      seen := (i, ok) :: !seen;
+      ok
+    in
+    let c = T.find_insert_point t ~ge in
+    let handed = List.rev !seen in
+    List.iter
+      (fun (i, _) ->
+        if i < 1 || i >= 1 lsl d then Alcotest.failf "ge handed %d" (i + base))
+      handed;
+    let leaves, chain =
+      List.partition (fun (i, _) -> T.is_leaf i ~depth:d) handed
+    in
+    let leaf =
+      match List.rev leaves with
+      | (leaf, true) :: rejected ->
+          check "earlier probes rejected" true
+            (List.for_all (fun (_, ok) -> not ok) rejected);
+          leaf
+      | _ -> Alcotest.fail "no accepted leaf"
+    in
+    check "searched the accepted leaf's ancestors" true
+      (List.for_all (fun (i, _) -> leaf lsr (d - 1 - T.level_of i) = i) chain);
+    check_int "returned the accepted leaf's ancestor" (leaf lsr (d - 1 - top)) c
+  in
+  for _ = 1 to 100 do
+    search 3;
+    search (d - 1)
+  done
+
 let deterministic_with_rand () =
   let mk () =
     let rng = Prng.create 77L in
-    make_tree ~init_depth:5 ~rand:(fun b -> Prng.int rng b) ()
+    indexed_tree ~init_depth:5 ~rand:(fun b -> Prng.int rng b) ()
   in
   let t1 = mk () and t2 = mk () in
   let picks1 = List.init 50 (fun _ -> T.find_insert_point t1 ~ge:(fun i -> i > 3)) in
@@ -186,7 +247,7 @@ let prop_insert_point_contract =
       (* ge true on nodes with index >= cut+1: anti-monotone along paths
          (descendants have larger indices), like a mound's val >= v *)
       let rng = Prng.create (Int64.of_int (seed + 1)) in
-      let t = make_tree ~init_depth:6 ~rand:(fun b -> Prng.int rng b) () in
+      let t = indexed_tree ~init_depth:6 ~rand:(fun b -> Prng.int rng b) () in
       let ge i = i > cut in
       if not (ge ((1 lsl 6) - 1)) then true (* deepest leaf may fail ge *)
       else begin
@@ -204,7 +265,8 @@ let prop_binary_search_boundary =
       let path = List.init d (fun lvl -> leaf lsr (d - 1 - lvl)) in
       let suffix = List.filteri (fun i _ -> i >= k) path in
       let ge i = List.mem i suffix in
-      T.binary_search ~ge leaf d = List.nth path k)
+      T.binary_search (indexed_tree ~init_depth:d ()) ~ge leaf d
+      = List.nth path k)
 
 let () =
   Alcotest.run "tree"
@@ -237,6 +299,8 @@ let () =
             find_insert_point_expands;
           Alcotest.test_case "probes leaves" `Quick
             find_insert_point_probes_leaves;
+          Alcotest.test_case "ge handed the visited slots" `Quick
+            probe_hands_visited_slots;
           Alcotest.test_case "deterministic with seeded rand" `Quick
             deterministic_with_rand;
           QCheck_alcotest.to_alcotest prop_insert_point_contract;
