@@ -15,13 +15,15 @@
       projection, pattern destructuring, or any expression containing a
       fact-carrying name) and remembers the originating location key;
     - [Fresh_rec]: the variable holds a freshly allocated mutable value
-      — a record literal (remembering whether it is {e stamped}: binds a
-      version-vocabulary field ([seq]/[ver]/[stamp]/[epoch]) to a
-      computed bump rather than a constant or a plain copy), a [ref], or
-      an [Array]/[Bytes.make]. Freshness is {e killed} the first time
-      the variable is mentioned in any call argument: handing the value
-      to a callee may share it. Hooks fire before the kill, so a CAS
-      hook still sees the fact of the record it publishes.
+      — a record literal, also under a constructor or in every arm of a
+      [match] ({!Summary.record_literals}), remembering whether it is
+      {e stamped}: binds a version-vocabulary field
+      ([seq]/[ver]/[stamp]/[epoch]) to a computed bump rather than a
+      constant or a plain copy; or a [ref], or an [Array]/[Bytes.make].
+      Freshness is {e killed} the first time the variable is mentioned
+      in any call argument: handing the value to a callee may share it.
+      Hooks fire before the kill, so a CAS hook still sees the fact of
+      the record it publishes.
 
     The pass is deliberately path-{e in}sensitive: both branches of a
     conditional and every match arm update one shared state, so a fact
@@ -82,9 +84,9 @@ let fact_key = function
   | Derived { dkey } -> Some dkey
   | Fresh_rec _ -> None
 
-(* A record literal stamped with a fresh version: some version-vocab
-   field bound to a computed expression ([seq = cur.seq + 1]), not a
-   constant reset or a plain copy of the old counter. *)
+(* A record literal's fields stamped with a fresh version: some
+   version-vocab field bound to a computed expression ([seq = cur.seq +
+   1]), not a constant reset or a plain copy of the old counter. *)
 let stamped_record fields =
   List.exists
     (fun ((lid : Longident.t Asttypes.loc), v) ->
@@ -96,6 +98,19 @@ let stamped_record fields =
       | Pexp_apply (_, _) -> true
       | _ -> false)
     fields
+
+let rec pat_vars p =
+  match p.ppat_desc with
+  | Ppat_var { txt; _ } -> [ txt ]
+  | Ppat_alias (p, { txt; _ }) -> txt :: pat_vars p
+  | Ppat_constraint (p, _) | Ppat_lazy p | Ppat_exception p -> pat_vars p
+  | Ppat_tuple ps | Ppat_array ps -> List.concat_map pat_vars ps
+  | Ppat_construct (_, Some (_, p)) | Ppat_variant (_, Some p) ->
+      pat_vars p
+  | Ppat_record (fields, _) ->
+      List.concat_map (fun (_, p) -> pat_vars p) fields
+  | Ppat_or (a, b) -> pat_vars a @ pat_vars b
+  | _ -> []
 
 (* First location key reachable from [e] through known facts or a
    direct dotted [get]: the containment scan used to decide whether a
@@ -133,23 +148,37 @@ let rec contained_key ctx e =
       match contained_key ctx t with
       | Some _ as k -> k
       | None -> Option.bind e (contained_key ctx))
-  | Pexp_match (_, cases) ->
-      List.find_map (fun c -> contained_key ctx c.pc_rhs) cases
+  | Pexp_match (s, cases) -> (
+      match List.find_map (fun c -> contained_key ctx c.pc_rhs) cases with
+      | Some _ as k -> k
+      | None ->
+          (* an arm built from what its pattern bound ([Node x -> Node
+             { x with dirty = false }]) is computed from the scrutinee *)
+          if
+            List.exists
+              (fun c ->
+                let used = Summary.idents_of c.pc_rhs in
+                List.exists (fun v -> List.mem v used) (pat_vars c.pc_lhs))
+              cases
+          then contained_key ctx s
+          else None)
   | _ -> None
 
-(* Abstract value of [e] in the current state. *)
+(* Abstract value of [e] in the current state. A fresh record
+   ({!Summary.record_literals}: a literal, a constructor applied to one,
+   a [match] of them) is stamped when every literal it may be is. *)
 let fact_of ctx e =
   let e = Summary.strip_casts e in
-  match e.pexp_desc with
-  | Pexp_ident { txt = Longident.Lident v; _ } ->
+  match (e.pexp_desc, Summary.record_literals e) with
+  | _, Some lits ->
+      Some (Fresh_rec { stamped = List.for_all stamped_record lits })
+  | Pexp_ident { txt = Longident.Lident v; _ }, None ->
       Hashtbl.find_opt ctx.facts v
-  | Pexp_record (fields, _) ->
-      Some (Fresh_rec { stamped = stamped_record fields })
-  | Pexp_field (r, _) -> (
+  | Pexp_field (r, _), None -> (
       match contained_key ctx r with
       | Some k -> Some (Derived { dkey = k })
       | None -> None)
-  | Pexp_apply (head, args) -> (
+  | Pexp_apply (head, args), None -> (
       match Summary.flatten_ident head with
       | Some [ "ref" ] when args <> [] ->
           Some (Fresh_rec { stamped = false })
@@ -198,19 +227,6 @@ let no_hooks =
     h_set = (fun _ ~line:_ ~loc:_ ~value:_ -> ());
     h_call = (fun _ ~line:_ ~segs:_ _ -> ());
   }
-
-let rec pat_vars p =
-  match p.ppat_desc with
-  | Ppat_var { txt; _ } -> [ txt ]
-  | Ppat_alias (p, { txt; _ }) -> txt :: pat_vars p
-  | Ppat_constraint (p, _) | Ppat_lazy p | Ppat_exception p -> pat_vars p
-  | Ppat_tuple ps | Ppat_array ps -> List.concat_map pat_vars ps
-  | Ppat_construct (_, Some (_, p)) | Ppat_variant (_, Some p) ->
-      pat_vars p
-  | Ppat_record (fields, _) ->
-      List.concat_map (fun (_, p) -> pat_vars p) fields
-  | Ppat_or (a, b) -> pat_vars a @ pat_vars b
-  | _ -> []
 
 let run (hooks : hooks) (body : expression) : unit =
   let ctx = { facts = Hashtbl.create 16 } in

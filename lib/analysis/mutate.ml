@@ -706,10 +706,12 @@ let sites_drop_stamp p _src =
 (* Two shapes, matching the two mounds' completion protocols.
 
    Lock-free: per function, flip every [dirty = false] literal inside a
-   CAS-family fresh argument to [true] — the function's completing
-   CASes stop completing, so every retry loop reaching it loses its
-   transitive [helps] and static-retry resurfaces. Per-field flips are
-   useless here: one intact completing store keeps [helps] true.
+   CAS-family fresh argument ({!Summary.record_literals}: through a
+   constructor and the arms of a [match]) to [true] — the function's
+   completing CASes stop completing, so every retry loop reaching it
+   loses its transitive [helps] and static-retry resurfaces. Per-field
+   flips are useless here: one intact completing store keeps [helps]
+   true.
 
    Locking: rewrite [unlock]'s store as [locked = true] (with the
    enabling edits making acquire and release summarizable at all) — the
@@ -730,22 +732,18 @@ let sites_drop_completion p src =
                      && List.mem (last_seg segs) cas_heads ->
                   List.iter
                     (fun a ->
-                      match a.pexp_desc with
-                      | Pexp_record (fields, _) ->
-                          List.iter
-                            (fun ((lid : Longident.t Location.loc), fe) ->
-                              let lname =
-                                last_seg (Frontend.flatten lid.txt)
-                              in
-                              if lname = "dirty" || lname = "locked" then
-                                match fe.pexp_desc with
-                                | Pexp_construct
-                                    ({ txt = Lident "false"; _ }, None) ->
-                                    flips := replace fe "true" :: !flips;
-                                    line := min !line (line_of fe)
-                                | _ -> ())
-                            fields
-                      | _ -> ())
+                      List.iter
+                        (List.iter
+                           (fun ((lid : Longident.t Location.loc), fe) ->
+                             let lname = last_seg (Frontend.flatten lid.txt) in
+                             if lname = "dirty" || lname = "locked" then
+                               match fe.pexp_desc with
+                               | Pexp_construct
+                                   ({ txt = Lident "false"; _ }, None) ->
+                                   flips := replace fe "true" :: !flips;
+                                   line := min !line (line_of fe)
+                               | _ -> ()))
+                        (Option.value (Summary.record_literals a) ~default:[]))
                     (Summary.nolabel_args args)
               | _ -> ())
           | _ -> ());
@@ -805,24 +803,34 @@ let sites_inplace_publish p src =
      in place *)
   let decl_edit fld =
     let found = ref None in
+    let mark labels =
+      List.iter
+        (fun (l : label_declaration) ->
+          if l.pld_name.txt = fld && l.pld_mutable = Asttypes.Immutable then
+            let a, _ = span_of_loc l.pld_loc in
+            found := Some { e_start = a; e_stop = a; e_text = "mutable " })
+        labels
+    in
     on_type_decls p (fun d ->
         match d.ptype_kind with
-        | Ptype_record labels ->
+        | Ptype_record labels -> mark labels
+        | Ptype_variant cds ->
+            (* inline records: [Node of { hd : elt; ... }] *)
             List.iter
-              (fun (l : label_declaration) ->
-                if l.pld_name.txt = fld && l.pld_mutable = Asttypes.Immutable
-                then
-                  let a, _ = span_of_loc l.pld_loc in
-                  found := Some { e_start = a; e_stop = a; e_text = "mutable " })
-              labels
+              (fun (cd : constructor_declaration) ->
+                match cd.pcd_args with
+                | Pcstr_record labels -> mark labels
+                | Pcstr_tuple _ -> ())
+              cds
         | _ -> ());
     !found
   in
   on_exprs p (fun e ->
       match cas_app e with
       | Some (prefix, l, x, f) -> (
-          match (x.pexp_desc, f.pexp_desc) with
-          | Pexp_ident _, Pexp_record (((lid : Longident.t Location.loc), _) :: _, _) ->
+          match (x.pexp_desc, Summary.record_literals f) with
+          | Pexp_ident _, Some ((((lid : Longident.t Location.loc), _) :: _) :: _)
+            ->
               let fld = last_seg (Frontend.flatten lid.txt) in
               let xs = expr_src src x in
               let body =

@@ -14,7 +14,9 @@
       nobody retries on its account — and {e observed} otherwise;
     - {e helps}: a completing CAS whose fresh value is a record literal
       carrying [dirty = false] (the moundify idiom, recognized by shape
-      rather than by the callee's name);
+      rather than by the callee's name), seen through a constructor
+      applied to it and through the arms of a [match]
+      ({!record_literals});
     - {e backs-off}: a call to [cpu_relax] (every backoff primitive in
       the tree bottoms out there);
     - {e acquires-lock}: a CAS whose fresh value is a record literal
@@ -171,17 +173,34 @@ let is_bool_lit b e =
       c = (if b then "true" else "false")
   | _ -> false
 
-(* A record literal (or functional update) binding [field] to the boolean
-   literal [b] — [{ list; locked = true }], [{ s with locked = true }]. *)
-let record_sets_field field b e =
+(* The record literals (or functional updates) [e] evaluates to, as
+   their field lists: a literal itself, a constructor applied to one (an
+   inline record, [Node { n with dirty = false }]), or a [match] each of
+   whose arms is one. [None] when some outcome is not a literal. The one
+   notion of "a fresh record value" behind every shape-keyed recognizer
+   of a CAS argument. *)
+let rec record_literals e =
   match (strip_casts e).pexp_desc with
-  | Pexp_record (fields, _) ->
-      List.exists
-        (fun ((lid : Longident.t Asttypes.loc), v) ->
-          (match lid.txt with Longident.Lident f -> f = field | _ -> false)
-          && is_bool_lit b v)
-        fields
-  | _ -> false
+  | Pexp_record (fields, _) -> Some [ fields ]
+  | Pexp_construct (_, Some a) -> record_literals a
+  | Pexp_match (_, cases) ->
+      List.fold_left
+        (fun acc c ->
+          match (acc, record_literals c.pc_rhs) with
+          | Some ls, Some l -> Some (ls @ l)
+          | _ -> None)
+        (Some []) cases
+  | _ -> None
+
+(* A record literal (or functional update) binding [field] to the boolean
+   literal [b] — [{ list; locked = true }], [{ s with locked = true }],
+   [Node { n with dirty = false }]: some literal [e] evaluates to. *)
+let record_sets_field field b e =
+  List.exists
+    (List.exists (fun ((lid : Longident.t Asttypes.loc), v) ->
+         (match lid.txt with Longident.Lident f -> f = field | _ -> false)
+         && is_bool_lit b v))
+    (Option.value (record_literals e) ~default:[])
 
 let pat_var p =
   match p.ppat_desc with

@@ -126,7 +126,8 @@ module Sorted = struct
 
   (** [head_compare cmp a b] orders two lists as {!Value.compare} orders
       [value a] and [value b] (an empty list is ⊤), without boxing
-      either head: the comparison of every [moundify] level. *)
+      either head: the comparison of the locking mound's [moundify]
+      levels (the sequential and lock-free mounds compare in place). *)
   let head_compare cmp a b =
     match (a, b) with
     | [], [] -> 0

@@ -1,11 +1,18 @@
 (** Lock-free mound (paper §III, Listing 2).
 
-    Each tree node is an {!Mcas} location holding an immutable record
-    [{list; dirty; seq}] — the paper's ⟨list, dirty, c⟩ triple. A single
-    [Mcas.get] is the paper's atomic READ; publishing a fresh record per
-    update gives the counter-stamped-CAS semantics of the paper (we keep
-    the [seq] counter for fidelity and diagnostics, but in OCaml physical
-    equality on the fresh record already rules out ABA).
+    Each tree node is an {!Mcas} cell, held in its level's {!Tree} row
+    itself, whose value is an immutable record: the paper's
+    ⟨list, dirty, c⟩ triple with the list's head in the record
+    ([Node {hd; tl; dirty; seq}], or [Empty {dirty; seq}] for ⊤), so a
+    probe or a [moundify] comparison reads the head right after the cell.
+    A single [Cell.get] is the paper's atomic READ; publishing a fresh
+    record per update gives the counter-stamped-CAS semantics of the
+    paper (we keep the [seq] counter for fidelity and diagnostics, but in
+    OCaml physical equality on the fresh record already rules out ABA).
+    Every multi-cell operation names its legs parent first (the DCAS of
+    [moundify], the DCSS of [insert], [insert_kcss]'s chain root first),
+    which is the order the tree allocates its cells in, so all of them
+    install in one global order.
 
     - [insert] finds a candidate with randomized leaf probing + binary
       search (O(log log N) reads), re-validates the candidate and its
@@ -24,21 +31,48 @@
 
 module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
   module M = Mcas.Make (R.Atomic)
+  module Cell = M.Cell
   module T = Tree.Make (R)
   module B = Runtime.Backoff.Make (R)
 
   type elt = Ord.t
 
-  type mnode = { list : elt list; dirty : bool; seq : int }
+  (* The node's sorted list is [hd :: tl], or empty (⊤). *)
+  type node =
+    | Empty of { dirty : bool; seq : int }
+    | Node of { hd : elt; tl : elt list; dirty : bool; seq : int }
 
-  type t = { tree : mnode M.loc T.t; ops : Stats.Ops.t }
+  type t = { tree : node Cell.t T.t; ops : Stats.Ops.t }
 
-  let node_value n = Intf.Sorted.value n.list
+  let is_dirty = function Empty { dirty; _ } | Node { dirty; _ } -> dirty
 
-  let head_compare a b = Intf.Sorted.head_compare Ord.compare a b
+  let stamp = function Empty { seq; _ } | Node { seq; _ } -> seq
+
+  let to_list = function Empty _ -> [] | Node { hd; tl; _ } -> hd :: tl
+
+  let node_value = function Empty _ -> None | Node { hd; _ } -> Some hd
+
+  (* Node values ordered as {!Intf.Value} orders them, an empty node
+     being ⊤; the comparisons of every [moundify] level, written here
+     over [Ord.compare] (DESIGN.md §8's [-opaque] rule). *)
+  let head_compare a b =
+    match (a, b) with
+    | Empty _, Empty _ -> 0
+    | Empty _, Node _ -> 1
+    | Node _, Empty _ -> -1
+    | Node { hd = x; _ }, Node { hd = y; _ } -> Ord.compare x y
+
+  (* [head_ge n v]: [val(n) >= v], so [v] may be pushed onto [n];
+     [head_le n v]: [val(n) <= v], the parent-side insertion
+     condition, which ⊤ never satisfies. *)
+  let head_ge n v =
+    match n with Empty _ -> true | Node { hd; _ } -> Ord.compare hd v >= 0
+
+  let head_le n v =
+    match n with Empty _ -> false | Node { hd; _ } -> Ord.compare hd v <= 0
 
   let create ?threshold ?init_depth () =
-    let make_slot () = M.make { list = []; dirty = false; seq = 0 } in
+    let make_slot () = Cell.make (Empty { dirty = false; seq = 0 }) in
     { tree = T.create ?threshold ?init_depth make_slot; ops = Stats.Ops.create () }
 
   (** Retry / helping / backoff counters since creation. Exact and
@@ -48,7 +82,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
 
   let depth t = T.depth t.tree
 
-  let read t i = M.get (T.get t.tree i)
+  let read t i = Cell.get (T.get t.tree i)
 
   (* ----- moundify: restore the mound property at a dirty node ----- *)
 
@@ -57,63 +91,71 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
      with [get_at] instead of recomputing the level on every access. *)
   let rec moundify t n ~level =
     let slot = T.get_at t.tree ~level n in
-    let node = M.get slot in
+    let node = Cell.get slot in
     let d = T.depth t.tree in
-    if not node.dirty then () (* helped by someone else — L36 *)
+    if not (is_dirty node) then () (* helped by someone else — L36 *)
     else if T.is_leaf n ~depth:d then begin
       (* L37–L39: a leaf trivially satisfies the property. *)
       if
-        M.cas slot node { list = node.list; dirty = false; seq = node.seq + 1 }
+        Cell.cas slot node
+          (match node with
+          | Empty e -> Empty { dirty = false; seq = e.seq + 1 }
+          | Node x -> Node { x with dirty = false; seq = x.seq + 1 })
       then ()
       else moundify t n ~level
     end
     else begin
       let lslot = T.get_at t.tree ~level:(level + 1) (2 * n)
       and rslot = T.get_at t.tree ~level:(level + 1) ((2 * n) + 1) in
-      let left = M.get lslot in
-      let right = M.get rslot in
-      if left.dirty then begin
+      let left = Cell.get lslot in
+      let right = Cell.get rslot in
+      if is_dirty left then begin
         (* dirtied by another operation: helping (L41–L44) *)
         t.ops.helps <- t.ops.helps + 1;
         moundify t (2 * n) ~level:(level + 1);
         moundify t n ~level
       end
-      else if right.dirty then begin
+      else if is_dirty right then begin
         t.ops.helps <- t.ops.helps + 1;
         moundify t ((2 * n) + 1) ~level:(level + 1);
         moundify t n ~level
       end
-      else begin
-        let ln = node.list and ll = left.list and lr = right.list in
-        if head_compare ll lr <= 0 && head_compare ll ln < 0 then begin
-          (* Swap lists with the left child (L48–L51). The child becomes
-             dirty and is cleaned recursively. *)
-          if
-            M.dcas slot node
-              { list = left.list; dirty = false; seq = node.seq + 1 }
-              lslot left
-              { list = node.list; dirty = true; seq = left.seq + 1 }
-          then moundify t (2 * n) ~level:(level + 1)
-          else moundify t n ~level
-        end
-        else if head_compare lr ll < 0 && head_compare lr ln < 0 then begin
-          if
-            M.dcas slot node
-              { list = right.list; dirty = false; seq = node.seq + 1 }
-              rslot right
-              { list = node.list; dirty = true; seq = right.seq + 1 }
-          then moundify t ((2 * n) + 1) ~level:(level + 1)
-          else moundify t n ~level
-        end
-        else begin
-          (* L56–L58: the node already dominates both children. *)
-          if
-            M.cas slot node
-              { list = node.list; dirty = false; seq = node.seq + 1 }
-          then ()
-          else moundify t n ~level
-        end
-      end
+      else
+        (* A child whose head is below the node's is not empty. *)
+        match (left, right) with
+        | Node l, _
+          when head_compare left right <= 0 && head_compare left node < 0 ->
+            (* Swap lists with the left child (L48–L51). The child becomes
+               dirty and is cleaned recursively. *)
+            if
+              Cell.dcas slot node
+                (Node { l with dirty = false; seq = stamp node + 1 })
+                lslot left
+                (match node with
+                | Empty _ -> Empty { dirty = true; seq = l.seq + 1 }
+                | Node x -> Node { x with dirty = true; seq = l.seq + 1 })
+            then moundify t (2 * n) ~level:(level + 1)
+            else moundify t n ~level
+        | _, Node r
+          when head_compare right left < 0 && head_compare right node < 0 ->
+            if
+              Cell.dcas slot node
+                (Node { r with dirty = false; seq = stamp node + 1 })
+                rslot right
+                (match node with
+                | Empty _ -> Empty { dirty = true; seq = r.seq + 1 }
+                | Node x -> Node { x with dirty = true; seq = r.seq + 1 })
+            then moundify t ((2 * n) + 1) ~level:(level + 1)
+            else moundify t n ~level
+        | _ ->
+            (* L56–L58: the node already dominates both children. *)
+            if
+              Cell.cas slot node
+                (match node with
+                | Empty e -> Empty { dirty = false; seq = e.seq + 1 }
+                | Node x -> Node { x with dirty = false; seq = x.seq + 1 })
+            then ()
+            else moundify t n ~level
     end
 
   (* ----- spurious-failure-tolerant publication ----- *)
@@ -127,14 +169,14 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
   (* lint: allow — retries only while the location is observably
      unchanged, i.e. on spurious weak-CAS failure; a real change exits *)
   let rec cas_reusing slot cur fresh =
-    M.cas slot cur fresh
-    || (M.get slot == cur && cas_reusing slot cur fresh)
+    Cell.cas slot cur fresh
+    || (Cell.get slot == cur && cas_reusing slot cur fresh)
 
   (* lint: allow — same spurious-failure-only retry as cas_reusing *)
   let rec dcss_reusing pslot parent cslot cur fresh =
-    M.dcss pslot parent cslot cur fresh
-    || M.get cslot == cur
-       && M.get pslot == parent
+    Cell.dcss pslot parent cslot cur fresh
+    || Cell.get cslot == cur
+       && Cell.get pslot == parent
        && dcss_reusing pslot parent cslot cur fresh
 
   (* ----- deadlines ----- *)
@@ -150,8 +192,8 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
      extraction loop when its deadline passes. Never installed in a
      slot, so [r == missed] / [r == gave_up] hold for these records
      alone. *)
-  let missed = { list = []; dirty = false; seq = -1 }
-  let gave_up = { list = []; dirty = false; seq = -2 }
+  let missed = Empty { dirty = false; seq = -1 }
+  let gave_up = Empty { dirty = false; seq = -2 }
 
   (* ----- insert ----- *)
 
@@ -191,31 +233,29 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
     in
     let clvl = T.level_of c in
     let cslot = T.get_at t.tree ~level:clvl c in
-    let cur = M.get cslot in
-    if not (Intf.Sorted.head_ge Ord.compare cur.list hd) then missed
+    let cur = Cell.get cslot in
+    if not (head_ge cur hd) then missed
     else
       let fresh =
-        {
-          list = hd :: Intf.Sorted.splice Ord.compare rest cur.list;
-          dirty = cur.dirty;
-          seq = cur.seq + 1;
-        }
+        Node
+          {
+            hd;
+            tl = Intf.Sorted.splice Ord.compare rest (to_list cur);
+            dirty = is_dirty cur;
+            seq = stamp cur + 1;
+          }
       in
       if c = 1 then if cas_reusing cslot cur fresh then cur else missed
       else
         let pslot = T.get_at t.tree ~level:(clvl - 1) (c / 2) in
-        let parent = M.get pslot in
-        if
-          Intf.Sorted.head_le Ord.compare parent.list hd
-          && dcss_reusing pslot parent cslot cur fresh
+        let parent = Cell.get pslot in
+        if head_le parent hd && dcss_reusing pslot parent cslot cur fresh
         then cur
         else missed
 
   (* [ge v slot]: does the node in [slot] dominate [v]? The probe
-     predicate, over [Ord.compare] directly: [Intf.Sorted.head_ge] would
-     be a call into another module on every probe. *)
-  let ge v slot =
-    match (M.get slot).list with [] -> true | x :: _ -> Ord.compare x v >= 0
+     predicate. *)
+  let ge v slot = head_ge (Cell.get slot) v
 
   (* A first failure retries immediately (benign race, exactly the
      paper's loop); sustained failure backs off exponentially so
@@ -269,12 +309,10 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
     (* Snapshot the whole ancestor chain root..c. *)
     let rec chain i acc = if i = 0 then acc else chain (i / 2) (i :: acc) in
     let path = chain c [] in
-    let snap = List.map (fun i -> (i, M.get (T.get t.tree i))) path in
+    let snap = List.map (fun i -> (i, Cell.get (T.get t.tree i))) path in
     let valid =
       List.for_all
-        (fun (i, node) ->
-          if i = c then Intf.Sorted.head_ge Ord.compare node.list v
-          else Intf.Sorted.head_le Ord.compare node.list v)
+        (fun (i, node) -> if i = c then head_ge node v else head_le node v)
         snap
     in
     if not valid then insert_kcss t v
@@ -284,13 +322,20 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
           (fun (i, node) ->
             let slot = T.get t.tree i in
             if i = c then
-              (slot, node,
-               { list = v :: node.list; dirty = node.dirty; seq = node.seq + 1 })
+              ( slot,
+                node,
+                Node
+                  {
+                    hd = v;
+                    tl = to_list node;
+                    dirty = is_dirty node;
+                    seq = stamp node + 1;
+                  } )
             else (slot, node, node))
           snap
         |> Array.of_list
       in
-      if not (M.casn ops) then insert_kcss t v
+      if not (Cell.casn ops) then insert_kcss t v
 
   (* Attempts per run before conceding the head to element-wise
      [insert] (which carries the backoff) and resuming batching. *)
@@ -315,7 +360,8 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
             let cur = put t ~ge:(ge hd) ~fallback:false hd rest in
             if cur == missed then go batch (tries - 1)
             else
-              go (Intf.Sorted.remainder Ord.compare rest cur.list) batch_tries
+              go (Intf.Sorted.remainder Ord.compare rest (to_list cur))
+                batch_tries
     in
     go batch batch_tries
 
@@ -329,22 +375,21 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       read — its head is the element taken — or [missed] if the CAS
       lost. *)
   let take t slot n ~level ~all =
-    let node = M.get slot in
-    if node.dirty then begin
+    let node = Cell.get slot in
+    if is_dirty node then begin
       moundify t n ~level;
       node
     end
     else
-      match node.list with
-      | [] -> node
-      | _ :: tl ->
+      match node with
+      | Empty _ -> node
+      | Node x ->
           if
             cas_reusing slot node
-              {
-                list = (if all then [] else tl);
-                dirty = true;
-                seq = node.seq + 1;
-              }
+              (match x.tl with
+              | hd :: tl when not all ->
+                  Node { hd; tl; dirty = true; seq = x.seq + 1 }
+              | _ -> Empty { dirty = true; seq = x.seq + 1 })
           then begin
             moundify t n ~level;
             node
@@ -375,7 +420,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
         t.ops.extract_retries <- t.ops.extract_retries + 1;
         take_root t ~all ~deadline (spin + 1)
       end
-      else if node.dirty then begin
+      else if is_dirty node then begin
         t.ops.helps <- t.ops.helps + 1;
         take_root t ~all ~deadline (spin + 1)
       end
@@ -392,7 +437,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       the same protocol as [extract_min], with the list emptied rather
       than beheaded. *)
   let extract_many t =
-    (take_root t ~all:true ~deadline:Intf.no_deadline 0).list
+    to_list (take_root t ~all:true ~deadline:Intf.no_deadline 0)
 
   (** Probabilistic extract-min (§V): any non-dirty node is the root of a
       sub-mound, so extracting from a random node within the first
@@ -413,14 +458,15 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
         if tries = 0 then extract_min t
         else
           let node = take t slot n ~level ~all:false in
-          if node == missed || node.dirty then attempt (tries - 1)
-          else match node.list with [] -> extract_min t | x :: _ -> Some x
+          if node == missed || is_dirty node then attempt (tries - 1)
+          else
+            match node with Empty _ -> extract_min t | Node { hd; _ } -> Some hd
       in
       attempt 4
 
   let rec peek_min t =
     let root = read t 1 in
-    if root.dirty then begin
+    if is_dirty root then begin
       t.ops.helps <- t.ops.helps + 1;
       moundify t 1 ~level:0;
       peek_min t
@@ -432,7 +478,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
   (* ----- quiescent introspection (stats, tests) ----- *)
 
   let fold_nodes t f acc =
-    T.fold t.tree (fun acc i slot -> f acc i (M.get slot).list) acc
+    T.fold t.tree (fun acc i slot -> f acc i (to_list (Cell.get slot))) acc
 
   let size t = fold_nodes t (fun acc _ l -> acc + List.length l) 0
 
@@ -441,5 +487,5 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
   let check t =
     Intf.Sorted.well_formed Ord.compare ~fold:(fold_nodes t) ~parent:(fun p ->
         let parent = read t p in
-        if parent.dirty then None else Some parent.list)
+        if is_dirty parent then None else Some (to_list parent))
 end

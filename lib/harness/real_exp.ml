@@ -14,7 +14,10 @@
     the start barrier, so no worker operation can land outside the timed
     window; each domain additionally records its own start and stop
     stamps (relative to that origin) after it clears the barrier. A
-    trial's span is origin → last worker stop.
+    trial's span is origin → last worker stop. The clock is
+    [Runtime.Real.monotonic_ns]: a wall-clock step cannot move a stamp,
+    and stamps resolve nanoseconds, not [Unix.gettimeofday]'s
+    microsecond steps.
 
     The core operations' wall-clock throughput is measured by the
     [bench/perf] benchmark, not here. *)
@@ -57,36 +60,37 @@ type series = { structure : string; cells : cell list }
 let timed_trial ~threads (body : int -> int) =
   let barrier = Barrier.create (threads + 1) in
   let counts = Array.make threads 0 in
-  let starts = Array.make threads 0. in
-  let stops = Array.make threads 0. in
+  let starts = Array.make threads 0 in
+  let stops = Array.make threads 0 in
   let domains =
     Array.init threads (fun tid ->
         Domain.spawn (fun () ->
             Barrier.wait barrier;
-            starts.(tid) <- Unix.gettimeofday ();
+            starts.(tid) <- Runtime.Real.monotonic_ns ();
             counts.(tid) <- body tid;
-            stops.(tid) <- Unix.gettimeofday ()))
+            stops.(tid) <- Runtime.Real.monotonic_ns ()))
   in
   (* Clock origin is taken before the barrier opens: early worker
      operations cannot land outside the timed window. *)
-  let t0 = Unix.gettimeofday () in
+  let t0 = Runtime.Real.monotonic_ns () in
   Barrier.wait barrier;
   Array.iter Domain.join domains;
-  let seconds = Array.fold_left max neg_infinity stops -. t0 in
+  let secs ns = float_of_int ns *. 1e-9 in
+  let seconds = secs (Array.fold_left max min_int stops - t0) in
   let ops = Array.fold_left ( + ) 0 counts in
-  let first_start = Array.fold_left min infinity starts in
-  let last_start = Array.fold_left max neg_infinity starts in
+  let first_start = Array.fold_left min max_int starts in
+  let last_start = Array.fold_left max min_int starts in
   {
     seconds;
     ops;
     throughput = (if seconds > 0. then float_of_int ops /. seconds else 0.);
-    skew_s = last_start -. first_start;
+    skew_s = secs (last_start - first_start);
     thread_points =
       List.init threads (fun tid ->
           {
             tid;
-            start_s = starts.(tid) -. t0;
-            stop_s = stops.(tid) -. t0;
+            start_s = secs (starts.(tid) - t0);
+            stop_s = secs (stops.(tid) - t0);
             ops = counts.(tid);
           });
   }

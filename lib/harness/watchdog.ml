@@ -1,7 +1,7 @@
 (* lint: allow-file — the watchdog is wall-clock infrastructure by
-   definition: it spawns a monitor domain and reads real time to convert
-   a wedged Domain.join into a fast failure. Nothing here touches the
-   simulated heap. *)
+   definition: it spawns a monitor domain and reads real (monotonic)
+   time to convert a wedged Domain.join into a fast failure. Nothing
+   here touches the simulated heap. *)
 
 (** Wall-clock watchdog for real-domain tests.
 
@@ -25,10 +25,13 @@ let join_all ?(timeout_s = default_timeout_s) ?(label = "join_all") doms =
   let joined = Atomic.make false in
   let monitor =
     Domain.spawn (fun () ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Runtime.Real.monotonic_ns () in
         let rec watch () =
           if Atomic.get joined then ()
-          else if Unix.gettimeofday () -. t0 > timeout_s then begin
+          else if
+            float_of_int (Runtime.Real.monotonic_ns () - t0) *. 1e-9
+            > timeout_s
+          then begin
             Printf.eprintf
               "[watchdog] %s: %d domain(s) still running after %.0fs — \
                wedged; aborting\n\

@@ -3,6 +3,15 @@
     single-CAS hardware. Lock-free: any thread that encounters another
     operation's descriptor helps it complete.
 
+    Two handles share one protocol. A {e cell} ({!Make.Cell}) is the
+    atomic word itself; a multi-cell operation installs its legs in the
+    order the caller names them, so every caller must name the cells it
+    combines in one global order (the lock-free mound names parents
+    before children, the order its tree allocates them in). A
+    {e location} ({!Make.loc}) is a cell plus its allocation id, and its
+    operations sort their legs by id before calling the cell ones, so
+    callers need not order them.
+
     Equality is {e physical} ([==]) as in [Stdlib.Atomic]; store freshly
     allocated immutable values, which also rules out ABA.
 
@@ -10,20 +19,59 @@
     DCAS/DCSS issues ~7 hardware CASes — the "several CAS per software
     DCAS" that the paper's §IV cost comparison builds on.
 
-    Allocation budget: an uncontended [dcas] or [dcss] allocates 28 words
-    — its two legs, its status cell and descriptors, and one fresh value
-    block per written location. Each descriptor is the
-    very block it installs into locations (an inline record of the
-    location state), so the CASes that later remove it compare against
-    the physical block every helper read. *)
+    Allocation budget: an uncontended [dcas] or [dcss], on cells or on
+    locations, allocates 28 words — its two legs, its status cell and
+    descriptors, and one fresh value block per written cell. Each
+    descriptor is the very block it installs into cells (an inline
+    record of the cell state), so the CASes that later remove it compare
+    against the physical block every helper read. *)
 
 (** Status of an in-flight CASN; immediate constructors, so physical
     equality on them is value equality. *)
 type status = Undecided | Succeeded | Failed
 
 module Make (_ : Runtime.ATOMIC) : sig
+  (** Id-less cells: one atomic word each. Multi-cell operations install
+      their legs in argument order. *)
+  module Cell : sig
+    type 'a t
+    (** A shared cell holding values of type ['a]. *)
+
+    val make : 'a -> 'a t
+
+    val get : 'a t -> 'a
+    (** Read the current value, helping any in-flight operation first. *)
+
+    val set : 'a t -> 'a -> unit
+    (** Unconditional store. Only safe when no concurrent operation can
+        hold a descriptor in the cell (initialization, quiescence). *)
+
+    val cas : 'a t -> 'a -> 'a -> bool
+    (** [cas c expected v] — single-cell CAS with helping. *)
+
+    val casn : ('a t * 'a * 'a) array -> bool
+    (** [casn ops] atomically checks every [(c, expected, _)] and, if all
+        match, stores each new value. Legs are installed in array order,
+        which must agree with the global order of every other operation
+        on the same cells.
+        @raise Invalid_argument if two operations name the same cell. *)
+
+    val dcas : 'a t -> 'a -> 'a -> 'a t -> 'a -> 'a -> bool
+    (** [dcas c1 e1 n1 c2 e2 n2] — double compare-and-swap, installing
+        [c1] first.
+        @raise Invalid_argument if [c1] and [c2] are the same cell. *)
+
+    val dcss : 'a t -> 'a -> 'a t -> 'a -> 'a -> bool
+    (** [dcss c1 e1 c2 e2 n2] — double-compare single-swap: writes
+        [c2 <- n2] only if [c1 = e1] and [c2 = e2], installing [c1]
+        first. A DCAS whose first leg rewrites [e1] to itself, as the
+        paper does (§VI-A).
+        @raise Invalid_argument if [c1] and [c2] are the same cell. *)
+  end
+
   type 'a loc
-  (** A shared location holding values of type ['a]. *)
+  (** A shared location holding values of type ['a]: a cell plus its
+      allocation id. *)
 
   val make : 'a -> 'a loc
 

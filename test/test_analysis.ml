@@ -386,6 +386,100 @@ let test_aba_risk () =
   check_count "single-writer location fine" 0
     (with_rule "aba-risk" (scan "lib/core/x.ml" single_writer))
 
+(* ---- node records as constructor literals ------------------------------ *)
+
+(* The lock-free mound publishes [Node { n with dirty = false; ... }]:
+   an inline record under a constructor, or a [match] of such literals
+   when the node may be empty. Each shape-keyed recognizer must see the
+   record through both. *)
+
+let test_completion_through_constructor () =
+  let settle fresh =
+    "let rec settle q =\n\
+    \  let cur = M.get q in\n\
+    \  match cur with\n\
+    \  | Empty _ -> ()\n\
+    \  | Node n -> if M.cas q cur " ^ fresh ^ " then () else settle q\n"
+  in
+  check_count "a clean Node literal helps" 0
+    (with_rule "static-retry"
+       (scan "lib/core/x.ml"
+          (settle "(Node { n with dirty = false; seq = n.seq + 1 })")));
+  check_count "a dirty Node literal does not" 1
+    (with_rule "static-retry"
+       (scan "lib/core/x.ml"
+          (settle "(Node { n with dirty = true; seq = n.seq + 1 })")));
+  let arms =
+    "let rec settle q =\n\
+    \  let cur = M.get q in\n\
+    \  if\n\
+    \    M.cas q cur\n\
+    \      (match cur with\n\
+    \      | Empty e -> Empty { dirty = false; seq = e.seq + 1 }\n\
+    \      | Node n -> Node { n with dirty = false; seq = n.seq + 1 })\n\
+    \  then ()\n\
+    \  else settle q\n"
+  in
+  check_count "a match of clean literals helps" 0
+    (with_rule "static-retry" (scan "lib/core/x.ml" arms))
+
+let test_lock_through_constructor () =
+  let prims =
+    "let set_lock slot =\n\
+    \  let rec spin () =\n\
+    \    let cur = R.Atomic.get slot in\n\
+    \    if held cur then begin\n\
+    \      R.cpu_relax ();\n\
+    \      spin ()\n\
+    \    end\n\
+    \    else if\n\
+    \      not (R.Atomic.compare_and_set slot cur (Lk { locked = true; owner = 0 }))\n\
+    \    then spin ()\n\
+    \  in\n\
+    \  spin ()\n\n\
+     let unlock slot = R.Atomic.set slot (Lk { locked = false; owner = 0 })\n\n"
+  in
+  let leaky =
+    prims
+    ^ "let probe t c =\n\
+      \  let cslot = T.get_at t c in\n\
+      \  set_lock cslot;\n\
+      \  if c > 1 then unlock cslot\n"
+  in
+  check_count "constructor-shaped acquire and release tracked" 1
+    (with_rule "lock-leak" (scan "lib/core/x.ml" leaky))
+
+let test_stamp_through_constructor () =
+  let publish fresh =
+    "let recycle q = R.Atomic.set q None\n\n\
+     let rec publish q v =\n\
+    \  let cur = R.Atomic.get q in\n\
+    \  if not (R.Atomic.compare_and_set q cur " ^ fresh ^ ") then begin\n\
+    \    R.cpu_relax ();\n\
+    \    publish q v\n\
+    \  end\n"
+  in
+  check_count "a stamped Node literal silences" 0
+    (with_rule "aba-risk"
+       (scan "lib/core/x.ml" (publish "(Node { hd = v; seq = stamp cur + 1 })")));
+  check_count "an unstamped Node literal is flagged" 1
+    (with_rule "aba-risk"
+       (scan "lib/core/x.ml" (publish "(Node { hd = v; seq = 0 })")))
+
+(* A [match] arm built from what its pattern bound is computed from the
+   scrutinee: a plain store of it is the lost update. *)
+let test_match_arm_provenance () =
+  let src =
+    "let clean q =\n\
+    \  let cur = R.Atomic.get q in\n\
+    \  R.Atomic.set q\n\
+    \    (match cur with\n\
+    \    | Empty e -> Empty { e with dirty = false }\n\
+    \    | Node n -> Node { n with dirty = false })\n"
+  in
+  check_count "store of a rebuilt read flagged" 1
+    (with_rule "atomicity" (scan "lib/core/x.ml" src))
+
 (* ---- atomicity --------------------------------------------------------- *)
 
 let test_atomicity () =
@@ -829,6 +923,17 @@ let test_shipped_tree_clean () =
 let () =
   Alcotest.run "analysis"
     [
+      ( "node literals",
+        [
+          Alcotest.test_case "completion through a constructor" `Quick
+            test_completion_through_constructor;
+          Alcotest.test_case "lock shapes through a constructor" `Quick
+            test_lock_through_constructor;
+          Alcotest.test_case "stamp through a constructor" `Quick
+            test_stamp_through_constructor;
+          Alcotest.test_case "match arms derive from the scrutinee" `Quick
+            test_match_arm_provenance;
+        ] );
       ( "lock-leak",
         [
           Alcotest.test_case "release on every path" `Quick test_lock_leak;

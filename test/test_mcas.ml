@@ -13,166 +13,220 @@ type box = { v : int }
 
 let box v = { v = Sys.opaque_identity v }
 
-let get_v loc = (M.get loc).v
+(* The sequential cases run twice: on locations, whose operations sort
+   their legs by allocation id, and on bare cells, which install legs in
+   argument order. Both must give the same answers, reject the same
+   aliased legs and keep the same two-leg allocation budget. *)
+module type HANDLE = sig
+  type 'a t
 
-let single_cas () =
-  let a0 = box 1 in
-  let l = M.make a0 in
-  check "cas succeeds on match" true (M.cas l a0 (box 2));
-  check_int "value updated" 2 (get_v l);
-  check "cas fails on stale expected" false (M.cas l a0 (box 3));
-  check_int "value unchanged" 2 (get_v l)
+  val make : 'a -> 'a t
+  val get : 'a t -> 'a
+  val set : 'a t -> 'a -> unit
+  val cas : 'a t -> 'a -> 'a -> bool
+  val casn : ('a t * 'a * 'a) array -> bool
+  val dcas : 'a t -> 'a -> 'a -> 'a t -> 'a -> 'a -> bool
+  val dcss : 'a t -> 'a -> 'a t -> 'a -> 'a -> bool
+end
 
-let physical_equality_semantics () =
-  (* two structurally equal but physically distinct boxes do not match *)
-  let a = box 5 in
-  let l = M.make a in
-  check "struct-equal but phys-distinct fails" false (M.cas l (box 5) (box 6));
-  check "exact value succeeds" true (M.cas l a (box 6))
+module Loc : HANDLE with type 'a t = 'a M.loc = struct
+  type 'a t = 'a M.loc
 
-let set_overwrites () =
-  let l = M.make (box 1) in
-  M.set l (box 9);
-  check_int "set" 9 (get_v l)
+  let make = M.make
+  let get = M.get
+  let set = M.set
+  let cas = M.cas
+  let casn = M.casn
+  let dcas = M.dcas
+  let dcss = M.dcss
+end
 
-let dcas_both_or_neither () =
-  let a0 = box 1 and b0 = box 2 in
-  let a = M.make a0 and b = M.make b0 in
-  check "dcas succeeds" true (M.dcas a a0 (box 10) b b0 (box 20));
-  check_int "a" 10 (get_v a);
-  check_int "b" 20 (get_v b);
-  let a1 = M.get a and b1 = M.get b in
-  (* one leg stale: nothing changes *)
-  check "dcas fails on first leg" false (M.dcas a a0 (box 0) b b1 (box 0));
-  check "dcas fails on second leg" false (M.dcas a a1 (box 0) b b0 (box 0));
-  check_int "a unchanged" 10 (get_v a);
-  check_int "b unchanged" 20 (get_v b)
+module Sequential (H : HANDLE) = struct
+  let get_v loc = (H.get loc).v
 
-let dcss_swaps_only_data () =
-  let c0 = box 1 and d0 = box 2 in
-  let ctl = M.make c0 and data = M.make d0 in
-  check "dcss succeeds" true (M.dcss ctl c0 data d0 (box 22));
-  check_int "data updated" 22 (get_v data);
-  check "control untouched" true (M.get ctl == c0);
-  check "dcss fails on control mismatch" false
-    (M.dcss ctl (box 1) data (M.get data) (box 0));
-  check_int "data unchanged" 22 (get_v data)
+  let single_cas () =
+    let a0 = box 1 in
+    let l = H.make a0 in
+    check "cas succeeds on match" true (H.cas l a0 (box 2));
+    check_int "value updated" 2 (get_v l);
+    check "cas fails on stale expected" false (H.cas l a0 (box 3));
+    check_int "value unchanged" 2 (get_v l)
 
-let casn_k3 () =
-  let xs = Array.init 3 (fun i -> box i) in
-  let locs = Array.map M.make xs in
-  let ops = Array.mapi (fun i l -> (l, xs.(i), box (100 + i))) locs in
-  check "casn k=3 succeeds" true (M.casn ops);
-  Array.iteri (fun i l -> check_int "updated" (100 + i) (get_v l)) locs;
-  (* replay fails (all legs stale) and leaves values alone *)
-  check "replay fails" false (M.casn ops);
-  Array.iteri (fun i l -> check_int "unchanged" (100 + i) (get_v l)) locs
+  let physical_equality_semantics () =
+    (* two structurally equal but physically distinct boxes do not match *)
+    let a = box 5 in
+    let l = H.make a in
+    check "struct-equal but phys-distinct fails" false (H.cas l (box 5) (box 6));
+    check "exact value succeeds" true (H.cas l a (box 6))
 
-let casn_partial_failure_restores () =
-  let a0 = box 1 and b0 = box 2 and c0 = box 3 in
-  let a = M.make a0 and b = M.make b0 and c = M.make c0 in
-  (* middle leg is stale *)
-  check "casn fails" false
-    (M.casn [| (a, a0, box 0); (b, box 2, box 0); (c, c0, box 0) |]);
-  check "a restored" true (M.get a == a0);
-  check "b untouched" true (M.get b == b0);
-  check "c untouched" true (M.get c == c0)
+  let set_overwrites () =
+    let l = H.make (box 1) in
+    H.set l (box 9);
+    check_int "set" 9 (get_v l)
 
-let casn_empty_and_singleton () =
-  check "empty casn" true (M.casn [||]);
-  let a0 = box 1 in
-  let a = M.make a0 in
-  check "singleton casn = cas" true (M.casn [| (a, a0, box 5) |]);
-  check_int "applied" 5 (get_v a)
+  let dcas_both_or_neither () =
+    let a0 = box 1 and b0 = box 2 in
+    let a = H.make a0 and b = H.make b0 in
+    check "dcas succeeds" true (H.dcas a a0 (box 10) b b0 (box 20));
+    check_int "a" 10 (get_v a);
+    check_int "b" 20 (get_v b);
+    let a1 = H.get a and b1 = H.get b in
+    (* one leg stale: nothing changes *)
+    check "dcas fails on first leg" false (H.dcas a a0 (box 0) b b1 (box 0));
+    check "dcas fails on second leg" false (H.dcas a a1 (box 0) b b0 (box 0));
+    check_int "a unchanged" 10 (get_v a);
+    check_int "b unchanged" 20 (get_v b)
 
-let casn_unsorted_input () =
-  (* ids increase with allocation order; pass ops in reverse order *)
-  let a0 = box 1 and b0 = box 2 and c0 = box 3 in
-  let a = M.make a0 and b = M.make b0 and c = M.make c0 in
-  check "reverse-order ops accepted" true
-    (M.casn [| (c, c0, box 33); (b, b0, box 22); (a, a0, box 11) |]);
-  check_int "a" 11 (get_v a);
-  check_int "b" 22 (get_v b);
-  check_int "c" 33 (get_v c)
+  let dcss_swaps_only_data () =
+    let c0 = box 1 and d0 = box 2 in
+    let ctl = H.make c0 and data = H.make d0 in
+    check "dcss succeeds" true (H.dcss ctl c0 data d0 (box 22));
+    check_int "data updated" 22 (get_v data);
+    check "control untouched" true (H.get ctl == c0);
+    check "dcss fails on control mismatch" false
+      (H.dcss ctl (box 1) data (H.get data) (box 0));
+    check_int "data unchanged" 22 (get_v data)
 
-(* Aliased legs break the distinct-locations contract: each entry point
-   rejects them rather than silently dropping one of the writes. *)
-let aliased_legs_rejected () =
-  let a0 = box 1 and b0 = box 2 and c0 = box 3 in
-  let a = M.make a0 and b = M.make b0 and c = M.make c0 in
-  let rejects name f =
-    match f () with
-    | (_ : bool) -> Alcotest.failf "%s accepted aliased legs" name
-    | exception Invalid_argument _ -> ()
-  in
-  rejects "dcas" (fun () -> M.dcas a a0 (box 10) a a0 (box 20));
-  rejects "dcss" (fun () -> M.dcss a a0 a a0 (box 20));
-  rejects "casn" (fun () ->
-      M.casn [| (c, c0, box 30); (b, b0, box 20); (c, c0, box 70) |]);
-  check "a untouched" true (M.get a == a0);
-  check "b untouched" true (M.get b == b0);
-  check "c untouched" true (M.get c == c0)
+  let casn_k3 () =
+    let xs = Array.init 3 (fun i -> box i) in
+    let locs = Array.map H.make xs in
+    let ops = Array.mapi (fun i l -> (l, xs.(i), box (100 + i))) locs in
+    check "casn k=3 succeeds" true (H.casn ops);
+    Array.iteri (fun i l -> check_int "updated" (100 + i) (get_v l)) locs;
+    (* replay fails (all legs stale) and leaves values alone *)
+    check "replay fails" false (H.casn ops);
+    Array.iteri (fun i l -> check_int "unchanged" (100 + i) (get_v l)) locs
 
-(* The lean descriptor path: an uncontended [dcas] or [dcss] on immediate
-   values allocates only its legs, status cell, descriptors and
-   written-back [V] blocks (28 words). The budget pins it, so a per-call
-   copy, sort or closure cannot creep back into the two-leg path
-   unnoticed. *)
-let two_leg_allocation_budget () =
-  let words_per_call f =
-    let n = 1000 in
-    let w0 = Gc.minor_words () in
-    for i = 1 to n do
-      f i
-    done;
-    (Gc.minor_words () -. w0) /. float_of_int n
-  in
-  let a = M.make 0 and b = M.make 0 in
-  let failed = ref 0 in
-  let dcas =
-    words_per_call (fun i ->
-        if not (M.dcas a (i - 1) i b (i - 1) i) then incr failed)
-  in
-  (* [a] now holds 1000: the control leg of every dcss *)
-  let dcss =
-    words_per_call (fun i ->
-        if not (M.dcss a 1000 b (999 + i) (1000 + i)) then incr failed)
-  in
-  Printf.printf "words per call: dcas %.1f, dcss %.1f\n" dcas dcss;
-  check_int "every uncontended call succeeds" 0 !failed;
-  check "dcas <= 40 words" true (dcas <= 40.);
-  check "dcss <= 40 words" true (dcss <= 40.)
+  let casn_partial_failure_restores () =
+    let a0 = box 1 and b0 = box 2 and c0 = box 3 in
+    let a = H.make a0 and b = H.make b0 and c = H.make c0 in
+    (* middle leg is stale *)
+    check "casn fails" false
+      (H.casn [| (a, a0, box 0); (b, box 2, box 0); (c, c0, box 0) |]);
+    check "a restored" true (H.get a == a0);
+    check "b untouched" true (H.get b == b0);
+    check "c untouched" true (H.get c == c0)
 
-(* qcheck: a random sequence of cas/dcas against a two-cell model *)
-let prop_model =
-  QCheck.Test.make ~name:"cas/dcas sequence matches a sequential model"
-    ~count:200
-    QCheck.(list (pair (int_bound 3) (pair small_int small_int)))
-    (fun script ->
-      let a = M.make (box 0) and b = M.make (box 0) in
-      let ma = ref 0 and mb = ref 0 in
-      List.iter
-        (fun (op, (x, y)) ->
-          match op with
-          | 0 ->
-              let cur = M.get a in
-              let ok = M.cas a cur (box x) in
-              if ok then ma := x;
-              assert (ok (* cur is always current sequentially *))
-          | 1 ->
-              let cur = M.get b in
-              if M.cas b cur (box y) then mb := y
-          | 2 ->
-              let ca = M.get a and cb = M.get b in
-              if M.dcas a ca (box x) b cb (box y) then begin
-                ma := x;
-                mb := y
-              end
-          | _ ->
-              let ca = M.get a and cb = M.get b in
-              if M.dcss a ca b cb (box y) then mb := y)
-        script;
-      get_v a = !ma && get_v b = !mb)
+  let casn_empty_and_singleton () =
+    check "empty casn" true (H.casn [||]);
+    let a0 = box 1 in
+    let a = H.make a0 in
+    check "singleton casn = cas" true (H.casn [| (a, a0, box 5) |]);
+    check_int "applied" 5 (get_v a)
+
+  let casn_unsorted_input () =
+    (* reverse allocation order: locations sort it back by id, cells
+       install in the order given, and sequentially both succeed *)
+    let a0 = box 1 and b0 = box 2 and c0 = box 3 in
+    let a = H.make a0 and b = H.make b0 and c = H.make c0 in
+    check "reverse-order ops accepted" true
+      (H.casn [| (c, c0, box 33); (b, b0, box 22); (a, a0, box 11) |]);
+    check_int "a" 11 (get_v a);
+    check_int "b" 22 (get_v b);
+    check_int "c" 33 (get_v c)
+
+  (* Aliased legs break the distinct-locations contract: each entry point
+     rejects them rather than silently dropping one of the writes. *)
+  let aliased_legs_rejected () =
+    let a0 = box 1 and b0 = box 2 and c0 = box 3 in
+    let a = H.make a0 and b = H.make b0 and c = H.make c0 in
+    let rejects name f =
+      match f () with
+      | (_ : bool) -> Alcotest.failf "%s accepted aliased legs" name
+      | exception Invalid_argument _ -> ()
+    in
+    rejects "dcas" (fun () -> H.dcas a a0 (box 10) a a0 (box 20));
+    rejects "dcss" (fun () -> H.dcss a a0 a a0 (box 20));
+    rejects "casn" (fun () ->
+        H.casn [| (c, c0, box 30); (b, b0, box 20); (c, c0, box 70) |]);
+    check "a untouched" true (H.get a == a0);
+    check "b untouched" true (H.get b == b0);
+    check "c untouched" true (H.get c == c0)
+
+  (* The lean descriptor path: an uncontended [dcas] or [dcss] on immediate
+     values allocates only its legs, status cell, descriptors and
+     written-back [V] blocks (28 words). The budget pins it, so a per-call
+     copy, sort or closure cannot creep back into the two-leg path
+     unnoticed. *)
+  let two_leg_allocation_budget () =
+    let words_per_call f =
+      let n = 1000 in
+      let w0 = Gc.minor_words () in
+      for i = 1 to n do
+        f i
+      done;
+      (Gc.minor_words () -. w0) /. float_of_int n
+    in
+    let a = H.make 0 and b = H.make 0 in
+    let failed = ref 0 in
+    let dcas =
+      words_per_call (fun i ->
+          if not (H.dcas a (i - 1) i b (i - 1) i) then incr failed)
+    in
+    (* [a] now holds 1000: the control leg of every dcss *)
+    let dcss =
+      words_per_call (fun i ->
+          if not (H.dcss a 1000 b (999 + i) (1000 + i)) then incr failed)
+    in
+    Printf.printf "words per call: dcas %.1f, dcss %.1f\n" dcas dcss;
+    check_int "every uncontended call succeeds" 0 !failed;
+    check "dcas <= 40 words" true (dcas <= 40.);
+    check "dcss <= 40 words" true (dcss <= 40.)
+
+  (* qcheck: a random sequence of cas/dcas against a two-cell model *)
+  let prop_model =
+    QCheck.Test.make ~name:"cas/dcas sequence matches a sequential model"
+      ~count:200
+      QCheck.(list (pair (int_bound 3) (pair small_int small_int)))
+      (fun script ->
+        let a = H.make (box 0) and b = H.make (box 0) in
+        let ma = ref 0 and mb = ref 0 in
+        List.iter
+          (fun (op, (x, y)) ->
+            match op with
+            | 0 ->
+                let cur = H.get a in
+                let ok = H.cas a cur (box x) in
+                if ok then ma := x;
+                assert (ok (* cur is always current sequentially *))
+            | 1 ->
+                let cur = H.get b in
+                if H.cas b cur (box y) then mb := y
+            | 2 ->
+                let ca = H.get a and cb = H.get b in
+                if H.dcas a ca (box x) b cb (box y) then begin
+                  ma := x;
+                  mb := y
+                end
+            | _ ->
+                let ca = H.get a and cb = H.get b in
+                if H.dcss a ca b cb (box y) then mb := y)
+          script;
+        get_v a = !ma && get_v b = !mb)
+
+  let cases =
+    [
+      Alcotest.test_case "single cas" `Quick single_cas;
+      Alcotest.test_case "physical equality" `Quick physical_equality_semantics;
+      Alcotest.test_case "set" `Quick set_overwrites;
+      Alcotest.test_case "dcas both-or-neither" `Quick dcas_both_or_neither;
+      Alcotest.test_case "dcss" `Quick dcss_swaps_only_data;
+      Alcotest.test_case "casn k=3" `Quick casn_k3;
+      Alcotest.test_case "casn failure restores" `Quick
+        casn_partial_failure_restores;
+      Alcotest.test_case "casn degenerate sizes" `Quick casn_empty_and_singleton;
+      Alcotest.test_case "casn unsorted input" `Quick casn_unsorted_input;
+      Alcotest.test_case "aliased legs rejected" `Quick aliased_legs_rejected;
+      Alcotest.test_case "two-leg allocation budget" `Quick
+        two_leg_allocation_budget;
+      QCheck_alcotest.to_alcotest prop_model;
+    ]
+end
+
+module On_locs = Sequential (Loc)
+module On_cells = Sequential (M.Cell)
+
+let get_v = On_locs.get_v
 
 (* concurrent: transfers between two cells via dcas preserve the sum *)
 let concurrent_dcas_preserves_sum () =
@@ -235,26 +289,8 @@ let sim_dcas_sum () =
 let () =
   Alcotest.run "mcas"
     [
-      ( "sequential",
-        [
-          Alcotest.test_case "single cas" `Quick single_cas;
-          Alcotest.test_case "physical equality" `Quick
-            physical_equality_semantics;
-          Alcotest.test_case "set" `Quick set_overwrites;
-          Alcotest.test_case "dcas both-or-neither" `Quick dcas_both_or_neither;
-          Alcotest.test_case "dcss" `Quick dcss_swaps_only_data;
-          Alcotest.test_case "casn k=3" `Quick casn_k3;
-          Alcotest.test_case "casn failure restores" `Quick
-            casn_partial_failure_restores;
-          Alcotest.test_case "casn degenerate sizes" `Quick
-            casn_empty_and_singleton;
-          Alcotest.test_case "casn unsorted input" `Quick casn_unsorted_input;
-          Alcotest.test_case "aliased legs rejected" `Quick
-            aliased_legs_rejected;
-          Alcotest.test_case "two-leg allocation budget" `Quick
-            two_leg_allocation_budget;
-          QCheck_alcotest.to_alcotest prop_model;
-        ] );
+      ("sequential", On_locs.cases);
+      ("cells", On_cells.cases);
       ( "concurrent",
         [
           Alcotest.test_case "dcas preserves sum (domains)" `Quick

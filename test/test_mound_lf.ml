@@ -138,6 +138,49 @@ let grows_under_increasing_inserts () =
   check "depth grew" true (L.depth q > 5);
   check "invariant" true (L.check q)
 
+(* The flat node layout, pinned on one domain: 2^12 seeded keys filled,
+   then drained. A tree row holds each node's Mcas cell itself, and the
+   node record carries its list's head, so a filled mound keeps about
+   6.3 reachable words per element (8.5 with the per-node id record and
+   the head in a list cell). An [insert] allocates about 42 words (its
+   record, list cell, DCSS and share of the rows) and an [extract_min]
+   about 310 (a DCAS and two fresh records per [moundify] level). *)
+let keys_for_budget () =
+  let rng = Prng.create 7L in
+  Array.init (1 lsl 12) (fun _ -> Prng.int rng 1_000_000)
+
+let allocation_budget () =
+  let keys = keys_for_budget () in
+  let n = Array.length keys in
+  let q = L.create () in
+  let w0 = Gc.minor_words () in
+  Array.iter (L.insert q) keys;
+  let w1 = Gc.minor_words () in
+  let extracted = ref 0 in
+  while L.extract_min q <> None do
+    incr extracted
+  done;
+  let w2 = Gc.minor_words () in
+  let per_insert = (w1 -. w0) /. float_of_int n
+  and per_extract = (w2 -. w1) /. float_of_int n in
+  Printf.printf "words per op: insert %.1f, extract_min %.1f\n" per_insert
+    per_extract;
+  check_int "drained every key" n !extracted;
+  check "insert <= 45 words" true (per_insert <= 45.);
+  check "extract_min <= 320 words" true (per_extract <= 320.)
+
+let words_per_element () =
+  let keys = keys_for_budget () in
+  let q = L.create () in
+  Array.iter (L.insert q) keys;
+  let per_elem =
+    float_of_int (Obj.reachable_words (Obj.repr q))
+    /. float_of_int (Array.length keys)
+  in
+  Printf.printf "reachable words per element: %.2f\n" per_elem;
+  check_int "size" (Array.length keys) (L.size q);
+  check "<= 7 words per element" true (per_elem <= 7.)
+
 let () =
   Alcotest.run "mound_lf"
     [
@@ -163,5 +206,7 @@ let () =
             generic_element_type;
           Alcotest.test_case "grows under increasing inserts" `Quick
             grows_under_increasing_inserts;
+          Alcotest.test_case "allocation budget" `Quick allocation_budget;
+          Alcotest.test_case "words per element" `Quick words_per_element;
         ] );
     ]

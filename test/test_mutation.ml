@@ -329,6 +329,65 @@ let test_giveup_shapes () =
   Alcotest.(check int) "one swap-lock-order site through the give-up check"
     1 (count "swap-lock-order")
 
+(* The lock-free mound's node is a variant of inline records, and its
+   CASes publish constructor literals: [Node { n with dirty = false;
+   ... }], or a [match] of them when the node may be empty. The
+   operators that read a CAS argument's record must see through both:
+   [drop-completion] flips every clean literal of the loop (and
+   static-retry then fires), and [inplace-publish] republishes the read,
+   writes a field through it and marks that field of the inline record
+   mutable (stale-publish and post-publish-mutation then fire). *)
+let node_fixture =
+  {|
+type node =
+  | Empty of { dirty : bool; seq : int }
+  | Node of { hd : int; tl : int list; dirty : bool; seq : int }
+
+let rec settle slot =
+  let cur = M.get slot in
+  if
+    M.cas slot cur
+      (match cur with
+      | Empty e -> Empty { dirty = false; seq = e.seq + 1 }
+      | Node n -> Node { n with dirty = false; seq = n.seq + 1 })
+  then ()
+  else settle slot
+|}
+
+let node_mutant op =
+  let path = "lib/core/node.ml" in
+  match
+    Analysis.Mutate.mutants ~ops:[ op ] [ (path, node_fixture) ]
+  with
+  | [ m ] ->
+      let rules =
+        Analysis.scan ~path m.Analysis.Mutate.m_src
+        |> List.map (fun (f : Analysis.finding) -> f.rule)
+        |> List.sort_uniq compare
+      in
+      (m, rules)
+  | l -> Alcotest.failf "%s: %d sites, expected 1" op (List.length l)
+
+let test_completion_through_constructor () =
+  let m, rules = node_mutant "drop-completion" in
+  Alcotest.(check string)
+    "both clean literals flipped"
+    "2 completing stores in settle no longer publish clean" m.m_note;
+  Alcotest.(check (list string)) "static-retry resurfaces" [ "static-retry" ]
+    rules
+
+let test_inplace_through_constructor () =
+  let m, rules = node_mutant "inplace-publish" in
+  Alcotest.(check bool)
+    "the inline record's field marked mutable" true
+    (Analysis.Summary.contains_sub m.m_src "mutable dirty");
+  Alcotest.(check (list string))
+    "publication rules fire"
+    [ "post-publish-mutation"; "stale-publish" ]
+    (List.filter
+       (fun r -> r = "post-publish-mutation" || r = "stale-publish")
+       rules)
+
 (* ---- the live regression guard ----------------------------------------- *)
 
 let context_roots root =
@@ -447,6 +506,10 @@ let () =
         [
           Alcotest.test_case "give-up shapes: no drop-help, one swap" `Quick
             test_giveup_shapes;
+          Alcotest.test_case "drop-completion through a constructor" `Quick
+            test_completion_through_constructor;
+          Alcotest.test_case "inplace-publish through a constructor" `Quick
+            test_inplace_through_constructor;
         ] );
       ( "guard",
         [
