@@ -840,8 +840,8 @@ let lint_cmd =
   let doc =
     "Run the lint over source trees: every rule on each file's \
      Parsetree (runtime boundary, mutable-atomic, the helping \
-     discipline, lock-leak, publication safety, and the dataflow rules \
-     aba-risk / atomicity / layout), through one waiver machinery."
+     discipline, publication safety, and the dataflow rules aba-risk / \
+     atomicity / layout), through one waiver machinery."
   in
   Cmd.v (Cmd.info "lint" ~doc)
     Term.(const run_lint $ list_rules_arg $ rule_arg $ json_arg $ roots_arg)

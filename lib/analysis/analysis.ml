@@ -3,15 +3,14 @@
     Parses each source once ({!Frontend}: [.ml] and [.mli] alike) and
     runs every rule on that tree: the per-file rules of {!File_rules}
     (runtime boundary, mutable-atomic, format) and the cross-module
-    Parsetree analyses ({!Lock_order}'s lock-leak, {!Publication},
-    {!Helping}'s retry-loop rules, and the {!Dataflow}-powered
-    {!Aba_risk}, {!Atomicity} and {!Layout}). All findings of a file go
-    through the {e same} waiver machinery — a [lint: allow] comment with
-    a reason silences any finding on its covered lines, and waiver
-    hygiene (reason required, stale waivers rejected) is judged against
-    all of them. Co-located findings are all reported: each names its
-    own rule. A file that does not parse reports [parse] and [format]
-    only.
+    Parsetree analyses ({!Publication}, {!Helping}'s retry-loop rule,
+    and the {!Dataflow}-powered {!Aba_risk}, {!Atomicity} and
+    {!Layout}). All findings of a file go through the {e same} waiver
+    machinery — a [lint: allow] comment with a reason silences any
+    finding on its covered lines, and waiver hygiene (reason required,
+    stale waivers rejected) is judged against all of them. Co-located
+    findings are all reported: each names its own rule. A file that
+    does not parse reports [parse] and [format] only.
 
     Cross-module facts (the call graph, transitive effects) need the
     whole file set at once, so the primary entry is {!scan_files};
@@ -41,7 +40,6 @@ let pp_finding = Frontend.pp_finding
    nothing else can drift. *)
 let rule_table : (string * string) list =
   [
-    ("lock-leak", "path returns with an acquired lock never released");
     ("stale-publish", "CASes back a value read from the shared structure without re-validation");
     ("post-publish-mutation", "plain field write through a record already published to other threads");
     ("static-retry", "call-graph CAS retry cycle reaching neither helping nor backoff");
@@ -62,8 +60,8 @@ let cross_module (parsed : Frontend.parsed list) :
     (string, finding list) Hashtbl.t =
   let cg = Callgraph.build (List.concat_map Summary.of_parsed parsed) in
   let all =
-    Lock_order.scan cg @ Publication.scan cg @ Helping.scan cg
-    @ Aba_risk.scan cg @ Atomicity.scan cg @ Layout.scan parsed cg
+    Publication.scan cg @ Helping.scan cg @ Aba_risk.scan cg
+    @ Atomicity.scan cg @ Layout.scan parsed cg
   in
   let byfile = Hashtbl.create 16 in
   (* nested functions are walked both standalone and inline in their

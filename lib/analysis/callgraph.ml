@@ -85,8 +85,6 @@ let resolve ?from_file t segs =
 
 let trans_effects t i = t.trans.(i)
 
-let self_reachable t i = t.reaches_self.(i)
-
 (** The lint's one definition of a CAS retry loop: a function on a
     call-graph cycle (self-recursive, mutually recursive, or spinning
     through a nested [let rec]) that performs a CAS it can retry on — an

@@ -288,10 +288,7 @@ let run (hooks : hooks) (body : expression) : unit =
                   hooks.h_cas ctx ~line ~op:last nargs)
             else if last = "set" then
               match nargs with
-              | [ loc; value ]
-                when not
-                       (Summary.record_sets_field "locked" false value
-                       || Summary.is_bool_lit false value) ->
+              | [ loc; value ] when not (Summary.is_release value) ->
                   fire_then_walk_args (fun () ->
                       hooks.h_set ctx ~line ~loc ~value)
               | _ ->

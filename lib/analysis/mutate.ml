@@ -86,7 +86,7 @@ let catalog : op list =
       op_name = "drop-completion";
       op_descr =
         "flip a completing dirty=false / releasing locked=false store to true";
-      op_rules = [ "static-retry"; "lock-leak" ];
+      op_rules = [ "static-retry" ];
       op_twin = None;
     };
     {
@@ -106,13 +106,13 @@ let catalog : op list =
     {
       op_name = "swap-lock-order";
       op_descr = "swap an adjacent pair of lock acquisitions";
-      op_rules = [ "lock-leak" ];
+      op_rules = [];
       op_twin = Some "lock-inversion-deadlock";
     };
     {
       op_name = "drop-unlock";
       op_descr = "delete an unlock call site";
-      op_rules = [ "lock-leak" ];
+      op_rules = [];
       op_twin = None;
     };
     {
@@ -368,117 +368,6 @@ let on_bindings p (f : string -> expression -> unit) =
   on_binding_groups p (List.iter (fun (name, body) -> f name body))
 
 (* ------------------------------------------------------------------ *)
-(* Enabling edits: summarizable lock primitives                        *)
-(*                                                                     *)
-(* The locking mound's acquire installs a let-bound witness record and *)
-(* its release routes the [locked = false] store through [restamp], so *)
-(* neither matches the literal-record shapes {!Summary} keys on — the  *)
-(* lock rules are latent over the shipped tree, firing only on the     *)
-(* hand-seeded fixtures' "faithful copies" (test/mutant_static.ml).    *)
-(* The lock operators therefore carry two {e enabling} edits alongside *)
-(* the defect: inline the witness literal into the acquiring CAS, and  *)
-(* rewrite [unlock] as a direct release-shaped store. Both preserve    *)
-(* the lease-free protocol; they exist so the summaries can see the    *)
-(* acquire/release at all (DESIGN.md §14 records the caveat).          *)
-(* ------------------------------------------------------------------ *)
-
-let record_field_is fields fname lit =
-  List.exists
-    (fun ((lid : Longident.t Location.loc), fe) ->
-      last_seg (Frontend.flatten lid.txt) = fname
-      &&
-      match fe.pexp_desc with
-      | Pexp_construct ({ txt = Lident c; _ }, None) -> c = lit
-      | _ -> false)
-    fields
-
-(* [let mine = { ...; locked = true; ... } in ... cas loc expected mine]:
-   replace the CAS's fresh-argument ident with the record literal so the
-   acquire summary sees [locked = true]. First match only — one visible
-   acquisition is enough to summarize the primitive. *)
-let witness_inline_edits p src =
-  let out = ref [] in
-  on_exprs p (fun e ->
-      match e.pexp_desc with
-      | Pexp_let (_, [ vb ], cont) -> (
-          match (pat_var_name vb.pvb_pat, vb.pvb_expr.pexp_desc) with
-          | Some v, Pexp_record (fields, None)
-            when record_field_is fields "locked" "true" ->
-              let rec_src = expr_src src vb.pvb_expr in
-              on_sub_exprs cont (fun e2 ->
-                  match cas_app e2 with
-                  | Some (_, _, _, f) -> (
-                      match f.pexp_desc with
-                      | Pexp_ident { txt = Lident fv; _ }
-                        when fv = v && !out = [] ->
-                          out := [ replace f rec_src ]
-                      | _ -> ())
-                  | None -> ())
-          | _ -> ())
-      | _ -> ());
-  !out
-
-(* [let unlock t slot ~witness list = restamp t slot ~witness REC]:
-   rewrite the body as [R.Atomic.set slot REC] so the release summary
-   sees the [locked = false] store directly. [flip] additionally turns
-   the store into [locked = true] — the completion-drop defect. *)
-let unlock_release_edits ?(flip = false) p src =
-  let out = ref [] in
-  on_bindings p (fun name body ->
-      if seg_contains name "unlock" && !out = [] then
-        let b = fun_body body in
-        match b.pexp_desc with
-        | Pexp_apply (head, args) -> (
-            match segs_of_head head with
-            | Some segs when seg_contains (last_seg segs) "restamp" -> (
-                match Summary.nolabel_args args with
-                | [ _t; slot; rec_arg ] -> (
-                    match rec_arg.pexp_desc with
-                    | Pexp_record (fields, _)
-                      when record_field_is fields "locked" "false" ->
-                        let rec_src =
-                          if not flip then expr_src src rec_arg
-                          else
-                            (* splice [true] over the [false] literal,
-                               offsets relative to the record span *)
-                            let ra, _ = span_of_loc rec_arg.pexp_loc in
-                            let fe =
-                              List.find_map
-                                (fun ((lid : Longident.t Location.loc), fe) ->
-                                  if
-                                    last_seg (Frontend.flatten lid.txt)
-                                    = "locked"
-                                  then Some fe
-                                  else None)
-                                fields
-                              |> Option.get
-                            in
-                            let fa, fb = span_of_loc fe.pexp_loc in
-                            let rs = expr_src src rec_arg in
-                            String.sub rs 0 (fa - ra) ^ "true"
-                            ^ String.sub rs (fb - ra)
-                                (String.length rs - (fb - ra))
-                        in
-                        out :=
-                          [
-                            replace b
-                              (Printf.sprintf "R.Atomic.set %s %s"
-                                 (expr_src src slot) rec_src);
-                          ]
-                    | _ -> ())
-                | _ -> ())
-            | _ -> ())
-        | _ -> ());
-  !out
-
-(** Both enabling edits, or [] when the file has no such lock machinery
-    (the lock operators then have no sites in it). *)
-let enabling_lock_edits p src =
-  match witness_inline_edits p src with
-  | [] -> []
-  | w -> w @ unlock_release_edits p src
-
-(* ------------------------------------------------------------------ *)
 (* Per-operator site collectors                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -628,9 +517,10 @@ let protocol_field f =
   || seg_contains lf "lock"
 
 (* A branch condition that is a bare protocol-bit inspection
-   ([cur.dirty], [not n.locked]) — the re-validation read the aba-risk
-   analysis credits. Guarded shapes only; a condition that also
-   performs the CAS is left alone. *)
+   ([cur.dirty], [not n.locked]), or an accessor named for one applied
+   to the node ([is_dirty node], [not (is_dirty node)]) — the
+   re-validation read before the CAS. Guarded shapes only; a condition
+   that also performs the CAS is left alone. *)
 let rec protocol_read_cond e =
   match e.pexp_desc with
   | Pexp_field (_, { txt; _ }) -> (
@@ -641,6 +531,9 @@ let rec protocol_read_cond e =
       ( { pexp_desc = Pexp_ident { txt = Lident "not"; _ }; _ },
         [ (Asttypes.Nolabel, a) ] ) ->
       protocol_read_cond a
+  | Pexp_apply
+      ({ pexp_desc = Pexp_ident { txt; _ }; _ }, [ (Asttypes.Nolabel, _) ]) ->
+      protocol_field (last_seg (Frontend.flatten txt))
   | _ -> false
 
 (* One compound mutant per function that CASes directly: every computed
@@ -713,11 +606,22 @@ let sites_drop_stamp p _src =
    flips are useless here: one intact completing store keeps [helps]
    true.
 
-   Locking: rewrite [unlock]'s store as [locked = true] (with the
-   enabling edits making acquire and release summarizable at all) — the
-   release never releases, and every acquiring path leaks. *)
-let sites_drop_completion p src =
+   Locking: flip the [locked = false] literal of [unlock]'s release to
+   [true] in place — the release never releases. No static rule sees
+   it; a locking path that stops releasing is a liveness defect. *)
+let sites_drop_completion p _src =
   let cas_heads = [ "cas"; "compare_and_set"; "dcss"; "dcas" ] in
+  (* the [false] literals bound to [names] in one record literal *)
+  let false_fields names fields =
+    List.filter_map
+      (fun ((lid : Longident.t Location.loc), fe) ->
+        if
+          List.mem (last_seg (Frontend.flatten lid.txt)) names
+          && Summary.is_bool_lit false fe
+        then Some fe
+        else None)
+      fields
+  in
   let out = ref [] in
   on_bindings p (fun name body ->
       let b = fun_body body in
@@ -733,16 +637,12 @@ let sites_drop_completion p src =
                   List.iter
                     (fun a ->
                       List.iter
-                        (List.iter
-                           (fun ((lid : Longident.t Location.loc), fe) ->
-                             let lname = last_seg (Frontend.flatten lid.txt) in
-                             if lname = "dirty" || lname = "locked" then
-                               match fe.pexp_desc with
-                               | Pexp_construct
-                                   ({ txt = Lident "false"; _ }, None) ->
-                                   flips := replace fe "true" :: !flips;
-                                   line := min !line (line_of fe)
-                               | _ -> ()))
+                        (fun fields ->
+                          List.iter
+                            (fun fe ->
+                              flips := replace fe "true" :: !flips;
+                              line := min !line (line_of fe))
+                            (false_fields [ "dirty"; "locked" ] fields))
                         (Option.value (Summary.record_literals a) ~default:[]))
                     (Summary.nolabel_args args)
               | _ -> ())
@@ -757,25 +657,24 @@ let sites_drop_completion p src =
                 (List.length !flips) name;
             s_edits = !flips;
           }
-          :: !out);
-  (match witness_inline_edits p src with
-  | [] -> ()
-  | wit -> (
-      match unlock_release_edits ~flip:true p src with
-      | [ e ] ->
-          out :=
-            {
-              s_line =
-                (let rec count i l =
-                   if i >= e.e_start || i >= String.length src then l
-                   else count (i + 1) (if src.[i] = '\n' then l + 1 else l)
-                 in
-                 count 0 1);
-              s_note = "release store flipped to locked = true: never unlocks";
-              s_edits = e :: wit;
-            }
-            :: !out
-      | _ -> ()));
+          :: !out;
+      if seg_contains name "unlock" then
+        on_sub_exprs b (fun e ->
+            match e.pexp_desc with
+            | Pexp_record (fields, _) ->
+                List.iter
+                  (fun fe ->
+                    out :=
+                      {
+                        s_line = line_of fe;
+                        s_note =
+                          "release store flipped to locked = true: never \
+                           unlocks";
+                        s_edits = [ replace fe "true" ];
+                      }
+                      :: !out)
+                  (false_fields [ "locked" ] fields)
+            | _ -> ()));
   !out
 
 let sites_stale_republish p src =
@@ -866,105 +765,83 @@ let lock_call e =
 
 let sites_swap_lock_order p src =
   let out = ref [] in
-  let swap ?(extra = []) ?note e1 e2 =
+  let swap ~note e1 e2 =
     let s1 = span_of_loc e1.pexp_loc and s2 = span_of_loc e2.pexp_loc in
     out :=
       {
         s_line = line_of e1;
-        s_note =
-          Option.value note ~default:"adjacent lock acquisitions swapped";
+        s_note = note;
         s_edits =
-          { e_start = fst s1; e_stop = snd s1; e_text = sub src s2 }
-          :: { e_start = fst s2; e_stop = snd s2; e_text = sub src s1 }
-          :: extra;
+          [
+            { e_start = fst s1; e_stop = snd s1; e_text = sub src s2 };
+            { e_start = fst s2; e_stop = snd s2; e_text = sub src s1 };
+          ];
       }
       :: !out
   in
-  let enab = enabling_lock_edits p src in
+  let adjacent = swap ~note:"adjacent lock acquisitions swapped" in
   (* The hand-over-hand pair of the deadline-aware paths, where a failed
      parent acquisition must give up before the child is tried: either
      [match acquire parent with Some wp -> match acquire child] or
      [let wp = acquire parent in if wp == gave_up then ... else let wc =
-     acquire child]. The swap inverts parent/child and carries the
-     enabling edits, which let the summary track the acquisitions. The
-     enabling edits alone already trip lock-leak in such a file, so that
-     kill is not specific to the swap: in the [match] shape the walk
-     counts a failed acquire's [None] arm as still holding the lock; in
-     the sentinel shape it reports the loop functions that hand the
-     witness their [spin] acquired back to the caller ([miss],
-     [set_lock_until]) as leaking it. The lock-inversion liveness twin
-     is the guard that is specific. *)
-  let swap_guarded s1 s2 =
-    swap
-      ~note:"hand-over-hand acquisitions inverted (witness inlined for the \
-             summary)"
-      ~extra:enab s1 s2
-  in
+     acquire child]. The swap inverts parent/child; no static rule sees
+     the order, the lock-inversion liveness twin does. *)
+  let guarded = swap ~note:"hand-over-hand acquisitions inverted" in
   on_exprs p (fun e ->
       match e.pexp_desc with
       | Pexp_sequence (e1, rest) when lock_call e1 ->
           let head2 =
             match rest.pexp_desc with Pexp_sequence (e2, _) -> e2 | _ -> rest
           in
-          if lock_call head2 then swap e1 head2
+          if lock_call head2 then adjacent e1 head2
       | Pexp_let (_, [ vb1 ], body) when lock_call vb1.pvb_expr -> (
           match body.pexp_desc with
           | Pexp_let (_, [ vb2 ], _) when lock_call vb2.pvb_expr ->
-              swap vb1.pvb_expr vb2.pvb_expr
+              adjacent vb1.pvb_expr vb2.pvb_expr
           | Pexp_ifthenelse
               (_, _, Some { pexp_desc = Pexp_let (_, [ vb2 ], _); _ })
-            when lock_call vb2.pvb_expr && enab <> [] ->
-              swap_guarded vb1.pvb_expr vb2.pvb_expr
+            when lock_call vb2.pvb_expr ->
+              guarded vb1.pvb_expr vb2.pvb_expr
           | _ -> ())
-      | Pexp_match (s1, cases) when lock_call s1 && enab <> [] ->
+      | Pexp_match (s1, cases) when lock_call s1 ->
           List.iter
             (fun c ->
               match c.pc_rhs.pexp_desc with
-              | Pexp_match (s2, _) when lock_call s2 -> swap_guarded s1 s2
+              | Pexp_match (s2, _) when lock_call s2 -> guarded s1 s2
               | _ -> ())
             cases
       | _ -> ());
   !out
 
 (* Delete one release call in a function that takes node locks through
-   [set_lock_until], with the enabling edits applied: the path then
-   reaches the end of the function still holding the node, the leak
-   lock-leak exists to flag. In the locking mound the enabling edits
-   alone already trip lock-leak (see [sites_swap_lock_order]), so that
-   kill is not specific to the drop. Files without the witness
-   machinery have no sites: their release calls are invisible to the
-   analysis in the first place, so the drop could never be observed. *)
-let sites_drop_unlock p src =
-  let enab = enabling_lock_edits p src in
+   [set_lock_until]: the path then returns still holding the node. No
+   static rule sees it; the defect is a liveness one. *)
+let sites_drop_unlock p _src =
   let out = ref [] in
-  if enab <> [] then
-    on_bindings p (fun _name body ->
-        let b = fun_body body in
-        let tracked = ref false in
+  on_bindings p (fun _name body ->
+      let b = fun_body body in
+      let tracked = ref false in
+      on_sub_exprs b (fun e ->
+          match
+            app_with_head_pred e (fun segs -> last_seg segs = "set_lock_until")
+          with
+          | Some _ -> tracked := true
+          | None -> ());
+      if !tracked then
         on_sub_exprs b (fun e ->
             match
               app_with_head_pred e (fun segs ->
-                  last_seg segs = "set_lock_until")
+                  seg_contains (last_seg segs) "unlock")
             with
-            | Some _ -> tracked := true
-            | None -> ());
-        if !tracked then
-          on_sub_exprs b (fun e ->
-              match
-                app_with_head_pred e (fun segs ->
-                    seg_contains (last_seg segs) "unlock")
-              with
-              | Some _ ->
-                  out :=
-                    {
-                      s_line = line_of e;
-                      s_note =
-                        "unlock call deleted (witness inlined for the \
-                         summary)";
-                      s_edits = replace e "()" :: enab;
-                    }
-                    :: !out
-              | None -> ()));
+            | Some _ ->
+                out :=
+                  {
+                    s_line = line_of e;
+                    s_note = "unlock call deleted";
+                    s_edits = [ replace e "()" ];
+                  }
+                  :: !out
+            | None -> ()));
   !out
 
 let is_pad name =

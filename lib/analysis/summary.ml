@@ -19,12 +19,8 @@
       ({!record_literals});
     - {e backs-off}: a call to [cpu_relax] (every backoff primitive in
       the tree bottoms out there);
-    - {e acquires-lock}: a CAS whose fresh value is a record literal
-      carrying [locked = true], or a bare boolean CAS from [false] to
-      [true] — with the parameter index of the lock's location when the
-      site locks one of the function's own parameters ([lock_param]);
-    - {e releases-lock}: a dotted [set] storing a record literal carrying
-      [locked = false], or storing literal [false].
+    - {e writes-nonatomically}: a dotted two-argument [set] that is not
+      a lock release ({!is_release}).
 
     Calls are resolved through lexical scope — [let]-bound inner
     functions, value aliases ([let restore = moundify]) and module
@@ -47,8 +43,6 @@ type effects = {
   blind_cas : bool;  (* a CAS whose result is discarded *)
   helps : bool;
   backs_off : bool;
-  acquires_lock : bool;
-  releases_lock : bool;
   writes_nonatomically : bool;
       (* a dotted [set] that is not a lock release: a plain store into
          an atomic location, the sink of a lost update *)
@@ -61,8 +55,6 @@ let no_effects =
     blind_cas = false;
     helps = false;
     backs_off = false;
-    acquires_lock = false;
-    releases_lock = false;
     writes_nonatomically = false;
   }
 
@@ -73,8 +65,6 @@ let union_effects a b =
     blind_cas = a.blind_cas || b.blind_cas;
     helps = a.helps || b.helps;
     backs_off = a.backs_off || b.backs_off;
-    acquires_lock = a.acquires_lock || b.acquires_lock;
-    releases_lock = a.releases_lock || b.releases_lock;
     writes_nonatomically = a.writes_nonatomically || b.writes_nonatomically;
   }
 
@@ -84,11 +74,8 @@ type fn = {
   fpath : string list;  (* e.g. ["Lock_mound"; "Make"; "set_lock"] *)
   ffile : string;
   fline : int;
-  fparams : string list;
   fcalls : call list;
   fdirect : effects;
-  flock_param : int option;  (* acquire primitive: param that is the slot *)
-  funlock_param : int option;  (* release primitive: param that is the slot *)
   fpublishes : int list;  (* params forwarded to a CAS fresh-value slot *)
   fwrites : string list;
       (* syntactic keys of atomic locations this function writes — the
@@ -146,8 +133,8 @@ let flatten_ident e =
   | Pexp_ident { txt; _ } -> Some (Frontend.flatten txt)
   | _ -> None
 
-(* The variable at the root of [v], [v.f], [v.f.g] — how lock locations
-   and mutation receivers are written. *)
+(* The variable at the root of [v], [v.f], [v.f.g] — how forwarded
+   fresh values and mutation receivers are written. *)
 let rec base_var e =
   match (strip_casts e).pexp_desc with
   | Pexp_ident { txt = Lident v; _ } -> Some v
@@ -193,7 +180,7 @@ let rec record_literals e =
   | _ -> None
 
 (* A record literal (or functional update) binding [field] to the boolean
-   literal [b] — [{ list; locked = true }], [{ s with locked = true }],
+   literal [b] — [{ list; locked = false }], [{ s with locked = false }],
    [Node { n with dirty = false }]: some literal [e] evaluates to. *)
 let record_sets_field field b e =
   List.exists
@@ -201,6 +188,12 @@ let record_sets_field field b e =
          (match lid.txt with Longident.Lident f -> f = field | _ -> false)
          && is_bool_lit b v))
     (Option.value (record_literals e) ~default:[])
+
+(* A lock release: a store of a record literal carrying [locked = false],
+   or of literal [false]. Not a lost update even when the record is
+   built from the location's own read, so it is no [writes_nonatomically]
+   site and no {!Dataflow} [h_set]. *)
+let is_release v = record_sets_field "locked" false v || is_bool_lit false v
 
 let pat_var p =
   match p.ppat_desc with
@@ -265,8 +258,6 @@ let rec module_head (m : module_expr) =
 type collector = {
   mutable calls : call list;
   mutable eff : effects;
-  mutable lock_param : int option;
-  mutable unlock_param : int option;
   mutable publishes : int list;
   mutable writes : string list;
   mutable out : fn list;  (* nested functions, innermost first *)
@@ -284,8 +275,6 @@ let param_index params v =
     | _ :: rest -> go (i + 1) rest
   in
   go 0 params
-
-let raising_heads = [ "raise"; "raise_notrace"; "failwith"; "invalid_arg" ]
 
 (* Walk [expr] collecting the current function's facts into [col],
    registering nested [let]-bound functions as their own summaries (and
@@ -335,28 +324,6 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
             (* completing CAS: publishes a clean record *)
             if List.exists (record_sets_field "dirty" false) fresh_args then
               col.eff <- { col.eff with helps = true };
-            (* acquire shape: locks a record, or a bare boolean lock *)
-            let bool_lock =
-              last = "compare_and_set"
-              && (match arg 1 with Some e -> is_bool_lit false e | None -> false)
-              && match arg 2 with Some e -> is_bool_lit true e | None -> false
-            in
-            if
-              List.exists (record_sets_field "locked" true) fresh_args
-              || bool_lock
-            then begin
-              col.eff <- { col.eff with acquires_lock = true };
-              match arg 0 with
-              | Some loc_e -> (
-                  match base_var loc_e with
-                  | Some v -> (
-                      match param_index params v with
-                      | Some i when col.lock_param = None ->
-                          col.lock_param <- Some i
-                      | _ -> ())
-                  | None -> ())
-              | None -> ()
-            end;
             (* params forwarded as the fresh value *)
             List.iter
               (fun e ->
@@ -383,24 +350,9 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
                 | _ -> ())
             | None -> ());
             match arg 1 with
-            | Some v
-              when record_sets_field "locked" false v || is_bool_lit false v
-              -> begin
-                col.eff <- { col.eff with releases_lock = true };
-                match arg 0 with
-                | Some loc_e -> (
-                    match base_var loc_e with
-                    | Some bv -> (
-                        match param_index params bv with
-                        | Some i when col.unlock_param = None ->
-                            col.unlock_param <- Some i
-                        | _ -> ())
-                    | None -> ())
-                | None -> ()
-              end
-            | Some _ ->
+            | Some v when not (is_release v) ->
                 col.eff <- { col.eff with writes_nonatomically = true }
-            | None -> ()
+            | _ -> ()
           end
           else if last = "cpu_relax" then
             col.eff <- { col.eff with backs_off = true })
@@ -426,15 +378,13 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
                 in
                 col.out <- nested @ col.out;
                 (* fold the nested body into the host under the HOST's
-                   parameters: a lock acquired by an inner spin loop on
-                   a slot the host received (a spin written as a local
-                   closure) makes the host itself the acquirer *)
+                   parameters: a fresh value an inner closure forwards
+                   from a parameter the host received makes the host
+                   itself the publisher *)
                 let col2 =
                   {
                     calls = [];
                     eff = no_effects;
-                    lock_param = None;
-                    unlock_param = None;
                     publishes = [];
                     writes = [];
                     out = [];
@@ -444,10 +394,6 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
                   vb.pvb_expr;
                 col.eff <- union_effects col.eff col2.eff;
                 col.calls <- List.rev_append col2.calls col.calls;
-                if col.lock_param = None then
-                  col.lock_param <- col2.lock_param;
-                if col.unlock_param = None then
-                  col.unlock_param <- col2.unlock_param;
                 List.iter
                   (fun p ->
                     if not (List.mem p col.publishes) then
@@ -556,8 +502,6 @@ and collect_fn ~file ~scope ~fnpath ~line e : fn list =
     {
       calls = [];
       eff = no_effects;
-      lock_param = None;
-      unlock_param = None;
       publishes = [];
       writes = [];
       out = [];
@@ -568,11 +512,8 @@ and collect_fn ~file ~scope ~fnpath ~line e : fn list =
     fpath = fnpath;
     ffile = file;
     fline = line;
-    fparams = params;
     fcalls = List.rev col.calls;
     fdirect = col.eff;
-    flock_param = col.lock_param;
-    funlock_param = col.unlock_param;
     fpublishes = List.sort compare col.publishes;
     fwrites = List.sort_uniq compare col.writes;
     fbody = body;

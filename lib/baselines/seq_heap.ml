@@ -77,15 +77,4 @@ module Make (Ord : Mound.Intf.ORDERED) = struct
       if Ord.compare t.data.((i - 1) / 2) t.data.(i) > 0 then ok := false
     done;
     !ok
-
-  let of_array a =
-    let t = create () in
-    Array.iter (insert t) a;
-    t
-
-  let to_sorted_list t =
-    let rec go acc =
-      match extract_min t with None -> List.rev acc | Some v -> go (v :: acc)
-    in
-    go []
 end

@@ -24,11 +24,6 @@
 module Make (R : Runtime.S) = struct
   type policy = Reject | Shed | Block
 
-  let policy_name = function
-    | Reject -> "reject"
-    | Shed -> "shed"
-    | Block -> "block"
-
   (** The operations [Bounded] needs from the wrapped queue, as a plain
       record so one functor application serves every structure (the
       mounds are functors themselves; a record dodges a functor-of-

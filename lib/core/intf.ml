@@ -25,20 +25,6 @@ type 'a outcome = Ok of 'a | Timeout | Rejected
     unbounded paths never read the clock. *)
 let no_deadline = max_int
 
-(** The operations every priority queue in this repository provides. *)
-module type CORE = sig
-  type elt
-  type t
-
-  val insert : t -> elt -> unit
-
-  val extract_min : t -> elt option
-  (** [extract_min t] removes and returns a minimum element, or [None] if
-      the queue was empty at the linearization point. *)
-
-  val is_empty : t -> bool
-end
-
 (** The full interface shared by the three mound variants (sequential,
     lock-free, locking). [Mound.Seq], [Mound.Lf] and [Mound.Lock] are
     checked against it in [mound.ml], so the variants cannot drift

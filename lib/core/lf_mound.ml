@@ -71,9 +71,9 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
   let head_le n v =
     match n with Empty _ -> false | Node { hd; _ } -> Ord.compare hd v <= 0
 
-  let create ?threshold ?init_depth () =
+  let create ?threshold () =
     let make_slot () = Cell.make (Empty { dirty = false; seq = 0 }) in
-    { tree = T.create ?threshold ?init_depth make_slot; ops = Stats.Ops.create () }
+    { tree = T.create ?threshold make_slot; ops = Stats.Ops.create () }
 
   (** Retry / helping / backoff counters since creation. Exact and
       deterministic under the simulator; racy (diagnostic) on real

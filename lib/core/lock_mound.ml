@@ -65,10 +65,10 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
   let gave_up = { list = []; locked = true; seq = -1 }
   let missed = { list = []; locked = true; seq = -2 }
 
-  let create ?threshold ?init_depth ?(lease = 0) () =
+  let create ?(lease = 0) () =
     let make_slot () = R.Atomic.make { list = []; locked = false; seq = 0 } in
     {
-      tree = T.create ?threshold ?init_depth make_slot;
+      tree = T.create make_slot;
       ops = Stats.Ops.create ();
       lease;
     }

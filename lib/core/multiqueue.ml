@@ -88,8 +88,8 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
      livelock near misses. *)
   let near_miss_spins = 64
 
-  let create ?(c = 2) ?(stickiness = 8) ?threshold ?init_depth ?(seed = 1L)
-      ?queues ~domains () =
+  let create ?(c = 2) ?(stickiness = 8) ?(seed = 1L) ?queues
+      ~domains () =
     if domains < 1 then invalid_arg "Mound.Multiqueue.create: bad domains";
     if c < 1 then invalid_arg "Mound.Multiqueue.create: bad c";
     if stickiness < 1 then
@@ -110,7 +110,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
             pad_lock = Array.make pad_words 0;
             top = R.Atomic.make None;
             pad_top = Array.make pad_words 0;
-            q = Q.create ?threshold ?init_depth ~seed:seeds.(i) ();
+            q = Q.create ~seed:seeds.(i) ();
           })
     in
     let slots =
@@ -133,8 +133,6 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
     }
 
   let ops t = t.ops
-
-  let queue_count t = Array.length t.cells
 
   let slot_for t = t.slots.(R.self () mod slot_count)
 

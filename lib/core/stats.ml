@@ -62,19 +62,6 @@ module Ops = struct
       lock_recoveries = 0;
     }
 
-  let reset c =
-    c.insert_retries <- 0;
-    c.insert_backoffs <- 0;
-    c.root_fallbacks <- 0;
-    c.extract_retries <- 0;
-    c.helps <- 0;
-    c.lock_spins <- 0;
-    c.livelock_near_misses <- 0;
-    c.deadline_timeouts <- 0;
-    c.rejected <- 0;
-    c.shed <- 0;
-    c.lock_recoveries <- 0
-
   let pp ppf c =
     Format.fprintf ppf
       "insert retries %d (backoffs %d, root fallbacks %d), extract \

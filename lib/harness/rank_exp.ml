@@ -155,19 +155,15 @@ let run_rank_trial ?(seed = 7L) ~threads ~ops_per_thread (maker : Pq.maker) =
 (** Warmup + measured trials for one (structure, thread count) cell: the
     cell's timing, and its rank stats aggregated across the measured
     trials (extraction counts and error sums add, the max is the max). *)
-let run_rank_cell ?(seed = 7L) ?(warmup = 1) ?(trials = 3) ~threads
-    ~ops_per_thread (maker : Pq.maker) =
-  let trial_seed i = Int64.add seed (Int64.of_int (1000 * i)) in
-  for i = 1 to warmup do
-    ignore (run_rank_trial ~seed:(trial_seed (-i)) ~threads ~ops_per_thread maker)
-  done;
-  let measured =
-    List.init trials (fun i ->
-        run_rank_trial ~seed:(trial_seed i) ~threads ~ops_per_thread maker)
+let run_rank_cell ?seed ?warmup ?trials ~threads ~ops_per_thread
+    (maker : Pq.maker) =
+  let cell, measured =
+    Real_exp.run_cell ?seed ?warmup ?trials ~threads (fun ~seed ->
+        run_rank_trial ~seed ~threads ~ops_per_thread maker)
   in
   let agg =
     List.fold_left
-      (fun acc (_, s) ->
+      (fun acc s ->
         {
           extractions = acc.extractions + s.extractions;
           empty_returns = acc.empty_returns + s.empty_returns;
@@ -193,14 +189,7 @@ let run_rank_cell ?(seed = 7L) ?(warmup = 1) ?(trials = 3) ~threads
          else agg.mean_error /. float_of_int agg.extractions);
     }
   in
-  let timings = List.map fst measured in
-  ( {
-      Real_exp.threads;
-      trials = timings;
-      summary = Real_exp.summarize timings;
-      counters = None;
-    },
-    { structure = maker.name; threads; stats } )
+  (cell, { structure = maker.name; threads; stats })
 
 (** One structure's sweep: its timing series and its rank rows. *)
 let run_rank_series ?seed ?warmup ?trials ~thread_counts ~ops_per_thread

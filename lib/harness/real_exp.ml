@@ -2,7 +2,8 @@
    domains and reads the wall clock by design. *)
 
 (** Wall-clock trials on real OCaml domains for the overload scenarios
-    (and, through {!timed_trial}, the rank-error drains of {!Rank_exp}).
+    (and, through {!run_cell} and {!timed_trial}, the rank-error drains
+    of {!Rank_exp}).
 
     Trial protocol: every cell (structure × scenario × thread count)
     runs [warmup] discarded trials followed by [trials] measured ones,
@@ -113,6 +114,18 @@ let summarize trials =
   in
   { median; tp_min; tp_max; stddev = sqrt var }
 
+(* The trial protocol of every cell: measured trial [i] runs with seed
+   [seed + 1000·i], warmup [i] with [seed − 1000·i]. *)
+let run_cell ?(seed = 7L) ?(warmup = 1) ?(trials = 3) ~threads run =
+  let trial_seed i = Int64.add seed (Int64.of_int (1000 * i)) in
+  for i = 1 to warmup do
+    ignore (run ~seed:(trial_seed (-i)))
+  done;
+  let measured = List.init trials (fun i -> run ~seed:(trial_seed i)) in
+  let timings = List.map fst measured in
+  ( { threads; trials = timings; summary = summarize timings; counters = None },
+    List.map snd measured )
+
 (* ----- overload scenarios ----- *)
 
 (** Overload scenarios: each runs the structure behind the {!Mound.Bounded}
@@ -213,30 +226,15 @@ let run_overload_trial ?(seed = 7L) ~scenario ~threads ~ops_per_thread
   (match q.Pq.ops () with Some o -> Chaos_exp.add_ops counters o | None -> ());
   (trial, Some counters)
 
-let run_overload_cell ?(seed = 7L) ?(warmup = 1) ?(trials = 3) ~scenario
-    ~threads ~ops_per_thread ~capacity (maker : Pq.maker) =
-  let trial_seed i = Int64.add seed (Int64.of_int (1000 * i)) in
-  for i = 1 to warmup do
-    ignore
-      (run_overload_trial ~seed:(trial_seed (-i)) ~scenario ~threads
-         ~ops_per_thread ~capacity maker)
-  done;
-  let counters = ref None in
-  let measured =
-    List.init trials (fun i ->
-        let t, ops =
-          run_overload_trial ~seed:(trial_seed i) ~scenario ~threads
-            ~ops_per_thread ~capacity maker
-        in
-        counters := ops;
-        t)
+let run_overload_cell ?seed ?warmup ?trials ~scenario ~threads
+    ~ops_per_thread ~capacity (maker : Pq.maker) =
+  let cell, counters =
+    run_cell ?seed ?warmup ?trials ~threads (fun ~seed ->
+        run_overload_trial ~seed ~scenario ~threads ~ops_per_thread ~capacity
+          maker)
   in
-  {
-    threads;
-    trials = measured;
-    summary = summarize measured;
-    counters = !counters;
-  }
+  (* the counters of the last measured trial *)
+  { cell with counters = List.fold_left (fun _ c -> c) None counters }
 
 let run_overload_series ?seed ?warmup ?trials ~scenario ~thread_counts
     ~ops_per_thread ~capacity (maker : Pq.maker) =

@@ -1,11 +1,12 @@
 (** Wall-clock trials on real OCaml domains for the overload scenarios
-    and, through {!timed_trial}, the rank-error drains of {!Rank_exp}:
-    a barrier-synchronized start and a multi-trial protocol (warmup
-    trials discarded, [trials] measured trials per cell, median / min /
-    max / stddev reported). The clock origin is read before the start
-    barrier opens and each domain records its own start/stop stamps, so
-    per-thread skew is visible in the results. The core operations'
-    wall-clock throughput is measured by [bench/perf], not here. *)
+    and, through {!run_cell} and {!timed_trial}, the rank-error drains
+    of {!Rank_exp}: a barrier-synchronized start and a multi-trial
+    protocol (warmup trials discarded, [trials] measured trials per
+    cell, median / min / max / stddev reported). The clock origin is
+    read before the start barrier opens and each domain records its own
+    start/stop stamps, so per-thread skew is visible in the results. The
+    core operations' wall-clock throughput is measured by [bench/perf],
+    not here. *)
 
 type thread_point = {
   tid : int;
@@ -39,9 +40,19 @@ type cell = {
 
 type series = { structure : string; cells : cell list }
 
-val summarize : trial list -> summary
-(** Median / min / max / stddev of the trials' throughputs — exposed so
-    sibling drivers ({!Rank_exp}) build schema-compatible cells. *)
+val run_cell :
+  ?seed:int64 ->
+  ?warmup:int ->
+  ?trials:int ->
+  threads:int ->
+  (seed:int64 -> trial * 'a) ->
+  cell * 'a list
+(** [run_cell ~threads run] is one cell's trial protocol: [warmup]
+    (default 1) discarded runs of [run], then [trials] (default 3)
+    measured ones, measured trial [i] seeded [seed + 1000·i] (default
+    seed 7) and warmup [i] [seed − 1000·i]. Returns the cell, with
+    [counters] unset, and the measured runs' second components in run
+    order. *)
 
 val timed_trial : threads:int -> (int -> int) -> trial
 (** [timed_trial ~threads body] runs [body tid] on each of [threads]

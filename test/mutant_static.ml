@@ -8,9 +8,10 @@
    - [Lock_inverted_static]: the locking mound's hand-over-hand
      acquisition with the child locked before its parent, over the real
      [c]/[c / 2] index arithmetic. Every path still releases both
-     locks, so lock-leak stays silent; under the liveness checker the
-     same code deadlocks against a correctly ordered peer (a fair
-     no-write cycle), mirroring [Mutant_live.Lock_inverted].
+     locks and no static rule sees acquisition order; under the
+     liveness checker the same code deadlocks against a correctly
+     ordered peer (a fair no-write cycle), mirroring
+     [Mutant_live.Lock_inverted].
 
    - [Post_publish_mutation]: an extraction that CASes the root record
      onto itself and then mutates its list field in place — the

@@ -11,106 +11,6 @@ let scan path src = Analysis.scan ~path src
 let with_rule r fs = List.filter (fun f -> f.Analysis.rule = r) fs
 let check_count what n fs = Alcotest.(check int) what n (List.length fs)
 
-(* ---- lock-leak --------------------------------------------------------- *)
-
-(* The locking mound's primitives, distilled: an acquire loop that backs
-   off (so helping-discipline stays quiet) and a plain release. *)
-let lock_prims =
-  "type lnode = { locked : bool; owner : int }\n\n\
-   let set_lock slot =\n\
-  \  let rec spin () =\n\
-  \    let cur = R.Atomic.get slot in\n\
-  \    if cur.locked then begin\n\
-  \      R.cpu_relax ();\n\
-  \      spin ()\n\
-  \    end\n\
-  \    else if\n\
-  \      not (R.Atomic.compare_and_set slot cur { locked = true; owner = 0 })\n\
-  \    then spin ()\n\
-  \  in\n\
-  \  spin ()\n\n\
-   let unlock slot =\n\
-  \  let cur = R.Atomic.get slot in\n\
-  \  R.Atomic.set slot { cur with locked = false }\n\n"
-
-let test_lock_leak () =
-  let leaky =
-    lock_prims
-    ^ "let probe t c =\n\
-      \  let cslot = T.get_at t c in\n\
-      \  set_lock cslot;\n\
-      \  if c > 1 then unlock cslot\n"
-  in
-  check_count "conditional release leaks" 1
-    (with_rule "lock-leak" (scan "lib/core/x.ml" leaky));
-  let balanced =
-    lock_prims
-    ^ "let probe t c =\n\
-      \  let cslot = T.get_at t c in\n\
-      \  set_lock cslot;\n\
-      \  let v = read t c in\n\
-      \  unlock cslot;\n\
-      \  v\n"
-  in
-  check_count "balanced fine" 0
-    (with_rule "lock-leak" (scan "lib/core/x.ml" balanced));
-  (* a raising path needs no release *)
-  let raising =
-    lock_prims
-    ^ "let probe t c =\n\
-      \  let cslot = T.get_at t c in\n\
-      \  set_lock cslot;\n\
-      \  if c = 0 then invalid_arg \"probe\";\n\
-      \  unlock cslot\n"
-  in
-  check_count "raising path fine" 0
-    (with_rule "lock-leak" (scan "lib/core/x.ml" raising))
-
-(* The walk's two joins: branches are explored independently and
-   unioned, so a lock released on every arm is not a leak while one arm
-   that forgets is; and a call into a function that releases discharges
-   the held chain, the hand-over-hand descent of paper Listing 3. *)
-let test_lock_leak_joins () =
-  let fn body = lock_prims ^ "let probe t c =\n" ^ body in
-  let every_arm =
-    fn
-      "  let cslot = T.get_at t c in\n\
-      \  set_lock cslot;\n\
-      \  match read t c with\n\
-      \  | 0 -> unlock cslot\n\
-      \  | v -> unlock cslot; ignore v\n"
-  in
-  check_count "released on every arm fine" 0
-    (with_rule "lock-leak" (scan "lib/core/x.ml" every_arm));
-  let one_arm =
-    fn
-      "  let cslot = T.get_at t c in\n\
-      \  set_lock cslot;\n\
-      \  match read t c with\n\
-      \  | 0 -> unlock cslot\n\
-      \  | v -> ignore v\n"
-  in
-  check_count "an arm that forgets leaks" 1
-    (with_rule "lock-leak" (scan "lib/core/x.ml" one_arm));
-  let descent =
-    lock_prims
-    ^ "let rec down t c =\n\
-      \  let cslot = T.get_at t c in\n\
-      \  if c > 64 then unlock cslot\n\
-      \  else begin\n\
-      \    let kslot = T.get_at t (2 * c) in\n\
-      \    set_lock kslot;\n\
-      \    unlock cslot;\n\
-      \    down t (2 * c)\n\
-      \  end\n\n\
-       let probe t c =\n\
-      \  let cslot = T.get_at t c in\n\
-      \  set_lock cslot;\n\
-      \  down t c\n"
-  in
-  check_count "hand-over-hand descent fine" 0
-    (with_rule "lock-leak" (scan "lib/core/x.ml" descent))
-
 (* ---- publication safety ------------------------------------------------ *)
 
 let test_stale_publish () =
@@ -155,55 +55,14 @@ let test_post_publish_mutation () =
 
 (* ---- the MultiQueue idioms --------------------------------------------- *)
 
-(* The relaxed front-end's two protocol disciplines, distilled the way
-   [lock_prims] distills the locking mound's. The shipped multiqueue.ml
-   itself is covered by the clean-tree assertion below (its disciplines
-   hold, so the lint stays silent over it); these fixtures pin that
-   the rules would actually fire if either discipline broke.
-
-   Sticky locking uses a bare [bool R.Atomic.t] word — the CAS(false,
-   true) acquire shape, a different summary-detection path from the
-   locking mound's record-literal [locked = true] stores. *)
-let mq_lock_prims =
-  "let lock_cell l =\n\
-  \  let rec spin () =\n\
-  \    if not (R.Atomic.compare_and_set l false true) then begin\n\
-  \      R.cpu_relax ();\n\
-  \      spin ()\n\
-  \    end\n\
-  \  in\n\
-  \  spin ()\n\n\
-   let unlock_cell l = R.Atomic.set l false\n\n"
-
-let test_multiqueue_sticky_lock () =
-  let leaky =
-    mq_lock_prims
-    ^ "let extract_if_lucky l q =\n\
-      \  lock_cell l;\n\
-      \  if happy q then begin\n\
-      \    let v = pop q in\n\
-      \    unlock_cell l;\n\
-      \    v\n\
-      \  end\n\
-      \  else None\n"
-  in
-  check_count "unhappy path leaks the cell lock" 1
-    (with_rule "lock-leak" (scan "lib/core/x.ml" leaky));
-  let balanced =
-    mq_lock_prims
-    ^ "let extract_always l q =\n\
-      \  lock_cell l;\n\
-      \  let v = if happy q then pop q else None in\n\
-      \  unlock_cell l;\n\
-      \  v\n"
-  in
-  check_count "release on every path fine" 0
-    (with_rule "lock-leak" (scan "lib/core/x.ml" balanced))
-
-(* The cached-top word: a peeker must never CAS back the very value it
-   read (the cache stops tracking the backing queue the moment the CAS
-   succeeds over a concurrent extract); the unlock path publishes a
-   freshly recomputed head instead. *)
+(* The relaxed front-end's cached-top word, distilled: a peeker must
+   never CAS back the very value it read (the cache stops tracking the
+   backing queue the moment the CAS succeeds over a concurrent
+   extract); the unlock path publishes a freshly recomputed head
+   instead. The shipped multiqueue.ml itself is covered by the
+   clean-tree assertion below (its discipline holds, so the lint stays
+   silent over it); this fixture pins that the rule would actually fire
+   if the discipline broke. *)
 let test_multiqueue_top_cache () =
   let republish =
     "let refresh_top cell =\n\
@@ -423,31 +282,21 @@ let test_completion_through_constructor () =
   check_count "a match of clean literals helps" 0
     (with_rule "static-retry" (scan "lib/core/x.ml" arms))
 
-let test_lock_through_constructor () =
-  let prims =
-    "let set_lock slot =\n\
-    \  let rec spin () =\n\
-    \    let cur = R.Atomic.get slot in\n\
-    \    if held cur then begin\n\
-    \      R.cpu_relax ();\n\
-    \      spin ()\n\
-    \    end\n\
-    \    else if\n\
-    \      not (R.Atomic.compare_and_set slot cur (Lk { locked = true; owner = 0 }))\n\
-    \    then spin ()\n\
-    \  in\n\
-    \  spin ()\n\n\
-     let unlock slot = R.Atomic.set slot (Lk { locked = false; owner = 0 })\n\n"
+(* A constructor-shaped [locked = false] release built from the
+   location's own read is no lost update (the bare record is in
+   [test_atomicity]); the same store keeping the lock is one. *)
+let test_release_through_constructor () =
+  let store fresh =
+    "let unlock slot =\n\
+    \  let cur = R.Atomic.get slot in\n\
+    \  R.Atomic.set slot " ^ fresh ^ "\n"
   in
-  let leaky =
-    prims
-    ^ "let probe t c =\n\
-      \  let cslot = T.get_at t c in\n\
-      \  set_lock cslot;\n\
-      \  if c > 1 then unlock cslot\n"
-  in
-  check_count "constructor-shaped acquire and release tracked" 1
-    (with_rule "lock-leak" (scan "lib/core/x.ml" leaky))
+  check_count "a constructor-shaped release is no lost update" 0
+    (with_rule "atomicity"
+       (scan "lib/core/x.ml" (store "(Lk { cur with locked = false })")));
+  check_count "the same store keeping the lock is" 1
+    (with_rule "atomicity"
+       (scan "lib/core/x.ml" (store "(Lk { cur with locked = true })")))
 
 let test_stamp_through_constructor () =
   let publish fresh =
@@ -927,18 +776,12 @@ let () =
         [
           Alcotest.test_case "completion through a constructor" `Quick
             test_completion_through_constructor;
-          Alcotest.test_case "lock shapes through a constructor" `Quick
-            test_lock_through_constructor;
+          Alcotest.test_case "lock release through a constructor" `Quick
+            test_release_through_constructor;
           Alcotest.test_case "stamp through a constructor" `Quick
             test_stamp_through_constructor;
           Alcotest.test_case "match arms derive from the scrutinee" `Quick
             test_match_arm_provenance;
-        ] );
-      ( "lock-leak",
-        [
-          Alcotest.test_case "release on every path" `Quick test_lock_leak;
-          Alcotest.test_case "branch and call joins" `Quick
-            test_lock_leak_joins;
         ] );
       ( "publication",
         [
@@ -948,8 +791,6 @@ let () =
         ] );
       ( "multiqueue-idioms",
         [
-          Alcotest.test_case "sticky-lock discipline" `Quick
-            test_multiqueue_sticky_lock;
           Alcotest.test_case "cached-top publish" `Quick
             test_multiqueue_top_cache;
         ] );

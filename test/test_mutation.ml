@@ -179,23 +179,28 @@ let test_tamper () =
   tamper "status" (flip_status "survived");
   tamper "status gap" (flip_status "gap");
   (* typed decoding: a truncating validator accepted both *)
-  tamper_doc (load_baseline ()) "count 102.5"
-    (set_field "count" (Harness.Bench_json.Num 102.5));
-  tamper_doc (load_baseline ()) "killed 76.9"
-    (set_field "killed" (Harness.Bench_json.Num 76.9))
+  let baseline = load_baseline () in
+  let b = Harness.Mutation_json.codec.dec baseline in
+  let off_by field n =
+    tamper_doc baseline
+      (Printf.sprintf "%s %d.5" field n)
+      (set_field field (Harness.Bench_json.Num (float_of_int n +. 0.5)))
+  in
+  off_by "count" b.count;
+  off_by "killed" b.killed
 
 (* ---- the committed baseline -------------------------------------------- *)
 
-(* Each hand-seeded defect class in mutant_static.ml, as the (operator,
-   killing rule) pair that re-derives it mechanically. The baseline must
-   contain at least one killed mutant per pair. Where the rule also
-   flags the fixture, the two certify it from two directions; the other
-   fixtures are pinned in test_analysis: the lock inversion under
-   liveness, the spawn counter under DPOR, and the published-record
-   write by post-publish-mutation. *)
+(* Each hand-seeded defect class in mutant_static.ml that a static rule
+   catches, as the (operator, killing rule) pair that re-derives it
+   mechanically. The baseline must contain at least one killed mutant
+   per pair. Where the rule also flags the fixture, the two certify it
+   from two directions; the other fixtures are pinned in test_analysis:
+   the lock inversion under liveness (no static rule sees acquisition
+   order), the spawn counter under DPOR, and the published-record write
+   by post-publish-mutation. *)
 let seeded_classes =
   [
-    ("Lock_inverted_static", "swap-lock-order", "lock-leak");
     ("Post_publish_mutation", "inplace-publish", "post-publish-mutation");
     ("Aliased_helper_dropped", "drop-help", "static-retry");
     ("Unstamped_publish", "drop-stamp", "aba-risk");
@@ -376,6 +381,42 @@ let test_completion_through_constructor () =
   Alcotest.(check (list string)) "static-retry resurfaces" [ "static-retry" ]
     rules
 
+(* [drop-stamp]'s re-validation half also deletes a protocol bit read
+   through an accessor named for it ([is_dirty cur], [not (is_locked
+   cur)]), the shape the lock-free mound's [moundify] reads its dirty
+   bit in. *)
+let accessor_fixture =
+  {|
+type node = { list : int list; dirty : bool; locked : bool; seq : int }
+
+let is_dirty n = n.dirty
+let is_locked n = n.locked
+
+let rec settle slot =
+  let cur = M.get slot in
+  if not (is_dirty cur) then ()
+  else if is_locked cur then settle slot
+  else if M.cas slot cur { cur with dirty = false; seq = cur.seq + 1 } then ()
+  else settle slot
+|}
+
+let test_stamp_drop_through_accessor () =
+  match
+    Analysis.Mutate.mutants ~ops:[ "drop-stamp" ]
+      [ ("lib/core/acc.ml", accessor_fixture) ]
+  with
+  | [ m ] ->
+      Alcotest.(check string)
+        "stamp frozen, both accessor reads deleted"
+        "version discipline dropped: 1 stamps frozen, 2 re-validation \
+         reads removed"
+        m.m_note;
+      Alcotest.(check bool)
+        "no accessor read left in the loop" false
+        (Analysis.Summary.contains_sub m.m_src "(is_dirty cur)"
+        || Analysis.Summary.contains_sub m.m_src "is_locked cur")
+  | l -> Alcotest.failf "drop-stamp: %d sites, expected 1" (List.length l)
+
 let test_inplace_through_constructor () =
   let m, rules = node_mutant "inplace-publish" in
   Alcotest.(check bool)
@@ -387,6 +428,63 @@ let test_inplace_through_constructor () =
     (List.filter
        (fun r -> r = "post-publish-mutation" || r = "stale-publish")
        rules)
+
+(* The three lock operators mutate the shipped locking mound with their
+   defect edit alone: each mutant differs from the shipped source in one
+   contiguous span, inside the one function that hosts the mutant's
+   line. *)
+let test_lock_ops_defect_only () =
+  match lib_root () with
+  | None -> ()
+  | Some root ->
+      let path = Filename.concat root "core/lock_mound.ml" in
+      let src = Analysis.read_file path in
+      let p =
+        match Analysis.Frontend.parse ~path src with
+        | Ok p -> p
+        | Error _ -> Alcotest.failf "%s does not parse" path
+      in
+      let line_at i =
+        let l = ref 1 in
+        String.iteri (fun j c -> if j < i && c = '\n' then incr l) src;
+        !l
+      in
+      (* each function's byte span: what [replace] would rewrite *)
+      let fns = ref [] in
+      Analysis.Mutate.on_bindings p (fun _ e ->
+          let { Analysis.Mutate.e_start; e_stop; _ } =
+            Analysis.Mutate.replace e ""
+          in
+          fns := (e_start, e_stop) :: !fns);
+      let ms =
+        Analysis.Mutate.mutants
+          ~ops:[ "drop-unlock"; "swap-lock-order"; "drop-completion" ]
+          [ (path, src) ]
+      in
+      Alcotest.(check bool) "the lock operators have sites" true (ms <> []);
+      List.iter
+        (fun (m : Analysis.Mutate.mutant) ->
+          let n = String.length src and n' = String.length m.m_src in
+          let pre = ref 0 in
+          while !pre < min n n' && src.[!pre] = m.m_src.[!pre] do
+            incr pre
+          done;
+          let suf = ref 0 in
+          while
+            !suf < min n n' - !pre
+            && src.[n - 1 - !suf] = m.m_src.[n' - 1 - !suf]
+          do
+            incr suf
+          done;
+          let hosts (a, b) =
+            a <= !pre
+            && n - !suf <= b
+            && line_at a <= m.m_line
+            && m.m_line <= line_at b
+          in
+          if not (List.exists hosts !fns) then
+            Alcotest.failf "%s edits outside the function it mutates" m.m_id)
+        ms
 
 (* ---- the live regression guard ----------------------------------------- *)
 
@@ -510,6 +608,10 @@ let () =
             test_completion_through_constructor;
           Alcotest.test_case "inplace-publish through a constructor" `Quick
             test_inplace_through_constructor;
+          Alcotest.test_case "drop-stamp through a bit accessor" `Quick
+            test_stamp_drop_through_accessor;
+          Alcotest.test_case "lock operators carry only their defect edit"
+            `Quick test_lock_ops_defect_only;
         ] );
       ( "guard",
         [
