@@ -48,13 +48,6 @@ let writers_table (cg : Callgraph.t) =
     (Callgraph.fns cg);
   tbl
 
-(* 0-based (loc, expected, fresh) triples among the Nolabel args. *)
-let cas_triples = function
-  | "cas" | "compare_and_set" -> [ (0, 1, 2) ]
-  | "dcss" -> [ (2, 3, 4) ]
-  | "dcas" -> [ (0, 1, 2); (3, 4, 5) ]
-  | _ -> []
-
 let scan_fn writers (f : Summary.fn) : Frontend.finding list =
   let findings = ref [] in
   let self = String.concat "." f.fpath in
@@ -97,7 +90,7 @@ let scan_fn writers (f : Summary.fn) : Frontend.finding list =
                   :: !findings
             | _ -> ())
         | _ -> ())
-      (cas_triples op)
+      (Summary.cas_legs op)
   in
   Dataflow.run { Dataflow.no_hooks with h_cas } f.fbody;
   List.rev !findings

@@ -3,9 +3,9 @@
     Parses each source once ({!Frontend}: [.ml] and [.mli] alike) and
     runs every rule on that tree: the per-file rules of {!File_rules}
     (runtime boundary, mutable-atomic, format) and the cross-module
-    Parsetree analyses ({!Publication}, {!Helping}'s retry-loop rule,
-    and the {!Dataflow}-powered {!Aba_risk}, {!Atomicity} and
-    {!Layout}). All findings of a file go through the {e same} waiver
+    Parsetree analyses ({!Helping}'s retry-loop rule, {!Layout}, and
+    the {!Dataflow}-powered {!Publication}, {!Aba_risk} and
+    {!Atomicity}). All findings of a file go through the {e same} waiver
     machinery — a [lint: allow] comment with a reason silences any
     finding on its covered lines, and waiver hygiene (reason required,
     stale waivers rejected) is judged against all of them. Co-located

@@ -83,6 +83,13 @@ let resolve ?from_file t segs =
               | None -> if List.length best = 1 then Some i else None)
           | None -> if List.length best = 1 then Some i else None))
 
+(* The function [let]-bound as [name] directly inside [f]: {!Summary}
+   registers it under [f]'s own path extended by [name]. *)
+let nested t (f : Summary.fn) name =
+  match Hashtbl.find_opt t.by_path (join (f.fpath @ [ name ])) with
+  | Some ids -> List.find_opt (fun j -> t.fns.(j).ffile = f.ffile) ids
+  | None -> None
+
 let trans_effects t i = t.trans.(i)
 
 (** The lint's one definition of a CAS retry loop: a function on a

@@ -1,9 +1,10 @@
 (** Flow-sensitive abstract interpretation over one function body.
 
     A small dataflow engine shared by the atomic-protocol analyses
-    ({!Aba_risk}, {!Atomicity}): a single forward pass over the body in
-    evaluation order — let-sequences, matches, conditionals, loops —
-    threading an abstract state that maps local names to {e facts}:
+    ({!Aba_risk}, {!Atomicity}, {!Publication}): a single forward pass
+    over the body in evaluation order — let-sequences, matches,
+    conditionals, loops — threading an abstract state that maps local
+    names to {e facts}:
 
     - [Shared_read]: the variable holds the result of a dotted [get] on
       an atomic location, keyed by the location's field/variable name,
@@ -39,7 +40,8 @@
     resolved call, each {e before} the site's own arguments are walked —
     so the version bump inside a CAS's fresh record ([seq = cur.seq +
     1]) does not count as re-validation of the read it is about to
-    replace. *)
+    replace — and at field assignments [r.f <- v], {e after} both
+    operands are walked. *)
 
 open Parsetree
 
@@ -219,6 +221,8 @@ type hooks = {
       (** a dotted [set] that is not a lock release *)
   h_call : ctx -> line:int -> segs:string list -> expression list -> unit;
       (** any other applied identifier, unresolved segments + args *)
+  h_setfield : ctx -> line:int -> expression -> unit;
+      (** a field assignment [r.f <- v]; the expression is [r] *)
 }
 
 let no_hooks =
@@ -226,6 +230,7 @@ let no_hooks =
     h_cas = (fun _ ~line:_ ~op:_ _ -> ());
     h_set = (fun _ ~line:_ ~loc:_ ~value:_ -> ());
     h_call = (fun _ ~line:_ ~segs:_ _ -> ());
+    h_setfield = (fun _ ~line:_ _ -> ());
   }
 
 let run (hooks : hooks) (body : expression) : unit =
@@ -367,7 +372,8 @@ let run (hooks : hooks) (body : expression) : unit =
         walk c
     | Pexp_setfield (r, _, v) ->
         walk r;
-        walk v
+        walk v;
+        hooks.h_setfield ctx ~line:(Frontend.line_of_loc e.pexp_loc) r
     | Pexp_record (fs, base) ->
         List.iter (fun (_, v) -> walk v) fs;
         Option.iter walk base

@@ -543,7 +543,6 @@ let rec protocol_read_cond e =
    an unstamped fresh value alone stays invisible while the loop still
    re-validates [dirty]/[locked] before the CAS. *)
 let sites_drop_stamp p _src =
-  let direct_cas_heads = [ "cas"; "compare_and_set"; "dcss"; "dcas" ] in
   let out = ref [] in
   on_bindings p (fun _name body ->
       let b = fun_body body in
@@ -554,7 +553,7 @@ let sites_drop_stamp p _src =
               match segs_of_head h with
               | Some segs
                 when List.length segs >= 2
-                     && List.mem (last_seg segs) direct_cas_heads ->
+                     && Summary.cas_legs (last_seg segs) <> [] ->
                   direct_cas := true
               | _ -> ())
           | _ -> ());
@@ -610,7 +609,6 @@ let sites_drop_stamp p _src =
    [true] in place — the release never releases. No static rule sees
    it; a locking path that stops releasing is a liveness defect. *)
 let sites_drop_completion p _src =
-  let cas_heads = [ "cas"; "compare_and_set"; "dcss"; "dcas" ] in
   (* the [false] literals bound to [names] in one record literal *)
   let false_fields names fields =
     List.filter_map
@@ -633,7 +631,7 @@ let sites_drop_completion p _src =
               match segs_of_head h with
               | Some segs
                 when List.length segs >= 2
-                     && List.mem (last_seg segs) cas_heads ->
+                     && Summary.cas_legs (last_seg segs) <> [] ->
                   List.iter
                     (fun a ->
                       List.iter

@@ -9,173 +9,95 @@
     racy write other threads can observe half-done, and re-publishing a
     record previously read from a location re-introduces ABA.
 
-    Per function, in evaluation order:
+    Per function, as a client of the {!Dataflow} pass:
 
-    - a CAS-family fresh-value argument that is a variable bound to a
-      {e shared read} ([M.get]/[R.Atomic.get]-shaped call) is flagged
-      [stale-publish] — the dirty-bit idiom must go through a fresh
-      copy, not recycle what it read;
+    - a CAS-family fresh-value argument ({!Summary.cas_legs}) that is a
+      variable carrying a [Shared_read] fact is flagged [stale-publish] —
+      the dirty-bit idiom must go through a fresh copy, not recycle what
+      it read;
     - a field assignment [v.f <- e] where [v] was earlier passed as a
-      CAS fresh value, or was bound to a shared read, is flagged
+      CAS fresh value, or still carries a [Shared_read] fact, is flagged
       [post-publish-mutation] — mutation after (or of) shared state.
 
     Calls into functions that forward a parameter to a fresh-value slot
     ({!Lf_mound}'s [cas_reusing]/[dcss_reusing]; the {!Summary}
     [publishes] fact) are treated as publication sites for the
-    corresponding argument.
+    corresponding argument. A [let]-bound local helper resolves to its
+    own nested summary.
 
-    Under-approximations, by design: variables with unknown bindings
-    (parameters, record fields, call results other than [get]) are not
-    tracked; [casn]'s operation array is not analyzed; aliasing through
-    data structures is invisible. Each can hide a violation, none
-    produces a spurious finding — mutants exercise the covered idioms. *)
+    Under-approximations, by design: variables without a fact
+    (parameters, call results other than [get]) are not tracked;
+    [casn]'s operation array is not analyzed; aliasing through data
+    structures is invisible. Each can hide a violation, none produces a
+    spurious finding — mutants exercise the covered idioms. *)
 
 open Parsetree
 
-type binding = Fresh | Shared_read | Unknown
+let shared_read (ctx : Dataflow.ctx) v =
+  match Hashtbl.find_opt ctx.facts v with
+  | Some (Dataflow.Shared_read _) -> true
+  | _ -> false
 
 let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Frontend.finding list =
   let findings = ref [] in
   let add line rule msg =
     findings := { Frontend.file = f.ffile; line; rule; msg } :: !findings
   in
-  let extra = ref [] in
-  let resolve segs =
-    let scope =
-      { f.fscope with Summary.venv = !extra @ f.fscope.Summary.venv }
-    in
-    Callgraph.resolve ~from_file:f.ffile cg (Summary.resolve_call scope segs)
-  in
-  let bindings : (string, binding) Hashtbl.t = Hashtbl.create 8 in
+  (* variable -> line of the CAS that last published it *)
   let published : (string, int) Hashtbl.t = Hashtbl.create 4 in
-  let classify e =
-    let e = Summary.strip_casts e in
-    match e.pexp_desc with
-    | Pexp_record _ | Pexp_tuple _ -> Fresh
-    | Pexp_construct (_, _) -> Fresh
-    | Pexp_apply (head, _) -> (
-        match Summary.flatten_ident head with
-        | Some segs when List.length segs >= 2 -> (
-            match List.rev segs with
-            | "get" :: _ -> Shared_read
-            | _ -> Unknown)
-        | _ -> Unknown)
-    | _ -> Unknown
+  let publish ctx line nargs positions =
+    List.iter
+      (fun i ->
+        match Option.map Summary.strip_casts (List.nth_opt nargs i) with
+        | Some { pexp_desc = Pexp_ident { txt = Lident v; _ }; _ } ->
+            if shared_read ctx v then
+              add line "stale-publish"
+                (Printf.sprintf
+                   "publishes %s, a record read from shared memory; CAS \
+                    must install a freshly allocated copy (ABA and torn \
+                    observation risk)"
+                   v);
+            Hashtbl.replace published v line
+        | _ -> ())
+      positions
   in
-  let publish_site line arg =
-    match (Summary.strip_casts arg).pexp_desc with
-    | Pexp_ident { txt = Lident v; _ } -> (
-        (match Hashtbl.find_opt bindings v with
-        | Some Shared_read ->
-            add line "stale-publish"
-              (Printf.sprintf
-                 "publishes %s, a record read from shared memory; CAS \
-                  must install a freshly allocated copy (ABA and torn \
-                  observation risk)"
-                 v)
-        | _ -> ());
-        Hashtbl.replace published v line)
+  let h_cas ctx ~line ~op nargs =
+    publish ctx line nargs
+      (List.map (fun (_, _, fresh) -> fresh) (Summary.cas_legs op))
+  in
+  let h_call ctx ~line ~segs nargs =
+    let local =
+      match segs with [ name ] -> Callgraph.nested cg f name | _ -> None
+    in
+    let callee =
+      if local <> None then local
+      else
+        Callgraph.resolve ~from_file:f.ffile cg
+          (Summary.resolve_call f.fscope segs)
+    in
+    Option.iter
+      (fun j -> publish ctx line nargs (Callgraph.fn cg j).fpublishes)
+      callee
+  in
+  let h_setfield ctx ~line r =
+    match Summary.base_var r with
+    | Some v when Hashtbl.mem published v ->
+        add line "post-publish-mutation"
+          (Printf.sprintf
+             "mutates a field of %s after it was published by the CAS at \
+              line %d; other threads already see this record — publish a \
+              fresh copy instead"
+             v (Hashtbl.find published v))
+    | Some v when shared_read ctx v ->
+        add line "post-publish-mutation"
+          (Printf.sprintf
+             "mutates a field of %s, which was read from shared memory; \
+              in-place writes race with concurrent readers — publish a \
+              fresh copy instead"
+             v)
     | _ -> ()
   in
-  let rec walk e =
-    let e = Summary.strip_casts e in
-    match e.pexp_desc with
-    | Pexp_let (_, vbs, cont) ->
-        List.iter
-          (fun vb ->
-            walk vb.pvb_expr;
-            let ps, _ = Summary.fn_shape vb.pvb_expr in
-            match Summary.pat_var vb.pvb_pat with
-            | Some name when ps <> [] ->
-                extra := (name, f.fpath @ [ name ]) :: !extra
-            | Some name -> Hashtbl.replace bindings name (classify vb.pvb_expr)
-            | None -> ())
-          vbs;
-        walk cont
-    | Pexp_apply (head, args) ->
-        List.iter (fun (_, a) -> walk a) args;
-        (match Summary.flatten_ident head with
-        | Some segs -> (
-            let last = List.nth segs (List.length segs - 1) in
-            let nargs = Summary.nolabel_args args in
-            let line = Frontend.line_of_loc e.pexp_loc in
-            if List.length segs >= 2 && List.mem last Summary.cas_family
-            then
-              List.iter
-                (fun i ->
-                  match List.nth_opt nargs i with
-                  | Some a -> publish_site line a
-                  | None -> ())
-                (Summary.fresh_positions last)
-            else
-              match resolve segs with
-              | Some j ->
-                  let g = Callgraph.fn cg j in
-                  List.iter
-                    (fun p ->
-                      match List.nth_opt nargs p with
-                      | Some a -> publish_site line a
-                      | None -> ())
-                    g.fpublishes
-              | None -> ())
-        | None -> walk head)
-    | Pexp_setfield (r, _, v) -> (
-        walk v;
-        walk r;
-        match Summary.base_var r with
-        | Some bv -> (
-            let line = Frontend.line_of_loc e.pexp_loc in
-            match (Hashtbl.find_opt published bv, Hashtbl.find_opt bindings bv)
-            with
-            | Some pline, _ ->
-                add line "post-publish-mutation"
-                  (Printf.sprintf
-                     "mutates a field of %s after it was published by the \
-                      CAS at line %d; other threads already see this \
-                      record — publish a fresh copy instead"
-                     bv pline)
-            | None, Some Shared_read ->
-                add line "post-publish-mutation"
-                  (Printf.sprintf
-                     "mutates a field of %s, which was read from shared \
-                      memory; in-place writes race with concurrent \
-                      readers — publish a fresh copy instead"
-                     bv)
-            | _ -> ())
-        | None -> ())
-    | Pexp_sequence (a, b) ->
-        walk a;
-        walk b
-    | Pexp_ifthenelse (c, t, el) ->
-        walk c;
-        walk t;
-        Option.iter walk el
-    | Pexp_match (s, cs) | Pexp_try (s, cs) ->
-        walk s;
-        List.iter (fun c -> walk c.pc_rhs) cs
-    | Pexp_function cs -> List.iter (fun c -> walk c.pc_rhs) cs
-    | Pexp_fun (_, _, _, b)
-    | Pexp_lazy b
-    | Pexp_newtype (_, b)
-    | Pexp_open (_, b)
-    | Pexp_assert b ->
-        walk b
-    | Pexp_while (a, b) ->
-        walk a;
-        walk b
-    | Pexp_for (_, a, b, _, c) ->
-        walk a;
-        walk b;
-        walk c
-    | Pexp_record (fs, base) ->
-        List.iter (fun (_, v) -> walk v) fs;
-        Option.iter walk base
-    | Pexp_tuple es | Pexp_array es -> List.iter walk es
-    | Pexp_construct (_, a) | Pexp_variant (_, a) -> Option.iter walk a
-    | Pexp_field (a, _) -> walk a
-    | _ -> ()
-  in
-  walk f.fbody;
+  Dataflow.run { Dataflow.no_hooks with h_cas; h_call; h_setfield } f.fbody;
   List.rev !findings
 
 let scan (cg : Callgraph.t) : Frontend.finding list =

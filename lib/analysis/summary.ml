@@ -104,21 +104,15 @@ let contains_sub s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-(* 0-based positions (among [Nolabel] arguments) of the freshly-published
-   value for each CAS-family operation, and of the location being
-   written. [casn] takes an array of triples — unanalyzed. *)
-let fresh_positions = function
-  | "cas" | "compare_and_set" -> [ 2 ]
-  | "dcss" -> [ 4 ]
-  | "dcas" -> [ 2; 5 ]
-  | _ -> []
-
-(* 0-based positions (among [Nolabel] arguments) of the locations each
-   CAS-family operation writes. [dcss] only validates its first leg. *)
-let write_positions = function
-  | "cas" | "compare_and_set" -> [ 0 ]
-  | "dcss" -> [ 2 ]
-  | "dcas" -> [ 0; 3 ]
+(* The legs a CAS-family operation writes, as 0-based positions among
+   its [Nolabel] arguments: (location, expected, freshly published
+   value). [dcss] only validates its first pair; [casn] takes an array
+   of triples — unanalyzed. The one statement of the argument layout
+   that the summaries, {!Publication} and {!Aba_risk} all read. *)
+let cas_legs = function
+  | "cas" | "compare_and_set" -> [ (0, 1, 2) ]
+  | "dcss" -> [ (2, 3, 4) ]
+  | "dcas" -> [ (0, 1, 2); (3, 4, 5) ]
   | _ -> []
 
 (* ---- small AST probes -------------------------------------------------- *)
@@ -313,14 +307,15 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
                 observes_cas = col.eff.observes_cas || not disc;
                 blind_cas = col.eff.blind_cas || disc;
               };
+            let legs = cas_legs last in
             List.iter
-              (fun e ->
-                match loc_write_key e with
+              (fun (l, _, _) ->
+                match Option.bind (arg l) loc_write_key with
                 | Some k when not (List.mem k col.writes) ->
                     col.writes <- k :: col.writes
                 | _ -> ())
-              (List.filter_map arg (write_positions last));
-            let fresh_args = List.filter_map arg (fresh_positions last) in
+              legs;
+            let fresh_args = List.filter_map (fun (_, _, f) -> arg f) legs in
             (* completing CAS: publishes a clean record *)
             if List.exists (record_sets_field "dirty" false) fresh_args then
               col.eff <- { col.eff with helps = true };

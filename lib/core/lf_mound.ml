@@ -198,25 +198,13 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
   (* ----- insert ----- *)
 
   (* After this many failed candidate selections, stop re-rolling random
-     leaves and take the deterministic escape hatch below. *)
+     leaves and take the tree's deterministic escape hatch
+     ({!Tree.Make.fallback_point}). *)
   let max_insert_rounds = 8
 
-  (* The paper's escape hatch for repeated selection failures: abandon
-     randomized probing and binary-search the leftmost root-to-leaf
-     chain (falling back toward the root — the root itself is the
-     candidate when [v] dominates the whole chain). If even the leftmost
-     leaf does not dominate [v], the tree grows a level; a fresh leaf is
-     empty (⊤), so this loop always produces a candidate without further
-     randomization. *)
-  let rec fallback_point t ~ge =
-    let d = T.depth t.tree in
-    let leaf = 1 lsl (d - 1) in
-    if ge (T.get_at t.tree ~level:(d - 1) leaf) then
-      T.binary_search t.tree ~ge leaf d
-    else begin
-      T.expand t.tree d;
-      fallback_point t ~ge
-    end
+  (* [ge slot v]: does the node in [slot] dominate [v]? The insert
+     search's probe predicate. *)
+  let ge slot v = head_ge (Cell.get slot) v
 
   (** One publication attempt (L4–L15) of the sorted run [hd :: rest]:
       find a candidate for [hd] by randomized probing, or on the
@@ -225,11 +213,11 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       the longest prefix of [rest] that fits the candidate, by a plain
       CAS at the root (L9–L10) or a DCSS that requires the parent
       unchanged (L12–L14). Returns the record it replaced, whose list
-      bounds the spliced prefix, or [missed]. [ge] tests a node against
-      [hd]; callers build it once and reuse it across attempts. *)
-  let put t ~ge ~fallback hd rest =
+      bounds the spliced prefix, or [missed]. *)
+  let put t ~fallback hd rest =
     let c =
-      if fallback then fallback_point t ~ge else T.find_insert_point t.tree ~ge
+      if fallback then T.fallback_point t.tree ~ge hd
+      else T.find_insert_point t.tree ~ge hd
     in
     let clvl = T.level_of c in
     let cslot = T.get_at t.tree ~level:clvl c in
@@ -253,23 +241,19 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
         then cur
         else missed
 
-  (* [ge v slot]: does the node in [slot] dominate [v]? The probe
-     predicate. *)
-  let ge v slot = head_ge (Cell.get slot) v
-
   (* A first failure retries immediately (benign race, exactly the
      paper's loop); sustained failure backs off exponentially so
      contending inserters spread out instead of re-colliding, and after
      [max_insert_rounds] the candidate comes from the root fallback. A
      deadline is checked between attempts, so a [Timeout] can only be
      returned with the element unpublished. *)
-  let rec insert_round t v ~ge ~deadline round =
+  let rec insert_round t v ~deadline round =
     if round = max_insert_rounds then begin
       t.ops.root_fallbacks <- t.ops.root_fallbacks + 1;
       (* a full round budget burned without landing the insert *)
       t.ops.livelock_near_misses <- t.ops.livelock_near_misses + 1
     end;
-    if put t ~ge ~fallback:(round >= max_insert_rounds) v [] != missed then
+    if put t ~fallback:(round >= max_insert_rounds) v [] != missed then
       Intf.Ok ()
     else begin
       t.ops.insert_retries <- t.ops.insert_retries + 1;
@@ -282,11 +266,11 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
           t.ops.insert_backoffs <- t.ops.insert_backoffs + 1;
           B.exponential ~cap_bits:6 (round - 1)
         end;
-        insert_round t v ~ge ~deadline (round + 1)
+        insert_round t v ~deadline (round + 1)
       end
     end
 
-  let insert_until t ~deadline v = insert_round t v ~ge:(ge v) ~deadline 0
+  let insert_until t ~deadline v = insert_round t v ~deadline 0
 
   let insert t v =
     match insert_until t ~deadline:Intf.no_deadline v with
@@ -305,7 +289,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
   (* lint: allow — deliberately naive ablation baseline: the paper's
      strawman k-CSS insert retries without backoff by construction *)
   let rec insert_kcss t v =
-    let c = T.find_insert_point t.tree ~ge:(ge v) in
+    let c = T.find_insert_point t.tree ~ge v in
     (* Snapshot the whole ancestor chain root..c. *)
     let rec chain i acc = if i = 0 then acc else chain (i / 2) (i :: acc) in
     let path = chain c [] in
@@ -357,7 +341,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
             go rest batch_tries
           end
           else
-            let cur = put t ~ge:(ge hd) ~fallback:false hd rest in
+            let cur = put t ~fallback:false hd rest in
             if cur == missed then go batch (tries - 1)
             else
               go (Intf.Sorted.remainder Ord.compare rest (to_list cur))
@@ -446,10 +430,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       contention. Falls back to the exact operation when the probed node
       is empty or stays contended for four attempts. *)
   let extract_approx ?(max_level = 2) t =
-    let d = T.depth t.tree in
-    let lvl = min max_level (d - 1) in
-    let span = (1 lsl (lvl + 1)) - 1 in
-    let n = 1 + R.rand_int span in
+    let n = T.shallow_node t.tree ~max_level in
     if n = 1 then extract_min t
     else
       let level = T.level_of n in

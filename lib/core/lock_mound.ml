@@ -274,16 +274,22 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       the sub-mound rooted there. Falls back to the exact operation on an
       empty probe. *)
   let extract_approx ?(max_level = 2) t =
-    let d = T.depth t.tree in
-    let lvl = min max_level (d - 1) in
-    let span = (1 lsl (lvl + 1)) - 1 in
-    let n = 1 + R.rand_int span in
+    let n = T.shallow_node t.tree ~max_level in
     match
       (take t n ~level:(T.level_of n) ~all:false ~deadline:Intf.no_deadline)
         .list
     with
     | [] -> extract_min t
     | x :: _ -> Some x
+
+  (* [ge slot v]: does the node in [slot] dominate [v]? The insert
+     search's probe predicate, over [Ord.compare] directly:
+     [Intf.Sorted.head_ge] would be a call into another module on every
+     probe. *)
+  let ge slot v =
+    match (R.Atomic.get slot).list with
+    | [] -> true
+    | x :: _ -> Ord.compare x v >= 0
 
   (** One publication attempt of the sorted run [hd :: rest]: find a
       candidate for [hd], lock its parent before it (moundify's order,
@@ -292,10 +298,9 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       write. Returns the candidate's witness, whose list bounds the
       spliced prefix; [missed] when validation fails or a revocation
       beat the publication (nothing published); [gave_up] once a lock
-      wait outlives [deadline]. [ge] tests a node against [hd]; callers
-      build it once and reuse it across attempts. *)
-  let put t ~ge ~deadline hd rest =
-    let c = T.find_insert_point t.tree ~ge in
+      wait outlives [deadline]. *)
+  let put t ~deadline hd rest =
+    let c = T.find_insert_point t.tree ~ge hd in
     let clvl = T.level_of c in
     let cslot = T.get_at t.tree ~level:clvl c in
     if c = 1 then begin
@@ -347,19 +352,11 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
         end
     end
 
-  (* [ge v slot]: does the node in [slot] dominate [v]? The probe
-     predicate, over [Ord.compare] directly: [Intf.Sorted.head_ge] would
-     be a call into another module on every probe. *)
-  let ge v slot =
-    match (R.Atomic.get slot).list with
-    | [] -> true
-    | x :: _ -> Ord.compare x v >= 0
-
   (* A failed attempt re-probes at once. The deadline bounds both the
      lock waits and the revalidation retries; [Timeout] guarantees [v]
      was not published. *)
-  let rec insert_round t v ~ge ~deadline =
-    let w = put t ~ge ~deadline v [] in
+  let rec insert_round t v ~deadline =
+    let w = put t ~deadline v [] in
     if w == gave_up then Intf.Timeout
     else if w != missed then Intf.Ok ()
     else begin
@@ -368,10 +365,10 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
         bump_timeout t;
         Intf.Timeout
       end
-      else insert_round t v ~ge ~deadline
+      else insert_round t v ~deadline
     end
 
-  let insert_until t ~deadline v = insert_round t v ~ge:(ge v) ~deadline
+  let insert_until t ~deadline v = insert_round t v ~deadline
 
   let insert t v =
     match insert_until t ~deadline:Intf.no_deadline v with
@@ -396,7 +393,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
             go rest batch_tries
           end
           else
-            let w = put t ~ge:(ge hd) ~deadline:Intf.no_deadline hd rest in
+            let w = put t ~deadline:Intf.no_deadline hd rest in
             if w == missed then go batch (tries - 1)
             else go (Intf.Sorted.remainder Ord.compare rest w.list) batch_tries
     in

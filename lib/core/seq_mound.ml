@@ -18,13 +18,14 @@ module Make (Ord : Intf.ORDERED) = struct
 
   type elt = Ord.t
 
-  (* Node [i] of level [l] is element [i - 2^l] of row [l]: its list. *)
-  type t = { tree : elt list T.t; rng : Prng.t }
+  (* Node [i] of level [l] is element [i - 2^l] of row [l]: its list.
+     The tree's random source is the mound's seeded [Prng] stream. *)
+  type t = { tree : elt list T.t }
 
-  (* The sift's head comparison, and [put]'s probe predicate, are
-     written here over [Ord.compare] rather than called in [Intf.Sorted]:
-     under the dev profile's [-opaque] a call into another module is
-     never inlined or direct. *)
+  (* The sift's head comparison, and the insert search's probe predicate
+     [ge l v] ([val(l) >= v]), are written here over [Ord.compare]
+     rather than called in [Intf.Sorted]: under the dev profile's
+     [-opaque] a call into another module is never inlined or direct. *)
   let head_compare a b =
     match (a, b) with
     | [], [] -> 0
@@ -32,13 +33,15 @@ module Make (Ord : Intf.ORDERED) = struct
     | _ :: _, [] -> -1
     | x :: _, y :: _ -> Ord.compare x y
 
+  let ge l v = match l with [] -> true | x :: _ -> Ord.compare x v >= 0
+
   let create ?threshold ?init_depth ?(seed = 1L) () =
     let rng = Prng.create seed in
-    let tree =
-      T.create ?threshold ?init_depth ~rand:(fun bound -> Prng.int rng bound)
-        (fun () -> [])
-    in
-    { tree; rng }
+    {
+      tree =
+        T.create ?threshold ?init_depth ~rand:(fun bound -> Prng.int rng bound)
+          (fun () -> []);
+    }
 
   let depth t = T.depth t.tree
 
@@ -49,8 +52,7 @@ module Make (Ord : Intf.ORDERED) = struct
      validation is needed sequentially: [find_insert_point] guarantees
      [val(parent) < hd <= val(c)]. *)
   let rec put t hd rest =
-    let ge l = match l with [] -> true | x :: _ -> Ord.compare x hd >= 0 in
-    let c = T.find_insert_point t.tree ~ge in
+    let c = T.find_insert_point t.tree ~ge hd in
     let level = T.level_of c in
     let row = T.row t.tree ~level and j = c - (1 lsl level) in
     let l = row.(j) in
@@ -113,10 +115,7 @@ module Make (Ord : Intf.ORDERED) = struct
       minimum of the sub-mound rooted there and so probably close to the
       global minimum (§V), or the root's when that node is empty. *)
   let take_approx t ~max_level =
-    let d = T.depth t.tree in
-    let lvl = min max_level (d - 1) in
-    let span = (1 lsl (lvl + 1)) - 1 in
-    let n = 1 + Prng.int t.rng span in
+    let n = T.shallow_node t.tree ~max_level in
     match take t n ~level:(T.level_of n) ~all:false with
     | [] -> take t 1 ~level:0 ~all:false
     | l -> l

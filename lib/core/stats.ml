@@ -62,6 +62,23 @@ module Ops = struct
       lock_recoveries = 0;
     }
 
+  (** [add into o] accumulates [o]'s counters into [into]: merges
+      per-component snapshots (a Bounded front-end's shed/rejected counts
+      with the structure's own retries, the runs of a chaos sweep). *)
+  let add into o =
+    into.insert_retries <- into.insert_retries + o.insert_retries;
+    into.insert_backoffs <- into.insert_backoffs + o.insert_backoffs;
+    into.root_fallbacks <- into.root_fallbacks + o.root_fallbacks;
+    into.extract_retries <- into.extract_retries + o.extract_retries;
+    into.helps <- into.helps + o.helps;
+    into.lock_spins <- into.lock_spins + o.lock_spins;
+    into.livelock_near_misses <-
+      into.livelock_near_misses + o.livelock_near_misses;
+    into.deadline_timeouts <- into.deadline_timeouts + o.deadline_timeouts;
+    into.rejected <- into.rejected + o.rejected;
+    into.shed <- into.shed + o.shed;
+    into.lock_recoveries <- into.lock_recoveries + o.lock_recoveries
+
   let pp ppf c =
     Format.fprintf ppf
       "insert retries %d (backoffs %d, root fallbacks %d), extract \

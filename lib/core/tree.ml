@@ -11,10 +11,11 @@
     it reachable.
 
     The leaf-probing / binary-search logic of [findInsertPoint] (paper
-    Listing 2, L16–L21) lives here too, parameterized by a predicate on
-    the slot the search reads, because it is identical across the
-    lock-free, locking and sequential variants — it performs only reads
-    plus the depth-expansion CAS. *)
+    Listing 2, L16–L21), its leftmost-chain escape hatch and the §V
+    shallow-node draw live here too, parameterized by a per-mound
+    predicate on the slot the search reads and the key, because they are
+    identical across the lock-free, locking and sequential variants —
+    they perform only reads plus the depth-expansion CAS. *)
 
 (** ⌊log₂ i⌋ in constant time by binary decomposition of the shift
     distance (6 branches on 63-bit ints, vs. one branch per bit for the
@@ -166,54 +167,79 @@ module Make (R : Runtime.S) = struct
     ignore (R.Atomic.compare_and_set t.depth d (d + 1))
 
   (* Probe up to [k] random leaves of the leaf row [level] (its first
-     node is [first_leaf]) for one whose slot satisfies [ge]; returns 0
-     when none does. Each probe reads the row, then hands [ge] the
-     leaf's slot, the one read [get_at] would make. Explicit-parameter
+     node is [first_leaf]) for one whose slot dominates [v] ([ge slot v]);
+     returns 0 when none does. Each probe reads the row, then hands [ge]
+     the leaf's slot, the one read [get_at] would make. [ge] is the
+     mound's one static predicate and the key travels beside it, so an
+     insert allocates no closure for its search. Explicit-parameter
      recursion — unlike an inner closure, no environment is allocated
      per call on the insert hot path. *)
-  let rec probe_leaves t ~ge ~level first_leaf k =
+  let rec probe_leaves t ~ge v ~level first_leaf k =
     if k = 0 then 0
     else
       let off = t.rand first_leaf in
-      if ge (row t ~level).(off) then first_leaf + off
-      else probe_leaves t ~ge ~level first_leaf (k - 1)
+      if ge (row t ~level).(off) v then first_leaf + off
+      else probe_leaves t ~ge v ~level first_leaf (k - 1)
 
   (* Binary search along the ancestor chain of [leaf] (depth [d] levels)
-     for the shallowest node whose slot satisfies [ge] — O(log log N)
+     for the shallowest node whose slot dominates [v] — O(log log N)
      probes since the chain has length ⌊log₂ N⌋. Each probe knows its
      level [mid], so it reads that row and hands [ge] the ancestor's
      slot. Precondition: [ge] holds at the leaf itself. Under
      concurrency the chain may momentarily not be sorted; the caller
      re-validates before writing. *)
-  let binary_search t ~ge leaf d =
+  let binary_search t ~ge v leaf d =
     let lo = ref 0 and hi = ref (d - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
       let node = leaf lsr (d - 1 - mid) in
-      if ge (row t ~level:mid).(node - (1 lsl mid)) then hi := mid
+      if ge (row t ~level:mid).(node - (1 lsl mid)) v then hi := mid
       else lo := mid + 1
     done;
     leaf lsr (d - 1 - !lo)
 
-  (** [find_insert_point t ~ge] probes up to [t.threshold] random leaves
-      for one whose value dominates the element being inserted ([ge s]
-      must be [val(s) >= v] for the slot [s] it is handed), then
-      binary-searches its ancestor chain for the candidate insertion
-      point, a node index ({!level_of} gives its level). If every probe
-      fails, the tree is one level too shallow for this element and is
-      expanded. *)
-  let rec find_insert_point t ~ge =
+  (** [find_insert_point t ~ge v] probes up to [t.threshold] random
+      leaves for one whose value dominates [v] ([ge s v] must be
+      [val(s) >= v] for the slot [s] it is handed), then binary-searches
+      its ancestor chain for the candidate insertion point, a node index
+      ({!level_of} gives its level). If every probe fails, the tree is
+      one level too shallow for this element and is expanded. *)
+  let rec find_insert_point t ~ge v =
     let d = R.Atomic.get t.depth in
     let first_leaf = 1 lsl (d - 1) in
-    match probe_leaves t ~ge ~level:(d - 1) first_leaf t.threshold with
+    match probe_leaves t ~ge v ~level:(d - 1) first_leaf t.threshold with
     | 0 ->
         expand t d;
-        find_insert_point t ~ge
-    | leaf -> binary_search t ~ge leaf d
+        find_insert_point t ~ge v
+    | leaf -> binary_search t ~ge v leaf d
 
-  (* An alias that exists only for bench/perf/layers.ml, whose tree
-     benchmark still calls the search by this name. *)
-  let find_insert_point_lv = find_insert_point
+  (** The paper's escape hatch for repeated selection failures: the
+      same search without randomization, on the leftmost root-to-leaf
+      chain (falling back toward the root — the root itself is the
+      candidate when [v] dominates the whole chain). If even the
+      leftmost leaf does not dominate [v], the tree grows a level; a
+      fresh leaf is empty (⊤), so this loop always produces a
+      candidate. *)
+  let rec fallback_point t ~ge v =
+    let d = depth t in
+    let leaf = 1 lsl (d - 1) in
+    if ge (get_at t ~level:(d - 1) leaf) v then binary_search t ~ge v leaf d
+    else begin
+      expand t d;
+      fallback_point t ~ge v
+    end
+
+  (* An adapter that exists only for bench/perf/layers.ml, whose tree
+     benchmark still searches with a per-call predicate by this name. *)
+  let find_insert_point_lv t ~ge =
+    find_insert_point t ~ge:(fun slot () -> ge slot) ()
+
+  (** The node a probabilistic extract-min (§V) takes from: uniform over
+      the nodes of the first [max_level + 1] levels (all of them when
+      the tree is shallower), drawn from the tree's own random source. *)
+  let shallow_node t ~max_level =
+    let lvl = min max_level (depth t - 1) in
+    1 + t.rand ((1 lsl (lvl + 1)) - 1)
 
   (** [is_leaf t i ~depth:d] — is [i] on the deepest level of a tree of
       depth [d]? *)

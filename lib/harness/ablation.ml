@@ -104,8 +104,8 @@ type approx_stats = {
 }
 
 (** Runs on the sequential mound: after each [extract_approx], the rank of
-    the returned element (how many smaller elements remained) is computed
-    against a mirror multiset. *)
+    the returned element (how many smaller elements remained) is taken
+    from {!Rank_exp.Oracle}, the rank-error replay's own multiset. *)
 let approx_quality ?(n = 1 lsl 14) ?(samples = 1 lsl 12) ?(seed = 9L)
     ?(max_levels = [ 0; 1; 2; 3 ]) () =
   List.map
@@ -113,31 +113,17 @@ let approx_quality ?(n = 1 lsl 14) ?(samples = 1 lsl 12) ?(seed = 9L)
       let module S = Mound.Seq_int in
       let q = S.create ~seed () in
       let rng = Prng.create (Int64.add seed 1L) in
-      let mirror = ref [] in
-      for _ = 1 to n do
-        let v = Prng.int rng Workload.key_range in
-        S.insert q v;
-        mirror := v :: !mirror
-      done;
-      let sorted = ref (List.sort compare !mirror) in
+      let keys = Array.init n (fun _ -> Prng.int rng Workload.key_range) in
+      Array.iter (S.insert q) keys;
+      let oracle = Rank_exp.Oracle.create keys in
       let ranks = ref [] in
       for _ = 1 to samples do
         match S.extract_approx ~max_level q with
         | None -> ()
-        | Some v ->
-            (* rank = index of v in the sorted mirror *)
-            let rec rank i = function
-              | [] -> assert false
-              | x :: _ when x = v -> i
-              | _ :: rest -> rank (i + 1) rest
-            in
-            let r = rank 0 !sorted in
-            ranks := r :: !ranks;
-            let rec remove = function
-              | [] -> []
-              | x :: rest -> if x = v then rest else x :: remove rest
-            in
-            sorted := remove !sorted
+        | Some v -> (
+            match Rank_exp.Oracle.take oracle v with
+            | Some r -> ranks := r :: !ranks
+            | None -> assert false)
       done;
       let ranks = List.sort compare !ranks in
       let m = List.length ranks in

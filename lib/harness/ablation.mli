@@ -54,8 +54,8 @@ val approx_quality :
   ?max_levels:int list ->
   unit ->
   approx_stats list
-(** Rank-error distribution of [extract_approx] against a mirror
-    multiset, per probing depth. *)
+(** Rank-error distribution of [extract_approx] against the
+    {!Rank_exp.Oracle} multiset, per probing depth. *)
 
 val print_approx : Format.formatter -> approx_stats list -> unit
 

@@ -169,19 +169,6 @@ let add_counters (into : Chaos.counters) (c : Chaos.counters) =
   into.spurious_failures <- into.spurious_failures + c.spurious_failures;
   into.delays <- into.delays + c.delays
 
-let add_ops (into : Mound.Stats.Ops.t) (o : Mound.Stats.Ops.t) =
-  into.insert_retries <- into.insert_retries + o.insert_retries;
-  into.insert_backoffs <- into.insert_backoffs + o.insert_backoffs;
-  into.root_fallbacks <- into.root_fallbacks + o.root_fallbacks;
-  into.extract_retries <- into.extract_retries + o.extract_retries;
-  into.helps <- into.helps + o.helps;
-  into.lock_spins <- into.lock_spins + o.lock_spins;
-  into.livelock_near_misses <- into.livelock_near_misses + o.livelock_near_misses;
-  into.deadline_timeouts <- into.deadline_timeouts + o.deadline_timeouts;
-  into.rejected <- into.rejected + o.rejected;
-  into.shed <- into.shed + o.shed;
-  into.lock_recoveries <- into.lock_recoveries + o.lock_recoveries
-
 (* Generic sweep over a structure: [make] returns a fresh handle plus
    its leak-test and fullness closures. *)
 let sweep_generic ~structure ~plan ~stride ~seed
@@ -203,7 +190,7 @@ let sweep_generic ~structure ~plan ~stride ~seed
     let pq, leak_check, get_stats = make () in
     let r = run_once ~pq ~seed ~crash ~watchdog ~leak_check ~snapshot:get_stats () in
     add_counters faults r.faults;
-    Option.iter (add_ops ops) (pq.ops ());
+    Option.iter (Mound.Stats.Ops.add ops) (pq.ops ());
     last_stats := Some r.stats;
     r
   in

@@ -44,11 +44,6 @@ type sweep = {
   stats : Mound.Stats.t;  (** fullness snapshot after the last run *)
 }
 
-val add_ops : Mound.Stats.Ops.t -> Mound.Stats.Ops.t -> unit
-(** [add_ops into o] accumulates [o]'s counters into [into] — used to
-    merge per-component counter snapshots (e.g. a Bounded front-end's
-    shed/rejected counts with the structure's own retries). *)
-
 val sweep_lf : ?plan:Chaos.plan -> ?stride:int -> seed:int64 -> unit -> sweep
 (** Crash-stop sweep on the lock-free mound: crash points
     [1, 1+stride, ...] up to the victim's access count. *)

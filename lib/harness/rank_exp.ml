@@ -74,38 +74,54 @@ let find_key keys v =
   done;
   if Array.length keys > 0 && keys.(!lo) = v then Some !lo else None
 
+(** The multiset a drain has left, over the compressed key universe of
+    its initial contents. [take o v] removes one copy of [v] and returns
+    its rank error: how many remaining keys are strictly below it, which
+    is also the index of its first occurrence in the sorted remainder. It
+    returns [None], removing nothing, when no copy of [v] remains (the
+    structure invented or duplicated it). O(log K) per call. *)
+module Oracle = struct
+  type t = { keys : int array; fw : Fenwick.t }
+
+  let create init =
+    let keys = Array.of_list (List.sort_uniq compare (Array.to_list init)) in
+    let fw = Fenwick.create (Array.length keys) in
+    Array.iter
+      (fun v ->
+        match find_key keys v with
+        | Some i -> Fenwick.add fw (i + 1) 1
+        | None -> assert false)
+      init;
+    { keys; fw }
+
+  let take o v =
+    match find_key o.keys v with
+    | None -> None
+    | Some i ->
+        let below = Fenwick.prefix o.fw i in
+        if Fenwick.prefix o.fw (i + 1) - below <= 0 then None
+        else begin
+          Fenwick.add o.fw (i + 1) (-1);
+          Some below
+        end
+end
+
 (** Replay a stamp-ordered extraction log against the oracle holding the
     [init] multiset. *)
 let replay ~init (log : point list) =
-  let distinct = List.sort_uniq compare (Array.to_list init) in
-  let keys = Array.of_list distinct in
-  let k = Array.length keys in
-  let fw = Fenwick.create k in
-  Array.iter
-    (fun v ->
-      match find_key keys v with
-      | Some i -> Fenwick.add fw (i + 1) 1
-      | None -> assert false)
-    init;
+  let oracle = Oracle.create init in
   let extractions = ref 0
   and unmatched = ref 0
   and sum = ref 0
   and max_e = ref 0 in
   List.iter
     (fun p ->
-      match find_key keys p.value with
+      match Oracle.take oracle p.value with
       | None -> incr unmatched
-      | Some i ->
-          if Fenwick.prefix fw (i + 1) - Fenwick.prefix fw i <= 0 then
-            (* all copies of this key already drained: a duplicate *)
-            incr unmatched
-          else begin
-            let smaller = Fenwick.prefix fw i in
-            incr extractions;
-            sum := !sum + smaller;
-            if smaller > !max_e then max_e := smaller;
-            Fenwick.add fw (i + 1) (-1)
-          end)
+      | Some smaller ->
+          incr extractions;
+          sum := !sum + smaller;
+          if smaller > !max_e then max_e := smaller)
     log;
   {
     extractions = !extractions;

@@ -222,8 +222,8 @@ let run_overload_trial ?(seed = 7L) ~scenario ~threads ~ops_per_thread
           ~ops:ops_per_thread ())
   in
   let counters = Mound.Stats.Ops.create () in
-  Chaos_exp.add_ops counters (B.counters b);
-  (match q.Pq.ops () with Some o -> Chaos_exp.add_ops counters o | None -> ());
+  Mound.Stats.Ops.add counters (B.counters b);
+  Option.iter (Mound.Stats.Ops.add counters) (q.Pq.ops ());
   (trial, Some counters)
 
 let run_overload_cell ?seed ?warmup ?trials ~scenario ~threads

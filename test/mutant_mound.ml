@@ -83,23 +83,14 @@ module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
       end
     end
 
-  let rec fallback_point t ~ge =
-    let d = T.depth t.tree in
-    let leaf = 1 lsl (d - 1) in
-    if ge (T.get_at t.tree ~level:(d - 1) leaf) then
-      T.binary_search t.tree ~ge leaf d
-    else begin
-      T.expand t.tree d;
-      fallback_point t ~ge
-    end
-
   let max_insert_rounds = 8
 
+  let ge slot v = Mound.Intf.Sorted.head_ge Ord.compare (M.get slot).list v
+
   let rec insert_attempt t v round =
-    let ge slot = Mound.Intf.Sorted.head_ge Ord.compare (M.get slot).list v in
     let c =
-      if round < max_insert_rounds then T.find_insert_point t.tree ~ge
-      else fallback_point t ~ge
+      if round < max_insert_rounds then T.find_insert_point t.tree ~ge v
+      else T.fallback_point t.tree ~ge v
     in
     let cslot = T.get t.tree c in
     let cur = M.get cslot in

@@ -53,6 +53,50 @@ let test_post_publish_mutation () =
   check_count "mutating a local fresh record fine" 0
     (with_rule "post-publish-mutation" (scan "lib/core/x.ml" local))
 
+(* A function that forwards a parameter into a CAS fresh slot (the
+   [Summary] [publishes] fact: {!Lf_mound}'s [cas_reusing] shape) is a
+   publication site for that argument, whether it is a module-level
+   wrapper or a [let]-bound local helper. *)
+let test_publish_through_wrapper () =
+  let wrapper =
+    "let cas_reusing slot cur fresh =\n\
+    \  M.cas slot cur fresh || (M.get slot == cur && M.cas slot cur fresh)\n\n\
+     let mark q =\n\
+    \  let root = M.get q in\n\
+    \  ignore (cas_reusing q root root)\n"
+  in
+  Alcotest.(check (list int))
+    "a shared read handed to a wrapper's fresh slot" [ 6 ]
+    (List.map
+       (fun f -> f.Analysis.line)
+       (with_rule "stale-publish" (scan "lib/core/x.ml" wrapper)))
+
+let test_publish_through_local_helper () =
+  let local =
+    "let mark q =\n\
+    \  let publish cur fresh = M.cas q cur fresh in\n\
+    \  let root = M.get q in\n\
+    \  ignore (publish root root)\n"
+  in
+  Alcotest.(check (list int))
+    "a shared read handed to a local helper's fresh slot" [ 4 ]
+    (List.map
+       (fun f -> f.Analysis.line)
+       (with_rule "stale-publish" (scan "lib/core/x.ml" local)))
+
+let test_mutation_after_wrapper_publish () =
+  let mutate =
+    "let cas_reusing slot cur fresh = M.cas slot cur fresh\n\n\
+     let extract q =\n\
+    \  let fresh = { list = []; dirty = false } in\n\
+    \  if cas_reusing q (M.get q) fresh then fresh.dirty <- true\n"
+  in
+  Alcotest.(check (list int))
+    "a field write after a wrapper publish" [ 5 ]
+    (List.map
+       (fun f -> f.Analysis.line)
+       (with_rule "post-publish-mutation" (scan "lib/core/x.ml" mutate)))
+
 (* ---- the MultiQueue idioms --------------------------------------------- *)
 
 (* The relaxed front-end's cached-top word, distilled: a peeker must
@@ -166,9 +210,10 @@ let test_blind_cas_helps_own_file () =
 
 (* A call through a parameter resolves to nothing, not to the
    module-level function of the same name. [fallback] is
-   [Lf_mound.fallback_point]'s shape: its loop calls the [~ge] it was
-   given, and the file's own [ge] performs an observed CAS, which the
-   loop must not inherit. A real CAS loop beside it is still flagged. *)
+   [Tree.fallback_point]'s shape placed beside a mound's own [ge]: its
+   loop calls the [~ge] it was given, and the file's own [ge] performs
+   an observed CAS, which the loop must not inherit. A real CAS loop
+   beside it is still flagged. *)
 let test_param_shadows_function () =
   let src =
     "let ge q v =\n\
@@ -788,6 +833,12 @@ let () =
           Alcotest.test_case "stale publish" `Quick test_stale_publish;
           Alcotest.test_case "post-publish mutation" `Quick
             test_post_publish_mutation;
+          Alcotest.test_case "publication through a wrapper" `Quick
+            test_publish_through_wrapper;
+          Alcotest.test_case "publication through a local helper" `Quick
+            test_publish_through_local_helper;
+          Alcotest.test_case "mutation after a wrapper publish" `Quick
+            test_mutation_after_wrapper_publish;
         ] );
       ( "multiqueue-idioms",
         [

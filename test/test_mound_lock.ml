@@ -89,8 +89,10 @@ let mirrors_lf_results () =
 (* Minor words per operation on one domain: a seeded fill of 2^12 keys,
    then the drain to empty. What is left is the protocol's own records
    (one witness per acquisition, one per restamp and unlock), so a
-   per-acquisition closure, an option per probed node or a boxed list
-   head cannot creep back into the hot paths unnoticed. *)
+   per-acquisition closure, a per-insert probe predicate, an option per
+   probed node or a boxed list head cannot creep back into the hot paths
+   unnoticed (20.1 words per insert measured; 25.1 with a closure per
+   insert). *)
 let allocation_budget () =
   let n = 1 lsl 12 in
   let rng = Prng.create 7L in
@@ -111,7 +113,7 @@ let allocation_budget () =
   Printf.printf "words per op: insert %.1f, extract_min %.1f\n" per_insert
     per_extract;
   check_int "drained every key" n !extracted;
-  check "insert <= 70 words" true (per_insert <= 70.);
+  check "insert <= 22 words" true (per_insert <= 22.);
   check "extract_min <= 210 words" true (per_extract <= 210.)
 
 let () =

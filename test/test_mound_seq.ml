@@ -290,9 +290,10 @@ let threshold_and_depth_args () =
 (* Minor words per operation: a seeded fill of 2^12 keys, then the
    drain to empty. An extract allocates only the [Some] it returns (the
    lists live in the tree rows, the head comparisons box nothing, the
-   Prng draws are unboxed); an insert, its list cell, its [ge] closure
-   and its share of the rows the tree grows: the search returns a bare
-   node index (8.1 words measured). *)
+   Prng draws are unboxed); an insert, its list cell and its share of
+   the rows the tree grows: the search takes the key beside the mound's
+   one static predicate, so no per-insert closure, and returns a bare
+   node index (3.1 words measured; 8.1 with a closure per insert). *)
 let allocation_budget () =
   let n = 1 lsl 12 in
   let rng = Prng.create 7L in
@@ -313,7 +314,7 @@ let allocation_budget () =
   Printf.printf "words per op: insert %.1f, extract_min %.1f\n" per_insert
     per_extract;
   check_int "drained every key" n !extracted;
-  check "insert <= 9 words" true (per_insert <= 9.);
+  check "insert <= 4 words" true (per_insert <= 4.);
   check "extract_min <= 2 words" true (per_extract <= 2.)
 
 let () =

@@ -98,25 +98,23 @@ let binary_search_on_path () =
   (* ge over the slots along the ancestor chain of leaf 12 at depth 4:
      path is 1, 3, 6, 12 (levels 0..3). *)
   let t = indexed_tree ~init_depth:4 () in
-  let ge_set set i = List.mem i set in
+  let ge i set = List.mem i set in
   (* ge holds from level 2 down: expect node 6 *)
-  check_int "finds shallowest ge" 6
-    (T.binary_search t ~ge:(ge_set [ 6; 12 ]) 12 4);
+  check_int "finds shallowest ge" 6 (T.binary_search t ~ge [ 6; 12 ] 12 4);
   (* ge holds everywhere: expect root *)
   check_int "root when all ge" 1
-    (T.binary_search t ~ge:(ge_set [ 1; 3; 6; 12 ]) 12 4);
+    (T.binary_search t ~ge [ 1; 3; 6; 12 ] 12 4);
   (* ge holds only at the leaf *)
-  check_int "leaf when only leaf ge" 12
-    (T.binary_search t ~ge:(ge_set [ 12 ]) 12 4);
+  check_int "leaf when only leaf ge" 12 (T.binary_search t ~ge [ 12 ] 12 4);
   (* depth 1: the root is the leaf *)
-  check_int "depth-1 chain" 1 (T.binary_search t ~ge:(fun _ -> true) 1 1)
+  check_int "depth-1 chain" 1 (T.binary_search t ~ge [ 1 ] 1 1)
 
 let find_insert_point_expands () =
   (* With ge false everywhere, every probe fails and the tree grows each
      round until ge accepts (here: accept at depth 3). *)
   let t = indexed_tree () in
-  let ge i = T.level_of i >= 2 in
-  let c = T.find_insert_point t ~ge in
+  let ge i level = T.level_of i >= level in
+  let c = T.find_insert_point t ~ge 2 in
   check "returned a level >= 2 node" true (T.level_of c >= 2);
   check "tree grew to depth 3" true (T.depth t >= 3)
 
@@ -125,13 +123,13 @@ let find_insert_point_probes_leaves () =
   (* accept any leaf; result must lie on a leaf-to-root chain, i.e. be a
      valid node of the tree *)
   for _ = 1 to 100 do
-    let c = T.find_insert_point t ~ge:(fun _ -> true) in
+    let c = T.find_insert_point t ~ge:(fun _ () -> true) () in
     check "root when all ge" true (c = 1)
   done;
   (* ge true only at leaves: returns a leaf *)
   let d = T.depth t in
   for _ = 1 to 100 do
-    let c = T.find_insert_point t ~ge:(fun i -> T.is_leaf i ~depth:d) in
+    let c = T.find_insert_point t ~ge:(fun i depth -> T.is_leaf i ~depth) d in
     check "leaf returned" true (T.is_leaf c ~depth:d)
   done
 
@@ -150,7 +148,7 @@ let probe_hands_visited_slots () =
   let t = indexed_tree ~base ~init_depth:d ~rand:(Prng.int rng) () in
   let search top =
     let seen = ref [] in
-    let ge v =
+    let ge v top =
       let i = v - base in
       let ok =
         T.level_of i >= top && (T.level_of i < d - 1 || i mod 3 <> 0)
@@ -158,7 +156,7 @@ let probe_hands_visited_slots () =
       seen := (i, ok) :: !seen;
       ok
     in
-    let c = T.find_insert_point t ~ge in
+    let c = T.find_insert_point t ~ge top in
     let handed = List.rev !seen in
     List.iter
       (fun (i, _) ->
@@ -190,9 +188,62 @@ let deterministic_with_rand () =
     indexed_tree ~init_depth:5 ~rand:(fun b -> Prng.int rng b) ()
   in
   let t1 = mk () and t2 = mk () in
-  let picks1 = List.init 50 (fun _ -> T.find_insert_point t1 ~ge:(fun i -> i > 3)) in
-  let picks2 = List.init 50 (fun _ -> T.find_insert_point t2 ~ge:(fun i -> i > 3)) in
+  let ge i v = i > v in
+  let picks1 = List.init 50 (fun _ -> T.find_insert_point t1 ~ge 3) in
+  let picks2 = List.init 50 (fun _ -> T.find_insert_point t2 ~ge 3) in
   check "same rand, same picks" true (picks1 = picks2)
+
+(* The escape hatch searches the leftmost chain 1, 2, 4, 8, 16 with the
+   same binary search, and draws no random number: the tree's [rand]
+   fails if called. *)
+let fallback_searches_leftmost_chain () =
+  let t =
+    indexed_tree ~init_depth:5 ~rand:(fun _ -> Alcotest.fail "drew") ()
+  in
+  let ge i v = i > v in
+  for v = 0 to 15 do
+    check_int
+      (Printf.sprintf "binary-search point for %d" v)
+      (T.binary_search t ~ge v 16 5)
+      (T.fallback_point t ~ge v)
+  done;
+  check_int "all dominate: the root" 1 (T.fallback_point t ~ge 0);
+  check_int "first node above 3" 4 (T.fallback_point t ~ge 3);
+  check_int "only the leaf dominates" 16 (T.fallback_point t ~ge 15);
+  check_int "depth unchanged" 5 (T.depth t)
+
+(* Node [i] holds [i] across growth ([expand] numbers each new row in
+   index order), so a key at or above the leftmost leaf's index is not
+   dominated until the tree has grown past it. *)
+let fallback_grows_past_leftmost_leaf () =
+  let t = indexed_tree ~init_depth:3 () in
+  let ge i v = i > v in
+  check_int "one level: leaf 8" 8 (T.fallback_point t ~ge 6);
+  check_int "grew one level" 4 (T.depth t);
+  check_int "two levels: leaf 32" 32 (T.fallback_point t ~ge 20);
+  check_int "grew two levels" 6 (T.depth t)
+
+(* §V's pick: node [1 + rand (2^(lvl+1) - 1)] with [lvl = min max_level
+   (depth - 1)]. A [rand] that returns its top value reaches the upper
+   bound exactly; a seeded one stays within it. *)
+let shallow_node_bounds () =
+  let rng = Prng.create 11L in
+  for depth = 1 to 5 do
+    for max_level = 0 to 5 do
+      let hi = (1 lsl (min max_level (depth - 1) + 1)) - 1 in
+      let top = indexed_tree ~init_depth:depth ~rand:(fun b -> b - 1) () in
+      check_int
+        (Printf.sprintf "depth %d, max_level %d: top" depth max_level)
+        hi
+        (T.shallow_node top ~max_level);
+      let t = indexed_tree ~init_depth:depth ~rand:(Prng.int rng) () in
+      for _ = 1 to 200 do
+        let n = T.shallow_node t ~max_level in
+        if n < 1 || n > hi then
+          Alcotest.failf "depth %d, max_level %d: drew %d" depth max_level n
+      done
+    done
+  done
 
 let fold_visits_all () =
   let t = make_tree ~init_depth:3 () in
@@ -248,11 +299,11 @@ let prop_insert_point_contract =
          (descendants have larger indices), like a mound's val >= v *)
       let rng = Prng.create (Int64.of_int (seed + 1)) in
       let t = indexed_tree ~init_depth:6 ~rand:(fun b -> Prng.int rng b) () in
-      let ge i = i > cut in
-      if not (ge ((1 lsl 6) - 1)) then true (* deepest leaf may fail ge *)
+      let ge i cut = i > cut in
+      if not (ge ((1 lsl 6) - 1) cut) then true (* deepest leaf may fail ge *)
       else begin
-        let c = T.find_insert_point t ~ge in
-        ge c && (c = 1 || not (ge (c / 2)))
+        let c = T.find_insert_point t ~ge cut in
+        ge c cut && (c = 1 || not (ge (c / 2) cut))
       end)
 
 let prop_binary_search_boundary =
@@ -264,8 +315,8 @@ let prop_binary_search_boundary =
       let leaf = (1 lsl (d - 1)) + (abs leaf_seed mod (1 lsl (d - 1))) in
       let path = List.init d (fun lvl -> leaf lsr (d - 1 - lvl)) in
       let suffix = List.filteri (fun i _ -> i >= k) path in
-      let ge i = List.mem i suffix in
-      T.binary_search (indexed_tree ~init_depth:d ()) ~ge leaf d
+      let ge i suffix = List.mem i suffix in
+      T.binary_search (indexed_tree ~init_depth:d ()) ~ge suffix leaf d
       = List.nth path k)
 
 let () =
@@ -297,6 +348,12 @@ let () =
             binary_search_on_path;
           Alcotest.test_case "expands when no leaf fits" `Quick
             find_insert_point_expands;
+          Alcotest.test_case "fallback searches the leftmost chain" `Quick
+            fallback_searches_leftmost_chain;
+          Alcotest.test_case "fallback grows past the leftmost leaf" `Quick
+            fallback_grows_past_leftmost_leaf;
+          Alcotest.test_case "shallow node within bounds" `Quick
+            shallow_node_bounds;
           Alcotest.test_case "probes leaves" `Quick
             find_insert_point_probes_leaves;
           Alcotest.test_case "ge handed the visited slots" `Quick
