@@ -309,6 +309,35 @@ let on_type_decls (p : Frontend.parsed) (f : type_declaration -> unit) =
   in
   it.structure it p.p_ast
 
+(* Every record field list the file declares: record types, and the
+   inline records of variant constructors ([Node of { hd : elt; ... }])
+   and of extension constructors ([type _ M.state += Node of {...}]). *)
+let on_record_fields (p : Frontend.parsed)
+    (f : label_declaration list -> unit) =
+  let args = function Pcstr_record labels -> f labels | Pcstr_tuple _ -> () in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      type_declaration =
+        (fun it d ->
+          (match d.ptype_kind with
+          | Ptype_record labels -> f labels
+          | Ptype_variant cds ->
+              List.iter
+                (fun (cd : constructor_declaration) -> args cd.pcd_args)
+                cds
+          | Ptype_abstract | Ptype_open -> ());
+          Ast_iterator.default_iterator.type_declaration it d);
+      extension_constructor =
+        (fun it c ->
+          (match c.pext_kind with
+          | Pext_decl (_, a, _) -> args a
+          | Pext_rebind _ -> ());
+          Ast_iterator.default_iterator.extension_constructor it c);
+    }
+  in
+  it.structure it p.p_ast
+
 let rec fun_body e =
   match e.pexp_desc with
   | Pexp_fun (_, _, _, b) -> fun_body b
@@ -708,18 +737,7 @@ let sites_inplace_publish p src =
             found := Some { e_start = a; e_stop = a; e_text = "mutable " })
         labels
     in
-    on_type_decls p (fun d ->
-        match d.ptype_kind with
-        | Ptype_record labels -> mark labels
-        | Ptype_variant cds ->
-            (* inline records: [Node of { hd : elt; ... }] *)
-            List.iter
-              (fun (cd : constructor_declaration) ->
-                match cd.pcd_args with
-                | Pcstr_record labels -> mark labels
-                | Pcstr_tuple _ -> ())
-              cds
-        | _ -> ());
+    on_record_fields p mark;
     !found
   in
   on_exprs p (fun e ->

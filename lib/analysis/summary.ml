@@ -154,23 +154,41 @@ let is_bool_lit b e =
       c = (if b then "true" else "false")
   | _ -> false
 
+(* An expression that produces no value: [assert false] or a call of
+   a raising primitive. The raising arm that closes a match on an open
+   type ([| _ -> assert false]) is one. *)
+let raises e =
+  match (strip_casts e).pexp_desc with
+  | Pexp_assert a -> is_bool_lit false a
+  | Pexp_apply (head, _) -> (
+      match flatten_ident head with
+      | Some ([ f ] | [ "Stdlib"; f ]) ->
+          List.mem f [ "raise"; "raise_notrace"; "failwith"; "invalid_arg" ]
+      | _ -> false)
+  | _ -> false
+
 (* The record literals (or functional updates) [e] evaluates to, as
    their field lists: a literal itself, a constructor applied to one (an
    inline record, [Node { n with dirty = false }]), or a [match] each of
-   whose arms is one. [None] when some outcome is not a literal. The one
-   notion of "a fresh record value" behind every shape-keyed recognizer
-   of a CAS argument. *)
+   whose arms is one or {!raises}. [None] when some outcome is not a
+   literal. The one notion of "a fresh record value" behind every
+   shape-keyed recognizer of a CAS argument. *)
 let rec record_literals e =
   match (strip_casts e).pexp_desc with
   | Pexp_record (fields, _) -> Some [ fields ]
   | Pexp_construct (_, Some a) -> record_literals a
-  | Pexp_match (_, cases) ->
-      List.fold_left
-        (fun acc c ->
-          match (acc, record_literals c.pc_rhs) with
-          | Some ls, Some l -> Some (ls @ l)
-          | _ -> None)
-        (Some []) cases
+  | Pexp_match (_, cases) -> (
+      match
+        List.fold_left
+          (fun acc c ->
+            match acc with
+            | Some ls when raises c.pc_rhs -> Some ls
+            | Some ls -> Option.map (( @ ) ls) (record_literals c.pc_rhs)
+            | None -> None)
+          (Some []) cases
+      with
+      | Some [] -> None
+      | lits -> lits)
   | _ -> None
 
 (* A record literal (or functional update) binding [field] to the boolean

@@ -1,10 +1,14 @@
 (** Lock-free mound (paper §III, Listing 2).
 
     Each tree node is an {!Mcas} cell, held in its level's {!Tree} row
-    itself, whose value is an immutable record: the paper's
+    itself, whose state is an immutable record: the paper's
     ⟨list, dirty, c⟩ triple with the list's head in the record
-    ([Node {hd; tl; dirty; seq}], or [Empty {dirty; seq}] for ⊤), so a
-    probe or a [moundify] comparison reads the head right after the cell.
+    ([Node {hd; tl; dirty; seq}], or [Empty {dirty; seq}] for ⊤). Both
+    are constructors of the cell state ({!Mcas.Make.state}) itself, not
+    values in a box, so a probe or a [moundify] comparison reads the
+    head right after the cell: row, cell, record. Every slot starts out
+    holding one shared initial [Empty]; the first write replaces it with
+    a fresh record, as every later one does.
     A single [Cell.get] is the paper's atomic READ; publishing a fresh
     record per update gives the counter-stamped-CAS semantics of the
     paper (we keep the [seq] counter for fidelity and diagnostics, but in
@@ -37,20 +41,35 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
 
   type elt = Ord.t
 
-  (* The node's sorted list is [hd :: tl], or empty (⊤). *)
-  type node =
+  (* The node's sorted list is [hd :: tl], or empty (⊤). The state type
+     is open, so every match on a node ends in a raising arm, which
+     never runs: a cell read returns only the records stored here,
+     never the protocol's own states. The cells' type parameter is the
+     location API's payload type, which these cells never box: any type
+     would do. *)
+  type _ M.state +=
     | Empty of { dirty : bool; seq : int }
     | Node of { hd : elt; tl : elt list; dirty : bool; seq : int }
 
-  type t = { tree : node Cell.t T.t; ops : Stats.Ops.t }
+  type t = { tree : elt Cell.t T.t; ops : Stats.Ops.t }
 
-  let is_dirty = function Empty { dirty; _ } | Node { dirty; _ } -> dirty
+  let is_dirty = function
+    | Empty { dirty; _ } | Node { dirty; _ } -> dirty
+    | _ -> assert false
 
-  let stamp = function Empty { seq; _ } | Node { seq; _ } -> seq
+  let stamp = function
+    | Empty { seq; _ } | Node { seq; _ } -> seq
+    | _ -> assert false
 
-  let to_list = function Empty _ -> [] | Node { hd; tl; _ } -> hd :: tl
+  let to_list = function
+    | Empty _ -> []
+    | Node { hd; tl; _ } -> hd :: tl
+    | _ -> assert false
 
-  let node_value = function Empty _ -> None | Node { hd; _ } -> Some hd
+  let node_value = function
+    | Empty _ -> None
+    | Node { hd; _ } -> Some hd
+    | _ -> assert false
 
   (* Node values ordered as {!Intf.Value} orders them, an empty node
      being ⊤; the comparisons of every [moundify] level, written here
@@ -61,18 +80,28 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
     | Empty _, Node _ -> 1
     | Node _, Empty _ -> -1
     | Node { hd = x; _ }, Node { hd = y; _ } -> Ord.compare x y
+    | _ -> assert false
 
   (* [head_ge n v]: [val(n) >= v], so [v] may be pushed onto [n];
      [head_le n v]: [val(n) <= v], the parent-side insertion
      condition, which ⊤ never satisfies. *)
   let head_ge n v =
-    match n with Empty _ -> true | Node { hd; _ } -> Ord.compare hd v >= 0
+    match n with
+    | Empty _ -> true
+    | Node { hd; _ } -> Ord.compare hd v >= 0
+    | _ -> assert false
 
   let head_le n v =
-    match n with Empty _ -> false | Node { hd; _ } -> Ord.compare hd v <= 0
+    match n with
+    | Empty _ -> false
+    | Node { hd; _ } -> Ord.compare hd v <= 0
+    | _ -> assert false
+
+  (* What every slot holds until its first write. *)
+  let initial = Empty { dirty = false; seq = 0 }
 
   let create ?threshold () =
-    let make_slot () = Cell.make (Empty { dirty = false; seq = 0 }) in
+    let make_slot () = Cell.make initial in
     { tree = T.create ?threshold make_slot; ops = Stats.Ops.create () }
 
   (** Retry / helping / backoff counters since creation. Exact and
@@ -100,7 +129,8 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
         Cell.cas slot node
           (match node with
           | Empty e -> Empty { dirty = false; seq = e.seq + 1 }
-          | Node x -> Node { x with dirty = false; seq = x.seq + 1 })
+          | Node x -> Node { x with dirty = false; seq = x.seq + 1 }
+          | _ -> assert false)
       then ()
       else moundify t n ~level
     end
@@ -133,7 +163,8 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
                 lslot left
                 (match node with
                 | Empty _ -> Empty { dirty = true; seq = l.seq + 1 }
-                | Node x -> Node { x with dirty = true; seq = l.seq + 1 })
+                | Node x -> Node { x with dirty = true; seq = l.seq + 1 }
+                | _ -> assert false)
             then moundify t (2 * n) ~level:(level + 1)
             else moundify t n ~level
         | _, Node r
@@ -144,7 +175,8 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
                 rslot right
                 (match node with
                 | Empty _ -> Empty { dirty = true; seq = r.seq + 1 }
-                | Node x -> Node { x with dirty = true; seq = r.seq + 1 })
+                | Node x -> Node { x with dirty = true; seq = r.seq + 1 }
+                | _ -> assert false)
             then moundify t ((2 * n) + 1) ~level:(level + 1)
             else moundify t n ~level
         | _ ->
@@ -153,7 +185,8 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
               Cell.cas slot node
                 (match node with
                 | Empty e -> Empty { dirty = false; seq = e.seq + 1 }
-                | Node x -> Node { x with dirty = false; seq = x.seq + 1 })
+                | Node x -> Node { x with dirty = false; seq = x.seq + 1 }
+                | _ -> assert false)
             then ()
             else moundify t n ~level
     end
@@ -379,6 +412,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
             node
           end
           else missed
+      | _ -> assert false
 
   (* Consecutive non-progress iterations of one extraction before the
      attempt is counted as a livelock near miss: sustained spinning that
@@ -441,7 +475,10 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
           let node = take t slot n ~level ~all:false in
           if node == missed || is_dirty node then attempt (tries - 1)
           else
-            match node with Empty _ -> extract_min t | Node { hd; _ } -> Some hd
+            match node with
+            | Empty _ -> extract_min t
+            | Node { hd; _ } -> Some hd
+            | _ -> assert false
       in
       attempt 4
 

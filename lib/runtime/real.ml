@@ -29,6 +29,12 @@ let rng_key =
 
 let rand_int bound = Prng.int (Domain.DLS.get rng_key) bound
 
+(* Restart the calling domain's [rand_int] stream from seed [s], so a
+   measurement that draws from it repeats whatever ran on the domain
+   before. *)
+let reseed_self s =
+  Domain.DLS.set rng_key (Prng.for_thread ~seed:s ~id:(self ()))
+
 (* CLOCK_MONOTONIC through the C stub that bechamel's monotonic_clock
    library links ([clock_gettime], a vDSO read on Linux), declared with
    an unboxed result and [noalloc] so a read allocates nothing. A clock

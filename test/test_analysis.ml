@@ -360,6 +360,68 @@ let test_stamp_through_constructor () =
     (with_rule "aba-risk"
        (scan "lib/core/x.ml" (publish "(Node { hd = v; seq = 0 })")))
 
+(* A match on an open type ends in a raising arm ([| _ -> assert
+   false]), which produces no value: a match of stamped literals closed
+   by one is still a stamped fresh record. A wildcard arm that returns a
+   value is no literal, so the same CAS is then flagged. *)
+let test_raising_arm_produces_nothing () =
+  let settle last_arm =
+    "let recycle q = R.Atomic.set q None\n\n\
+     let rec settle q =\n\
+    \  let cur = R.Atomic.get q in\n\
+    \  if\n\
+    \    R.Atomic.compare_and_set q cur\n\
+    \      (match cur with\n\
+    \      | Empty e -> Empty { dirty = false; seq = e.seq + 1 }\n\
+    \      | Node n -> Node { n with dirty = false; seq = n.seq + 1 }\n\
+    \      | " ^ last_arm ^ ")\n\
+    \  then ()\n\
+    \  else begin\n\
+    \    R.cpu_relax ();\n\
+    \    settle q\n\
+    \  end\n"
+  in
+  check_count "assert false arm ignored" 0
+    (with_rule "aba-risk" (scan "lib/core/x.ml" (settle "_ -> assert false")));
+  check_count "raise arm ignored" 0
+    (with_rule "aba-risk"
+       (scan "lib/core/x.ml" (settle "_ -> invalid_arg \"settle\"")));
+  check_count "a value-returning wildcard is no literal" 1
+    (with_rule "aba-risk" (scan "lib/core/x.ml" (settle "other -> other")))
+
+(* [inplace-publish] marks the field it writes through mutable where the
+   file declares it, also in the inline record of an extension
+   constructor: the lock-free mound's nodes are constructors of the
+   {!Mcas} cell state. *)
+let test_inplace_marks_extension_field () =
+  let src =
+    {|
+type _ M.state +=
+  | Empty of { dirty : bool; seq : int }
+  | Node of { hd : int; tl : int list; dirty : bool; seq : int }
+
+let rec settle slot =
+  let cur = M.get slot in
+  if
+    M.cas slot cur
+      (match cur with
+      | Empty e -> Empty { dirty = false; seq = e.seq + 1 }
+      | Node n -> Node { n with dirty = false; seq = n.seq + 1 }
+      | _ -> assert false)
+  then ()
+  else settle slot
+|}
+  in
+  match
+    Analysis.Mutate.mutants ~ops:[ "inplace-publish" ]
+      [ ("lib/core/node.ml", src) ]
+  with
+  | [ m ] ->
+      Alcotest.(check bool)
+        "the extension's field marked mutable" true
+        (Analysis.Summary.contains_sub m.m_src "mutable dirty")
+  | l -> Alcotest.failf "inplace-publish: %d sites, expected 1" (List.length l)
+
 (* A [match] arm built from what its pattern bound is computed from the
    scrutinee: a plain store of it is the lost update. *)
 let test_match_arm_provenance () =
@@ -827,6 +889,10 @@ let () =
             test_stamp_through_constructor;
           Alcotest.test_case "match arms derive from the scrutinee" `Quick
             test_match_arm_provenance;
+          Alcotest.test_case "a raising arm produces no value" `Quick
+            test_raising_arm_produces_nothing;
+          Alcotest.test_case "extension constructor fields are declarations"
+            `Quick test_inplace_marks_extension_field;
         ] );
       ( "publication",
         [

@@ -13,25 +13,38 @@ type box = { v : int }
 
 let box v = { v = Sys.opaque_identity v }
 
-(* The sequential cases run twice: on locations, whose operations sort
-   their legs by allocation id, and on bare cells, which install legs in
+(* The sequential cases run twice: on locations, whose operations box
+   their values and sort their legs by allocation id, and on bare cells,
+   which hold a constructor this file declares and install legs in
    argument order. Both must give the same answers, reject the same
    aliased legs and keep the same two-leg allocation budget. *)
 module type HANDLE = sig
-  type 'a t
+  val name : string
 
-  val make : 'a -> 'a t
-  val get : 'a t -> 'a
-  val set : 'a t -> 'a -> unit
-  val cas : 'a t -> 'a -> 'a -> bool
-  val casn : ('a t * 'a * 'a) array -> bool
-  val dcas : 'a t -> 'a -> 'a -> 'a t -> 'a -> 'a -> bool
-  val dcss : 'a t -> 'a -> 'a t -> 'a -> 'a -> bool
+  type t
+  type v
+
+  val box : int -> v
+  (** A fresh value, physically distinct from every other. *)
+
+  val unbox : v -> int
+  val make : v -> t
+  val get : t -> v
+  val set : t -> v -> unit
+  val cas : t -> v -> v -> bool
+  val casn : (t * v * v) array -> bool
+  val dcas : t -> v -> v -> t -> v -> v -> bool
+  val dcss : t -> v -> t -> v -> v -> bool
 end
 
-module Loc : HANDLE with type 'a t = 'a M.loc = struct
-  type 'a t = 'a M.loc
+module Loc = struct
+  let name = "locations"
 
+  type t = box M.loc
+  type nonrec v = box
+
+  let box = box
+  let unbox b = b.v
   let make = M.make
   let get = M.get
   let set = M.set
@@ -41,8 +54,29 @@ module Loc : HANDLE with type 'a t = 'a M.loc = struct
   let dcss = M.dcss
 end
 
+type _ M.state += Int of { v : int }
+
+module Cells = struct
+  let name = "cells"
+
+  type t = unit M.Cell.t
+  type v = unit M.state
+
+  let box v = Int { v = Sys.opaque_identity v }
+  let unbox = function Int { v } -> v | _ -> assert false
+
+  let make = M.Cell.make
+  let get = M.Cell.get
+  let set = M.Cell.set
+  let cas = M.Cell.cas
+  let casn = M.Cell.casn
+  let dcas = M.Cell.dcas
+  let dcss = M.Cell.dcss
+end
+
 module Sequential (H : HANDLE) = struct
-  let get_v loc = (H.get loc).v
+  let box = H.box
+  let get_v loc = H.unbox (H.get loc)
 
   let single_cas () =
     let a0 = box 1 in
@@ -143,12 +177,14 @@ module Sequential (H : HANDLE) = struct
     check "b untouched" true (H.get b == b0);
     check "c untouched" true (H.get c == c0)
 
-  (* The lean descriptor path: an uncontended [dcas] or [dcss] on immediate
-     values allocates only its legs, status cell, descriptors and
-     written-back [V] blocks (28 words). The budget pins it, so a per-call
-     copy, sort or closure cannot creep back into the two-leg path
-     unnoticed. *)
+  (* The lean descriptor path: an uncontended [dcas] or [dcss] on values
+     built beforehand allocates only its legs, status cell and
+     descriptors (27 words on cells), and on locations one box per
+     written value on top (33 words). The budget pins both, so a
+     per-call copy, sort or closure cannot creep back into the two-leg
+     path unnoticed. *)
   let two_leg_allocation_budget () =
+    let vals = Array.init 2001 box in
     let words_per_call f =
       let n = 1000 in
       let w0 = Gc.minor_words () in
@@ -157,18 +193,21 @@ module Sequential (H : HANDLE) = struct
       done;
       (Gc.minor_words () -. w0) /. float_of_int n
     in
-    let a = H.make 0 and b = H.make 0 in
+    let a = H.make vals.(0) and b = H.make vals.(0) in
     let failed = ref 0 in
     let dcas =
       words_per_call (fun i ->
-          if not (H.dcas a (i - 1) i b (i - 1) i) then incr failed)
+          if not (H.dcas a vals.(i - 1) vals.(i) b vals.(i - 1) vals.(i)) then
+            incr failed)
     in
-    (* [a] now holds 1000: the control leg of every dcss *)
+    (* [a] now holds [vals.(1000)]: the control leg of every dcss *)
     let dcss =
       words_per_call (fun i ->
-          if not (H.dcss a 1000 b (999 + i) (1000 + i)) then incr failed)
+          if not (H.dcss a vals.(1000) b vals.(999 + i) vals.(1000 + i)) then
+            incr failed)
     in
-    Printf.printf "words per call: dcas %.1f, dcss %.1f\n" dcas dcss;
+    Printf.printf "%s: words per call: dcas %.1f, dcss %.1f\n" H.name dcas
+      dcss;
     check_int "every uncontended call succeeds" 0 !failed;
     check "dcas <= 40 words" true (dcas <= 40.);
     check "dcss <= 40 words" true (dcss <= 40.)
@@ -224,9 +263,25 @@ module Sequential (H : HANDLE) = struct
 end
 
 module On_locs = Sequential (Loc)
-module On_cells = Sequential (M.Cell)
+module On_cells = Sequential (Cells)
 
-let get_v = On_locs.get_v
+(* A cell holds the client's state itself: a CAS from one prebuilt
+   value to another allocates nothing (a location boxes the new value,
+   3 words). *)
+let cell_cas_allocates_nothing () =
+  let vals = Array.init 1001 Cells.box in
+  let c = M.Cell.make vals.(0) in
+  let failed = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 1000 do
+    if not (M.Cell.cas c vals.(i - 1) vals.(i)) then incr failed
+  done;
+  let words = (Gc.minor_words () -. w0) /. 1000. in
+  Printf.printf "cells: words per cas %.1f\n" words;
+  check_int "every uncontended cas succeeds" 0 !failed;
+  check "cas allocates 0 words" true (words = 0.)
+
+let get_v l = (M.get l).v
 
 (* concurrent: transfers between two cells via dcas preserve the sum *)
 let concurrent_dcas_preserves_sum () =
@@ -290,7 +345,12 @@ let () =
   Alcotest.run "mcas"
     [
       ("sequential", On_locs.cases);
-      ("cells", On_cells.cases);
+      ( "cells",
+        On_cells.cases
+        @ [
+            Alcotest.test_case "cas allocates nothing" `Quick
+              cell_cas_allocates_nothing;
+          ] );
       ( "concurrent",
         [
           Alcotest.test_case "dcas preserves sum (domains)" `Quick

@@ -139,13 +139,19 @@ let grows_under_increasing_inserts () =
   check "invariant" true (L.check q)
 
 (* The flat node layout, pinned on one domain: 2^12 seeded keys filled,
-   then drained. A tree row holds each node's Mcas cell itself, and the
-   node record carries its list's head, so a filled mound keeps about
-   6.3 reachable words per element (8.5 with the per-node id record and
-   the head in a list cell). An [insert] allocates about 37 words (its
-   record, list cell, DCSS and share of the rows; 42 with a probe
-   closure per insert) and an [extract_min] about 310 (a DCAS and two
-   fresh records per [moundify] level). *)
+   then drained. A tree row holds each node's Mcas cell itself, the
+   cell holds the node record itself (a constructor of the cell state,
+   no box around it), and the record carries its list's head, so a
+   filled mound keeps 5.63 reachable words per element (6.27 with a box
+   around each record, 8.5 with the per-node id record and the head in
+   a list cell as well). An [insert] allocates 36.1 words (its record,
+   list cell, DCSS and share of the rows; 37.1 with the box, 42 with a
+   probe closure per insert) and an [extract_min] 314.3 (a DCAS and two
+   fresh records per [moundify] level; 308.4 with the box, whose record
+   blocks carry one header word less). The probes draw from the calling
+   domain's [Runtime.Real.rand_int] stream, which the earlier cases
+   advance by amounts that depend on QCheck's seed, so each measured
+   phase restarts it: every run prints these same figures. *)
 let keys_for_budget () =
   let rng = Prng.create 7L in
   Array.init (1 lsl 12) (fun _ -> Prng.int rng 1_000_000)
@@ -154,6 +160,7 @@ let allocation_budget () =
   let keys = keys_for_budget () in
   let n = Array.length keys in
   let q = L.create () in
+  Runtime.Real.reseed_self 7L;
   let w0 = Gc.minor_words () in
   Array.iter (L.insert q) keys;
   let w1 = Gc.minor_words () in
@@ -167,12 +174,13 @@ let allocation_budget () =
   Printf.printf "words per op: insert %.1f, extract_min %.1f\n" per_insert
     per_extract;
   check_int "drained every key" n !extracted;
-  check "insert <= 40 words" true (per_insert <= 40.);
-  check "extract_min <= 320 words" true (per_extract <= 320.)
+  check "insert <= 37 words" true (per_insert <= 37.);
+  check "extract_min <= 315 words" true (per_extract <= 315.)
 
 let words_per_element () =
   let keys = keys_for_budget () in
   let q = L.create () in
+  Runtime.Real.reseed_self 7L;
   Array.iter (L.insert q) keys;
   let per_elem =
     float_of_int (Obj.reachable_words (Obj.repr q))
@@ -180,7 +188,7 @@ let words_per_element () =
   in
   Printf.printf "reachable words per element: %.2f\n" per_elem;
   check_int "size" (Array.length keys) (L.size q);
-  check "<= 7 words per element" true (per_elem <= 7.)
+  check "<= 6 words per element" true (per_elem <= 6.)
 
 let () =
   Alcotest.run "mound_lf"
