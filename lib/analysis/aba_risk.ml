@@ -17,7 +17,8 @@
 
     - the {e expected} argument must carry a [Shared_read] fact whose
       location key matches the CAS target's key, still un-revalidated
-      (no [.dirty] / [.seq] / [.locked] inspection since the read);
+      (no [.dirty] / [.seq] / [.locked] inspection since the read, by a
+      field read, a pattern or an accessor call);
     - the {e fresh} argument must be unstamped — not a record literal
       (or a variable bound to one) bumping a version-vocabulary field;
     - the location key must be {e recycled elsewhere}: some other
@@ -48,7 +49,7 @@ let writers_table (cg : Callgraph.t) =
     (Callgraph.fns cg);
   tbl
 
-let scan_fn writers (f : Summary.fn) : Frontend.finding list =
+let scan_fn cg writers (f : Summary.fn) : Frontend.finding list =
   let findings = ref [] in
   let self = String.concat "." f.fpath in
   let recycled_elsewhere key =
@@ -92,7 +93,12 @@ let scan_fn writers (f : Summary.fn) : Frontend.finding list =
         | _ -> ())
       (Summary.cas_legs op)
   in
-  Dataflow.run { Dataflow.no_hooks with h_cas } f.fbody;
+  let projects segs =
+    match Callgraph.callee cg f segs with
+    | Some j -> (Callgraph.fn cg j).fprojects
+    | None -> []
+  in
+  Dataflow.run ~projects { Dataflow.no_hooks with h_cas } f.fbody;
   List.rev !findings
 
 let scan (cg : Callgraph.t) : Frontend.finding list =
@@ -103,4 +109,4 @@ let scan (cg : Callgraph.t) : Frontend.finding list =
            Frontend.helping_exempt_path f.ffile
            || Callgraph.is_substrate_file cg f.ffile
          then []
-         else scan_fn writers f)
+         else scan_fn cg writers f)

@@ -90,6 +90,14 @@ let nested t (f : Summary.fn) name =
   | Some ids -> List.find_opt (fun j -> t.fns.(j).ffile = f.ffile) ids
   | None -> None
 
+(* The function a call of [segs] inside [f] reaches: a [let]-bound
+   local helper's own summary, else the scoped resolution. *)
+let callee t (f : Summary.fn) segs =
+  match (match segs with [ name ] -> nested t f name | _ -> None) with
+  | Some _ as local -> local
+  | None ->
+      resolve ~from_file:f.ffile t (Summary.resolve_call f.fscope segs)
+
 let trans_effects t i = t.trans.(i)
 
 (** The lint's one definition of a CAS retry loop: a function on a

@@ -9,9 +9,12 @@
     - [Shared_read]: the variable holds the result of a dotted [get] on
       an atomic location, keyed by the location's field/variable name,
       with a mutable [revalidated] flag that flips once the value's
-      dirty bit or version counter is inspected ([n.dirty], [n.seq],
-      [s.locked], [s.version] — the protocol's own re-validation
-      vocabulary);
+      dirty bit or version counter is inspected — the protocol's own
+      re-validation vocabulary — by a field read ([n.dirty], [n.seq],
+      [s.locked], [s.version]), by a [match] pattern on such a field
+      ([Node { dirty = true; _ }]), or by a call of a one-parameter
+      accessor whose summary returns only such fields ([is_dirty n],
+      {!Summary.projected_fields});
     - [Derived]: the variable was computed from a [Shared_read] (field
       projection, pattern destructuring, or any expression containing a
       fact-carrying name) and remembers the originating location key;
@@ -113,6 +116,21 @@ let rec pat_vars p =
       List.concat_map (fun (_, p) -> pat_vars p) fields
   | Ppat_or (a, b) -> pat_vars a @ pat_vars b
   | _ -> []
+
+(* Does [p] inspect a protocol field of the value it matches
+   ([Node { dirty = true; _ }], [Empty { locked; _ }])? *)
+let rec pat_inspects p =
+  match p.ppat_desc with
+  | Ppat_record (fields, _) ->
+      List.exists
+        (fun ((lid : Longident.t Asttypes.loc), _) ->
+          revalidation_name (Longident.last lid.txt))
+        fields
+  | Ppat_construct (_, Some (_, q)) | Ppat_alias (q, _) | Ppat_constraint (q, _)
+    ->
+      pat_inspects q
+  | Ppat_or (a, b) -> pat_inspects a || pat_inspects b
+  | _ -> false
 
 (* First location key reachable from [e] through known facts or a
    direct dotted [get]: the containment scan used to decide whether a
@@ -233,8 +251,37 @@ let no_hooks =
     h_setfield = (fun _ ~line:_ _ -> ());
   }
 
-let run (hooks : hooks) (body : expression) : unit =
+(** [projects segs] is {!Summary.fn}'s [fprojects] for the function a
+    call of [segs] resolves to, [[]] when unresolved; without it no
+    accessor call re-validates. *)
+let run ?(projects = fun _ -> []) (hooks : hooks) (body : expression) : unit =
   let ctx = { facts = Hashtbl.create 16 } in
+  let revalidate e =
+    match (Summary.strip_casts e).pexp_desc with
+    | Pexp_ident { txt = Longident.Lident v; _ } -> (
+        match Hashtbl.find_opt ctx.facts v with
+        | Some (Shared_read sr) -> sr.revalidated <- true
+        | _ -> ())
+    | _ -> ()
+  in
+  (* [f n] with [f] an accessor of protocol fields reads them from [n] *)
+  let accessor_read segs args =
+    match (Summary.nolabel_args args, projects segs) with
+    | [ a ], (_ :: _ as fields) when List.for_all revalidation_name fields ->
+        revalidate a
+    | _ -> ()
+  in
+  (* a [match] whose pattern inspects a protocol field of the scrutinee,
+     or of one component of a tuple scrutinee *)
+  let pattern_read s cases =
+    List.iter
+      (fun c ->
+        match ((Summary.strip_casts s).pexp_desc, c.pc_lhs.ppat_desc) with
+        | Pexp_tuple es, Ppat_tuple ps when List.length es = List.length ps ->
+            List.iter2 (fun e p -> if pat_inspects p then revalidate e) es ps
+        | _ -> if pat_inspects c.pc_lhs then revalidate s)
+      cases
+  in
   let rec walk e =
     let e = Summary.strip_casts e in
     match e.pexp_desc with
@@ -302,32 +349,29 @@ let run (hooks : hooks) (body : expression) : unit =
                      are still calls clients must see as plain writes *)
                   fire_then_walk_args (fun () ->
                       hooks.h_call ctx ~line ~segs nargs)
-            else
+            else begin
               fire_then_walk_args (fun () ->
-                  hooks.h_call ctx ~line ~segs nargs))
+                  hooks.h_call ctx ~line ~segs nargs);
+              accessor_read segs args
+            end)
         | Some segs ->
             fire_then_walk_args (fun () ->
-                hooks.h_call ctx ~line ~segs (Summary.nolabel_args args))
+                hooks.h_call ctx ~line ~segs (Summary.nolabel_args args));
+            accessor_read segs args
         | None ->
             walk head;
             kill_fresh ();
             List.iter (fun (_, a) -> walk a) args)
-    | Pexp_field (r, { txt; _ }) -> (
+    | Pexp_field (r, { txt; _ }) ->
         walk r;
         (* [n.dirty] / [cur.seq]: inspecting the protocol bits of a
            shared read re-validates it *)
-        match (Summary.strip_casts r).pexp_desc with
-        | Pexp_ident { txt = Longident.Lident v; _ } -> (
-            match
-              ( Hashtbl.find_opt ctx.facts v,
-                List.rev (Frontend.flatten txt) )
-            with
-            | Some (Shared_read sr), f :: _ when revalidation_name f ->
-                sr.revalidated <- true
-            | _ -> ())
-        | _ -> ())
+        if revalidation_name (Longident.last txt) then revalidate r
     | Pexp_match (s, cases) | Pexp_try (s, cases) ->
         walk s;
+        (match e.pexp_desc with
+        | Pexp_match _ -> pattern_read s cases
+        | _ -> ());
         let skey = contained_key ctx s in
         List.iter
           (fun c ->

@@ -12,10 +12,14 @@
       module type outside the runtime layer ({!Frontend.exempt_path}).
       The functor-constraint idiom [with type 'a Atomic.t = …] names the
       signature's own submodule and is not a use;
-    - [mutable-atomic]: a record type with [mutable] fields whose name is
-      the argument of an [….Atomic.t] (or aliased [A.t]) type in the
-      same file — such records look atomic but their fields are plain
-      racy memory. Reported at the first mutable field;
+    - [mutable-atomic]: a record with [mutable] fields that the file
+      publishes through a shared cell: a record type, or the inline
+      record of a variant constructor, whose type is the argument of an
+      [….Atomic.t] (or aliased [A.t]) type in the same file, or the
+      inline record of a [type _ M.state += ...] constructor in a file
+      that names [Cell.t] — such records look atomic but their fields
+      are plain racy memory. Reported at the first mutable field of
+      each record;
     - [format]: tab characters, trailing whitespace, missing final
       newline.
 
@@ -112,18 +116,24 @@ let boundary (p : Frontend.parsed) : finding list =
 (* ---- mutable record behind an Atomic.t ---------------------------------- *)
 
 (** Type names the file puts inside an atomic cell: the (last) argument
-    of a [….Atomic.t] or aliased [A.t] type. *)
+    of a [….Atomic.t] or aliased [A.t] type, and [state] when the file
+    names a [Cell.t] — an {!Mcas} cell holds its cell state, whose
+    constructors the file declares with [type _ M.state += ...]. *)
 let atomic_published (p : Frontend.parsed) : string list =
   let out = ref [] in
   let typ it t =
     (match t.ptyp_desc with
     | Ptyp_constr ({ txt; _ }, args) -> (
+        let segs = List.rev (Frontend.flatten txt) in
         let atomic =
-          match List.rev (Frontend.flatten txt) with
+          match segs with
           | [ "t"; "A" ] -> true
           | "t" :: m :: _ -> String.ends_with ~suffix:"Atomic" m
           | _ -> false
         in
+        (match segs with
+        | "t" :: "Cell" :: _ -> out := "state" :: !out
+        | _ -> ());
         match List.rev args with
         | { ptyp_desc = Ptyp_constr ({ txt = Lident name; _ }, _); _ } :: _
           when atomic ->
@@ -135,28 +145,71 @@ let atomic_published (p : Frontend.parsed) : string list =
   iter_file { super with typ } p;
   !out
 
-let mutable_atomic (p : Frontend.parsed) : finding list =
-  let published = atomic_published p in
-  let out = ref [] in
-  let type_declaration it d =
-    (match d.ptype_kind with
-    | Ptype_record labels when List.mem d.ptype_name.txt published -> (
-        match List.find_opt (fun l -> l.pld_mutable = Mutable) labels with
-        | Some l ->
-            out :=
-              finding p
-                (Frontend.line_of_loc l.pld_loc)
-                "mutable-atomic"
-                (Printf.sprintf
-                   "record %s has mutable fields but is published through \
-                    an Atomic.t; fields are plain racy memory"
-                   d.ptype_name.txt)
-              :: !out
-        | None -> ())
-    | _ -> ());
-    super.type_declaration it d
+(** Every record field list the file declares, with the name of the
+    type it belongs to and the record's own name: a record type
+    ([lnode], ["lnode"]), the inline record of a variant constructor
+    ([lnode], ["lnode.Node"]) and that of an extension constructor
+    ([type _ M.state += Node of {...}]: the extended type's last
+    segment, [state], and ["state.Node"]). *)
+let on_record_fields (p : Frontend.parsed)
+    (f : ty:string -> string -> label_declaration list -> unit) =
+  let inline ty (name : string Location.loc) = function
+    | Pcstr_record labels -> f ~ty (ty ^ "." ^ name.txt) labels
+    | Pcstr_tuple _ -> ()
   in
-  iter_file { super with type_declaration } p;
+  let it =
+    {
+      super with
+      type_declaration =
+        (fun it d ->
+          let ty = d.ptype_name.txt in
+          (match d.ptype_kind with
+          | Ptype_record labels -> f ~ty ty labels
+          | Ptype_variant cds ->
+              List.iter
+                (fun (cd : constructor_declaration) ->
+                  inline ty cd.pcd_name cd.pcd_args)
+                cds
+          | Ptype_abstract | Ptype_open -> ());
+          super.type_declaration it d);
+      type_extension =
+        (fun it te ->
+          let ty = Longident.last te.ptyext_path.txt in
+          List.iter
+            (fun c ->
+              match c.pext_kind with
+              | Pext_decl (_, a, _) -> inline ty c.pext_name a
+              | Pext_rebind _ -> ())
+            te.ptyext_constructors;
+          super.type_extension it te);
+    }
+  in
+  iter_file it p
+
+(** The records {!on_record_fields} lists whose type the file publishes
+    through a cell ({!atomic_published}): the records [mutable-atomic]
+    guards and the [mutabilize] operator targets. *)
+let on_published_records (p : Frontend.parsed)
+    (f : string -> label_declaration list -> unit) =
+  let published = atomic_published p in
+  on_record_fields p (fun ~ty name labels ->
+      if List.mem ty published then f name labels)
+
+let mutable_atomic (p : Frontend.parsed) : finding list =
+  let out = ref [] in
+  on_published_records p (fun name labels ->
+      match List.find_opt (fun l -> l.pld_mutable = Mutable) labels with
+      | Some l ->
+          out :=
+            finding p
+              (Frontend.line_of_loc l.pld_loc)
+              "mutable-atomic"
+              (Printf.sprintf
+                 "record %s has mutable fields but is published through an \
+                  atomic cell; fields are plain racy memory"
+                 name)
+            :: !out
+      | None -> ());
   List.rev !out
 
 (* ---- format ------------------------------------------------------------- *)

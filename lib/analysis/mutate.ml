@@ -309,35 +309,6 @@ let on_type_decls (p : Frontend.parsed) (f : type_declaration -> unit) =
   in
   it.structure it p.p_ast
 
-(* Every record field list the file declares: record types, and the
-   inline records of variant constructors ([Node of { hd : elt; ... }])
-   and of extension constructors ([type _ M.state += Node of {...}]). *)
-let on_record_fields (p : Frontend.parsed)
-    (f : label_declaration list -> unit) =
-  let args = function Pcstr_record labels -> f labels | Pcstr_tuple _ -> () in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      type_declaration =
-        (fun it d ->
-          (match d.ptype_kind with
-          | Ptype_record labels -> f labels
-          | Ptype_variant cds ->
-              List.iter
-                (fun (cd : constructor_declaration) -> args cd.pcd_args)
-                cds
-          | Ptype_abstract | Ptype_open -> ());
-          Ast_iterator.default_iterator.type_declaration it d);
-      extension_constructor =
-        (fun it c ->
-          (match c.pext_kind with
-          | Pext_decl (_, a, _) -> args a
-          | Pext_rebind _ -> ());
-          Ast_iterator.default_iterator.extension_constructor it c);
-    }
-  in
-  it.structure it p.p_ast
-
 let rec fun_body e =
   match e.pexp_desc with
   | Pexp_fun (_, _, _, b) -> fun_body b
@@ -634,9 +605,11 @@ let sites_drop_stamp p _src =
    flips are useless here: one intact completing store keeps [helps]
    true.
 
-   Locking: flip the [locked = false] literal of [unlock]'s release to
-   [true] in place — the release never releases. No static rule sees
-   it; a locking path that stops releasing is a liveness defect. *)
+   Locking: flip every [locked = false] literal of an [unlock]'s
+   release to [true] in place, one mutant per function (a release
+   writing either node shape has one literal per shape) — the release
+   never releases. No static rule sees it; a locking path that stops
+   releasing is a liveness defect. *)
 let sites_drop_completion p _src =
   (* the [false] literals bound to [names] in one record literal *)
   let false_fields names fields =
@@ -685,23 +658,29 @@ let sites_drop_completion p _src =
             s_edits = !flips;
           }
           :: !out;
-      if seg_contains name "unlock" then
+      if seg_contains name "unlock" then begin
+        let releases = ref [] in
         on_sub_exprs b (fun e ->
             match e.pexp_desc with
             | Pexp_record (fields, _) ->
                 List.iter
-                  (fun fe ->
-                    out :=
-                      {
-                        s_line = line_of fe;
-                        s_note =
-                          "release store flipped to locked = true: never \
-                           unlocks";
-                        s_edits = [ replace fe "true" ];
-                      }
-                      :: !out)
+                  (fun fe -> releases := fe :: !releases)
                   (false_fields [ "locked" ] fields)
-            | _ -> ()));
+            | _ -> ());
+        if !releases <> [] then
+          out :=
+            {
+              s_line = List.fold_left (fun l fe -> min l (line_of fe)) max_int
+                  !releases;
+              s_note =
+                Printf.sprintf
+                  "%d release stores in %s flipped to locked = true: never \
+                   unlocks"
+                  (List.length !releases) name;
+              s_edits = List.map (fun fe -> replace fe "true") !releases;
+            }
+            :: !out
+      end);
   !out
 
 let sites_stale_republish p src =
@@ -737,7 +716,7 @@ let sites_inplace_publish p src =
             found := Some { e_start = a; e_stop = a; e_text = "mutable " })
         labels
     in
-    on_record_fields p mark;
+    File_rules.on_record_fields p (fun ~ty:_ _ labels -> mark labels);
     !found
   in
   on_exprs p (fun e ->
@@ -991,33 +970,30 @@ let sites_alloc_in_retry (p : Frontend.parsed) src =
   ignore src;
   !out
 
-(* A record is a target only when the file publishes it through an
-   [Atomic.t] — the record the mutable-atomic rule guards. A [mutable] on
-   a record held in a plain array is legal OCaml the rule rightly
+(* A record is a target only when the file publishes it through a cell
+   ({!File_rules.on_published_records}: a record type or a variant's
+   inline record behind an [Atomic.t], an [M.state] extension's behind a
+   [Cell.t]) — the records the mutable-atomic rule guards. A [mutable]
+   on a record held in a plain array is legal OCaml the rule rightly
    ignores. *)
 let sites_mutabilize p _src =
-  let published = File_rules.atomic_published p in
   let out = ref [] in
-  on_type_decls p (fun d ->
-      match d.ptype_kind with
-      | Ptype_record labels when List.mem d.ptype_name.txt published ->
-          List.iter
-            (fun (l : label_declaration) ->
-              if l.pld_mutable = Asttypes.Immutable then
-                let a, _ = span_of_loc l.pld_loc in
-                out :=
-                  {
-                    s_line = Frontend.line_of_loc l.pld_loc;
-                    s_note =
-                      Printf.sprintf
-                        "%s.%s marked mutable behind the record's Atomic.t"
-                        d.ptype_name.txt l.pld_name.txt;
-                    s_edits =
-                      [ { e_start = a; e_stop = a; e_text = "mutable " } ];
-                  }
-                  :: !out)
-            labels
-      | _ -> ());
+  File_rules.on_published_records p (fun name labels ->
+      List.iter
+        (fun (l : label_declaration) ->
+          if l.pld_mutable = Asttypes.Immutable then
+            let a, _ = span_of_loc l.pld_loc in
+            out :=
+              {
+                s_line = Frontend.line_of_loc l.pld_loc;
+                s_note =
+                  Printf.sprintf
+                    "%s.%s marked mutable behind the cell that publishes it"
+                    name l.pld_name.txt;
+                s_edits = [ { e_start = a; e_stop = a; e_text = "mutable " } ];
+              }
+              :: !out)
+        labels);
   !out
 
 (* Delete each waiver comment, nesting included. Whatever the waiver was

@@ -66,18 +66,9 @@ let scan_fn (cg : Callgraph.t) (f : Summary.fn) : Frontend.finding list =
       (List.map (fun (_, _, fresh) -> fresh) (Summary.cas_legs op))
   in
   let h_call ctx ~line ~segs nargs =
-    let local =
-      match segs with [ name ] -> Callgraph.nested cg f name | _ -> None
-    in
-    let callee =
-      if local <> None then local
-      else
-        Callgraph.resolve ~from_file:f.ffile cg
-          (Summary.resolve_call f.fscope segs)
-    in
     Option.iter
       (fun j -> publish ctx line nargs (Callgraph.fn cg j).fpublishes)
-      callee
+      (Callgraph.callee cg f segs)
   in
   let h_setfield ctx ~line r =
     match Summary.base_var r with

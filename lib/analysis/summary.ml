@@ -33,7 +33,10 @@
     [publishes] lists the parameters the function forwards into a CAS
     fresh-value position ({!Lf_mound}'s [cas_reusing]/[dcss_reusing]
     take the fresh record as an argument), letting the publication
-    analysis treat such wrappers as publication sites. *)
+    analysis treat such wrappers as publication sites. [projects] lists
+    the fields a one-parameter accessor returns ([is_dirty], reading a
+    node's dirty bit), so {!Dataflow} can count a call of one as a read
+    of that field. *)
 
 open Parsetree
 
@@ -77,6 +80,9 @@ type fn = {
   fcalls : call list;
   fdirect : effects;
   fpublishes : int list;  (* params forwarded to a CAS fresh-value slot *)
+  fprojects : string list;
+      (* the record fields a one-parameter accessor returns
+         ({!projected_fields}); [[]] for any other function *)
   fwrites : string list;
       (* syntactic keys of atomic locations this function writes — the
          CAS-target and dotted-[set] location names ([root], [slot]…) —
@@ -243,6 +249,58 @@ let rec fn_shape e =
   | Pexp_constraint (body, _) -> fn_shape body
   | Pexp_function _ -> ([ "_" ], e)
   | _ -> ([], e)
+
+(* The record fields whose value [pat] binds to the variable [v]:
+   [["dirty"]] for [Node { dirty; _ }] or [Empty { dirty = v; _ }]. *)
+let rec bound_fields v pat =
+  match pat.ppat_desc with
+  | Ppat_record (fields, _) ->
+      List.concat_map
+        (fun ((lid : Longident.t Asttypes.loc), q) ->
+          match pat_var q with
+          | Some x when x = v -> [ Longident.last lid.txt ]
+          | _ -> bound_fields v q)
+        fields
+  | Ppat_construct (_, Some (_, q)) | Ppat_alias (q, _) | Ppat_constraint (q, _)
+    ->
+      bound_fields v q
+  | Ppat_or (a, b) -> bound_fields v a @ bound_fields v b
+  | _ -> []
+
+(* The record fields a one-parameter accessor returns: [fun n -> n.f],
+   or a [function] (or a [match] on the parameter) each of whose arms
+   returns a field its pattern bound or {!raises} ([Empty { dirty; _ } |
+   Node { dirty; _ } -> dirty]). [[]] for any other function. *)
+let projected_fields params body =
+  let arm c =
+    if raises c.pc_rhs then Some []
+    else
+      match (strip_casts c.pc_rhs).pexp_desc with
+      | Pexp_ident { txt = Lident v; _ } -> (
+          match bound_fields v c.pc_lhs with [] -> None | fs -> Some fs)
+      | _ -> None
+  in
+  let arms cases =
+    List.fold_left
+      (fun acc c ->
+        match (acc, arm c) with Some a, Some b -> Some (a @ b) | _ -> None)
+      (Some []) cases
+  in
+  let fields =
+    match (params, (strip_casts body).pexp_desc) with
+    | ( [ p ],
+        Pexp_field ({ pexp_desc = Pexp_ident { txt = Lident v; _ }; _ }, lid) )
+      when v = p ->
+        Some [ Longident.last lid.txt ]
+    | [ "_" ], Pexp_function cases -> arms cases
+    | ( [ p ],
+        Pexp_match ({ pexp_desc = Pexp_ident { txt = Lident v; _ }; _ }, cases)
+      )
+      when v = p ->
+        arms cases
+    | _ -> None
+  in
+  List.sort_uniq compare (Option.value fields ~default:[])
 
 (* ---- scoped call resolution -------------------------------------------- *)
 
@@ -528,6 +586,7 @@ and collect_fn ~file ~scope ~fnpath ~line e : fn list =
     fcalls = List.rev col.calls;
     fdirect = col.eff;
     fpublishes = List.sort compare col.publishes;
+    fprojects = projected_fields params body;
     fwrites = List.sort_uniq compare col.writes;
     fbody = body;
     fscope = scope;

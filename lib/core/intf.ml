@@ -110,23 +110,8 @@ module Sorted = struct
   (** [value l]: the node value [val(l)], the head of [l] or [None] (⊤). *)
   let value = function [] -> None | x :: _ -> Some x
 
-  (** [head_compare cmp a b] orders two lists as {!Value.compare} orders
-      [value a] and [value b] (an empty list is ⊤), without boxing
-      either head: the comparison of the locking mound's [moundify]
-      levels (the sequential and lock-free mounds compare in place). *)
-  let head_compare cmp a b =
-    match (a, b) with
-    | [], [] -> 0
-    | [], _ :: _ -> 1
-    | _ :: _, [] -> -1
-    | x :: _, y :: _ -> cmp x y
-
   (** [head_ge cmp l v]: [val(l) >= v], so [v] may be pushed onto [l]. *)
   let head_ge cmp l v = match l with [] -> true | x :: _ -> cmp x v >= 0
-
-  (** [head_le cmp l v]: [val(l) <= v], the parent-side insertion
-      condition. An empty list (⊤) never satisfies it. *)
-  let head_le cmp l v = match l with [] -> false | x :: _ -> cmp x v <= 0
 
   (** [splice cmp batch l]: the longest prefix of the sorted [batch]
       whose elements fit onto [l] (each [<= val(l)]), followed by [l]. *)

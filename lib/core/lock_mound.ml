@@ -1,11 +1,16 @@
 (** Fine-grained locking mound (paper §IV, Listing 3).
 
-    Each node is an atomic holding an immutable [{list; locked; seq}]
-    record — the paper reuses the dirty field as the lock bit, and
-    unlocked nodes are never dirty. [set_lock] is a test-and-CAS spinlock
-    on the node; the [seq] stamp increments on every transition, so each
-    lock tenure is identified by the physically-unique locked record the
-    holder installed (its {e witness}).
+    Each node is an atomic holding an immutable record that carries its
+    sorted list's head ([Node {hd; tl; locked; seq}], or
+    [Empty {locked; seq}] for ⊤) — the paper reuses the dirty field as
+    the lock bit, and unlocked nodes are never dirty. A probe or a
+    [moundify] comparison reads the head right after the atomic: row,
+    atomic, record. Every slot starts out holding one shared initial
+    [Empty]; the first write replaces it with a fresh record, as every
+    later one does. [set_lock] is a test-and-CAS spinlock on the node;
+    the [seq] stamp increments on every transition, so each lock tenure
+    is identified by the physically-unique locked record the holder
+    installed (its {e witness}).
 
     [moundify] performs the downward restoration with hand-over-hand
     locking, always locking parents before children; [insert] locks the
@@ -42,7 +47,10 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
 
   type elt = Ord.t
 
-  type lnode = { list : elt list; locked : bool; seq : int }
+  (* The node's sorted list is [hd :: tl], or empty (⊤). *)
+  type lnode =
+    | Empty of { locked : bool; seq : int }
+    | Node of { hd : elt; tl : elt list; locked : bool; seq : int }
 
   type t = {
     tree : lnode R.Atomic.t T.t;
@@ -52,9 +60,35 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
             before spinners may revoke it; 0 disables revocation *)
   }
 
-  let node_value n = Intf.Sorted.value n.list
+  let is_locked = function Empty { locked; _ } | Node { locked; _ } -> locked
 
-  let head_compare a b = Intf.Sorted.head_compare Ord.compare a b
+  let stamp = function Empty { seq; _ } | Node { seq; _ } -> seq
+
+  let to_list = function Empty _ -> [] | Node { hd; tl; _ } -> hd :: tl
+
+  let node_value = function Empty _ -> None | Node { hd; _ } -> Some hd
+
+  (* Node values ordered as {!Intf.Value} orders them, an empty node
+     being ⊤; the comparisons of every [moundify] level, written here
+     over [Ord.compare] (DESIGN.md §8's [-opaque] rule). *)
+  let head_compare a b =
+    match (a, b) with
+    | Empty _, Empty _ -> 0
+    | Empty _, Node _ -> 1
+    | Node _, Empty _ -> -1
+    | Node { hd = x; _ }, Node { hd = y; _ } -> Ord.compare x y
+
+  (* [head_ge n v]: [val(n) >= v], so [v] may be pushed onto [n];
+     [head_le n v]: [val(n) <= v], the parent-side insertion
+     condition, which ⊤ never satisfies. *)
+  let head_ge n v =
+    match n with Empty _ -> true | Node { hd; _ } -> Ord.compare hd v >= 0
+
+  let head_le n v =
+    match n with Empty _ -> false | Node { hd; _ } -> Ord.compare hd v <= 0
+
+  (* What every slot holds until its first write. *)
+  let initial = Empty { locked = false; seq = 0 }
 
   (* What an acquisition returns when its deadline expires (and so what
      [take] and [put] return then), and the lease timer's "no holder
@@ -62,11 +96,11 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
      validation or its lock is revoked. Neither is ever installed in a
      slot, so [w == gave_up] / [w == missed] hold for these records
      alone. *)
-  let gave_up = { list = []; locked = true; seq = -1 }
-  let missed = { list = []; locked = true; seq = -2 }
+  let gave_up = Empty { locked = true; seq = -1 }
+  let missed = Empty { locked = true; seq = -2 }
 
   let create ?(lease = 0) () =
-    let make_slot () = R.Atomic.make { list = []; locked = false; seq = 0 } in
+    let make_slot () = R.Atomic.make initial in
     {
       tree = T.create make_slot;
       ops = Stats.Ops.create ();
@@ -96,8 +130,20 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
     end
     else R.Atomic.compare_and_set slot witness fresh
 
-  let unlock t slot ~witness list =
-    restamp t slot ~witness { list; locked = false; seq = witness.seq + 1 }
+  (* Release the held [slot] with [src]'s list in it: the witness's own,
+     or a locked child's when [moundify] swaps. *)
+  let unlock t slot ~witness src =
+    restamp t slot ~witness
+      (match src with
+      | Empty _ -> Empty { locked = false; seq = stamp witness + 1 }
+      | Node { hd; tl; _ } ->
+          Node { hd; tl; locked = false; seq = stamp witness + 1 })
+
+  (* Release the held [slot] by installing [fresh], an unlocked record
+     the caller built: [put]'s publishing write. It is a release and is
+     named as one, because the lock mutation operators find releases by
+     name (DESIGN.md §14.2). *)
+  let unlock_with t slot ~witness fresh = restamp t slot ~witness fresh
 
   (* Consecutive failed acquisitions of one [set_lock] call before the
      wait is counted as a livelock near miss (sustained non-progress that
@@ -116,8 +162,12 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
      acquisition allocates nothing but the witness. *)
   let rec spin t slot ~node ~level ~deadline tries seen since =
     let n = R.Atomic.get slot in
-    if not n.locked then begin
-      let mine = { list = n.list; locked = true; seq = n.seq + 1 } in
+    if not (is_locked n) then begin
+      let mine =
+        match n with
+        | Empty e -> Empty { locked = true; seq = e.seq + 1 }
+        | Node x -> Node { x with locked = true; seq = x.seq + 1 }
+      in
       if R.Atomic.compare_and_set slot n mine then mine
       else miss t slot ~node ~level ~deadline tries seen since
     end
@@ -129,7 +179,11 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
              lock directly from its witness. The CAS is the whole
              revocation — from here on the old holder's witnessed
              writes all fail. *)
-          let mine = { list = n.list; locked = true; seq = n.seq + 1 } in
+          let mine =
+            match n with
+            | Empty e -> Empty { locked = true; seq = e.seq + 1 }
+            | Node x -> Node { x with locked = true; seq = x.seq + 1 }
+          in
           if R.Atomic.compare_and_set slot n mine then begin
             t.ops.lock_recoveries <- t.ops.lock_recoveries + 1;
             (* The holder may have died mid-protocol; restore the
@@ -174,49 +228,55 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
      moundify repairs it. *)
   and moundify t n ~level ~witness =
     let slot = T.get_at t.tree ~level n in
-    let nlist = witness.list in
     let d = T.depth t.tree in
-    if T.is_leaf n ~depth:d then ignore (unlock t slot ~witness nlist)
+    if T.is_leaf n ~depth:d then ignore (unlock t slot ~witness witness)
     else begin
       let lslot = T.get_at t.tree ~level:(level + 1) (2 * n)
       and rslot = T.get_at t.tree ~level:(level + 1) ((2 * n) + 1) in
       let wl = set_lock t lslot ~node:(2 * n) ~level:(level + 1) in
       let wr = set_lock t rslot ~node:((2 * n) + 1) ~level:(level + 1) in
-      if head_compare wl.list wr.list <= 0 && head_compare wl.list nlist < 0
-      then begin
+      if head_compare wl wr <= 0 && head_compare wl witness < 0 then begin
         (* Swap lists with the left child, which keeps our old list and
            stays locked while we recurse into it — hand-over-hand. The
            child is re-stamped first so that if our own lock on [n] has
            been revoked, the swap aborts with both lists intact. *)
-        let wl' = { list = nlist; locked = true; seq = wl.seq + 1 } in
+        let wl' =
+          match witness with
+          | Empty _ -> Empty { locked = true; seq = stamp wl + 1 }
+          | Node { hd; tl; _ } ->
+              Node { hd; tl; locked = true; seq = stamp wl + 1 }
+        in
         if restamp t lslot ~witness:wl wl' then begin
-          ignore (unlock t rslot ~witness:wr wr.list);
-          ignore (unlock t slot ~witness wl.list);
+          ignore (unlock t rslot ~witness:wr wr);
+          ignore (unlock t slot ~witness wl);
           moundify t (2 * n) ~level:(level + 1) ~witness:wl'
         end
         else begin
-          ignore (unlock t rslot ~witness:wr wr.list);
-          ignore (unlock t slot ~witness nlist)
+          ignore (unlock t rslot ~witness:wr wr);
+          ignore (unlock t slot ~witness witness)
         end
       end
-      else if
-        head_compare wr.list wl.list < 0 && head_compare wr.list nlist < 0
-      then begin
-        let wr' = { list = nlist; locked = true; seq = wr.seq + 1 } in
+      else if head_compare wr wl < 0 && head_compare wr witness < 0 then begin
+        let wr' =
+          match witness with
+          | Empty _ -> Empty { locked = true; seq = stamp wr + 1 }
+          | Node { hd; tl; _ } ->
+              Node { hd; tl; locked = true; seq = stamp wr + 1 }
+        in
         if restamp t rslot ~witness:wr wr' then begin
-          ignore (unlock t lslot ~witness:wl wl.list);
-          ignore (unlock t slot ~witness wr.list);
+          ignore (unlock t lslot ~witness:wl wl);
+          ignore (unlock t slot ~witness wr);
           moundify t ((2 * n) + 1) ~level:(level + 1) ~witness:wr'
         end
         else begin
-          ignore (unlock t lslot ~witness:wl wl.list);
-          ignore (unlock t slot ~witness nlist)
+          ignore (unlock t lslot ~witness:wl wl);
+          ignore (unlock t slot ~witness witness)
         end
       end
       else begin
-        ignore (unlock t slot ~witness nlist);
-        ignore (unlock t lslot ~witness:wl wl.list);
-        ignore (unlock t rslot ~witness:wr wr.list)
+        ignore (unlock t slot ~witness witness);
+        ignore (unlock t lslot ~witness:wl wl);
+        ignore (unlock t rslot ~witness:wr wr)
       end
     end
 
@@ -236,13 +296,16 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       gave_up
     end
     else
-      match w.list with
-      | [] ->
-          ignore (unlock t slot ~witness:w []);
+      match w with
+      | Empty _ ->
+          ignore (unlock t slot ~witness:w w);
           w
-      | _ :: tl ->
+      | Node x ->
           let w' =
-            { list = (if all then [] else tl); locked = true; seq = w.seq + 1 }
+            match x.tl with
+            | hd :: tl when not all ->
+                Node { hd; tl; locked = true; seq = x.seq + 1 }
+            | _ -> Empty { locked = true; seq = x.seq + 1 }
           in
           if restamp t slot ~witness:w w' then begin
             moundify t n ~level ~witness:w';
@@ -267,7 +330,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
   (** Take the root's entire list (§V): identical protocol with the list
       emptied instead of beheaded. *)
   let extract_many t =
-    (take t 1 ~level:0 ~all:true ~deadline:Intf.no_deadline).list
+    to_list (take t 1 ~level:0 ~all:true ~deadline:Intf.no_deadline)
 
   (** Probabilistic extract-min (§V): lock a random node within the first
       [max_level+1] levels and extract its head, which is the minimum of
@@ -276,20 +339,14 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
   let extract_approx ?(max_level = 2) t =
     let n = T.shallow_node t.tree ~max_level in
     match
-      (take t n ~level:(T.level_of n) ~all:false ~deadline:Intf.no_deadline)
-        .list
+      take t n ~level:(T.level_of n) ~all:false ~deadline:Intf.no_deadline
     with
-    | [] -> extract_min t
-    | x :: _ -> Some x
+    | Empty _ -> extract_min t
+    | Node { hd; _ } -> Some hd
 
   (* [ge slot v]: does the node in [slot] dominate [v]? The insert
-     search's probe predicate, over [Ord.compare] directly:
-     [Intf.Sorted.head_ge] would be a call into another module on every
-     probe. *)
-  let ge slot v =
-    match (R.Atomic.get slot).list with
-    | [] -> true
-    | x :: _ -> Ord.compare x v >= 0
+     search's probe predicate. *)
+  let ge slot v = head_ge (R.Atomic.get slot) v
 
   (** One publication attempt of the sorted run [hd :: rest]: find a
       candidate for [hd], lock its parent before it (moundify's order,
@@ -309,14 +366,20 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
         bump_timeout t;
         gave_up
       end
-      else if Intf.Sorted.head_ge Ord.compare w.list hd then
+      else if head_ge w hd then
         if
-          unlock t cslot ~witness:w
-            (hd :: Intf.Sorted.splice Ord.compare rest w.list)
+          unlock_with t cslot ~witness:w
+            (Node
+               {
+                 hd;
+                 tl = Intf.Sorted.splice Ord.compare rest (to_list w);
+                 locked = false;
+                 seq = stamp w + 1;
+               })
         then w
         else missed
       else begin
-        ignore (unlock t cslot ~witness:w w.list);
+        ignore (unlock t cslot ~witness:w w);
         missed
       end
     end
@@ -330,24 +393,27 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       else
         let wc = set_lock_until t cslot ~node:c ~level:clvl ~deadline in
         if wc == gave_up then begin
-          ignore (unlock t pslot ~witness:wp wp.list);
+          ignore (unlock t pslot ~witness:wp wp);
           bump_timeout t;
           gave_up
         end
-        else if
-          Intf.Sorted.head_ge Ord.compare wc.list hd
-          && Intf.Sorted.head_le Ord.compare wp.list hd
-        then begin
+        else if head_ge wc hd && head_le wp hd then begin
           let published =
-            unlock t cslot ~witness:wc
-              (hd :: Intf.Sorted.splice Ord.compare rest wc.list)
+            unlock_with t cslot ~witness:wc
+              (Node
+                 {
+                   hd;
+                   tl = Intf.Sorted.splice Ord.compare rest (to_list wc);
+                   locked = false;
+                   seq = stamp wc + 1;
+                 })
           in
-          ignore (unlock t pslot ~witness:wp wp.list);
+          ignore (unlock t pslot ~witness:wp wp);
           if published then wc else missed
         end
         else begin
-          ignore (unlock t pslot ~witness:wp wp.list);
-          ignore (unlock t cslot ~witness:wc wc.list);
+          ignore (unlock t pslot ~witness:wp wp);
+          ignore (unlock t cslot ~witness:wc wc);
           missed
         end
     end
@@ -395,14 +461,16 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
           else
             let w = put t ~deadline:Intf.no_deadline hd rest in
             if w == missed then go batch (tries - 1)
-            else go (Intf.Sorted.remainder Ord.compare rest w.list) batch_tries
+            else
+              go (Intf.Sorted.remainder Ord.compare rest (to_list w))
+                batch_tries
     in
     go batch batch_tries
 
   let peek_min t =
     let slot = T.get_at t.tree ~level:0 1 in
     let w = set_lock t slot ~node:1 ~level:0 in
-    ignore (unlock t slot ~witness:w w.list);
+    ignore (unlock t slot ~witness:w w);
     node_value w
 
   let is_empty t = peek_min t = None
@@ -410,7 +478,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
   (* ----- quiescent introspection ----- *)
 
   let fold_nodes t f acc =
-    T.fold t.tree (fun acc i slot -> f acc i (R.Atomic.get slot).list) acc
+    T.fold t.tree (fun acc i slot -> f acc i (to_list (R.Atomic.get slot))) acc
 
   let size t = fold_nodes t (fun acc _ l -> acc + List.length l) 0
 
@@ -418,8 +486,8 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       parent/child pair, and no node locked. *)
   let check t =
     Intf.Sorted.well_formed Ord.compare ~fold:(fold_nodes t) ~parent:(fun p ->
-        Some (R.Atomic.get (T.get t.tree p)).list)
+        Some (to_list (R.Atomic.get (T.get t.tree p))))
     && T.fold t.tree
-         (fun ok _ slot -> ok && not (R.Atomic.get slot).locked)
+         (fun ok _ slot -> ok && not (is_locked (R.Atomic.get slot)))
          true
 end

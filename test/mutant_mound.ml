@@ -22,6 +22,9 @@ module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
   let vcompare = Mound.Intf.Value.compare Ord.compare
   let node_value n = match n.list with [] -> None | x :: _ -> Some x
 
+  (* [val(l) <= v], the parent-side insertion condition; ⊤ fails it. *)
+  let head_le l v = match l with [] -> false | x :: _ -> Ord.compare x v <= 0
+
   let create () =
     let make_slot () = M.make { list = []; dirty = false; seq = 0 } in
     { tree = T.create make_slot }
@@ -104,7 +107,7 @@ module Make (R : Runtime.S) (Ord : Mound.Intf.ORDERED) = struct
       else begin
         let pslot = T.get t.tree (c / 2) in
         let parent = M.get pslot in
-        if Mound.Intf.Sorted.head_le Ord.compare parent.list v then begin
+        if head_le parent.list v then begin
           if not (M.dcss pslot parent cslot cur fresh) then
             insert_attempt t v (round + 1)
         end

@@ -290,6 +290,40 @@ let test_aba_risk () =
   check_count "single-writer location fine" 0
     (with_rule "aba-risk" (scan "lib/core/x.ml" single_writer))
 
+(* A shared read is re-validated by a [match] pattern on one of its
+   protocol fields, and by a call of an accessor that returns only such
+   a field ([is_dirty cur], as the lock-free mound reads its dirty bit,
+   [is_locked n] the locking mound's lock bit), as by the field read
+   [cur.dirty]; a pattern on, or an accessor of, any other field is no
+   re-validation. *)
+let test_revalidation_shapes () =
+  let aba body =
+    with_rule "aba-risk"
+      (scan "lib/core/x.ml"
+         ("let recycle q = R.Atomic.set q None\n\n\
+           let is_dirty = function Empty { dirty; _ } | Node { dirty; _ } -> \
+           dirty\n\n\
+           let head n = n.hd\n\n\
+           let rec publish q v =\n\
+          \  let cur = R.Atomic.get q in\n" ^ body))
+  in
+  let cas =
+    "R.Atomic.compare_and_set q cur (Some v) || (R.cpu_relax (); publish q v)"
+  in
+  let guarded test = Printf.sprintf "  if %s then publish q v else %s\n" test cas in
+  check_count "an accessor of the dirty bit re-validates" 0
+    (aba (guarded "is_dirty cur"));
+  check_count "an accessor of another field does not" 1
+    (aba (guarded "head cur = 0"));
+  let matched pat =
+    Printf.sprintf
+      "  match cur with\n  | %s -> publish q v\n  | _ -> %s\n" pat cas
+  in
+  check_count "a pattern on the dirty bit re-validates" 0
+    (aba (matched "Node { dirty = true; _ }"));
+  check_count "a pattern on another field does not" 1
+    (aba (matched "Node { hd = 0; _ }"))
+
 (* ---- node records as constructor literals ------------------------------ *)
 
 (* The lock-free mound publishes [Node { n with dirty = false; ... }]:
@@ -421,6 +455,47 @@ let rec settle slot =
         "the extension's field marked mutable" true
         (Analysis.Summary.contains_sub m.m_src "mutable dirty")
   | l -> Alcotest.failf "inplace-publish: %d sites, expected 1" (List.length l)
+
+(* [mutable-atomic] and [mutabilize] read the inline records of the
+   constructors a file publishes through a cell: a variant stored in an
+   [Atomic.t] (the locking mound's [Empty]/[Node] records), and the
+   [type _ M.state += ...] constructors of a file that names [Cell.t]
+   (the lock-free mound's). Each field of each such record is one
+   [mutabilize] site; a [mutable] field is a [mutable-atomic] finding. *)
+let inline_record_rules ~decls ~publish =
+  let mutabilize =
+    Analysis.Mutate.mutants ~ops:[ "mutabilize" ]
+      [ ("lib/core/node.ml", decls ^ publish) ]
+  in
+  Alcotest.(check int) "one mutabilize site per inline field" 6
+    (List.length mutabilize);
+  let flagged src =
+    with_rule "mutable-atomic" (scan "lib/core/node.ml" src)
+  in
+  check_count "every field immutable: no finding" 0 (flagged (decls ^ publish));
+  (* the first inline record's first field made mutable *)
+  let i = String.index decls '{' + 2 in
+  let mutated =
+    String.sub decls 0 i ^ "mutable " ^ String.sub decls i (String.length decls - i)
+  in
+  check_count "a mutable inline field is flagged" 1 (flagged (mutated ^ publish));
+  check_count "unpublished, it is not" 0 (flagged mutated)
+
+let test_variant_inline_records () =
+  inline_record_rules
+    ~decls:
+      "type lnode =\n\
+      \  | Empty of { locked : bool; seq : int }\n\
+      \  | Node of { hd : int; tl : int list; locked : bool; seq : int }\n\n"
+    ~publish:"type t = { slots : lnode R.Atomic.t array }\n"
+
+let test_extension_inline_records () =
+  inline_record_rules
+    ~decls:
+      "type _ M.state +=\n\
+      \  | Empty of { dirty : bool; seq : int }\n\
+      \  | Node of { hd : int; tl : int list; dirty : bool; seq : int }\n\n"
+    ~publish:"type t = { tree : int Cell.t array }\n"
 
 (* A [match] arm built from what its pattern bound is computed from the
    scrutinee: a plain store of it is the lost update. *)
@@ -893,6 +968,10 @@ let () =
             test_raising_arm_produces_nothing;
           Alcotest.test_case "extension constructor fields are declarations"
             `Quick test_inplace_marks_extension_field;
+          Alcotest.test_case "a variant's inline records behind an Atomic.t"
+            `Quick test_variant_inline_records;
+          Alcotest.test_case "state extensions behind a Cell.t" `Quick
+            test_extension_inline_records;
         ] );
       ( "publication",
         [
@@ -922,6 +1001,8 @@ let () =
       ( "dataflow",
         [
           Alcotest.test_case "aba-risk" `Quick test_aba_risk;
+          Alcotest.test_case "re-validation by pattern or accessor" `Quick
+            test_revalidation_shapes;
           Alcotest.test_case "atomicity" `Quick test_atomicity;
           Alcotest.test_case "atomicity across calls" `Quick
             test_atomicity_interprocedural;

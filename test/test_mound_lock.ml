@@ -86,25 +86,31 @@ let mirrors_lf_results () =
   check "identical drains" true
     (drain (fun () -> L.extract_min lf) [] = drain (fun () -> K.extract_min lk) [])
 
-(* Minor words per operation on one domain: a seeded fill of 2^12 keys,
-   then the drain to empty. What is left is the protocol's own records
-   (one witness per acquisition, one per restamp and unlock), so a
-   per-acquisition closure, a per-insert probe predicate, an option per
-   probed node or a boxed list head cannot creep back into the hot paths
-   unnoticed (20.1 words per insert and 184.9 per extract_min measured;
-   25.1 per insert with a closure per insert). The insert probes draw
-   from the calling domain's [Runtime.Real.rand_int] stream, restarted
-   before the fill so that every run prints the same figures. *)
-let allocation_budget () =
-  let n = 1 lsl 12 in
+(* The flat node layout, pinned on one domain: 2^12 seeded keys filled,
+   then drained. A tree row holds each node's atomic, the atomic holds
+   the node record, and the record carries its list's head, so a filled
+   mound keeps 5.25 reachable words per element (5.92 with the head in a
+   list cell of its own). Minor words per operation are what is left
+   of the protocol's own records (one witness per acquisition, one per
+   restamp and unlock, 5 words for a [Node]), so a per-acquisition
+   closure, a per-insert probe predicate, an option per probed node or
+   a boxed list head cannot creep back into the hot paths unnoticed
+   (22.4 words per insert and 219.1 per extract_min measured; 20.1 and
+   184.9 with the 4-word [{list; locked; seq}] record, 25.1 per insert
+   with a closure per insert). The insert probes draw from the calling
+   domain's [Runtime.Real.rand_int] stream, restarted before the fill
+   so that every run prints the same figures. *)
+let keys_for_budget () =
   let rng = Prng.create 7L in
-  let keys = Array.init n (fun _ -> Prng.int rng 1_000_000) in
+  Array.init (1 lsl 12) (fun _ -> Prng.int rng 1_000_000)
+
+let allocation_budget () =
+  let keys = keys_for_budget () in
+  let n = Array.length keys in
   let q = K.create () in
   Runtime.Real.reseed_self 7L;
   let w0 = Gc.minor_words () in
-  for i = 0 to n - 1 do
-    K.insert q keys.(i)
-  done;
+  Array.iter (K.insert q) keys;
   let w1 = Gc.minor_words () in
   let extracted = ref 0 in
   while K.extract_min q <> None do
@@ -116,8 +122,21 @@ let allocation_budget () =
   Printf.printf "words per op: insert %.1f, extract_min %.1f\n" per_insert
     per_extract;
   check_int "drained every key" n !extracted;
-  check "insert <= 22 words" true (per_insert <= 22.);
-  check "extract_min <= 210 words" true (per_extract <= 210.)
+  check "insert <= 23 words" true (per_insert <= 23.);
+  check "extract_min <= 220 words" true (per_extract <= 220.)
+
+let words_per_element () =
+  let keys = keys_for_budget () in
+  let q = K.create () in
+  Runtime.Real.reseed_self 7L;
+  Array.iter (K.insert q) keys;
+  let per_elem =
+    float_of_int (Obj.reachable_words (Obj.repr q))
+    /. float_of_int (Array.length keys)
+  in
+  Printf.printf "reachable words per element: %.2f\n" per_elem;
+  check_int "size" (Array.length keys) (K.size q);
+  check "<= 5.5 words per element" true (per_elem <= 5.5)
 
 let () =
   Alcotest.run "mound_lock"
@@ -139,5 +158,6 @@ let () =
           Alcotest.test_case "mirrors lock-free results" `Quick
             mirrors_lf_results;
           Alcotest.test_case "allocation budget" `Quick allocation_budget;
+          Alcotest.test_case "words per element" `Quick words_per_element;
         ] );
     ]

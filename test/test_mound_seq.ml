@@ -23,7 +23,13 @@ module Ref = struct
     let rng = Prng.create seed in
     { tree = T.create ~rand:(fun b -> Prng.int rng b) (fun () -> []); rng }
 
-  let head_compare = Mound.Intf.Sorted.head_compare compare
+  (* Lists ordered by their heads, an empty list being ⊤. *)
+  let head_compare a b =
+    match (a, b) with
+    | [], [] -> 0
+    | [], _ :: _ -> 1
+    | _ :: _, [] -> -1
+    | x :: _, y :: _ -> compare x y
 
   let rec probe_leaves ~ge t first_leaf k =
     if k = 0 then 0

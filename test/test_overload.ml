@@ -321,7 +321,7 @@ let sim_passed_deadline_insert () =
   in
   let victim q = [| (fun _ -> ignore (SL.extract_min q)) |] in
   let holds_root q =
-    (Sim.Runtime.Atomic.get (SL.T.get q.SL.tree 1)).SL.locked
+    SL.is_locked (Sim.Runtime.Atomic.get (SL.T.get q.SL.tree 1))
   in
   let published q =
     SL.fold_nodes q (fun acc _ l -> acc || List.mem 5 l) false
