@@ -93,12 +93,9 @@ let scan_fn cg writers (f : Summary.fn) : Frontend.finding list =
         | _ -> ())
       (Summary.cas_legs op)
   in
-  let projects segs =
-    match Callgraph.callee cg f segs with
-    | Some j -> (Callgraph.fn cg j).fprojects
-    | None -> []
-  in
-  Dataflow.run ~projects { Dataflow.no_hooks with h_cas } f.fbody;
+  Dataflow.run ~projects:(Callgraph.projects cg f)
+    { Dataflow.no_hooks with h_cas }
+    f.fbody;
   List.rev !findings
 
 let scan (cg : Callgraph.t) : Frontend.finding list =

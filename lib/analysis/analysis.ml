@@ -36,8 +36,8 @@ let pp_finding = Frontend.pp_finding
 
 (* The single registry every consumer derives from: [repro lint --rule]
    completion, [--list-rules] output, and the README rule table (CI
-   greps each name against it). Adding a rule means adding a row here —
-   nothing else can drift. *)
+   compares each row's name and description with it). Adding a rule
+   means adding a row here — nothing else can drift. *)
 let rule_table : (string * string) list =
   [
     ("stale-publish", "CASes back a value read from the shared structure without re-validation");

@@ -98,6 +98,11 @@ let callee t (f : Summary.fn) segs =
   | None ->
       resolve ~from_file:f.ffile t (Summary.resolve_call f.fscope segs)
 
+(* The [fprojects] of what a call of [segs] inside [f] reaches, [[]]
+   when unresolved: how {!Summary.protocol_read} sees an accessor. *)
+let projects t f segs =
+  match callee t f segs with Some j -> t.fns.(j).fprojects | None -> []
+
 let trans_effects t i = t.trans.(i)
 
 (** The lint's one definition of a CAS retry loop: a function on a

@@ -6,15 +6,16 @@
     conditionals, loops — threading an abstract state that maps local
     names to {e facts}:
 
-    - [Shared_read]: the variable holds the result of a dotted [get] on
-      an atomic location, keyed by the location's field/variable name,
+    - [Shared_read]: the variable holds the result of an atomic read
+      ({!Summary.primitive}'s [Read]: a dotted [get] with one positional
+      argument), keyed by the location's field/variable name,
       with a mutable [revalidated] flag that flips once the value's
       dirty bit or version counter is inspected — the protocol's own
       re-validation vocabulary — by a field read ([n.dirty], [n.seq],
       [s.locked], [s.version]), by a [match] pattern on such a field
       ([Node { dirty = true; _ }]), or by a call of a one-parameter
-      accessor whose summary returns only such fields ([is_dirty n],
-      {!Summary.projected_fields});
+      accessor whose summary returns only such fields ([is_dirty n]):
+      {!Summary.protocol_read};
     - [Derived]: the variable was computed from a [Shared_read] (field
       projection, pattern destructuring, or any expression containing a
       fact-carrying name) and remembers the originating location key;
@@ -23,7 +24,8 @@
       [match] ({!Summary.record_literals}), remembering whether it is
       {e stamped}: binds a version-vocabulary field
       ([seq]/[ver]/[stamp]/[epoch]) to a computed bump rather than a
-      constant or a plain copy; or a [ref], or an [Array]/[Bytes.make].
+      constant or a plain copy; or any other fresh allocation
+      ({!Summary.primitive}'s [Alloc]: a [ref], an array, [lazy]).
       Freshness is {e killed} the first time the variable is mentioned
       in any call argument: handing the value to a callee may share it.
       Hooks fire before the kill, so a CAS hook still sees the fact of
@@ -39,7 +41,7 @@
     at worst, consistent with the rest of the AST engine.
 
     Clients drive the pass with {!hooks}: callbacks fired at CAS-family
-    sites, at non-release dotted [set] sites, and at every other
+    sites, at non-release atomic stores, and at every other
     resolved call, each {e before} the site's own arguments are walked —
     so the version bump inside a CAS's fresh record ([seq = cur.seq +
     1]) does not count as re-validation of the read it is about to
@@ -57,24 +59,6 @@ and sr = { key : string; rline : int; mutable revalidated : bool }
 
 type ctx = { facts : (string, fact) Hashtbl.t }
 
-(* ---- protocol vocabulary ---------------------------------------------- *)
-
-let version_name f =
-  let f = String.lowercase_ascii f in
-  Summary.contains_sub f "seq"
-  || Summary.contains_sub f "ver"
-  || Summary.contains_sub f "stamp"
-  || Summary.contains_sub f "epoch"
-
-(* Inspecting any of these on a shared read counts as re-validating it
-   before a CAS: the dirty/locked bits and the version counter are the
-   fields the mound protocols branch on. *)
-let revalidation_name f =
-  let lf = String.lowercase_ascii f in
-  version_name f
-  || Summary.contains_sub lf "dirty"
-  || Summary.contains_sub lf "lock"
-
 (* ---- location keys ---------------------------------------------------- *)
 
 (* Same syntactic keying as {!Summary.loc_write_key}: what a function
@@ -88,21 +72,6 @@ let fact_key = function
   | Shared_read { key; _ } -> Some key
   | Derived { dkey } -> Some dkey
   | Fresh_rec _ -> None
-
-(* A record literal's fields stamped with a fresh version: some
-   version-vocab field bound to a computed expression ([seq = cur.seq +
-   1]), not a constant reset or a plain copy of the old counter. *)
-let stamped_record fields =
-  List.exists
-    (fun ((lid : Longident.t Asttypes.loc), v) ->
-      (match lid.txt with
-      | Longident.Lident f -> version_name f
-      | _ -> false)
-      &&
-      match (Summary.strip_casts v).pexp_desc with
-      | Pexp_apply (_, _) -> true
-      | _ -> false)
-    fields
 
 let rec pat_vars p =
   match p.ppat_desc with
@@ -124,7 +93,7 @@ let rec pat_inspects p =
   | Ppat_record (fields, _) ->
       List.exists
         (fun ((lid : Longident.t Asttypes.loc), _) ->
-          revalidation_name (Longident.last lid.txt))
+          Summary.revalidation_name (Longident.last lid.txt))
         fields
   | Ppat_construct (_, Some (_, q)) | Ppat_alias (q, _) | Ppat_constraint (q, _)
     ->
@@ -133,29 +102,18 @@ let rec pat_inspects p =
   | _ -> false
 
 (* First location key reachable from [e] through known facts or a
-   direct dotted [get]: the containment scan used to decide whether a
-   stored value was computed from a shared read. *)
+   direct atomic read ({!Summary.primitive}'s [Read]): the containment
+   scan used to decide whether a stored value was computed from a
+   shared read. *)
 let rec contained_key ctx e =
   let e = Summary.strip_casts e in
   match e.pexp_desc with
   | Pexp_ident { txt = Longident.Lident v; _ } ->
       Option.bind (Hashtbl.find_opt ctx.facts v) fact_key
-  | Pexp_apply (head, args) -> (
-      let direct =
-        match Summary.flatten_ident head with
-        | Some segs when List.length segs >= 2 -> (
-            match List.rev segs with
-            | "get" :: _ -> (
-                match Summary.nolabel_args args with
-                | loc :: _ -> loc_key loc
-                | [] -> None)
-            | _ -> None)
-        | _ -> None
-      in
-      match direct with
-      | Some _ as k -> k
-      | None ->
-          List.find_map (fun (_, a) -> contained_key ctx a) args)
+  | Pexp_apply (_, args) -> (
+      match Summary.primitive e with
+      | Some (Read loc) -> loc_key loc
+      | _ -> List.find_map (fun (_, a) -> contained_key ctx a) args)
   | Pexp_field (r, _) -> contained_key ctx r
   | Pexp_construct (_, a) | Pexp_variant (_, a) ->
       Option.bind a (contained_key ctx)
@@ -186,48 +144,29 @@ let rec contained_key ctx e =
 
 (* Abstract value of [e] in the current state. A fresh record
    ({!Summary.record_literals}: a literal, a constructor applied to one,
-   a [match] of them) is stamped when every literal it may be is. *)
+   a [match] of them) is stamped when every literal it may be stamps a
+   field ({!Summary.stamps}); any other fresh allocation
+   ({!Summary.primitive}'s [Alloc]) is not. *)
 let fact_of ctx e =
   let e = Summary.strip_casts e in
-  match (e.pexp_desc, Summary.record_literals e) with
-  | _, Some lits ->
-      Some (Fresh_rec { stamped = List.for_all stamped_record lits })
-  | Pexp_ident { txt = Longident.Lident v; _ }, None ->
+  match (Summary.record_literals e, Summary.primitive e, e.pexp_desc) with
+  | Some lits, _, _ ->
+      Some
+        (Fresh_rec { stamped = List.for_all (List.exists Summary.stamps) lits })
+  | None, Some (Alloc _), _ -> Some (Fresh_rec { stamped = false })
+  | None, Some (Read loc), _ ->
+      Option.map
+        (fun key ->
+          Shared_read
+            {
+              key;
+              rline = Frontend.line_of_loc e.pexp_loc;
+              revalidated = false;
+            })
+        (loc_key loc)
+  | None, _, Pexp_ident { txt = Longident.Lident v; _ } ->
       Hashtbl.find_opt ctx.facts v
-  | Pexp_field (r, _), None -> (
-      match contained_key ctx r with
-      | Some k -> Some (Derived { dkey = k })
-      | None -> None)
-  | Pexp_apply (head, args), None -> (
-      match Summary.flatten_ident head with
-      | Some [ "ref" ] when args <> [] ->
-          Some (Fresh_rec { stamped = false })
-      | Some segs when List.length segs >= 2 -> (
-          match List.rev segs with
-          | ("make" | "create" | "init") :: m :: _
-            when m = "Array" || m = "Bytes" || m = "Buffer" ->
-              Some (Fresh_rec { stamped = false })
-          | "get" :: _ -> (
-              match Summary.nolabel_args args with
-              | loc :: _ -> (
-                  match loc_key loc with
-                  | Some key ->
-                      Some
-                        (Shared_read
-                           {
-                             key;
-                             rline = Frontend.line_of_loc e.pexp_loc;
-                             revalidated = false;
-                           })
-                  | None -> None)
-              | [] -> None)
-          | _ ->
-              Option.map
-                (fun k -> Derived { dkey = k })
-                (contained_key ctx e))
-      | _ ->
-          Option.map (fun k -> Derived { dkey = k }) (contained_key ctx e))
-  | _ ->
+  | None, _, _ ->
       Option.map (fun k -> Derived { dkey = k }) (contained_key ctx e)
 
 (* ---- the walk --------------------------------------------------------- *)
@@ -264,12 +203,10 @@ let run ?(projects = fun _ -> []) (hooks : hooks) (body : expression) : unit =
         | _ -> ())
     | _ -> ()
   in
-  (* [f n] with [f] an accessor of protocol fields reads them from [n] *)
-  let accessor_read segs args =
-    match (Summary.nolabel_args args, projects segs) with
-    | [ a ], (_ :: _ as fields) when List.for_all revalidation_name fields ->
-        revalidate a
-    | _ -> ()
+  (* [n.dirty], [cur.seq], [is_dirty n]: inspecting the protocol bits
+     of a shared read re-validates it *)
+  let protocol_read e =
+    Option.iter revalidate (Summary.protocol_read ~projects e)
   in
   (* a [match] whose pattern inspects a protocol field of the scrutinee,
      or of one component of a tuple scrutinee *)
@@ -331,42 +268,24 @@ let run ?(projects = fun _ -> []) (hooks : hooks) (body : expression) : unit =
           kill_fresh ();
           List.iter (fun (_, a) -> walk a) args
         in
-        match Summary.flatten_ident head with
-        | Some segs when List.length segs >= 2 -> (
-            let last = List.nth segs (List.length segs - 1) in
-            let nargs = Summary.nolabel_args args in
-            if List.mem last Summary.cas_family then
-              fire_then_walk_args (fun () ->
-                  hooks.h_cas ctx ~line ~op:last nargs)
-            else if last = "set" then
-              match nargs with
-              | [ loc; value ] when not (Summary.is_release value) ->
-                  fire_then_walk_args (fun () ->
-                      hooks.h_set ctx ~line ~loc ~value)
-              | _ ->
-                  (* not an Atomic-shaped 2-arg set: 3-arg [Array.set]
-                     (the [a.(i) <- v] sugar) and release-shaped stores
-                     are still calls clients must see as plain writes *)
-                  fire_then_walk_args (fun () ->
-                      hooks.h_call ctx ~line ~segs nargs)
-            else begin
-              fire_then_walk_args (fun () ->
-                  hooks.h_call ctx ~line ~segs nargs);
-              accessor_read segs args
-            end)
-        | Some segs ->
+        match (Summary.primitive e, Summary.flatten_ident head) with
+        | Some (Cas (op, nargs)), _ ->
+            fire_then_walk_args (fun () -> hooks.h_cas ctx ~line ~op nargs)
+        | Some (Store (loc, value)), _ when not (Summary.is_release value) ->
+            fire_then_walk_args (fun () -> hooks.h_set ctx ~line ~loc ~value)
+        | _, Some segs ->
+            (* release stores and the 3-argument [Array.set] of the
+               [a.(i) <- v] sugar are calls like any other *)
             fire_then_walk_args (fun () ->
                 hooks.h_call ctx ~line ~segs (Summary.nolabel_args args));
-            accessor_read segs args
-        | None ->
+            protocol_read e
+        | _, None ->
             walk head;
             kill_fresh ();
             List.iter (fun (_, a) -> walk a) args)
-    | Pexp_field (r, { txt; _ }) ->
+    | Pexp_field (r, _) ->
         walk r;
-        (* [n.dirty] / [cur.seq]: inspecting the protocol bits of a
-           shared read re-validates it *)
-        if revalidation_name (Longident.last txt) then revalidate r
+        protocol_read e
     | Pexp_match (s, cases) | Pexp_try (s, cases) ->
         walk s;
         (match e.pexp_desc with

@@ -12,11 +12,11 @@
       and [Tree.expand]'s blind growth CASes from crediting a client
       loop: the client brings its own helping or backoff — the paper's
       discipline ([insert] backs off, [extract] helps via [moundify]).
-    - [alloc-in-retry]: an [Array.make]/[Array.init],
-      [Bytes.create]/[Bytes.make], [lazy] or applied [ref] in the body
-      of a retry loop allocates on every retry; hoist the fresh value
-      out of the loop. Record literals are deliberately not flagged: a
-      CAS argument must be a fresh record.
+    - [alloc-in-retry]: a fresh allocation ({!Summary.primitive}'s
+      [Alloc]: an array, bytes or buffer, a [lazy] or an applied [ref])
+      in the body of a retry loop allocates on every retry; hoist the
+      fresh value out of the loop. Record literals are deliberately not
+      flagged: a CAS argument must be a fresh record.
 
     [lib/baselines], which reproduces published third-party loops
     faithfully, and the runtime layer are exempt. *)
@@ -27,18 +27,9 @@ open Parsetree
 let allocations body =
   let out = ref [] in
   let expr it e =
-    (match e.pexp_desc with
-    | Pexp_ident { txt; loc } -> (
-        let segs = Frontend.flatten txt in
-        match List.rev segs with
-        | ("make" | "init") :: "Array" :: _
-        | ("create" | "make") :: "Bytes" :: _ ->
-            out := (Frontend.line_of_loc loc, String.concat "." segs) :: !out
-        | _ -> ())
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt = Lident "ref"; loc }; _ }, _)
-      ->
-        out := (Frontend.line_of_loc loc, "ref") :: !out
-    | Pexp_lazy _ -> out := (Frontend.line_of_loc e.pexp_loc, "lazy") :: !out
+    (match Summary.primitive e with
+    | Some (Alloc what) ->
+        out := (Frontend.line_of_loc e.pexp_loc, what) :: !out
     | _ -> ());
     Ast_iterator.default_iterator.expr it e
   in

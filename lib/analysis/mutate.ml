@@ -111,7 +111,7 @@ let catalog : op list =
     };
     {
       op_name = "drop-unlock";
-      op_descr = "delete an unlock call site";
+      op_descr = "delete a lock-release call site";
       op_rules = [];
       op_twin = None;
     };
@@ -242,31 +242,26 @@ let span_with_separator src (a, b) =
 (* Recognizers                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let segs_of_head e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (Frontend.flatten txt)
-  | _ -> None
-
 let last_seg segs = List.nth segs (List.length segs - 1)
-let prefix_str segs =
+
+(* The path an application's head names, [["R"; "Atomic"; "get"]], and
+   the module it names it in, ["R.Atomic"]. *)
+let head_path e =
+  match e.pexp_desc with
+  | Pexp_apply (head, _) ->
+      Option.value (Summary.flatten_ident head) ~default:[]
+  | _ -> []
+
+let head_prefix e =
+  let segs = head_path e in
   String.concat "." (List.filteri (fun i _ -> i < List.length segs - 1) segs)
 
-let cas_names = [ "cas"; "compare_and_set" ]
-
 (** [M.cas loc expected fresh] / [R.Atomic.compare_and_set loc old new]:
-    a dotted CAS-family application with three positional arguments. *)
+    a one-location CAS ({!Summary.primitive}), with its head's module. *)
 let cas_app e =
-  match e.pexp_desc with
-  | Pexp_apply
-      ( head,
-        [
-          (Asttypes.Nolabel, l); (Asttypes.Nolabel, x); (Asttypes.Nolabel, f);
-        ] ) -> (
-      match segs_of_head head with
-      | Some segs when List.length segs >= 2 && List.mem (last_seg segs) cas_names
-        ->
-          Some (prefix_str segs, l, x, f)
-      | _ -> None)
+  match Summary.primitive e with
+  | Some (Cas (op, [ l; x; f ])) when Summary.cas_legs op = [ (0, 1, 2) ] ->
+      Some (head_prefix e, l, x, f)
   | _ -> None
 
 (* Shapes are keyed on names regardless of case: [Backoff.Make] and
@@ -276,7 +271,7 @@ let seg_contains seg = Summary.contains_sub (String.lowercase_ascii seg)
 let app_with_head_pred e pred =
   match e.pexp_desc with
   | Pexp_apply (head, args) -> (
-      match segs_of_head head with
+      match Summary.flatten_ident head with
       | Some segs when pred segs -> Some (head, args)
       | _ -> None)
   | _ -> None
@@ -296,30 +291,6 @@ let on_exprs (p : Frontend.parsed) (f : expression -> unit) =
     }
   in
   it.structure it p.p_ast
-
-let on_type_decls (p : Frontend.parsed) (f : type_declaration -> unit) =
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      type_declaration =
-        (fun it d ->
-          f d;
-          Ast_iterator.default_iterator.type_declaration it d);
-    }
-  in
-  it.structure it p.p_ast
-
-let rec fun_body e =
-  match e.pexp_desc with
-  | Pexp_fun (_, _, _, b) -> fun_body b
-  | Pexp_newtype (_, b) -> fun_body b
-  | _ -> e
-
-let pat_var_name (pat : pattern) =
-  match pat.ppat_desc with
-  | Ppat_var { txt; _ } -> Some txt
-  | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) -> Some txt
-  | _ -> None
 
 (** Visit every expression under one subtree (a single function body,
     unlike {!on_exprs} which walks the whole file). *)
@@ -351,7 +322,7 @@ let on_binding_groups (p : Frontend.parsed)
                 List.filter_map
                   (fun vb ->
                     Option.map (fun n -> (n, vb.pvb_expr))
-                      (pat_var_name vb.pvb_pat))
+                      (Summary.pat_var vb.pvb_pat))
                   vbs
               in
               if rf = Asttypes.Recursive then f named
@@ -394,14 +365,9 @@ let sites_cas_to_set p src =
 let sites_demote_rmw p src =
   let out = ref [] in
   on_exprs p (fun e ->
-      match
-        app_with_head_pred e (fun segs ->
-            List.length segs >= 2 && last_seg segs = "fetch_and_add")
-      with
-      | Some (head, [ (Asttypes.Nolabel, l); (Asttypes.Nolabel, d) ]) ->
-          let prefix =
-            prefix_str (Option.value (segs_of_head head) ~default:[ "X" ])
-          in
+      match Summary.primitive e with
+      | Some (Rmw ("fetch_and_add", [ l; d ])) ->
+          let prefix = head_prefix e in
           out :=
             {
               s_line = line_of e;
@@ -466,14 +432,14 @@ let sites_drop_deadline p _src =
 let sites_drop_help p src =
   let out = ref [] in
   let backs_off (_, body) =
-    let bsrc = expr_src src (fun_body body) in
+    let bsrc = expr_src src (snd (Summary.fn_shape body)) in
     seg_contains bsrc "cpu_relax" || seg_contains bsrc "backoff"
   in
   on_binding_groups p (fun group ->
       if not (List.exists backs_off group) then
         List.iter
           (fun (name, body) ->
-            let b = fun_body body in
+            let b = snd (Summary.fn_shape body) in
             let self_rec = ref false in
             let helps = ref [] in
             let line = ref max_int in
@@ -508,56 +474,59 @@ let sites_drop_help p src =
           group);
   !out
 
-let stamp_fields = [ "seq"; "ver"; "stamp"; "epoch" ]
+(* The file's own call graph, and the summary of a module-level
+   binding's body: how an operator judges a call by its callee, as the
+   rules do. *)
+let file_graph p =
+  let cg = Callgraph.build (Summary.of_parsed p) in
+  let fn_of body =
+    Array.to_list (Callgraph.fns cg)
+    |> List.find_opt (fun (f : Summary.fn) -> f.fbody == body)
+  in
+  (cg, fn_of)
 
-let protocol_field f =
-  let lf = String.lowercase_ascii f in
-  List.exists (seg_contains lf) [ "seq"; "ver"; "stamp"; "epoch" ]
-  || seg_contains lf "dirty"
-  || seg_contains lf "lock"
+(* The releases ({!Summary.is_release}) the application [e] hands over:
+   its positional arguments that are one, or a CAS's fresh value. *)
+let releases e =
+  match (Summary.primitive e, e.pexp_desc) with
+  | Some (Cas (op, args)), _ ->
+      List.filter Summary.is_release (Summary.fresh_args op args)
+  | _, Pexp_apply (_, args) ->
+      List.filter Summary.is_release (Summary.nolabel_args args)
+  | _ -> []
 
-(* A branch condition that is a bare protocol-bit inspection
-   ([cur.dirty], [not n.locked]), or an accessor named for one applied
-   to the node ([is_dirty node], [not (is_dirty node)]) — the
-   re-validation read before the CAS. Guarded shapes only; a condition
-   that also performs the CAS is left alone. *)
-let rec protocol_read_cond e =
-  match e.pexp_desc with
-  | Pexp_field (_, { txt; _ }) -> (
-      match List.rev (Frontend.flatten txt) with
-      | f :: _ -> protocol_field f
-      | [] -> false)
-  | Pexp_apply
-      ( { pexp_desc = Pexp_ident { txt = Lident "not"; _ }; _ },
-        [ (Asttypes.Nolabel, a) ] ) ->
-      protocol_read_cond a
-  | Pexp_apply
-      ({ pexp_desc = Pexp_ident { txt; _ }; _ }, [ (Asttypes.Nolabel, _) ]) ->
-      protocol_field (last_seg (Frontend.flatten txt))
-  | _ -> false
-
-(* One compound mutant per function that CASes directly: every computed
-   version stamp becomes the constant [0] and every protocol-bit branch
-   condition becomes [false] — the full version discipline deleted, the
+(* One compound mutant per function that CASes directly: every version
+   stamp ({!Summary.stamps}) becomes the constant [0] and every branch
+   condition reading a protocol bit ({!Summary.protocol_read}, or its
+   negation) becomes [false] — the full version discipline deleted, the
    Unstamped_publish class re-derived in place. Both halves are needed:
    an unstamped fresh value alone stays invisible while the loop still
    re-validates [dirty]/[locked] before the CAS. *)
 let sites_drop_stamp p _src =
+  let cg, fn_of = file_graph p in
   let out = ref [] in
   on_bindings p (fun _name body ->
-      let b = fun_body body in
+      let b = snd (Summary.fn_shape body) in
       let direct_cas = ref false in
       on_sub_exprs b (fun e ->
-          match e.pexp_desc with
-          | Pexp_apply (h, _) -> (
-              match segs_of_head h with
-              | Some segs
-                when List.length segs >= 2
-                     && Summary.cas_legs (last_seg segs) <> [] ->
-                  direct_cas := true
-              | _ -> ())
+          match Summary.primitive e with
+          | Some (Cas (op, _)) when Summary.cas_legs op <> [] ->
+              direct_cas := true
           | _ -> ());
       if !direct_cas then begin
+        let projects =
+          match fn_of b with
+          | Some f -> Callgraph.projects cg f
+          | None -> fun _ -> []
+        in
+        let rec revalidates cond =
+          match cond.pexp_desc with
+          | Pexp_apply
+              ( { pexp_desc = Pexp_ident { txt = Lident "not"; _ }; _ },
+                [ (Asttypes.Nolabel, a) ] ) ->
+              revalidates a
+          | _ -> Summary.protocol_read ~projects cond <> None
+        in
         let stamps = ref [] in
         let revals = ref [] in
         let line = ref max_int in
@@ -565,19 +534,13 @@ let sites_drop_stamp p _src =
             match e.pexp_desc with
             | Pexp_record (fields, _) ->
                 List.iter
-                  (fun ((lid : Longident.t Location.loc), fe) ->
-                    if
-                      List.mem
-                        (last_seg (Frontend.flatten lid.txt))
-                        stamp_fields
-                    then
-                      match fe.pexp_desc with
-                      | Pexp_apply _ ->
-                          stamps := replace fe "0" :: !stamps;
-                          line := min !line (line_of fe)
-                      | _ -> ())
+                  (fun ((_, fe) as field) ->
+                    if Summary.stamps field then begin
+                      stamps := replace fe "0" :: !stamps;
+                      line := min !line (line_of fe)
+                    end)
                   fields
-            | Pexp_ifthenelse (cond, _, _) when protocol_read_cond cond ->
+            | Pexp_ifthenelse (cond, _, _) when revalidates cond ->
                 revals := replace cond "false" :: !revals
             | _ -> ());
         if !stamps <> [] then
@@ -595,92 +558,62 @@ let sites_drop_stamp p _src =
       end);
   !out
 
+(* The [false] literals bound to [field] in the record values [e] may
+   be ({!Summary.record_literals}). *)
+let false_fields field e =
+  List.concat_map
+    (List.filter_map (fun ((lid : Longident.t Location.loc), fe) ->
+         if Longident.last lid.txt = field && Summary.is_bool_lit false fe
+         then Some fe
+         else None))
+    (Option.value (Summary.record_literals e) ~default:[])
+
 (* Two shapes, matching the two mounds' completion protocols.
 
-   Lock-free: per function, flip every [dirty = false] literal inside a
-   CAS-family fresh argument ({!Summary.record_literals}: through a
+   Lock-free: per function, flip every [dirty = false] literal of a
+   CAS-family fresh value ({!Summary.record_literals}: through a
    constructor and the arms of a [match]) to [true] — the function's
    completing CASes stop completing, so every retry loop reaching it
    loses its transitive [helps] and static-retry resurfaces. Per-field
    flips are useless here: one intact completing store keeps [helps]
    true.
 
-   Locking: flip every [locked = false] literal of an [unlock]'s
-   release to [true] in place, one mutant per function (a release
-   writing either node shape has one literal per shape) — the release
-   never releases. No static rule sees it; a locking path that stops
-   releasing is a liveness defect. *)
+   Locking: per function that hands a release over ({!releases}), flip
+   the [locked = false] literal of every release it hands over to
+   [true] in place, one mutant per function (a release writing either
+   node shape has one literal per shape) — the release never releases.
+   No static rule sees it; a locking path that stops releasing is a
+   liveness defect. *)
 let sites_drop_completion p _src =
-  (* the [false] literals bound to [names] in one record literal *)
-  let false_fields names fields =
-    List.filter_map
-      (fun ((lid : Longident.t Location.loc), fe) ->
-        if
-          List.mem (last_seg (Frontend.flatten lid.txt)) names
-          && Summary.is_bool_lit false fe
-        then Some fe
-        else None)
-      fields
-  in
   let out = ref [] in
   on_bindings p (fun name body ->
-      let b = fun_body body in
+      let b = snd (Summary.fn_shape body) in
       let flips = ref [] in
-      let line = ref max_int in
+      let released = ref [] in
       on_sub_exprs b (fun e ->
-          match e.pexp_desc with
-          | Pexp_apply (h, args) -> (
-              match segs_of_head h with
-              | Some segs
-                when List.length segs >= 2
-                     && Summary.cas_legs (last_seg segs) <> [] ->
-                  List.iter
-                    (fun a ->
-                      List.iter
-                        (fun fields ->
-                          List.iter
-                            (fun fe ->
-                              flips := replace fe "true" :: !flips;
-                              line := min !line (line_of fe))
-                            (false_fields [ "dirty"; "locked" ] fields))
-                        (Option.value (Summary.record_literals a) ~default:[]))
-                    (Summary.nolabel_args args)
-              | _ -> ())
+          (match Summary.primitive e with
+          | Some (Cas (op, args)) ->
+              flips :=
+                !flips
+                @ List.concat_map (false_fields "dirty")
+                    (Summary.fresh_args op args)
           | _ -> ());
-      if !flips <> [] then
-        out :=
-          {
-            s_line = !line;
-            s_note =
-              Printf.sprintf
-                "%d completing stores in %s no longer publish clean"
-                (List.length !flips) name;
-            s_edits = !flips;
-          }
-          :: !out;
-      if seg_contains name "unlock" then begin
-        let releases = ref [] in
-        on_sub_exprs b (fun e ->
-            match e.pexp_desc with
-            | Pexp_record (fields, _) ->
-                List.iter
-                  (fun fe -> releases := fe :: !releases)
-                  (false_fields [ "locked" ] fields)
-            | _ -> ());
-        if !releases <> [] then
+          released :=
+            !released @ List.concat_map (false_fields "locked") (releases e));
+      let site note fes =
+        if fes <> [] then
           out :=
             {
-              s_line = List.fold_left (fun l fe -> min l (line_of fe)) max_int
-                  !releases;
-              s_note =
-                Printf.sprintf
-                  "%d release stores in %s flipped to locked = true: never \
-                   unlocks"
-                  (List.length !releases) name;
-              s_edits = List.map (fun fe -> replace fe "true") !releases;
+              s_line =
+                List.fold_left (fun l fe -> min l (line_of fe)) max_int fes;
+              s_note = Printf.sprintf note (List.length fes) name;
+              s_edits = List.map (fun fe -> replace fe "true") fes;
             }
             :: !out
-      end);
+      in
+      site "%d completing stores in %s no longer publish clean" !flips;
+      site "%d release stores in %s flipped to locked = true: never unlocks"
+        !released);
   !out
 
 let sites_stale_republish p src =
@@ -809,12 +742,23 @@ let sites_swap_lock_order p src =
   !out
 
 (* Delete one release call in a function that takes node locks through
-   [set_lock_until]: the path then returns still holding the node. No
-   static rule sees it; the defect is a liveness one. *)
+   [set_lock_until]: the path then returns still holding the node. A
+   release call hands a release over ({!releases}), or calls a function
+   of the file whose body does ([unlock], which hands its record to
+   [restamp]). No static rule sees the defect; it is a liveness one. *)
 let sites_drop_unlock p _src =
+  let cg, fn_of = file_graph p in
+  let releasing =
+    Array.map
+      (fun (f : Summary.fn) ->
+        let found = ref false in
+        on_sub_exprs f.fbody (fun e -> if releases e <> [] then found := true);
+        !found)
+      (Callgraph.fns cg)
+  in
   let out = ref [] in
   on_bindings p (fun _name body ->
-      let b = fun_body body in
+      let b = snd (Summary.fn_shape body) in
       let tracked = ref false in
       on_sub_exprs b (fun e ->
           match
@@ -822,93 +766,88 @@ let sites_drop_unlock p _src =
           with
           | Some _ -> tracked := true
           | None -> ());
-      if !tracked then
-        on_sub_exprs b (fun e ->
-            match
-              app_with_head_pred e (fun segs ->
-                  seg_contains (last_seg segs) "unlock")
-            with
-            | Some _ ->
+      match fn_of b with
+      | Some f when !tracked ->
+          on_sub_exprs b (fun e ->
+              let release_call =
+                match e.pexp_desc with
+                | Pexp_apply (head, _) -> (
+                    releases e <> []
+                    ||
+                    match
+                      Option.bind (Summary.flatten_ident head)
+                        (Callgraph.callee cg f)
+                    with
+                    | Some j -> releasing.(j)
+                    | None -> false)
+                | _ -> false
+              in
+              if release_call then
                 out :=
                   {
                     s_line = line_of e;
                     s_note = "unlock call deleted";
                     s_edits = [ replace e "()" ];
                   }
-                  :: !out
-            | None -> ()));
+                  :: !out)
+      | _ -> ());
   !out
 
-let is_pad name =
-  String.length name >= 3 && String.lowercase_ascii (String.sub name 0 3) = "pad"
-
+(* Every record the file declares ({!File_rules.on_record_fields}), and
+   each of its fields that [layout] reads as a pad ({!Layout.is_pad}). *)
 let sites_drop_pad p src =
   let out = ref [] in
-  on_type_decls p (fun d ->
-      match d.ptype_kind with
-      | Ptype_record labels ->
-          List.iter
-            (fun (l : label_declaration) ->
-              if is_pad l.pld_name.txt then begin
-                let decl_span =
-                  span_with_separator src (span_of_loc l.pld_loc)
-                in
-                let literal_edits = ref [] in
-                on_exprs p (fun e ->
-                    match e.pexp_desc with
-                    | Pexp_record (fields, _) ->
-                        List.iter
-                          (fun ((lid : Longident.t Location.loc), fe) ->
-                            if
-                              last_seg (Frontend.flatten lid.txt)
-                              = l.pld_name.txt
-                            then
-                              let a, _ = span_of_loc lid.loc in
-                              let _, b = span_of_loc fe.pexp_loc in
-                              let a, b = span_with_separator src (a, b) in
-                              literal_edits :=
-                                { e_start = a; e_stop = b; e_text = "" }
-                                :: !literal_edits)
-                          fields
-                    | _ -> ());
-                out :=
+  File_rules.on_record_fields p (fun ~ty:_ _ labels ->
+      List.iter
+        (fun (l : label_declaration) ->
+          if Layout.is_pad l.pld_name.txt then begin
+            let decl_span = span_with_separator src (span_of_loc l.pld_loc) in
+            let literal_edits = ref [] in
+            on_exprs p (fun e ->
+                match e.pexp_desc with
+                | Pexp_record (fields, _) ->
+                    List.iter
+                      (fun ((lid : Longident.t Location.loc), fe) ->
+                        if Longident.last lid.txt = l.pld_name.txt then
+                          let a, _ = span_of_loc lid.loc in
+                          let _, b = span_of_loc fe.pexp_loc in
+                          let a, b = span_with_separator src (a, b) in
+                          literal_edits :=
+                            { e_start = a; e_stop = b; e_text = "" }
+                            :: !literal_edits)
+                      fields
+                | _ -> ());
+            out :=
+              {
+                s_line = Frontend.line_of_loc l.pld_loc;
+                s_note = l.pld_name.txt ^ " field deleted";
+                s_edits =
                   {
-                    s_line = Frontend.line_of_loc l.pld_loc;
-                    s_note = l.pld_name.txt ^ " field deleted";
-                    s_edits =
-                      {
-                        e_start = fst decl_span;
-                        e_stop = snd decl_span;
-                        e_text = "";
-                      }
-                      :: !literal_edits;
+                    e_start = fst decl_span;
+                    e_stop = snd decl_span;
+                    e_text = "";
                   }
-                  :: !out
-              end)
-            labels
-      | _ -> ());
+                  :: !literal_edits;
+              }
+              :: !out
+          end)
+        labels);
   !out
 
 let sites_demote_atomic_get p _src =
   let out = ref [] in
   on_exprs p (fun e ->
-      match e.pexp_desc with
-      | Pexp_apply (head, _) -> (
-          match segs_of_head head with
-          | Some segs
-            when List.length segs >= 2
-                 && last_seg segs = "get"
-                 && List.exists (fun s -> s = "Atomic") segs ->
-              let a, b = span_of_loc head.pexp_loc in
-              out :=
-                {
-                  s_line = line_of e;
-                  s_note = "Runtime read demoted to Stdlib.Atomic.get";
-                  s_edits =
-                    [ { e_start = a; e_stop = b; e_text = "Stdlib.Atomic.get" } ];
-                }
-                :: !out
-          | _ -> ())
+      match (Summary.primitive e, e.pexp_desc) with
+      | Some (Read _), Pexp_apply (head, _) when List.mem "Atomic" (head_path e) ->
+          let a, b = span_of_loc head.pexp_loc in
+          out :=
+            {
+              s_line = line_of e;
+              s_note = "Runtime read demoted to Stdlib.Atomic.get";
+              s_edits =
+                [ { e_start = a; e_stop = b; e_text = "Stdlib.Atomic.get" } ];
+            }
+            :: !out
       | _ -> ());
   !out
 
@@ -940,7 +879,7 @@ let sites_alloc_in_retry (p : Frontend.parsed) src =
           | Pstr_value (Asttypes.Recursive, vbs) ->
               List.iter
                 (fun vb ->
-                  let body = fun_body vb.pvb_expr in
+                  let body = snd (Summary.fn_shape vb.pvb_expr) in
                   if has_cas body then begin
                     let a, _ = span_of_loc body.pexp_loc in
                     if not (List.mem a !seen) then begin
@@ -1013,10 +952,8 @@ let sites_drop_waiver (p : Frontend.parsed) _src =
 let sites_drop_size_update p src =
   let out = ref [] in
   on_exprs p (fun e ->
-      match
-        app_with_head_pred e (fun segs -> last_seg segs = "fetch_and_add")
-      with
-      | Some (_, (Asttypes.Nolabel, l) :: _) ->
+      match Summary.primitive e with
+      | Some (Rmw ("fetch_and_add", l :: _)) ->
           let ls = String.lowercase_ascii (expr_src src l) in
           if
             List.exists (fun w -> seg_contains ls w) [ "size"; "count" ]
@@ -1034,13 +971,8 @@ let sites_drop_size_update p src =
 let sites_drop_top_refresh p _src =
   let out = ref [] in
   on_exprs p (fun e ->
-      match
-        app_with_head_pred e (fun segs ->
-            List.length segs >= 2
-            && last_seg segs = "set"
-            && List.exists (fun s -> s = "Atomic") segs)
-      with
-      | Some (_, (Asttypes.Nolabel, l) :: _) -> (
+      match Summary.primitive e with
+      | Some (Store (l, _)) when List.mem "Atomic" (head_path e) -> (
           match l.pexp_desc with
           | Pexp_field (_, { txt; _ })
             when seg_contains (last_seg (Frontend.flatten txt)) "top" ->

@@ -3,15 +3,17 @@
     For every function defined in a file — top-level, nested in modules
     and functors, or [let]-bound inside another function — this module
     records where it is, what it calls, and which primitive {e effect
-    sites} its body contains:
+    sites} its body contains. Every shared-memory primitive is
+    recognized once, by {!primitive}, which the lint rules and the
+    mutation operators all classify an application with:
 
-    - {e performs-CAS}: a dotted call whose final component is one of the
-      CAS family ([cas], [dcas], [dcss], [casn], [compare_and_set]).
-      The site is {e blind} when its result is statically discarded
-      ([ignore (...)], [let _ =], sequence position, a loop body) — the
-      one-shot completion idiom of {!Mcas.rdcss_complete} and
-      {!Tree.expand}: any thread may fire it, exactly one takes effect,
-      nobody retries on its account — and {e observed} otherwise;
+    - {e performs-CAS}: a CAS-family operation ([cas], [dcas], [dcss],
+      [casn], [compare_and_set]). The site is {e blind} when its result
+      is statically discarded ([ignore (...)], [let _ =], sequence
+      position, a loop body) — the one-shot completion idiom of
+      {!Mcas.rdcss_complete} and {!Tree.expand}: any thread may fire
+      it, exactly one takes effect, nobody retries on its account — and
+      {e observed} otherwise;
     - {e helps}: a completing CAS whose fresh value is a record literal
       carrying [dirty = false] (the moundify idiom, recognized by shape
       rather than by the callee's name), seen through a constructor
@@ -19,7 +21,7 @@
       ({!record_literals});
     - {e backs-off}: a call to [cpu_relax] (every backoff primitive in
       the tree bottoms out there);
-    - {e writes-nonatomically}: a dotted two-argument [set] that is not
+    - {e writes-nonatomically}: an atomic store ([X.set loc v]) that is not
       a lock release ({!is_release}).
 
     Calls are resolved through lexical scope — [let]-bound inner
@@ -30,13 +32,15 @@
     to the nested function {e and} folded into its host, so a wrapper
     whose loop lives in an inner [let rec] still summarizes truthfully.
 
-    [publishes] lists the parameters the function forwards into a CAS
-    fresh-value position ({!Lf_mound}'s [cas_reusing]/[dcss_reusing]
-    take the fresh record as an argument), letting the publication
-    analysis treat such wrappers as publication sites. [projects] lists
-    the fields a one-parameter accessor returns ([is_dirty], reading a
-    node's dirty bit), so {!Dataflow} can count a call of one as a read
-    of that field. *)
+    [publishes] lists the positional parameters the function forwards
+    into a CAS fresh-value position ({!Lf_mound}'s [cas_reusing]/
+    [dcss_reusing] take the fresh record as an argument), letting the
+    publication analysis treat such wrappers as publication sites.
+    [projects] lists the fields a one-parameter accessor returns
+    ([is_dirty], reading a node's dirty bit), so {!Dataflow} can count a
+    call of one as a read of that field. [touches] and [rmw] are what
+    {!Layout} reads: the field names the body reads or assigns, and
+    whether it calls a primitive RMW. *)
 
 open Parsetree
 
@@ -88,6 +92,8 @@ type fn = {
          CAS-target and dotted-[set] location names ([root], [slot]…) —
          so the ABA analysis can ask which locations are recycled by
          more than one function *)
+  ftouches : string list;  (* record field names read or assigned *)
+  frmw : bool;  (* performs a primitive RMW ({!primitive}'s [Rmw]) *)
   fbody : expression;
   fscope : scope;
       (* lexical scope at the function's entry, for re-resolving call
@@ -121,6 +127,11 @@ let cas_legs = function
   | "dcas" -> [ (0, 1, 2); (3, 4, 5) ]
   | _ -> []
 
+(* The freshly published values among a CAS-family operation's
+   positional arguments. *)
+let fresh_args op args =
+  List.filter_map (fun (_, _, f) -> List.nth_opt args f) (cas_legs op)
+
 (* ---- small AST probes -------------------------------------------------- *)
 
 let rec strip_casts e =
@@ -131,6 +142,55 @@ let rec strip_casts e =
 let flatten_ident e =
   match (strip_casts e).pexp_desc with
   | Pexp_ident { txt; _ } -> Some (Frontend.flatten txt)
+  | _ -> None
+
+let nolabel_args args =
+  List.filter_map
+    (fun (lbl, e) -> if lbl = Asttypes.Nolabel then Some e else None)
+    args
+
+(* ---- shared-memory primitives ------------------------------------------ *)
+
+type prim =
+  | Read of expression  (** [X.get loc]: exactly one positional argument *)
+  | Store of expression * expression
+      (** [X.set loc v]: exactly two; [a.(i) <- v] desugars to the
+          three-argument [Array.set], a plain heap write *)
+  | Cas of string * expression list
+      (** a CAS-family operation and its positional arguments, laid out
+          as {!cas_legs} says *)
+  | Rmw of string * expression list  (** [fetch_and_add], [exchange] *)
+  | Relax  (** [cpu_relax]: every backoff bottoms out there *)
+  | Alloc of string  (** a fresh mutable value, named as written *)
+
+(* Which primitive [e] performs, if any: the one recognizer of the
+   shared-memory operations behind the summaries, the {!Dataflow} pass,
+   {!Layout}, {!Helping} and the mutation operators. Read, store, CAS
+   and RMW are dotted ([R.Atomic.get], [Cell.cas]); a bare [get] or
+   [set] is some local function. *)
+let primitive e =
+  match e.pexp_desc with
+  | Pexp_lazy _ -> Some (Alloc "lazy")
+  | Pexp_apply (head, args) -> (
+      match flatten_ident head with
+      | None -> None
+      | Some segs -> (
+          let nargs = nolabel_args args in
+          match (List.rev segs, nargs) with
+          | "cpu_relax" :: _, _ -> Some Relax
+          | [ "ref" ], _ -> Some (Alloc "ref")
+          | ( ("make" | "init") :: "Array" :: _
+            | ("make" | "init" | "create") :: "Bytes" :: _
+            | "create" :: "Buffer" :: _ ),
+            _ ->
+              Some (Alloc (String.concat "." segs))
+          | [ _ ], _ -> None
+          | "get" :: _, [ loc ] -> Some (Read loc)
+          | "set" :: _, [ loc; v ] -> Some (Store (loc, v))
+          | (("fetch_and_add" | "exchange") as op) :: _, _ ->
+              Some (Rmw (op, nargs))
+          | op :: _, _ when List.mem op cas_family -> Some (Cas (op, nargs))
+          | _ -> None))
   | _ -> None
 
 (* The variable at the root of [v], [v.f], [v.f.g] — how forwarded
@@ -213,6 +273,46 @@ let record_sets_field field b e =
    site and no {!Dataflow} [h_set]. *)
 let is_release v = record_sets_field "locked" false v || is_bool_lit false v
 
+(* ---- protocol field vocabulary ----------------------------------------- *)
+
+(* A version counter's field name: [seq], [ver], [stamp], [epoch]. *)
+let version_name f =
+  let f = String.lowercase_ascii f in
+  contains_sub f "seq" || contains_sub f "ver" || contains_sub f "stamp"
+  || contains_sub f "epoch"
+
+(* A record field that stamps a fresh version: a version-vocabulary
+   field bound to a computed expression ([seq = cur.seq + 1]), not a
+   constant reset or a plain copy of the old counter. *)
+let stamps ((lid : Longident.t Asttypes.loc), v) =
+  version_name (Longident.last lid.txt)
+  && match (strip_casts v).pexp_desc with Pexp_apply _ -> true | _ -> false
+
+(* The fields the mound protocols branch on before a CAS: the
+   dirty/locked bits and the version counter. *)
+let revalidation_name f =
+  let lf = String.lowercase_ascii f in
+  version_name f || contains_sub lf "dirty" || contains_sub lf "lock"
+
+(* [Some v] when [e] reads a protocol field of [v]: [v.dirty], [v.seq],
+   or a call of a one-parameter accessor whose summary returns only such
+   fields ([is_dirty v]; [projects] maps a call's path to the callee's
+   [fprojects]). What {!Dataflow} counts as re-validating a shared read
+   and the [drop-stamp] operator deletes. *)
+let protocol_read ~projects e =
+  match (strip_casts e).pexp_desc with
+  | Pexp_field (r, { txt; _ }) when revalidation_name (Longident.last txt) ->
+      Some r
+  | Pexp_apply (head, args) -> (
+      match (flatten_ident head, nolabel_args args) with
+      | Some segs, [ a ] -> (
+          match projects segs with
+          | _ :: _ as fields when List.for_all revalidation_name fields ->
+              Some a
+          | _ -> None)
+      | _ -> None)
+  | _ -> None
+
 let pat_var p =
   match p.ppat_desc with
   | Ppat_var { txt; _ } -> Some txt
@@ -237,17 +337,17 @@ let idents_of e =
   it.expr it e;
   !out
 
-(* Unwrap a binding's function structure: parameter patterns (in order)
-   and the innermost body. A [function]-style body contributes one
-   anonymous parameter. *)
+(* Unwrap a binding's function structure: parameter patterns (in order,
+   with their labels) and the innermost body. A [function]-style body
+   contributes one anonymous parameter. *)
 let rec fn_shape e =
   match e.pexp_desc with
-  | Pexp_fun (_, _, pat, body) ->
+  | Pexp_fun (lbl, _, pat, body) ->
       let params, inner = fn_shape body in
-      (Option.value (pat_var pat) ~default:"_" :: params, inner)
+      ((lbl, Option.value (pat_var pat) ~default:"_") :: params, inner)
   | Pexp_newtype (_, body) -> fn_shape body
   | Pexp_constraint (body, _) -> fn_shape body
-  | Pexp_function _ -> ([ "_" ], e)
+  | Pexp_function _ -> ([ (Asttypes.Nolabel, "_") ], e)
   | _ -> ([], e)
 
 (* The record fields whose value [pat] binds to the variable [v]:
@@ -331,12 +431,25 @@ type collector = {
   mutable publishes : int list;
   mutable writes : string list;
   mutable out : fn list;  (* nested functions, innermost first *)
+  mutable touched : string list;
+  mutable prim_rmw : bool;
+      (* [layout] pairs fields with touching functions by name across
+         files: a field called [rmw] would pair with [lib/chaos]'s CAS
+         counters and flag this record *)
 }
 
-let nolabel_args args =
-  List.filter_map
-    (fun (lbl, e) -> if lbl = Asttypes.Nolabel then Some e else None)
-    args
+let new_collector () =
+  {
+    calls = [];
+    eff = no_effects;
+    publishes = [];
+    writes = [];
+    out = [];
+    touched = [];
+    prim_rmw = false;
+  }
+
+let add_new x l = if List.mem x l then l else x :: l
 
 let param_index params v =
   let rec go i = function
@@ -367,66 +480,48 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
         args;
       match flatten_ident head with
       | None -> self false head
-      | Some segs ->
-          let last = List.nth segs (List.length segs - 1) in
-          let dotted = List.length segs >= 2 in
+      | Some segs -> (
           let resolved = resolve_call scope segs in
           let line = Frontend.line_of_loc expr.pexp_loc in
           col.calls <- { callee = resolved; call_line = line } :: col.calls;
-          let nargs = nolabel_args args in
-          let arg i = List.nth_opt nargs i in
-          if dotted && List.mem last cas_family then begin
-            col.eff <-
-              {
-                col.eff with
-                performs_cas = true;
-                observes_cas = col.eff.observes_cas || not disc;
-                blind_cas = col.eff.blind_cas || disc;
-              };
-            let legs = cas_legs last in
-            List.iter
-              (fun (l, _, _) ->
-                match Option.bind (arg l) loc_write_key with
-                | Some k when not (List.mem k col.writes) ->
-                    col.writes <- k :: col.writes
-                | _ -> ())
-              legs;
-            let fresh_args = List.filter_map (fun (_, _, f) -> arg f) legs in
-            (* completing CAS: publishes a clean record *)
-            if List.exists (record_sets_field "dirty" false) fresh_args then
-              col.eff <- { col.eff with helps = true };
-            (* params forwarded as the fresh value *)
-            List.iter
-              (fun e ->
-                match base_var (strip_casts e) with
-                | Some v -> (
-                    match ((strip_casts e).pexp_desc, param_index params v)
-                    with
-                    | Pexp_ident _, Some i
-                      when not (List.mem i col.publishes) ->
-                        col.publishes <- i :: col.publishes
-                    | _ -> ())
-                | None -> ())
-              fresh_args
-          end
-          else if dotted && last = "set" && List.length nargs = 2 then begin
-            (* exactly [X.set loc v] — the atomic-store shape; [a.(i) <-
-               x] desugars to the 3-argument [Array.set] and is a plain
-               heap write, not a shared-location store *)
-            (match arg 0 with
-            | Some loc_e -> (
-                match loc_write_key loc_e with
-                | Some k when not (List.mem k col.writes) ->
-                    col.writes <- k :: col.writes
-                | _ -> ())
-            | None -> ());
-            match arg 1 with
-            | Some v when not (is_release v) ->
+          let write loc =
+            Option.iter
+              (fun k -> col.writes <- add_new k col.writes)
+              (loc_write_key loc)
+          in
+          match primitive expr with
+          | Some (Cas (op, nargs)) ->
+              col.eff <-
+                {
+                  col.eff with
+                  performs_cas = true;
+                  observes_cas = col.eff.observes_cas || not disc;
+                  blind_cas = col.eff.blind_cas || disc;
+                };
+              List.iter
+                (fun (l, _, _) -> Option.iter write (List.nth_opt nargs l))
+                (cas_legs op);
+              let fresh = fresh_args op nargs in
+              (* completing CAS: publishes a clean record *)
+              if List.exists (record_sets_field "dirty" false) fresh then
+                col.eff <- { col.eff with helps = true };
+              (* params forwarded as the fresh value *)
+              List.iter
+                (fun e ->
+                  match (strip_casts e).pexp_desc with
+                  | Pexp_ident { txt = Lident v; _ } ->
+                      Option.iter
+                        (fun i -> col.publishes <- add_new i col.publishes)
+                        (param_index params v)
+                  | _ -> ())
+                fresh
+          | Some (Store (loc, v)) ->
+              write loc;
+              if not (is_release v) then
                 col.eff <- { col.eff with writes_nonatomically = true }
-            | _ -> ()
-          end
-          else if last = "cpu_relax" then
-            col.eff <- { col.eff with backs_off = true })
+          | Some Relax -> col.eff <- { col.eff with backs_off = true }
+          | Some (Rmw _) -> col.prim_rmw <- true
+          | Some (Read _ | Alloc _) | None -> ()))
   | Pexp_let (_, vbs, cont) ->
       List.iter
         (fun vb ->
@@ -452,29 +547,16 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
                    parameters: a fresh value an inner closure forwards
                    from a parameter the host received makes the host
                    itself the publisher *)
-                let col2 =
-                  {
-                    calls = [];
-                    eff = no_effects;
-                    publishes = [];
-                    writes = [];
-                    out = [];
-                  }
-                in
+                let col2 = new_collector () in
                 walk ~file ~scope:inner_scope ~params ~fnpath col2 false
                   vb.pvb_expr;
                 col.eff <- union_effects col.eff col2.eff;
                 col.calls <- List.rev_append col2.calls col.calls;
-                List.iter
-                  (fun p ->
-                    if not (List.mem p col.publishes) then
-                      col.publishes <- p :: col.publishes)
-                  col2.publishes;
-                List.iter
-                  (fun k ->
-                    if not (List.mem k col.writes) then
-                      col.writes <- k :: col.writes)
-                  col2.writes
+                col.publishes <-
+                  List.fold_right add_new col2.publishes col.publishes;
+                col.writes <- List.fold_right add_new col2.writes col.writes;
+                col.touched <- List.fold_right add_new col2.touched col.touched;
+                col.prim_rmw <- col.prim_rmw || col2.prim_rmw
               end
               else
                 match flatten_ident vb.pvb_expr with
@@ -520,8 +602,17 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
       Option.iter (self disc) e
   | Pexp_match (s, cases) | Pexp_try (s, cases) ->
       self false s;
-      List.iter (fun c -> self disc c.pc_rhs) cases
-  | Pexp_function cases -> List.iter (fun c -> self false c.pc_rhs) cases
+      List.iter
+        (fun c ->
+          Option.iter (self false) c.pc_guard;
+          self disc c.pc_rhs)
+        cases
+  | Pexp_function cases ->
+      List.iter
+        (fun c ->
+          Option.iter (self false) c.pc_guard;
+          self false c.pc_rhs)
+        cases
   | Pexp_fun (_, _, _, body) -> self false body
   | Pexp_while (c, b) ->
       self false c;
@@ -530,10 +621,14 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
       self false a;
       self false b;
       self true body
-  | Pexp_setfield (r, _, v) ->
+  | Pexp_setfield (r, { txt; _ }, v) ->
+      col.touched <- add_new (Longident.last txt) col.touched;
       self false r;
       self false v
-  | Pexp_field (e, _) | Pexp_newtype (_, e) | Pexp_constraint (e, _)
+  | Pexp_field (e, { txt; _ }) ->
+      col.touched <- add_new (Longident.last txt) col.touched;
+      self false e
+  | Pexp_newtype (_, e) | Pexp_constraint (e, _)
   | Pexp_coerce (e, _, _) | Pexp_open (_, e) | Pexp_assert e | Pexp_lazy e ->
       self false e
   | Pexp_record (fields, base) ->
@@ -557,7 +652,8 @@ let rec walk ~file ~scope ~params ~fnpath col disc expr =
 (* Summarize one function binding; returns the function followed by its
    nested functions. *)
 and collect_fn ~file ~scope ~fnpath ~line e : fn list =
-  let params, body = fn_shape e in
+  let labelled, body = fn_shape e in
+  let params = List.map snd labelled in
   (* a parameter shadows every same-named function: a call through it
      ([ge leaf] with [~ge] passed in) resolves to nothing, the empty
      path, instead of to a module-level [ge] *)
@@ -569,16 +665,15 @@ and collect_fn ~file ~scope ~fnpath ~line e : fn list =
         @ scope.venv;
     }
   in
-  let col =
-    {
-      calls = [];
-      eff = no_effects;
-      publishes = [];
-      writes = [];
-      out = [];
-    }
+  (* [fpublishes] indexes positional arguments, as a call site's
+     {!nolabel_args} do: a labelled parameter takes no position *)
+  let positional =
+    List.filter_map
+      (fun (l, p) -> if l = Asttypes.Nolabel then Some p else None)
+      labelled
   in
-  walk ~file ~scope ~params ~fnpath col false body;
+  let col = new_collector () in
+  walk ~file ~scope ~params:positional ~fnpath col false body;
   {
     fpath = fnpath;
     ffile = file;
@@ -588,6 +683,8 @@ and collect_fn ~file ~scope ~fnpath ~line e : fn list =
     fpublishes = List.sort compare col.publishes;
     fprojects = projected_fields params body;
     fwrites = List.sort_uniq compare col.writes;
+    ftouches = col.touched;
+    frmw = col.prim_rmw;
     fbody = body;
     fscope = scope;
   }

@@ -139,12 +139,6 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       | Node { hd; tl; _ } ->
           Node { hd; tl; locked = false; seq = stamp witness + 1 })
 
-  (* Release the held [slot] by installing [fresh], an unlocked record
-     the caller built: [put]'s publishing write. It is a release and is
-     named as one, because the lock mutation operators find releases by
-     name (DESIGN.md §14.2). *)
-  let unlock_with t slot ~witness fresh = restamp t slot ~witness fresh
-
   (* Consecutive failed acquisitions of one [set_lock] call before the
      wait is counted as a livelock near miss (sustained non-progress that
      eventually resolved — the dynamic shadow of the liveness checker). *)
@@ -368,7 +362,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       end
       else if head_ge w hd then
         if
-          unlock_with t cslot ~witness:w
+          restamp t cslot ~witness:w
             (Node
                {
                  hd;
@@ -399,7 +393,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
         end
         else if head_ge wc hd && head_le wp hd then begin
           let published =
-            unlock_with t cslot ~witness:wc
+            restamp t cslot ~witness:wc
               (Node
                  {
                    hd;

@@ -53,6 +53,25 @@ let test_post_publish_mutation () =
   check_count "mutating a local fresh record fine" 0
     (with_rule "post-publish-mutation" (scan "lib/core/x.ml" local))
 
+(* An atomic read is a dotted [get] with one positional argument:
+   [ctxs.(d)] is the two-argument [Array.get], a plain heap read, so a
+   write through what it returns mutates no shared record. *)
+let test_array_element_is_no_shared_read () =
+  let element =
+    "let step ctxs d =\n\
+    \  let c = ctxs.(d) in\n\
+    \  c.count <- c.count + 1\n"
+  in
+  check_count "a write through an array element fine" 0
+    (with_rule "post-publish-mutation" (scan "lib/core/x.ml" element));
+  let read =
+    "let step slot =\n\
+    \  let c = R.Atomic.get slot in\n\
+    \  c.count <- c.count + 1\n"
+  in
+  check_count "the same write through an atomic read flagged" 1
+    (with_rule "post-publish-mutation" (scan "lib/core/x.ml" read))
+
 (* A function that forwards a parameter into a CAS fresh slot (the
    [Summary] [publishes] fact: {!Lf_mound}'s [cas_reusing] shape) is a
    publication site for that argument, whether it is a module-level
@@ -83,6 +102,23 @@ let test_publish_through_local_helper () =
     (List.map
        (fun f -> f.Analysis.line)
        (with_rule "stale-publish" (scan "lib/core/x.ml" local)))
+
+(* A wrapper's published parameter is numbered among its positional
+   parameters only, as a call site's arguments are: [Lock_mound.restamp]
+   and [unlock] take the witness by label. *)
+let test_publish_through_labelled_wrapper () =
+  let labelled =
+    "let pub slot ~witness fresh = R.Atomic.compare_and_set slot witness \
+     fresh\n\n\
+     let mark slot =\n\
+    \  let cur = R.Atomic.get slot in\n\
+    \  ignore (pub slot ~witness:cur cur)\n"
+  in
+  Alcotest.(check (list int))
+    "a shared read handed to a labelled wrapper's fresh slot" [ 5 ]
+    (List.map
+       (fun f -> f.Analysis.line)
+       (with_rule "stale-publish" (scan "lib/core/x.ml" labelled)))
 
 let test_mutation_after_wrapper_publish () =
   let mutate =
@@ -620,6 +656,24 @@ let test_layout () =
   check_count "no contention source fine" 0
     (with_rule "layout" (scan "lib/core/x.ml" cold_touchers))
 
+(* [layout] walks the inline records of variant constructors too: two
+   adjacent atomics of a [Node] record, each CASed by its own function. *)
+let test_layout_inline_record () =
+  let src =
+    "type node = Leaf | Node of { a : int R.Atomic.t; b : int R.Atomic.t }\n\n\
+     let push = function\n\
+    \  | Node n -> ignore (R.Atomic.compare_and_set n.a 0 1)\n\
+    \  | Leaf -> ()\n\n\
+     let pop = function\n\
+    \  | Node n -> ignore (R.Atomic.compare_and_set n.b 0 1)\n\
+    \  | Leaf -> ()\n"
+  in
+  Alcotest.(check (list string))
+    "the inline record's adjacent atomics flagged" [ "node.Node" ]
+    (List.map
+       (fun f -> List.nth (String.split_on_char ' ' f.Analysis.msg) 1)
+       (with_rule "layout" (scan "lib/core/x.ml" src)))
+
 (* ---- callgraph resolution through local module aliases ----------------- *)
 
 let test_letmodule_alias_resolution () =
@@ -980,6 +1034,10 @@ let () =
             test_post_publish_mutation;
           Alcotest.test_case "publication through a wrapper" `Quick
             test_publish_through_wrapper;
+          Alcotest.test_case "publication through a labelled wrapper" `Quick
+            test_publish_through_labelled_wrapper;
+          Alcotest.test_case "an array element is no shared read" `Quick
+            test_array_element_is_no_shared_read;
           Alcotest.test_case "publication through a local helper" `Quick
             test_publish_through_local_helper;
           Alcotest.test_case "mutation after a wrapper publish" `Quick
@@ -1007,6 +1065,8 @@ let () =
           Alcotest.test_case "atomicity across calls" `Quick
             test_atomicity_interprocedural;
           Alcotest.test_case "layout" `Quick test_layout;
+          Alcotest.test_case "layout over inline records" `Quick
+            test_layout_inline_record;
         ] );
       ( "callgraph",
         [

@@ -486,6 +486,53 @@ let test_lock_ops_defect_only () =
             Alcotest.failf "%s edits outside the function it mutates" m.m_id)
         ms
 
+(* The lock operators find releases by shape
+   ({!Analysis.Summary.is_release}), not by name: with [unlock] and
+   [restamp] renamed (to names of the same length, so every site keeps
+   its line), the locking mound keeps its [drop-unlock] and
+   [drop-completion] sites. *)
+let test_lock_ops_by_shape () =
+  match lib_root () with
+  | None -> ()
+  | Some root ->
+      let path = Filename.concat root "core/lock_mound.ml" in
+      let src = Analysis.read_file path in
+      let rename ~sub ~by s =
+        let n = String.length sub in
+        let b = Buffer.create (String.length s) in
+        let i = ref 0 in
+        while !i < String.length s do
+          if !i + n <= String.length s && String.sub s !i n = sub then begin
+            Buffer.add_string b by;
+            i := !i + n
+          end
+          else begin
+            Buffer.add_char b s.[!i];
+            incr i
+          end
+        done;
+        Buffer.contents b
+      in
+      let renamed =
+        rename ~sub:"unlock" ~by:"let_go" src
+        |> rename ~sub:"restamp" ~by:"rewrite"
+      in
+      let sites src =
+        Analysis.Mutate.mutants
+          ~ops:[ "drop-unlock"; "drop-completion" ]
+          [ (path, src) ]
+        |> List.map (fun (m : Analysis.Mutate.mutant) -> (m.m_op, m.m_line))
+      in
+      let shipped = sites src in
+      let has op = List.exists (fun (o, _) -> o = op) shipped in
+      Alcotest.(check bool)
+        "both operators have sites" true
+        (has "drop-unlock" && has "drop-completion");
+      Alcotest.(check bool)
+        "the rename changed the source" false (renamed = src);
+      Alcotest.(check (list (pair string int)))
+        "renamed releases keep their sites" shipped (sites renamed)
+
 (* ---- the live regression guard ----------------------------------------- *)
 
 let context_roots root =
@@ -612,6 +659,8 @@ let () =
             test_stamp_drop_through_accessor;
           Alcotest.test_case "lock operators carry only their defect edit"
             `Quick test_lock_ops_defect_only;
+          Alcotest.test_case "lock operators find releases by shape" `Quick
+            test_lock_ops_by_shape;
         ] );
       ( "guard",
         [
