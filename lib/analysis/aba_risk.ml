@@ -20,7 +20,12 @@
       (no [.dirty] / [.seq] / [.locked] inspection since the read, by a
       field read, a pattern or an accessor call);
     - the {e fresh} argument must be unstamped — not a record literal
-      (or a variable bound to one) bumping a version-vocabulary field;
+      (or a variable bound to one) bumping a version-vocabulary field,
+      and not a version bump of the word itself: the expected variable
+      plus a positive integer literal ([v + 1]). Such a word is a
+      counter that only grows (the MultiQueue's versioned try-lock,
+      released by [fetch_and_add]), so the expected value cannot
+      recur; the rule trusts the word's other writers to add too;
     - the location key must be {e recycled elsewhere}: some other
       function in the call graph also CASes or sets a location of the
       same key ({!Summary.fwrites}) — a location with a single writer
@@ -49,6 +54,28 @@ let writers_table (cg : Callgraph.t) =
     (Callgraph.fns cg);
   tbl
 
+(* [fresh] is [expected + c] (or [c + expected]) for a variable
+   [expected] and a positive integer literal [c]. *)
+let version_bump ~expected fresh =
+  let open Parsetree in
+  let var e =
+    match (Summary.strip_casts e).pexp_desc with
+    | Pexp_ident { txt = Longident.Lident v; _ } -> Some v
+    | _ -> None
+  in
+  let positive e =
+    match (Summary.strip_casts e).pexp_desc with
+    | Pexp_constant (Pconst_integer (n, None)) -> int_of_string n > 0
+    | _ -> false
+  in
+  match (var expected, (Summary.strip_casts fresh).pexp_desc) with
+  | ( Some v,
+      Pexp_apply
+        ( { pexp_desc = Pexp_ident { txt = Longident.Lident "+"; _ }; _ },
+          [ (Asttypes.Nolabel, a); (Asttypes.Nolabel, b) ] ) ) ->
+      (var a = Some v && positive b) || (positive a && var b = Some v)
+  | _ -> false
+
 let scan_fn cg writers (f : Summary.fn) : Frontend.finding list =
   let findings = ref [] in
   let self = String.concat "." f.fpath in
@@ -73,6 +100,7 @@ let scan_fn cg writers (f : Summary.fn) : Frontend.finding list =
             | Some key, Some (Dataflow.Shared_read sr)
               when sr.key = key && (not sr.revalidated)
                    && (not (stamped ctx fresh))
+                   && (not (version_bump ~expected fresh))
                    && recycled_elsewhere key ->
                 findings :=
                   {

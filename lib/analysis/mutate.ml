@@ -148,12 +148,6 @@ let catalog : op list =
       op_twin = None;
     };
     {
-      op_name = "drop-size-update";
-      op_descr = "delete a size-counter fetch_and_add";
-      op_rules = [];
-      op_twin = Some "size-drift";
-    };
-    {
       op_name = "drop-top-refresh";
       op_descr = "delete the cached-top refresh from the unlock path";
       op_rules = [];
@@ -949,25 +943,6 @@ let sites_drop_waiver (p : Frontend.parsed) _src =
       })
     (File_rules.waivers p)
 
-let sites_drop_size_update p src =
-  let out = ref [] in
-  on_exprs p (fun e ->
-      match Summary.primitive e with
-      | Some (Rmw ("fetch_and_add", l :: _)) ->
-          let ls = String.lowercase_ascii (expr_src src l) in
-          if
-            List.exists (fun w -> seg_contains ls w) [ "size"; "count" ]
-          then
-            out :=
-              {
-                s_line = line_of e;
-                s_note = "size-counter update deleted";
-                s_edits = [ replace e "0" ];
-              }
-              :: !out
-      | _ -> ());
-  !out
-
 let sites_drop_top_refresh p _src =
   let out = ref [] in
   on_exprs p (fun e ->
@@ -1005,7 +980,6 @@ let collectors =
     ("alloc-in-retry", sites_alloc_in_retry);
     ("mutabilize", sites_mutabilize);
     ("drop-waiver", sites_drop_waiver);
-    ("drop-size-update", sites_drop_size_update);
     ("drop-top-refresh", sites_drop_top_refresh);
   ]
 

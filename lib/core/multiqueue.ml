@@ -12,25 +12,26 @@
 
     Design notes:
 
-    - Each inner queue is a {!Seq_mound} behind a single-word try-lock.
-      Operations hold exactly one lock at a time, so there is no lock
-      ordering to get wrong and a crashed holder stalls only its own
-      queue.
-    - Each queue's top key is cached in a dedicated atomic, republished
-      before every unlock. Two-choice sampling reads only these cached
+    - Each inner queue is a {!Seq_mound} behind a single-word try-lock
+      whose word is also the queue's version: even means free, the
+      try-lock CASes an even [v] to [v + 1], and the release adds 1, so
+      the word only grows. Operations hold exactly one lock at a time,
+      so there is no lock ordering to get wrong and a crashed holder
+      stalls only its own queue.
+    - Each queue's root list is cached in a dedicated atomic, republished
+      before every release. Two-choice sampling reads only these cached
       tops; whenever a lock is observed free the cached top is exact.
     - Stickiness: a domain re-uses its last insert queue (and its last
       delete pair) for [stickiness] consecutive operations before
       re-rolling, amortizing cache traffic; [insert_many] splices a whole
       sorted batch into the one sticky queue.
-    - A global element counter makes emptiness exact: [extract_min]
-      returns [None] only after a full scan finds nothing {e and} the
-      counter reads zero. Linearizing inserts at their increment and
-      extractions at their decrement (both inside the owning critical
-      section) makes the counter equal the abstract size at every
-      instant, so a zero read is a sound linearization point for
-      [None] — emptiness is the one thing this structure does {e not}
-      relax.
+    - No shared counter: an operation touches only the queues it
+      samples. Inserts and extractions linearize at their release, and
+      [None] is answered only on a certificate (DESIGN.md §13.2): a
+      first pass finds every lock word even and every cached top empty,
+      and a second pass reads the same words, so every queue was free
+      and empty at one common instant, between the passes — emptiness
+      is the one thing this structure does {e not} relax.
     - Retry paths (lock failover, the empty/busy rescan) rotate
       deterministically and draw no randomness; the thread-local PRNG is
       consumed only when a sticky assignment expires. Liveness
@@ -50,9 +51,9 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
      two contended atomics; live pad blocks keep them (and the cold
      mound pointer) off each other's cache lines. *)
   type cell = {
-    lock : bool R.Atomic.t;
+    lock : int R.Atomic.t;  (* the queue's version: even when free *)
     pad_lock : int array;
-    top : elt option R.Atomic.t;  (* exact whenever [lock] is free *)
+    top : elt list R.Atomic.t;  (* [q]'s root list, exact when [lock] is even *)
     pad_top : int array;
     q : Q.t;
   }
@@ -75,12 +76,16 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
   type t = {
     cells : cell array;
     slots : slot array;
-    size : int R.Atomic.t;  (* exact element count; see emptiness note *)
     stickiness : int;
     ops : Stats.Ops.t;
   }
 
-  let vcompare = Intf.Value.compare Ord.compare
+  (* [val(a) <= val(b)] for cached root lists, [] being +∞. *)
+  let head_le a b =
+    match (a, b) with
+    | _, [] -> true
+    | [], _ :: _ -> false
+    | x :: _, y :: _ -> Ord.compare x y <= 0
 
   let slot_count = 64
 
@@ -106,9 +111,9 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
     let cells =
       Array.init nq (fun i ->
           {
-            lock = R.Atomic.make false;
+            lock = R.Atomic.make 0;
             pad_lock = Array.make pad_words 0;
-            top = R.Atomic.make None;
+            top = R.Atomic.make [];
             pad_top = Array.make pad_words 0;
             q = Q.create ~seed:seeds.(i) ();
           })
@@ -124,13 +129,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
             pad_slot = Array.make pad_words 0;
           })
     in
-    {
-      cells;
-      slots;
-      size = R.Atomic.make 0;
-      stickiness;
-      ops = Stats.Ops.create ();
-    }
+    { cells; slots; stickiness; ops = Stats.Ops.create () }
 
   let ops t = t.ops
 
@@ -139,12 +138,15 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
   let expired ~deadline =
     deadline <> Intf.no_deadline && R.monotonic_ns () > deadline
 
-  (* Republish the cached top, then release. This order is what makes
-     [top] exact under a free lock: any thread that later observes the
-     lock free also observes a top written after our last mutation. *)
+  (* Republish the cached root list, then release: the add makes the
+     word even again, one version past the acquiring CAS's. This order is
+     what makes [top] exact under a free lock: any thread that later
+     observes the lock free also observes a top written after our last
+     mutation. The release is the critical section's linearization
+     point. *)
   let unlock cell =
-    R.Atomic.set cell.top (Q.peek_min cell.q);
-    R.Atomic.set cell.lock false
+    R.Atomic.set cell.top (Q.T.get_at cell.q.Q.tree ~level:0 1);
+    ignore (R.Atomic.fetch_and_add cell.lock 1)
 
   (* --- sticky choice ------------------------------------------------ *)
 
@@ -156,6 +158,8 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
     slot.ins_left <- slot.ins_left - 1;
     slot.ins_q
 
+  (* Advance the sticky delete pair; the caller reads it back from
+     [slot.del_a] and [slot.del_b]. *)
   let sticky_del t slot =
     if slot.del_left <= 0 then begin
       let nq = Array.length t.cells in
@@ -163,23 +167,25 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       slot.del_b <- R.rand_int nq;
       slot.del_left <- t.stickiness
     end;
-    slot.del_left <- slot.del_left - 1;
-    (slot.del_a, slot.del_b)
+    slot.del_left <- slot.del_left - 1
 
   (* --- insert ------------------------------------------------------- *)
 
-  (* Acquire some queue's lock, preferring [i]: one CAS on the sticky
-     queue, then a deterministic rotation over the others (no PRNG in
-     the retry path). Returns the acquired index, or [None] on deadline
-     expiry. An unbounded acquire always terminates as long as some
-     holder keeps releasing: every rotation retries all [nq] locks. *)
+  (* Acquire some queue's lock, preferring [i]: one try-lock on the
+     sticky queue, then a deterministic rotation over the others (no
+     PRNG in the retry path). Returns the acquired index, or -1 on
+     deadline expiry. An unbounded acquire always terminates as long as
+     some holder keeps releasing: every rotation retries all [nq]
+     locks. *)
   let rec acquire t i tries ~deadline =
-    if R.Atomic.compare_and_set t.cells.(i).lock false true then Some i
+    let v = R.Atomic.get t.cells.(i).lock in
+    if v land 1 = 0 && R.Atomic.compare_and_set t.cells.(i).lock v (v + 1)
+    then i
     else begin
       t.ops.lock_spins <- t.ops.lock_spins + 1;
       if tries = near_miss_spins then
         t.ops.livelock_near_misses <- t.ops.livelock_near_misses + 1;
-      if expired ~deadline then None
+      if expired ~deadline then -1
       else begin
         let nq = Array.length t.cells in
         if (tries + 1) mod nq = 0 then R.cpu_relax ();
@@ -188,27 +194,28 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
     end
 
   (* Publish the sorted run [hd :: rest] into one queue: acquire the
-     sticky queue (failing over by rotation), splice the run into its
+     sticky queue (failing over by rotation) and splice the run into its
      mound in one critical section, so [Seq_mound]'s prefix splicing
-     amortizes probing over the run, and count it. *)
+     amortizes probing over the run. *)
   let put t ~deadline hd rest =
     let slot = slot_for t in
     let start = sticky_ins t slot in
-    match acquire t start 0 ~deadline with
-    | None ->
-        t.ops.deadline_timeouts <- t.ops.deadline_timeouts + 1;
-        Intf.Timeout
-    | Some i ->
-        if i <> start then begin
-          (* failed over: stick to the queue we actually acquired *)
-          slot.ins_q <- i;
-          t.ops.insert_retries <- t.ops.insert_retries + 1
-        end;
-        let cell = t.cells.(i) in
-        Q.put cell.q hd rest;
-        ignore (R.Atomic.fetch_and_add t.size (1 + List.length rest));
-        unlock cell;
-        Intf.Ok ()
+    let i = acquire t start 0 ~deadline in
+    if i < 0 then begin
+      t.ops.deadline_timeouts <- t.ops.deadline_timeouts + 1;
+      Intf.Timeout
+    end
+    else begin
+      if i <> start then begin
+        (* failed over: stick to the queue we actually acquired *)
+        slot.ins_q <- i;
+        t.ops.insert_retries <- t.ops.insert_retries + 1
+      end;
+      let cell = t.cells.(i) in
+      Q.put cell.q hd rest;
+      unlock cell;
+      Intf.Ok ()
+    end
 
   let insert_until t ~deadline v = put t ~deadline v []
 
@@ -233,12 +240,14 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
      node the mound probes ([extract_approx]). *)
   type pick = Head | Whole | Probe of int
 
-  (* Take from queue [i] under its try-lock and count what left; returns
-     the list taken from (its head is the element taken), or [] when
-     the lock is busy or the queue empty. *)
+  (* Take from queue [i] under its try-lock; returns the list taken
+     from (its head is the element taken), or [] when the lock is busy
+     or the queue empty. *)
   let take_at t i pick =
     let cell = t.cells.(i) in
-    if not (R.Atomic.compare_and_set cell.lock false true) then begin
+    let v = R.Atomic.get cell.lock in
+    if v land 1 = 1 || not (R.Atomic.compare_and_set cell.lock v (v + 1))
+    then begin
       t.ops.lock_spins <- t.ops.lock_spins + 1;
       []
     end
@@ -249,30 +258,55 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
         | Whole -> Q.take cell.q 1 ~level:0 ~all:true
         | Probe max_level -> Q.take_approx cell.q ~max_level
       in
-      (match (l, pick) with
-      | [], _ -> ()
-      | _, Whole -> ignore (R.Atomic.fetch_and_add t.size (-List.length l))
-      | _, (Head | Probe _) -> ignore (R.Atomic.fetch_and_add t.size (-1)));
       unlock cell;
       l
     end
 
   (* [take_at], skipping a queue whose lock is free and whose cached top
      is empty. The shortcut can race an in-flight publish and miss a
-     just-filled queue; the counter-guarded rescan in [scan] re-examines
-     it. *)
+     just-filled queue; the certified rescan in [scan] re-examines it. *)
   let sample t i pick =
     let cell = t.cells.(i) in
-    if R.Atomic.get cell.top = None && not (R.Atomic.get cell.lock) then []
-    else take_at t i pick
+    match R.Atomic.get cell.top with
+    | [] when R.Atomic.get cell.lock land 1 = 0 -> []
+    | _ -> take_at t i pick
 
-  (* Deterministic rotation over every queue, restarted while the size
-     counter says elements remain. Terminates with [Ok []] only on a
-     zero counter read — the sound emptiness point — and with [Timeout]
-     once the deadline passes. No randomness is drawn here. *)
+  (* The emptiness certificate's two passes over the lock words from
+     queue [i] on. [free_and_empty] requires every word even and every
+     cached top empty, reading each top after its word, and returns the
+     words' sum, or -1 at the first busy or nonempty queue; [version_sum]
+     sums the words again. *)
+  let rec free_and_empty cells i sum =
+    if i = Array.length cells then sum
+    else
+      let cell = cells.(i) in
+      let w = R.Atomic.get cell.lock in
+      if w land 1 = 1 then -1
+      else
+        match R.Atomic.get cell.top with
+        | [] -> free_and_empty cells (i + 1) (sum + w)
+        | _ :: _ -> -1
+
+  let rec version_sum cells i sum =
+    if i = Array.length cells then sum
+    else version_sum cells (i + 1) (sum + R.Atomic.get cells.(i).lock)
+
+  (* Words only grow, so equal sums mean no word moved between its two
+     reads: every queue was free, with the empty root its last release
+     published, from the end of the first pass to the start of the
+     second. Every operation linearizes at its release, so the
+     structure was empty at that instant (DESIGN.md §13.2). *)
+  let certified_empty t =
+    let s = free_and_empty t.cells 0 0 in
+    s >= 0 && version_sum t.cells 0 0 = s
+
+  (* Deterministic rotation over every queue, restarted until the
+     emptiness certificate holds. Terminates with [Ok []] only on a
+     certificate — the sound emptiness point — and with [Timeout] once
+     the deadline passes. No randomness is drawn here. *)
   let rec scan t i left rounds pick ~deadline =
     if left = 0 then begin
-      if R.Atomic.get t.size = 0 then Intf.Ok []
+      if certified_empty t then Intf.Ok []
       else if expired ~deadline then begin
         t.ops.deadline_timeouts <- t.ops.deadline_timeouts + 1;
         Intf.Timeout
@@ -293,15 +327,16 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       | l -> Intf.Ok l
 
   (* Two-choice take (Williams & Sanders): [pick] from the sampled queue
-     with the smaller cached top ([None] is +∞), then the other; when
-     both are empty or busy, re-roll on the next op and decide emptiness
-     by the full counter-guarded rotation. *)
+     with the smaller cached top ([] is +∞), then the other; when both
+     are empty or busy, re-roll on the next op and decide emptiness by
+     the full certified rotation. *)
   let two_choice t pick ~deadline =
     let slot = slot_for t in
-    let a, b = sticky_del t slot in
+    sticky_del t slot;
+    let a = slot.del_a and b = slot.del_b in
     let ta = R.Atomic.get t.cells.(a).top
     and tb = R.Atomic.get t.cells.(b).top in
-    let first, second = if vcompare ta tb <= 0 then (a, b) else (b, a) in
+    let first, second = if head_le ta tb then (a, b) else (b, a) in
     match sample t first pick with
     | [] -> (
         match if second <> first then sample t second pick else [] with
@@ -324,9 +359,9 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
 
   (* Take one queue's whole root list: the relaxed analogue of the
      paper's extract-many (its head is that queue's minimum, not
-     necessarily the global one). Same two-choice + counter-guarded
-     rotation as [extract_min], so an empty result means an observed
-     empty structure. *)
+     necessarily the global one). Same two-choice + certified rotation
+     as [extract_min], so an empty result means a certified empty
+     structure. *)
   let extract_many t =
     match two_choice t Whole ~deadline:Intf.no_deadline with
     | Intf.Ok l -> l
@@ -337,7 +372,9 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
      or empty samples fall back to the exact (still rank-relaxed)
      [extract_min]. *)
   let extract_approx ?(max_level = 2) t =
-    let a, b = sticky_del t (slot_for t) in
+    let slot = slot_for t in
+    sticky_del t slot;
+    let a = slot.del_a and b = slot.del_b in
     let pick = Probe max_level in
     match take_at t a pick with
     | x :: _ -> Some x
@@ -349,15 +386,32 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
   (* --- observers ---------------------------------------------------- *)
 
   let peek_min t =
-    Array.fold_left
-      (fun acc cell ->
-        let v = R.Atomic.get cell.top in
-        if vcompare v acc < 0 then v else acc)
-      None t.cells
+    Intf.Sorted.value
+      (Array.fold_left
+         (fun acc cell ->
+           let l = R.Atomic.get cell.top in
+           if head_le acc l then acc else l)
+         [] t.cells)
 
-  let is_empty t = R.Atomic.get t.size = 0
+  (* Queue [cell] seen free and nonempty: its word unchanged across the
+     read of a nonempty top. *)
+  let holds cell =
+    let w = R.Atomic.get cell.lock in
+    w land 1 = 0
+    && (match R.Atomic.get cell.top with [] -> false | _ :: _ -> true)
+    && R.Atomic.get cell.lock = w
 
-  let size t = R.Atomic.get t.size
+  (* Exact: [true] on the emptiness certificate, [false] once some queue
+     is seen free and nonempty; a busy queue is waited out. *)
+  let rec is_empty t =
+    if certified_empty t then true
+    else if Array.exists holds t.cells then false
+    else begin
+      R.cpu_relax ();
+      is_empty t
+    end
+
+  let size t = Array.fold_left (fun acc cell -> acc + Q.size cell.q) 0 t.cells
 
   let depth t =
     Array.fold_left (fun acc cell -> max acc (Q.depth cell.q)) 0 t.cells
@@ -368,20 +422,13 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
   let fold_nodes t f acc =
     Array.fold_left (fun acc cell -> Q.fold_nodes cell.q f acc) acc t.cells
 
-  (* Quiescent invariants: every lock free, every inner mound valid,
-     every cached top exact, and the global counter equal to the sum of
-     inner sizes. *)
+  (* Quiescent invariants: every lock free, every inner mound valid, and
+     every cached top its mound's root list itself. *)
   let check t =
-    let ok = ref true in
-    let total = ref 0 in
-    Array.iter
+    Array.for_all
       (fun cell ->
-        ok :=
-          !ok
-          && (not (R.Atomic.get cell.lock))
-          && Q.check cell.q
-          && vcompare (R.Atomic.get cell.top) (Q.peek_min cell.q) = 0;
-        total := !total + Q.size cell.q)
-      t.cells;
-    !ok && !total = R.Atomic.get t.size
+        R.Atomic.get cell.lock land 1 = 0
+        && Q.check cell.q
+        && R.Atomic.get cell.top == Q.T.get_at cell.q.Q.tree ~level:0 1)
+      t.cells
 end

@@ -207,10 +207,11 @@ let approx ~name (maker : Pq.maker) =
    worst placement leaves at most 3 smaller keys elsewhere, hence
    [rank:4]. Emptiness and conservation stay exact (the relaxed spec
    never excuses a lost, invented or spurious-empty answer), so DPOR
-   still certifies the global size counter and the two-choice locking
-   protocol. [stickiness:8] exceeds each thread's op count: the queue
-   choice is one ambient draw per thread, keeping re-executions pinned
-   by [seed_ambient] just like the mounds' randomized insert probes. *)
+   certifies the versioned try-locks, the two-choice protocol and, in
+   [multiqueue-empty], the emptiness certificate. [stickiness:8]
+   exceeds each thread's op count: the queue choice is one ambient draw
+   per thread, keeping re-executions pinned by [seed_ambient] just like
+   the mounds' randomized insert probes. *)
 let mq_make () =
   (Pq.On_sim.multiqueue ~queues:2 ~stickiness:8 ~domains:2 ()).make
     ~capacity:64
@@ -230,6 +231,21 @@ let mq_race =
     ~lin:true ~rank:4
     [ [ `Extract ]; [ `Extract ] ]
 
+(* The emptiness certificate under fire. The extractor's first take
+   can hold the keys' queue while the scanner fails over and starts its
+   collect; the inserter then lands 9 in the other queue, and the
+   extractor's second take (invoked after the insert returned) empties
+   the first queue before the scanner reads it. A lone collect, or a
+   release that restores the pre-acquire word, then answers [None]
+   although 9 was inserted before 3 left: no linearization has an empty
+   instant. With one key and one operation per thread every such miss
+   overlaps all three calls and stays linearizable, hence the second
+   key and the second take. *)
+let mq_empty =
+  pq_program ~name:"multiqueue-empty" ~make:mq_make ~prepopulate:[ 1; 3 ]
+    ~lin:true ~rank:4
+    [ [ `Extract; `Extract ]; [ `Insert 9 ]; [ `Extract ] ]
+
 let catalog : (string * Check.program) list =
   [
     ("lf-mound", standard ~name:"lf-mound" Pq.On_sim.mound_lf);
@@ -243,6 +259,7 @@ let catalog : (string * Check.program) list =
     ("lf-mound-approx", approx ~name:"lf-mound-approx" Pq.On_sim.mound_lf);
     ("multiqueue", mq_standard);
     ("multiqueue-race", mq_race);
+    ("multiqueue-empty", mq_empty);
     ("stm-heap", standard ~name:"stm-heap" Pq.On_sim.stm_heap);
     ("skiplist", standard ~name:"skiplist" Pq.On_sim.skiplist);
     ("mcas", mcas_program);

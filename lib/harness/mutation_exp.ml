@@ -22,9 +22,9 @@ type verdict = { twin : string; defect : bool; detail : string }
 
 module A = Sim.Runtime.Atomic
 
-(* Size-counter drift: the structure's element count and its size
-   counter disagree once the counter update is dropped or demoted to
-   get-compute-set — two concurrent bumps collapse into one. The race
+(* Size-counter drift: a shared counter and the count of its bumps
+   disagree once a [fetch_and_add] is demoted to get-compute-set — two
+   concurrent bumps collapse into one. The race
    oracle is off so the lost update itself is the reported failure, as
    in the seeded lost-update mutants. *)
 let size_drift_program : Check.program =

@@ -159,6 +159,33 @@ let test_multiqueue_top_cache () =
   check_count "publishing a recomputed head fine" 0
     (with_rule "stale-publish" (scan "lib/core/x.ml" recompute))
 
+(* The MultiQueue's versioned try-lock: the word is even when free, the
+   acquiring CAS moves an even [v] to [v + 1] and the release adds 1, so
+   the word only grows and the expected value cannot recur. Two
+   functions CAS the word, so it is recycled elsewhere and only the
+   bump keeps [aba-risk] quiet; a decrement, or a step of 0, is still
+   flagged. *)
+let test_version_bump () =
+  let lock fresh =
+    Printf.sprintf
+      "let try_lock cell =\n\
+      \  let v = R.Atomic.get cell.lock in\n\
+      \  v land 1 = 0 && R.Atomic.compare_and_set cell.lock v %s\n\n\
+       let try_take cell =\n\
+      \  let v = R.Atomic.get cell.lock in\n\
+      \  let w = R.Atomic.get cell.top in\n\
+      \  w = 0 && R.Atomic.compare_and_set cell.lock v (v + 1)\n"
+      fresh
+  in
+  check_count "a version bump is no ABA" 0
+    (with_rule "aba-risk" (scan "lib/core/x.ml" (lock "(v + 1)")));
+  check_count "literal first" 0
+    (with_rule "aba-risk" (scan "lib/core/x.ml" (lock "(2 + v)")));
+  check_count "a decrement can recur" 1
+    (with_rule "aba-risk" (scan "lib/core/x.ml" (lock "(v - 1)")));
+  check_count "a zero step is no bump" 1
+    (with_rule "aba-risk" (scan "lib/core/x.ml" (lock "(v + 0)")))
+
 (* ---- retry-loop discipline --------------------------------------------- *)
 
 let test_static_retry () =
@@ -1047,6 +1074,7 @@ let () =
         [
           Alcotest.test_case "cached-top publish" `Quick
             test_multiqueue_top_cache;
+          Alcotest.test_case "versioned try-lock" `Quick test_version_bump;
         ] );
       ( "helping-v2",
         [

@@ -194,8 +194,9 @@ let footprint =
     ("lock-mound-batch", (453, 453, 436, 888, 38819, 89));
     ("lf-mound-batch-rt", (8, 8, 3, 10, 189, 25));
     ("lf-mound-approx", (8, 8, 7, 14, 496, 62));
-    ("multiqueue", (35, 35, 15, 49, 1050, 83));
-    ("multiqueue-race", (72, 68, 31, 98, 2581, 82));
+    ("multiqueue", (12, 12, 7, 18, 223, 19));
+    ("multiqueue-race", (16, 16, 11, 26, 387, 31));
+    ("multiqueue-empty", (498, 498, 501, 998, 20748, 52));
   ]
 
 let catalog_case name () =
@@ -223,6 +224,32 @@ let catalog_case name () =
               ("steps", steps, r.C.steps);
               ("max trace", max_trace, r.C.max_trace);
             ])
+
+(* The schedule on [multiqueue-empty] that lets a lone collect miss the
+   inserted key (the program's comment has the story), in decisions of
+   one start plus one per shared access: the extractor takes the keys'
+   queue's lock (0*6); the scanner samples, fails over and reads the
+   other queue's word and top in its first pass (2*11); the inserter
+   fails over into that queue (1*6); the extractor releases, then
+   empties the keys' queue (0*9); the scanner reads on (2*6). The
+   certificate's second pass sees the other queue's word moved, so the
+   scanner retries and takes 9. A certificate that collects once, or a
+   release that restores the pre-acquire word, answers [None] here,
+   which no linearization explains. The explorer reports the program
+   exhaustive without running this schedule, so it is pinned by hand;
+   the decision count pins the access counts it was derived from. *)
+let mq_lone_collect () =
+  match Harness.Dpor_exp.find "multiqueue-empty" with
+  | None -> Alcotest.fail "multiqueue-empty is not in the catalog"
+  | Some prog ->
+      let out =
+        C.run_schedule prog
+          (Sim.Sched.Schedule.of_string "0*6.2*11.1*6.0*9.2*6")
+      in
+      (match out.C.replay_failure with
+      | None -> ()
+      | Some f -> Alcotest.failf "lone-collect schedule: %a" C.pp_failure f);
+      check_int "decisions" 41 out.C.followed
 
 (* ---------------- seeded-mutation catches ---------------- *)
 
@@ -309,5 +336,7 @@ let () =
             upstream_survives;
           Alcotest.test_case "racy toy caught" `Quick racy_toy_caught;
           Alcotest.test_case "cas toy survives" `Quick cas_toy_survives;
+          Alcotest.test_case "multiqueue certificate: lone-collect schedule"
+            `Quick mq_lone_collect;
         ] );
     ]
