@@ -87,8 +87,11 @@ let rec pat_vars p =
   | _ -> []
 
 (* Does [p] inspect a protocol field of the value it matches
-   ([Node { dirty = true; _ }], [Empty { locked; _ }])? *)
+   ([Node { dirty = true; _ }], [Empty { locked; _ }]), or its lock
+   constructor ([Locked _]; {!Summary.lock_ctor})? *)
 let rec pat_inspects p =
+  Summary.pat_lock p
+  ||
   match p.ppat_desc with
   | Ppat_record (fields, _) ->
       List.exists

@@ -85,7 +85,8 @@ let catalog : op list =
     {
       op_name = "drop-completion";
       op_descr =
-        "flip a completing dirty=false / releasing locked=false store to true";
+        "flip a completing dirty=false store to true / keep a release's \
+         node locked";
       op_rules = [ "static-retry" ];
       op_twin = None;
     };
@@ -572,13 +573,13 @@ let false_fields field e =
    flips are useless here: one intact completing store keeps [helps]
    true.
 
-   Locking: per function that hands a release over ({!releases}), flip
-   the [locked = false] literal of every release it hands over to
-   [true] in place, one mutant per function (a release writing either
-   node shape has one literal per shape) — the release never releases.
-   No static rule sees it; a locking path that stops releasing is a
+   Locking: per function that hands a release over ({!releases}),
+   replace every value it hands over that is read out of a held block
+   ({!Summary.held_block}) with the block itself, one mutant per
+   function — the node stays locked, the release never releases. No
+   static rule sees it; a locking path that stops releasing is a
    liveness defect. *)
-let sites_drop_completion p _src =
+let sites_drop_completion p src =
   let out = ref [] in
   on_bindings p (fun name body ->
       let b = snd (Summary.fn_shape body) in
@@ -589,25 +590,34 @@ let sites_drop_completion p _src =
           | Some (Cas (op, args)) ->
               flips :=
                 !flips
-                @ List.concat_map (false_fields "dirty")
-                    (Summary.fresh_args op args)
+                @ List.map
+                    (fun fe -> (fe, "true"))
+                    (List.concat_map (false_fields "dirty")
+                       (Summary.fresh_args op args))
           | _ -> ());
           released :=
-            !released @ List.concat_map (false_fields "locked") (releases e));
-      let site note fes =
-        if fes <> [] then
+            !released
+            @ List.filter_map
+                (fun r ->
+                  Option.map
+                    (fun blk -> (r, expr_src src blk))
+                    (Summary.held_block r))
+                (releases e));
+      let site note edits =
+        if edits <> [] then
           out :=
             {
               s_line =
-                List.fold_left (fun l fe -> min l (line_of fe)) max_int fes;
-              s_note = Printf.sprintf note (List.length fes) name;
-              s_edits = List.map (fun fe -> replace fe "true") fes;
+                List.fold_left
+                  (fun l (fe, _) -> min l (line_of fe))
+                  max_int edits;
+              s_note = Printf.sprintf note (List.length edits) name;
+              s_edits = List.map (fun (fe, text) -> replace fe text) edits;
             }
             :: !out
       in
       site "%d completing stores in %s no longer publish clean" !flips;
-      site "%d release stores in %s flipped to locked = true: never unlocks"
-        !released);
+      site "%d releases in %s keep the node locked: never unlocks" !released);
   !out
 
 let sites_stale_republish p src =

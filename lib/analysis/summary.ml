@@ -267,12 +267,6 @@ let record_sets_field field b e =
          && is_bool_lit b v))
     (Option.value (record_literals e) ~default:[])
 
-(* A lock release: a store of a record literal carrying [locked = false],
-   or of literal [false]. Not a lost update even when the record is
-   built from the location's own read, so it is no [writes_nonatomically]
-   site and no {!Dataflow} [h_set]. *)
-let is_release v = record_sets_field "locked" false v || is_bool_lit false v
-
 (* ---- protocol field vocabulary ----------------------------------------- *)
 
 (* A version counter's field name: [seq], [ver], [stamp], [epoch]. *)
@@ -293,6 +287,52 @@ let stamps ((lid : Longident.t Asttypes.loc), v) =
 let revalidation_name f =
   let lf = String.lowercase_ascii f in
   version_name f || contains_sub lf "dirty" || contains_sub lf "lock"
+
+(* A constructor naming the held state of a lock ([Locked], [Lock]):
+   where the lock bit is a constructor rather than a field, a pattern
+   on one tests the bit as a [locked] field read does. *)
+let lock_ctor c =
+  let c = String.lowercase_ascii c in
+  String.length c >= 4 && String.sub c 0 4 = "lock"
+
+(* Does [p] match a lock constructor, under aliases and or-patterns? *)
+let rec pat_lock p =
+  match p.ppat_desc with
+  | Ppat_construct ({ txt; _ }, _) -> lock_ctor (Longident.last txt)
+  | Ppat_alias (q, _) | Ppat_constraint (q, _) -> pat_lock q
+  | Ppat_or (a, b) -> pat_lock a || pat_lock b
+  | _ -> false
+
+(* [Some s] when [e] reads an unlocked value out of the held block [s]:
+   a [match s with] each of whose arms {!raises} or matches a lock
+   constructor and returns something that is not one — [match src with
+   Locked { was } -> was | _ -> assert false], the record the block
+   replaced, or a record built from it. *)
+let held_block e =
+  match (strip_casts e).pexp_desc with
+  | Pexp_match (s, cases) ->
+      let unlocks c =
+        pat_lock c.pc_lhs
+        &&
+        match (strip_casts c.pc_rhs).pexp_desc with
+        | Pexp_construct ({ txt; _ }, _) -> not (lock_ctor (Longident.last txt))
+        | _ -> true
+      in
+      if
+        List.exists unlocks cases
+        && List.for_all (fun c -> unlocks c || raises c.pc_rhs) cases
+      then Some s
+      else None
+  | _ -> None
+
+(* A lock release: a store of a record literal carrying [locked = false],
+   of literal [false], or of what a held block replaced ({!held_block}).
+   Not a lost update even when the value is built from the location's
+   own read, so it is no [writes_nonatomically] site and no {!Dataflow}
+   [h_set]. *)
+let is_release v =
+  record_sets_field "locked" false v || is_bool_lit false v
+  || held_block v <> None
 
 (* [Some v] when [e] reads a protocol field of [v]: [v.dirty], [v.seq],
    or a call of a one-parameter accessor whose summary returns only such

@@ -761,15 +761,25 @@ type replay_outcome = {
 (** Re-execute one schedule (e.g. a counterexample's) under
     {!Sim.Sched.replay}, with the same race scan and verdict as the
     explorer. Past the end of the schedule the run continues under the
-    default lowest-tid rule with no spin parking, so a watchdog bounds
-    runaway spinning: a deadlock counterexample replays as a wedge. *)
+    default lowest-tid rule with no spin parking, so two watchdogs bound
+    runaway spinning, and either ends the run as a wedge of every thread
+    still running: the virtual clock ([watchdog] cycles, every runnable
+    thread past it), and [config.max_steps] decisions past the
+    schedule's end. The second catches a low thread spinning on a lock
+    that a higher one holds: the rule never runs the holder, whose clock
+    stays put, so the first never fires. One event is recorded per
+    decision at most, so the trace holds at most the schedule's length
+    plus [config.max_steps] events (5,000 by default). *)
 let run_schedule ?(config = default_config) ?(watchdog = 10_000_000)
     (program : program) schedule =
   let inst = program.prepare () in
   let events = ref [] in
   let nsteps = ref 0 in
+  let cut = List.length schedule + config.max_steps in
   let base = Sim.Sched.replay schedule in
   let policy runnable =
+    if !nsteps >= cut then
+      raise (Abort (Abort_deadlock (List.map fst (Array.to_list runnable))));
     incr nsteps;
     base runnable
   in
@@ -778,8 +788,12 @@ let run_schedule ?(config = default_config) ?(watchdog = 10_000_000)
       { step = !nsteps - 1; tid; cell; kind; wrote; stutter = false }
       :: !events
   in
-  let res =
-    Sim.Sched.run ~profile ~seed ~policy ~on_commit ~watchdog inst.bodies
+  let wedged =
+    match
+      Sim.Sched.run ~profile ~seed ~policy ~on_commit ~watchdog inst.bodies
+    with
+    | res -> res.wedged
+    | exception Abort (Abort_deadlock tids) -> tids
   in
   let events = List.rev !events in
   let failure =
@@ -789,11 +803,10 @@ let run_schedule ?(config = default_config) ?(watchdog = 10_000_000)
     with
     | Some r -> Some (Race r)
     | None -> (
-        if res.wedged <> [] then None
+        if wedged <> [] then None
         else
           match inst.verdict () with
           | Some msg -> Some (Invariant msg)
           | None -> None)
   in
-  { followed = !nsteps; wedged = res.wedged; replay_failure = failure;
-    trace = events }
+  { followed = !nsteps; wedged; replay_failure = failure; trace = events }

@@ -95,5 +95,9 @@ val run_schedule :
 (** Re-execute one schedule (a counterexample, say) with the same race
     scan and verdict as the explorer. Past the schedule's end the run
     continues under the default lowest-tid rule without spin parking;
-    the watchdog (default 10M cycles) turns runaway spinning into a
-    [wedged] report — a deadlock counterexample replays as a wedge. *)
+    two watchdogs turn runaway spinning into a [wedged] report of every
+    thread still running — a deadlock counterexample replays as a
+    wedge: the virtual clock (default 10M cycles) and
+    [config.max_steps] decisions past the schedule's end (default
+    5,000), which also ends a low thread spinning on a lock a higher
+    one holds. The trace holds one event per decision at most. *)

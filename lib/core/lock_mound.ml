@@ -1,16 +1,23 @@
 (** Fine-grained locking mound (paper §IV, Listing 3).
 
-    Each node is an atomic holding an immutable record that carries its
-    sorted list's head ([Node {hd; tl; locked; seq}], or
-    [Empty {locked; seq}] for ⊤) — the paper reuses the dirty field as
-    the lock bit, and unlocked nodes are never dirty. A probe or a
-    [moundify] comparison reads the head right after the atomic: row,
-    atomic, record. Every slot starts out holding one shared initial
-    [Empty]; the first write replaces it with a fresh record, as every
-    later one does. [set_lock] is a test-and-CAS spinlock on the node;
-    the [seq] stamp increments on every transition, so each lock tenure
-    is identified by the physically-unique locked record the holder
-    installed (its {e witness}).
+    Each node is an atomic holding one of three things: ⊤ ([Empty], an
+    immediate), an unlocked sorted list ([Node {hd; tl}], whose record
+    carries the list's head), or a held node ([Locked {was}]). The paper
+    reuses the dirty field as the lock bit; here the lock bit is the
+    constructor. A held node is a fresh 2-word block that points at the
+    unlocked record its acquisition replaced, so an acquisition
+    allocates only that block, and a release re-installs a record
+    instead of building one: [was] itself when the list did not change,
+    or, when [moundify] swaps, the child's own record (the child is held
+    on by a fresh block pointing at the parent's old record), so lists
+    move instead of being copied. Only [put]'s published node and
+    [take]'s beheaded node are new unlocked records. A probe or a
+    [moundify] comparison reads the head right after the atomic — row,
+    atomic, record, and one block more behind a held node. Every slot
+    starts out holding [Empty]. [set_lock] is a test-and-CAS spinlock on
+    the node; each lock tenure is identified by the physically-unique
+    block the holder installed (its {e witness}): blocks are never
+    re-installed, so a witness never recurs.
 
     [moundify] performs the downward restoration with hand-over-hand
     locking, always locking parents before children; [insert] locks the
@@ -25,15 +32,15 @@
     A thread that dies holding a lock wedges every future operation that
     needs that node — the failure mode the paper's lock-freedom argument
     is about. With [create ~lease], a spinner that observes the {e same}
-    witness record locked for longer than the lease presumes the holder
-    dead and revokes the lock: it CASes the witness to a fresh locked
-    record of its own, restores the mound property below the node (the
-    holder may have died mid-protocol), and then competes for the lock
-    normally. Revocation is safe against slow-but-alive holders because
-    every write a holder makes to a held node is a CAS against its
-    witness — once revoked, those CASes fail and the holder abandons the
-    node (an unpublished insert retries; a torn moundify swap is repaired
-    by the revoker's own moundify).
+    witness block installed for longer than the lease presumes the
+    holder dead and revokes the lock: it CASes the witness to a fresh
+    block of its own pointing at the same record, restores the mound
+    property below the node (the holder may have died mid-protocol), and
+    then competes for the lock normally. Revocation is safe against
+    slow-but-alive holders because every write a holder makes to a held
+    node is a CAS against its witness — once revoked, those CASes fail
+    and the holder abandons the node (an unpublished insert retries; a
+    torn moundify swap is repaired by the revoker's own moundify).
 
     Recovery restores availability and the heap property in bounded
     time. It does {e not} make the locking mound crash-tolerant: a holder
@@ -47,10 +54,12 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
 
   type elt = Ord.t
 
-  (* The node's sorted list is [hd :: tl], or empty (⊤). *)
+  (* A slot's content: ⊤, the unlocked list [hd :: tl], or a held node
+     whose block points at the unlocked record it replaced. *)
   type lnode =
-    | Empty of { locked : bool; seq : int }
-    | Node of { hd : elt; tl : elt list; locked : bool; seq : int }
+    | Empty
+    | Node of { hd : elt; tl : elt list }
+    | Locked of { was : lnode }
 
   type t = {
     tree : lnode R.Atomic.t T.t;
@@ -60,47 +69,61 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
             before spinners may revoke it; 0 disables revocation *)
   }
 
-  let is_locked = function Empty { locked; _ } | Node { locked; _ } -> locked
+  let is_locked = function Locked _ -> true | Empty | Node _ -> false
 
-  let stamp = function Empty { seq; _ } | Node { seq; _ } -> seq
+  (* The list a slot's content stands for; a held node stands for the
+     record it replaced, which is never itself a block. *)
+  let to_list = function
+    | Empty | Locked { was = Empty } -> []
+    | Node { hd; tl } | Locked { was = Node { hd; tl } } -> hd :: tl
+    | Locked { was = Locked _ } -> assert false
 
-  let to_list = function Empty _ -> [] | Node { hd; tl; _ } -> hd :: tl
+  let node_value = function
+    | Empty | Locked { was = Empty } -> None
+    | Node { hd; _ } | Locked { was = Node { hd; _ } } -> Some hd
+    | Locked { was = Locked _ } -> assert false
 
-  let node_value = function Empty _ -> None | Node { hd; _ } -> Some hd
-
-  (* Node values ordered as {!Intf.Value} orders them, an empty node
-     being ⊤; the comparisons of every [moundify] level, written here
-     over [Ord.compare] (DESIGN.md §8's [-opaque] rule). *)
+  (* Unlocked records ordered as {!Intf.Value} orders them, an empty
+     node being ⊤; the comparisons of every [moundify] level, written
+     here over [Ord.compare] (DESIGN.md §8's [-opaque] rule). Held
+     nodes are compared by the records their blocks point at. *)
   let head_compare a b =
     match (a, b) with
-    | Empty _, Empty _ -> 0
-    | Empty _, Node _ -> 1
-    | Node _, Empty _ -> -1
     | Node { hd = x; _ }, Node { hd = y; _ } -> Ord.compare x y
+    | Empty, Empty -> 0
+    | Empty, _ -> 1
+    | _, Empty -> -1
+    | _ -> assert false
 
   (* [head_ge n v]: [val(n) >= v], so [v] may be pushed onto [n];
      [head_le n v]: [val(n) <= v], the parent-side insertion
-     condition, which ⊤ never satisfies. *)
+     condition, which ⊤ never satisfies. The insert probe reads through
+     held nodes. *)
   let head_ge n v =
-    match n with Empty _ -> true | Node { hd; _ } -> Ord.compare hd v >= 0
+    match n with
+    | Empty | Locked { was = Empty } -> true
+    | Node { hd; _ } | Locked { was = Node { hd; _ } } -> Ord.compare hd v >= 0
+    | Locked { was = Locked _ } -> assert false
 
   let head_le n v =
-    match n with Empty _ -> false | Node { hd; _ } -> Ord.compare hd v <= 0
-
-  (* What every slot holds until its first write. *)
-  let initial = Empty { locked = false; seq = 0 }
+    match n with
+    | Empty | Locked { was = Empty } -> false
+    | Node { hd; _ } | Locked { was = Node { hd; _ } } -> Ord.compare hd v <= 0
+    | Locked { was = Locked _ } -> assert false
 
   (* What an acquisition returns when its deadline expires (and so what
      [take] and [put] return then), and the lease timer's "no holder
      observed yet"; and what [put] returns when its candidate fails
      validation or its lock is revoked. Neither is ever installed in a
-     slot, so [w == gave_up] / [w == missed] hold for these records
-     alone. *)
-  let gave_up = Empty { locked = true; seq = -1 }
-  let missed = Empty { locked = true; seq = -2 }
+     slot, so [w == gave_up] / [w == missed] hold for these blocks
+     alone. Their contents differ because ocamlopt shares equal
+     constant literals: two [Locked { was = Empty }] literals would be
+     one static block. *)
+  let gave_up = Locked { was = Empty }
+  let missed = Locked { was = gave_up }
 
   let create ?(lease = 0) () =
-    let make_slot () = R.Atomic.make initial in
+    let make_slot () = R.Atomic.make Empty in
     {
       tree = T.create make_slot;
       ops = Stats.Ops.create ();
@@ -130,14 +153,12 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
     end
     else R.Atomic.compare_and_set slot witness fresh
 
-  (* Release the held [slot] with [src]'s list in it: the witness's own,
-     or a locked child's when [moundify] swaps. *)
+  (* Release the held [slot] with the record [src]'s block replaced: the
+     witness's own when the list did not change, or a held child's when
+     [moundify] swaps, which moves the child's list up. *)
   let unlock t slot ~witness src =
     restamp t slot ~witness
-      (match src with
-      | Empty _ -> Empty { locked = false; seq = stamp witness + 1 }
-      | Node { hd; tl; _ } ->
-          Node { hd; tl; locked = false; seq = stamp witness + 1 })
+      (match src with Locked { was } -> was | _ -> assert false)
 
   (* Consecutive failed acquisitions of one [set_lock] call before the
      wait is counted as a livelock near miss (sustained non-progress that
@@ -145,55 +166,48 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
   let near_miss_spins = 64
 
   (* Spin until the node is acquired, honouring [deadline] and — when a
-     lease is set — revoking holders that exceed it. Returns the locked
-     record we installed (the witness), or [gave_up] on deadline expiry.
+     lease is set — revoking holders that exceed it. Returns the block we
+     installed (the witness), or [gave_up] on deadline expiry.
      [node]/[level] locate the slot in the tree so an expired-lease
      takeover can restore the mound property below it (paper F1–F4, plus
      recovery). [seen]/[since] are the lease timer: the first observation
      of the current holder's witness and our clock at that observation.
-     A different record restarts the timer (a new tenure began). The
+     A different block restarts the timer (a new tenure began). The
      loop is two top-level functions with explicit parameters, so an
      acquisition allocates nothing but the witness. *)
   let rec spin t slot ~node ~level ~deadline tries seen since =
     let n = R.Atomic.get slot in
-    if not (is_locked n) then begin
-      let mine =
-        match n with
-        | Empty e -> Empty { locked = true; seq = e.seq + 1 }
-        | Node x -> Node { x with locked = true; seq = x.seq + 1 }
-      in
-      if R.Atomic.compare_and_set slot n mine then mine
-      else miss t slot ~node ~level ~deadline tries seen since
-    end
-    else if t.lease > 0 then begin
-      let now = R.monotonic_ns () in
-      if seen == n then
-        if now - since > t.lease then begin
-          (* Holder exceeded its lease: presume it dead and take the
-             lock directly from its witness. The CAS is the whole
-             revocation — from here on the old holder's witnessed
-             writes all fail. *)
-          let mine =
-            match n with
-            | Empty e -> Empty { locked = true; seq = e.seq + 1 }
-            | Node x -> Node { x with locked = true; seq = x.seq + 1 }
-          in
-          if R.Atomic.compare_and_set slot n mine then begin
-            t.ops.lock_recoveries <- t.ops.lock_recoveries + 1;
-            (* The holder may have died mid-protocol; restore the
-               mound property below this node (which also releases
-               it), then compete for the lock normally. *)
-            moundify t node ~level ~witness:mine;
-            spin t slot ~node ~level ~deadline tries gave_up 0
-          end
-          else miss t slot ~node ~level ~deadline tries seen since
+    match n with
+    | Empty | Node _ ->
+        let mine = Locked { was = n } in
+        if R.Atomic.compare_and_set slot n mine then mine
+        else miss t slot ~node ~level ~deadline tries seen since
+    | Locked { was } ->
+        if t.lease > 0 then begin
+          let now = R.monotonic_ns () in
+          if seen == n then
+            if now - since > t.lease then begin
+              (* Holder exceeded its lease: presume it dead and take the
+                 lock directly from its witness. The CAS is the whole
+                 revocation — from here on the old holder's witnessed
+                 writes all fail. *)
+              let mine = Locked { was } in
+              if R.Atomic.compare_and_set slot n mine then begin
+                t.ops.lock_recoveries <- t.ops.lock_recoveries + 1;
+                (* The holder may have died mid-protocol; restore the
+                   mound property below this node (which also releases
+                   it), then compete for the lock normally. *)
+                moundify t node ~level ~witness:mine;
+                spin t slot ~node ~level ~deadline tries gave_up 0
+              end
+              else miss t slot ~node ~level ~deadline tries seen since
+            end
+            else miss t slot ~node ~level ~deadline tries seen since
+          (* lint: allow — a new holder restarts the lease timer: [n] is only
+             ever compared with [==] against a later read, never stored *)
+          else miss t slot ~node ~level ~deadline tries n now
         end
         else miss t slot ~node ~level ~deadline tries seen since
-      (* lint: allow — a new holder restarts the lease timer: [n] is only
-         ever compared with [==] against a later read, never stored *)
-      else miss t slot ~node ~level ~deadline tries n now
-    end
-    else miss t slot ~node ~level ~deadline tries seen since
 
   and miss t slot ~node ~level ~deadline tries seen since =
     t.ops.lock_spins <- t.ops.lock_spins + 1;
@@ -229,59 +243,54 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       and rslot = T.get_at t.tree ~level:(level + 1) ((2 * n) + 1) in
       let wl = set_lock t lslot ~node:(2 * n) ~level:(level + 1) in
       let wr = set_lock t rslot ~node:((2 * n) + 1) ~level:(level + 1) in
-      if head_compare wl wr <= 0 && head_compare wl witness < 0 then begin
-        (* Swap lists with the left child, which keeps our old list and
-           stays locked while we recurse into it — hand-over-hand. The
-           child is re-stamped first so that if our own lock on [n] has
-           been revoked, the swap aborts with both lists intact. *)
-        let wl' =
-          match witness with
-          | Empty _ -> Empty { locked = true; seq = stamp wl + 1 }
-          | Node { hd; tl; _ } ->
-              Node { hd; tl; locked = true; seq = stamp wl + 1 }
-        in
-        if restamp t lslot ~witness:wl wl' then begin
-          ignore (unlock t rslot ~witness:wr wr);
-          ignore (unlock t slot ~witness wl);
-          moundify t (2 * n) ~level:(level + 1) ~witness:wl'
-        end
-        else begin
-          ignore (unlock t rslot ~witness:wr wr);
-          ignore (unlock t slot ~witness witness)
-        end
-      end
-      else if head_compare wr wl < 0 && head_compare wr witness < 0 then begin
-        let wr' =
-          match witness with
-          | Empty _ -> Empty { locked = true; seq = stamp wr + 1 }
-          | Node { hd; tl; _ } ->
-              Node { hd; tl; locked = true; seq = stamp wr + 1 }
-        in
-        if restamp t rslot ~witness:wr wr' then begin
-          ignore (unlock t lslot ~witness:wl wl);
-          ignore (unlock t slot ~witness wr);
-          moundify t ((2 * n) + 1) ~level:(level + 1) ~witness:wr'
-        end
-        else begin
-          ignore (unlock t lslot ~witness:wl wl);
-          ignore (unlock t slot ~witness witness)
-        end
-      end
-      else begin
-        ignore (unlock t slot ~witness witness);
-        ignore (unlock t lslot ~witness:wl wl);
-        ignore (unlock t rslot ~witness:wr wr)
-      end
+      match (witness, wl, wr) with
+      | Locked { was = p }, Locked { was = l }, Locked { was = r } ->
+          if head_compare l r <= 0 && head_compare l p < 0 then begin
+            (* Swap lists with the left child: the child is held on by a
+               fresh block pointing at our record, and stays locked while
+               we recurse into it — hand-over-hand — while its own record
+               moves up to us. The child is written first so that if our
+               own lock on [n] has been revoked, the swap aborts with
+               both lists intact. *)
+            let wl' = Locked { was = p } in
+            if restamp t lslot ~witness:wl wl' then begin
+              ignore (unlock t rslot ~witness:wr wr);
+              ignore (unlock t slot ~witness wl);
+              moundify t (2 * n) ~level:(level + 1) ~witness:wl'
+            end
+            else begin
+              ignore (unlock t rslot ~witness:wr wr);
+              ignore (unlock t slot ~witness witness)
+            end
+          end
+          else if head_compare r l < 0 && head_compare r p < 0 then begin
+            let wr' = Locked { was = p } in
+            if restamp t rslot ~witness:wr wr' then begin
+              ignore (unlock t lslot ~witness:wl wl);
+              ignore (unlock t slot ~witness wr);
+              moundify t ((2 * n) + 1) ~level:(level + 1) ~witness:wr'
+            end
+            else begin
+              ignore (unlock t lslot ~witness:wl wl);
+              ignore (unlock t slot ~witness witness)
+            end
+          end
+          else begin
+            ignore (unlock t slot ~witness witness);
+            ignore (unlock t lslot ~witness:wl wl);
+            ignore (unlock t rslot ~witness:wr wr)
+          end
+      | _ -> assert false
     end
 
   (** [take t n ~level ~all ~deadline] locks node [n] (level [level]),
       removes its list's head, or the whole list when [all]
       ([extract_many], §V), keeps the node locked and lets [moundify]
       release it (F9–F12); an empty node is just unlocked. Returns the
-      witness, whose list is the node's list as it was (its head is the
-      element taken), or [gave_up] once [deadline] passes. A revocation
-      between acquisition and behead removed nothing, so the take
-      retries. *)
+      witness, whose record is the node's list as it was (its head is
+      the element taken), or [gave_up] once [deadline] passes. A
+      revocation between acquisition and behead removed nothing, so the
+      take retries. *)
   let rec take t n ~level ~all ~deadline =
     let slot = T.get_at t.tree ~level n in
     let w = set_lock_until t slot ~node:n ~level ~deadline in
@@ -291,16 +300,15 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
     end
     else
       match w with
-      | Empty _ ->
-          ignore (unlock t slot ~witness:w w);
-          w
-      | Node x ->
-          let w' =
+      | Locked { was = Node x } ->
+          (* the beheaded record is a variable, never a constant: each
+             tenure holds the node by a block of its own *)
+          let rest =
             match x.tl with
-            | hd :: tl when not all ->
-                Node { hd; tl; locked = true; seq = x.seq + 1 }
-            | _ -> Empty { locked = true; seq = x.seq + 1 }
+            | hd :: tl when not all -> Node { hd; tl }
+            | _ -> Empty
           in
+          let w' = Locked { was = rest } in
           if restamp t slot ~witness:w w' then begin
             moundify t n ~level ~witness:w';
             w
@@ -313,6 +321,9 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
             end
             else take t n ~level ~all ~deadline
           end
+      | _ ->
+          ignore (unlock t slot ~witness:w w);
+          w
 
   let extract_min_until t ~deadline =
     let w = take t 1 ~level:0 ~all:false ~deadline in
@@ -333,10 +344,11 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
   let extract_approx ?(max_level = 2) t =
     let n = T.shallow_node t.tree ~max_level in
     match
-      take t n ~level:(T.level_of n) ~all:false ~deadline:Intf.no_deadline
+      node_value
+        (take t n ~level:(T.level_of n) ~all:false ~deadline:Intf.no_deadline)
     with
-    | Empty _ -> extract_min t
-    | Node { hd; _ } -> Some hd
+    | None -> extract_min t
+    | v -> v
 
   (* [ge slot v]: does the node in [slot] dominate [v]? The insert
      search's probe predicate. *)
@@ -346,7 +358,7 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       candidate for [hd], lock its parent before it (moundify's order,
       F45–F46), re-validate both, and publish [hd] spliced with the
       longest prefix of [rest] that fits the candidate as the unlocking
-      write. Returns the candidate's witness, whose list bounds the
+      write. Returns the candidate's witness, whose record bounds the
       spliced prefix; [missed] when validation fails or a revocation
       beat the publication (nothing published); [gave_up] once a lock
       wait outlives [deadline]. *)
@@ -363,13 +375,11 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
       else if head_ge w hd then
         if
           restamp t cslot ~witness:w
-            (Node
-               {
-                 hd;
-                 tl = Intf.Sorted.splice Ord.compare rest (to_list w);
-                 locked = false;
-                 seq = stamp w + 1;
-               })
+            (match w with
+            | Locked { was } ->
+                Node
+                  { hd; tl = Intf.Sorted.splice Ord.compare rest (to_list was) }
+            | _ -> assert false)
         then w
         else missed
       else begin
@@ -394,13 +404,14 @@ module Make (R : Runtime.S) (Ord : Intf.ORDERED) = struct
         else if head_ge wc hd && head_le wp hd then begin
           let published =
             restamp t cslot ~witness:wc
-              (Node
-                 {
-                   hd;
-                   tl = Intf.Sorted.splice Ord.compare rest (to_list wc);
-                   locked = false;
-                   seq = stamp wc + 1;
-                 })
+              (match wc with
+              | Locked { was } ->
+                  Node
+                    {
+                      hd;
+                      tl = Intf.Sorted.splice Ord.compare rest (to_list was);
+                    }
+              | _ -> assert false)
           in
           ignore (unlock t pslot ~witness:wp wp);
           if published then wc else missed

@@ -355,10 +355,9 @@ let test_aba_risk () =
 
 (* A shared read is re-validated by a [match] pattern on one of its
    protocol fields, and by a call of an accessor that returns only such
-   a field ([is_dirty cur], as the lock-free mound reads its dirty bit,
-   [is_locked n] the locking mound's lock bit), as by the field read
-   [cur.dirty]; a pattern on, or an accessor of, any other field is no
-   re-validation. *)
+   a field ([is_dirty cur], as the lock-free mound reads its dirty bit),
+   as by the field read [cur.dirty]; a pattern on, or an accessor of,
+   any other field is no re-validation. *)
 let test_revalidation_shapes () =
   let aba body =
     with_rule "aba-risk"
@@ -386,6 +385,45 @@ let test_revalidation_shapes () =
     (aba (matched "Node { dirty = true; _ }"));
   check_count "a pattern on another field does not" 1
     (aba (matched "Node { hd = 0; _ }"))
+
+(* Where the lock bit is a constructor (the locking mound's [Locked
+   { was }] block), a pattern on it re-validates the read it matches,
+   as a [locked] field read does: both acquisition CASes of the spin —
+   the plain one and the lease revocation — compare a read the match
+   has just tested. The same CAS without the match, or behind a
+   pattern on another constructor, still compares a bare read. *)
+let test_lock_constructor_revalidates () =
+  let aba body =
+    with_rule "aba-risk"
+      (scan "lib/core/x.ml"
+         ("let restamp slot fresh = R.Atomic.set slot fresh\n\n\
+           let rec acquire slot =\n\
+          \  let n = R.Atomic.get slot in\n" ^ body))
+  in
+  let retry = "(R.cpu_relax (); acquire slot)" in
+  let cas = "if R.Atomic.compare_and_set slot n mine then mine else " ^ retry in
+  check_count "a pattern on the lock constructor re-validates" 0
+    (aba
+       (Printf.sprintf
+          "  match n with\n\
+          \  | Locked { was } ->\n\
+          \      let mine = Locked { was } in\n\
+          \      %s\n\
+          \  | Empty | Node _ ->\n\
+          \      let mine = Locked { was = n } in\n\
+          \      %s\n"
+          cas cas));
+  check_count "a bare read is still flagged" 1
+    (aba (Printf.sprintf "  let mine = Locked { was = n } in\n  %s\n" cas));
+  check_count "a pattern on another constructor does not" 1
+    (aba
+       (Printf.sprintf
+          "  match n with\n\
+          \  | Node _ -> %s\n\
+          \  | _ ->\n\
+          \      let mine = Locked { was = n } in\n\
+          \      %s\n"
+          retry cas))
 
 (* ---- node records as constructor literals ------------------------------ *)
 
@@ -439,6 +477,25 @@ let test_release_through_constructor () =
   check_count "the same store keeping the lock is" 1
     (with_rule "atomicity"
        (scan "lib/core/x.ml" (store "(Lk { cur with locked = true })")))
+
+(* A release that re-installs what a held block replaced ([match cur
+   with Locked { was } -> was], or a record built from it) is no lost
+   update either; the block kept in place, or a fresh one, is. *)
+let test_release_of_held_block () =
+  let store fresh =
+    "let unlock slot =\n\
+    \  let cur = R.Atomic.get slot in\n\
+    \  R.Atomic.set slot (match cur with " ^ fresh ^ " | _ -> assert false)\n"
+  in
+  let lost fresh = with_rule "atomicity" (scan "lib/core/x.ml" (store fresh)) in
+  check_count "the replaced record is a release" 0
+    (lost "Locked { was } -> was");
+  check_count "a record built from it is a release" 0
+    (lost "Locked { was = Node n } -> Node { n with hd = 0 }");
+  check_count "a fresh block keeps the lock" 1
+    (lost "Locked { was } -> Locked { was }");
+  check_count "a pattern on another constructor is no release" 1
+    (lost "Node n -> Node { n with hd = 0 }")
 
 let test_stamp_through_constructor () =
   let publish fresh =
@@ -1041,6 +1098,8 @@ let () =
             test_completion_through_constructor;
           Alcotest.test_case "lock release through a constructor" `Quick
             test_release_through_constructor;
+          Alcotest.test_case "release of a held block" `Quick
+            test_release_of_held_block;
           Alcotest.test_case "stamp through a constructor" `Quick
             test_stamp_through_constructor;
           Alcotest.test_case "match arms derive from the scrutinee" `Quick
@@ -1089,6 +1148,8 @@ let () =
           Alcotest.test_case "aba-risk" `Quick test_aba_risk;
           Alcotest.test_case "re-validation by pattern or accessor" `Quick
             test_revalidation_shapes;
+          Alcotest.test_case "a lock constructor pattern re-validates" `Quick
+            test_lock_constructor_revalidates;
           Alcotest.test_case "atomicity" `Quick test_atomicity;
           Alcotest.test_case "atomicity across calls" `Quick
             test_atomicity_interprocedural;

@@ -220,7 +220,9 @@ let committed_round_trip () =
       "BENCH_rankerror.json";
     ];
   round_trip "bench/baseline/MUTATION_matrix.json"
-    Harness.Mutation_json.validate Harness.Mutation_json.codec
+    Harness.Mutation_json.validate Harness.Mutation_json.codec;
+  round_trip "bench/baseline/LINT_tree.json" Harness.Lint_json.validate
+    Harness.Lint_json.codec
 
 (* Fresh medians vs. the committed baseline. Half the baseline is a
    deliberate underbid: an actual hot-path regression (e.g.

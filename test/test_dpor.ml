@@ -251,6 +251,27 @@ let mq_lone_collect () =
       | Some f -> Alcotest.failf "lone-collect schedule: %a" C.pp_failure f);
       check_int "decisions" 41 out.C.followed
 
+(* A schedule that runs out while the scanner holds a queue's lock (its
+   sixth decision is the try-lock): past its end the replay runs the
+   lowest runnable thread, which spins on that lock and never lets the
+   scanner release it, and the clock watchdog, which waits for every
+   runnable thread's clock, never fires. The replay must end as a wedge
+   of all three threads after [max_steps] decisions past the schedule,
+   with one trace event per decision at most. *)
+let mq_misaligned_wedges () =
+  match Harness.Dpor_exp.find "multiqueue-empty" with
+  | None -> Alcotest.fail "multiqueue-empty is not in the catalog"
+  | Some prog ->
+      let schedule = Sim.Sched.Schedule.of_string "2*6" in
+      let out = C.run_schedule prog schedule in
+      check "wedged" true (out.C.wedged = [ 0; 1; 2 ]);
+      check_int "decisions"
+        (List.length schedule + C.default_config.max_steps)
+        out.C.followed;
+      check "one event per decision at most" true
+        (List.length out.C.trace <= out.C.followed);
+      check "no verdict on a wedge" true (out.C.replay_failure = None)
+
 (* ---------------- seeded-mutation catches ---------------- *)
 
 (* Shape matters: insert 1 first (it takes the root), then 2 (the root
@@ -338,5 +359,7 @@ let () =
           Alcotest.test_case "cas toy survives" `Quick cas_toy_survives;
           Alcotest.test_case "multiqueue certificate: lone-collect schedule"
             `Quick mq_lone_collect;
+          Alcotest.test_case "a misaligned replay ends as a wedge" `Quick
+            mq_misaligned_wedges;
         ] );
     ]
