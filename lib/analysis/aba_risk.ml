@@ -27,9 +27,15 @@
       released by [fetch_and_add]), so the expected value cannot
       recur; the rule trusts the word's other writers to add too;
     - the location key must be {e recycled elsewhere}: some other
-      function in the call graph also CASes or sets a location of the
-      same key ({!Summary.fwrites}) — a location with a single writer
-      cannot ABA under it.
+      function of the CAS's own file also CASes or sets a location of
+      the same key ({!Summary.fwrites}) — a location with a single
+      writer cannot ABA under it. Keys are names, a variable's or a
+      record field's, so a writer in another file most often names
+      another location that happens to share the name (a test's [a]);
+      counting it would make a file's verdict depend on which roots
+      are scanned. The price is a function of another file that writes
+      the same record field: a real recycler, which the rule does not
+      count.
 
     Substrate files (the {!Mcas} descriptor machinery) are skipped:
     their internal read–CAS loops compare descriptor identities, where
@@ -41,13 +47,14 @@
 
 let rule = "aba-risk"
 
-(* location key -> paths of functions writing it *)
+(* (file, location key) -> paths of the file's functions writing it *)
 let writers_table (cg : Callgraph.t) =
-  let tbl : (string, string list) Hashtbl.t = Hashtbl.create 32 in
+  let tbl : (string * string, string list) Hashtbl.t = Hashtbl.create 32 in
   Array.iter
     (fun (f : Summary.fn) ->
       List.iter
         (fun k ->
+          let k = (f.ffile, k) in
           let cur = Hashtbl.find_opt tbl k |> Option.value ~default:[] in
           Hashtbl.replace tbl k (String.concat "." f.fpath :: cur))
         f.fwrites)
@@ -80,7 +87,7 @@ let scan_fn cg writers (f : Summary.fn) : Frontend.finding list =
   let findings = ref [] in
   let self = String.concat "." f.fpath in
   let recycled_elsewhere key =
-    match Hashtbl.find_opt writers key with
+    match Hashtbl.find_opt writers (f.ffile, key) with
     | Some ws -> List.exists (fun w -> w <> self) ws
     | None -> false
   in

@@ -208,21 +208,24 @@ let print_costs ppf rows =
 (** CAS cost of the DCAS/DCSS primitives themselves, the paper's "5 CAS
     per software DCAS" (§IV). *)
 let primitive_costs () =
-  let module M = Mcas.Make (Sim.Runtime.Atomic) in
+  let open Sim_mcas in
   let count f =
     let r = Sim.Sched.run ~seed:45L [| (fun _ -> f ()) |] in
     (r.reads, r.cases)
   in
-  let a = M.make 1 and b = M.make 2 in
+  let a = Cell.make (Int 1) and b = Cell.make (Int 2) in
   (* [drop] deliberately sinks each primitive's result: this measures
      the cost of the attempt, not its outcome (the cells are
      uncontended, so every attempt succeeds anyway). *)
   let drop (_ : bool) = () in
-  let cas_counts = count (fun () -> drop (M.cas a (M.get a) 3)) in
+  let cas_counts = count (fun () -> drop (Cell.cas a (Cell.get a) (Int 3))) in
   let dcas_counts =
-    count (fun () -> drop (M.dcas a (M.get a) 4 b (M.get b) 5))
+    count (fun () ->
+        drop (Cell.dcas a (Cell.get a) (Int 4) b (Cell.get b) (Int 5)))
   in
-  let dcss_counts = count (fun () -> drop (M.dcss a (M.get a) b (M.get b) 6)) in
+  let dcss_counts =
+    count (fun () -> drop (Cell.dcss a (Cell.get a) b (Cell.get b) (Int 6)))
+  in
   [ ("cas", cas_counts); ("dcas", dcas_counts); ("dcss", dcss_counts) ]
 
 let print_primitives ppf rows =

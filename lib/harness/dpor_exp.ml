@@ -103,22 +103,26 @@ let standard ~name maker =
   maker_program ~name maker [ [ `Insert 1; `Extract ]; [ `Insert 3 ] ]
 
 (* CASN helping: two threads issue overlapping double-word CASNs from
-   the same initial state, with legs in opposite orders. Exactly one
-   must win, and both locations must agree afterwards — a torn CASN or
-   lost help shows up as mixed values or two winners. *)
+   the same initial state, both naming the cells in allocation order.
+   Exactly one must win, and both cells must agree afterwards — a torn
+   CASN or lost help shows up as mixed values or two winners. *)
 let mcas_program : Check.program =
-  let module M = Mcas.Make (Sim.Runtime.Atomic) in
   let prepare () =
-    let a = M.make 0 and b = M.make 0 in
+    let open Sim_mcas in
+    let zero = Int 0 and one = Int 1 and two = Int 2 in
+    let a = Cell.make zero and b = Cell.make zero in
     let won = Array.make 2 false in
     let bodies =
       [|
-        (fun _ -> won.(0) <- M.casn [| (a, 0, 1); (b, 0, 1) |]);
-        (fun _ -> won.(1) <- M.casn [| (b, 0, 2); (a, 0, 2) |]);
+        (fun _ ->
+          won.(0) <- Cell.casn [| (a, zero, one); (b, zero, one) |]);
+        (fun _ ->
+          won.(1) <- Cell.casn [| (a, zero, two); (b, zero, two) |]);
       |]
     in
     let verdict () =
-      let va = M.get a and vb = M.get b in
+      let va = to_int (Cell.get a)
+      and vb = to_int (Cell.get b) in
       if va <> vb then
         Some (Printf.sprintf "torn casn: a=%d b=%d" va vb)
       else
@@ -136,24 +140,27 @@ let mcas_program : Check.program =
 (* The two-leg shapes the lock-free mound runs: an insert-shaped [dcss]
    (parent is the identity leg, child is written) racing a
    moundify-shaped [dcas] that rewrites both, from the same initial
-   state. The parent slot is allocated first, as the tree allocates rows
-   top-down. Exactly one must win: the dcss leaves (0, 1), the dcas
-   leaves (2, 2); a torn write, a lost help or two winners shows up as
-   any other outcome. *)
+   state. The parent cell is allocated first and named first, as the
+   tree allocates rows top-down. Exactly one must win: the dcss leaves
+   (0, 1), the dcas leaves (2, 2); a torn write, a lost help or two
+   winners shows up as any other outcome. *)
 let mcas_dcss_dcas_program : Check.program =
-  let module M = Mcas.Make (Sim.Runtime.Atomic) in
   let prepare () =
-    let parent = M.make 0 in
-    let child = M.make 0 in
+    let open Sim_mcas in
+    let zero = Int 0 and one = Int 1 and two = Int 2 in
+    let parent = Cell.make zero in
+    let child = Cell.make zero in
     let won = Array.make 2 false in
     let bodies =
       [|
-        (fun _ -> won.(0) <- M.dcss parent 0 child 0 1);
-        (fun _ -> won.(1) <- M.dcas parent 0 2 child 0 2);
+        (fun _ -> won.(0) <- Cell.dcss parent zero child zero one);
+        (fun _ ->
+          won.(1) <- Cell.dcas parent zero two child zero two);
       |]
     in
     let verdict () =
-      let vp = M.get parent and vc = M.get child in
+      let vp = to_int (Cell.get parent)
+      and vc = to_int (Cell.get child) in
       match (won.(0), won.(1), vp, vc) with
       | true, false, 0, 1 | false, true, 2, 2 -> None
       | false, false, _, _ ->

@@ -73,14 +73,15 @@ let standard ~name (maker : Pq.maker) =
     ~prepopulate:[ 2; 5 ]
     [ [ `Insert 1; `Extract ]; [ `Insert 3; `Extract ] ]
 
-(* Overlapping CASNs with legs in opposite orders, twice on one side:
-   the second attempt races against the helped completion of the first —
-   the acquire/help/complete triangle of Harris et al. *)
+(* Overlapping CASNs, both naming the cells in allocation order, twice
+   on one side: the second attempt races against the helped completion
+   of the first — the acquire/help/complete triangle of Harris et al. *)
 let mcas_entry : entry =
-  let module M = Mcas.Make (Sim.Runtime.Atomic) in
   let prepare () =
     Sim.Sched.seed_ambient 11L;
-    let a = M.make 0 and b = M.make 0 in
+    let open Sim_mcas in
+    let zero = Int 0 and one = Int 1 and two = Int 2 and nine = Int 9 in
+    let a = Cell.make zero and b = Cell.make zero in
     let ops_done = Array.make 2 0 in
     (* Outcomes are recorded, not branched on: whether each CASN won or
        lost the race, the attempt itself must complete — that is the
@@ -89,12 +90,12 @@ let mcas_entry : entry =
     let bodies =
       [|
         (fun _ ->
-          won.(0) <- M.casn [| (a, 0, 1); (b, 0, 1) |];
+          won.(0) <- Cell.casn [| (a, zero, one); (b, zero, one) |];
           ops_done.(0) <- 1;
-          won.(1) <- M.casn [| (a, 1, 2); (b, 1, 2) |];
+          won.(1) <- Cell.casn [| (a, one, two); (b, one, two) |];
           ops_done.(0) <- 2);
         (fun _ ->
-          won.(2) <- M.casn [| (b, 0, 9); (a, 0, 9) |];
+          won.(2) <- Cell.casn [| (a, zero, nine); (b, zero, nine) |];
           ops_done.(1) <- 1);
       |]
     in

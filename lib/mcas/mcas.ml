@@ -18,44 +18,39 @@
       a thread can only be delayed by another thread making progress.
 
     The cell state is an open type. The protocol owns its two
-    descriptors and [V], the box the location API keeps its values in;
-    a client of bare cells declares constructors of its own and stores
+    descriptors; a client declares constructors of its own and stores
     them unboxed, so a read returns the client's record itself (the
     lock-free mound's [Empty]/[Node], one dependent load after the
     cell). Every match on a state names the descriptors inline and
     takes anything else as a value.
 
-    The protocol is written once, over cells, and installs legs in the
-    order the caller names them. Each operation records how its legs
-    compare ({!expect}): a cell leg expects the state itself, a location
-    leg the payload of the [V] box the location holds. A {e location}
-    ({!Make.loc}) is a cell plus its allocation id; its operations box
-    their new values, sort their legs by id and run the cell protocol
-    with payload legs, so any set of locations is installed in
-    allocation order. A client that names its legs in one fixed global
-    order of its own (the lock-free mound: parent before child, which is
-    the order its cells were allocated in) uses cells directly and saves
-    the id record's load on every access.
+    The protocol is written once, over cells. A leg is one record
+    [{cell; exp; n}], compared with [==], and legs install in the order
+    the caller names them, so every client names the cells it combines
+    in one global order of its own (the lock-free mound: parent before
+    child, the order its tree allocates them in).
 
     Cost structure matters for the evaluation: a DCAS here issues roughly
     five CASes on the uncontended path (two RDCSS installs at two CASes
     each, one status decision) plus two write-back CASes — the "5 CAS per
     DCAS" the paper's §IV compares against fine-grained locking.
 
-    Allocation budget: an uncontended [dcas] or [dcss] on cells
-    allocates 27 words — the two-leg array (11), the status cell (2), the
-    CASN descriptor (4) and one RDCSS descriptor per leg (2 × 5) — and a
+    Allocation budget: an uncontended [dcas] or [dcss] allocates 27
+    words — the two-leg array (11), the status cell (2), the CASN
+    descriptor (4) and one RDCSS descriptor per leg (2 × 5) — and a
     single-cell [cas] allocates nothing. Every descriptor is an extension
     block, one word more than a variant's block: the constructor's slot.
-    On locations the same DCAS adds one [V] box per written-back leg
-    (2 × 3), 33 words. The descriptors {e are} the installed cell
-    states, the legs are checked and ordered with one comparison, and
-    the phase loops are top-level functions, so nothing else is
-    allocated per call.
+    The descriptors {e are} the installed cell states, the legs are
+    checked with one comparison, and the phase loops are top-level
+    functions, so nothing else is allocated per call.
 
     Equality is {e physical} ([==]), as in [Stdlib.Atomic]: users are
     expected to store freshly allocated immutable records, which is also
-    what rules out ABA without the paper's version counters. *)
+    what rules out ABA without the paper's version counters.
+
+    The locations at the end ({!Make.loc}) are a client of [Cell] that
+    boxes any value and compares payloads; only the benchmark's Mcas
+    layer ([bench/perf/layers.ml]) calls them. *)
 
 (** Operation statuses are immediate constructors, so physical equality on
     them is value equality. *)
@@ -64,20 +59,9 @@ type status = Undecided | Succeeded | Failed
 module Make (A : Runtime.ATOMIC) = struct
   type 'a state = ..
 
-  (* How a single CAS compares a cell's state with its expected value:
-     on a cell, the state itself; on a location, the payload of the [V]
-     box holding its value. Both compare physically. Immediate
-     constructors, so the witness costs a CAS nothing. *)
-  type ('a, 'e) expect =
-    | Same : ('a, 'a state) expect
-    | Payload : ('a, 'a) expect
-
-  (* A CASN leg: the cell, what it must hold and the state to write. Its
-     constructor records how it compares, as {!expect} does for a single
-     CAS. *)
-  type 'a leg =
-    | Same_leg of { cell : 'a state A.t; exp : 'a state; n : 'a state }
-    | Payload_leg of { cell : 'a state A.t; exp : 'a; n : 'a state }
+  (* A CASN leg: the cell, the state it must hold and the state to
+     write. *)
+  type 'a leg = { cell : 'a state A.t; exp : 'a state; n : 'a state }
 
   (* The [R] and [C] blocks are the descriptors themselves: each is
      allocated once, by the thread that starts the RDCSS or CASN, and
@@ -85,25 +69,11 @@ module Make (A : Runtime.ATOMIC) = struct
      reads it from a cell, so the CASes that remove a descriptor compare
      against exactly the block they found. *)
   type 'a state +=
-    | V of 'a  (** A location's value. *)
     | R of { casn : 'a state; cell : 'a state A.t; old : 'a state }
         (** RDCSS descriptor: install [casn] (a [C]) over [old], the state
             it replaced. *)
     | C of { status : status A.t; ops : 'a leg array }
         (** CASN descriptor; [ops] in install order. *)
-
-  let holds : type a e. (a, e) expect -> e -> a state -> bool =
-   fun expect exp cur ->
-    match expect with
-    | Same -> cur == exp
-    | Payload -> ( match cur with V v -> v == exp | _ -> false)
-
-  let leg_cell = function Same_leg { cell; _ } | Payload_leg { cell; _ } -> cell
-
-  let leg_holds leg cur =
-    match leg with
-    | Same_leg { exp; _ } -> holds Same exp cur
-    | Payload_leg { exp; _ } -> holds Payload exp cur
 
   module Cell = struct
     type 'a t = 'a state A.t
@@ -129,27 +99,26 @@ module Make (A : Runtime.ATOMIC) = struct
           ignore (A.compare_and_set cell r installed)
       | _ -> assert false
 
-    (* Attempt to replace the state [leg] expects in [cell] by the CASN
-       descriptor [d], provided its status is still undecided. Returns
-       [d] once the descriptor is (or no longer needs to be) installed;
-       anything else is what the caller must deal with: another CASN's
-       descriptor, or a state [leg] does not expect. Each install CAS
-       gets a freshly built RDCSS descriptor, so no block is ever
-       installed twice. *)
-    let rec rdcss d cell leg =
+    (* Attempt to replace [exp] in [cell] by the CASN descriptor [d],
+       provided its status is still undecided. Returns [d] once the
+       descriptor is (or no longer needs to be) installed; anything else
+       is what the caller must deal with: another CASN's descriptor, or
+       a state other than [exp]. Each install CAS gets a freshly built
+       RDCSS descriptor, so no block is ever installed twice. *)
+    let rec rdcss d cell exp =
       let cur = A.get cell in
       match cur with
       | R _ ->
           rdcss_complete cur;
-          rdcss d cell leg
+          rdcss d cell exp
       | C _ -> cur
-      | _ when leg_holds leg cur ->
+      | _ when cur == exp ->
           let r = R { casn = d; cell; old = cur } in
           if A.compare_and_set cell cur r then begin
             rdcss_complete r;
             d
           end
-          else rdcss d cell leg
+          else rdcss d cell exp
       | _ -> cur
 
     (* [casn_help d] drives the CASN descriptor [d] to its decision and
@@ -170,16 +139,11 @@ module Make (A : Runtime.ATOMIC) = struct
             ignore (A.compare_and_set status Undecided outcome)
           done;
           let success = A.get status == Succeeded in
-          (* Phase 2: write back, or restore what each leg expected (a
-             location's in a fresh box). Failed helpers' CASes fail
-             harmlessly. *)
+          (* Phase 2: write back, or restore what each leg expected.
+             Failed helpers' CASes fail harmlessly. *)
           for i = 0 to Array.length ops - 1 do
-            match ops.(i) with
-            | Same_leg { cell; exp; n } ->
-                ignore (A.compare_and_set cell d (if success then n else exp))
-            | Payload_leg { cell; exp; n } ->
-                ignore
-                  (A.compare_and_set cell d (if success then n else V exp))
+            let { cell; exp; n } = ops.(i) in
+            ignore (A.compare_and_set cell d (if success then n else exp))
           done;
           success
       | _ -> assert false
@@ -191,8 +155,8 @@ module Make (A : Runtime.ATOMIC) = struct
     and install d ops i =
       if i = Array.length ops then Succeeded
       else
-        let leg = ops.(i) in
-        match rdcss d (leg_cell leg) leg with
+        let { cell; exp; _ } = ops.(i) in
+        match rdcss d cell exp with
         | C _ as d' when d' == d -> install d ops (i + 1)
         | C _ as d' ->
             ignore (casn_help d');
@@ -213,97 +177,74 @@ module Make (A : Runtime.ATOMIC) = struct
           get c
       | v -> v
 
-    let set c v = A.set c v
-
-    let rec cas_as : type a e. (a, e) expect -> a t -> e -> a state -> bool =
-     fun expect c exp v ->
+    let rec cas c exp v =
       let cur = A.get c in
       match cur with
       | R _ ->
           rdcss_complete cur;
-          cas_as expect c exp v
+          cas c exp v
       | C _ ->
           ignore (casn_help cur);
-          cas_as expect c exp v
+          cas c exp v
+      | _ -> cur == exp && (A.compare_and_set c cur v || cas c exp v)
+
+    let casn ops =
+      match ops with
+      | [||] -> true
+      | [| (c, exp, n) |] -> cas c exp n
       | _ ->
-          holds expect exp cur
-          && (A.compare_and_set c cur v || cas_as expect c exp v)
-
-    let cas c exp v = cas_as Same c exp v
-
-    (* Takes ownership of [ops]. *)
-    let casn_legs ops =
-      match Array.length ops with
-      | 0 -> true
-      | 1 -> (
-          match ops.(0) with
-          | Same_leg { cell; exp; n } -> cas_as Same cell exp n
-          | Payload_leg { cell; exp; n } -> cas_as Payload cell exp n)
-      | k ->
-          for i = 1 to k - 1 do
+          let ops = Array.map (fun (cell, exp, n) -> { cell; exp; n }) ops in
+          for i = 1 to Array.length ops - 1 do
             for j = 0 to i - 1 do
-              if leg_cell ops.(i) == leg_cell ops.(j) then
+              if ops.(i).cell == ops.(j).cell then
                 invalid_arg "Mcas.casn: aliased locations"
             done
           done;
           start ops
 
-    let casn ops =
-      casn_legs
-        (Array.map (fun (cell, exp, n) -> Same_leg { cell; exp; n }) ops)
-
     let dcas c1 e1 n1 c2 e2 n2 =
       if c1 == c2 then invalid_arg "Mcas.dcas: aliased locations"
       else
         start
-          [|
-            Same_leg { cell = c1; exp = e1; n = n1 };
-            Same_leg { cell = c2; exp = e2; n = n2 };
-          |]
+          [| { cell = c1; exp = e1; n = n1 }; { cell = c2; exp = e2; n = n2 } |]
 
     let dcss c1 e1 c2 e2 n2 = dcas c1 e1 e1 c2 e2 n2
   end
 
-  type 'a loc = { cell : 'a Cell.t; id : int }
+  (* Locations: a cell holding a [V] box around any value. Each call
+     reads the boxes, compares their payloads with [==] and runs the
+     cell operation on the boxes it read; it retries when that fails
+     although every payload still matches (a box was replaced by one
+     with the same payload). Legs install in argument order. *)
+  type 'a state += V of 'a
 
-  (* Allocation order for descriptor installation. Uses the host atomic
-     directly (not [A]): location creation is setup, not part of any
-     simulated algorithm's hot path. *)
-  let next_id = Stdlib.Atomic.make 0 (* lint: allow — setup-only id source *)
+  type 'a loc = 'a Cell.t
 
-  let make v =
-    (* lint: allow — id allocation is setup, outside the simulated heap *)
-    { cell = Cell.make (V v); id = Stdlib.Atomic.fetch_and_add next_id 1 }
+  let make v = Cell.make (V v)
+  let get l = match Cell.get l with V v -> v | _ -> assert false
 
-  let get loc = match Cell.get loc.cell with V v -> v | _ -> assert false
+  let rec cas l exp v =
+    match Cell.get l with
+    | V cur as b -> cur == exp && (Cell.cas l b (V v) || cas l exp v)
+    | _ -> assert false
 
-  (** Unconditional store. Only safe when no concurrent operation can hold
-      a descriptor in [loc] (initialization, quiescent phases). *)
-  let set loc v = Cell.set loc.cell (V v)
+  let rec dcas l1 e1 n1 l2 e2 n2 =
+    let b1 = Cell.get l1 in
+    let b2 = Cell.get l2 in
+    match (b1, b2) with
+    | V v1, V v2 ->
+        v1 == e1 && v2 == e2
+        && (Cell.dcas l1 b1 (V n1) l2 b2 (V n2) || dcas l1 e1 n1 l2 e2 n2)
+    | _ -> assert false
 
-  let cas loc exp v = Cell.cas_as Payload loc.cell exp (V v)
-
-  let leg l exp n = Payload_leg { cell = l.cell; exp; n = V n }
-
-  (** [casn ops] atomically: checks that every [(loc, exp, _)] holds [exp]
-      (physically) and, if all do, stores each new value. Locations must
-      be distinct; they are installed in allocation order. *)
-  let casn ops =
-    let ops = Array.copy ops in
-    Array.sort (fun (a, _, _) (b, _, _) -> Int.compare a.id b.id) ops;
-    Cell.casn_legs (Array.map (fun (l, exp, n) -> leg l exp n) ops)
-
-  (** Double compare-and-swap over two distinct locations. The one id
-      comparison that puts the legs in allocation order also rejects
-      aliased legs. *)
-  let dcas l1 e1 n1 l2 e2 n2 =
-    if l1.id < l2.id then Cell.start [| leg l1 e1 n1; leg l2 e2 n2 |]
-    else if l2.id < l1.id then Cell.start [| leg l2 e2 n2; leg l1 e1 n1 |]
-    else invalid_arg "Mcas.dcas: aliased locations"
-
-  (** Double-compare single-swap: writes [l2 <- n2] only if [l1] holds
-      [e1] and [l2] holds [e2]. Implemented with a DCAS whose first leg
-      rewrites [e1] to itself, exactly as the paper's implementation
-      chooses to (§VI-A). *)
-  let dcss l1 e1 l2 e2 n2 = dcas l1 e1 e1 l2 e2 n2
+  (* The identity leg re-installs the box it read, as [Cell.dcss] does
+     with a state. *)
+  let rec dcss l1 e1 l2 e2 n2 =
+    let b1 = Cell.get l1 in
+    let b2 = Cell.get l2 in
+    match (b1, b2) with
+    | V v1, V v2 ->
+        v1 == e1 && v2 == e2
+        && (Cell.dcss l1 b1 l2 b2 (V n2) || dcss l1 e1 l2 e2 n2)
+    | _ -> assert false
 end

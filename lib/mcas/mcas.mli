@@ -3,36 +3,35 @@
     single-CAS hardware. Lock-free: any thread that encounters another
     operation's descriptor helps it complete.
 
-    Two handles share one protocol. A {e cell} ({!Make.Cell}) is the
-    atomic word itself, holding a {!Make.state}: an open type whose
+    The protocol runs over {e cells} ({!Make.Cell}): a cell is the
+    atomic word itself, holding a {!Make.state}, an open type whose
     constructors the client declares ([type _ M.state += Node of
     {...}]), so a read returns the client's record itself, with no box
     between the cell and it. A multi-cell operation installs its legs
     in the order the caller names them, so every caller must name the
     cells it combines in one global order (the lock-free mound names
-    parents before children, the order its tree allocates them in). A
-    {e location} ({!Make.loc}) is a cell plus its allocation id, holding
-    any value in a box of the protocol's own; its operations sort their
-    legs by id before running the cell protocol, so callers need not
-    order them.
+    parents before children, the order its tree allocates them in).
 
-    Equality is {e physical} ([==]) as in [Stdlib.Atomic]: on a cell, of
-    the state itself; on a location, of the value in its box. Store
-    freshly allocated immutable values, which also rules out ABA.
+    Equality is {e physical} ([==]) as in [Stdlib.Atomic], of the state
+    itself. Store freshly allocated immutable states, which also rules
+    out ABA.
 
     Cost structure (measured by `repro ablation costs`): an uncontended
     DCAS/DCSS issues ~7 hardware CASes — the "several CAS per software
     DCAS" that the paper's §IV cost comparison builds on.
 
-    Allocation budget: an uncontended [dcas] or [dcss] on cells
-    allocates 27 words — its two legs, its status cell and descriptors —
-    and writes back the caller's states themselves; a single-cell [cas]
-    allocates nothing. On locations the same DCAS allocates 33 words,
-    one box per written value on top. Every descriptor and box is an extension block, one word
-    (its constructor's slot) wider than a variant's block. Each
-    descriptor is the very block it installs into cells, so the CASes
-    that later remove it compare against the physical block every
-    helper read. *)
+    Allocation budget: an uncontended [dcas] or [dcss] allocates 27
+    words — its two legs, its status cell and descriptors — and writes
+    back the caller's states themselves; a single-cell [cas] allocates
+    nothing. Every descriptor is an extension block, one word (its
+    constructor's slot) wider than a variant's block. Each descriptor is
+    the very block it installs into cells, so the CASes that later
+    remove it compare against the physical block every helper read.
+
+    The {e locations} ({!Make.loc}) are a thin client of [Cell] that
+    holds any value in a box and compares payloads. They exist only for
+    the benchmark's Mcas layer ([bench/perf/layers.ml]); ROADMAP item
+    1(a) moves that layer to cells and deletes them. *)
 
 (** Status of an in-flight CASN; immediate constructors, so physical
     equality on them is value equality. *)
@@ -43,12 +42,12 @@ module Make (_ : Runtime.ATOMIC) : sig
   (** What a cell holds. Clients add the constructors they store; the
       protocol's own (its RDCSS and CASN descriptors, and the box a
       location keeps its value in) are private, and a cell read never
-      returns one. A match on a state therefore needs a raising arm
-      ([| _ -> assert false]). ['a] is the type of a location's values;
-      a client of bare cells may fix it to anything. *)
+      returns a descriptor. A match on a state therefore needs a raising
+      arm ([| _ -> assert false]). ['a] is the type of a location's
+      values; a client of cells may fix it to anything. *)
 
-  (** Id-less cells: one atomic word each. Multi-cell operations install
-      their legs in argument order. *)
+  (** Cells: one atomic word each. Multi-cell operations install their
+      legs in argument order. *)
   module Cell : sig
     type 'a t
     (** A shared cell holding ['a state]s. *)
@@ -57,10 +56,6 @@ module Make (_ : Runtime.ATOMIC) : sig
 
     val get : 'a t -> 'a state
     (** Read the current state, helping any in-flight operation first. *)
-
-    val set : 'a t -> 'a state -> unit
-    (** Unconditional store. Only safe when no concurrent operation can
-        hold a descriptor in the cell (initialization, quiescence). *)
 
     val cas : 'a t -> 'a state -> 'a state -> bool
     (** [cas c expected v] — single-cell CAS with helping. *)
@@ -87,36 +82,32 @@ module Make (_ : Runtime.ATOMIC) : sig
   end
 
   type 'a loc
-  (** A shared location holding values of type ['a]: a cell plus its
-      allocation id. *)
+  (** A cell holding a value of type ['a] in a box. Each operation reads
+      the boxes, compares their payloads physically, and runs the
+      {!Cell} operation on the boxes it read, retrying while that fails
+      on payloads that still match. Legs install in argument order, so
+      callers name locations in one global order, as on cells. Only
+      [bench/perf/layers.ml] calls these. *)
 
   val make : 'a -> 'a loc
 
   val get : 'a loc -> 'a
   (** Read the current value, helping any in-flight operation first. *)
 
-  val set : 'a loc -> 'a -> unit
-  (** Unconditional store. Only safe when no concurrent operation can
-      hold a descriptor in the location (initialization, quiescence). *)
-
   val cas : 'a loc -> 'a -> 'a -> bool
-  (** [cas loc expected v] — single-location CAS with helping. *)
-
-  val casn : ('a loc * 'a * 'a) array -> bool
-  (** [casn ops] atomically checks every [(loc, expected, _)] and, if all
-      match, stores each new value. Locations must be distinct; they are
-      locked in allocation order internally, so callers need not sort.
-      @raise Invalid_argument if two operations name the same location. *)
+  (** [cas loc expected v] — single-location CAS; boxes [v] (3 words). *)
 
   val dcas : 'a loc -> 'a -> 'a -> 'a loc -> 'a -> 'a -> bool
-  (** [dcas l1 e1 n1 l2 e2 n2] — double compare-and-swap over two
-      distinct locations.
-      @raise Invalid_argument if [l1] and [l2] are the same location. *)
+  (** [dcas l1 e1 n1 l2 e2 n2] — {!Cell.dcas} on the boxes [l1] and [l2]
+      hold when their payloads are [e1] and [e2]; boxes [n1] and [n2]
+      (33 words).
+      @raise Invalid_argument if [l1] and [l2] are the same location and
+      both payloads match. *)
 
   val dcss : 'a loc -> 'a -> 'a loc -> 'a -> 'a -> bool
-  (** [dcss l1 e1 l2 e2 n2] — double-compare single-swap: writes
-      [l2 <- n2] only if [l1 = e1] and [l2 = e2]. Implemented with a DCAS
-      whose first leg rewrites [e1] to itself, as the paper does
-      (§VI-A).
-      @raise Invalid_argument if [l1] and [l2] are the same location. *)
+  (** [dcss l1 e1 l2 e2 n2] — {!Cell.dcss} on the boxes [l1] and [l2]
+      hold when their payloads are [e1] and [e2]: the identity leg
+      re-installs [l1]'s box, and only [n2] is boxed (30 words).
+      @raise Invalid_argument if [l1] and [l2] are the same location and
+      both payloads match. *)
 end

@@ -30,52 +30,55 @@ module No_help = struct
   module M = Mcas.Make (R.Atomic)
   module T = Mound.Tree.Make (R)
 
-  type mnode = { list : int list; dirty : bool; seq : int }
-  type t = { tree : mnode M.loc T.t }
+  type _ M.state += Node of { list : int list; dirty : bool; seq : int }
+  type t = { tree : unit M.Cell.t T.t }
 
   let create () =
-    let make_slot () = M.make { list = []; dirty = false; seq = 0 } in
+    let make_slot () =
+      M.Cell.make (Node { list = []; dirty = false; seq = 0 })
+    in
     { tree = T.create make_slot }
 
   (* Root-only insert: just enough to seed the mutant before the race.
      The list is kept in sorted order by inserting descending values. *)
   let rec insert t v =
     let slot = T.get t.tree 1 in
-    let cur = M.get slot in
-    if
-      not
-        (M.cas slot cur
-           { list = v :: cur.list; dirty = cur.dirty; seq = cur.seq + 1 })
-    then insert t v
+    match M.Cell.get slot with
+    | Node { list; dirty; seq } as cur ->
+        let fresh = Node { list = v :: list; dirty; seq = seq + 1 } in
+        if not (M.Cell.cas slot cur fresh) then insert t v
+    | _ -> assert false
 
   (* THE MUTATION: a dirty root is spun on, never restored, and the
      winner leaves it dirty. *)
   let rec extract_min t =
     let slot = T.get t.tree 1 in
-    let root = M.get slot in
-    if root.dirty then extract_min t
-    else
-      match root.list with
-      | [] -> None
-      | hd :: tl ->
-          if M.cas slot root { list = tl; dirty = true; seq = root.seq + 1 }
-          then Some hd
-          else extract_min t
+    match M.Cell.get slot with
+    | Node { dirty = true; _ } -> extract_min t
+    | Node { list = []; _ } -> None
+    | Node { list = hd :: tl; seq; _ } as root ->
+        if
+          M.Cell.cas slot root (Node { list = tl; dirty = true; seq = seq + 1 })
+        then Some hd
+        else extract_min t
+    | _ -> assert false
 end
 
 module No_backoff = struct
   module R = Sim.Runtime
   module M = Mcas.Make (R.Atomic)
 
-  type t = int list M.loc
+  type _ M.state += List of int list
+  type t = unit M.Cell.t
 
-  let create () : t = M.make []
+  let create () : t = M.Cell.make (List [])
 
   (* Upstream's insert retry runs [B.exponential] between attempts;
      deleted here. *)
   let rec insert (c : t) v =
-    let cur = M.get c in
-    if not (M.cas c cur (v :: cur)) then insert c v
+    match M.Cell.get c with
+    | List l as cur -> if not (M.Cell.cas c cur (List (v :: l))) then insert c v
+    | _ -> assert false
 end
 
 module Lock_inverted = struct

@@ -117,18 +117,20 @@ end
 
 module Post_publish_mutation = struct
   module R = Sim.Runtime
-  module M = Mcas.Make (R.Atomic)
 
   type mnode = { mutable list : int list; seq : int }
-  type t = { root : mnode M.loc }
+  type t = { root : mnode R.Atomic.t }
 
-  let create () = { root = M.make { list = []; seq = 0 } }
+  let create () = { root = R.Atomic.make { list = []; seq = 0 } }
 
   (* Insert publishes a fresh record and backs off on contention —
      correct on both analysis dimensions, and the in-file negative. *)
   let rec insert t v =
-    let cur = M.get t.root in
-    if not (M.cas t.root cur { list = v :: cur.list; seq = cur.seq + 1 })
+    let cur = R.Atomic.get t.root in
+    if
+      not
+        (R.Atomic.compare_and_set t.root cur
+           { list = v :: cur.list; seq = cur.seq + 1 })
     then begin
       R.cpu_relax ();
       insert t v
@@ -139,11 +141,11 @@ module Post_publish_mutation = struct
      extractions that read the same root both pass the CAS and both
      deliver the old head. *)
   let rec extract_min t =
-    let root = M.get t.root in
+    let root = R.Atomic.get t.root in
     match root.list with
     | [] -> None
     | hd :: tl ->
-        if M.cas t.root root root then begin
+        if R.Atomic.compare_and_set t.root root root then begin
           root.list <- tl;
           Some hd
         end
@@ -152,26 +154,29 @@ module Post_publish_mutation = struct
           extract_min t
         end
 
-  let peek_min t = List.nth_opt (M.get t.root).list 0
-  let size t = List.length (M.get t.root).list
+  let peek_min t = List.nth_opt (R.Atomic.get t.root).list 0
+  let size t = List.length (R.Atomic.get t.root).list
 
   let check t =
     let rec sorted = function
       | [] | [ _ ] -> true
       | a :: (b :: _ as rest) -> a <= b && sorted rest
     in
-    sorted (M.get t.root).list
+    sorted (R.Atomic.get t.root).list
 end
 
 module Aliased_helper_dropped = struct
   module R = Sim.Runtime
   module M = Mcas.Make (R.Atomic)
 
-  type mnode = { list : int list; dirty : bool; seq : int }
+  type _ M.state += Node of { list : int list; dirty : bool; seq : int }
 
   let moundify slot =
-    let cur = M.get slot in
-    ignore (M.cas slot cur { list = cur.list; dirty = false; seq = cur.seq + 1 })
+    match M.Cell.get slot with
+    | Node { list; seq; _ } as cur ->
+        ignore
+          (M.Cell.cas slot cur (Node { list; dirty = false; seq = seq + 1 }))
+    | _ -> assert false
 
   (* THE MUTATION: the helper is aliased — a rule matching names would
      see the substring "moundify" in the loop's item and stay silent —
@@ -180,29 +185,29 @@ module Aliased_helper_dropped = struct
   let rec extract_spin t slot =
     let restore = moundify in
     ignore restore;
-    let cur = M.get slot in
-    match cur.list with
-    | [] -> None
-    | hd :: tl ->
-        if M.cas slot cur { list = tl; dirty = cur.dirty; seq = cur.seq + 1 }
-        then Some hd
+    match M.Cell.get slot with
+    | Node { list = []; _ } -> None
+    | Node { list = hd :: tl; dirty; seq } as cur ->
+        if M.Cell.cas slot cur (Node { list = tl; dirty; seq = seq + 1 }) then
+          Some hd
         else extract_spin t slot
+    | _ -> assert false
 
   (* The negative twin: the same alias, actually invoked on failure.
      The call graph resolves [restore] to [moundify], whose completing
      CAS counts as helping — no finding. *)
   let rec extract_helping t slot =
     let restore = moundify in
-    let cur = M.get slot in
-    match cur.list with
-    | [] -> None
-    | hd :: tl ->
-        if M.cas slot cur { list = tl; dirty = cur.dirty; seq = cur.seq + 1 }
-        then Some hd
+    match M.Cell.get slot with
+    | Node { list = []; _ } -> None
+    | Node { list = hd :: tl; dirty; seq } as cur ->
+        if M.Cell.cas slot cur (Node { list = tl; dirty; seq = seq + 1 }) then
+          Some hd
         else begin
           restore slot;
           extract_helping t slot
         end
+    | _ -> assert false
 end
 
 module Unstamped_publish = struct

@@ -353,6 +353,39 @@ let test_aba_risk () =
   check_count "single-writer location fine" 0
     (with_rule "aba-risk" (scan "lib/core/x.ml" single_writer))
 
+(* Location keys are names, so [aba-risk] counts only the writers in
+   the CAS's own file: a [set] of a variable named [a] in another file
+   says nothing about this file's [a], and must not make the verdict
+   depend on which roots are scanned. A record field's key is its name
+   alone, as ambiguous across files without types, so a writer of a
+   field [root] in another file is not counted either, by decision: it
+   may be a real recycler of the same field, and the rule gives that up
+   so that no other file's field of the same name decides a verdict. A
+   second writer in the CAS's own file is still a recycler, for either
+   kind of key. *)
+let test_aba_risk_writers_per_file () =
+  let aba files = with_rule "aba-risk" (Analysis.scan_files files) in
+  let var_cas =
+    "let bump a =\n\
+    \  let cur = R.Atomic.get a in\n\
+    \  ignore (R.Atomic.compare_and_set a cur (Some 1))\n"
+  in
+  let var_set = "let reset a = R.Atomic.set a None\n" in
+  check_count "a writer of another file's [a] is no recycler" 0
+    (aba [ ("lib/core/x.ml", var_cas); ("lib/core/y.ml", var_set) ]);
+  check_count "a writer of [a] in the same file still is" 1
+    (aba [ ("lib/core/x.ml", var_cas ^ "\n" ^ var_set) ]);
+  let field_cas =
+    "let bump t =\n\
+    \  let cur = R.Atomic.get t.root in\n\
+    \  ignore (R.Atomic.compare_and_set t.root cur (Some 1))\n"
+  in
+  let field_set = "let reset q = R.Atomic.set q.root None\n" in
+  check_count "a writer of [root] in another file is not counted" 0
+    (aba [ ("lib/core/x.ml", field_cas); ("lib/core/y.ml", field_set) ]);
+  check_count "a writer of [root] in the same file is" 1
+    (aba [ ("lib/core/x.ml", field_cas ^ "\n" ^ field_set) ])
+
 (* A shared read is re-validated by a [match] pattern on one of its
    protocol fields, and by a call of an accessor that returns only such
    a field ([is_dirty cur], as the lock-free mound reads its dirty bit),
@@ -1146,6 +1179,8 @@ let () =
       ( "dataflow",
         [
           Alcotest.test_case "aba-risk" `Quick test_aba_risk;
+          Alcotest.test_case "aba-risk counts writers of its own file"
+            `Quick test_aba_risk_writers_per_file;
           Alcotest.test_case "re-validation by pattern or accessor" `Quick
             test_revalidation_shapes;
           Alcotest.test_case "a lock constructor pattern re-validates" `Quick

@@ -221,15 +221,19 @@ let chaos_expand_racing_allocations () =
 
 module M = Mcas.Make (Harness.Chaos_exp.CR.Atomic)
 
+(* The swept cells hold integers, each [Val] a block of its own. *)
+type _ M.state += Val of int
+
 (* Crash a victim thread inside one multi-word operation at every one of
    its shared accesses in turn, while survivor threads keep reading and
-   identity-rewriting the same locations: lock-freedom says they
-   complete by helping the dead thread's descriptor, and the operation
-   stays all-or-nothing. [setup ()] builds fresh locations and returns
-   the victim's operation, one identity rewrite per survivor (each reads
-   fresh values, then rewrites them to themselves), and a post-run
-   reader of the locations: [`New] if every one holds the victim's new
-   value, [`Old] if every one holds its old value, [`Torn] otherwise.
+   identity-rewriting the same cells: lock-freedom says they complete by
+   helping the dead thread's descriptor, and the operation stays
+   all-or-nothing. Every operation names its cells in allocation order.
+   [setup ()] builds fresh cells and returns the victim's operation, one
+   identity rewrite per survivor (each reads fresh states, then rewrites
+   them to themselves), and a post-run reader of the cells: [`New] if
+   every one holds the victim's new state, [`Old] if every one holds its
+   old state, [`Torn] otherwise.
    The victim changes the values at most once, so with helping each
    survivor sees at most one of its eight rewrites fail; a survivor that
    gave up on a descriptor instead of helping it fails more. *)
@@ -281,23 +285,25 @@ let helping_sweep setup =
 (* The victim runs a 3-word [casn]; survivors identity-rewrite the
    overlapping pairs (a, b) and (b, c). *)
 let mcas_helping_under_stalls () =
-  let x0 = ref 0 and x1 = ref 1 and y0 = ref 10 and y1 = ref 11 in
-  let z0 = ref 20 and z1 = ref 21 in
+  let x0 = Val 0 and x1 = Val 1 and y0 = Val 10 and y1 = Val 11 in
+  let z0 = Val 20 and z1 = Val 21 in
   helping_sweep (fun () ->
-      let a = M.make x0 and b = M.make y0 and c = M.make z0 in
-      let victim () = M.casn [| (a, x0, x1); (b, y0, y1); (c, z0, z1) |] in
+      let a = M.Cell.make x0 and b = M.Cell.make y0 and c = M.Cell.make z0 in
+      let victim () =
+        M.Cell.casn [| (a, x0, x1); (b, y0, y1); (c, z0, z1) |]
+      in
       let rewrites =
         [
           (fun () ->
-            let va = M.get a and vb = M.get b in
-            M.casn [| (a, va, va); (b, vb, vb) |]);
+            let va = M.Cell.get a and vb = M.Cell.get b in
+            M.Cell.casn [| (a, va, va); (b, vb, vb) |]);
           (fun () ->
-            let vb = M.get b and vc = M.get c in
-            M.casn [| (b, vb, vb); (c, vc, vc) |]);
+            let vb = M.Cell.get b and vc = M.Cell.get c in
+            M.Cell.casn [| (b, vb, vb); (c, vc, vc) |]);
         ]
       in
       let outcome () =
-        let va = M.get a and vb = M.get b and vc = M.get c in
+        let va = M.Cell.get a and vb = M.Cell.get b and vc = M.Cell.get c in
         if va == x1 && vb == y1 && vc == z1 then `New
         else if va == x0 && vb == y0 && vc == z0 then `Old
         else `Torn
@@ -305,26 +311,25 @@ let mcas_helping_under_stalls () =
       (victim, rewrites, outcome))
 
 (* The two-leg path the lock-free mound runs: the victim's [dcas] names
-   its legs in descending id order, so the leg-ordering branch runs;
-   survivors identity-rewrite both locations with a moundify-shaped
-   [dcas] and an insert-shaped [dcss]. *)
+   [a] first; survivors identity-rewrite both cells with a
+   moundify-shaped [dcas] and an insert-shaped [dcss]. *)
 let dcas_helping_under_stalls () =
-  let x0 = ref 0 and x1 = ref 1 and y0 = ref 10 and y1 = ref 11 in
+  let x0 = Val 0 and x1 = Val 1 and y0 = Val 10 and y1 = Val 11 in
   helping_sweep (fun () ->
-      let a = M.make x0 and b = M.make y0 in
-      let victim () = M.dcas b y0 y1 a x0 x1 in
+      let a = M.Cell.make x0 and b = M.Cell.make y0 in
+      let victim () = M.Cell.dcas a x0 x1 b y0 y1 in
       let rewrites =
         [
           (fun () ->
-            let va = M.get a and vb = M.get b in
-            M.dcas a va va b vb vb);
+            let va = M.Cell.get a and vb = M.Cell.get b in
+            M.Cell.dcas a va va b vb vb);
           (fun () ->
-            let va = M.get a and vb = M.get b in
-            M.dcss a va b vb vb);
+            let va = M.Cell.get a and vb = M.Cell.get b in
+            M.Cell.dcss a va b vb vb);
         ]
       in
       let outcome () =
-        let va = M.get a and vb = M.get b in
+        let va = M.Cell.get a and vb = M.Cell.get b in
         if va == x1 && vb == y1 then `New
         else if va == x0 && vb == y0 then `Old
         else `Torn

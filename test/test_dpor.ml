@@ -179,11 +179,12 @@ let toy_spinlock () =
 
 (* ---------------- the structure catalog ---------------- *)
 
-(* The protocol footprint of the mound and MultiQueue programs: (schedules,
-   complete runs, sleep prunes, backtrack points, steps, max trace). Each
-   explores exhaustively within the quick budget, so DPOR_FULL gives the
-   same tuple. A change to the mound operations that claims the same
-   protocol must leave every tuple unchanged. *)
+(* The protocol footprint of the mound, MultiQueue and Mcas programs:
+   (schedules, complete runs, sleep prunes, backtrack points, steps, max
+   trace). Each explores exhaustively within the quick budget, so
+   DPOR_FULL gives the same tuple. A change to the mound operations or
+   the Mcas protocol that claims the same protocol must leave every
+   tuple unchanged. *)
 let footprint =
   [
     ("lf-mound", (8, 8, 7, 14, 488, 61));
@@ -197,6 +198,8 @@ let footprint =
     ("multiqueue", (12, 12, 7, 18, 223, 19));
     ("multiqueue-race", (16, 16, 11, 26, 387, 31));
     ("multiqueue-empty", (498, 498, 501, 998, 20748, 52));
+    ("mcas", (105, 99, 65, 163, 3574, 40));
+    ("mcas-dcss-dcas", (165, 150, 101, 250, 6374, 44));
   ]
 
 let catalog_case name () =

@@ -40,6 +40,20 @@ let test_mcas_lock_free () =
   Alcotest.(check bool) "lock-free" true r.Liveness.lock_free;
   Alcotest.(check bool) "deadlock-free" true r.Liveness.deadlock_free
 
+(* The CASN program's report under the quick config, pinned: a change
+   that claims the same Mcas protocol leaves every figure unchanged. *)
+let test_mcas_quick_report () =
+  let r = Liveness.certify ~config:Liveness.quick_config (entry "mcas") in
+  List.iter
+    (fun (what, expected, got) -> Alcotest.(check int) what expected got)
+    [
+      ("runs", 50, r.Liveness.runs);
+      ("completed", 36, r.Liveness.completed);
+      ("survivor-done", 14, r.Liveness.survivor_runs);
+      ("near misses", 145, r.Liveness.near_misses);
+      ("worst op span", 46, r.Liveness.max_op_steps);
+    ]
+
 let test_lock_mound_starves () =
   let r = certify (entry "lock-mound") in
   (* Deadlock-free under fairness, but a suspended lock holder starves
@@ -129,6 +143,8 @@ let () =
           Alcotest.test_case "lf-mound is lock-free" `Quick
             test_lf_mound_lock_free;
           Alcotest.test_case "mcas is lock-free" `Quick test_mcas_lock_free;
+          Alcotest.test_case "mcas quick report pinned" `Quick
+            test_mcas_quick_report;
           Alcotest.test_case "lock-mound starves but does not deadlock"
             `Quick test_lock_mound_starves;
           Alcotest.test_case "multiqueue failover certifies lock-free"
